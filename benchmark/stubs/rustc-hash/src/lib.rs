@@ -1,0 +1,67 @@
+//! Offline stand-in for `rustc-hash`: the same kind of fast, non-keyed
+//! multiply-rotate hasher, under the names the workspace imports.
+
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+
+pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
+pub type FxHashSet<V> = HashSet<V, FxBuildHasher>;
+
+const K: u64 = 0xf135_7aea_2e62_a9c5;
+
+#[derive(Default, Clone, Copy)]
+pub struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    #[inline]
+    fn add_to_hash(&mut self, word: u64) {
+        self.hash = self.hash.wrapping_add(word).wrapping_mul(K);
+    }
+}
+
+impl Hasher for FxHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.add_to_hash(u64::from_le_bytes(c.try_into().expect("chunk of 8")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut buf = [0u8; 8];
+            buf[..rest.len()].copy_from_slice(rest);
+            self.add_to_hash(u64::from_le_bytes(buf));
+        }
+        // Length, so that prefixes of zero bytes hash apart.
+        self.add_to_hash(bytes.len() as u64);
+    }
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.add_to_hash(u64::from(i));
+    }
+    #[inline]
+    fn write_u16(&mut self, i: u16) {
+        self.add_to_hash(u64::from(i));
+    }
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add_to_hash(u64::from(i));
+    }
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add_to_hash(i);
+    }
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add_to_hash(i as u64);
+    }
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The multiply leaves the entropy in the high bits; hashbrown
+        // takes its bucket index from the low ones.
+        self.hash.rotate_left(26)
+    }
+}
