@@ -470,6 +470,15 @@ mod tests {
         assert!(rule_applies(Rule::NoPanic, "crates/rdf/src/morsel.rs"));
         assert!(rule_applies(Rule::LockOrder, "crates/rdf/src/morsel.rs"));
         assert!(rule_applies(Rule::Wallclock, "crates/rdf/src/morsel.rs"));
+        // `engine::execute` is the executor's single-threaded entry
+        // point, and its Relaxed sites (the `limit_hit` flag, the server's
+        // per-query counters) must stay under the L8 audit.
+        assert!(rule_applies(Rule::NoPanic, "crates/rdf/src/engine.rs"));
+        assert!(rule_applies(Rule::AtomicAudit, "crates/rdf/src/morsel.rs"));
+        assert!(rule_applies(
+            Rule::AtomicAudit,
+            "crates/server/src/state.rs"
+        ));
         assert!(rule_applies(Rule::NoPanic, "crates/obs/src/registry.rs"));
         assert!(rule_applies(Rule::NoPanic, "crates/repl/src/follower.rs"));
         // The reactor runs every connection on one thread: L1, L4 and L5

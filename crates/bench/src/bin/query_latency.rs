@@ -10,8 +10,9 @@
 //! morsel-driven executor, records per-shape p50/p99 latency and the
 //! p99/p50 tail ratio (asserted < 3× on the star — morsel sizing bounds
 //! the largest work unit, so one oversized predicate range can no longer
-//! serialize the query), compares the fast planner's planning time
-//! against the retained reference planner, sweeps the hash-partition
+//! serialize the query), compares the morsel planner's planning time
+//! against the retained reference planner (`fast_us` in the JSON is the
+//! morsel planner; the key predates the single-engine layout), sweeps the hash-partition
 //! count and the worker count (1 → 8, with `host_cores` recorded so
 //! flat curves on small hosts read as what they are), and writes
 //! everything to `BENCH_query.json` at the repo root.
@@ -152,19 +153,20 @@ fn measure_shape(g: &Graph, name: &'static str, q: &SelectQuery, iters: usize) -
     }
 }
 
-/// Median planning time of both engines on one query (the reference
+/// Median planning time of both planners on one query (the reference
 /// engine times its O(matches) `count_pattern` planner the same way the
-/// fast engine times its O(log n) `estimate_pattern` planner).
+/// morsel planner times its O(log n) `estimate_pattern` one). Returns
+/// `(morsel planner, reference)`.
 fn planning_comparison(g: &Graph, q: &SelectQuery, iters: usize) -> (u64, u64) {
-    let mut fast = Vec::new();
+    let mut morsel = Vec::new();
     let mut reference = Vec::new();
     for _ in 0..iters {
-        fast.push(execute(g, q).1.planning_us);
+        morsel.push(execute(g, q).1.planning_us);
         reference.push(execute_reference(g, q).1.planning_us);
     }
-    fast.sort_unstable();
+    morsel.sort_unstable();
     reference.sort_unstable();
-    (percentile(&fast, 50.0), percentile(&reference, 50.0))
+    (percentile(&morsel, 50.0), percentile(&reference, 50.0))
 }
 
 struct SweepResult {
@@ -288,7 +290,7 @@ fn main() {
         let (fast_us, reference_us) = planning_comparison(&g, star3, iters.min(20));
         let speedup = reference_us as f64 / fast_us.max(1) as f64;
         eprintln!(
-            "  planning star3: fast {fast_us}us vs reference {reference_us}us ({speedup:.1}x)"
+            "  planning star3: morsel planner {fast_us}us vs reference {reference_us}us ({speedup:.1}x)"
         );
 
         let sweep = partition_sweep(&g, star3, iters.min(20));

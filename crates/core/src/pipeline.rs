@@ -364,19 +364,7 @@ impl Pipeline {
     /// alongside the recognised events. After this returns, [`Pipeline::graph`]
     /// sees every triple the batch produced — no further commit call needed.
     pub fn ingest_batch(&mut self, reports: &[PositionReport]) -> IngestOutcome {
-        let clean_before = self.metrics.reports_clean;
-        let kept_before = self.metrics.reports_kept;
-        let triples_before = self.metrics.triples;
-        let events = self.process_batch(reports);
-        self.graph.commit();
-        IngestOutcome {
-            accepted: reports.len() as u64,
-            clean: self.metrics.reports_clean - clean_before,
-            kept: self.metrics.reports_kept - kept_before,
-            triples: self.metrics.triples - triples_before,
-            events,
-            new_triples: self.graph.take_new_triples(),
-        }
+        self.ingest_batches(&[reports])
     }
 
     /// Replay-oriented ingest: processes many batches through every

@@ -1,8 +1,11 @@
-//! BGP evaluation: greedy join ordering, index nested loops, filter
-//! pushdown into the spatiotemporal indexes.
+//! BGP evaluation: the result and statistics types, term comparison, the
+//! single-threaded [`execute`] entry point (the morsel plan run by one
+//! inline worker), and the reference engine the test suites compare
+//! every executor against.
 
 use crate::clock::Stopwatch;
 use crate::dict::TermId;
+use crate::morsel::{execute_morsel, MorselConfig};
 use crate::query::{CmpOp, FilterExpr, PatternTerm, SelectQuery, TriplePattern};
 use crate::store::Graph;
 use crate::term::{Literal, Term};
@@ -106,7 +109,39 @@ fn resolve(
     }
 }
 
-/// The shared query prologue: variable table, projection, pushdown
+/// Pushdown: the candidate id set per variable slot from the
+/// spatiotemporal filters of `q` (several filters on one variable
+/// intersect), plus the number of candidate ids the indexes produced.
+/// Every filter variable must be in `var_idx`.
+pub(crate) fn pushdown_candidates(
+    graph: &Graph,
+    q: &SelectQuery,
+    var_idx: &FxHashMap<String, usize>,
+) -> (FxHashMap<usize, FxHashSet<TermId>>, usize) {
+    let mut produced = 0usize;
+    let mut candidates: FxHashMap<usize, FxHashSet<TermId>> = FxHashMap::default();
+    for f in &q.filters {
+        let set = match f {
+            FilterExpr::SpatialWithin { bbox, .. } => graph.spatial().within(bbox),
+            FilterExpr::SpatialNear {
+                center, radius_m, ..
+            } => graph.spatial().near(center, *radius_m),
+            FilterExpr::TimeBetween { interval, .. } => graph.temporal().between(interval),
+            FilterExpr::Compare { .. } => continue,
+        };
+        produced += set.len();
+        let idx = var_idx[f.var()];
+        match candidates.get_mut(&idx) {
+            Some(existing) => existing.retain(|id| set.contains(id)),
+            None => {
+                candidates.insert(idx, set);
+            }
+        }
+    }
+    (candidates, produced)
+}
+
+/// The reference engine's prologue: variable table, projection, pushdown
 /// candidate sets. `Err` carries the (empty) early-exit result.
 struct Prologue {
     all_vars: Vec<String>,
@@ -148,26 +183,8 @@ fn prologue(graph: &Graph, q: &SelectQuery, stats: &mut QueryStats) -> Result<Pr
         }
     }
 
-    // Pushdown: candidate id sets per variable from spatiotemporal filters.
-    let mut candidates: FxHashMap<usize, FxHashSet<TermId>> = FxHashMap::default();
-    for f in &q.filters {
-        let set = match f {
-            FilterExpr::SpatialWithin { bbox, .. } => graph.spatial().within(bbox),
-            FilterExpr::SpatialNear {
-                center, radius_m, ..
-            } => graph.spatial().near(center, *radius_m),
-            FilterExpr::TimeBetween { interval, .. } => graph.temporal().between(interval),
-            FilterExpr::Compare { .. } => continue,
-        };
-        stats.pushdown_candidates += set.len();
-        let idx = var_idx[f.var()];
-        match candidates.get_mut(&idx) {
-            Some(existing) => existing.retain(|id| set.contains(id)),
-            None => {
-                candidates.insert(idx, set);
-            }
-        }
-    }
+    let (candidates, produced) = pushdown_candidates(graph, q, &var_idx);
+    stats.pushdown_candidates += produced;
 
     Ok(Prologue {
         all_vars,
@@ -177,249 +194,18 @@ fn prologue(graph: &Graph, q: &SelectQuery, stats: &mut QueryStats) -> Result<Pr
     })
 }
 
-/// True when `row` survives every residual (non-pushdown) filter.
-fn residual_ok(
-    graph: &Graph,
-    q: &SelectQuery,
-    var_idx: &FxHashMap<String, usize>,
-    row: &[Option<TermId>],
-) -> bool {
-    q.filters.iter().all(|f| {
-        let FilterExpr::Compare { var, op, value } = f else {
-            return true; // pushdown filters already applied
-        };
-        let Some(Some(id)) = var_idx.get(var).map(|&i| row[i]) else {
-            return false;
-        };
-        // lint:allow(no_panic) bound ids come from this graph's indexes.
-        let term = graph.decode(id).expect("id from this graph");
-        cmp_satisfies(*op, cmp_terms(term, value))
-    })
-}
-
-/// Executes a query against a single graph on the fast path: O(log n)
-/// join-order planning via [`Graph::estimate_pattern`] + predicate
-/// statistics, slice scans over the committed indexes (no per-triple
-/// callback), tail scans skipped when the tail is empty, and flat binding
-/// buffers reused across join steps (no per-row allocation).
+/// Executes a query against a single graph on the calling thread: the
+/// morsel executor's plan and join loop ([`crate::morsel`]) run by one
+/// inline worker — no thread is spawned. Row order is unspecified.
 pub fn execute(graph: &Graph, q: &SelectQuery) -> (Bindings, QueryStats) {
-    let t_total = Stopwatch::start();
-    let mut stats = QueryStats::default();
-    let pro = match prologue(graph, q, &mut stats) {
-        Ok(p) => p,
-        Err(b) => return (b, stats),
-    };
-    let Prologue {
-        all_vars,
-        var_idx,
-        projected,
-        candidates,
-    } = pro;
-    let width = all_vars.len();
-
-    // Greedy join order: repeatedly take the cheapest remaining pattern.
-    let mut remaining: Vec<&TriplePattern> = q.patterns.iter().collect();
-    let mut bound: FxHashSet<usize> = FxHashSet::default();
-    // Flat binding storage: rows are `width`-sized chunks; `cur`/`next`
-    // swap between join steps so no per-row Vec is ever allocated.
-    let mut cur: Vec<Option<TermId>> = vec![None; width];
-    let mut cur_rows: usize = 1;
-    let mut next: Vec<Option<TermId>> = Vec::new();
-    let mut scratch: Vec<Option<TermId>> = vec![None; width];
-    let empty_row = vec![None; width];
-    let mut planning = Duration::ZERO;
-
-    while !remaining.is_empty() {
-        // Plan: cost from the O(log n) range estimate, refined by
-        // predicate statistics for variables an earlier step has bound (a
-        // bound var acts as a constant at probe time, so the predicate's
-        // average degree predicts the per-probe fan-out).
-        let t_plan = Stopwatch::start();
-        let mut best: Option<(usize, f64)> = None;
-        for (i, pat) in remaining.iter().enumerate() {
-            let consts = |pt: &PatternTerm| resolve(pt, graph, &var_idx, &empty_row);
-            let (s, p, o) = match (consts(&pat.s), consts(&pat.p), consts(&pat.o)) {
-                (Ok(s), Ok(p), Ok(o)) => (s, p, o),
-                _ => {
-                    // Unknown constant: zero matches — this pattern kills
-                    // the query, pick it immediately.
-                    best = Some((i, -1.0));
-                    break;
-                }
-            };
-            let mut cost = graph.estimate_pattern(s, p, o) as f64;
-            let pstats = p.and_then(|pid| graph.predicate_stats(pid));
-            for (pt, degree) in [
-                (
-                    &pat.s,
-                    pstats.map(|st| st.triples as f64 / st.distinct_subjects.max(1) as f64),
-                ),
-                (&pat.p, None),
-                (
-                    &pat.o,
-                    pstats.map(|st| st.triples as f64 / st.distinct_objects.max(1) as f64),
-                ),
-            ] {
-                let PatternTerm::Var(v) = pt else { continue };
-                let vi = var_idx[v];
-                if bound.contains(&vi) {
-                    cost = match degree {
-                        Some(d) => cost.min(d),
-                        None => cost / 16.0,
-                    };
-                }
-                if candidates.contains_key(&vi) {
-                    cost /= 4.0;
-                }
-            }
-            if best.is_none_or(|(_, c)| cost < c) {
-                best = Some((i, cost));
-            }
-        }
-        // lint:allow(no_panic) the loop guard ensures `remaining` is
-        // non-empty, and every pattern yields a candidate cost.
-        let (chosen_idx, _) = best.expect("remaining non-empty");
-        let pat = remaining.remove(chosen_idx);
-        planning += t_plan.elapsed();
-
-        // Constants and variable slots resolve once per pattern, not per
-        // probe.
-        let slot = |pt: &PatternTerm| -> Result<Result<Option<TermId>, usize>, ()> {
-            match pt {
-                PatternTerm::Term(t) => graph.dict().lookup(t).map(|id| Ok(Some(id))).ok_or(()),
-                PatternTerm::Var(v) => Ok(Err(var_idx[v])),
-            }
-        };
-        let (ss, ps, os) = match (slot(&pat.s), slot(&pat.p), slot(&pat.o)) {
-            (Ok(s), Ok(p), Ok(o)) => (s, p, o),
-            _ => {
-                // A constant term absent from the graph: no row can match.
-                cur_rows = 0;
-                break;
-            }
-        };
-        // Variable positions to bind, in S/P/O order (a var may repeat).
-        let mut binds: Vec<(u8, usize)> = Vec::with_capacity(3);
-        if let Err(vi) = ss {
-            binds.push((0, vi));
-        }
-        if let Err(vi) = ps {
-            binds.push((1, vi));
-        }
-        if let Err(vi) = os {
-            binds.push((2, vi));
-        }
-
-        next.clear();
-        let mut next_rows = 0usize;
-        let tail = graph.tail_triples();
-        for r in 0..cur_rows {
-            let row = &cur[r * width..(r + 1) * width];
-            let rs = match ss {
-                Ok(c) => c,
-                Err(vi) => row[vi],
-            };
-            let rp = match ps {
-                Ok(c) => c,
-                Err(vi) => row[vi],
-            };
-            let ro = match os {
-                Ok(c) => c,
-                Err(vi) => row[vi],
-            };
-            stats.probes += 1;
-            let mut try_bind = |t: crate::store::Triple| {
-                scratch.copy_from_slice(row);
-                for &(pos, vi) in &binds {
-                    let id = match pos {
-                        0 => t.s,
-                        1 => t.p,
-                        _ => t.o,
-                    };
-                    match scratch[vi] {
-                        Some(existing) if existing != id => return,
-                        Some(_) => {}
-                        None => {
-                            if let Some(cand) = candidates.get(&vi) {
-                                if !cand.contains(&id) {
-                                    return;
-                                }
-                            }
-                            scratch[vi] = Some(id);
-                        }
-                    }
-                }
-                next.extend_from_slice(&scratch);
-                next_rows += 1;
-            };
-            // Committed triples come out as an exact slice — no per-triple
-            // callback, no post-filtering.
-            for t in graph.pattern_slice(rs, rp, ro).iter() {
-                try_bind(t);
-            }
-            // The serving path always commits, so the tail scan is skipped
-            // entirely in the common case.
-            if !tail.is_empty() {
-                for t in tail {
-                    if rs.is_none_or(|x| x == t.s)
-                        && rp.is_none_or(|x| x == t.p)
-                        && ro.is_none_or(|x| x == t.o)
-                    {
-                        try_bind(*t);
-                    }
-                }
-            }
-        }
-        std::mem::swap(&mut cur, &mut next);
-        cur_rows = next_rows;
-        for v in pat.vars() {
-            bound.insert(var_idx[v]);
-        }
-        stats.intermediate += cur_rows;
-        if cur_rows == 0 {
-            break;
-        }
-    }
-
-    // Residual comparison filters + projection + limit + dedup, straight
-    // off the flat buffer.
-    let proj_idx: Vec<usize> = projected.iter().map(|v| var_idx[v]).collect();
-    let mut out_rows: Vec<Row> = Vec::with_capacity(cur_rows.min(q.limit.unwrap_or(usize::MAX)));
-    let mut seen: FxHashSet<Row> = FxHashSet::default();
-    'rows: for r in 0..cur_rows {
-        let row = &cur[r * width..(r + 1) * width];
-        if !residual_ok(graph, q, &var_idx, row) {
-            continue;
-        }
-        let maybe_out: Option<Row> = proj_idx.iter().map(|&i| row[i]).collect();
-        let Some(out) = maybe_out else {
-            continue; // a projected var ended up unbound (empty BGP)
-        };
-        if seen.insert(out.clone()) {
-            out_rows.push(out);
-            if let Some(limit) = q.limit {
-                if out_rows.len() >= limit {
-                    break 'rows;
-                }
-            }
-        }
-    }
-
-    stats.planning_us = planning.as_micros() as u64;
-    stats.exec_us = t_total.elapsed().saturating_sub(planning).as_micros() as u64;
-    (
-        Bindings {
-            vars: projected,
-            rows: out_rows,
-        },
-        stats,
-    )
+    let (bindings, stats, _) = execute_morsel(graph, q, &MorselConfig::with_workers(1));
+    (bindings, stats)
 }
 
 /// Executes a query on the **reference path**: the original O(matches)
 /// `count_pattern` planner and per-triple callback probes with per-row
-/// allocation. Retained verbatim so the fast path can be validated for
-/// bit-identical results and benchmarked for planning cost — do not
+/// allocation. Retained verbatim so the morsel executor can be validated
+/// for identical row sets and benchmarked for planning cost — do not
 /// "optimise" this function.
 pub fn execute_reference(graph: &Graph, q: &SelectQuery) -> (Bindings, QueryStats) {
     let t_total = Stopwatch::start();
@@ -637,7 +423,9 @@ mod tests {
         .select(&["v", "n"]);
         let (b, stats) = execute(&g, &q);
         assert_eq!(b.len(), 10);
-        assert!(stats.probes > 0);
+        // The morsel executor's accounting: the seed scan is one probe,
+        // then one probe per seeded row; both steps keep all 10 rows.
+        assert_eq!((stats.probes, stats.intermediate), (11, 20));
         // Decode one row to terms.
         let terms = b.decode_row(&g, &b.rows[0]);
         assert!(terms[0].is_iri());

@@ -16,11 +16,14 @@
 //! * [`query`] / [`parser`] — a SPARQL-subset AST and text syntax:
 //!   `SELECT ?v … WHERE { basic graph pattern }` plus `FILTER` comparisons
 //!   and the spatiotemporal builtins `st_within`, `st_near`, `t_between`;
-//! * [`engine`] — greedy-ordered index-nested-loop BGP evaluation with
-//!   spatial/temporal pushdown;
-//! * [`morsel`] — the morsel-driven work-stealing executor: fixed-size
-//!   seed-scan morsels over per-worker deques, reusable flat binding
-//!   buffers, eager filters and hinted probes;
+//! * [`engine`] — result and statistics types, the single-threaded
+//!   [`execute`] entry point (the morsel executor with one inline worker)
+//!   and [`execute_reference`], the unoptimised oracle the suites compare
+//!   against;
+//! * [`morsel`] — the one optimised BGP engine: greedy join ordering from
+//!   index statistics, spatial/temporal pushdown, index nested loops over
+//!   fixed-size seed-scan morsels on a work-stealing pool, reusable flat
+//!   binding buffers, eager filters and hinted probes;
 //! * [`partition`] — the partitioning algorithms under evaluation: hash by
 //!   subject, spatial grid by subject home location, temporal range;
 //! * [`parallel`] — a partitioned store executing queries across worker

@@ -1,22 +1,21 @@
-//! Morsel-driven, work-stealing BGP execution.
+//! Morsel-driven, work-stealing BGP execution — the crate's one optimised
+//! engine: the planner, the join loop and the output stage here serve the
+//! single graph ([`execute_morsel`], and [`crate::engine::execute`] as its
+//! one-inline-worker form) and the partitioned store alike.
 //!
-//! The previous parallel model ran **one task per hash partition**: a big
-//! partition serialized the whole query and a partition count below the
-//! core count left cores idle. This module replaces it with the
-//! morsel-driven design: every routed partition's *seed scan* (the first
-//! pattern of the join order) is split into fixed-size triple **morsels**,
-//! all morsels from all partitions feed one worker pool through
-//! per-worker deques, and an idle worker **steals** from a victim's deque
-//! — so the largest single work unit is bounded by
-//! [`MorselConfig::morsel_triples`] no matter how skewed the partitions
-//! are. Hand-rolled on `std` threads and mutex-guarded deques, matching
-//! the repo's build-the-substrate style (no rayon).
+//! Every routed partition's *seed scan* (the first pattern of the join
+//! order) is split into fixed-size triple **morsels**, all morsels from
+//! all partitions feed one worker pool through per-worker deques, and an
+//! idle worker **steals** from a victim's deque — so the largest single
+//! work unit is bounded by [`MorselConfig::morsel_triples`] no matter how
+//! skewed the partitions are. Hand-rolled on `std` threads and
+//! mutex-guarded deques, matching the repo's build-the-substrate style
+//! (no rayon). A pool of one runs inline on the caller thread.
 //!
 //! Each worker carries one set of flat columnar binding buffers
 //! (`cur`/`next`/`scratch`, `width`-sized row chunks) across every
 //! operator of every morsel it runs, so the hot join loop never
-//! reallocates per pattern. Two executor-only fast paths ride on the same
-//! plan:
+//! reallocates per pattern. Two refinements ride on the plan:
 //!
 //! * **eager comparison filters** — a `FILTER (?s >= k)` is applied the
 //!   moment `?s` binds instead of after the last join, collapsing the
@@ -29,19 +28,34 @@
 //!   [`Graph::pattern_slice_hinted`] (galloping search from the previous
 //!   position) instead of a cold O(log n) binary search.
 //!
-//! Join order still comes from the per-predicate statistics
+//! Join order comes from the per-predicate statistics
 //! ([`Graph::estimate_pattern`] plus degree refinement), computed **once
 //! up front** per partition — valid because the greedy cost function
 //! depends only on which variables are bound, which is identical for
-//! every row. Result merge is per-worker append + final concat with
-//! global dedup, preserving the co-partitioned join semantics documented
-//! in [`crate::parallel`].
+//! every row.
+//!
+//! Workers append projected rows to a flat id buffer (no per-row
+//! allocation); the merge concatenates them, preserving the
+//! co-partitioned join semantics documented in [`crate::parallel`].
+//! Each projected row is hashed **at most once per query**, and where it
+//! happens is read off the query, never a setting:
+//!
+//! * a projection that covers every BGP variable needs no dedup at all —
+//!   an index-nested-loop join over a duplicate-free store cannot repeat
+//!   a full binding (the binding fixes the triple each pattern matched,
+//!   every triple lives in exactly one morsel of one partition);
+//! * a projection that drops a variable dedups once, in the merge, which
+//!   is also what catches the same row produced by two workers;
+//! * only `LIMIT` over such a projection keeps a worker-local set too:
+//!   the early exit fires when one partition alone has produced `limit`
+//!   *distinct* rows, and that count needs the set.
 
 use crate::clock::Stopwatch;
 use crate::dict::TermId;
-use crate::engine::{self, cmp_satisfies, cmp_terms, Bindings, QueryStats, Row};
-use crate::query::{CmpOp, FilterExpr, PatternTerm, SelectQuery, TriplePattern};
-use crate::store::{Graph, ProbeHint, Triple};
+use crate::engine::{cmp_satisfies, cmp_terms, pushdown_candidates, Bindings, QueryStats, Row};
+use crate::parallel::{DecodedBindings, PartitionedStats};
+use crate::query::{CmpOp, FilterExpr, PatternTerm, SelectQuery};
+use crate::store::{Graph, PatternSlice, ProbeHint, Triple};
 use crate::term::Term;
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::collections::VecDeque;
@@ -124,32 +138,37 @@ impl Slot {
             Slot::Var(vi) => row[vi],
         }
     }
-
-    /// The probe value before any variable is bound (the seed scan).
-    fn const_probe(&self) -> Option<TermId> {
-        match *self {
-            Slot::Const(id) => Some(id),
-            Slot::Var(_) => None,
-        }
-    }
 }
 
-/// One join step: resolved slots plus the variable positions `bind` must
-/// fill, in S/P/O order (a variable may repeat within one pattern).
-#[derive(Debug)]
+/// One join step: a triple pattern resolved against one graph (a variable
+/// may repeat within one pattern).
+#[derive(Debug, Clone, Copy)]
 struct Step {
     s: Slot,
     p: Slot,
     o: Slot,
-    binds: Vec<(u8, usize)>,
+}
+
+impl Step {
+    /// The pattern's probe values under `row`.
+    fn probe(&self, row: &[Option<TermId>]) -> (Option<TermId>, Option<TermId>, Option<TermId>) {
+        (self.s.probe(row), self.p.probe(row), self.o.probe(row))
+    }
 }
 
 /// Graph-independent query analysis: variable table, projection, eager
-/// comparison filters. Mirrors the engine prologue's validity rules.
+/// comparison filters. Same validity rules as the reference engine's
+/// prologue.
 struct Shape<'q> {
     all_vars: Vec<String>,
+    /// The all-unbound row: what a seed scan extends, and what a pattern
+    /// probes with before any variable is bound.
+    unbound: Vec<Option<TermId>>,
     projected: Vec<String>,
     proj_idx: Vec<usize>,
+    /// True when the projection drops a BGP variable, so two bindings can
+    /// project to one row and the output needs a dedup.
+    drops_var: bool,
     /// Per variable slot: the comparison filters to apply the moment the
     /// slot binds.
     eager: Vec<Vec<(CmpOp, &'q Term)>>,
@@ -186,10 +205,13 @@ fn shape(q: &SelectQuery) -> Shape<'_> {
             }
         }
     }
+    let drops_var = (0..all_vars.len()).any(|vi| !proj_idx.contains(&vi));
     Shape {
+        unbound: vec![None; all_vars.len()],
         all_vars,
         projected,
         proj_idx,
+        drops_var,
         eager,
         var_idx,
         valid,
@@ -206,70 +228,53 @@ struct Plan {
 /// Plans `q` against one graph. Returns the plan (`None` = provably empty
 /// here: a constant term absent from this graph's dictionary) and the
 /// pushdown candidate count (counted even for empty plans, matching the
-/// engine's prologue accounting).
+/// reference engine's accounting).
 fn plan_graph(g: &Graph, q: &SelectQuery, shape: &Shape<'_>) -> (Option<Plan>, usize) {
-    // Pushdown: candidate id sets per variable from spatiotemporal filters.
-    let mut pushdown = 0usize;
-    let mut candidates: FxHashMap<usize, FxHashSet<TermId>> = FxHashMap::default();
-    for f in &q.filters {
-        let set = match f {
-            FilterExpr::SpatialWithin { bbox, .. } => g.spatial().within(bbox),
-            FilterExpr::SpatialNear {
-                center, radius_m, ..
-            } => g.spatial().near(center, *radius_m),
-            FilterExpr::TimeBetween { interval, .. } => g.temporal().between(interval),
-            FilterExpr::Compare { .. } => continue,
+    let (candidates, pushdown) = pushdown_candidates(g, q, &shape.var_idx);
+
+    // Resolve every pattern against this graph's dictionary, once.
+    let slot = |pt: &PatternTerm| match pt {
+        PatternTerm::Term(t) => g.dict().lookup(t).map(Slot::Const),
+        PatternTerm::Var(v) => Some(Slot::Var(shape.var_idx[v])),
+    };
+    let mut remaining: Vec<Step> = Vec::with_capacity(q.patterns.len());
+    for pat in &q.patterns {
+        let (Some(s), Some(p), Some(o)) = (slot(&pat.s), slot(&pat.p), slot(&pat.o)) else {
+            // Unknown constant: zero matches in this graph — the query
+            // is empty here.
+            return (None, pushdown);
         };
-        pushdown += set.len();
-        let idx = shape.var_idx[f.var()];
-        match candidates.get_mut(&idx) {
-            Some(existing) => existing.retain(|id| set.contains(id)),
-            None => {
-                candidates.insert(idx, set);
-            }
-        }
+        remaining.push(Step { s, p, o });
     }
 
-    // Upfront greedy join order — the engine's cost function, computed
-    // once instead of per join state (it depends only on the
-    // bound-variable set, which the order itself determines).
-    let lookup = |pt: &PatternTerm| -> Result<Option<TermId>, ()> {
-        match pt {
-            PatternTerm::Term(t) => g.dict().lookup(t).map(Some).ok_or(()),
-            PatternTerm::Var(_) => Ok(None),
-        }
-    };
-    let mut remaining: Vec<usize> = (0..q.patterns.len()).collect();
-    let mut bound: FxHashSet<usize> = FxHashSet::default();
-    let mut order: Vec<usize> = Vec::with_capacity(q.patterns.len());
-    while !remaining.is_empty() {
+    // Upfront greedy join order: the cost of a pattern is its O(log n)
+    // range estimate, refined by predicate statistics for variables an
+    // earlier step has bound (a bound variable acts as a constant at
+    // probe time, so the predicate's average degree predicts the
+    // per-probe fan-out). Computed once, not per join state: the cost
+    // depends only on the bound-variable set, which the order itself
+    // determines. The last pattern left needs no costing.
+    let mut bound = vec![false; shape.all_vars.len()];
+    let mut steps = Vec::with_capacity(remaining.len());
+    while remaining.len() > 1 {
         let mut best: Option<(usize, f64)> = None;
-        for (ri, &pi) in remaining.iter().enumerate() {
-            let pat: &TriplePattern = &q.patterns[pi];
-            let (s, p, o) = match (lookup(&pat.s), lookup(&pat.p), lookup(&pat.o)) {
-                (Ok(s), Ok(p), Ok(o)) => (s, p, o),
-                _ => {
-                    // Unknown constant: zero matches in this graph — the
-                    // query is empty here.
-                    return (None, pushdown);
-                }
-            };
+        for (ri, step) in remaining.iter().enumerate() {
+            let (s, p, o) = step.probe(&shape.unbound);
             let mut cost = g.estimate_pattern(s, p, o) as f64;
             let pstats = p.and_then(|pid| g.predicate_stats(pid));
-            for (pt, degree) in [
+            for (slot, degree) in [
                 (
-                    &pat.s,
+                    step.s,
                     pstats.map(|st| st.triples as f64 / st.distinct_subjects.max(1) as f64),
                 ),
-                (&pat.p, None),
+                (step.p, None),
                 (
-                    &pat.o,
+                    step.o,
                     pstats.map(|st| st.triples as f64 / st.distinct_objects.max(1) as f64),
                 ),
             ] {
-                let PatternTerm::Var(v) = pt else { continue };
-                let vi = shape.var_idx[v];
-                if bound.contains(&vi) {
+                let Slot::Var(vi) = slot else { continue };
+                if bound[vi] {
                     cost = match degree {
                         Some(d) => cost.min(d),
                         None => cost / 16.0,
@@ -278,9 +283,9 @@ fn plan_graph(g: &Graph, q: &SelectQuery, shape: &Shape<'_>) -> (Option<Plan>, u
                 if candidates.contains_key(&vi) {
                     cost /= 4.0;
                 }
-                // Executor-only refinement: a variable with an eager
-                // comparison filter sheds rows at bind time, so patterns
-                // binding it early are cheaper than their raw range width.
+                // A variable with an eager comparison filter sheds rows
+                // at bind time, so patterns binding it early are cheaper
+                // than their raw range width.
                 if !shape.eager[vi].is_empty() {
                     cost /= 4.0;
                 }
@@ -290,34 +295,15 @@ fn plan_graph(g: &Graph, q: &SelectQuery, shape: &Shape<'_>) -> (Option<Plan>, u
             }
         }
         let Some((ri, _)) = best else { break };
-        let pi = remaining.swap_remove(ri);
-        order.push(pi);
-        for v in q.patterns[pi].vars() {
-            bound.insert(shape.var_idx[v]);
-        }
-    }
-
-    // Resolve the ordered patterns into steps.
-    let mut steps = Vec::with_capacity(order.len());
-    for pi in order {
-        let pat = &q.patterns[pi];
-        let slot = |pt: &PatternTerm| -> Option<Slot> {
-            match pt {
-                PatternTerm::Term(t) => g.dict().lookup(t).map(Slot::Const),
-                PatternTerm::Var(v) => Some(Slot::Var(shape.var_idx[v])),
-            }
-        };
-        let (Some(s), Some(p), Some(o)) = (slot(&pat.s), slot(&pat.p), slot(&pat.o)) else {
-            return (None, pushdown);
-        };
-        let mut binds: Vec<(u8, usize)> = Vec::with_capacity(3);
-        for (pos, sl) in [(0u8, &s), (1, &p), (2, &o)] {
-            if let Slot::Var(vi) = sl {
-                binds.push((pos, *vi));
+        let step = remaining.swap_remove(ri);
+        for slot in [step.s, step.p, step.o] {
+            if let Slot::Var(vi) = slot {
+                bound[vi] = true;
             }
         }
-        steps.push(Step { s, p, o, binds });
+        steps.push(step);
     }
+    steps.append(&mut remaining);
     (Some(Plan { steps, candidates }), pushdown)
 }
 
@@ -328,8 +314,9 @@ struct Unit<'a> {
     /// through this graph).
     gidx: usize,
     plan: Plan,
-    /// Seed-pattern probe values (no variable is bound at the seed).
-    seed: (Option<TermId>, Option<TermId>, Option<TermId>),
+    /// The committed triples matching the seed pattern (the first step,
+    /// before any variable is bound), found once and chunked into morsels.
+    seed: PatternSlice<'a>,
 }
 
 /// A fixed-size unit of seed-scan work: a key range of one partition's
@@ -346,16 +333,19 @@ struct Morsel {
 struct Ctx<'a, 'q> {
     units: Vec<Unit<'a>>,
     shape: &'q Shape<'q>,
+    /// The query's `LIMIT`, at least 1 (see [`RunOutcome::limit`]).
     limit: Option<usize>,
-    deques: Vec<Mutex<VecDeque<Morsel>>>,
     limit_hit: AtomicBool,
 }
 
 /// Per-worker results, merged after the scope joins.
 #[derive(Default)]
 struct WorkerOut {
-    /// Projected rows tagged with the producing unit ordinal.
-    rows: Vec<(u32, Row)>,
+    /// Projected rows back to back, `proj_idx.len()` ids each.
+    flat: Vec<TermId>,
+    /// `(unit ordinal, row count)` per morsel that produced rows, in
+    /// `flat` order.
+    runs: Vec<(u32, usize)>,
     probes: usize,
     intermediate: usize,
     morsels: u64,
@@ -366,16 +356,16 @@ struct WorkerOut {
 /// seed order for the probe hints), victims from the back (the far end,
 /// minimizing repeat steals from the same run). Never holds two deque
 /// locks at once, so no ordering edge is ever introduced.
-fn next_morsel(ctx: &Ctx<'_, '_>, w: usize, steals: &mut u64) -> Option<Morsel> {
-    if let Ok(mut own) = ctx.deques[w].lock() {
+fn next_morsel(deques: &[Mutex<VecDeque<Morsel>>], w: usize, steals: &mut u64) -> Option<Morsel> {
+    if let Ok(mut own) = deques[w].lock() {
         if let Some(m) = own.pop_front() {
             return Some(m);
         }
     }
-    let n = ctx.deques.len();
+    let n = deques.len();
     for i in 1..n {
         let v = (w + i) % n;
-        if let Ok(mut victim) = ctx.deques[v].lock() {
+        if let Ok(mut victim) = deques[v].lock() {
             if let Some(m) = victim.pop_back() {
                 *steals += 1;
                 return Some(m);
@@ -402,12 +392,11 @@ struct WorkerState {
     cur: Vec<Option<TermId>>,
     /// Next step's bindings (swapped with `cur` after each step).
     next: Vec<Option<TermId>>,
-    /// The all-unbound row seeding each morsel.
-    base: Vec<Option<TermId>>,
     /// Per-step probe cursors (reset at morsel start).
     hints: Vec<ProbeHint>,
     bufs: BindBufs,
-    /// Worker-local dedup over (unit, projected row).
+    /// Worker-local dedup over (unit, projected row); used only when a
+    /// `LIMIT` has to count distinct rows of a variable-dropping projection.
     seen: FxHashSet<(u32, Row)>,
     /// Rows kept per unit (worker-local limit cap).
     per_unit: Vec<usize>,
@@ -418,7 +407,6 @@ impl WorkerState {
         WorkerState {
             cur: Vec::new(),
             next: Vec::new(),
-            base: vec![None; width],
             hints: vec![ProbeHint::default(); steps],
             bufs: BindBufs {
                 scratch: vec![None; width],
@@ -443,12 +431,8 @@ fn bind(
     bufs: &mut BindBufs,
 ) -> bool {
     bufs.scratch.copy_from_slice(row);
-    for &(pos, vi) in &step.binds {
-        let id = match pos {
-            0 => t.s,
-            1 => t.p,
-            _ => t.o,
-        };
+    for (slot, id) in [(step.s, t.s), (step.p, t.p), (step.o, t.o)] {
+        let Slot::Var(vi) = slot else { continue };
         match bufs.scratch[vi] {
             Some(existing) if existing != id => return false,
             Some(_) => {}
@@ -484,130 +468,135 @@ fn bind(
     true
 }
 
+/// One probe of one join step: extends `row` with every triple of
+/// `committed`, and every triple of `tail` matching the step's pattern
+/// under `row`, that binds. Appends the extended rows to `next` and
+/// returns how many there were.
+#[allow(clippy::too_many_arguments)]
+fn extend_row(
+    unit: &Unit<'_>,
+    shape: &Shape<'_>,
+    step: &Step,
+    row: &[Option<TermId>],
+    committed: PatternSlice<'_>,
+    tail: &[Triple],
+    bufs: &mut BindBufs,
+    next: &mut Vec<Option<TermId>>,
+) -> usize {
+    let (s, p, o) = step.probe(row);
+    let tail = tail.iter().copied().filter(|t| t.matches(s, p, o));
+    let mut rows = 0;
+    for t in committed.iter().chain(tail) {
+        if bind(unit.graph, shape, &unit.plan, step, row, t, bufs) {
+            next.extend_from_slice(&bufs.scratch);
+            rows += 1;
+        }
+    }
+    rows
+}
+
 /// Runs one morsel through every join step and appends surviving projected
 /// rows to `out`.
 fn run_morsel(ctx: &Ctx<'_, '_>, m: Morsel, st: &mut WorkerState, out: &mut WorkerOut) {
     let unit = &ctx.units[m.unit as usize];
-    let (g, plan, shape) = (unit.graph, &unit.plan, ctx.shape);
+    let (g, shape) = (unit.graph, ctx.shape);
     let width = shape.all_vars.len();
-    let Some(seed) = plan.steps.first() else {
+    let Some((seed, joins)) = unit.plan.steps.split_first() else {
         return;
     };
     for h in &mut st.hints {
         *h = ProbeHint::default();
     }
 
-    // Seed phase: materialize the morsel's key range (or tail chunk) into
-    // the flat `cur` buffer.
+    // Seed phase: the all-unbound row against the morsel's key range (or
+    // tail chunk), into the flat `cur` buffer.
     st.cur.clear();
-    let mut cur_rows = 0usize;
-    let (ss, sp, so) = unit.seed;
-    if m.tail {
-        for t in &g.tail_triples()[m.lo..m.hi] {
-            let hits = ss.is_none_or(|x| x == t.s)
-                && sp.is_none_or(|x| x == t.p)
-                && so.is_none_or(|x| x == t.o);
-            if hits && bind(g, shape, plan, seed, &st.base, *t, &mut st.bufs) {
-                st.cur.extend_from_slice(&st.bufs.scratch);
-                cur_rows += 1;
-            }
-        }
+    let (committed, tail) = if m.tail {
+        (unit.seed.slice(0, 0), &g.tail_triples()[m.lo..m.hi])
     } else {
-        for t in g.pattern_slice(ss, sp, so).slice(m.lo, m.hi).iter() {
-            if bind(g, shape, plan, seed, &st.base, t, &mut st.bufs) {
-                st.cur.extend_from_slice(&st.bufs.scratch);
-                cur_rows += 1;
-            }
-        }
-    }
+        (unit.seed.slice(m.lo, m.hi), &[][..])
+    };
+    let mut cur_rows = extend_row(
+        unit,
+        shape,
+        seed,
+        &shape.unbound,
+        committed,
+        tail,
+        &mut st.bufs,
+        &mut st.cur,
+    );
     out.intermediate += cur_rows;
 
-    // Join steps over the reused flat buffers.
-    for (si, step) in plan.steps.iter().enumerate().skip(1) {
+    // Join steps over the reused flat buffers. The serving path always
+    // commits, so the tail is empty in the common case.
+    let tail = g.tail_triples();
+    for (step, hint) in joins.iter().zip(&mut st.hints) {
         if cur_rows == 0 {
             break;
         }
         st.next.clear();
         let mut next_rows = 0usize;
-        let tail = g.tail_triples();
         for r in 0..cur_rows {
-            let (rs, rp, ro) = {
-                let row = &st.cur[r * width..(r + 1) * width];
-                (step.s.probe(row), step.p.probe(row), step.o.probe(row))
-            };
+            let row = &st.cur[r * width..(r + 1) * width];
+            let (s, p, o) = step.probe(row);
+            let committed = g.pattern_slice_hinted(s, p, o, hint);
             out.probes += 1;
-            for t in g.pattern_slice_hinted(rs, rp, ro, &mut st.hints[si]).iter() {
-                if bind(
-                    g,
-                    shape,
-                    plan,
-                    step,
-                    &st.cur[r * width..(r + 1) * width],
-                    t,
-                    &mut st.bufs,
-                ) {
-                    st.next.extend_from_slice(&st.bufs.scratch);
-                    next_rows += 1;
-                }
-            }
-            if !tail.is_empty() {
-                for t in tail {
-                    let hits = rs.is_none_or(|x| x == t.s)
-                        && rp.is_none_or(|x| x == t.p)
-                        && ro.is_none_or(|x| x == t.o);
-                    if hits
-                        && bind(
-                            g,
-                            shape,
-                            plan,
-                            step,
-                            &st.cur[r * width..(r + 1) * width],
-                            *t,
-                            &mut st.bufs,
-                        )
-                    {
-                        st.next.extend_from_slice(&st.bufs.scratch);
-                        next_rows += 1;
-                    }
-                }
-            }
+            next_rows += extend_row(
+                unit,
+                shape,
+                step,
+                row,
+                committed,
+                tail,
+                &mut st.bufs,
+                &mut st.next,
+            );
         }
         std::mem::swap(&mut st.cur, &mut st.next);
         cur_rows = next_rows;
         out.intermediate += cur_rows;
     }
 
-    // Projection + worker-local dedup + limit cap. Every BGP variable is
-    // bound after the last step, so no residual filter pass remains (the
-    // eager path already applied every comparison).
-    let cap = ctx.limit.map(|l| l.max(1));
+    // Projection + limit cap. Every BGP variable is bound after the last
+    // step, so no residual filter pass remains (the eager path already
+    // applied every comparison).
+    let ui = m.unit as usize;
+    let cap = ctx.limit;
+    let count_distinct = cap.is_some() && shape.drops_var;
+    let before = st.per_unit[ui];
     for r in 0..cur_rows {
+        if cap.is_some_and(|c| st.per_unit[ui] >= c) {
+            // This unit alone already guarantees `limit` distinct rows
+            // globally (ids decode injectively per graph), so the rest
+            // of the morsel can be dropped.
+            break;
+        }
         let row = &st.cur[r * width..(r + 1) * width];
-        let maybe_out: Option<Row> = shape.proj_idx.iter().map(|&i| row[i]).collect();
-        let Some(out_row) = maybe_out else {
+        let start = out.flat.len();
+        out.flat
+            .extend(shape.proj_idx.iter().filter_map(|&i| row[i]));
+        let projected = &out.flat[start..];
+        if projected.len() != shape.proj_idx.len()
+            || (count_distinct && !st.seen.insert((m.unit, projected.to_vec())))
+        {
+            out.flat.truncate(start);
             continue;
-        };
-        if let Some(cap) = cap {
-            if st.per_unit[m.unit as usize] >= cap {
-                // This unit alone already guarantees `limit` distinct rows
-                // globally (ids decode injectively per graph), so the rest
-                // of the morsel can be dropped.
-                break;
-            }
         }
-        if st.seen.insert((m.unit, out_row.clone())) {
-            out.rows.push((m.unit, out_row));
-            st.per_unit[m.unit as usize] += 1;
-            if cap.is_some_and(|c| st.per_unit[m.unit as usize] >= c) {
-                ctx.limit_hit.store(true, AtomicOrdering::Relaxed);
-            }
-        }
+        st.per_unit[ui] += 1;
+    }
+    let kept = st.per_unit[ui] - before;
+    if kept > 0 {
+        out.runs.push((m.unit, kept));
+    }
+    if cap.is_some_and(|c| st.per_unit[ui] >= c) {
+        ctx.limit_hit.store(true, AtomicOrdering::Relaxed);
     }
 }
 
-/// The worker loop: drain the own deque, then steal until everything is
-/// dry (all morsels exist up front, so one empty sweep means done).
-fn worker_run(ctx: &Ctx<'_, '_>, w: usize) -> WorkerOut {
+/// The worker loop: run morsels from `next` until it is dry or the limit
+/// is hit. `next` also counts the steals it makes.
+fn worker_run(ctx: &Ctx<'_, '_>, mut next: impl FnMut(&mut u64) -> Option<Morsel>) -> WorkerOut {
     let mut out = WorkerOut::default();
     let width = ctx.shape.all_vars.len();
     let steps = ctx
@@ -621,7 +610,7 @@ fn worker_run(ctx: &Ctx<'_, '_>, w: usize) -> WorkerOut {
         if ctx.limit_hit.load(AtomicOrdering::Relaxed) {
             break;
         }
-        let Some(m) = next_morsel(ctx, w, &mut out.steals) else {
+        let Some(m) = next(&mut out.steals) else {
             break;
         };
         out.morsels += 1;
@@ -633,8 +622,12 @@ fn worker_run(ctx: &Ctx<'_, '_>, w: usize) -> WorkerOut {
 /// The outcome of a pool run, before result-format-specific merging.
 struct RunOutcome {
     projected: Vec<String>,
-    /// Per-worker row lists, each `(unit ordinal, projected id row)`.
-    rows: Vec<Vec<(u32, Row)>>,
+    /// Whether the merge must dedup (see the module docs).
+    dedup: bool,
+    /// Rows the merge may return. `LIMIT 0` behaves as `LIMIT 1`, as in
+    /// the reference engine, which checks the limit after pushing a row.
+    limit: Option<usize>,
+    workers: Vec<WorkerOut>,
     /// Unit ordinal → index into the caller's graph list.
     unit_gidx: Vec<usize>,
     stats: QueryStats,
@@ -643,15 +636,51 @@ struct RunOutcome {
     ready: usize,
 }
 
+impl RunOutcome {
+    /// Every projected row with the index (into the caller's graph list)
+    /// of the graph whose dictionary decodes it, in worker order.
+    fn rows(&self) -> impl Iterator<Item = (usize, &[TermId])> + '_ {
+        let width = self.projected.len();
+        self.workers.iter().flat_map(move |w| {
+            let mut at = 0usize;
+            w.runs.iter().flat_map(move |&(unit, n)| {
+                let first = at;
+                at += n;
+                let gidx = self.unit_gidx[unit as usize];
+                (first..at).map(move |r| (gidx, &w.flat[r * width..(r + 1) * width]))
+            })
+        })
+    }
+}
+
 /// Plans `q` against every routed graph, splits the seed scans into
 /// morsels, and drains them through the work-stealing pool.
 fn run(graphs: &[&Graph], q: &SelectQuery, cfg: &MorselConfig) -> RunOutcome {
     let shape = shape(q);
+    let limit = q.limit.map(|l| l.max(1));
     let mut stats = QueryStats::default();
     let mut morsel_stats = MorselStats {
         workers: cfg.resolved_workers(),
         ..MorselStats::default()
     };
+    if q.patterns.is_empty() {
+        // The empty BGP has exactly one solution, the empty binding,
+        // wherever it is asked; there is no seed scan to morselize.
+        let mut only = WorkerOut::default();
+        if shape.valid && !graphs.is_empty() {
+            only.runs.push((0, 1));
+        }
+        return RunOutcome {
+            projected: shape.projected,
+            dedup: false,
+            limit,
+            workers: vec![only],
+            unit_gidx: vec![0],
+            stats,
+            morsel: morsel_stats,
+            ready: 0,
+        };
+    }
     let mut units: Vec<Unit<'_>> = Vec::new();
     let mut planning = Duration::ZERO;
     if shape.valid {
@@ -663,17 +692,18 @@ fn run(graphs: &[&Graph], q: &SelectQuery, cfg: &MorselConfig) -> RunOutcome {
             // convention the thread-per-partition executor used.
             planning = planning.max(t_plan.elapsed());
             stats.pushdown_candidates += pushdown;
-            if let Some(plan) = plan {
-                let seed = plan.steps.first().map_or((None, None, None), |s| {
-                    (s.s.const_probe(), s.p.const_probe(), s.o.const_probe())
-                });
-                units.push(Unit {
-                    graph: g,
-                    gidx,
-                    plan,
-                    seed,
-                });
-            }
+            // The BGP is non-empty here, so a live plan has a first step.
+            let Some(plan) = plan else { continue };
+            let Some(&first) = plan.steps.first() else {
+                continue;
+            };
+            let (s, p, o) = first.probe(&shape.unbound);
+            units.push(Unit {
+                graph: g,
+                gidx,
+                seed: g.pattern_slice(s, p, o),
+                plan,
+            });
         }
     }
     stats.planning_us = planning.as_micros() as u64;
@@ -687,7 +717,6 @@ fn run(graphs: &[&Graph], q: &SelectQuery, cfg: &MorselConfig) -> RunOutcome {
     let step = cfg.morsel_triples.max(1);
     let mut morsels: Vec<Morsel> = Vec::new();
     for (ui, unit) in units.iter().enumerate() {
-        let (s, p, o) = unit.seed;
         let mut chunk = |n: usize, tail: bool| {
             let mut lo = 0;
             while lo < n {
@@ -701,36 +730,38 @@ fn run(graphs: &[&Graph], q: &SelectQuery, cfg: &MorselConfig) -> RunOutcome {
                 lo = hi;
             }
         };
-        chunk(unit.graph.pattern_slice(s, p, o).len(), false);
+        chunk(unit.seed.len(), false);
         chunk(unit.graph.tail_triples().len(), true);
     }
     morsel_stats.morsels = morsels.len() as u64;
 
-    // Distribute contiguous runs so each worker's own deque ascends (probe
-    // hints stay monotonic); stealing takes from the far end.
     let pool = morsel_stats.workers.min(morsels.len()).max(1);
-    let total = morsels.len().max(1);
-    let mut queues: Vec<VecDeque<Morsel>> = (0..pool).map(|_| VecDeque::new()).collect();
-    for (i, m) in morsels.into_iter().enumerate() {
-        queues[i * pool / total].push_back(m);
-    }
     let ctx = Ctx {
         units,
         shape: &shape,
-        limit: q.limit,
-        deques: queues.into_iter().map(Mutex::new).collect(),
+        limit,
         limit_hit: AtomicBool::new(false),
     };
-
-    let outs: Vec<WorkerOut> = if pool <= 1 {
-        // No parallelism to win: run the whole deque inline, no spawn.
-        vec![worker_run(&ctx, 0)]
+    let workers: Vec<WorkerOut> = if pool <= 1 {
+        // No parallelism to win: the caller thread runs the morsels in
+        // order — no deque, no lock, no spawn.
+        let mut inline = morsels.into_iter();
+        vec![worker_run(&ctx, |_| inline.next())]
     } else {
+        // Contiguous runs per worker, so each own deque ascends (probe
+        // hints stay monotonic); stealing takes from the far end. All
+        // morsels exist up front, so one empty sweep means done.
+        let total = morsels.len();
+        let mut queues: Vec<VecDeque<Morsel>> = (0..pool).map(|_| VecDeque::new()).collect();
+        for (i, m) in morsels.into_iter().enumerate() {
+            queues[i * pool / total].push_back(m);
+        }
+        let deques: Vec<Mutex<VecDeque<Morsel>>> = queues.into_iter().map(Mutex::new).collect();
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..pool)
                 .map(|w| {
-                    let ctx = &ctx;
-                    scope.spawn(move || worker_run(ctx, w))
+                    let (ctx, deques) = (&ctx, &deques);
+                    scope.spawn(move || worker_run(ctx, |steals| next_morsel(deques, w, steals)))
                 })
                 .collect();
             handles
@@ -742,20 +773,20 @@ fn run(graphs: &[&Graph], q: &SelectQuery, cfg: &MorselConfig) -> RunOutcome {
         })
     };
 
-    let mut rows = Vec::with_capacity(outs.len());
-    for o in outs {
+    for o in &workers {
         stats.probes += o.probes;
         stats.intermediate += o.intermediate;
         morsel_stats.steals += o.steals;
         if o.morsels > 0 {
             morsel_stats.workers_used += 1;
         }
-        rows.push(o.rows);
     }
     let unit_gidx = ctx.units.iter().map(|u| u.gidx).collect();
     RunOutcome {
+        dedup: shape.drops_var,
+        limit,
         projected: shape.projected,
-        rows,
+        workers,
         unit_gidx,
         stats,
         morsel: morsel_stats,
@@ -763,45 +794,34 @@ fn run(graphs: &[&Graph], q: &SelectQuery, cfg: &MorselConfig) -> RunOutcome {
     }
 }
 
+/// Time since `t_total` not already reported as planning.
+fn exec_us(t_total: &Stopwatch, stats: &QueryStats) -> u64 {
+    t_total
+        .elapsed()
+        .saturating_sub(Duration::from_micros(stats.planning_us))
+        .as_micros() as u64
+}
+
 /// Executes `q` against a single graph on the morsel executor. Returns
-/// the same row set as [`engine::execute`] (order unspecified), plus the
-/// executor statistics.
+/// the same row set as [`crate::engine::execute_reference`] (order
+/// unspecified; under `LIMIT`, some `min(limit, distinct)` of its rows),
+/// plus the executor statistics.
 pub fn execute_morsel(
     graph: &Graph,
     q: &SelectQuery,
     cfg: &MorselConfig,
 ) -> (Bindings, QueryStats, MorselStats) {
-    if q.patterns.is_empty() {
-        // The empty-BGP epilogue (one all-unbound row) has no seed scan to
-        // morselize; the per-graph engine handles it directly.
-        let (b, s) = engine::execute(graph, q);
-        let morsel = MorselStats {
-            workers: cfg.resolved_workers(),
-            ..MorselStats::default()
-        };
-        return (b, s, morsel);
-    }
     let t_total = Stopwatch::start();
     let out = run(&[graph], q, cfg);
+    let mut seen: FxHashSet<&[TermId]> = FxHashSet::default();
+    let rows: Vec<Row> = out
+        .rows()
+        .filter(|&(_, row)| !out.dedup || seen.insert(row))
+        .take(out.limit.unwrap_or(usize::MAX))
+        .map(|(_, row)| row.to_vec())
+        .collect();
     let mut stats = out.stats;
-    let mut seen: FxHashSet<Row> = FxHashSet::default();
-    let mut rows: Vec<Row> = Vec::new();
-    'merge: for worker_rows in out.rows {
-        for (_, row) in worker_rows {
-            if seen.insert(row.clone()) {
-                rows.push(row);
-                if let Some(limit) = q.limit {
-                    if rows.len() >= limit {
-                        break 'merge;
-                    }
-                }
-            }
-        }
-    }
-    stats.exec_us = t_total
-        .elapsed()
-        .saturating_sub(Duration::from_micros(stats.planning_us))
-        .as_micros() as u64;
+    stats.exec_us = exec_us(&t_total, &stats);
     (
         Bindings {
             vars: out.projected,
@@ -812,70 +832,59 @@ pub fn execute_morsel(
     )
 }
 
-/// What partitioned execution hands back to
-/// [`crate::parallel::PartitionedStore`]: decoded rows plus statistics.
-pub(crate) struct RoutedResult {
-    pub vars: Vec<String>,
-    pub rows: Vec<Vec<Term>>,
-    pub stats: QueryStats,
-    pub morsel: MorselStats,
-    /// Partitions whose plan was live (`partitions_probed`).
-    pub probed: usize,
-}
-
 /// Partitioned execution over an already-routed graph list: runs the
-/// shared pool, then decodes and merges rows with global dedup via a
-/// rendered key (terms have no cross-partition ids).
+/// shared pool, then decodes and merges rows, deduplicating (when the
+/// projection drops a variable) via a rendered key — terms have no
+/// cross-partition ids. The caller fills in `partitions_total`.
 pub(crate) fn execute_routed(
     graphs: &[&Graph],
     q: &SelectQuery,
     cfg: &MorselConfig,
-) -> RoutedResult {
+) -> (DecodedBindings, PartitionedStats) {
     let t_total = Stopwatch::start();
     let out = run(graphs, q, cfg);
-    let mut stats = out.stats;
     let mut seen: FxHashSet<String> = FxHashSet::default();
-    let mut merged: Vec<Vec<Term>> = Vec::new();
-    'merge: for worker_rows in out.rows {
-        for (unit, row) in worker_rows {
-            let g = graphs[out.unit_gidx[unit as usize]];
-            let terms: Vec<Term> = row
-                .iter()
+    let rows: Vec<Vec<Term>> = out
+        .rows()
+        .map(|(gidx, row)| -> Vec<Term> {
+            row.iter()
                 // lint:allow(no_panic) ids are local to the partition
                 // that produced them.
-                .map(|id| g.decode(*id).expect("local id").clone())
-                .collect();
-            let key = terms
-                .iter()
-                .map(|t| t.to_string())
-                .collect::<Vec<_>>()
-                .join("\u{1f}");
-            if seen.insert(key) {
-                merged.push(terms);
-                if let Some(limit) = q.limit {
-                    if merged.len() >= limit {
-                        break 'merge;
-                    }
-                }
-            }
-        }
-    }
-    stats.exec_us = t_total
-        .elapsed()
-        .saturating_sub(Duration::from_micros(stats.planning_us))
-        .as_micros() as u64;
-    RoutedResult {
-        vars: out.projected,
-        rows: merged,
-        stats,
-        morsel: out.morsel,
-        probed: out.ready,
-    }
+                .map(|id| graphs[gidx].decode(*id).expect("local id").clone())
+                .collect()
+        })
+        .filter(|terms| {
+            !out.dedup
+                || seen.insert(
+                    terms
+                        .iter()
+                        .map(|t| t.to_string())
+                        .collect::<Vec<_>>()
+                        .join("\u{1f}"),
+                )
+        })
+        .take(out.limit.unwrap_or(usize::MAX))
+        .collect();
+    let mut engine = out.stats;
+    engine.exec_us = exec_us(&t_total, &engine);
+    let stats = PartitionedStats {
+        partitions_touched: graphs.len(),
+        partitions_total: graphs.len(),
+        partitions_probed: out.ready,
+        workers: out.morsel.workers,
+        workers_used: out.morsel.workers_used,
+        morsels: out.morsel.morsels,
+        steals: out.morsel.steals,
+        engine,
+    };
+    let vars = out.projected;
+    (DecodedBindings { vars, rows }, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::execute_reference;
     use crate::parser::parse_query;
 
     fn fleet() -> Graph {
@@ -908,7 +917,7 @@ mod tests {
 
     fn check_equivalence(g: &Graph, text: &str) {
         let q = parse_query(text).unwrap();
-        let (reference, _) = engine::execute(g, &q);
+        let (reference, _) = execute_reference(g, &q);
         for workers in [1, 2, 8] {
             for morsel_triples in [3, 4096] {
                 let cfg = MorselConfig {
@@ -932,7 +941,7 @@ mod tests {
     }
 
     #[test]
-    fn matches_engine_on_query_zoo() {
+    fn matches_reference_on_query_zoo() {
         let g = fleet();
         for text in [
             "SELECT ?v WHERE { ?v type Vessel }",
@@ -950,7 +959,7 @@ mod tests {
     }
 
     #[test]
-    fn matches_engine_with_uncommitted_tail() {
+    fn matches_reference_with_uncommitted_tail() {
         let mut g = fleet();
         g.insert(&Term::iri("v99"), &Term::iri("type"), &Term::iri("Vessel"));
         g.insert(&Term::iri("v99"), &Term::iri("speed"), &Term::double(40.0));
@@ -986,13 +995,47 @@ mod tests {
     }
 
     #[test]
-    fn empty_bgp_falls_back_to_engine() {
+    fn empty_bgp_has_the_one_empty_binding() {
         let g = fleet();
         let q = SelectQuery::new(Vec::new());
-        let (b, _, ms) = execute_morsel(&g, &q, &MorselConfig::default());
-        let (reference, _) = engine::execute(&g, &q);
-        assert_eq!(b.rows, reference.rows);
+        let (b, stats, ms) = execute_morsel(&g, &q, &MorselConfig::default());
+        let (reference, _) = execute_reference(&g, &q);
+        assert_eq!(b.rows, vec![Row::new()]);
+        assert_eq!(b, reference);
+        assert_eq!((stats.probes, ms.morsels), (0, 0));
         assert!(ms.workers >= 1);
+        // A projected variable the (empty) BGP cannot bind: no solution.
+        let q = SelectQuery::new(Vec::new()).select(&["v"]);
+        assert_eq!(execute_morsel(&g, &q, &MorselConfig::default()).0, {
+            execute_reference(&g, &q).0
+        });
+    }
+
+    #[test]
+    fn all_constant_bgp_has_zero_width_rows() {
+        let g = fleet();
+        let pat = |s: &str, p: &str, o: &str| {
+            crate::query::TriplePattern::new(Term::iri(s), Term::iri(p), Term::iri(o))
+        };
+        for (patterns, rows) in [
+            (vec![pat("v3", "type", "Vessel")], 1),
+            (
+                vec![pat("v3", "type", "Vessel"), pat("v3", "near", "v4")],
+                1,
+            ),
+            (
+                vec![pat("v3", "type", "Vessel"), pat("v3", "near", "v9")],
+                0,
+            ),
+        ] {
+            let q = SelectQuery::new(patterns);
+            let (reference, _) = execute_reference(&g, &q);
+            assert_eq!(reference.rows.len(), rows);
+            for workers in [1, 4] {
+                let (b, _, _) = execute_morsel(&g, &q, &MorselConfig::with_workers(workers));
+                assert_eq!(b, reference, "{q:?}");
+            }
+        }
     }
 
     #[test]

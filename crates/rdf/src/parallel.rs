@@ -13,7 +13,7 @@
 //! experiments use star-shaped and co-partitioned workloads, matching how
 //! the datAcron ontology models per-entity data.
 
-use crate::engine::{execute, QueryStats};
+use crate::engine::QueryStats;
 use crate::morsel::{self, MorselConfig};
 use crate::partition::Partitioner;
 use crate::query::{FilterExpr, SelectQuery};
@@ -68,22 +68,9 @@ impl PartitionedStore {
     /// `assign`) and builds one graph per partition.
     pub fn build(source: &Graph, mut partitioner: Box<dyn Partitioner>) -> Self {
         partitioner.prepare(source);
-        let n = partitioner.partitions();
-        let mut parts: Vec<Graph> = (0..n).map(|_| Graph::new()).collect();
-        for t in source.iter_triples() {
-            let idx = partitioner.assign(&t, source);
-            let (s, p, o) = (
-                // lint:allow(no_panic) ids came from `source.iter_triples`.
-                source.decode(t.s).expect("id from source"),
-                source.decode(t.p).expect("id from source"), // lint:allow(no_panic)
-                source.decode(t.o).expect("id from source"), // lint:allow(no_panic)
-            );
-            parts[idx].insert(s, p, o);
-        }
-        for g in &mut parts {
-            g.commit();
-        }
-        Self { parts, partitioner }
+        let mut store = Self::empty(partitioner);
+        store.place(source, source.iter_triples());
+        store
     }
 
     /// An empty store ready for incremental [`PartitionedStore::ingest`].
@@ -102,9 +89,15 @@ impl PartitionedStore {
     /// post-dedup commit delta (see [`Graph::take_new_triples`]); ids are
     /// decoded through `source`'s dictionary and re-encoded per partition.
     pub fn ingest(&mut self, source: &Graph, new: &[Triple]) {
+        self.place(source, new.iter().copied());
+    }
+
+    /// Inserts `triples` (encoded by `source`) into the partitions the
+    /// partitioner assigns them to, then commits the touched partitions.
+    fn place(&mut self, source: &Graph, triples: impl Iterator<Item = Triple>) {
         let mut touched = vec![false; self.parts.len()];
-        for t in new {
-            let idx = self.partitioner.assign(t, source);
+        for t in triples {
+            let idx = self.partitioner.assign(&t, source);
             let (s, p, o) = (
                 // lint:allow(no_panic) callers pass triples encoded by
                 // `source`; see `ingest`'s contract.
@@ -200,74 +193,10 @@ impl PartitionedStore {
         cfg: &MorselConfig,
     ) -> (DecodedBindings, PartitionedStats) {
         let routed = self.route(q);
-        let mut stats = PartitionedStats {
-            partitions_touched: routed.len(),
-            partitions_total: self.parts.len(),
-            workers: cfg.resolved_workers(),
-            ..PartitionedStats::default()
-        };
-
-        if q.patterns.is_empty() {
-            // Empty-BGP epilogue (one all-unbound row per partition): no
-            // seed scan to morselize — run the per-partition engine
-            // serially and merge with the usual rendered-key dedup.
-            let mut vars: Vec<String> = Vec::new();
-            let mut merged: Vec<Vec<Term>> = Vec::new();
-            let mut seen: FxHashSet<String> = FxHashSet::default();
-            'parts: for &idx in &routed {
-                let g = &self.parts[idx];
-                let (b, s) = execute(g, q);
-                if vars.is_empty() {
-                    vars = b.vars;
-                }
-                stats.engine.intermediate += s.intermediate;
-                stats.engine.pushdown_candidates += s.pushdown_candidates;
-                stats.engine.probes += s.probes;
-                stats.engine.planning_us = stats.engine.planning_us.max(s.planning_us);
-                stats.engine.exec_us = stats.engine.exec_us.max(s.exec_us);
-                if s.probes > 0 {
-                    stats.partitions_probed += 1;
-                }
-                for row in b.rows {
-                    let terms: Vec<Term> = row
-                        .iter()
-                        // lint:allow(no_panic) ids are local to the
-                        // partition that produced them.
-                        .map(|id| g.decode(*id).expect("local id").clone())
-                        .collect();
-                    let key = terms
-                        .iter()
-                        .map(|t| t.to_string())
-                        .collect::<Vec<_>>()
-                        .join("\u{1f}");
-                    if seen.insert(key) {
-                        merged.push(terms);
-                        if let Some(limit) = q.limit {
-                            if merged.len() >= limit {
-                                break 'parts;
-                            }
-                        }
-                    }
-                }
-            }
-            return (DecodedBindings { vars, rows: merged }, stats);
-        }
-
         let graphs: Vec<&Graph> = routed.iter().map(|&idx| &self.parts[idx]).collect();
-        let r = morsel::execute_routed(&graphs, q, cfg);
-        stats.partitions_probed = r.probed;
-        stats.workers = r.morsel.workers;
-        stats.workers_used = r.morsel.workers_used;
-        stats.morsels = r.morsel.morsels;
-        stats.steals = r.morsel.steals;
-        stats.engine = r.stats;
-        (
-            DecodedBindings {
-                vars: r.vars,
-                rows: r.rows,
-            },
-            stats,
-        )
+        let (bindings, mut stats) = morsel::execute_routed(&graphs, q, cfg);
+        stats.partitions_total = self.parts.len();
+        (bindings, stats)
     }
 }
 

@@ -17,6 +17,16 @@ pub struct Triple {
     pub o: TermId,
 }
 
+impl Triple {
+    /// True when every bound component of the pattern (`None` = wildcard)
+    /// equals this triple's.
+    pub fn matches(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> bool {
+        s.is_none_or(|x| x == self.s)
+            && p.is_none_or(|x| x == self.p)
+            && o.is_none_or(|x| x == self.o)
+    }
+}
+
 /// Which component order an index is sorted in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum IndexOrder {
@@ -118,10 +128,18 @@ pub struct ProbeHint {
     pos: usize,
 }
 
+/// How far (in keys, by doubling) a hinted probe searches forward from
+/// its hint before giving up on locality.
+const GALLOP_MAX_JUMP: usize = 128;
+
 /// First position `j >= from` where `below(&index[j])` is false, given that
 /// every key before `from` satisfies `below`. Exponential search brackets
 /// the answer in O(log gap), then a binary search inside the bracket
-/// finishes — the building block of the hinted probe fast path.
+/// finishes — the building block of the hinted probe. A gap past
+/// [`GALLOP_MAX_JUMP`] means the probe order is not local (a join on an
+/// unsorted variable): it falls back to the plain whole-index binary
+/// search, whose fixed midpoints stay cache-resident from probe to probe,
+/// where searches over ever-different sub-ranges would miss on every level.
 fn gallop(
     index: &[(u32, u32, u32)],
     from: usize,
@@ -129,17 +147,20 @@ fn gallop(
 ) -> usize {
     let mut low = from;
     let mut jump = 1usize;
-    let high = loop {
+    while jump <= GALLOP_MAX_JUMP {
         let probe = low + jump;
         match index.get(probe) {
             Some(k) if below(k) => {
                 low = probe + 1;
                 jump *= 2;
             }
-            _ => break probe.min(index.len()),
+            _ => {
+                let high = probe.min(index.len());
+                return low + index[low..high].partition_point(|k| below(k));
+            }
         }
-    };
-    low + index[low..high].partition_point(|k| below(k))
+    }
+    index.partition_point(|k| below(k))
 }
 
 /// A dictionary-encoded RDF graph with three sorted permutation indexes and
@@ -183,13 +204,17 @@ impl Graph {
 
     /// Encodes a term through this graph's dictionary.
     pub fn encode(&mut self, term: &Term) -> TermId {
+        let known = self.dict.len();
         let id = self.dict.encode(term);
-        // Typed literals feed the secondary indexes on first encounter.
-        if let Some(p) = term.as_point() {
-            self.spatial.insert(id, p);
-        }
-        if let Some(t) = term.as_time() {
-            self.temporal.insert(id, t);
+        // Typed literals feed the secondary indexes on first encounter
+        // only: a repeated literal keeps its id and is already indexed.
+        if self.dict.len() > known {
+            if let Some(p) = term.as_point() {
+                self.spatial.insert(id, p);
+            }
+            if let Some(t) = term.as_time() {
+                self.temporal.insert(id, t);
+            }
         }
         id
     }
@@ -388,7 +413,7 @@ impl Graph {
 
     /// The committed triples matching a pattern, as a contiguous slice of
     /// the chosen permutation index. Pending tail triples are not included
-    /// — callers on the fast path check [`Graph::tail_len`] and scan
+    /// — the executor checks [`Graph::tail_len`] and scans
     /// [`Graph::tail_triples`] when non-empty (the serving path always
     /// commits, so the tail is empty in the common case).
     pub fn pattern_slice(
@@ -420,8 +445,8 @@ impl Graph {
         let (index, order, lo, hi) = self.plan_range(s, p, o);
         let from = hint.pos.min(index.len());
         let a = if index[..from].last().is_some_and(|&k| k >= lo) {
-            // Hint overshot the range start: binary-search the prefix.
-            index[..from].partition_point(|&k| k < lo)
+            // Hint overshot the range start: plain binary search.
+            index.partition_point(|&k| k < lo)
         } else {
             gallop(index, from, |&k| k < lo)
         };
@@ -474,27 +499,17 @@ impl Graph {
         let (keys, order) = self.committed_range(s, p, o);
         for &k in keys {
             let t = triple_of(k, order);
-            debug_assert!(
-                s.is_none_or(|x| x == t.s)
-                    && p.is_none_or(|x| x == t.p)
-                    && o.is_none_or(|x| x == t.o),
-                "prefix range must be exact"
-            );
+            debug_assert!(t.matches(s, p, o), "prefix range must be exact");
             visit(t);
         }
         // The uncommitted tail.
-        for t in &self.tail {
-            let ok = s.is_none_or(|x| x == t.s)
-                && p.is_none_or(|x| x == t.p)
-                && o.is_none_or(|x| x == t.o);
-            if ok {
-                visit(*t);
-            }
+        for t in self.tail.iter().filter(|t| t.matches(s, p, o)) {
+            visit(*t);
         }
     }
 
     /// Counts matches for a pattern by visiting them (O(matches) — the
-    /// *reference* planner uses this; the fast planner uses
+    /// *reference* planner uses this; the morsel planner uses
     /// [`Graph::estimate_pattern`]).
     pub fn count_pattern(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> usize {
         let mut n = 0;
@@ -633,6 +648,38 @@ mod tests {
         let g = sample_graph();
         assert_eq!(g.spatial().len(), 1);
         assert_eq!(g.temporal().len(), 1);
+    }
+
+    #[test]
+    fn repeated_literals_are_indexed_once() {
+        use datacron_geo::{BoundingBox, TimeInterval};
+        let mut g = Graph::new();
+        // 3 distinct points and 4 distinct instants, each re-emitted under
+        // 50 subjects (as the mapper does for a node and its events).
+        for i in 0..50i64 {
+            for k in 0..4i64 {
+                let s = Term::iri(format!("n{i}/{k}"));
+                let pos = Term::point(GeoPoint::new(23.0 + (k % 3) as f64, 37.0));
+                g.insert(&s, &Term::iri("pos"), &pos);
+                g.insert(&s, &Term::iri("at"), &Term::time(TimeMs(k * 1000)));
+            }
+        }
+        g.commit();
+        assert_eq!(g.len(), 400);
+        assert_eq!(g.spatial().len(), 3);
+        assert_eq!(g.temporal().len(), 4);
+        let point_id = |lon: f64| g.dict().lookup(&Term::point(GeoPoint::new(lon, 37.0)));
+        let hits = g
+            .spatial()
+            .within(&BoundingBox::new(22.5, 36.5, 24.5, 37.5));
+        assert_eq!(hits.len(), 2);
+        assert!(hits.contains(&point_id(23.0).unwrap()) && hits.contains(&point_id(24.0).unwrap()));
+        let time_id = |ms: i64| g.dict().lookup(&Term::time(TimeMs(ms)));
+        let hits = g
+            .temporal()
+            .between(&TimeInterval::new(TimeMs(1000), TimeMs(3000)));
+        assert_eq!(hits.len(), 2);
+        assert!(hits.contains(&time_id(1000).unwrap()) && hits.contains(&time_id(2000).unwrap()));
     }
 
     #[test]

@@ -1,12 +1,14 @@
-//! Fast-path regression suite: the slice-scan/O(log n)-planning engine
-//! must agree bit-for-bit (same rows, any order) with the retained
-//! reference engine, predicate statistics must stay exact under
+//! Executor regression suite. There is one optimised engine — the morsel
+//! executor, which `execute` runs with one inline worker — and it must
+//! return exactly the retained reference engine's row set (any order) at
+//! every worker count and morsel size, on the single graph and through
+//! the partitioned store; predicate statistics must stay exact under
 //! interleaved insert/commit cycles, and index selection must stay pinned
 //! to the tightest permutation index.
 
 use datacron_rdf::{
-    execute, execute_morsel, execute_reference, parse_query, Graph, HashPartitioner, MorselConfig,
-    PartitionedStore, Term, TermId, Triple,
+    execute, execute_morsel, execute_reference, parse_query, Bindings, Graph, HashPartitioner,
+    MorselConfig, PartitionedStore, SelectQuery, Term, TermId, Triple,
 };
 
 /// Deterministic xorshift64* — the suite must not depend on ambient
@@ -64,11 +66,11 @@ fn sorted_rows(mut rows: Vec<Vec<TermId>>) -> Vec<Vec<TermId>> {
     rows
 }
 
-/// The acceptance property: fast and reference engines return the same
-/// row set (order-independent; no LIMIT, which legitimately picks
+/// The acceptance property: `execute` and the reference engine return the
+/// same row set (order-independent; no LIMIT, which legitimately picks
 /// different subsets) on randomized graphs.
 #[test]
-fn fast_engine_matches_reference_on_random_graphs() {
+fn execute_matches_reference_on_random_graphs() {
     let mut rng = Rng(0x5EED_0001);
     for round in 0..8 {
         let entities = 5 + rng.below(60);
@@ -92,10 +94,10 @@ fn fast_engine_matches_reference_on_random_graphs() {
     }
 }
 
-/// Same property with a non-empty uncommitted tail: the fast path's
+/// Same property with a non-empty uncommitted tail: the executor's
 /// separate tail scan must not lose or duplicate matches.
 #[test]
-fn fast_engine_matches_reference_with_pending_tail() {
+fn execute_matches_reference_with_pending_tail() {
     let mut rng = Rng(0x5EED_0002);
     for round in 0..8 {
         let entities = 5 + rng.below(40);
@@ -123,8 +125,8 @@ fn fast_engine_matches_reference_with_pending_tail() {
     }
 }
 
-/// The morsel executor is an independent implementation of the same
-/// query semantics: every query shape, at worker counts {1, 2, 8} and a
+/// The morsel executor shares no join code with the reference engine:
+/// every query shape, at worker counts {1, 2, 8} and a
 /// morsel size small enough to force multi-morsel execution, returns
 /// exactly the reference engine's row set — committed-only graphs and
 /// graphs with a pending tail alike.
@@ -161,6 +163,144 @@ fn morsel_executor_matches_reference_at_all_worker_counts() {
             }
         }
     }
+}
+
+/// A projection that drops a variable can produce the same row from two
+/// morsels, hence from two workers; nothing dedups before the merge (no
+/// LIMIT here), so the merge's one dedup must catch every such pair. Both
+/// shapes × workers {1, 2, 8} × morsel sizes {7, default} return exactly
+/// the reference row set — no row twice, none lost.
+#[test]
+fn dropped_variable_projections_dedup_across_workers() {
+    let mut rng = Rng(0x5EED_0009);
+    for round in 0..4 {
+        let entities = 40 + rng.below(60);
+        let mut g = random_graph(&mut rng, entities, entities * 3);
+        g.commit();
+        for shape in [
+            "SELECT ?t WHERE { ?v type ?t }",
+            "SELECT ?a WHERE { ?a link ?b . ?b type Buoy }",
+        ] {
+            let q = parse_query(shape).unwrap();
+            let (reference, _) = execute_reference(&g, &q);
+            let expected = sorted_rows(reference.rows);
+            for workers in [1usize, 2, 8] {
+                for morsel_triples in [7, MorselConfig::default().morsel_triples] {
+                    let cfg = MorselConfig {
+                        workers,
+                        morsel_triples,
+                    };
+                    let (b, _, _) = execute_morsel(&g, &q, &cfg);
+                    assert_eq!(
+                        sorted_rows(b.rows),
+                        expected,
+                        "round {round} workers {workers} morsel {morsel_triples}: {shape}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Terms of decoded rows, rendered for comparison across dictionaries.
+fn rendered(rows: &[Vec<Term>]) -> Vec<String> {
+    let mut out: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            r.iter()
+                .map(|t| t.to_string())
+                .collect::<Vec<_>>()
+                .join("|")
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// Id rows decoded to owned terms through `g`'s dictionary.
+fn decoded(g: &Graph, b: &Bindings) -> Vec<Vec<Term>> {
+    b.rows
+        .iter()
+        .map(|row| b.decode_row(g, row).into_iter().cloned().collect())
+        .collect()
+}
+
+/// The reference engine's rows, decoded and rendered like [`rendered`].
+fn reference_rendered(g: &Graph, text: &str) -> Vec<String> {
+    let (reference, _) = execute_reference(g, &parse_query(text).unwrap());
+    rendered(&decoded(g, &reference))
+}
+
+/// `LIMIT n` returns `min(n, distinct)` rows, each a member of the
+/// reference row set and none twice — on the single graph at every worker
+/// count, and through the partitioned store (star shapes, whose partitioned
+/// answer equals the single graph's).
+#[test]
+fn limit_returns_min_of_limit_and_distinct_members() {
+    let mut rng = Rng(0x5EED_000A);
+    let mut g = random_graph(&mut rng, 60, 150);
+    g.commit();
+    let store = PartitionedStore::build(&g, Box::new(HashPartitioner::new(4)));
+    for (body, star) in [
+        ("SELECT ?v WHERE { ?v type Vessel }", true),
+        ("SELECT ?t WHERE { ?v type ?t }", true),
+        ("SELECT ?s WHERE { ?v type Vessel . ?v speed ?s }", true),
+        ("SELECT ?a WHERE { ?a link ?b . ?b type Buoy }", false),
+    ] {
+        let all = reference_rendered(&g, body);
+        for n in [1usize, 2, 5, 1000] {
+            let text = format!("{body} LIMIT {n}");
+            let q = parse_query(&text).unwrap();
+            let want = n.min(all.len());
+            for workers in [1usize, 2, 8] {
+                let cfg = MorselConfig {
+                    workers,
+                    morsel_triples: 7,
+                };
+                let (b, _, _) = execute_morsel(&g, &q, &cfg);
+                let mut got = vec![rendered(&decoded(&g, &b))];
+                if star {
+                    got.push(rendered(&store.execute_with(&q, &cfg).0.rows));
+                }
+                for got in got {
+                    assert_eq!(got.len(), want, "{text} workers {workers}");
+                    assert!(got.windows(2).all(|w| w[0] != w[1]), "{text}: duplicate");
+                    assert!(
+                        got.iter().all(|r| all.binary_search(r).is_ok()),
+                        "{text}: row outside the reference set"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Queries with nothing to scan — the empty BGP, and constants absent
+/// from the dictionary — agree with the reference engine on both routes.
+#[test]
+fn empty_bgp_and_unknown_constants_agree_with_reference() {
+    let mut rng = Rng(0x5EED_000B);
+    let mut g = random_graph(&mut rng, 30, 60);
+    g.commit();
+    let store = PartitionedStore::build(&g, Box::new(HashPartitioner::new(4)));
+    let empty_bgp = SelectQuery::new(Vec::new());
+    let unknown = [
+        "SELECT ?v WHERE { ?v type Submarine }",
+        "SELECT ?v ?s WHERE { ?v type Vessel . ?v draught ?s }",
+        "SELECT ?p ?o WHERE { s9999 ?p ?o }",
+    ]
+    .map(|text| parse_query(text).unwrap());
+    for q in std::iter::once(&empty_bgp).chain(&unknown) {
+        let (reference, _) = execute_reference(&g, q);
+        let (single, _) = execute(&g, q);
+        assert_eq!(single, reference, "{q:?}");
+        let (parted, stats) = store.execute(q);
+        assert_eq!(parted.vars, reference.vars, "{q:?}");
+        assert_eq!(parted.rows, decoded(&g, &reference), "{q:?}");
+        assert_eq!(stats.partitions_probed, 0, "{q:?}");
+    }
+    // The empty BGP's one solution is the empty binding.
+    assert_eq!(execute(&g, &empty_bgp).0.rows, vec![Vec::<TermId>::new()]);
 }
 
 /// The morsel executor stays correct while the partition mirror is being
@@ -233,31 +373,8 @@ fn morsel_executor_matches_reference_under_concurrent_ingest() {
                     let shape = star_shapes[(reader + i) % star_shapes.len()];
                     let q = parse_query(shape).unwrap();
                     let (b, _) = st.mirror.execute_with(&q, &cfg);
-                    let (reference, _) = execute_reference(&st.source, &q);
-                    let mut got: Vec<String> = b
-                        .rows
-                        .iter()
-                        .map(|r| {
-                            r.iter()
-                                .map(|t| t.to_string())
-                                .collect::<Vec<_>>()
-                                .join("|")
-                        })
-                        .collect();
-                    got.sort();
-                    let mut expected: Vec<String> = reference
-                        .rows
-                        .iter()
-                        .map(|row| {
-                            reference
-                                .decode_row(&st.source, row)
-                                .iter()
-                                .map(|t| t.to_string())
-                                .collect::<Vec<_>>()
-                                .join("|")
-                        })
-                        .collect();
-                    expected.sort();
+                    let got = rendered(&b.rows);
+                    let expected = reference_rendered(&st.source, shape);
                     assert_eq!(got, expected, "{shape}");
                     drop(st);
                     std::thread::yield_now();
@@ -371,9 +488,7 @@ fn pattern_slice_plus_tail_equals_callback_path() {
         (None, None, None),
     ] {
         let mut via_slice: Vec<Triple> = g.pattern_slice(s, p, o).iter().collect();
-        via_slice.extend(g.tail_triples().iter().filter(|t| {
-            s.is_none_or(|x| x == t.s) && p.is_none_or(|x| x == t.p) && o.is_none_or(|x| x == t.o)
-        }));
+        via_slice.extend(g.tail_triples().iter().filter(|t| t.matches(s, p, o)));
         let mut via_callback = g.collect_pattern(s, p, o);
         via_slice.sort();
         via_callback.sort();
@@ -427,20 +542,7 @@ fn incremental_partition_mirror_matches_bulk_build() {
     let q = parse_query("SELECT ?s ?o WHERE { ?s p0 ?o }").unwrap();
     let (inc, inc_stats) = mirror.execute(&q);
     let (blk, _) = bulk.execute(&q);
-    let render = |rows: &[Vec<Term>]| {
-        let mut v: Vec<String> = rows
-            .iter()
-            .map(|r| {
-                r.iter()
-                    .map(|t| t.to_string())
-                    .collect::<Vec<_>>()
-                    .join("|")
-            })
-            .collect();
-        v.sort();
-        v
-    };
-    assert_eq!(render(&inc.rows), render(&blk.rows));
+    assert_eq!(rendered(&inc.rows), rendered(&blk.rows));
     assert!(
         inc_stats.partitions_probed > 1,
         "hash partitioning must spread this workload: {inc_stats:?}"

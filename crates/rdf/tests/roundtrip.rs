@@ -1,6 +1,6 @@
 //! Serialization property suite: a graph dumped and reloaded through the
 //! N-Triples text codec *and* through the binary snapshot codec must
-//! answer the randomized fast-path query suite identically to the
+//! answer the randomized executor query suite (`fastpath.rs`) identically to the
 //! original — same rows, same statistics-bearing structure.
 //!
 //! Written as seeded randomized tests (deterministic xorshift64*, repo
@@ -77,7 +77,7 @@ fn random_graph(rng: &mut Rng, entities: u64, links: u64) -> Graph {
     g
 }
 
-/// The fast-path suite's query shapes, answerable on `random_graph`.
+/// The `fastpath.rs` suite's query shapes, answerable on `random_graph`.
 const QUERY_SHAPES: &[&str] = &[
     "SELECT ?v WHERE { ?v type Vessel }",
     "SELECT ?v ?s WHERE { ?v type Vessel . ?v speed ?s }",

@@ -8,7 +8,10 @@ use crate::protocol::{ErrorCode, ProtocolError};
 use datacron_core::{IngestOutcome, MapperState, Pipeline, PipelineConfig, PipelineState};
 use datacron_geo::Grid;
 use datacron_model::{EventKind, EventRecord, ObjectId, PositionReport};
-use datacron_rdf::{execute_morsel, parse_query, HashPartitioner, MorselConfig, PartitionedStore};
+use datacron_rdf::{
+    execute_morsel, parse_query, HashPartitioner, MorselConfig, MorselStats, PartitionedStore,
+    QueryStats, Term,
+};
 use datacron_storage::binser::{BinError, Reader, Writer};
 use datacron_viz::{DensityGrid, FlowMatrix};
 use rustc_hash::FxHashMap;
@@ -129,22 +132,7 @@ impl AnalyticsState {
     /// server-side aggregates (heatmap, OD flows, recent events, partition
     /// mirror).
     pub fn ingest(&mut self, reports: &[PositionReport]) -> IngestOutcome {
-        let outcome = self.pipeline.ingest_batch(reports);
-        if let Some(m) = self.mirror.as_mut() {
-            m.ingest(self.pipeline.graph(), &outcome.new_triples);
-        }
-        for r in reports {
-            self.heat.add(&r.position());
-        }
-        for ev in &outcome.events {
-            self.fold_event(ev);
-            if self.recent.len() == MAX_RECENT_EVENTS {
-                self.recent.pop_front();
-                self.evicted += 1;
-            }
-            self.recent.push_back(ev.clone());
-        }
-        outcome
+        self.ingest_many(&[reports])
     }
 
     /// Applies many already-logged batches in one shot: every batch runs
@@ -152,8 +140,9 @@ impl AnalyticsState {
     /// mirror syncs once, and the aggregates fold as usual. This is the
     /// replay path (recovery and follower catch-up): commit cost grows
     /// with graph size, so committing per batch makes an N-batch replay
-    /// quadratic while this stays linear. Not for live ingest — queries
-    /// between batches would see uncommitted triples as missing.
+    /// quadratic while this stays linear. Live ingest passes one batch at
+    /// a time ([`AnalyticsState::ingest`]) — queries between the batches
+    /// of one call would see uncommitted triples as missing.
     pub fn ingest_many<B: AsRef<[PositionReport]>>(&mut self, batches: &[B]) -> IngestOutcome {
         let outcome = self.pipeline.ingest_batches(batches);
         if let Some(m) = self.mirror.as_mut() {
@@ -206,85 +195,76 @@ impl AnalyticsState {
     ///
     /// Routes to the partition-parallel mirror when one exists and the
     /// graph has reached `partition_min_triples`; otherwise the single
-    /// graph answers. Both paths run on the morsel-driven work-stealing
+    /// graph answers. Both routes run on the morsel-driven work-stealing
     /// executor, and the response carries per-query engine statistics
     /// (probes, intermediate rows, planning/exec µs), the executor's
     /// parallelism (`workers_used`, `morsels`, `steals`), and says which
-    /// path ran.
+    /// route ran (`parallel`, plus the partition counts on the mirror).
     pub fn sparql(&self, query: &str, limit: usize) -> Result<Json, ProtocolError> {
         let q = parse_query(query)
             .map_err(|e| ProtocolError::new(ErrorCode::QueryError, format!("parse: {e}")))?;
         let cfg = MorselConfig::with_workers(self.query_workers);
-        if let Some(m) = &self.mirror {
-            if self.pipeline.graph().len() >= self.partition_min_triples {
+        let graph = self.pipeline.graph();
+        let mirror = self
+            .mirror
+            .as_ref()
+            .filter(|_| graph.len() >= self.partition_min_triples);
+        let run = match mirror {
+            Some(m) => {
                 let (b, stats) = m.execute_with(&q, &cfg);
-                self.query_morsels
-                    .fetch_add(stats.morsels, Ordering::Relaxed);
-                self.query_steals.fetch_add(stats.steals, Ordering::Relaxed);
-                let total = b.rows.len();
-                let rows: Vec<Json> = b
-                    .rows
-                    .iter()
-                    .take(limit)
-                    .map(|row| Json::Arr(row.iter().map(|t| Json::Str(t.to_string())).collect()))
-                    .collect();
-                return Ok(Json::obj()
-                    .field(
-                        "vars",
-                        Json::Arr(b.vars.iter().map(|v| Json::Str(v.clone())).collect()),
-                    )
-                    .field("rows", Json::Arr(rows))
-                    .field("row_count", total)
-                    .field("truncated", total > limit)
-                    .field("probes", stats.engine.probes as u64)
-                    .field("intermediate", stats.engine.intermediate as u64)
-                    .field("planning_us", stats.engine.planning_us)
-                    .field("exec_us", stats.engine.exec_us)
-                    .field("parallel", true)
-                    .field("partitions", stats.partitions_total)
-                    .field("partitions_probed", stats.partitions_probed)
-                    .field("workers_used", stats.workers_used)
-                    .field("morsels", stats.morsels)
-                    .field("steals", stats.steals)
-                    .build());
+                SparqlRun {
+                    total: b.rows.len(),
+                    rows: b.rows.iter().take(limit).map(render_row).collect(),
+                    vars: b.vars,
+                    engine: stats.engine,
+                    morsel: MorselStats {
+                        workers: stats.workers,
+                        workers_used: stats.workers_used,
+                        morsels: stats.morsels,
+                        steals: stats.steals,
+                    },
+                    partitions: Some((stats.partitions_total, stats.partitions_probed)),
+                }
             }
-        }
-        let (bindings, stats, morsel) = execute_morsel(self.pipeline.graph(), &q, &cfg);
+            None => {
+                let (b, engine, morsel) = execute_morsel(graph, &q, &cfg);
+                let rows = b.rows.iter().take(limit);
+                SparqlRun {
+                    total: b.len(),
+                    rows: rows.map(|r| render_row(b.decode_row(graph, r))).collect(),
+                    vars: b.vars,
+                    engine,
+                    morsel,
+                    partitions: None,
+                }
+            }
+        };
         self.query_morsels
-            .fetch_add(morsel.morsels, Ordering::Relaxed);
+            .fetch_add(run.morsel.morsels, Ordering::Relaxed);
         self.query_steals
-            .fetch_add(morsel.steals, Ordering::Relaxed);
-        let total = bindings.len();
-        let rows: Vec<Json> = bindings
-            .rows
-            .iter()
-            .take(limit)
-            .map(|row| {
-                Json::Arr(
-                    bindings
-                        .decode_row(self.pipeline.graph(), row)
-                        .iter()
-                        .map(|t| Json::Str(t.to_string()))
-                        .collect(),
-                )
-            })
-            .collect();
-        Ok(Json::obj()
+            .fetch_add(run.morsel.steals, Ordering::Relaxed);
+        let mut reply = Json::obj()
             .field(
                 "vars",
-                Json::Arr(bindings.vars.iter().map(|v| Json::Str(v.clone())).collect()),
+                Json::Arr(run.vars.into_iter().map(Json::Str).collect()),
             )
-            .field("rows", Json::Arr(rows))
-            .field("row_count", total)
-            .field("truncated", total > limit)
-            .field("probes", stats.probes as u64)
-            .field("intermediate", stats.intermediate as u64)
-            .field("planning_us", stats.planning_us)
-            .field("exec_us", stats.exec_us)
-            .field("parallel", false)
-            .field("workers_used", morsel.workers_used)
-            .field("morsels", morsel.morsels)
-            .field("steals", morsel.steals)
+            .field("rows", Json::Arr(run.rows))
+            .field("row_count", run.total)
+            .field("truncated", run.total > limit)
+            .field("probes", run.engine.probes as u64)
+            .field("intermediate", run.engine.intermediate as u64)
+            .field("planning_us", run.engine.planning_us)
+            .field("exec_us", run.engine.exec_us)
+            .field("parallel", run.partitions.is_some());
+        if let Some((total, probed)) = run.partitions {
+            reply = reply
+                .field("partitions", total)
+                .field("partitions_probed", probed);
+        }
+        Ok(reply
+            .field("workers_used", run.morsel.workers_used)
+            .field("morsels", run.morsel.morsels)
+            .field("steals", run.morsel.steals)
             .build())
     }
 
@@ -597,6 +577,27 @@ impl AnalyticsState {
             .field("stage_latency", Json::Obj(stages))
             .build()
     }
+}
+
+/// What either SPARQL route hands the one reply builder.
+struct SparqlRun {
+    vars: Vec<String>,
+    /// Rows the query produced, before the reply's row limit.
+    total: usize,
+    rows: Vec<Json>,
+    engine: QueryStats,
+    morsel: MorselStats,
+    /// `(total, probed)` partition counts; `None` on the single graph.
+    partitions: Option<(usize, usize)>,
+}
+
+fn render_row<'a>(terms: impl IntoIterator<Item = &'a Term>) -> Json {
+    Json::Arr(
+        terms
+            .into_iter()
+            .map(|t| Json::Str(t.to_string()))
+            .collect(),
+    )
 }
 
 fn event_json(ev: &EventRecord) -> Json {

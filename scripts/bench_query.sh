@@ -4,7 +4,7 @@
 # Builds the release query_latency binary, runs the canonical query mix
 # against 10k / 100k / 1M-triple stores, and writes BENCH_query.json at
 # the repo root (p50/p99 per query shape with the p99/p50 tail ratio,
-# fast-vs-reference planning comparison, hash-partition sweep, and the
+# morsel-vs-reference planner comparison, hash-partition sweep, and the
 # morsel-executor worker sweep 1..8 with morsel/steal counters). The
 # binary asserts star3's p99/p50 tail ratio stays < 3x and records
 # host_cores so flat worker-sweep curves on small hosts read as what

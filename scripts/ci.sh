@@ -74,5 +74,11 @@ run cargo test "${CARGO_FLAGS[@]}" -q --workspace
 # optimized build the server actually ships.
 run cargo test "${CARGO_FLAGS[@]}" --release -q -p datacron-server --test integration_storage
 run cargo bench "${CARGO_FLAGS[@]}" --workspace --no-run
+# The benchmark harness (BENCHMARK.json) is a package of its own that
+# compiles the real serve.rs and calls into core/rdf/server APIs
+# (partition mirror, commit log, ingest paths). Build it and run its unit
+# tests here so a harness-facing API break fails CI, not the benchmark
+# run. Always offline: its third-party crates are the stubs it vendors.
+run cargo test --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> CI green"
