@@ -267,8 +267,6 @@ fn recovery_run(n_batches: usize, batches: &[Vec<u8>]) -> RecoveryResult {
             ..PipelineConfig::default()
         },
         0.25,
-        1,
-        usize::MAX,
         &snapshot,
     )
     .expect("snapshot restore");

@@ -12,6 +12,13 @@
 //! bindings that would span two partitions are not produced. The
 //! experiments use star-shaped and co-partitioned workloads, matching how
 //! the datAcron ontology models per-entity data.
+//!
+//! Those partition-local joins are why this store is **not a serving
+//! route**: the server answers every SPARQL request from its one [`Graph`]
+//! on the morsel pool ([`crate::morsel::execute_morsel`]), which is exact
+//! for any join shape. `PartitionedStore` and the partitioners are the
+//! library's partitioning code (experiment E5) and the starting point for
+//! a shard router, which needs a gather-side join for non-star queries.
 
 use crate::engine::QueryStats;
 use crate::morsel::{self, MorselConfig};
@@ -75,8 +82,8 @@ impl PartitionedStore {
 
     /// An empty store ready for incremental [`PartitionedStore::ingest`].
     /// Intended for partitioners whose `assign` needs no `prepare` pass
-    /// (hash by subject — the serving path's choice); location/time-homed
-    /// partitioners would route every subject through the hash fallback.
+    /// (hash by subject); location/time-homed partitioners would route
+    /// every subject through the hash fallback.
     pub fn empty(partitioner: Box<dyn Partitioner>) -> Self {
         let parts = (0..partitioner.partitions())
             .map(|_| Graph::new())
@@ -84,8 +91,8 @@ impl PartitionedStore {
         Self { parts, partitioner }
     }
 
-    /// Applies newly committed triples of `source` to the partition
-    /// mirrors and commits the touched partitions. `new` must be the
+    /// Applies newly committed triples of `source` to the partitions
+    /// and commits the touched ones. `new` must be the
     /// post-dedup commit delta (see [`Graph::take_new_triples`]); ids are
     /// decoded through `source`'s dictionary and re-encoded per partition.
     pub fn ingest(&mut self, source: &Graph, new: &[Triple]) {

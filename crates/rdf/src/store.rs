@@ -184,7 +184,7 @@ pub struct Graph {
     pred_stats: FxHashMap<u32, PredicateStats>,
     /// When true, commits append newly added triples to `new_log`.
     track_new: bool,
-    /// Committed-but-not-yet-drained new triples (partition-mirror sync).
+    /// Committed-but-not-yet-drained new triples (`PartitionedStore::ingest`).
     new_log: Vec<Triple>,
     spatial: SpatialIndex,
     temporal: TemporalIndex,
@@ -224,8 +224,8 @@ impl Graph {
         self.dict.decode(id)
     }
 
-    /// Inserts a triple of terms. Duplicate triples are tolerated (deduped
-    /// on commit).
+    /// Inserts a triple of terms. Duplicate triples are tolerated (dropped
+    /// at insert, see [`Graph::insert_encoded`]).
     pub fn insert(&mut self, s: &Term, p: &Term, o: &Term) {
         let t = Triple {
             s: self.encode(s),
@@ -295,7 +295,9 @@ impl Graph {
             };
             index.extend(tail.iter().map(|t| key_of(t, order)));
             index.sort_unstable();
-            index.dedup();
+            // Insert-time dedup keeps the tail disjoint from the index and
+            // duplicate-free, so there is nothing for a dedup pass to drop.
+            debug_assert!(index.windows(2).all(|w| w[0] < w[1]));
         }
         self.len = self.spo.len();
         if self.track_new {
@@ -311,8 +313,9 @@ impl Graph {
 
     /// Enables (or disables) the commit log: while enabled, every commit
     /// appends the newly added triples to an internal log drained by
-    /// [`Graph::take_new_triples`]. The serving path uses this to keep
-    /// partition mirrors in sync without rescanning the graph.
+    /// [`Graph::take_new_triples`]. Used by `PartitionedStore::ingest`
+    /// callers to keep a partitioned copy in sync without rescanning the
+    /// graph.
     pub fn track_new_triples(&mut self, on: bool) {
         self.track_new = on;
         if !on {

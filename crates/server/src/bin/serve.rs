@@ -1,14 +1,18 @@
 //! Standalone datacron-server binary.
 //!
 //! ```text
-//! datacron-serve [--addr 127.0.0.1:7878] [--workers 4] [--queue 64]
-//!                [--max-connections N] [--idle-timeout-ms MS]
-//!                [--query-workers N]
+//! datacron-serve [--addr HOST:PORT] [--workers N] [--queue N]
+//!                [--max-connections N] [--idle-timeout-ms MS (0 = never reap)]
+//!                [--query-workers N (0 = one per core)]
 //!                [--data-dir DIR] [--fsync always|never|every=N]
 //!                [--snapshot-every N] [--segment-bytes N]
 //!                [--follow HOST:PORT] [--follower-id ID]
 //!                [--max-lag RECORDS] [--max-lag-ms MS] [--repl-poll-ms MS]
 //! ```
+//!
+//! Every flag takes one value; an unknown flag or an unparsable value
+//! prints the usage and exits with code 2. Defaults: `--addr
+//! 127.0.0.1:7878 --workers 4 --queue 64`.
 //!
 //! Serves the newline-delimited JSON protocol until killed. The pipeline
 //! is configured for the Aegean region used across the experiments, with
@@ -36,12 +40,43 @@ use datacron_storage::{FsyncPolicy, StorageConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
+const USAGE: &str = "usage: datacron-serve [--addr HOST:PORT] [--workers N] [--queue N] \
+     [--max-connections N] [--idle-timeout-ms MS (0 = never reap)] \
+     [--query-workers N (0 = one per core)] \
+     [--data-dir DIR] [--fsync always|never|every=N] \
+     [--snapshot-every N] [--segment-bytes N] \
+     [--follow HOST:PORT] [--follower-id ID] \
+     [--max-lag RECORDS] [--max-lag-ms MS] [--repl-poll-ms MS]";
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// Rejects anything that is not a `--flag VALUE` pair of a flag `USAGE`
+/// lists (as `[--flag`), so a retired or misspelt flag fails loudly
+/// instead of silently doing nothing.
+fn check_flags(args: &[String]) {
+    for pair in args.chunks(2) {
+        let known = USAGE
+            .split_whitespace()
+            .any(|w| w.strip_prefix('[') == Some(pair[0].as_str()));
+        if !known || pair.len() < 2 {
+            usage_error(&format!("unknown flag or missing value: {:?}", pair[0]));
+        }
+    }
+}
+
+/// The parsed value of `flag` when given; an unparsable value is an error.
+fn opt<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
+    // `check_flags` ran first: `args` is whole `[flag, value]` pairs.
+    let pair = args.chunks(2).find(|pair| pair[0] == flag)?;
+    let parsed = pair[1].parse();
+    Some(parsed.unwrap_or_else(|_| usage_error(&format!("invalid {flag} {:?}", pair[1]))))
+}
+
 fn arg<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    opt(args, flag).unwrap_or(default)
 }
 
 fn rect(lon0: f64, lat0: f64, lon1: f64, lat1: f64) -> PolygonSpec {
@@ -80,24 +115,17 @@ fn install_signal_handlers() {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!(
-            "usage: datacron-serve [--addr HOST:PORT] [--workers N] [--queue N] \
-             [--max-connections N] [--idle-timeout-ms MS (0 = never reap)] \
-             [--sparql-partitions N] [--partition-min-triples N] \
-             [--query-workers N (0 = one per core)] \
-             [--data-dir DIR] [--fsync always|never|every=N] \
-             [--snapshot-every N] [--segment-bytes N] \
-             [--follow HOST:PORT] [--follower-id ID] \
-             [--max-lag RECORDS] [--max-lag-ms MS] [--repl-poll-ms MS]"
-        );
+        eprintln!("{USAGE}");
         return;
     }
+    check_flags(&args);
     let fsync_arg = arg(&args, "--fsync", "always".to_string());
     let Some(fsync) = FsyncPolicy::parse(&fsync_arg) else {
-        eprintln!("invalid --fsync {fsync_arg:?}: expected always, never, or every=N");
-        std::process::exit(2);
+        usage_error(&format!(
+            "invalid --fsync {fsync_arg:?}: expected always, never, or every=N"
+        ));
     };
     let cfg = ServerConfig {
         addr: arg(&args, "--addr", "127.0.0.1:7878".to_string()),
@@ -119,39 +147,20 @@ fn main() {
             ..PipelineConfig::default()
         },
         heat_cell_deg: 0.1,
-        sparql_partitions: arg(&args, "--sparql-partitions", 4usize),
-        partition_min_triples: arg(&args, "--partition-min-triples", 10_000usize),
         query_workers: arg(&args, "--query-workers", 0usize),
-        data_dir: args
-            .iter()
-            .position(|a| a == "--data-dir")
-            .and_then(|i| args.get(i + 1))
-            .map(std::path::PathBuf::from),
+        data_dir: opt(&args, "--data-dir"),
         storage: StorageConfig {
             segment_bytes: arg(&args, "--segment-bytes", 8 * 1024 * 1024u64),
             fsync,
             snapshot_every_records: arg(&args, "--snapshot-every", 1024u64),
         },
         replication: ReplicationConfig {
-            follow: args
-                .iter()
-                .position(|a| a == "--follow")
-                .and_then(|i| args.get(i + 1))
-                .cloned(),
+            follow: opt(&args, "--follow"),
             follower_id: arg(&args, "--follower-id", "follower-1".to_string()),
             poll_interval: Duration::from_millis(arg(&args, "--repl-poll-ms", 50u64)),
             policy: StalenessPolicy {
-                max_lag_records: args
-                    .iter()
-                    .position(|a| a == "--max-lag")
-                    .and_then(|i| args.get(i + 1))
-                    .and_then(|v| v.parse().ok()),
-                max_lag_us: args
-                    .iter()
-                    .position(|a| a == "--max-lag-ms")
-                    .and_then(|i| args.get(i + 1))
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .map(|ms| ms.saturating_mul(1000)),
+                max_lag_records: opt(&args, "--max-lag"),
+                max_lag_us: opt::<u64>(&args, "--max-lag-ms").map(|ms| ms.saturating_mul(1000)),
             },
             ..ReplicationConfig::default()
         },

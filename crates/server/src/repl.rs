@@ -163,8 +163,6 @@ pub(crate) fn bootstrap(cfg: &ServerConfig, leader: &str, from_seq: u64) -> io::
             let state = AnalyticsState::from_snapshot_bytes(
                 cfg.pipeline.clone(),
                 cfg.heat_cell_deg,
-                cfg.sparql_partitions,
-                cfg.partition_min_triples,
                 &bytes,
             )
             .map_err(|e| io::Error::new(ErrorKind::InvalidData, format!("snapshot decode: {e}")))?;
@@ -175,12 +173,7 @@ pub(crate) fn bootstrap(cfg: &ServerConfig, leader: &str, from_seq: u64) -> io::
             (state, lsn)
         }
         None => (
-            AnalyticsState::with_sparql_partitions(
-                cfg.pipeline.clone(),
-                cfg.heat_cell_deg,
-                cfg.sparql_partitions,
-                cfg.partition_min_triples,
-            ),
+            AnalyticsState::new(cfg.pipeline.clone(), cfg.heat_cell_deg),
             from_seq,
         ),
     };

@@ -69,12 +69,6 @@ pub struct ServerConfig {
     pub pipeline: PipelineConfig,
     /// Density-grid cell size for the heatmap aggregate, degrees.
     pub heat_cell_deg: f64,
-    /// Hash partitions for partition-parallel SPARQL; `<= 1` disables the
-    /// partition mirror entirely.
-    pub sparql_partitions: usize,
-    /// Minimum graph size (triples) before SPARQL fans out to the
-    /// partitions; smaller graphs answer on the single-graph path.
-    pub partition_min_triples: usize,
     /// Morsel-executor worker pool size for SPARQL queries; `0` = one
     /// worker per available core.
     pub query_workers: usize,
@@ -113,8 +107,6 @@ impl Default for ServerConfig {
                 ..PipelineConfig::default()
             },
             heat_cell_deg: 0.25,
-            sparql_partitions: 4,
-            partition_min_triples: 10_000,
             query_workers: 0,
             data_dir: None,
             storage: StorageConfig::default(),
@@ -358,12 +350,7 @@ pub fn start_with_clock(
         }
         (None, None) => (
             None,
-            AnalyticsState::with_sparql_partitions(
-                cfg.pipeline.clone(),
-                cfg.heat_cell_deg,
-                cfg.sparql_partitions,
-                cfg.partition_min_triples,
-            ),
+            AnalyticsState::new(cfg.pipeline.clone(), cfg.heat_cell_deg),
             ReplRuntime::Leader {
                 epoch: epoch::MEMORY_EPOCH,
                 registry: Arc::new(FollowerRegistry::new()),
@@ -712,25 +699,16 @@ fn recover(
     let (storage, recovery) =
         Storage::open_with_clock(dir, cfg.storage.clone(), Arc::clone(clock))?;
     let mut state = match &recovery.snapshot {
-        Some((wal_seq, payload)) => AnalyticsState::from_snapshot_bytes(
-            cfg.pipeline.clone(),
-            cfg.heat_cell_deg,
-            cfg.sparql_partitions,
-            cfg.partition_min_triples,
-            payload,
-        )
-        .map_err(|e| {
-            io::Error::new(
-                ErrorKind::InvalidData,
-                format!("snapshot at wal seq {wal_seq}: {e}"),
-            )
-        })?,
-        None => AnalyticsState::with_sparql_partitions(
-            cfg.pipeline.clone(),
-            cfg.heat_cell_deg,
-            cfg.sparql_partitions,
-            cfg.partition_min_triples,
-        ),
+        Some((wal_seq, payload)) => {
+            AnalyticsState::from_snapshot_bytes(cfg.pipeline.clone(), cfg.heat_cell_deg, payload)
+                .map_err(|e| {
+                    io::Error::new(
+                        ErrorKind::InvalidData,
+                        format!("snapshot at wal seq {wal_seq}: {e}"),
+                    )
+                })?
+        }
+        None => AnalyticsState::new(cfg.pipeline.clone(), cfg.heat_cell_deg),
     };
     // Decode every tail record first, then apply them all through the
     // batch path: one graph commit for the whole tail instead of one per

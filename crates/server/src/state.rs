@@ -8,10 +8,7 @@ use crate::protocol::{ErrorCode, ProtocolError};
 use datacron_core::{IngestOutcome, MapperState, Pipeline, PipelineConfig, PipelineState};
 use datacron_geo::Grid;
 use datacron_model::{EventKind, EventRecord, ObjectId, PositionReport};
-use datacron_rdf::{
-    execute_morsel, parse_query, HashPartitioner, MorselConfig, MorselStats, PartitionedStore,
-    QueryStats, Term,
-};
+use datacron_rdf::{execute_morsel, parse_query, MorselConfig};
 use datacron_storage::binser::{BinError, Reader, Writer};
 use datacron_viz::{DensityGrid, FlowMatrix};
 use rustc_hash::FxHashMap;
@@ -67,12 +64,6 @@ pub struct AnalyticsState {
     recent: VecDeque<EventRecord>,
     /// Detections evicted from the ring (so `events` can report loss).
     evicted: u64,
-    /// Hash-by-subject partition mirror of the pipeline's graph, kept in
-    /// sync at ingest-commit time; `None` when partitioning is disabled.
-    mirror: Option<PartitionedStore>,
-    /// Below this graph size, SPARQL stays on the single-graph path even
-    /// when a mirror exists (fan-out overhead beats tiny scans).
-    partition_min_triples: usize,
     /// Morsel-executor pool size for SPARQL; `0` = one worker per core.
     query_workers: usize,
     /// Morsels executed by queries since start (metrics counter; atomic
@@ -84,42 +75,29 @@ pub struct AnalyticsState {
 
 impl AnalyticsState {
     /// Builds the state. `heat_cell_deg` sizes the density-grid cells over
-    /// the pipeline's region of interest. SPARQL partitioning is off; see
-    /// [`AnalyticsState::with_sparql_partitions`].
+    /// the pipeline's region of interest.
     pub fn new(cfg: PipelineConfig, heat_cell_deg: f64) -> Self {
-        Self::with_sparql_partitions(cfg, heat_cell_deg, 1, usize::MAX)
-    }
-
-    /// Like [`AnalyticsState::new`], but when `partitions > 1` also
-    /// maintains a hash-by-subject [`PartitionedStore`] mirror, synced
-    /// incrementally from each ingest's commit delta. SPARQL queries run
-    /// partition-parallel once the graph holds at least `min_triples`
-    /// triples, and on the single graph below that.
-    pub fn with_sparql_partitions(
-        cfg: PipelineConfig,
-        heat_cell_deg: f64,
-        partitions: usize,
-        min_triples: usize,
-    ) -> Self {
         let grid = heat_grid(&cfg, heat_cell_deg);
-        let mut pipeline = Pipeline::new(cfg);
-        let mirror = (partitions > 1).then(|| {
-            pipeline.track_new_triples(true);
-            PartitionedStore::empty(Box::new(HashPartitioner::new(partitions)))
-        });
         Self {
-            pipeline,
+            pipeline: Pipeline::new(cfg),
             heat: DensityGrid::new(grid),
             flows: FlowMatrix::new(),
             last_exit: FxHashMap::default(),
             recent: VecDeque::new(),
             evicted: 0,
-            mirror,
-            partition_min_triples: min_triples,
             query_workers: 0,
             query_morsels: AtomicU64::new(0),
             query_steals: AtomicU64::new(0),
         }
+    }
+
+    /// Alias of [`AnalyticsState::new`]. The benchmark harness
+    /// (`benchmark/src/reference.rs`) is the only caller: it still passes
+    /// the retired partition-mirror arguments, and a PR may not edit
+    /// `benchmark/` together with other code.
+    #[doc(hidden)]
+    pub fn with_sparql_partitions(cfg: PipelineConfig, deg: f64, _: usize, _: usize) -> Self {
+        Self::new(cfg, deg)
     }
 
     /// Sets the morsel-executor worker pool size for SPARQL queries
@@ -129,25 +107,21 @@ impl AnalyticsState {
     }
 
     /// Runs a batch through the pipeline and folds the outcome into the
-    /// server-side aggregates (heatmap, OD flows, recent events, partition
-    /// mirror).
+    /// server-side aggregates (heatmap, OD flows, recent events).
     pub fn ingest(&mut self, reports: &[PositionReport]) -> IngestOutcome {
         self.ingest_many(&[reports])
     }
 
     /// Applies many already-logged batches in one shot: every batch runs
-    /// through the pipeline but the graph commits **once**, the partition
-    /// mirror syncs once, and the aggregates fold as usual. This is the
-    /// replay path (recovery and follower catch-up): commit cost grows
-    /// with graph size, so committing per batch makes an N-batch replay
-    /// quadratic while this stays linear. Live ingest passes one batch at
-    /// a time ([`AnalyticsState::ingest`]) — queries between the batches
-    /// of one call would see uncommitted triples as missing.
+    /// through the pipeline but the graph commits **once** and the
+    /// aggregates fold as usual. This is the replay path (recovery and
+    /// follower catch-up): commit cost grows with graph size, so
+    /// committing per batch makes an N-batch replay quadratic while this
+    /// stays linear. Live ingest passes one batch at a time
+    /// ([`AnalyticsState::ingest`]) — queries between the batches of one
+    /// call would see uncommitted triples as missing.
     pub fn ingest_many<B: AsRef<[PositionReport]>>(&mut self, batches: &[B]) -> IngestOutcome {
         let outcome = self.pipeline.ingest_batches(batches);
-        if let Some(m) = self.mirror.as_mut() {
-            m.ingest(self.pipeline.graph(), &outcome.new_triples);
-        }
         for batch in batches {
             for r in batch.as_ref() {
                 self.heat.add(&r.position());
@@ -191,80 +165,42 @@ impl AnalyticsState {
         }
     }
 
-    /// Evaluates a SPARQL-subset query and renders rows as strings.
-    ///
-    /// Routes to the partition-parallel mirror when one exists and the
-    /// graph has reached `partition_min_triples`; otherwise the single
-    /// graph answers. Both routes run on the morsel-driven work-stealing
-    /// executor, and the response carries per-query engine statistics
-    /// (probes, intermediate rows, planning/exec µs), the executor's
-    /// parallelism (`workers_used`, `morsels`, `steals`), and says which
-    /// route ran (`parallel`, plus the partition counts on the mirror).
+    /// Evaluates a SPARQL-subset query on the pipeline's graph with the
+    /// morsel-driven work-stealing executor and renders the first `limit`
+    /// rows as strings. The response carries per-query engine statistics
+    /// (probes, intermediate rows, planning/exec µs) and the executor's
+    /// parallelism (`workers_used`, `morsels`, `steals`).
     pub fn sparql(&self, query: &str, limit: usize) -> Result<Json, ProtocolError> {
         let q = parse_query(query)
             .map_err(|e| ProtocolError::new(ErrorCode::QueryError, format!("parse: {e}")))?;
         let cfg = MorselConfig::with_workers(self.query_workers);
         let graph = self.pipeline.graph();
-        let mirror = self
-            .mirror
-            .as_ref()
-            .filter(|_| graph.len() >= self.partition_min_triples);
-        let run = match mirror {
-            Some(m) => {
-                let (b, stats) = m.execute_with(&q, &cfg);
-                SparqlRun {
-                    total: b.rows.len(),
-                    rows: b.rows.iter().take(limit).map(render_row).collect(),
-                    vars: b.vars,
-                    engine: stats.engine,
-                    morsel: MorselStats {
-                        workers: stats.workers,
-                        workers_used: stats.workers_used,
-                        morsels: stats.morsels,
-                        steals: stats.steals,
-                    },
-                    partitions: Some((stats.partitions_total, stats.partitions_probed)),
-                }
-            }
-            None => {
-                let (b, engine, morsel) = execute_morsel(graph, &q, &cfg);
-                let rows = b.rows.iter().take(limit);
-                SparqlRun {
-                    total: b.len(),
-                    rows: rows.map(|r| render_row(b.decode_row(graph, r))).collect(),
-                    vars: b.vars,
-                    engine,
-                    morsel,
-                    partitions: None,
-                }
-            }
-        };
+        let (b, engine, morsel) = execute_morsel(graph, &q, &cfg);
         self.query_morsels
-            .fetch_add(run.morsel.morsels, Ordering::Relaxed);
+            .fetch_add(morsel.morsels, Ordering::Relaxed);
         self.query_steals
-            .fetch_add(run.morsel.steals, Ordering::Relaxed);
-        let mut reply = Json::obj()
+            .fetch_add(morsel.steals, Ordering::Relaxed);
+        let total = b.len();
+        let rows = b.rows.iter().take(limit).map(|row| {
+            let terms = b.decode_row(graph, row);
+            Json::Arr(terms.iter().map(|t| Json::Str(t.to_string())).collect())
+        });
+        let rows = Json::Arr(rows.collect());
+        Ok(Json::obj()
             .field(
                 "vars",
-                Json::Arr(run.vars.into_iter().map(Json::Str).collect()),
+                Json::Arr(b.vars.into_iter().map(Json::Str).collect()),
             )
-            .field("rows", Json::Arr(run.rows))
-            .field("row_count", run.total)
-            .field("truncated", run.total > limit)
-            .field("probes", run.engine.probes as u64)
-            .field("intermediate", run.engine.intermediate as u64)
-            .field("planning_us", run.engine.planning_us)
-            .field("exec_us", run.engine.exec_us)
-            .field("parallel", run.partitions.is_some());
-        if let Some((total, probed)) = run.partitions {
-            reply = reply
-                .field("partitions", total)
-                .field("partitions_probed", probed);
-        }
-        Ok(reply
-            .field("workers_used", run.morsel.workers_used)
-            .field("morsels", run.morsel.morsels)
-            .field("steals", run.morsel.steals)
+            .field("rows", rows)
+            .field("row_count", total)
+            .field("truncated", total > limit)
+            .field("probes", engine.probes as u64)
+            .field("intermediate", engine.intermediate as u64)
+            .field("planning_us", engine.planning_us)
+            .field("exec_us", engine.exec_us)
+            .field("workers_used", morsel.workers_used)
+            .field("morsels", morsel.morsels)
+            .field("steals", morsel.steals)
             .build())
     }
 
@@ -421,16 +357,12 @@ impl AnalyticsState {
     }
 
     /// Rebuilds the state from [`AnalyticsState::to_snapshot_bytes`]
-    /// output. The runtime configuration (`cfg`, grid resolution,
-    /// partitioning) comes from the caller, exactly as on a fresh start;
-    /// only the data travels in the snapshot. The partition mirror is
-    /// rebuilt from the restored graph, so queries fan out exactly as
-    /// they would have without the restart.
+    /// output. The runtime configuration (`cfg`, grid resolution) comes
+    /// from the caller, exactly as on a fresh start; only the data travels
+    /// in the snapshot.
     pub fn from_snapshot_bytes(
         cfg: PipelineConfig,
         heat_cell_deg: f64,
-        partitions: usize,
-        min_triples: usize,
         bytes: &[u8],
     ) -> Result<Self, BinError> {
         let mut r = Reader::new(bytes);
@@ -491,7 +423,7 @@ impl AnalyticsState {
         r.finish()?;
 
         let grid = heat_grid(&cfg, heat_cell_deg);
-        let mut pipeline = Pipeline::from_state(
+        let pipeline = Pipeline::from_state(
             cfg,
             PipelineState {
                 reports_in,
@@ -508,10 +440,6 @@ impl AnalyticsState {
                 graph,
             },
         )?;
-        let mirror = (partitions > 1).then(|| {
-            pipeline.track_new_triples(true);
-            PartitionedStore::build(pipeline.graph(), Box::new(HashPartitioner::new(partitions)))
-        });
         Ok(Self {
             pipeline,
             heat: DensityGrid::from_state(grid, cells, dropped),
@@ -519,8 +447,6 @@ impl AnalyticsState {
             last_exit,
             recent,
             evicted,
-            mirror,
-            partition_min_triples: min_triples,
             query_workers: 0,
             query_morsels: AtomicU64::new(0),
             query_steals: AtomicU64::new(0),
@@ -577,27 +503,6 @@ impl AnalyticsState {
             .field("stage_latency", Json::Obj(stages))
             .build()
     }
-}
-
-/// What either SPARQL route hands the one reply builder.
-struct SparqlRun {
-    vars: Vec<String>,
-    /// Rows the query produced, before the reply's row limit.
-    total: usize,
-    rows: Vec<Json>,
-    engine: QueryStats,
-    morsel: MorselStats,
-    /// `(total, probed)` partition counts; `None` on the single graph.
-    partitions: Option<(usize, usize)>,
-}
-
-fn render_row<'a>(terms: impl IntoIterator<Item = &'a Term>) -> Json {
-    Json::Arr(
-        terms
-            .into_iter()
-            .map(|t| Json::Str(t.to_string()))
-            .collect(),
-    )
 }
 
 fn event_json(ev: &EventRecord) -> Json {
@@ -689,14 +594,9 @@ mod tests {
     }
 
     #[test]
-    fn sparql_fans_out_across_partitions_above_threshold() {
-        let cfg = PipelineConfig {
-            region: BoundingBox::new(20.0, 34.0, 28.0, 40.0),
-            ..PipelineConfig::default()
-        };
-        // 4 partitions, threshold 1 triple → the mirror serves immediately.
-        let mut s = AnalyticsState::with_sparql_partitions(cfg, 0.25, 4, 1);
-        // Many objects on zig-zag tracks so subjects spread over partitions.
+    fn sparql_single_route_matches_execute_on_star_and_path() {
+        let mut s = state();
+        // Many objects on zig-zag tracks so the path joins cross subjects.
         let mut reports = Vec::new();
         for obj in 1..=16u64 {
             for i in 0..10i64 {
@@ -705,41 +605,28 @@ mod tests {
             }
         }
         s.ingest(&reports);
-        let query = "SELECT ?n ?o WHERE { ?n da:ofMovingObject ?o }";
-        let res = s.sparql(query, 10_000).unwrap();
-        assert_eq!(res.get("parallel").and_then(Json::as_bool), Some(true));
-        assert_eq!(res.get("partitions").and_then(Json::as_u64), Some(4));
-        assert!(
-            res.get("partitions_probed").and_then(Json::as_u64).unwrap() > 1,
-            "query must fan out to more than one partition: {res}"
-        );
-        assert!(res.get("planning_us").and_then(Json::as_u64).is_some());
-        assert!(res.get("exec_us").and_then(Json::as_u64).is_some());
-        // Executor parallelism fields ride next to partitions_probed.
-        assert!(res.get("workers_used").and_then(Json::as_u64).unwrap() >= 1);
-        assert!(res.get("morsels").and_then(Json::as_u64).unwrap() >= 1);
-        assert!(res.get("steals").and_then(Json::as_u64).is_some());
-        let c = s.counters();
-        assert!(c.query_morsels >= 1);
-        // Same answer as the single-graph path.
-        let single = execute(s.pipeline.graph(), &parse_query(query).unwrap())
-            .0
-            .len() as u64;
-        assert_eq!(res.get("row_count").and_then(Json::as_u64), Some(single));
-
-        // Below the threshold the mirror is bypassed.
-        let cfg = PipelineConfig {
-            region: BoundingBox::new(20.0, 34.0, 28.0, 40.0),
-            ..PipelineConfig::default()
-        };
-        let mut s = AnalyticsState::with_sparql_partitions(cfg, 0.25, 4, usize::MAX);
-        s.ingest(
-            &(0..10)
-                .map(|i| report(1, i * 10, 24.0 + 0.02 * i as f64, 37.0))
-                .collect::<Vec<_>>(),
-        );
-        let res = s.sparql(query, 100).unwrap();
-        assert_eq!(res.get("parallel").and_then(Json::as_bool), Some(false));
+        let before = s.counters().query_morsels;
+        for query in [
+            "SELECT ?n ?o ?g WHERE { ?n da:ofMovingObject ?o . ?n da:hasGeometry ?g }",
+            "SELECT ?n ?o WHERE { ?n da:ofMovingObject ?o . ?o rdf:type da:Vessel }",
+        ] {
+            let res = s.sparql(query, 10_000).unwrap();
+            assert!(res.get("planning_us").and_then(Json::as_u64).is_some());
+            assert!(res.get("exec_us").and_then(Json::as_u64).is_some());
+            assert!(res.get("workers_used").and_then(Json::as_u64).unwrap() >= 1);
+            assert!(res.get("morsels").and_then(Json::as_u64).unwrap() >= 1);
+            assert!(res.get("steals").and_then(Json::as_u64).is_some());
+            let single = execute(s.pipeline.graph(), &parse_query(query).unwrap())
+                .0
+                .len() as u64;
+            assert!(single > 0, "{query}");
+            assert_eq!(
+                res.get("row_count").and_then(Json::as_u64),
+                Some(single),
+                "{query}"
+            );
+        }
+        assert!(s.counters().query_morsels >= before + 2);
     }
 
     #[test]
@@ -764,11 +651,7 @@ mod tests {
 
     #[test]
     fn snapshot_round_trip_restores_query_visible_state() {
-        let cfg = PipelineConfig {
-            region: BoundingBox::new(20.0, 34.0, 28.0, 40.0),
-            ..PipelineConfig::default()
-        };
-        let mut s = AnalyticsState::with_sparql_partitions(cfg, 0.25, 4, 1);
+        let mut s = state();
         let mut reports = Vec::new();
         for obj in 1..=8u64 {
             for i in 0..12i64 {
@@ -792,7 +675,7 @@ mod tests {
             region: BoundingBox::new(20.0, 34.0, 28.0, 40.0),
             ..PipelineConfig::default()
         };
-        let s2 = AnalyticsState::from_snapshot_bytes(cfg, 0.25, 4, 1, &bytes).unwrap();
+        let s2 = AnalyticsState::from_snapshot_bytes(cfg, 0.25, &bytes).unwrap();
 
         let q = "SELECT ?n ?o WHERE { ?n da:ofMovingObject ?o }";
         // Timing fields differ run to run; compare the answer itself.
@@ -808,7 +691,6 @@ mod tests {
             (
                 res.get("vars").unwrap().to_string(),
                 res.get("row_count").and_then(Json::as_u64),
-                res.get("parallel").and_then(Json::as_bool),
                 rows,
             )
         };
@@ -843,7 +725,7 @@ mod tests {
                 region: BoundingBox::new(20.0, 34.0, 28.0, 40.0),
                 ..PipelineConfig::default()
             };
-            assert!(AnalyticsState::from_snapshot_bytes(cfg, 0.25, 1, 1, &bytes[..cut]).is_err());
+            assert!(AnalyticsState::from_snapshot_bytes(cfg, 0.25, &bytes[..cut]).is_err());
         }
     }
 

@@ -104,6 +104,35 @@ fn feed(c: &mut Client) {
     }
 }
 
+/// Ten vessels on zig-zag tracks (the synopsis keeps every fix): enough
+/// semantic nodes to take the graph past 10 000 triples, where the server
+/// once switched to a partitioned copy with partition-local joins.
+fn feed_fleet(c: &mut Client) {
+    for vessel in 100..110u64 {
+        let reports: Vec<Json> = (0..100i64)
+            .map(|i| {
+                Json::obj()
+                    .field("object", vessel)
+                    .field("t_ms", i * 60_000)
+                    .field("lon", 24.0 + 0.01 * i as f64)
+                    .field("lat", if i % 2 == 0 { 37.0 } else { 37.02 })
+                    .field("speed_mps", 6.0)
+                    .field("heading_deg", if i % 2 == 0 { 45.0 } else { 135.0 })
+                    .build()
+            })
+            .collect();
+        let req = Json::obj()
+            .field("type", "ingest")
+            .field("reports", Json::Arr(reports))
+            .build();
+        let resp = c.call(&req).unwrap();
+        assert!(is_ok(&resp), "ingest failed: {resp}");
+    }
+    let resp = c.call(&Json::obj().field("type", "stats").build()).unwrap();
+    let graph_len = resp.get("pipeline").and_then(|p| p.get("graph_len"));
+    assert!(graph_len.and_then(Json::as_u64).unwrap() > 10_000, "{resp}");
+}
+
 fn repl_status(c: &mut Client) -> Json {
     let resp = c
         .call(&Json::obj().field("type", "repl_status").build())
@@ -149,30 +178,41 @@ fn await_applied(follower: SocketAddr, target: u64) {
 /// it replicates once caught up.
 fn fingerprint(c: &mut Client) -> Vec<String> {
     let mut out = Vec::new();
-    let resp = c
-        .call(
-            &Json::obj()
-                .field("type", "sparql")
-                .field("query", "SELECT ?n ?o WHERE { ?n da:ofMovingObject ?o }")
-                .field("limit", 10_000u64)
-                .build(),
-        )
-        .unwrap();
-    assert!(is_ok(&resp), "{resp}");
-    let result = resp.get("result").unwrap();
-    let mut rows: Vec<String> = result
-        .get("rows")
-        .and_then(Json::as_array)
-        .unwrap()
-        .iter()
-        .map(|r| r.to_string())
-        .collect();
-    rows.sort_unstable();
-    out.push(format!(
-        "sparql rows={} {:?}",
-        result.get("row_count").and_then(Json::as_u64).unwrap(),
-        rows
-    ));
+    // Every node belongs to a typed vessel, so the two-hop join must
+    // return exactly the rows of the single pattern.
+    for query in [
+        "SELECT ?n ?o WHERE { ?n da:ofMovingObject ?o }",
+        "SELECT ?n ?o WHERE { ?n da:ofMovingObject ?o . ?o rdf:type da:Vessel }",
+    ] {
+        let resp = c
+            .call(
+                &Json::obj()
+                    .field("type", "sparql")
+                    .field("query", query)
+                    .field("limit", 10_000u64)
+                    .build(),
+            )
+            .unwrap();
+        assert!(is_ok(&resp), "{resp}");
+        let result = resp.get("result").unwrap();
+        let mut rows: Vec<String> = result
+            .get("rows")
+            .and_then(Json::as_array)
+            .unwrap()
+            .iter()
+            .map(|r| r.to_string())
+            .collect();
+        rows.sort_unstable();
+        let line = format!(
+            "sparql rows={} {:?}",
+            result.get("row_count").and_then(Json::as_u64).unwrap(),
+            rows
+        );
+        if let Some(single_pattern) = out.last() {
+            assert_eq!(single_pattern, &line, "{query}");
+        }
+        out.push(line);
+    }
     for (ep, list_key) in [("heatmap", "cells"), ("flows", "flows")] {
         let resp = c
             .call(
@@ -337,10 +377,10 @@ fn late_follower_bootstraps_from_snapshot_then_tails() {
     // Snapshot after every batch: tiny segments retire aggressively, so
     // seq 1 is gone from the log by the time the follower subscribes.
     let leader = start(leader_config(dir.path(), 1)).expect("leader start");
-    feed(&mut connect(leader.local_addr));
-
     {
         let mut c = connect(leader.local_addr);
+        feed(&mut c);
+        feed_fleet(&mut c);
         let resp = c.call(&Json::obj().field("type", "stats").build()).unwrap();
         let storage = resp.get("storage").expect("storage stats");
         assert!(

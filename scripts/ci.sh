@@ -75,10 +75,15 @@ run cargo test "${CARGO_FLAGS[@]}" -q --workspace
 run cargo test "${CARGO_FLAGS[@]}" --release -q -p datacron-server --test integration_storage
 run cargo bench "${CARGO_FLAGS[@]}" --workspace --no-run
 # The benchmark harness (BENCHMARK.json) is a package of its own that
-# compiles the real serve.rs and calls into core/rdf/server APIs
-# (partition mirror, commit log, ingest paths). Build it and run its unit
-# tests here so a harness-facing API break fails CI, not the benchmark
-# run. Always offline: its third-party crates are the stubs it vendors.
+# compiles the real serve.rs and calls into core/rdf/server APIs (ingest
+# paths, and for its own traced replay the partitioned store and commit
+# log the server no longer uses). Build it and run its unit tests here so
+# a harness-facing API break fails CI, not the benchmark run. Always
+# offline: its third-party crates are the stubs it vendors.
 run cargo test --offline --manifest-path benchmark/Cargo.toml
+# All four workloads, traced and untraced, at 1 s against the release
+# server, every reply checked against the in-process reference (~65 s):
+# a serving-path answer change fails here.
+run bash benchmark/run.sh --smoke
 
 echo "==> CI green"

@@ -18,6 +18,10 @@ if [[ ! -x "$BIN" ]]; then
   exit 1
 fi
 
+# A retired or unknown flag is a usage error (exit 2), never ignored.
+rc=0; timeout 5 "$BIN" --sparql-partitions 4 2>/dev/null || rc=$?
+[[ $rc -eq 2 ]] || { echo "obs-smoke: unknown flag exited $rc, want 2" >&2; exit 1; }
+
 LOG=$(mktemp /tmp/obs-smoke-log.XXXXXX)
 DATA=$(mktemp -d /tmp/obs-smoke-data.XXXXXX)
 SERVER_PID=""

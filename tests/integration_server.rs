@@ -1,10 +1,12 @@
 //! Loopback integration tests for datacron-server: concurrent clients,
 //! admission-control backpressure, and protocol error handling.
 
-use datacron_core::{PipelineConfig, PolygonSpec};
+use datacron_core::{Pipeline, PipelineConfig, PolygonSpec};
 use datacron_geo::BoundingBox;
+use datacron_rdf::{execute_reference, parse_query};
 use datacron_server::client::{error_code, is_ok};
-use datacron_server::{start, Client, Json, ServerConfig};
+use datacron_server::protocol::parse_request;
+use datacron_server::{start, Client, Json, Request, ServerConfig};
 use std::net::SocketAddr;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -309,4 +311,97 @@ fn zone_transitions_feed_flows_and_events() {
     assert!(is_ok(&resp));
 
     handle.shutdown();
+}
+
+/// One vessel's zig-zag leg: the latitude alternates every fix, so the
+/// synopsis keeps each one and every report becomes a semantic node.
+fn zigzag_request(object: u64, t0_s: i64, n: usize) -> Json {
+    let reports: Vec<Json> = (0..n)
+        .map(|i| {
+            Json::obj()
+                .field("object", object)
+                .field("t_ms", (t0_s + i as i64 * 60) * 1000)
+                .field("lon", 24.0 + 0.01 * (t0_s / 60 + i as i64) as f64)
+                .field("lat", if i % 2 == 0 { 37.0 } else { 37.02 })
+                .field("speed_mps", 6.0)
+                .field("heading_deg", if i % 2 == 0 { 45.0 } else { 135.0 })
+                .build()
+        })
+        .collect();
+    Json::obj()
+        .field("type", "ingest")
+        .field("reports", Json::Arr(reports))
+        .build()
+}
+
+/// Joins that cross subjects (node → object → class) answer in full at
+/// every graph size. The server once switched to a hash-by-subject
+/// partitioned copy at 10 000 triples, whose partition-local joins
+/// silently dropped most of these rows.
+#[test]
+fn cross_subject_joins_match_reference_at_every_graph_size() {
+    const OLD_ROUTE_THRESHOLD: u64 = 10_000;
+    const QUERIES: [&str; 2] = [
+        "SELECT ?n ?o WHERE { ?n da:ofMovingObject ?o . ?o rdf:type da:Vessel }",
+        "SELECT ?n ?c ?g WHERE { ?n da:ofMovingObject ?o . ?o rdf:type ?c . ?n da:hasGeometry ?g }",
+    ];
+    let cfg = test_config();
+    // The oracle: the same batches, in the same order, through an
+    // in-process pipeline, queried with the unoptimised reference engine.
+    let mut oracle = Pipeline::new(cfg.pipeline.clone());
+    let handle = start(cfg).expect("server start");
+    let mut c = connect(handle.local_addr);
+
+    let check = |c: &mut Client, oracle: &Pipeline| -> u64 {
+        let graph_len = oracle.graph().len() as u64;
+        let resp = c.call(&Json::obj().field("type", "stats").build()).unwrap();
+        let served = resp.get("pipeline").and_then(|p| p.get("graph_len"));
+        assert_eq!(served.and_then(Json::as_u64), Some(graph_len));
+        for query in QUERIES {
+            let want = execute_reference(oracle.graph(), &parse_query(query).unwrap())
+                .0
+                .len() as u64;
+            assert!(want > 0, "{query}");
+            let resp = c
+                .call(
+                    &Json::obj()
+                        .field("type", "sparql")
+                        .field("query", query)
+                        .field("limit", 5u64)
+                        .build(),
+                )
+                .unwrap();
+            assert!(is_ok(&resp), "{resp}");
+            let got = resp.get("result").and_then(|r| r.get("row_count"));
+            assert_eq!(
+                got.and_then(Json::as_u64),
+                Some(want),
+                "{query} at {graph_len} triples"
+            );
+        }
+        graph_len
+    };
+
+    // Check after every round of batches until the graph has passed the
+    // old threshold; the first check must fall below it.
+    let mut checked_below = false;
+    for round in 0..40i64 {
+        for vessel in 1..=20u64 {
+            let req = zigzag_request(vessel, round * 600, 10);
+            let parsed = parse_request(&req.to_string()).expect("own request parses");
+            match parsed.req {
+                Request::Ingest { reports } => oracle.ingest_batch(&reports),
+                other => panic!("not an ingest request: {}", other.tag()),
+            };
+            let resp = c.call(&req).unwrap();
+            assert!(is_ok(&resp), "{resp}");
+        }
+        if check(&mut c, &oracle) >= OLD_ROUTE_THRESHOLD {
+            assert!(checked_below, "first check must be below the threshold");
+            handle.shutdown();
+            return;
+        }
+        checked_below = true;
+    }
+    panic!("graph never passed {OLD_ROUTE_THRESHOLD} triples");
 }
