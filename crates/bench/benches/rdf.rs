@@ -1,15 +1,18 @@
 //! E5 timing: triple-store load and query answering, with the partitioning
-//! ablation (A2).
+//! ablation (A2), and the cost of committing one serving-sized batch into a
+//! store of a given size (`commit_tail`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use datacron_bench::{maritime_small, reports_of};
-use datacron_geo::TimeMs;
+use datacron_geo::{GeoPoint, TimeMs};
+use datacron_model::{NavStatus, ObjectId, PositionReport, SourceId};
 use datacron_rdf::{
-    execute, parse_query, Graph, HashPartitioner, PartitionedStore, SpatialGridPartitioner,
-    TemporalPartitioner,
+    execute, from_binary, parse_query, to_binary, Graph, HashPartitioner, PartitionedStore,
+    SpatialGridPartitioner, TemporalPartitioner,
 };
 use datacron_transform::RdfMapper;
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 fn build_graph() -> (Graph, datacron_geo::BoundingBox) {
     let data = maritime_small();
@@ -88,5 +91,67 @@ fn bench_rdf(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_rdf);
+/// Maps `nodes` synthetic reports, numbered from `from`, through the real
+/// mapper (6 triples each): a fresh node subject — the highest id so far —
+/// with the shared class, one of 100 moving objects, a fresh point and
+/// instant, and a speed and a heading from small shared pools. So a tail
+/// of them appends to SPO and lands inside every predicate's run of POS
+/// and every shared object's run of OSP, as a serving batch does.
+fn add_nodes(mapper: &mut RdfMapper, g: &mut Graph, from: u64, nodes: u64) {
+    for k in from..from + nodes {
+        let report = PositionReport::maritime(
+            ObjectId(k % 100),
+            TimeMs(k as i64 * 1_000),
+            GeoPoint::new(
+                20.0 + (k % 8_000) as f64 * 1e-3,
+                35.0 + (k / 8_000) as f64 * 1e-3,
+            ),
+            (k % 40) as f64 * 0.5,
+            (k % 72) as f64 * 5.0,
+            SourceId::AIS_TERRESTRIAL,
+            NavStatus::UnderWay,
+        );
+        mapper.map_report(g, &report, None);
+    }
+}
+
+/// `Graph::commit` of a ~100-triple tail (17 nodes, about what one
+/// 64-report serving batch keeps) into a 100k- and a 1M-triple store.
+/// Only the commit is timed; filling the tail is not.
+fn bench_commit_tail(c: &mut Criterion) {
+    const TAIL_NODES: u64 = 17;
+    let mut group = c.benchmark_group("commit_tail");
+    for (name, triples) in [("100k", 100_000u64), ("1M", 1_000_000)] {
+        let base_nodes = triples / 6;
+        let mut mapper = RdfMapper::new();
+        let mut g = Graph::new();
+        add_nodes(&mut mapper, &mut g, 0, base_nodes);
+        g.commit();
+        let snapshot = to_binary(&g);
+        let mut next = base_nodes;
+        group.bench_function(name, |b| {
+            b.iter_custom(|iters| {
+                let mut spent = Duration::ZERO;
+                for _ in 0..iters {
+                    // Every commit grows the store: start over from the
+                    // snapshot once it is 10 % past its nominal size.
+                    if next > base_nodes + base_nodes / 10 {
+                        g = from_binary(&snapshot).expect("snapshot restores");
+                        next = base_nodes;
+                    }
+                    add_nodes(&mut mapper, &mut g, next, TAIL_NODES);
+                    next += TAIL_NODES;
+                    let t = Instant::now();
+                    g.commit();
+                    spent += t.elapsed();
+                }
+                black_box(g.len());
+                spent
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_rdf, bench_commit_tail);
 criterion_main!(benches);

@@ -17,8 +17,8 @@
 //! way `datacron-server` performs it: read + verify + decode the log,
 //! replay it through a fresh analytics state, and — for comparison — a
 //! snapshot-only restart of the same state. Replay is measured both
-//! ways: one `ingest` call per WAL record (a graph commit per record —
-//! quadratic in log length, the pre-replication behaviour) and the
+//! ways: one `ingest` call per WAL record (a graph commit per record,
+//! the pre-replication behaviour) and the
 //! batch path (`ingest_many`, one commit for the whole log) the server
 //! and follower catch-up now use. Results land in `BENCH_storage.json`
 //! at the repo root.

@@ -135,6 +135,9 @@ pub struct PipelineMetrics {
     pub lat_cep: std::sync::Arc<LatencyHistogram>,
     /// RDF mapping stage latency.
     pub lat_rdf: std::sync::Arc<LatencyHistogram>,
+    /// RDF store commit latency — one sample per ingested batch (or per
+    /// replayed run of batches), where every other row is per report.
+    pub lat_commit: std::sync::Arc<LatencyHistogram>,
     /// End-to-end per-report latency.
     pub lat_total: std::sync::Arc<LatencyHistogram>,
 }
@@ -158,13 +161,15 @@ impl PipelineMetrics {
         }
     }
 
-    /// `(stage name, shared histogram)` rows, in processing order.
-    pub fn stage_histograms(&self) -> [(&'static str, &std::sync::Arc<LatencyHistogram>); 5] {
+    /// `(stage name, shared histogram)` rows, in processing order; the
+    /// per-report `total` is last.
+    pub fn stage_histograms(&self) -> [(&'static str, &std::sync::Arc<LatencyHistogram>); 6] {
         [
             ("cleanse", &self.lat_cleanse),
             ("synopsis", &self.lat_synopsis),
             ("cep", &self.lat_cep),
             ("rdf", &self.lat_rdf),
+            ("commit", &self.lat_commit),
             ("total", &self.lat_total),
         ]
     }
@@ -368,15 +373,16 @@ impl Pipeline {
     }
 
     /// Replay-oriented ingest: processes many batches through every
-    /// stage but commits the RDF store **once**, at the end. Commit
-    /// cost grows with graph size, so applying a long WAL tail as N
-    /// record-at-a-time [`Pipeline::ingest_batch`] calls pays N
-    /// commits — quadratic in total — where this pays one. Detector
-    /// state advances identically to feeding the batches one by one;
-    /// the only observable difference is that triples become visible
-    /// at the end of the replay instead of after each batch, which is
-    /// exactly what recovery and replication catch-up want. Returns
-    /// the summed counters; per-batch deltas are not broken out.
+    /// stage but commits the RDF store **once**, at the end. A commit
+    /// merges its batch into the sorted indexes at a cost that follows
+    /// the batch, not the store, so N record-at-a-time
+    /// [`Pipeline::ingest_batch`] calls would pay N small merges where
+    /// this pays one larger one — a constant factor, no longer a cliff.
+    /// Detector state advances identically to feeding the batches one by
+    /// one; the only observable difference is that triples become
+    /// visible at the end of the replay instead of after each batch,
+    /// which is exactly what recovery and replication catch-up want.
+    /// Returns the summed counters; per-batch deltas are not broken out.
     pub fn ingest_batches<B: AsRef<[PositionReport]>>(&mut self, batches: &[B]) -> IngestOutcome {
         let clean_before = self.metrics.reports_clean;
         let kept_before = self.metrics.reports_kept;
@@ -388,7 +394,9 @@ impl Pipeline {
             accepted += reports.len() as u64;
             events.extend(self.process_batch(reports));
         }
+        let t = Stopwatch::start();
         self.graph.commit();
+        self.metrics.lat_commit.observe(&t);
         IngestOutcome {
             accepted,
             clean: self.metrics.reports_clean - clean_before,
@@ -592,6 +600,9 @@ mod tests {
         assert!(p.graph().len() >= len_after_1);
         // Lifetime metrics keep accumulating across batches.
         assert_eq!(p.metrics().reports_in, 20);
+        // One commit sample per batch, where the stage rows are per report.
+        assert_eq!(p.metrics().lat_commit.count(), 2);
+        assert_eq!(p.metrics().lat_total.count(), 20);
     }
 
     #[test]
@@ -679,10 +690,13 @@ mod tests {
         p.process(&cruise_report(1, 0, 24.0));
         let table = p.metrics().latency_table();
         let names: Vec<&str> = table.iter().map(|(n, _)| *n).collect();
-        assert_eq!(names, vec!["cleanse", "synopsis", "cep", "rdf", "total"]);
+        assert_eq!(
+            names,
+            vec!["cleanse", "synopsis", "cep", "rdf", "commit", "total"]
+        );
         // Per-report latency must be well under a millisecond in this
         // trivial case — the paper's ms budget holds with huge margin.
-        let (_, total) = table[4];
+        let (_, total) = *table.last().unwrap();
         assert!(total.max_us < 100_000, "total {}us", total.max_us);
     }
 

@@ -145,6 +145,12 @@ impl<T> RTree<T> {
         self.entries.is_empty()
     }
 
+    /// Takes the entries back out (unordered), e.g. to bulk-load a
+    /// larger tree from them.
+    pub fn into_entries(self) -> Vec<RTreeEntry<T>> {
+        self.entries
+    }
+
     /// The bounding box of all entries, when non-empty.
     pub fn bbox(&self) -> Option<&BoundingBox> {
         self.root.map(|r| self.nodes[r as usize].bbox())

@@ -3,10 +3,10 @@
 //! This is the snapshot format the storage layer persists: terms in
 //! dictionary-id order followed by encoded triples, so restoring assigns
 //! every term the **same id** it had in the source graph and the triples
-//! can be re-inserted verbatim. Rebuilding through [`Graph::encode`] /
-//! [`Graph::insert_encoded`] / [`Graph::commit`] also reconstructs the
-//! secondary spatial/temporal indexes and the per-predicate statistics —
-//! none of that state travels in the payload.
+//! can be re-inserted verbatim. Rebuilding through [`Graph::encode`] and
+//! the commit routine (one bulk merge of the decoded triples) also
+//! reconstructs the secondary spatial/temporal indexes and the
+//! per-predicate statistics — none of that state travels in the payload.
 //!
 //! Unlike [`crate::ntriples`], this format round-trips every `f64` bit
 //! pattern exactly (doubles and points travel as raw bits, not decimal
@@ -95,7 +95,7 @@ pub fn to_binary(graph: &Graph) -> Vec<u8> {
 
 /// Reconstructs a graph from [`to_binary`] output. Term ids match the
 /// source graph exactly; any structural damage (bad variant, id out of
-/// range, trailing bytes) is an error, never a panic.
+/// range, a repeated triple, trailing bytes) is an error, never a panic.
 pub fn from_binary(bytes: &[u8]) -> Result<Graph, BinError> {
     let mut r = Reader::new(bytes);
     let version = r.u32()?;
@@ -120,22 +120,30 @@ pub fn from_binary(bytes: &[u8]) -> Result<Graph, BinError> {
         expect = expect.wrapping_add(1);
     }
     let n_triples = r.seq_len()?;
+    let n_terms_u64 = u64::try_from(n_terms).unwrap_or(u64::MAX);
+    let mut triples = Vec::with_capacity(n_triples);
     for _ in 0..n_triples {
         let (s, p, o) = (r.u32()?, r.u32()?, r.u32()?);
-        let n_terms_u64 = u64::try_from(n_terms).unwrap_or(u64::MAX);
         if [s, p, o].iter().any(|&id| u64::from(id) >= n_terms_u64) {
             return Err(BinError::msg(format!(
                 "triple id out of range: ({s}, {p}, {o}) with {n_terms} terms"
             )));
         }
-        g.insert_encoded(Triple {
+        triples.push(Triple {
             s: TermId(s),
             p: TermId(p),
             o: TermId(o),
         });
     }
     r.finish()?;
-    g.commit();
+    g.load(triples).map_err(|t| {
+        BinError::msg(format!(
+            "duplicate triple ({}, {}, {})",
+            t.s.raw(),
+            t.p.raw(),
+            t.o.raw()
+        ))
+    })?;
     Ok(g)
 }
 
@@ -250,6 +258,38 @@ mod tests {
         let n = bytes.len();
         bytes[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(from_binary(&bytes).is_err());
+    }
+
+    /// `bytes` with a copy of triple `which` appended and the triple count
+    /// fixed up, so only the repetition is wrong with the payload.
+    fn with_repeated_triple(mut bytes: Vec<u8>, n_triples: usize, which: usize) -> Vec<u8> {
+        let count_at = bytes.len() - 12 * n_triples - 8;
+        let n = u64::try_from(n_triples).unwrap();
+        assert_eq!(bytes[count_at..count_at + 8], n.to_le_bytes());
+        let at = count_at + 8 + 12 * which;
+        let copy = bytes[at..at + 12].to_vec();
+        bytes.extend_from_slice(&copy);
+        bytes[count_at..count_at + 8].copy_from_slice(&(n + 1).to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn repeated_triple_rejected() {
+        let mut g = sample();
+        let n = g.len();
+        for which in [0, n - 1] {
+            let err = from_binary(&with_repeated_triple(to_binary(&g), n, which)).unwrap_err();
+            assert!(err.to_string().contains("duplicate triple"), "{err}");
+        }
+        // The same with a pending tail in the payload: committed and
+        // pending triples repeated alike.
+        g.insert(&Term::iri("da:x"), &Term::iri("da:p"), &Term::iri("da:y"));
+        g.insert(&Term::iri("da:a"), &Term::iri("da:p"), &Term::iri("da:y"));
+        let n = g.len();
+        assert!(from_binary(&to_binary(&g)).is_ok());
+        for which in [0, n - 2, n - 1] {
+            assert!(from_binary(&with_repeated_triple(to_binary(&g), n, which)).is_err());
+        }
     }
 
     #[test]

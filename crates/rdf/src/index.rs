@@ -2,6 +2,7 @@
 //! (sorted runs). These power `FILTER st_within` / `t_between` pushdown.
 
 use crate::dict::TermId;
+use crate::merge::merge_sorted_run;
 use datacron_geo::{BoundingBox, GeoPoint, RTree, RTreeEntry, TimeInterval, TimeMs};
 use rustc_hash::FxHashSet;
 
@@ -42,17 +43,9 @@ impl SpatialIndex {
         if self.tail.is_empty() {
             return;
         }
-        let mut entries: Vec<RTreeEntry<TermId>> = Vec::with_capacity(self.len());
-        // Drain existing tree entries via a full-space query.
-        if !self.tree.is_empty() {
-            self.tree
-                .for_each_in(&BoundingBox::new(-180.0, -90.0, 180.0, 90.0), |e| {
-                    entries.push(RTreeEntry {
-                        bbox: e.bbox,
-                        item: e.item,
-                    })
-                });
-        }
+        // Every entry of the old tree, wherever its point lies: the
+        // dictionary accepts any `f64` pair as a point literal.
+        let mut entries = std::mem::take(&mut self.tree).into_entries();
         entries.extend(self.tail.drain(..).map(|(p, id)| RTreeEntry::point(p, id)));
         self.tree = RTree::bulk_load(entries);
     }
@@ -124,8 +117,9 @@ impl TemporalIndex {
         if self.tail.is_empty() {
             return;
         }
-        self.sorted.append(&mut self.tail);
-        self.sorted.sort_unstable();
+        self.tail.sort_unstable();
+        merge_sorted_run(&mut self.sorted, &self.tail);
+        self.tail.clear();
     }
 
     /// Ids of time literals inside the half-open `interval`.
@@ -180,6 +174,31 @@ mod tests {
     }
 
     #[test]
+    fn spatial_rebuild_keeps_points_outside_the_lon_lat_box() {
+        // The dictionary accepts any `f64` pair as a point literal; two
+        // rebuilds must not lose the one at lon 200.
+        let far = TermId(u32::MAX);
+        let around_far = BoundingBox::new(199.0, 36.0, 201.0, 38.0);
+        let mut idx = SpatialIndex::default();
+        idx.insert(far, GeoPoint::new(200.0, 37.0));
+        assert!(idx.within(&around_far).contains(&far));
+        for i in 0..2 * SPATIAL_TAIL_LIMIT {
+            idx.insert(
+                TermId(u32::try_from(i).unwrap()),
+                GeoPoint::new(20.0 + (i % 100) as f64 * 0.01, 37.0),
+            );
+            // The tail folds into the tree at every SPATIAL_TAIL_LIMIT-th
+            // insert: the far point goes in at the first rebuild and is
+            // carried over by the second.
+            assert_eq!(idx.len(), i + 2);
+        }
+        assert_eq!(idx.tree.len(), 2 * SPATIAL_TAIL_LIMIT, "both rebuilds ran");
+        assert_eq!(idx.len(), 2 * SPATIAL_TAIL_LIMIT + 1);
+        assert_eq!(idx.within(&around_far).len(), 1);
+        assert!(idx.within(&around_far).contains(&far));
+    }
+
+    #[test]
     fn spatial_near_refines_by_distance() {
         let mut idx = SpatialIndex::default();
         let c = GeoPoint::new(24.0, 37.0);
@@ -217,6 +236,41 @@ mod tests {
         idx.insert(TermId(2), TimeMs(150));
         let hits = idx.between(&TimeInterval::new(TimeMs(0), TimeMs(200)));
         assert_eq!(hits.len(), 2);
+    }
+
+    #[test]
+    fn temporal_rebuild_keeps_between_answers_with_out_of_order_inserts() {
+        let mut idx = TemporalIndex::default();
+        // Three rounds, each inserted out of time order and overlapping the
+        // rounds before it, so every rebuild merges below, between and
+        // above the sorted run. Instants repeat under different ids.
+        let mut id = 0u32;
+        for round in 0..3i64 {
+            for k in (0..200i64).rev() {
+                let t = (k * 37 + round * 11) % 500;
+                idx.insert(TermId(id), TimeMs(t * 10));
+                id += 1;
+            }
+            let intervals = [
+                (0, 5_000),
+                (0, 1),
+                (1_230, 1_240),
+                (2_000, 3_500),
+                (4_990, 9_000),
+            ];
+            let before: Vec<_> = intervals
+                .iter()
+                .map(|&(a, b)| idx.between(&TimeInterval::new(TimeMs(a), TimeMs(b))))
+                .collect();
+            idx.rebuild();
+            assert!(idx.tail.is_empty());
+            assert!(idx.sorted.windows(2).all(|w| w[0] <= w[1]));
+            for (&(a, b), want) in intervals.iter().zip(&before) {
+                let got = idx.between(&TimeInterval::new(TimeMs(a), TimeMs(b)));
+                assert_eq!(&got, want, "[{a}, {b}) after rebuild {round}");
+            }
+            assert_eq!(before[0].len(), idx.len());
+        }
     }
 
     #[test]

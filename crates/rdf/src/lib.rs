@@ -10,7 +10,8 @@
 //!   **point** and **time** literals) and dictionary encoding onto dense
 //!   `u32` ids;
 //! * [`store`] — a triple store with SPO/POS/OSP sorted indexes, bulk load
-//!   and incremental insert;
+//!   and incremental insert (each commit merges its sorted batch into the
+//!   indexes in place);
 //! * [`index`] — secondary **spatial** (R-tree) and **temporal** (sorted
 //!   run) indexes over typed literals, powering filter pushdown;
 //! * [`query`] / [`parser`] — a SPARQL-subset AST and text syntax:
@@ -42,6 +43,7 @@ pub mod dict;
 pub mod engine;
 pub mod index;
 pub mod infer;
+mod merge;
 pub mod morsel;
 pub mod ntriples;
 pub mod parallel;

@@ -2,6 +2,7 @@
 
 use crate::dict::{Dictionary, TermId};
 use crate::index::{SpatialIndex, TemporalIndex};
+use crate::merge::merge_sorted_run;
 use crate::term::Term;
 use rustc_hash::{FxHashMap, FxHashSet};
 use serde::{Deserialize, Serialize};
@@ -166,9 +167,11 @@ fn gallop(
 /// A dictionary-encoded RDF graph with three sorted permutation indexes and
 /// secondary spatiotemporal literal indexes.
 ///
-/// Writes go to an unsorted tail; [`Graph::commit`] merges the tail into the
-/// sorted runs (amortised bulk behaviour). Reads transparently search both,
-/// so interleaved insert/query is correct without explicit commits.
+/// Writes go to an unsorted tail; [`Graph::commit`] sorts the tail and
+/// merges it into each index in place, so a commit costs in proportion to
+/// the batch (plus the keys it has to shift), not to the store. Reads
+/// transparently search both, so interleaved insert/query is correct
+/// without explicit commits.
 #[derive(Debug, Default)]
 pub struct Graph {
     dict: Dictionary,
@@ -260,13 +263,38 @@ impl Graph {
         }
         let tail = std::mem::take(&mut self.tail);
         self.tail_set.clear();
+        self.merge_new(&tail);
+    }
 
-        // Statistics delta: the tail holds exactly the new distinct triples
-        // (insert-time dedup), so counting is O(t log t + t log n).
-        for t in &tail {
+    /// Bulk entry for snapshot restore, into a graph that holds no triples
+    /// yet: adds `triples` through the commit routine in one merge,
+    /// skipping the per-triple tail bookkeeping. The payload is not
+    /// trusted to be duplicate-free: a repeated triple is returned as the
+    /// error and nothing is added.
+    pub(crate) fn load(&mut self, mut triples: Vec<Triple>) -> Result<(), Triple> {
+        debug_assert!(self.is_empty(), "bulk load is for a fresh graph");
+        // `Triple` orders as SPO, and so does a `to_binary` payload bar its
+        // pending tail: this sort has little to do.
+        triples.sort_unstable();
+        if let Some(w) = triples.windows(2).find(|w| w[0] == w[1]) {
+            return Err(w[0]);
+        }
+        self.merge_new(&triples);
+        Ok(())
+    }
+
+    /// The commit routine: `new` holds triples absent from the committed
+    /// indexes and distinct among themselves. Updates the per-predicate
+    /// statistics from the delta, then per index order sorts the new keys
+    /// and merges that run in place ([`merge_sorted_run`]): `t log t` to
+    /// sort, `t log n` to find the slots, at most `n` keys shifted.
+    fn merge_new(&mut self, new: &[Triple]) {
+        // Statistics delta: `new` holds exactly the new distinct triples,
+        // so counting is O(t log t + t log n).
+        for t in new {
             self.pred_stats.entry(t.p.raw()).or_default().triples += 1;
         }
-        let mut pairs: Vec<(u32, u32, u32)> = tail
+        let mut pairs: Vec<(u32, u32, u32)> = new
             .iter()
             .map(|t| (t.s.raw(), t.p.raw(), u32::MAX))
             .collect();
@@ -278,7 +306,7 @@ impl Graph {
             }
         }
         pairs.clear();
-        pairs.extend(tail.iter().map(|t| (t.p.raw(), t.o.raw(), u32::MAX)));
+        pairs.extend(new.iter().map(|t| (t.p.raw(), t.o.raw(), u32::MAX)));
         pairs.sort_unstable();
         pairs.dedup();
         for &(p, o, _) in &pairs {
@@ -287,21 +315,24 @@ impl Graph {
             }
         }
 
+        let mut run = pairs;
         for order in [IndexOrder::Spo, IndexOrder::Pos, IndexOrder::Osp] {
             let index = match order {
                 IndexOrder::Spo => &mut self.spo,
                 IndexOrder::Pos => &mut self.pos,
                 IndexOrder::Osp => &mut self.osp,
             };
-            index.extend(tail.iter().map(|t| key_of(t, order)));
-            index.sort_unstable();
-            // Insert-time dedup keeps the tail disjoint from the index and
-            // duplicate-free, so there is nothing for a dedup pass to drop.
+            run.clear();
+            run.extend(new.iter().map(|t| key_of(t, order)));
+            run.sort_unstable();
+            merge_sorted_run(index, &run);
+            // `new` is disjoint from the index and duplicate-free, so the
+            // merged index has no equal neighbours.
             debug_assert!(index.windows(2).all(|w| w[0] < w[1]));
         }
         self.len = self.spo.len();
         if self.track_new {
-            self.new_log.extend_from_slice(&tail);
+            self.new_log.extend_from_slice(new);
         }
     }
 

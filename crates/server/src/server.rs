@@ -712,8 +712,7 @@ fn recover(
     };
     // Decode every tail record first, then apply them all through the
     // batch path: one graph commit for the whole tail instead of one per
-    // record, which is what makes long-tail replay linear instead of
-    // quadratic. A record that fails to decode stops the replay at the
+    // record. A record that fails to decode stops the replay at the
     // last good one, mirroring the storage layer's contract.
     let mut batches = Vec::with_capacity(recovery.wal_tail.len());
     for (seq, payload) in &recovery.wal_tail {

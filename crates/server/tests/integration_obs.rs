@@ -106,6 +106,11 @@ fn metrics_exposition_covers_every_subsystem() {
         text.contains(r#"datacron_pipeline_stage_latency_us{stage="cleanse""#),
         "missing cleanse stage:\n{text}"
     );
+    // The store commit is a stage of its own: one sample per ingest batch.
+    assert!(
+        text.contains("datacron_pipeline_stage_latency_us_count{stage=\"commit\"} 1\n"),
+        "missing commit stage:\n{text}"
+    );
 
     // Counter values reflect the work just done.
     let reports_in = text

@@ -45,6 +45,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
+/// Spacing of the fsync thread's flushes under sustained load. Long
+/// enough that every client one flush woke has applied its next batch
+/// and re-appended before the next flush (at ~100k triples two state
+/// applies, a device flush and the clients' turnaround take about half
+/// of it), so what a tick covers does not depend on who finished first.
+/// A connection gets one durable ack per window.
+pub(crate) const COMMIT_WINDOW: Duration = Duration::from_millis(4);
+
 /// Completion callback for a deferred durability request: `Ok(lsn)`
 /// once the watermark covers the request, `Err(reason)` if the log was
 /// poisoned first. Fired exactly once, never under the commit lock.
@@ -181,8 +189,9 @@ impl GroupCommit {
         let mut g = self.lock();
         if lsn > g.requested {
             // Only signal when the thread could be idle: if `requested`
-            // was already ahead of the watermark the thread is settling
-            // or fsyncing and will observe the new value on its own —
+            // was already ahead of the watermark the thread is waiting
+            // for its tick or fsyncing and will observe the new value on
+            // its own —
             // waking it per append just churns the hot commit lock.
             let idle = g.requested == self.durable.load(Ordering::Acquire);
             g.requested = lsn;
@@ -325,40 +334,46 @@ impl GroupCommit {
         }
     }
 
-    /// Group-formation window. A completion wakes every blocked client
-    /// at once, but they re-append one at a time through the storage
-    /// lock — sampling `requested` the instant it moves would fsync a
-    /// fragment of the forming group and pay a whole device flush for
-    /// it. Wait until `requested` holds still for one quiet window (or
-    /// the deadline passes), then let the caller fsync the whole group.
-    /// Durability is unaffected: acks still fire only after the fsync.
-    fn settle<'a>(&'a self, mut g: MutexGuard<'a, CommitState>) -> MutexGuard<'a, CommitState> {
-        const QUIET: Duration = Duration::from_micros(20);
-        const DEADLINE: Duration = Duration::from_micros(200);
-        let start = Stopwatch::start();
-        let mut last = g.requested;
+    /// The commit window: the thread starts at most one fsync per
+    /// [`COMMIT_WINDOW`], on a fixed cadence. A completion wakes every
+    /// blocked client at once, but they re-append one at a time — an
+    /// fsync started the instant `requested` moves covers a fragment of
+    /// the forming group, and whether an ack then finds its record
+    /// already durable is a race between the device and the state
+    /// apply that flips from run to run. Waiting for the next tick
+    /// lets the whole group append, and makes a closed-loop writer's
+    /// rate a function of the clock, not of that race. A request that
+    /// arrives more than a window after the last fsync is flushed at
+    /// once. Durability is unaffected: acks still fire only after the
+    /// fsync.
+    fn pace<'a>(
+        &'a self,
+        mut g: MutexGuard<'a, CommitState>,
+        clock: &Stopwatch,
+        due: Duration,
+    ) -> MutexGuard<'a, CommitState> {
         loop {
-            if g.poisoned.is_some() || g.abandon || g.shutdown || start.elapsed() >= DEADLINE {
+            let now = clock.elapsed();
+            if g.poisoned.is_some() || g.abandon || g.shutdown || now >= due {
                 return g;
             }
-            let (guard, wait) = self
+            g = self
                 .work_cv
-                .wait_timeout(g, QUIET)
-                .unwrap_or_else(|e| e.into_inner());
-            g = guard;
-            if wait.timed_out() && g.requested == last {
-                return g;
-            }
-            last = g.requested;
+                .wait_timeout(g, due - now)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
         }
     }
 
-    /// The fsync-thread body: wait for requested work, let the group
-    /// settle, fsync the active segment *outside* the lock, advance the
-    /// watermark. Exits on shutdown (after draining pending work), on
-    /// poison, and immediately after poisoning on its own fsync failure
-    /// — a failed fsync is never retried.
+    /// The fsync-thread body: wait for requested work, wait for the
+    /// commit window's next tick, fsync the active segment *outside* the
+    /// lock, advance the watermark. Exits on shutdown (after draining
+    /// pending work), on poison, and immediately after poisoning on its
+    /// own fsync failure — a failed fsync is never retried.
     pub(crate) fn run(self: Arc<Self>) {
+        let clock = Stopwatch::start();
+        // Earliest start of the next fsync, on `clock`.
+        let mut due = Duration::ZERO;
         loop {
             let (file, target, inject) = {
                 let mut g = self.lock();
@@ -368,7 +383,7 @@ impl GroupCommit {
                     }
                     let mut pending = g.requested > self.durable.load(Ordering::Acquire);
                     if pending && g.file.is_some() && !g.shutdown {
-                        g = self.settle(g);
+                        g = self.pace(g, &clock, due);
                         if g.poisoned.is_some() || g.abandon {
                             return;
                         }
@@ -390,6 +405,14 @@ impl GroupCommit {
                     }
                     g = self.work_cv.wait(g).unwrap_or_else(|e| e.into_inner());
                 }
+            };
+            // Ticks stay `COMMIT_WINDOW` apart however late the thread
+            // woke; after an idle stretch the cadence restarts here.
+            let started = clock.elapsed();
+            due = if started > due + COMMIT_WINDOW {
+                started + COMMIT_WINDOW
+            } else {
+                due + COMMIT_WINDOW
             };
             let t = Stopwatch::start();
             let res = if inject {

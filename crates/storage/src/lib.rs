@@ -656,6 +656,29 @@ mod tests {
     }
 
     #[test]
+    fn commit_window_spaces_back_to_back_fsyncs() {
+        let dir = TempDir::new("storage-group-window");
+        let (mut st, _) = Storage::open(dir.path(), always_cfg()).unwrap();
+        let sw = datacron_stream::clock::Stopwatch::start();
+        for i in 0..6u64 {
+            assert_eq!(st.append(b"paced").unwrap(), i);
+        }
+        // The first flush starts at once; each later one waits for its
+        // tick. A lower bound only, so a busy box cannot fail it.
+        assert!(
+            sw.elapsed() >= commit::COMMIT_WINDOW * 5,
+            "{:?}",
+            sw.elapsed()
+        );
+        assert_eq!(st.stats().durable_lsn, 6);
+        assert_eq!(
+            st.stats().commit_batches,
+            6,
+            "one writer, one record per tick"
+        );
+    }
+
+    #[test]
     fn deferred_acks_fire_on_watermark() {
         let dir = TempDir::new("storage-group-acks");
         let (mut st, _) = Storage::open(dir.path(), always_cfg()).unwrap();

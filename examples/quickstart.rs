@@ -64,7 +64,7 @@ fn main() {
     }
     println!(
         "\nThe paper requires operational latency 'in ms' — end-to-end p99 here is {} µs.",
-        m.latency_table()[4].1.p99_us
+        m.lat_total.quantile_us(0.99)
     );
 
     // 4. Query the store like a datAcron component would.

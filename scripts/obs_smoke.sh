@@ -99,6 +99,14 @@ for family in \
     exit 1
   fi
 done
+# The store commit is a stage of its own, one sample per ingest batch
+# (the exposition travels JSON-escaped, hence the backslashes).
+series='datacron_pipeline_stage_latency_us_count{stage=\"commit\"} 1\n'
+if [[ "$RESP" != *"$series"* ]]; then
+  echo "obs-smoke: exposition missing the commit stage ($series)" >&2
+  echo "obs-smoke: response: $RESP" >&2
+  exit 1
+fi
 FAMILIES=$(grep -o '# TYPE' <<<"$RESP" | wc -l)
 
 request '{"type":"slowlog","limit":8}'
