@@ -46,14 +46,16 @@ impl Trace {
         self.clock.now_us()
     }
 
-    /// Closes a span opened with [`Trace::begin`].
-    pub fn end_span(&mut self, name: &'static str, begin_us: u64) {
-        let now = self.clock.now_us();
+    /// Closes a span opened with [`Trace::begin`]; returns its
+    /// duration, µs, for callers that also feed a histogram.
+    pub fn end_span(&mut self, name: &'static str, begin_us: u64) -> u64 {
+        let dur_us = self.clock.now_us().saturating_sub(begin_us);
         self.spans.push(Span {
             name,
             start_us: begin_us.saturating_sub(self.t0),
-            dur_us: now.saturating_sub(begin_us),
+            dur_us,
         });
+        dur_us
     }
 
     /// Records an externally measured span of `dur_us`, anchored at the

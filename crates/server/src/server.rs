@@ -30,7 +30,7 @@ use datacron_geo::BoundingBox;
 use datacron_net::{ConnId, LineAction, Open, Reactor, ReactorConfig, ReactorHandle};
 use datacron_obs::{ClockSource, MonotonicClock, Registry, SlowLog, Trace};
 use datacron_repl::{b64, epoch, FollowerProgress, FollowerRegistry, StalenessVerdict};
-use datacron_storage::{GroupCommit, Storage, StorageConfig};
+use datacron_storage::{GroupCommit, SnapshotWorker, Storage, StorageConfig};
 use datacron_stream::clock::Stopwatch;
 use datacron_stream::LatencyHistogram;
 use std::io::{self, ErrorKind};
@@ -131,6 +131,12 @@ pub struct ServerMetrics {
     /// Per-type request latency, indexed like [`Request::TAGS`].
     /// `Arc`-shared so each histogram can also live in the registry.
     pub latency: Vec<Arc<LatencyHistogram>>,
+    /// Durable ingest: batch applied → ack fired (the `durable_wait`
+    /// span; near zero when the flush beat the state apply).
+    pub durable_wait: Arc<LatencyHistogram>,
+    /// `to_snapshot_bytes` for a threshold snapshot, under the state
+    /// read lock.
+    pub snapshot_serialize: Arc<LatencyHistogram>,
 }
 
 impl ServerMetrics {
@@ -144,17 +150,32 @@ impl ServerMetrics {
                 .iter()
                 .map(|_| Arc::new(LatencyHistogram::new()))
                 .collect(),
+            durable_wait: Arc::new(LatencyHistogram::new()),
+            snapshot_serialize: Arc::new(LatencyHistogram::new()),
         }
     }
 
     /// Shares every per-type latency histogram with `registry` as
-    /// `datacron_request_latency_us{type=…}`.
-    fn register_into(&self, registry: &Registry) {
+    /// `datacron_request_latency_us{type=…}`, and on a durable server
+    /// the two write-path stages the server itself times.
+    fn register_into(&self, registry: &Registry, durable: bool) {
         for (tag, h) in Request::TAGS.iter().zip(self.latency.iter()) {
             registry.register_histogram(
                 "datacron_request_latency_us",
                 &[("type", tag)],
                 Arc::clone(h),
+            );
+        }
+        if durable {
+            registry.register_histogram(
+                "datacron_ingest_durable_wait_latency_us",
+                &[],
+                Arc::clone(&self.durable_wait),
+            );
+            registry.register_histogram(
+                "datacron_storage_snapshot_serialize_latency_us",
+                &[],
+                Arc::clone(&self.snapshot_serialize),
             );
         }
     }
@@ -222,6 +243,11 @@ impl ServerHandle {
     /// tail to replay.
     pub fn shutdown(mut self) {
         self.stop_threads();
+        // A threshold snapshot may still be on the snapshot thread; it
+        // publishes under the storage lock, so wait without it.
+        if let Some(snapshots) = self.snapshots() {
+            snapshots.wait_idle();
+        }
         if let Some(storage) = &self.storage {
             let state = self.state.read();
             let mut storage = storage.lock();
@@ -237,13 +263,26 @@ impl ServerHandle {
     /// Unclean stop for crash-recovery tests: threads are joined so the
     /// process can proceed, but the WAL gets no final fsync and no
     /// shutdown snapshot is taken — exactly what a `kill -9` after the
-    /// last append would leave on disk. The group-commit thread is told
-    /// to abandon (not flush) pending work for the same reason.
+    /// last append would leave on disk. The group-commit and snapshot
+    /// threads are told to abandon (not flush, rename or publish) pending
+    /// work for the same reason.
     pub fn abort(mut self) {
         self.stop_threads();
         if let Some(storage) = &self.storage {
-            storage.lock().commit().abandon();
+            storage.lock().abandon();
         }
+        // Returns once the snapshot thread has let go of the store, so
+        // the caller may reopen the directory.
+        if let Some(snapshots) = self.snapshots() {
+            snapshots.wait_idle();
+        }
+    }
+
+    /// The durable store's snapshot thread, for crash tests that hold a
+    /// snapshot between begin and publish.
+    #[doc(hidden)]
+    pub fn snapshots(&self) -> Option<Arc<SnapshotWorker>> {
+        self.storage.as_ref().map(|s| s.lock().snapshots())
     }
 
     fn stop_threads(&mut self) {
@@ -286,7 +325,20 @@ struct Shared {
     commit: Option<Arc<GroupCommit>>,
     /// Replication role plus its shared trackers.
     repl: ReplRuntime,
+    /// What start-up recovery took, per phase (durable servers only).
+    recovery: Option<RecoveryTimes>,
     started: Stopwatch,
+}
+
+/// Start-up recovery time by phase, µs, measured once by [`recover`].
+#[derive(Debug, Clone, Copy)]
+struct RecoveryTimes {
+    /// Snapshot file read + verify, and decoding it into the state.
+    snapshot_load_us: u64,
+    /// WAL tail read + verify.
+    wal_read_us: u64,
+    /// Decoding the tail's batches and applying them to the state.
+    replay_us: u64,
 }
 
 /// Binds, spawns the acceptor and worker pool, and returns immediately.
@@ -312,6 +364,7 @@ pub fn start_with_clock(
     let listener = TcpListener::bind(&cfg.addr)?;
     let local_addr = listener.local_addr()?;
     let registry = Arc::new(Registry::new());
+    let mut recovery = None;
     let (storage, mut recovered, repl) = match (&cfg.replication.follow, &cfg.data_dir) {
         (Some(leader), _) => {
             // From position 0: a fresh replica wants the log from its
@@ -331,7 +384,8 @@ pub fn start_with_clock(
             (None, b.state, repl)
         }
         (None, Some(dir)) => {
-            let (storage, state) = recover(dir, &cfg, &clock)?;
+            let (storage, state, times) = recover(dir, &cfg, &clock)?;
+            recovery = Some(times);
             storage.register_metrics(&registry);
             let repl = ReplRuntime::Leader {
                 // A durable epoch: every leader start gets a larger one,
@@ -364,7 +418,7 @@ pub fn start_with_clock(
     recovered.register_metrics(&registry);
     let state = Arc::new(TrackedRwLock::new("state", recovered));
     let metrics = Arc::new(ServerMetrics::new());
-    metrics.register_into(&registry);
+    metrics.register_into(&registry, storage.is_some());
     let slowlog = Arc::new(SlowLog::new(cfg.slowlog_capacity));
     let shutdown = Arc::new(AtomicBool::new(false));
     let (tx, rx) = channel::bounded::<Job>(cfg.queue_capacity.max(1));
@@ -409,6 +463,7 @@ pub fn start_with_clock(
         storage: storage.clone(),
         commit,
         repl,
+        recovery,
         started: Stopwatch::start(),
     });
 
@@ -617,6 +672,16 @@ fn install_collectors(
             sink.counter("datacron_wal_fsyncs_total", &[], s.fsyncs);
             sink.counter("datacron_wal_commit_batches_total", &[], s.commit_batches);
             sink.counter("datacron_wal_commit_waiters_total", &[], s.commit_waiters);
+            // The same count under the name that says what it means.
+            // Every durable ack lands in
+            // `datacron_ingest_durable_wait_latency_us`, so that
+            // histogram's count minus this is the acks that fired inline.
+            sink.counter("datacron_wal_acks_parked_total", &[], s.commit_waiters);
+            sink.gauge(
+                "datacron_storage_snapshot_in_flight",
+                &[],
+                u64::from(s.snapshot_in_flight),
+            );
             sink.counter(
                 "datacron_storage_snapshot_failures_total",
                 &[],
@@ -695,9 +760,10 @@ fn recover(
     dir: &PathBuf,
     cfg: &ServerConfig,
     clock: &Arc<dyn ClockSource>,
-) -> io::Result<(Storage, AnalyticsState)> {
+) -> io::Result<(Storage, AnalyticsState, RecoveryTimes)> {
     let (storage, recovery) =
         Storage::open_with_clock(dir, cfg.storage.clone(), Arc::clone(clock))?;
+    let decode_begin = clock.now_us();
     let mut state = match &recovery.snapshot {
         Some((wal_seq, payload)) => {
             AnalyticsState::from_snapshot_bytes(cfg.pipeline.clone(), cfg.heat_cell_deg, payload)
@@ -710,6 +776,7 @@ fn recover(
         }
         None => AnalyticsState::new(cfg.pipeline.clone(), cfg.heat_cell_deg),
     };
+    let replay_begin = clock.now_us();
     // Decode every tail record first, then apply them all through the
     // batch path: one graph commit for the whole tail instead of one per
     // record. A record that fails to decode stops the replay at the
@@ -735,7 +802,12 @@ fn recover(
     if let Some(note) = &recovery.truncation {
         eprintln!("datacron-server: WAL tail dropped during recovery: {note}");
     }
-    Ok((storage, state))
+    let times = RecoveryTimes {
+        snapshot_load_us: recovery.snapshot_load_us + replay_begin.saturating_sub(decode_begin),
+        wal_read_us: recovery.wal_read_us,
+        replay_us: clock.now_us().saturating_sub(replay_begin),
+    };
+    Ok((storage, state, times))
 }
 
 /// One parsed request line in the bounded queue, stamped with the clock
@@ -903,7 +975,8 @@ impl DeferredAck {
     /// success, from whoever poisons the WAL on failure, or inline when
     /// the watermark already covered the batch at registration.
     fn finish(mut self, result: Result<u64, String>) {
-        self.trace.end_span("durable_wait", self.wait_begin);
+        let waited_us = self.trace.end_span("durable_wait", self.wait_begin);
+        self.metrics.durable_wait.record_us(waited_us);
         let (mut response, ok) = match result {
             Ok(_) => (self.response, true),
             Err(msg) => (
@@ -1196,10 +1269,21 @@ fn dispatch(env: &Envelope, shared: &Shared, trace: &mut Trace) -> Dispatched {
                         .field("fsyncs", s.fsyncs)
                         .field("commit_batches", s.commit_batches)
                         .field("commit_waiters", s.commit_waiters)
+                        .field("snapshot_in_flight", s.snapshot_in_flight)
                         .field("snapshot_failures", s.snapshot_failures)
                         .field(
                             "last_snapshot_error",
                             s.last_snapshot_error.map(Json::Str).unwrap_or(Json::Null),
+                        )
+                        .field(
+                            "recovery",
+                            shared.recovery.map_or(Json::Null, |r| {
+                                Json::obj()
+                                    .field("snapshot_load_us", r.snapshot_load_us)
+                                    .field("wal_read_us", r.wal_read_us)
+                                    .field("replay_us", r.replay_us)
+                                    .build()
+                            }),
                         )
                         .build(),
                 ));
@@ -1472,9 +1556,7 @@ fn slowlog_fields(log: &SlowLog, limit: usize) -> Vec<(String, Json)> {
 /// Write-ahead order: the batch is appended to the WAL *before* it
 /// touches the in-memory state, so an acknowledged batch is always
 /// recoverable; an append failure rejects the batch without applying
-/// it. After applying, the snapshot threshold is checked under the same
-/// state write lock, so the serialized snapshot can never miss a batch
-/// whose WAL position it claims to cover.
+/// it.
 ///
 /// Under group commit the append only *writes* the record (no fsync)
 /// and returns `Some(lsn)`: the caller must withhold the client's ack
@@ -1484,6 +1566,15 @@ fn slowlog_fields(log: &SlowLog, limit: usize) -> Vec<(String, Json)> {
 /// batches share it. `None` means the configured policy already ran
 /// inline (memory-only, `EveryN`, `Never`, or `Always` without the
 /// thread) and the old ack-on-return contract holds.
+///
+/// A snapshot the append made due starts once the state write lock is
+/// released: [`start_snapshot`] begins and serializes it under the state
+/// *read* lock and the snapshot thread writes it, so under group commit
+/// no lock taken here is held across `to_snapshot_bytes`, the snapshot
+/// file write or any fsync. The exception is the policies without a
+/// fsync thread (`EveryN`, `Never`): there the append's own fsync runs
+/// inline under both locks, as it always has, and so does the flush
+/// `begin_snapshot` needs (state read lock + storage lock).
 fn ingest_durable(
     reports: &[datacron_model::PositionReport],
     shared: &Shared,
@@ -1495,15 +1586,17 @@ fn ingest_durable(
     };
     let payload = codec::encode_batch(reports);
     let mut state = shared.state.write();
-    // Short storage critical section: write the record and return; the
-    // fsync (if any) is the thread's job.
-    let (seq, deferred) = {
+    // Short storage critical section: write the record, read the
+    // snapshot threshold (it counts WAL records, so it is already final
+    // for this batch) and return; the fsync (if any) is the thread's job.
+    let (seq, deferred, snapshot_due) = {
         let mut guard = storage.lock();
         let wal_begin = trace.begin();
         let appended = guard.append_async(&payload);
         trace.end_span("wal_append", wal_begin);
-        appended
-            .map_err(|e| ProtocolError::new(ErrorCode::StorageError, format!("wal append: {e}")))?
+        let (seq, deferred) = appended
+            .map_err(|e| ProtocolError::new(ErrorCode::StorageError, format!("wal append: {e}")))?;
+        (seq, deferred, guard.should_snapshot())
     };
     if let ReplRuntime::Leader { registry, head, .. } = &shared.repl {
         // `head` is an LSN: one past the sequence just appended.
@@ -1515,16 +1608,63 @@ fn ingest_durable(
         registry.observe_append(seq, shared.clock.now_us());
     }
     let out = state.ingest(reports);
-    {
-        let mut guard = storage.lock();
-        if guard.should_snapshot() {
-            if let Err(e) = guard.install_snapshot(&state.to_snapshot_bytes()) {
-                // Durability is unharmed (the WAL has everything); the
-                // next threshold crossing retries. The failure is also
-                // counted in storage stats/metrics for operators.
-                eprintln!("datacron-server: snapshot failed: {e}");
-            }
-        }
+    drop(state);
+    if snapshot_due {
+        start_snapshot(shared, storage);
     }
     Ok((out, deferred.then(|| seq.saturating_add(1))))
+}
+
+/// Begins a threshold snapshot and hands it to the snapshot thread.
+///
+/// *Begin* and the serialization run under the state read lock: appends
+/// only happen under the state write lock, so the position `begin`
+/// notes is exactly what the bytes cover, while queries keep running.
+/// The storage lock is held for *begin* alone (state read lock first,
+/// then storage: the vetted order), which under group commit only
+/// requests the flush; without a fsync thread it has to run the flush
+/// itself, inside that lock. The *write* — wait until the WAL is
+/// durable through that position, then the file — runs on the snapshot
+/// thread with no lock, and *publish* takes the storage lock there.
+fn start_snapshot(shared: &Shared, storage: &Arc<TrackedMutex<Storage>>) {
+    let state = shared.state.read();
+    let (seq, snapshots) = {
+        let mut guard = storage.lock();
+        // Another worker may have begun this snapshot since the check.
+        if !guard.should_snapshot() {
+            return;
+        }
+        match guard.begin_snapshot() {
+            Ok(seq) => (seq, guard.snapshots()),
+            Err(e) => return snapshot_failed(&e),
+        }
+    };
+    let begin = shared.clock.now_us();
+    let payload = state.to_snapshot_bytes();
+    drop(state);
+    shared
+        .metrics
+        .snapshot_serialize
+        .record_us(shared.clock.now_us().saturating_sub(begin));
+    // Weak: the thread belongs to the store, so a strong handle in its
+    // job would keep the store alive from inside itself.
+    let storage = Arc::downgrade(storage);
+    snapshots.submit(
+        seq,
+        payload,
+        Box::new(move |written| {
+            if let Some(storage) = storage.upgrade() {
+                if let Err(e) = storage.lock().publish_snapshot(seq, written) {
+                    snapshot_failed(&e);
+                }
+            }
+        }),
+    );
+}
+
+/// Durability is unharmed by a failed snapshot (the WAL has everything)
+/// and the next threshold crossing retries; the failure is also counted
+/// in storage stats/metrics for operators.
+fn snapshot_failed(e: &io::Error) {
+    eprintln!("datacron-server: snapshot failed: {e}");
 }

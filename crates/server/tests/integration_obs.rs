@@ -95,9 +95,28 @@ fn metrics_exposition_covers_every_subsystem() {
         "# TYPE datacron_graph_triples gauge",
         "# TYPE datacron_wal_bytes gauge",
         "# TYPE datacron_wal_fsyncs_total counter",
+        "# TYPE datacron_wal_acks_parked_total counter",
+        "# TYPE datacron_storage_snapshot_in_flight gauge",
+        "# TYPE datacron_storage_snapshot_serialize_latency_us summary",
+        "# TYPE datacron_storage_snapshot_write_latency_us summary",
     ] {
         assert!(text.contains(family), "missing {family:?} in:\n{text}");
     }
+    // The durable write path times its own stages: one record written,
+    // one ack released by the watermark — parked for the fsync thread or
+    // fired inline, so at most one parked.
+    for series in [
+        "datacron_wal_append_latency_us_count 1\n",
+        "datacron_ingest_durable_wait_latency_us_count 1\n",
+    ] {
+        assert!(text.contains(series), "missing {series:?} in:\n{text}");
+    }
+    let counter = |name: &str| {
+        text.lines()
+            .find_map(|l| l.strip_prefix(name)?.trim().parse::<u64>().ok())
+            .unwrap_or_else(|| panic!("no {name} sample in:\n{text}"))
+    };
+    assert!(counter("datacron_wal_acks_parked_total") <= 1);
     assert!(
         text.contains(r#"datacron_request_latency_us{type="ingest",quantile="0.5"}"#),
         "missing ingest latency quantile:\n{text}"

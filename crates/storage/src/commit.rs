@@ -13,6 +13,15 @@
 //! concurrency while the guarantee — an acknowledged record is on disk —
 //! is unchanged.
 //!
+//! # Flush on return
+//!
+//! The thread starts the next fsync the moment the previous one
+//! returns, if anything was requested meanwhile, and sleeps on a condvar
+//! otherwise. A group is therefore whatever was appended during the
+//! previous device flush: one record for a lone writer (it pays one
+//! flush per ack and nothing else), many under concurrency. There is no
+//! window, settle time or other pacing constant to tune.
+//!
 //! # LSN semantics
 //!
 //! Positions are counts, matching the replication code: `durable_lsn ==
@@ -43,15 +52,6 @@ use std::fs::File;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
-
-/// Spacing of the fsync thread's flushes under sustained load. Long
-/// enough that every client one flush woke has applied its next batch
-/// and re-appended before the next flush (at ~100k triples two state
-/// applies, a device flush and the clients' turnaround take about half
-/// of it), so what a tick covers does not depend on who finished first.
-/// A connection gets one durable ack per window.
-pub(crate) const COMMIT_WINDOW: Duration = Duration::from_millis(4);
 
 /// Completion callback for a deferred durability request: `Ok(lsn)`
 /// once the watermark covers the request, `Err(reason)` if the log was
@@ -149,7 +149,8 @@ impl GroupCommit {
         self.batches.load(Ordering::Relaxed)
     }
 
-    /// Deferred-ack waiters ever registered.
+    /// Deferred acks that had to be parked for the fsync thread: their
+    /// record was not yet durable when [`GroupCommit::ack_when`] ran.
     pub fn waiters_registered(&self) -> u64 {
         // ordering: pure statistic; readers only want an eventual count.
         self.waiters_total.load(Ordering::Relaxed)
@@ -189,10 +190,10 @@ impl GroupCommit {
         let mut g = self.lock();
         if lsn > g.requested {
             // Only signal when the thread could be idle: if `requested`
-            // was already ahead of the watermark the thread is waiting
-            // for its tick or fsyncing and will observe the new value on
-            // its own —
-            // waking it per append just churns the hot commit lock.
+            // was already ahead of the watermark the thread is fsyncing
+            // (or about to sample) and will observe the new value when
+            // that flush returns — waking it per append just churns the
+            // hot commit lock.
             let idle = g.requested == self.durable.load(Ordering::Acquire);
             g.requested = lsn;
             if idle {
@@ -222,7 +223,9 @@ impl GroupCommit {
     }
 
     /// Blocks until records `0..lsn` are durable (requesting the work
-    /// if nobody has yet). The synchronous-append path.
+    /// if nobody has yet): the synchronous-append path and the snapshot
+    /// write's gate. Fails on poison, and on abandon — the thread that
+    /// would have flushed is gone.
     pub fn wait_durable(&self, lsn: u64) -> io::Result<u64> {
         let mut g = self.lock();
         if lsn > g.requested {
@@ -239,6 +242,9 @@ impl GroupCommit {
             let d = self.durable.load(Ordering::Acquire);
             if d >= lsn {
                 return Ok(d);
+            }
+            if g.abandon {
+                return Err(io::Error::other("group commit abandoned"));
             }
             g = self.durable_cv.wait(g).unwrap_or_else(|e| e.into_inner());
         }
@@ -313,6 +319,7 @@ impl GroupCommit {
         let mut g = self.lock();
         g.abandon = true;
         self.work_cv.notify_all();
+        self.durable_cv.notify_all();
     }
 
     /// Test hook: the next `n` fsyncs (inline or thread) fail with an
@@ -334,46 +341,15 @@ impl GroupCommit {
         }
     }
 
-    /// The commit window: the thread starts at most one fsync per
-    /// [`COMMIT_WINDOW`], on a fixed cadence. A completion wakes every
-    /// blocked client at once, but they re-append one at a time — an
-    /// fsync started the instant `requested` moves covers a fragment of
-    /// the forming group, and whether an ack then finds its record
-    /// already durable is a race between the device and the state
-    /// apply that flips from run to run. Waiting for the next tick
-    /// lets the whole group append, and makes a closed-loop writer's
-    /// rate a function of the clock, not of that race. A request that
-    /// arrives more than a window after the last fsync is flushed at
-    /// once. Durability is unaffected: acks still fire only after the
-    /// fsync.
-    fn pace<'a>(
-        &'a self,
-        mut g: MutexGuard<'a, CommitState>,
-        clock: &Stopwatch,
-        due: Duration,
-    ) -> MutexGuard<'a, CommitState> {
-        loop {
-            let now = clock.elapsed();
-            if g.poisoned.is_some() || g.abandon || g.shutdown || now >= due {
-                return g;
-            }
-            g = self
-                .work_cv
-                .wait_timeout(g, due - now)
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
-        }
-    }
-
-    /// The fsync-thread body: wait for requested work, wait for the
-    /// commit window's next tick, fsync the active segment *outside* the
-    /// lock, advance the watermark. Exits on shutdown (after draining
-    /// pending work), on poison, and immediately after poisoning on its
-    /// own fsync failure — a failed fsync is never retried.
+    /// The fsync-thread body, flush on return: wait until something is
+    /// requested beyond the watermark, fsync the active segment
+    /// *outside* the lock, advance the watermark, look again. A group is
+    /// whatever was appended while the previous fsync ran, so the device
+    /// sets the cadence and no clock does. Exits on shutdown (after
+    /// draining pending work), on abandon, and immediately after
+    /// poisoning on its own fsync failure — a failed fsync is never
+    /// retried.
     pub(crate) fn run(self: Arc<Self>) {
-        let clock = Stopwatch::start();
-        // Earliest start of the next fsync, on `clock`.
-        let mut due = Duration::ZERO;
         loop {
             let (file, target, inject) = {
                 let mut g = self.lock();
@@ -381,15 +357,7 @@ impl GroupCommit {
                     if g.poisoned.is_some() || g.abandon {
                         return;
                     }
-                    let mut pending = g.requested > self.durable.load(Ordering::Acquire);
-                    if pending && g.file.is_some() && !g.shutdown {
-                        g = self.pace(g, &clock, due);
-                        if g.poisoned.is_some() || g.abandon {
-                            return;
-                        }
-                        pending = g.requested > self.durable.load(Ordering::Acquire);
-                    }
-                    if pending {
+                    if g.requested > self.durable.load(Ordering::Acquire) {
                         if let Some(f) = &g.file {
                             let file = Arc::clone(f);
                             let target = g.requested;
@@ -405,14 +373,6 @@ impl GroupCommit {
                     }
                     g = self.work_cv.wait(g).unwrap_or_else(|e| e.into_inner());
                 }
-            };
-            // Ticks stay `COMMIT_WINDOW` apart however late the thread
-            // woke; after an idle stretch the cadence restarts here.
-            let started = clock.elapsed();
-            due = if started > due + COMMIT_WINDOW {
-                started + COMMIT_WINDOW
-            } else {
-                due + COMMIT_WINDOW
             };
             let t = Stopwatch::start();
             let res = if inject {

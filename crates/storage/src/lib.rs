@@ -12,7 +12,8 @@
 //!   shared `durable_lsn` watermark, deferred-ack callbacks, and
 //!   permanent poisoning on fsync failure;
 //! * [`snapshot`] — atomic point-in-time snapshots of pipeline state,
-//!   CRC-verified with fallback to older snapshots on corruption;
+//!   CRC-verified with fallback to older snapshots on corruption, and
+//!   the snapshot thread that writes them off the serving path;
 //! * [`binser`] — the compact binary codec both use for payloads;
 //! * [`crc`] — the CRC-32 implementation behind every checksum;
 //! * [`Storage`] — the façade the server drives: append on ingest,
@@ -40,7 +41,7 @@ pub mod wal;
 pub use binser::{BinError, Reader, Writer};
 pub use commit::{AckCallback, GroupCommit};
 pub use crc::{crc32, Crc32};
-pub use snapshot::SnapshotStore;
+pub use snapshot::{PublishFn, SnapshotStore, SnapshotWorker};
 pub use wal::{FsyncPolicy, Replay, ReplayEnd, Wal, WalConfig};
 
 use datacron_obs::{ClockSource, MonotonicClock, Registry};
@@ -84,6 +85,10 @@ pub struct Recovery {
     /// `Some(description)` when the log ended in a torn or corrupted
     /// record that was dropped (expected after a crash mid-append).
     pub truncation: Option<String>,
+    /// Time spent reading and verifying the snapshot file, µs.
+    pub snapshot_load_us: u64,
+    /// Time spent reading and verifying the WAL tail, µs.
+    pub wal_read_us: u64,
 }
 
 /// Point-in-time storage counters for the server's `stats` endpoint.
@@ -111,12 +116,17 @@ pub struct StorageStats {
     pub durable_lsn: u64,
     /// Group-commit fsync batches completed.
     pub commit_batches: u64,
-    /// Deferred-ack waiters ever registered with the commit core.
+    /// Deferred acks parked for the fsync thread (their record was not
+    /// yet durable when the batch had been applied).
     pub commit_waiters: u64,
+    /// A snapshot is between *begin* and *publish* right now.
+    pub snapshot_in_flight: bool,
     /// Snapshot installations that failed.
     pub snapshot_failures: u64,
     /// The most recent snapshot-installation error, if the last attempt
-    /// failed (cleared by the next success).
+    /// failed — or, after an install that succeeded, the failure to
+    /// retire the WAL segments it covers. Cleared by the next clean
+    /// install.
     pub last_snapshot_error: Option<String>,
 }
 
@@ -125,9 +135,14 @@ pub struct StorageStats {
 #[derive(Debug)]
 pub struct Storage {
     wal: Wal,
-    snaps: SnapshotStore,
+    /// The snapshot directory plus the thread that writes into it.
+    snapshots: Arc<SnapshotWorker>,
     cfg: StorageConfig,
+    /// WAL position of the newest *installed* (published) snapshot.
     last_snapshot_seq: u64,
+    /// A snapshot has begun and not been published: the threshold does
+    /// not fire again and a second begin is refused until it is.
+    snapshot_in_flight: bool,
     /// The injected time source (L4 `wallclock`: library code never
     /// reads the wall clock directly).
     clock: Arc<dyn ClockSource>,
@@ -136,6 +151,8 @@ pub struct Storage {
     /// The group-commit fsync thread (policy `Always` only); joined on
     /// drop after a shutdown request drains pending work.
     fsync_thread: Option<std::thread::JoinHandle<()>>,
+    /// The snapshot thread (every policy); drained and joined on drop.
+    snapshot_thread: Option<std::thread::JoinHandle<()>>,
     /// Snapshot installations that failed (surfaced in stats/metrics;
     /// the old path only `eprintln!`ed at the call site).
     snapshot_failures: u64,
@@ -183,9 +200,12 @@ impl Storage {
             None
         };
         let snaps = SnapshotStore::open(dir.join("snapshots"))?;
+        let load_begin = clock.now_us();
         let snapshot = snaps.load_latest()?;
+        let read_begin = clock.now_us();
         let from_seq = snapshot.as_ref().map_or(0, |(seq, _)| *seq);
         let replay = wal.replay_from(from_seq)?;
+        let read_end = clock.now_us();
         // Open-time recovery already cut a torn/corrupt newest-segment
         // tail; corruption deeper in the log surfaces from replay.
         let truncation = wal
@@ -199,14 +219,21 @@ impl Storage {
                     reason,
                 } => Some(format!("{} at byte {offset}: {reason}", segment.display())),
             });
+        let snapshots = SnapshotWorker::new(snaps, wal.commit_handle(), Arc::clone(&clock));
+        let worker = Arc::clone(&snapshots);
+        let snapshot_thread = std::thread::Builder::new()
+            .name("datacron-snapshot".into())
+            .spawn(move || worker.run())?;
         let storage = Self {
             last_snapshot_seq: from_seq,
+            snapshot_in_flight: false,
             wal,
-            snaps,
+            snapshots,
             cfg,
             clock,
             last_snapshot_at_us: None,
             fsync_thread,
+            snapshot_thread: Some(snapshot_thread),
             snapshot_failures: 0,
             last_snapshot_error: None,
         };
@@ -216,6 +243,8 @@ impl Storage {
                 snapshot,
                 wal_tail: replay.records,
                 truncation,
+                snapshot_load_us: read_begin.saturating_sub(load_begin),
+                wal_read_us: read_end.saturating_sub(read_begin),
             },
         ))
     }
@@ -268,38 +297,95 @@ impl Storage {
         self.wal.next_seq().saturating_sub(self.last_snapshot_seq)
     }
 
-    /// True when the snapshot threshold has been reached.
+    /// True when the snapshot threshold has been reached and no snapshot
+    /// is already in flight (a crossing during one is skipped, not
+    /// queued: the first append after its publish re-checks).
     pub fn should_snapshot(&self) -> bool {
         self.cfg.snapshot_every_records > 0
+            && !self.snapshot_in_flight
             && self.records_since_snapshot() >= self.cfg.snapshot_every_records
     }
 
     /// Installs a snapshot of the *current* state (the caller must have
-    /// applied every appended record before serializing it): fsyncs the
-    /// WAL, writes the snapshot at the current WAL position, and retires
-    /// the segments the snapshot made redundant.
+    /// applied every appended record before serializing it) at the
+    /// current WAL position and retires the segments it made redundant:
+    /// [`Storage::begin_snapshot`], [`SnapshotWorker::write`] and
+    /// [`Storage::publish_snapshot`] run back to back on this thread.
+    /// The synchronous form for shutdown, tests and benches; a server
+    /// gives the middle step to the snapshot thread instead.
     pub fn install_snapshot(&mut self, payload: &[u8]) -> io::Result<u64> {
-        match self.install_snapshot_inner(payload) {
-            Ok(seq) => {
-                self.last_snapshot_error = None;
-                Ok(seq)
-            }
-            Err(e) => {
-                self.snapshot_failures += 1;
-                self.last_snapshot_error = Some(e.to_string());
-                Err(e)
-            }
-        }
+        let seq = self.begin_snapshot()?;
+        let written = self.snapshots.write(seq, payload);
+        self.publish_snapshot(seq, written)
     }
 
-    fn install_snapshot_inner(&mut self, payload: &[u8]) -> io::Result<u64> {
-        self.wal.sync()?;
-        let wal_seq = self.wal.next_seq();
-        self.snaps.save(wal_seq, payload)?;
-        self.last_snapshot_seq = wal_seq;
+    /// Step 1 of an installation, under the storage lock: fixes the
+    /// position the snapshot will cover — the caller serializes the
+    /// state that has applied exactly records `0..seq` — makes sure
+    /// durability through it is on its way, and marks the snapshot in
+    /// flight. Refused while another one is.
+    ///
+    /// With the fsync thread ([`FsyncPolicy::Always`]) this only
+    /// *requests* the flush. The other policies have no thread to ask,
+    /// so the flush runs here, inline, under whatever locks the caller
+    /// holds — as their appends' own fsyncs already do.
+    pub fn begin_snapshot(&mut self) -> io::Result<u64> {
+        if self.snapshot_in_flight {
+            return Err(io::Error::other("a snapshot is already in flight"));
+        }
+        if let Err(e) = self.wal.make_durable() {
+            self.note_snapshot_failure(&e);
+            return Err(e);
+        }
+        self.snapshot_in_flight = true;
+        Ok(self.wal.next_seq())
+    }
+
+    /// Step 3, under the storage lock, with the result of the write
+    /// step: on success the snapshot counts as installed and the WAL
+    /// segments below `seq` are retired; on failure it is counted and
+    /// the next threshold crossing retries. Either way nothing is in
+    /// flight afterwards.
+    pub fn publish_snapshot(&mut self, seq: u64, written: io::Result<()>) -> io::Result<u64> {
+        debug_assert!(self.snapshot_in_flight, "publish without begin");
+        self.snapshot_in_flight = false;
+        if let Err(e) = written {
+            self.note_snapshot_failure(&e);
+            return Err(e);
+        }
+        self.last_snapshot_seq = seq;
         self.last_snapshot_at_us = Some(self.clock.now_us());
-        self.wal.retire_through(wal_seq)?;
-        Ok(wal_seq)
+        // The snapshot is installed whatever happens to the old
+        // segments: one that cannot be unlinked stays listed and the
+        // next publish tries it again, so that is not a snapshot
+        // failure — but the operator still gets to see why the WAL is
+        // not shrinking.
+        self.last_snapshot_error = self
+            .wal
+            .retire_through(seq)
+            .err()
+            .map(|e| format!("snapshot {seq} installed, WAL retire failed: {e}"));
+        Ok(seq)
+    }
+
+    fn note_snapshot_failure(&mut self, e: &io::Error) {
+        self.snapshot_failures += 1;
+        self.last_snapshot_error = Some(e.to_string());
+    }
+
+    /// The snapshot thread's handle: submit a begun snapshot's bytes,
+    /// wait for it to go idle, reach the directory's crash-test hooks.
+    pub fn snapshots(&self) -> Arc<SnapshotWorker> {
+        Arc::clone(&self.snapshots)
+    }
+
+    /// Crash-simulation hook: both storage threads exit without
+    /// flushing, renaming or publishing anything more, so an `abort()`ed
+    /// server leaves exactly what a `kill -9` would.
+    #[doc(hidden)]
+    pub fn abandon(&self) {
+        self.wal.commit_handle().abandon();
+        self.snapshots.abandon();
     }
 
     /// Snapshot installations that failed since this handle opened.
@@ -349,6 +435,7 @@ impl Storage {
             durable_lsn: commit.durable_lsn(),
             commit_batches: commit.batches(),
             commit_waiters: commit.waiters_registered(),
+            snapshot_in_flight: self.snapshot_in_flight,
             snapshot_failures: self.snapshot_failures,
             last_snapshot_error: self.last_snapshot_error.clone(),
         }
@@ -356,8 +443,10 @@ impl Storage {
 
     /// Registers this store's durability metrics into `registry`:
     /// the shared fsync latency histogram as
-    /// `datacron_wal_fsync_latency_us` and the records-per-fsync-batch
-    /// histogram as `datacron_wal_group_size`. Point-in-time gauges
+    /// `datacron_wal_fsync_latency_us`, the records-per-fsync-batch
+    /// histogram as `datacron_wal_group_size`, the record-write time as
+    /// `datacron_wal_append_latency_us` and the snapshot file write as
+    /// `datacron_storage_snapshot_write_latency_us`. Point-in-time gauges
     /// (WAL bytes, segment count, durable LSN, snapshot age) need
     /// `&self` at scrape time, so the owner installs a collector for
     /// those — see the server crate.
@@ -372,11 +461,31 @@ impl Storage {
             &[],
             self.wal.commit_handle().group_size_shared(),
         );
+        registry.register_histogram(
+            "datacron_wal_append_latency_us",
+            &[],
+            self.wal.append_latency_shared(),
+        );
+        registry.register_histogram(
+            "datacron_storage_snapshot_write_latency_us",
+            &[],
+            self.snapshots.write_latency_shared(),
+        );
     }
 }
 
 impl Drop for Storage {
     fn drop(&mut self) {
+        // The snapshot thread first: a submitted snapshot is still
+        // written (its durability gate needs the fsync thread alive).
+        if let Some(handle) = self.snapshot_thread.take() {
+            self.snapshots.stop();
+            // A publish callback that held the last reference drops the
+            // store on the snapshot thread itself, which cannot join.
+            if handle.thread().id() != std::thread::current().id() {
+                let _ = handle.join();
+            }
+        }
         if let Some(handle) = self.fsync_thread.take() {
             // Drain-then-exit: the thread flushes any requested-but-not-
             // yet-durable records before returning, so dropping a healthy
@@ -431,6 +540,7 @@ pub mod test_util {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
     use test_util::TempDir;
 
     fn cfg(snapshot_every: u64) -> StorageConfig {
@@ -656,26 +766,23 @@ mod tests {
     }
 
     #[test]
-    fn commit_window_spaces_back_to_back_fsyncs() {
-        let dir = TempDir::new("storage-group-window");
+    fn serial_appends_flush_once_each_with_no_pacing() {
+        let dir = TempDir::new("storage-group-serial");
         let (mut st, _) = Storage::open(dir.path(), always_cfg()).unwrap();
-        let sw = datacron_stream::clock::Stopwatch::start();
-        for i in 0..6u64 {
-            assert_eq!(st.append(b"paced").unwrap(), i);
+        const N: u64 = 50;
+        for i in 0..N {
+            assert_eq!(st.append(b"serial").unwrap(), i);
         }
-        // The first flush starts at once; each later one waits for its
-        // tick. A lower bound only, so a busy box cannot fail it.
-        assert!(
-            sw.elapsed() >= commit::COMMIT_WINDOW * 5,
-            "{:?}",
-            sw.elapsed()
-        );
-        assert_eq!(st.stats().durable_lsn, 6);
-        assert_eq!(
-            st.stats().commit_batches,
-            6,
-            "one writer, one record per tick"
-        );
+        // A lone writer's group is its one record: a flush starts the
+        // moment the record is requested and the writer waits for it.
+        assert_eq!(st.stats().durable_lsn, N);
+        assert_eq!(st.stats().commit_batches, N);
+        // The cadence is the device's: nothing in the commit core may
+        // sleep against a clock.
+        let src = include_str!("commit.rs");
+        for banned in ["wait_timeout", "COMMIT_WINDOW", "Duration"] {
+            assert!(!src.contains(banned), "commit.rs mentions {banned}");
+        }
     }
 
     #[test]
@@ -755,6 +862,263 @@ mod tests {
         let stats = st.stats();
         assert_eq!(stats.snapshot_failures, 1);
         assert!(stats.last_snapshot_error.is_none());
+    }
+
+    fn snap_files(dir: &std::path::Path, ext: &str) -> usize {
+        std::fs::read_dir(dir.join("snapshots"))
+            .unwrap()
+            .filter(|e| {
+                let name = e.as_ref().unwrap().file_name();
+                name.to_str().unwrap().ends_with(ext)
+            })
+            .count()
+    }
+
+    /// Shares a store the way the server does and submits one snapshot
+    /// to the thread, publishing through the shared handle.
+    fn submit(st: &Arc<Mutex<Storage>>, seq: u64, payload: &[u8]) {
+        let weak = Arc::downgrade(st);
+        let worker = st.lock().unwrap().snapshots();
+        worker.submit(
+            seq,
+            payload.to_vec(),
+            Box::new(move |written| {
+                if let Some(st) = weak.upgrade() {
+                    let _ = st.lock().unwrap().publish_snapshot(seq, written);
+                }
+            }),
+        );
+    }
+
+    #[test]
+    fn failed_dir_sync_fails_the_save_before_anything_retires() {
+        let dir = TempDir::new("storage-dirsync");
+        let (mut st, _) = Storage::open(dir.path(), cfg(0)).unwrap();
+        for _ in 0..40 {
+            st.append(&[0x5A; 64]).unwrap();
+        }
+        st.install_snapshot(b"first").unwrap();
+        for _ in 0..40 {
+            st.append(&[0x5A; 64]).unwrap();
+        }
+        let before = st.stats();
+        assert!(before.segments > 2, "{} segments", before.segments);
+
+        st.snapshots().directory().inject_dir_sync_failures(1);
+        let err = st.install_snapshot(b"second").expect_err("dir sync failed");
+        assert!(err.to_string().contains("directory sync"), "{err}");
+        let after = st.stats();
+        assert_eq!(after.last_snapshot_seq, before.last_snapshot_seq);
+        assert_eq!(after.segments, before.segments, "nothing retired");
+        assert_eq!(after.snapshot_failures, 1);
+        assert!(!after.snapshot_in_flight);
+        let listed = st.snapshots().directory().list().unwrap();
+        assert!(listed.contains(&40), "previous snapshot kept: {listed:?}");
+
+        // The next attempt goes through and retires what it covers.
+        st.install_snapshot(b"second").unwrap();
+        assert_eq!(st.stats().last_snapshot_seq, 80);
+        assert_eq!(st.stats().segments, 1);
+    }
+
+    #[test]
+    fn failed_dir_sync_on_a_reinstall_loses_no_records() {
+        // What a clean shutdown does right after a threshold snapshot:
+        // install again at an unchanged position. The WAL below it is
+        // long retired, so the snapshot already there must survive a
+        // failed directory sync.
+        let dir = TempDir::new("storage-dirsync-reinstall");
+        {
+            let (mut st, _) = Storage::open(dir.path(), cfg(0)).unwrap();
+            for _ in 0..20 {
+                st.append(&[0x5A; 64]).unwrap();
+            }
+            st.install_snapshot(b"state-at-20").unwrap();
+            for _ in 0..20 {
+                st.append(&[0x5A; 64]).unwrap();
+            }
+            st.install_snapshot(b"state-at-40").unwrap();
+            let first_retained = st.first_retained_seq();
+            assert!(first_retained > 20, "records 20.. partly retired");
+
+            st.snapshots().directory().inject_dir_sync_failures(1);
+            assert!(st.install_snapshot(b"state-at-40").is_err());
+            assert_eq!(st.stats().last_snapshot_seq, 40);
+            assert_eq!(st.stats().snapshot_failures, 1);
+            assert_eq!(st.snapshots().directory().list().unwrap(), vec![40, 20]);
+        }
+        let (_, rec) = Storage::open(dir.path(), cfg(0)).unwrap();
+        assert_eq!(rec.snapshot, Some((40, b"state-at-40".to_vec())));
+        assert!(rec.wal_tail.is_empty());
+    }
+
+    #[test]
+    fn retire_failure_after_install_is_reported_but_not_a_snapshot_failure() {
+        let dir = TempDir::new("storage-retire-fail");
+        let (mut st, _) = Storage::open(dir.path(), cfg(0)).unwrap();
+        for _ in 0..40 {
+            st.append(&[0x5A; 64]).unwrap();
+        }
+        let segments = st.stats().segments;
+        assert!(segments > 2, "{segments} segments");
+        // The oldest segment becomes something `remove_file` refuses.
+        let oldest = std::fs::read_dir(dir.path().join("wal"))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .min()
+            .unwrap();
+        std::fs::remove_file(&oldest).unwrap();
+        std::fs::create_dir(&oldest).unwrap();
+
+        assert_eq!(st.install_snapshot(b"state").unwrap(), 40);
+        let stats = st.stats();
+        assert_eq!(stats.last_snapshot_seq, 40, "installed all the same");
+        assert_eq!(stats.snapshot_failures, 0);
+        assert_eq!(stats.segments, segments, "nothing could be retired");
+        let err = stats.last_snapshot_error.expect("operator signal");
+        assert!(err.contains("WAL retire failed"), "{err}");
+
+        // Once the obstacle is gone the next publish retires everything
+        // and clears the note.
+        std::fs::remove_dir(&oldest).unwrap();
+        st.install_snapshot(b"state").unwrap();
+        assert_eq!(st.stats().segments, 1);
+        assert!(st.stats().last_snapshot_error.is_none());
+    }
+
+    #[test]
+    fn threshold_is_skipped_while_a_snapshot_is_in_flight() {
+        let dir = TempDir::new("storage-inflight");
+        let (mut st, _) = Storage::open(dir.path(), cfg(5)).unwrap();
+        for _ in 0..5 {
+            st.append(b"r").unwrap();
+        }
+        assert!(st.should_snapshot());
+        let seq = st.begin_snapshot().unwrap();
+        assert_eq!(seq, 5);
+        assert!(st.stats().snapshot_in_flight);
+        // Crossings during the flight are skipped, not queued, and a
+        // second begin is refused.
+        for _ in 0..7 {
+            st.append(b"r").unwrap();
+            assert!(!st.should_snapshot());
+        }
+        assert!(st.begin_snapshot().is_err());
+        assert_eq!(st.stats().last_snapshot_seq, 0, "not installed yet");
+        assert_eq!(st.stats().records_since_snapshot, 12);
+
+        let written = st.snapshots().write(seq, b"state-at-5");
+        st.publish_snapshot(seq, written).unwrap();
+        let stats = st.stats();
+        assert!(!stats.snapshot_in_flight);
+        assert_eq!(stats.last_snapshot_seq, 5);
+        assert_eq!(stats.records_since_snapshot, 7);
+        // Seven records since position 5: the check after publish fires.
+        assert!(st.should_snapshot());
+    }
+
+    #[test]
+    fn snapshot_thread_writes_and_publishes_then_drains_on_drop() {
+        let dir = TempDir::new("storage-snap-thread");
+        let (st, _) = Storage::open(dir.path(), always_cfg()).unwrap();
+        let st = Arc::new(Mutex::new(st));
+        let worker = st.lock().unwrap().snapshots();
+        for _ in 0..3 {
+            st.lock().unwrap().append(b"r").unwrap();
+        }
+        let seq = st.lock().unwrap().begin_snapshot().unwrap();
+        submit(&st, seq, b"state-at-3");
+        worker.wait_idle();
+        let stats = st.lock().unwrap().stats();
+        assert_eq!(stats.last_snapshot_seq, 3);
+        assert!(!stats.snapshot_in_flight);
+        assert_eq!(worker.write_latency_shared().count(), 1);
+
+        // A snapshot still on the thread when the store drops is written
+        // (drop drains the slot), though nobody is left to publish it.
+        st.lock().unwrap().append(b"r").unwrap();
+        let seq = st.lock().unwrap().begin_snapshot().unwrap();
+        worker.directory().park_before_rename(true);
+        submit(&st, seq, b"state-at-4");
+        worker.directory().wait_parked();
+        assert_eq!(snap_files(dir.path(), ".tmp"), 1);
+        worker.directory().park_before_rename(false);
+        drop(worker);
+        drop(
+            Arc::try_unwrap(st)
+                .expect("sole owner")
+                .into_inner()
+                .unwrap(),
+        );
+        let (_, rec) = Storage::open(dir.path(), always_cfg()).unwrap();
+        assert_eq!(rec.snapshot, Some((4, b"state-at-4".to_vec())));
+        assert!(rec.wal_tail.is_empty());
+    }
+
+    #[test]
+    fn snapshot_never_becomes_visible_ahead_of_the_wal() {
+        let dir = TempDir::new("storage-snap-gate");
+        let (st, _) = Storage::open(dir.path(), always_cfg()).unwrap();
+        let st = Arc::new(Mutex::new(st));
+        let worker = st.lock().unwrap().snapshots();
+        st.lock().unwrap().append(b"durable").unwrap();
+        // The next fsync fails: the record below stays ahead of the
+        // watermark for good, and so does any snapshot covering it.
+        let (seq, deferred) = {
+            let mut g = st.lock().unwrap();
+            g.commit().inject_fsync_failures(1);
+            g.append_async(b"never durable").unwrap()
+        };
+        assert!(deferred);
+        let begun = st.lock().unwrap().begin_snapshot().unwrap();
+        assert_eq!(begun, seq + 1);
+        submit(&st, begun, b"state-at-2");
+        worker.wait_idle();
+
+        let g = st.lock().unwrap();
+        assert!(g.commit().durable_lsn() < begun);
+        assert_eq!(snap_files(dir.path(), ".snap"), 0, "nothing renamed");
+        assert_eq!(snap_files(dir.path(), ".tmp"), 0, "nothing written");
+        let stats = g.stats();
+        assert!(!stats.snapshot_in_flight);
+        assert_eq!(stats.snapshot_failures, 1);
+        assert_eq!(stats.last_snapshot_seq, 0);
+        let err = stats.last_snapshot_error.expect("sticky error");
+        assert!(err.contains("injected fsync failure"), "{err}");
+    }
+
+    #[test]
+    fn abandon_mid_snapshot_leaves_previous_snapshot_and_full_tail() {
+        let dir = TempDir::new("storage-snap-abandon");
+        {
+            let (mut st, _) = Storage::open(dir.path(), always_cfg()).unwrap();
+            for i in 0..4u64 {
+                st.append(format!("r{i}").as_bytes()).unwrap();
+            }
+            st.install_snapshot(b"state-at-4").unwrap();
+            for i in 4..9u64 {
+                st.append(format!("r{i}").as_bytes()).unwrap();
+            }
+            let segments = st.stats().segments;
+            let st = Arc::new(Mutex::new(st));
+            let worker = st.lock().unwrap().snapshots();
+            worker.directory().park_before_rename(true);
+            let seq = st.lock().unwrap().begin_snapshot().unwrap();
+            submit(&st, seq, b"state-at-9");
+            worker.directory().wait_parked();
+            // The crash: between begin and publish, temp file on disk.
+            st.lock().unwrap().abandon();
+            worker.wait_idle();
+            let stats = st.lock().unwrap().stats();
+            assert_eq!(stats.last_snapshot_seq, 4, "never published");
+            assert_eq!(stats.segments, segments, "no segment retired");
+            assert_eq!(snap_files(dir.path(), ".tmp"), 1);
+        }
+        let (_, rec) = Storage::open(dir.path(), always_cfg()).unwrap();
+        assert_eq!(rec.snapshot, Some((4, b"state-at-4".to_vec())));
+        let tail: Vec<u64> = rec.wal_tail.iter().map(|(s, _)| *s).collect();
+        assert_eq!(tail, vec![4, 5, 6, 7, 8]);
+        assert_eq!(snap_files(dir.path(), ".tmp"), 0, "open swept the temp");
     }
 
     #[test]

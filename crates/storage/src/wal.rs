@@ -147,6 +147,9 @@ pub struct Wal {
     /// fsync call latency (the group-commit cost the bench sweeps);
     /// `Arc`-shared so it can be registered into a metrics registry.
     fsync_lat: Arc<LatencyHistogram>,
+    /// Time to frame, checksum and `write` one record; the fsync, where
+    /// the policy runs one inline, is in `fsync_lat`.
+    append_lat: Arc<LatencyHistogram>,
     appended: u64,
     /// What open-time recovery cut off the newest segment, if anything.
     truncation_note: Option<String>,
@@ -303,6 +306,7 @@ impl Wal {
             // Everything recovered from disk counts as durable.
             commit: GroupCommit::new(Arc::clone(&fsync_lat), next_seq),
             fsync_lat,
+            append_lat: Arc::new(LatencyHistogram::new()),
             appended: 0,
             truncation_note,
             segments,
@@ -367,6 +371,12 @@ impl Wal {
         Arc::clone(&self.fsync_lat)
     }
 
+    /// Shared handle to the append-latency histogram, the form a metrics
+    /// registry registers.
+    pub fn append_latency_shared(&self) -> Arc<LatencyHistogram> {
+        Arc::clone(&self.append_lat)
+    }
+
     /// What open-time recovery truncated off the newest segment, if
     /// anything — the footprint of a crash mid-append (or a bit flip in
     /// the final record).
@@ -394,6 +404,7 @@ impl Wal {
         if self.active_bytes >= self.cfg.segment_bytes {
             self.roll_segment()?;
         }
+        let t = Stopwatch::start();
         let seq = self.next_seq;
         let seq_bytes = seq.to_le_bytes();
         let mut check = Crc32::new();
@@ -409,14 +420,9 @@ impl Wal {
         self.next_seq += 1;
         self.appended += 1;
         self.unsynced += 1;
+        self.append_lat.observe(&t);
         match self.cfg.fsync {
-            FsyncPolicy::Always => {
-                if self.group_mode {
-                    self.commit.request(self.next_seq);
-                } else {
-                    self.sync()?;
-                }
-            }
+            FsyncPolicy::Always => self.make_durable()?,
             FsyncPolicy::EveryN(n) => {
                 if self.unsynced >= n.max(1) {
                     self.sync()?;
@@ -425,6 +431,18 @@ impl Wal {
             FsyncPolicy::Never => {}
         }
         Ok(seq)
+    }
+
+    /// Gets everything appended so far on its way to disk: requested
+    /// from the fsync thread in group mode (returns at once; wait on the
+    /// commit handle), flushed inline otherwise.
+    pub(crate) fn make_durable(&mut self) -> io::Result<()> {
+        if self.group_mode {
+            self.commit.request(self.next_seq);
+            Ok(())
+        } else {
+            self.sync()
+        }
     }
 
     /// Flushes and fsyncs the active segment now, regardless of policy,

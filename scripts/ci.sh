@@ -66,12 +66,17 @@ run scripts/repl_smoke.sh
 # on two worker threads and still answers every probed one.
 run scripts/net_smoke.sh
 run cargo test "${CARGO_FLAGS[@]}" -q --workspace
-# Crash-recovery integration suite in release mode — kill/restart,
-# corrupt + truncated WAL tails, and the group-commit crash-torture run
-# (concurrent clients at fsync=always, abort mid-stream, every acked
-# batch must replay; the ingest window is a fixed 300 ms so the step
-# stays bounded). The durability guarantees must hold under the
-# optimized build the server actually ships.
+# Crash-recovery integration suite, both builds — kill/restart, a crash
+# with a snapshot between begin and publish, corrupt + truncated WAL
+# tails, and the group-commit crash-torture run (concurrent clients at
+# fsync=always, abort mid-stream, every acked batch must replay; the
+# ingest window is a fixed 300 ms so the step stays bounded). Debug is
+# where the snapshot hand-off's debug_assert!s (one in flight, publish
+# after begin) are live; it also ran in the workspace pass above, and
+# is named here so a filtered or split test step cannot drop it. The
+# durability guarantees must hold under the optimized build the server
+# actually ships, hence release.
+run cargo test "${CARGO_FLAGS[@]}" -q -p datacron-server --test integration_storage
 run cargo test "${CARGO_FLAGS[@]}" --release -q -p datacron-server --test integration_storage
 run cargo bench "${CARGO_FLAGS[@]}" --workspace --no-run
 # The benchmark harness (BENCHMARK.json) is a package of its own that

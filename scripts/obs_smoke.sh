@@ -34,8 +34,10 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# --snapshot-every 1: the one ingest below crosses the threshold, so the
+# snapshot stages have a sample each.
 "$BIN" --addr 127.0.0.1:0 --workers 2 --queue 16 --data-dir "$DATA" \
-  >"$LOG" 2>&1 &
+  --snapshot-every 1 >"$LOG" 2>&1 &
 SERVER_PID=$!
 
 # The server prints its bound address once the listener is up.
@@ -82,6 +84,22 @@ request "$(printf '%s' \
   '{"object":9,"t_ms":10000,"lon":21.01,"lat":37.0,"speed_mps":6.0,"heading_deg":90.0},' \
   '{"object":9,"t_ms":20000,"lon":21.02,"lat":37.0,"speed_mps":6.0,"heading_deg":90.0}]}')"
 
+# The snapshot is written off the serving path: wait until it is
+# installed, and check the start-up recovery phases are reported.
+for _ in $(seq 1 100); do
+  request '{"type":"stats"}'
+  [[ "$RESP" == *'"snapshot_in_flight":false'* && "$RESP" == *'"last_snapshot_seq":1'* ]] && break
+  sleep 0.05
+done
+for needle in '"snapshot_in_flight":false' '"last_snapshot_seq":1' \
+  '"recovery":{"snapshot_load_us":' '"wal_read_us":' '"replay_us":'; do
+  if [[ "$RESP" != *"$needle"* ]]; then
+    echo "obs-smoke: stats.storage missing $needle" >&2
+    echo "obs-smoke: response: $RESP" >&2
+    exit 1
+  fi
+done
+
 request '{"type":"metrics"}'
 for family in \
   '# TYPE datacron_request_latency_us summary' \
@@ -92,7 +110,9 @@ for family in \
   '# TYPE datacron_net_loop_latency_us summary' \
   '# TYPE datacron_graph_triples gauge' \
   '# TYPE datacron_wal_bytes gauge' \
-  '# TYPE datacron_wal_fsync_latency_us summary'; do
+  '# TYPE datacron_wal_fsync_latency_us summary' \
+  '# TYPE datacron_wal_acks_parked_total counter' \
+  '# TYPE datacron_storage_snapshot_in_flight gauge'; do
   if [[ "$RESP" != *"$family"* ]]; then
     echo "obs-smoke: exposition missing \"$family\"" >&2
     echo "obs-smoke: response: $RESP" >&2
@@ -107,6 +127,18 @@ if [[ "$RESP" != *"$series"* ]]; then
   echo "obs-smoke: response: $RESP" >&2
   exit 1
 fi
+# The durable write path's stages, one sample each after one ingest
+# that crossed the snapshot threshold.
+for hist in datacron_wal_append_latency_us \
+  datacron_ingest_durable_wait_latency_us \
+  datacron_storage_snapshot_serialize_latency_us \
+  datacron_storage_snapshot_write_latency_us; do
+  if [[ "$RESP" != *"${hist}_count 1\\n"* ]]; then
+    echo "obs-smoke: exposition missing ${hist}_count 1" >&2
+    echo "obs-smoke: response: $RESP" >&2
+    exit 1
+  fi
+done
 FAMILIES=$(grep -o '# TYPE' <<<"$RESP" | wc -l)
 
 request '{"type":"slowlog","limit":8}'

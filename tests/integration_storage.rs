@@ -1,6 +1,7 @@
 //! Crash-recovery integration tests for the durable server: kill and
 //! restart on the same data directory, WAL-only replay, clean-shutdown
-//! snapshots, and corrupted/truncated WAL tails.
+//! snapshots, a crash with a snapshot between begin and publish, and
+//! corrupted/truncated WAL tails.
 //!
 //! The identity tests compare a restarted durable server against a
 //! never-restarted in-memory control fed the exact same batches: the
@@ -282,6 +283,19 @@ fn snapshot_recovery_matches_control_and_retires_segments() {
         feed(&mut c);
         feed_fleet(&mut c);
     }
+    // Snapshots are written in the background and a threshold crossing
+    // during one is skipped, so the last one may trail the log. With the
+    // snapshot thread idle, one more batch begins a snapshot that covers
+    // everything.
+    let snapshots = durable.snapshots().expect("durable server");
+    snapshots.wait_idle();
+    for server in [&control, &durable] {
+        let resp = connect(server.local_addr)
+            .call(&ingest_request(4, 0, 30, 22.0, 39.0))
+            .unwrap();
+        assert!(is_ok(&resp), "ingest failed: {resp}");
+    }
+    snapshots.wait_idle();
 
     // Snapshots bound the log: covered segments are retired.
     let mut c = connect(durable.local_addr);
@@ -306,6 +320,163 @@ fn snapshot_recovery_matches_control_and_retires_segments() {
 
     restarted.shutdown();
     control.shutdown();
+}
+
+fn storage_stat(c: &mut Client, key: &str) -> Json {
+    let resp = c.call(&Json::obj().field("type", "stats").build()).unwrap();
+    assert!(is_ok(&resp), "{resp}");
+    resp.get("storage")
+        .and_then(|s| s.get(key))
+        .cloned()
+        .unwrap_or_else(|| panic!("stats.storage.{key} missing: {resp}"))
+}
+
+fn files_with_ext(dir: &Path, sub: &str, ext: &str) -> usize {
+    std::fs::read_dir(dir.join(sub))
+        .expect("data subdirectory")
+        .filter(|e| {
+            let path = e.as_ref().unwrap().path();
+            path.extension().is_some_and(|x| x == ext)
+        })
+        .count()
+}
+
+/// A crash with a snapshot written but not yet renamed: recovery must
+/// come from the previous snapshot plus the *whole* tail after it — no
+/// segment may have been retired on the strength of a snapshot that
+/// never became visible — and match a never-restarted control.
+#[test]
+fn abort_between_begin_and_publish_recovers_previous_snapshot_and_full_tail() {
+    let dir = TempDir::new("itest-inflight");
+    let control = start(test_config()).expect("control start");
+    // Threshold 5 = the five batches of `feed`: one snapshot installs.
+    let durable = start(durable_config(dir.path(), 5)).expect("durable start");
+    let snapshots = durable.snapshots().expect("durable server");
+
+    let mut c = connect(durable.local_addr);
+    feed(&mut connect(control.local_addr));
+    feed(&mut c);
+    snapshots.wait_idle();
+    assert_eq!(storage_stat(&mut c, "last_snapshot_seq").as_u64(), Some(5));
+    assert_eq!(
+        storage_stat(&mut c, "snapshot_in_flight"),
+        Json::Bool(false)
+    );
+
+    // The second crossing is held between its temp-file fsync and its
+    // rename; ingest keeps being acknowledged meanwhile, and further
+    // crossings are skipped rather than queued behind it.
+    snapshots.directory().park_before_rename(true);
+    for (i, server) in [&control, &durable].into_iter().enumerate() {
+        let mut c = connect(server.local_addr);
+        for batch in 0..12u64 {
+            let resp = c
+                .call(&ingest_request(
+                    300 + batch,
+                    0,
+                    20,
+                    21.0,
+                    35.0 + batch as f64 * 0.1,
+                ))
+                .unwrap();
+            assert!(is_ok(&resp), "ingest failed: {resp}");
+            if i == 1 && batch == 4 {
+                snapshots.directory().wait_parked();
+            }
+        }
+    }
+    assert_eq!(storage_stat(&mut c, "snapshot_in_flight"), Json::Bool(true));
+    assert_eq!(storage_stat(&mut c, "last_snapshot_seq").as_u64(), Some(5));
+    assert_eq!(
+        storage_stat(&mut c, "records_since_snapshot").as_u64(),
+        Some(12)
+    );
+    let segments = storage_stat(&mut c, "segments").as_u64().unwrap();
+    assert!(
+        segments > 1,
+        "the tail must span segments to prove none retired"
+    );
+    assert_eq!(files_with_ext(dir.path(), "snapshots", "tmp"), 1);
+    drop(c);
+
+    durable.abort();
+    assert_eq!(
+        files_with_ext(dir.path(), "wal", "log") as u64,
+        segments,
+        "no segment retired"
+    );
+    assert_eq!(files_with_ext(dir.path(), "snapshots", "snap"), 1);
+
+    let restarted = start(durable_config(dir.path(), 0)).expect("restart");
+    assert_eq!(
+        files_with_ext(dir.path(), "snapshots", "tmp"),
+        0,
+        "start-up sweeps the abandoned temp file"
+    );
+    let mut c = connect(restarted.local_addr);
+    assert_eq!(storage_stat(&mut c, "last_snapshot_seq").as_u64(), Some(5));
+    assert_eq!(
+        storage_stat(&mut c, "records_since_snapshot").as_u64(),
+        Some(12)
+    );
+    let recovery = storage_stat(&mut c, "recovery");
+    for phase in ["snapshot_load_us", "wal_read_us", "replay_us"] {
+        assert!(
+            recovery.get(phase).and_then(Json::as_u64).is_some(),
+            "{recovery}"
+        );
+    }
+    drop(c);
+    let want = fingerprint(&mut connect(control.local_addr));
+    let got = fingerprint(&mut connect(restarted.local_addr));
+    assert_eq!(got, want, "recovered state must match the control");
+
+    restarted.shutdown();
+    control.shutdown();
+}
+
+/// The snapshot thread publishes on its own: no later ingest is needed
+/// for `last_snapshot_seq` to move, and a clean shutdown that finds a
+/// snapshot in flight waits for it before installing the final one.
+#[test]
+fn threshold_snapshot_installs_in_background_and_shutdown_drains_it() {
+    let dir = TempDir::new("itest-background");
+    let durable = start(durable_config(dir.path(), 5)).expect("durable start");
+    let snapshots = durable.snapshots().expect("durable server");
+    let mut c = connect(durable.local_addr);
+    feed(&mut c);
+    snapshots.wait_idle();
+    assert_eq!(storage_stat(&mut c, "last_snapshot_seq").as_u64(), Some(5));
+    assert_eq!(
+        storage_stat(&mut c, "records_since_snapshot").as_u64(),
+        Some(0)
+    );
+
+    snapshots.directory().park_before_rename(true);
+    feed(&mut c);
+    snapshots.directory().wait_parked();
+    assert_eq!(storage_stat(&mut c, "snapshot_in_flight"), Json::Bool(true));
+    drop(c);
+    // Released from another thread once shutdown is already waiting or
+    // about to: either order must end with both snapshots installed.
+    let release = std::thread::spawn({
+        let snapshots = std::sync::Arc::clone(&snapshots);
+        move || snapshots.directory().park_before_rename(false)
+    });
+    durable.shutdown();
+    release.join().unwrap();
+
+    let (_, recovery) = Storage::open(
+        dir.path(),
+        StorageConfig {
+            segment_bytes: 4096,
+            fsync: FsyncPolicy::Always,
+            snapshot_every_records: 0,
+        },
+    )
+    .expect("reopen");
+    assert_eq!(recovery.snapshot.map(|(seq, _)| seq), Some(10));
+    assert!(recovery.wal_tail.is_empty());
 }
 
 #[test]
