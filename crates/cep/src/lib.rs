@@ -22,6 +22,7 @@
 
 pub mod aviation;
 pub mod derive;
+mod fleet;
 pub mod forecast;
 pub mod maritime;
 pub mod nfa;

@@ -4,65 +4,206 @@
 //! object *pair* for the multi-object patterns — and emits
 //! [`EventRecord`]s. Detectors are deliberately streaming: bounded state,
 //! one pass, event-time driven.
+//!
+//! A report costs its neighbourhood, not the fleet: the pair detectors
+//! look their partners up in a cell index (`FleetIndex`) and the window
+//! detectors gate on a running sum before they re-read a window. Every
+//! map is swept as reports arrive (`Pruner`), so what a detector holds
+//! follows the live fleet.
 
-use datacron_geo::{BoundingBox, GeoPoint, Grid, TimeInterval, TimeMs};
+use crate::fleet::FleetIndex;
+use datacron_geo::{BoundingBox, CellId, GeoPoint, Grid, TimeInterval, TimeMs, EARTH_RADIUS_M};
 use datacron_model::{EventKind, EventRecord, NavStatus, ObjectId, PositionReport};
 use rustc_hash::FxHashMap;
 use std::collections::VecDeque;
 
-/// Shared helper: a per-object sliding buffer of recent fixes.
+/// When a detector sweeps its maps: after as many reports as it holds
+/// entries, so the sweep (which walks every entry) costs O(1) per report,
+/// and against the latest event time seen — no clock, no thread.
+#[derive(Debug, Default)]
+struct Pruner {
+    high_water: Option<TimeMs>,
+    since_sweep: usize,
+}
+
+impl Pruner {
+    /// Counts the report at `now`; returns the event-time high-water mark
+    /// when a sweep over `held` entries is due.
+    fn due(&mut self, now: TimeMs, held: usize) -> Option<TimeMs> {
+        let high = self.high_water.map_or(now, |h| h.max(now));
+        self.high_water = Some(high);
+        self.since_sweep += 1;
+        if self.since_sweep <= held {
+            return None;
+        }
+        self.since_sweep = 0;
+        Some(high)
+    }
+}
+
+/// Whether an entry last touched at `t` may be forgotten. To a report in
+/// event-time order an entry stops mattering once it is `horizon_ms` old
+/// (a stale fix, an episode to restart, a cooldown served, an emptied
+/// window). It is kept for as long again, so a report that arrives up to
+/// `horizon_ms` late still finds what a detector that never forgot
+/// anything would have shown it.
+fn expired(high_water: TimeMs, t: TimeMs, horizon_ms: i64) -> bool {
+    high_water.millis().saturating_sub(t.millis()) > horizon_ms.saturating_mul(2)
+}
+
+/// Add-or-subtract steps a window's running speed sum may take before it
+/// is recomputed from the buffer (or the buffer's length, if larger, so
+/// the recomputation stays O(1) per report).
+const RESYNC_STEPS: usize = 256;
+
+/// A running sum of non-negative terms that knows how far it may have
+/// drifted from the in-order floating-point sum of the terms it holds.
+/// It can therefore rule a threshold *out* but never in: what it does not
+/// reject is decided by the exact sum.
+#[derive(Debug, Default)]
+struct RunningSum {
+    sum: f64,
+    /// Largest value `sum` took since the last reset.
+    peak: f64,
+    /// Additions and subtractions since the last reset.
+    steps: usize,
+}
+
+impl RunningSum {
+    fn add(&mut self, x: f64) {
+        self.sum += x;
+        self.peak = self.peak.max(self.sum);
+        self.steps += 1;
+    }
+
+    fn sub(&mut self, x: f64) {
+        self.sum -= x;
+        self.steps += 1;
+    }
+
+    fn reset(&mut self, exact: f64) {
+        *self = Self {
+            sum: exact,
+            peak: exact,
+            steps: 0,
+        };
+    }
+
+    /// An interval holding the in-order sum of the `n` terms now summed.
+    /// Three things round, each addition by at most half an epsilon of a
+    /// partial sum no larger than `peak`: the in-order sum taken at the
+    /// last reset (over at most `n + steps` terms), the `steps` since, and
+    /// the in-order sum of today's `n` terms that this one stands in for —
+    /// `(n + steps) · ε · peak` in all; the bound allows twice that. A
+    /// non-finite term makes both ends non-finite, which rejects nothing.
+    fn bounds(&self, n: usize) -> (f64, f64) {
+        let tol = 2.0 * (self.steps + n) as f64 * f64::EPSILON * self.peak;
+        (self.sum - tol, self.sum + tol)
+    }
+}
+
+/// One fix in a window.
+#[derive(Debug, Clone, Copy)]
+struct Fix {
+    t: TimeMs,
+    pos: GeoPoint,
+    speed: f64,
+    /// Great-circle distance from the fix pushed before this one, metres,
+    /// once a path length has asked for it: the window's path is the
+    /// in-order sum of these over all fixes but the front one, and a
+    /// vessel whose speed never comes near a band never pays the trig.
+    seg_m: Option<f64>,
+}
+
+/// Shared helper: a per-object sliding buffer of recent fixes, with the
+/// running speed sum that lets most reports leave without re-reading it.
 #[derive(Debug, Default)]
 struct WindowBuf {
-    buf: VecDeque<(TimeMs, GeoPoint, f64)>, // (time, pos, speed)
+    buf: VecDeque<Fix>,
+    speed_sum: RunningSum,
 }
 
 impl WindowBuf {
     fn push(&mut self, t: TimeMs, pos: GeoPoint, speed: f64, window_ms: i64) {
-        self.buf.push_back((t, pos, speed));
-        while let Some(&(t0, _, _)) = self.buf.front() {
-            if t - t0 > window_ms {
+        self.buf.push_back(Fix {
+            t,
+            pos,
+            speed,
+            seg_m: None,
+        });
+        self.speed_sum.add(speed);
+        while let Some(front) = self.buf.front() {
+            if t - front.t > window_ms {
+                self.speed_sum.sub(front.speed);
                 self.buf.pop_front();
             } else {
                 break;
             }
         }
+        if self.speed_sum.steps >= RESYNC_STEPS.max(self.buf.len()) {
+            self.speed_sum.reset(self.exact_speed_sum());
+        }
+    }
+
+    fn clear(&mut self) {
+        *self = Self::default();
     }
 
     fn span_ms(&self) -> i64 {
         match (self.buf.front(), self.buf.back()) {
-            (Some(&(a, _, _)), Some(&(b, _, _))) => b - a,
+            (Some(a), Some(b)) => b.t - a.t,
             _ => 0,
         }
     }
 
-    /// Diameter of the position set (max pairwise bbox diagonal, metres).
+    /// Diameter of the position set (bounding-box diagonal, metres).
     fn diameter_m(&self) -> f64 {
-        let bbox = BoundingBox::from_points(self.buf.iter().map(|&(_, p, _)| p));
-        match bbox {
+        match BoundingBox::from_points(self.buf.iter().map(|f| f.pos)) {
             Some(b) => GeoPoint::new(b.min_lon, b.min_lat)
                 .haversine_m(&GeoPoint::new(b.max_lon, b.max_lat)),
             None => 0.0,
         }
     }
 
+    fn exact_speed_sum(&self) -> f64 {
+        self.buf.iter().map(|f| f.speed).sum()
+    }
+
     fn mean_speed(&self) -> f64 {
         if self.buf.is_empty() {
             return 0.0;
         }
-        self.buf.iter().map(|&(_, _, s)| s).sum::<f64>() / self.buf.len() as f64
+        self.exact_speed_sum() / self.buf.len() as f64
+    }
+
+    /// True only when [`WindowBuf::mean_speed`] is certainly outside
+    /// `band` — the O(1) gate that most reports stop at.
+    fn mean_speed_outside(&self, band: (f64, f64)) -> bool {
+        let n = self.buf.len();
+        let (low, high) = self.speed_sum.bounds(n);
+        high / (n as f64) < band.0 || low / (n as f64) > band.1
+    }
+
+    /// Net displacement, first fix to last, metres.
+    fn net_m(&self) -> f64 {
+        match (self.buf.front(), self.buf.back()) {
+            (Some(a), Some(b)) => a.pos.haversine_m(&b.pos),
+            _ => 0.0,
+        }
     }
 
     /// Path length / net displacement (1 = dead straight; large = tangled).
-    fn tortuosity(&self) -> f64 {
+    fn tortuosity(&mut self) -> f64 {
         if self.buf.len() < 2 {
             return 1.0;
         }
         let mut path = 0.0;
-        let pts: Vec<GeoPoint> = self.buf.iter().map(|&(_, p, _)| p).collect();
-        for w in pts.windows(2) {
-            path += w[0].haversine_m(&w[1]);
+        let mut prev = self.buf[0].pos;
+        for f in self.buf.iter_mut().skip(1) {
+            path += *f.seg_m.get_or_insert_with(|| prev.haversine_m(&f.pos));
+            prev = f.pos;
         }
-        let net = pts[0].haversine_m(&pts[pts.len() - 1]);
+        let net = self.net_m();
         if net < 1.0 {
             return f64::INFINITY;
         }
@@ -76,9 +217,71 @@ impl WindowBuf {
         let (sx, sy) = self
             .buf
             .iter()
-            .fold((0.0, 0.0), |(sx, sy), &(_, p, _)| (sx + p.lon, sy + p.lat));
+            .fold((0.0, 0.0), |(sx, sy), f| (sx + f.pos.lon, sy + f.pos.lat));
         let n = self.buf.len() as f64;
         Some(GeoPoint::new(sx / n, sy / n))
+    }
+}
+
+fn within(band: (f64, f64), v: f64) -> bool {
+    v >= band.0 && v <= band.1
+}
+
+/// What the slow-movement detectors keep per object.
+#[derive(Debug, Default)]
+struct Track {
+    window: WindowBuf,
+    last_alert: Option<TimeMs>,
+}
+
+fn cooled_down(last_alert: Option<TimeMs>, now: TimeMs, cooldown_ms: i64) -> bool {
+    last_alert.is_none_or(|t| now - t >= cooldown_ms)
+}
+
+/// The per-object windows of one slow-movement detector, and the gates
+/// loitering and drifting share.
+#[derive(Debug, Default)]
+struct Tracks {
+    by_object: FxHashMap<ObjectId, Track>,
+    pruner: Pruner,
+}
+
+impl Tracks {
+    /// Files `r` in its object's window (a moored or anchored report
+    /// empties it) and returns the track when the window is long enough
+    /// to judge and its mean speed may lie inside `band`.
+    fn admit(
+        &mut self,
+        r: &PositionReport,
+        window_ms: i64,
+        cooldown_ms: i64,
+        band: (f64, f64),
+    ) -> Option<&mut Track> {
+        if let Some(high) = self.pruner.due(r.time, self.by_object.len()) {
+            // A track that saw nothing for a window and a cooldown is a
+            // fresh one: its fixes would all leave on the next push and
+            // its last alert no longer holds one back.
+            let horizon_ms = window_ms.max(cooldown_ms);
+            self.by_object.retain(|_, track| {
+                let newest = track.window.buf.back().map(|f| f.t);
+                newest
+                    .max(track.last_alert)
+                    .is_some_and(|t| !expired(high, t, horizon_ms))
+            });
+        }
+        if r.nav_status == NavStatus::Moored || r.nav_status == NavStatus::AtAnchor {
+            if let Some(track) = self.by_object.get_mut(&r.object) {
+                track.window.clear();
+            }
+            return None;
+        }
+        let track = self.by_object.entry(r.object).or_default();
+        let window = &mut track.window;
+        window.push(r.time, r.position(), r.speed_mps.max(0.0), window_ms);
+        if window.span_ms() < window_ms * 3 / 4 || window.mean_speed_outside(band) {
+            return None;
+        }
+        Some(track)
     }
 }
 
@@ -95,8 +298,7 @@ pub struct LoiteringDetector {
     pub min_tortuosity: f64,
     /// Cooldown between alerts per object, ms.
     pub cooldown_ms: i64,
-    state: FxHashMap<ObjectId, WindowBuf>,
-    last_alert: FxHashMap<ObjectId, TimeMs>,
+    tracks: Tracks,
 }
 
 impl Default for LoiteringDetector {
@@ -107,8 +309,7 @@ impl Default for LoiteringDetector {
             speed_band: (0.15, 2.0),
             min_tortuosity: 2.0,
             cooldown_ms: 30 * 60_000,
-            state: FxHashMap::default(),
-            last_alert: FxHashMap::default(),
+            tracks: Tracks::default(),
         }
     }
 }
@@ -116,38 +317,30 @@ impl Default for LoiteringDetector {
 impl LoiteringDetector {
     /// Processes one report.
     pub fn update(&mut self, r: &PositionReport) -> Option<EventRecord> {
-        if r.nav_status == NavStatus::Moored || r.nav_status == NavStatus::AtAnchor {
-            self.state.remove(&r.object);
+        let track = self
+            .tracks
+            .admit(r, self.window_ms, self.cooldown_ms, self.speed_band)?;
+        let Track { window, last_alert } = track;
+        // All three re-read the window; cheapest first (adds, then
+        // compares, then — once per fix — trig).
+        let loitering = within(self.speed_band, window.mean_speed())
+            && window.diameter_m() <= self.max_diameter_m
+            && window.tortuosity() >= self.min_tortuosity;
+        if !loitering || !cooled_down(*last_alert, r.time, self.cooldown_ms) {
             return None;
         }
-        let buf = self.state.entry(r.object).or_default();
-        buf.push(r.time, r.position(), r.speed_mps.max(0.0), self.window_ms);
-        if buf.span_ms() < self.window_ms * 3 / 4 {
-            return None;
-        }
-        let mean_v = buf.mean_speed();
-        if buf.diameter_m() <= self.max_diameter_m
-            && mean_v >= self.speed_band.0
-            && mean_v <= self.speed_band.1
-            && buf.tortuosity() >= self.min_tortuosity
-        {
-            let since = self.last_alert.get(&r.object).copied();
-            if since.is_none_or(|t| r.time - t >= self.cooldown_ms) {
-                self.last_alert.insert(r.object, r.time);
-                let center = buf.centroid().unwrap_or(r.position());
-                let start = buf.buf.front().map(|&(t, _, _)| t).unwrap_or(r.time);
-                return Some(
-                    EventRecord::durative(
-                        EventKind::Loitering,
-                        vec![r.object],
-                        TimeInterval::new(start, r.time),
-                        center,
-                    )
-                    .with_attr("diameter_m", format!("{:.0}", buf.diameter_m())),
-                );
-            }
-        }
-        None
+        *last_alert = Some(r.time);
+        let center = window.centroid().unwrap_or(r.position());
+        let start = window.buf.front().map_or(r.time, |f| f.t);
+        Some(
+            EventRecord::durative(
+                EventKind::Loitering,
+                vec![r.object],
+                TimeInterval::new(start, r.time),
+                center,
+            )
+            .with_attr("diameter_m", format!("{:.0}", window.diameter_m())),
+        )
     }
 }
 
@@ -164,8 +357,7 @@ pub struct DriftingDetector {
     pub min_net_m: f64,
     /// Cooldown per object, ms.
     pub cooldown_ms: i64,
-    state: FxHashMap<ObjectId, WindowBuf>,
-    last_alert: FxHashMap<ObjectId, TimeMs>,
+    tracks: Tracks,
 }
 
 impl Default for DriftingDetector {
@@ -176,8 +368,7 @@ impl Default for DriftingDetector {
             max_tortuosity: 1.25,
             min_net_m: 250.0,
             cooldown_ms: 30 * 60_000,
-            state: FxHashMap::default(),
-            last_alert: FxHashMap::default(),
+            tracks: Tracks::default(),
         }
     }
 }
@@ -185,40 +376,24 @@ impl Default for DriftingDetector {
 impl DriftingDetector {
     /// Processes one report.
     pub fn update(&mut self, r: &PositionReport) -> Option<EventRecord> {
-        if r.nav_status == NavStatus::Moored || r.nav_status == NavStatus::AtAnchor {
-            self.state.remove(&r.object);
+        let track = self
+            .tracks
+            .admit(r, self.window_ms, self.cooldown_ms, self.speed_band)?;
+        let Track { window, last_alert } = track;
+        let drifting = window.net_m() >= self.min_net_m
+            && within(self.speed_band, window.mean_speed())
+            && window.tortuosity() <= self.max_tortuosity;
+        if !drifting || !cooled_down(*last_alert, r.time, self.cooldown_ms) {
             return None;
         }
-        let buf = self.state.entry(r.object).or_default();
-        buf.push(r.time, r.position(), r.speed_mps.max(0.0), self.window_ms);
-        if buf.span_ms() < self.window_ms * 3 / 4 {
-            return None;
-        }
-        let mean_v = buf.mean_speed();
-        let pts_net = buf
-            .buf
-            .front()
-            .zip(buf.buf.back())
-            .map(|(a, b)| a.1.haversine_m(&b.1))
-            .unwrap_or(0.0);
-        if mean_v >= self.speed_band.0
-            && mean_v <= self.speed_band.1
-            && buf.tortuosity() <= self.max_tortuosity
-            && pts_net >= self.min_net_m
-        {
-            let since = self.last_alert.get(&r.object).copied();
-            if since.is_none_or(|t| r.time - t >= self.cooldown_ms) {
-                self.last_alert.insert(r.object, r.time);
-                let start = buf.buf.front().map(|&(t, _, _)| t).unwrap_or(r.time);
-                return Some(EventRecord::durative(
-                    EventKind::Drifting,
-                    vec![r.object],
-                    TimeInterval::new(start, r.time),
-                    r.position(),
-                ));
-            }
-        }
-        None
+        *last_alert = Some(r.time);
+        let start = window.buf.front().map_or(r.time, |f| f.t);
+        Some(EventRecord::durative(
+            EventKind::Drifting,
+            vec![r.object],
+            TimeInterval::new(start, r.time),
+            r.position(),
+        ))
     }
 }
 
@@ -266,6 +441,34 @@ impl DarkActivityDetector {
     }
 }
 
+/// The key of an unordered pair: smaller id first.
+fn pair_key(a: ObjectId, b: ObjectId) -> (ObjectId, ObjectId) {
+    if a < b {
+        (a, b)
+    } else {
+        (b, a)
+    }
+}
+
+/// The speed rendezvous judges a fix by: one without a speed counts as fast.
+fn pairing_speed(r: &PositionReport) -> f64 {
+    if r.speed_mps.is_finite() {
+        r.speed_mps
+    } else {
+        99.0
+    }
+}
+
+/// An open proximity episode of one pair.
+#[derive(Debug, Clone, Copy)]
+struct Episode {
+    start: TimeMs,
+    /// Last time the pair was observed close.
+    confirmed: TimeMs,
+    /// Already alerted (suppress repeats per episode).
+    alerted: bool,
+}
+
 /// Rendezvous: two vessels within `max_dist_m` of each other, both slow,
 /// for at least `min_duration_ms`, away from anchorages.
 pub struct RendezvousDetector {
@@ -275,19 +478,18 @@ pub struct RendezvousDetector {
     pub max_speed_mps: f64,
     /// Minimum sustained proximity, ms.
     pub min_duration_ms: i64,
-    /// Spatial hashing grid for pair generation.
-    grid: Grid,
-    /// Latest fix per object.
-    latest: FxHashMap<ObjectId, (TimeMs, GeoPoint, f64)>,
-    /// Open proximity episodes per (a, b) with a < b:
-    /// (episode start, last time the pair was observed close).
-    episodes: FxHashMap<(ObjectId, ObjectId), (TimeMs, TimeMs)>,
-    /// Pairs already alerted (suppress repeats per episode).
-    alerted: FxHashMap<(ObjectId, ObjectId), bool>,
+    /// Latest fix per object by 0.02° cell: a vessel's partners are looked
+    /// for in its own cell and the eight around it.
+    fleet: FleetIndex<()>,
+    /// Open proximity episodes per (a, b) with a < b.
+    episodes: FxHashMap<(ObjectId, ObjectId), Episode>,
     /// Fixes older than this are ignored for pairing, ms.
     pub staleness_ms: i64,
     /// Exclusion zones (ports/anchorages) where rendezvous is normal.
     pub exclusion: Vec<(GeoPoint, f64)>,
+    pruner: Pruner,
+    /// Scratch: the fixes around the current report.
+    nearby: Vec<(PositionReport, ())>,
 }
 
 impl RendezvousDetector {
@@ -297,12 +499,12 @@ impl RendezvousDetector {
             max_dist_m: 500.0,
             max_speed_mps: 1.5,
             min_duration_ms: 10 * 60_000,
-            grid: Grid::new(region, 0.02).expect("valid region"),
-            latest: FxHashMap::default(),
+            fleet: FleetIndex::new(Grid::new(region, 0.02).expect("valid region")),
             episodes: FxHashMap::default(),
-            alerted: FxHashMap::default(),
             staleness_ms: 5 * 60_000,
             exclusion: Vec::new(),
+            pruner: Pruner::default(),
+            nearby: Vec::new(),
         }
     }
 
@@ -311,76 +513,97 @@ impl RendezvousDetector {
         self.exclusion.push((center, radius_m));
     }
 
-    fn excluded(&self, p: &GeoPoint) -> bool {
-        self.exclusion.iter().any(|(c, r)| p.haversine_m(c) <= *r)
+    /// Other vessels' fixes read from the cell index so far — the work the
+    /// detector did, as a count.
+    pub fn candidates_examined(&self) -> u64 {
+        self.fleet.examined()
     }
 
     /// Processes one report; may emit rendezvous events.
     pub fn update(&mut self, r: &PositionReport) -> Vec<EventRecord> {
         let pos = r.position();
-        let speed = if r.speed_mps.is_finite() {
-            r.speed_mps
-        } else {
-            99.0
-        };
-        self.latest.insert(r.object, (r.time, pos, speed));
-        let mut out = Vec::new();
-        if self.grid.cell_of(&pos).is_none() {
-            return out;
+        let speed = pairing_speed(r);
+        if let Some(high) = self
+            .pruner
+            .due(r.time, self.fleet.len() + self.episodes.len())
+        {
+            // A fix this old pairs with nothing, and an episode not
+            // confirmed for this long restarts on its next confirmation.
+            let staleness_ms = self.staleness_ms;
+            self.fleet.prune(|t| expired(high, t, staleness_ms));
+            self.episodes
+                .retain(|_, e| !expired(high, e.confirmed, staleness_ms));
         }
+        self.fleet.upsert(r, ());
+        let mut out = Vec::new();
+        let grid = self.fleet.grid();
+        let Some(cell) = grid.cell_of(&pos) else {
+            return out;
+        };
 
         // Candidate partners: latest fixes in the same/adjacent cells.
-        let cell = self.grid.cell_of_clamped(&pos);
-        let mut cells = self.grid.neighbors(cell);
-        cells.push(cell);
-        // A scan over `latest` filtered by cell is simpler than maintaining
-        // a cell index and is fine at fleet sizes (hundreds).
-        let candidates: Vec<(ObjectId, TimeMs, GeoPoint, f64)> = self
-            .latest
-            .iter()
-            .filter(|(obj, (t, p, _))| {
-                **obj != r.object
-                    && r.time - *t <= self.staleness_ms
-                    && cells.contains(&self.grid.cell_of_clamped(p))
-            })
-            .map(|(obj, (t, p, s))| (*obj, *t, *p, *s))
-            .collect();
+        let lo = CellId {
+            x: cell.x.saturating_sub(1),
+            y: cell.y.saturating_sub(1),
+        };
+        let hi = CellId {
+            x: (cell.x + 1).min(grid.cols() - 1),
+            y: (cell.y + 1).min(grid.rows() - 1),
+        };
+        self.fleet.others_in(lo, hi, r.object, &mut self.nearby);
 
-        for (other, _t2, p2, s2) in candidates {
-            let key = if r.object < other {
-                (r.object, other)
+        // No great circle is shorter than its span in latitude: a partner
+        // further north or south than this (a part in 10⁹ over
+        // `max_dist_m`) is not close, whatever its longitude.
+        let close_lat_deg = (self.max_dist_m / EARTH_RADIUS_M).to_degrees() * (1.0 + 1e-9);
+        let mut in_port = None;
+        for (other, ()) in &self.nearby {
+            if r.time - other.time > self.staleness_ms {
+                continue;
+            }
+            let key = pair_key(r.object, other.object);
+            let p2 = other.position();
+            let dist_m = if (p2.lat - pos.lat).abs() > close_lat_deg {
+                f64::INFINITY
             } else {
-                (other, r.object)
+                pos.haversine_m(&p2)
             };
-            let close = pos.haversine_m(&p2) <= self.max_dist_m;
-            let slow = speed <= self.max_speed_mps && s2 <= self.max_speed_mps;
-            let in_port = self.excluded(&pos);
-            if close && slow && !in_port {
-                let entry = self.episodes.entry(key).or_insert((r.time, r.time));
-                if r.time - entry.1 >= self.staleness_ms {
+            let close = dist_m <= self.max_dist_m;
+            let slow = speed <= self.max_speed_mps && pairing_speed(other) <= self.max_speed_mps;
+            if close
+                && slow
+                && !*in_port.get_or_insert_with(|| {
+                    self.exclusion
+                        .iter()
+                        .any(|(center, radius_m)| pos.haversine_m(center) <= *radius_m)
+                })
+            {
+                let fresh = Episode {
+                    start: r.time,
+                    confirmed: r.time,
+                    alerted: false,
+                };
+                let episode = self.episodes.entry(key).or_insert(fresh);
+                if r.time - episode.confirmed >= self.staleness_ms {
                     // The pair drifted out of observation since the episode
                     // was last confirmed: restart it.
-                    *entry = (r.time, r.time);
-                    self.alerted.remove(&key);
+                    *episode = fresh;
                 }
-                entry.1 = r.time;
-                let start = entry.0;
-                let already = self.alerted.get(&key).copied().unwrap_or(false);
-                if !already && r.time - start >= self.min_duration_ms {
-                    self.alerted.insert(key, true);
+                episode.confirmed = r.time;
+                if !episode.alerted && r.time - episode.start >= self.min_duration_ms {
+                    episode.alerted = true;
                     out.push(
                         EventRecord::durative(
                             EventKind::Rendezvous,
                             vec![key.0, key.1],
-                            TimeInterval::new(start, r.time),
+                            TimeInterval::new(episode.start, r.time),
                             pos.midpoint(&p2),
                         )
-                        .with_attr("dist_m", format!("{:.0}", pos.haversine_m(&p2))),
+                        .with_attr("dist_m", format!("{dist_m:.0}")),
                     );
                 }
             } else if !close {
                 self.episodes.remove(&key);
-                self.alerted.remove(&key);
             }
         }
         out
@@ -401,61 +624,129 @@ pub struct CpaDetector {
     pub staleness_ms: i64,
     /// Cooldown per pair, ms.
     pub cooldown_ms: i64,
-    latest: FxHashMap<ObjectId, PositionReport>,
+    /// Latest fix per object, with its velocity, by cell of a whole-earth
+    /// grid: a vessel's partners are looked for in the cells its range box
+    /// touches.
+    fleet: FleetIndex<(f64, f64)>,
     last_alert: FxHashMap<(ObjectId, ObjectId), TimeMs>,
+    pruner: Pruner,
+    /// Scratch: the fixes around the current report.
+    nearby: Vec<(PositionReport, (f64, f64))>,
+}
+
+/// Cell edge of the CPA detector's whole-earth grid, degrees: a little more
+/// than the default range box is across (0.36° of latitude), so the box
+/// touches one or two rows and, at mid latitudes, one or two columns.
+const CPA_CELL_DEG: f64 = 0.5;
+
+/// A lon/lat box that contains every point whose
+/// [`GeoPoint::fast_dist2_m2`] distance from `p` is within `range_m`. That
+/// distance scales longitude by the cosine of the pair's *mean* latitude,
+/// which lies within the latitude span of `p`, so the longitude span is
+/// sized at the box's poleward edge; at the pole it is every longitude.
+/// No wrap at ±180°: the distance does not wrap either.
+fn range_box(p: &GeoPoint, range_m: f64) -> BoundingBox {
+    // Wider by a part in 10⁹ than the exact span, so a partner exactly at
+    // `range_m` cannot fall outside on rounding.
+    let dlat = (range_m / EARTH_RADIUS_M).to_degrees() * (1.0 + 1e-9);
+    let poleward = (p.lat.abs() + dlat).min(90.0);
+    let dlon = (dlat / poleward.to_radians().cos()).min(360.0);
+    BoundingBox {
+        min_lon: p.lon - dlon,
+        min_lat: p.lat - dlat,
+        max_lon: p.lon + dlon,
+        max_lat: p.lat + dlat,
+    }
+}
+
+/// One vessel as the origin of its own local tangent plane (ENU): the
+/// half of [`cpa`] that does not depend on the partner, worked out once per
+/// report however many partners there are.
+struct OwnShip {
+    lon: f64,
+    lat: f64,
+    /// Metres per radian of longitude at the vessel's latitude.
+    mx: f64,
+    /// The vessel's own coordinates in its plane (zero, or NaN if it has
+    /// no position).
+    xy: (f64, f64),
+    vel: (f64, f64),
+}
+
+/// East/north velocity; a missing speed or heading counts as zero.
+fn velocity(r: &PositionReport) -> (f64, f64) {
+    let s = if r.speed_mps.is_finite() {
+        r.speed_mps
+    } else {
+        0.0
+    };
+    let h = if r.heading_deg.is_finite() {
+        r.heading_deg.to_radians()
+    } else {
+        0.0
+    };
+    (s * h.sin(), s * h.cos())
+}
+
+impl OwnShip {
+    fn of(a: &PositionReport) -> Self {
+        let mut own = OwnShip {
+            lon: a.lon,
+            lat: a.lat,
+            mx: EARTH_RADIUS_M * a.lat.to_radians().cos(),
+            xy: (0.0, 0.0),
+            vel: velocity(a),
+        };
+        own.xy = own.to_xy(a);
+        own
+    }
+
+    fn to_xy(&self, r: &PositionReport) -> (f64, f64) {
+        (
+            (r.lon - self.lon).to_radians() * self.mx,
+            (r.lat - self.lat).to_radians() * EARTH_RADIUS_M,
+        )
+    }
+
+    /// `(t_cpa_s, d_cpa_m)` against `b`, whose [`velocity`] is `vel_b`; see
+    /// [`cpa`].
+    fn cpa_with(&self, b: &PositionReport, vel_b: (f64, f64)) -> (f64, f64) {
+        let (xa, ya) = self.xy;
+        let (xb, yb) = self.to_xy(b);
+        let (vxa, vya) = self.vel;
+        let (vxb, vyb) = vel_b;
+        let (dx, dy) = (xb - xa, yb - ya);
+        let (dvx, dvy) = (vxb - vxa, vyb - vya);
+        let dv2 = dvx * dvx + dvy * dvy;
+        if dv2 < 1e-9 {
+            return (f64::INFINITY, (dx * dx + dy * dy).sqrt());
+        }
+        let t = -(dx * dvx + dy * dvy) / dv2;
+        let cx = dx + dvx * t;
+        let cy = dy + dvy * t;
+        (t, (cx * cx + cy * cy).sqrt())
+    }
 }
 
 /// Computes `(t_cpa_s, d_cpa_m)` for two kinematic states in a local
-/// tangent plane. `t_cpa_s` may be negative (diverging).
+/// tangent plane around `a`. `t_cpa_s` may be negative (diverging).
 pub fn cpa(a: &PositionReport, b: &PositionReport) -> (f64, f64) {
-    // Local ENU around a.
-    let lat0 = a.lat.to_radians();
-    let mx = datacron_geo::EARTH_RADIUS_M * lat0.cos();
-    let to_xy = |r: &PositionReport| {
-        (
-            (r.lon - a.lon).to_radians() * mx,
-            (r.lat - a.lat).to_radians() * datacron_geo::EARTH_RADIUS_M,
-        )
-    };
-    let vel = |r: &PositionReport| {
-        let s = if r.speed_mps.is_finite() {
-            r.speed_mps
-        } else {
-            0.0
-        };
-        let h = if r.heading_deg.is_finite() {
-            r.heading_deg.to_radians()
-        } else {
-            0.0
-        };
-        (s * h.sin(), s * h.cos())
-    };
-    let (xa, ya) = to_xy(a);
-    let (xb, yb) = to_xy(b);
-    let (vxa, vya) = vel(a);
-    let (vxb, vyb) = vel(b);
-    let (dx, dy) = (xb - xa, yb - ya);
-    let (dvx, dvy) = (vxb - vxa, vyb - vya);
-    let dv2 = dvx * dvx + dvy * dvy;
-    if dv2 < 1e-9 {
-        return (f64::INFINITY, (dx * dx + dy * dy).sqrt());
-    }
-    let t = -(dx * dvx + dy * dvy) / dv2;
-    let cx = dx + dvx * t;
-    let cy = dy + dvy * t;
-    (t, (cx * cx + cy * cy).sqrt())
+    OwnShip::of(a).cpa_with(b, velocity(b))
 }
 
 impl Default for CpaDetector {
     fn default() -> Self {
+        let earth = BoundingBox::new(-180.0, -90.0, 180.0, 90.0);
         Self {
             cpa_dist_m: 500.0,
             cpa_time_ms: 20 * 60_000,
             pair_range_m: 20_000.0,
             staleness_ms: 3 * 60_000,
             cooldown_ms: 15 * 60_000,
-            latest: FxHashMap::default(),
+            fleet: FleetIndex::new(Grid::new(earth, CPA_CELL_DEG).expect("valid extent")),
             last_alert: FxHashMap::default(),
+            pruner: Pruner::default(),
+            nearby: Vec::new(),
         }
     }
 }
@@ -468,27 +759,51 @@ impl CpaDetector {
         self
     }
 
+    /// Other vessels' fixes read from the cell index so far — the work the
+    /// detector did, as a count.
+    pub fn candidates_examined(&self) -> u64 {
+        self.fleet.examined()
+    }
+
     /// Processes one report; may emit collision-risk forecasts.
     pub fn update(&mut self, r: &PositionReport) -> Vec<EventRecord> {
-        self.latest.insert(r.object, *r);
+        if let Some(high) = self
+            .pruner
+            .due(r.time, self.fleet.len() + self.last_alert.len())
+        {
+            // A fix this old pairs with nothing, and an alert this old no
+            // longer holds the next one back.
+            let (staleness_ms, cooldown_ms) = (self.staleness_ms, self.cooldown_ms);
+            self.fleet.prune(|t| expired(high, t, staleness_ms));
+            self.last_alert
+                .retain(|_, t| !expired(high, *t, cooldown_ms));
+        }
         let mut out = Vec::new();
+        let own = OwnShip::of(r);
+        if self.fleet.upsert(r, own.vel).is_none() {
+            return out;
+        }
         let pos = r.position();
-        for (other, o) in self.latest.iter() {
-            if *other == r.object || r.time - o.time > self.staleness_ms {
+        let reach = range_box(&pos, self.pair_range_m);
+        let grid = self.fleet.grid();
+        let lo = grid.cell_of_clamped(&GeoPoint::new(reach.min_lon, reach.min_lat));
+        let hi = grid.cell_of_clamped(&GeoPoint::new(reach.max_lon, reach.max_lat));
+        self.fleet.others_in(lo, hi, r.object, &mut self.nearby);
+
+        for (o, vel) in &self.nearby {
+            // The cells cover more than the box and the box more than the
+            // range: the cheap test first.
+            if r.time - o.time > self.staleness_ms
+                || !reach.contains(&o.position())
+                || pos.fast_dist2_m2(&o.position()).sqrt() > self.pair_range_m
+            {
                 continue;
             }
-            if pos.fast_dist2_m2(&o.position()).sqrt() > self.pair_range_m {
-                continue;
-            }
-            let (t_s, d_m) = cpa(r, o);
+            let (t_s, d_m) = own.cpa_with(o, *vel);
             if t_s > 0.0 && (t_s * 1000.0) as i64 <= self.cpa_time_ms && d_m <= self.cpa_dist_m {
-                let key = if r.object < *other {
-                    (r.object, *other)
-                } else {
-                    (*other, r.object)
-                };
+                let key = pair_key(r.object, o.object);
                 let since = self.last_alert.get(&key).copied();
-                if since.is_none_or(|t| r.time - t >= self.cooldown_ms) {
+                if cooled_down(since, r.time, self.cooldown_ms) {
                     // Confidence decays with time-to-CPA.
                     let conf = (1.0 - t_s * 1000.0 / self.cpa_time_ms as f64).clamp(0.05, 0.99);
                     out.push(
@@ -856,5 +1171,161 @@ mod tests {
             total += d.update(&b).len();
         }
         assert_eq!(total, 1, "cooldown failed");
+    }
+
+    // --- aggregates and pruning ---
+
+    /// A small deterministic generator.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn unit(&mut self) -> f64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (self.0 >> 33) as f64 / (1u64 << 31) as f64
+        }
+    }
+
+    #[test]
+    fn running_sum_brackets_the_exact_sum_whatever_passed_through() {
+        // Ordinary speeds with the odd absurd one: after a 10¹² term has
+        // come and gone the running sum is off by far more than an ulp of
+        // what is left, and the bracket must know it.
+        let mut rng = Lcg(3);
+        let mut terms: VecDeque<f64> = VecDeque::new();
+        let mut sum = RunningSum::default();
+        let mut widened = false;
+        for step in 0..20_000 {
+            let x = if step % 997 == 500 {
+                1e12
+            } else {
+                rng.unit() * 12.0
+            };
+            terms.push_back(x);
+            sum.add(x);
+            while terms.len() > 150 {
+                sum.sub(terms.pop_front().unwrap());
+            }
+            let exact: f64 = terms.iter().sum();
+            let (low, high) = sum.bounds(terms.len());
+            assert!(low <= exact && exact <= high, "{low} {exact} {high}");
+            widened |= sum.sum != exact;
+            if sum.steps >= RESYNC_STEPS.max(terms.len()) {
+                sum.reset(exact);
+            }
+        }
+        assert!(widened, "the running sum never drifted: nothing was tested");
+    }
+
+    #[test]
+    fn window_aggregates_equal_a_fresh_read_of_the_buffer() {
+        // Path and diameter after pushes and pops equal what the window
+        // would compute from its positions alone — to the bit.
+        let mut rng = Lcg(9);
+        let mut w = WindowBuf::default();
+        let mut pos = GeoPoint::new(24.0, 37.0);
+        for i in 0..600i64 {
+            pos = pos.destination(rng.unit() * 360.0, rng.unit() * 40.0);
+            w.push(TimeMs(i * 10_000), pos, rng.unit() * 3.0, 20 * 60_000);
+            if i % 7 != 1 {
+                continue;
+            }
+            let pts: Vec<GeoPoint> = w.buf.iter().map(|f| f.pos).collect();
+            let mut path = 0.0;
+            for pair in pts.windows(2) {
+                path += pair[0].haversine_m(&pair[1]);
+            }
+            let net = pts[0].haversine_m(&pts[pts.len() - 1]);
+            assert_eq!(w.tortuosity().to_bits(), (path / net).to_bits());
+            let speeds: f64 = w.buf.iter().map(|f| f.speed).sum();
+            assert_eq!(
+                w.mean_speed().to_bits(),
+                (speeds / pts.len() as f64).to_bits()
+            );
+            let mean = w.mean_speed();
+            assert!(
+                !w.mean_speed_outside((mean, mean)),
+                "the gate rejected the exact mean"
+            );
+            assert!(w.mean_speed_outside((mean + 0.01, 9.0)));
+            assert!(w.mean_speed_outside((0.0, mean - 0.01)));
+        }
+        assert_eq!(w.buf.len(), 121, "a full twenty-minute window");
+    }
+
+    #[test]
+    fn churn_leaves_every_map_bounded_by_the_live_set() {
+        // Ten thousand vessels pass through, one after the other: each
+        // reports every 30 s for ten minutes and is never heard of again
+        // (every 400th stays 45 minutes, long enough to be caught
+        // loitering on the spot or, every other one, drifting east). About 22 are live at any time, 150 m apart on a
+        // line, slow, neighbours steaming at each other — so every map of
+        // every detector gets entries all the time.
+        const VESSELS: i64 = 10_000;
+        let base = GeoPoint::new(24.0, 37.0);
+        let mut loitering = LoiteringDetector::default();
+        let mut drifting = DriftingDetector::default();
+        let mut rendezvous = RendezvousDetector::new(region());
+        let mut cpa = CpaDetector::default();
+        let mut events = [0usize; 4];
+        let mut peak = [0usize; 6];
+        let mut pairs_ever = rustc_hash::FxHashSet::default();
+        for tick in 0..VESSELS + 90 {
+            let live = (tick - 90..=tick)
+                .filter(|&k| (0..VESSELS).contains(&k))
+                .filter(|&k| tick - k <= if k % 400 == 0 { 90 } else { 20 });
+            for k in live {
+                let adrift = if k % 800 == 400 { tick - k } else { 0 };
+                let pos = base.destination(90.0, 150.0 * (k % 200) as f64 + 15.0 * adrift as f64);
+                let heading = if k % 2 == 0 { 90.0 } else { 270.0 };
+                let r = rep(k as u64, tick as f64 / 2.0, pos, 0.5, heading);
+                events[0] += usize::from(loitering.update(&r).is_some());
+                events[1] += usize::from(drifting.update(&r).is_some());
+                let met = rendezvous.update(&r);
+                let risks = cpa.update(&r);
+                pairs_ever.extend(
+                    met.iter()
+                        .chain(&risks)
+                        .map(|e| (e.objects[0], e.objects[1])),
+                );
+                events[2] += met.len();
+                events[3] += risks.len();
+            }
+            let held = [
+                loitering.tracks.by_object.len(),
+                drifting.tracks.by_object.len(),
+                rendezvous.fleet.len(),
+                rendezvous.episodes.len(),
+                cpa.fleet.len(),
+                cpa.last_alert.len(),
+            ];
+            for (p, h) in peak.iter_mut().zip(held) {
+                *p = (*p).max(h);
+            }
+        }
+        assert!(events.iter().all(|&n| n > 0), "events {events:?}");
+        assert!(pairs_ever.len() > 20_000, "{} pairs", pairs_ever.len());
+        // Tracks live an hour past their last report (120 vessels' worth),
+        // fixes twice their staleness, alerts twice the cooldown, and a
+        // sweep comes after as many reports as there are entries. Twice
+        // the peaks this scene reaches — against the ten thousand vessels
+        // and forty thousand pairs that went through.
+        let bound = [300, 300, 100, 320, 90, 300];
+        for ((what, p), b) in [
+            "loitering tracks",
+            "drifting tracks",
+            "rendezvous fixes",
+            "rendezvous episodes",
+            "cpa fixes",
+            "cpa alerts",
+        ]
+        .iter()
+        .zip(peak)
+        .zip(bound)
+        {
+            assert!(p <= b, "{what}: {p} held at the peak, bound {b}");
+        }
     }
 }

@@ -127,6 +127,11 @@ pub struct PipelineMetrics {
     pub events: u64,
     /// Triples inserted.
     pub triples: u64,
+    /// Other vessels' fixes the two pair detectors (rendezvous, CPA) read
+    /// from their cell indexes: per report, the size of the neighbourhood
+    /// event recognition paid for. Counts this process's detectors, which
+    /// start cold after a restore, so it restarts at zero with them.
+    pub pair_candidates: u64,
     /// Cleansing stage latency.
     pub lat_cleanse: std::sync::Arc<LatencyHistogram>,
     /// Compression + synopsis stage latency.
@@ -322,6 +327,8 @@ impl Pipeline {
         }
         self.metrics.lat_cep.observe(&t);
         self.metrics.events += events.len() as u64;
+        self.metrics.pair_candidates =
+            self.rendezvous.candidates_examined() + self.cpa.candidates_examined();
 
         // Stage 4 — transformation to the common RDF representation.
         if self.config.enable_rdf {
@@ -761,6 +768,96 @@ mod tests {
             all.iter().any(|e| e.kind == EventKind::TurningPoint),
             "turn not surfaced: {:?}",
             all.iter().map(|e| e.kind).collect::<Vec<_>>()
+        );
+    }
+
+    /// Every `da:event/…` IRI in the store with the objects it involves.
+    fn event_iris(p: &Pipeline) -> Vec<String> {
+        let q = parse_query("SELECT ?e ?o WHERE { ?e da:involves ?o }").unwrap();
+        let (b, _) = execute(p.graph(), &q);
+        let mut rows: Vec<String> = b
+            .rows
+            .iter()
+            .map(|row| format!("{:?}", b.decode_row(p.graph(), row)))
+            .collect();
+        rows.sort();
+        rows
+    }
+
+    #[test]
+    fn event_numbering_does_not_depend_on_detector_history() {
+        // Five vessels converge on a sixth, so one report raises several
+        // collision risks at once; the order they come out in is the order
+        // the mapper numbers them (`da:event/<kind>/N`). Three pipelines see
+        // the same scene after the same two hundred other vessels — the
+        // third met those in the opposite order, which leaves its
+        // detectors' hash maps laid out differently.
+        let centre = GeoPoint::new(24.7, 37.3);
+        let ghosts: Vec<PositionReport> = (0..200)
+            .map(|g| {
+                let pos = centre.destination(g as f64 * 1.8, 2_000.0 + 40.0 * g as f64);
+                PositionReport::maritime(
+                    ObjectId(1_000 + g),
+                    TimeMs(0),
+                    pos,
+                    0.0,
+                    0.0,
+                    SourceId::AIS_TERRESTRIAL,
+                    NavStatus::Moored,
+                )
+            })
+            .collect();
+        let backwards: Vec<PositionReport> = ghosts.iter().rev().copied().collect();
+        let mut scene = Vec::new();
+        for step in 0..6i64 {
+            let t = TimeMs(3_600_000 + step * 10_000);
+            for (k, id) in [7u64, 3, 19, 11, 2].into_iter().enumerate() {
+                let bearing = 30.0 + 70.0 * k as f64;
+                let pos = centre.destination(bearing, 9_000.0 - 80.0 * step as f64);
+                scene.push(PositionReport::maritime(
+                    ObjectId(id),
+                    t,
+                    pos,
+                    8.0,
+                    (bearing + 180.0) % 360.0,
+                    SourceId::AIS_TERRESTRIAL,
+                    NavStatus::UnderWay,
+                ));
+            }
+            scene.push(PositionReport::maritime(
+                ObjectId(1),
+                t + 1_000,
+                centre,
+                0.0,
+                0.0,
+                SourceId::AIS_TERRESTRIAL,
+                NavStatus::UnderWay,
+            ));
+        }
+        let run = |ghosts: &[PositionReport]| {
+            let mut p = Pipeline::new(PipelineConfig::default());
+            p.ingest_batch(ghosts);
+            let mut events = Vec::new();
+            for batch in scene.chunks(4) {
+                events.extend(p.ingest_batch(batch).events);
+            }
+            (events, event_iris(&p))
+        };
+        let (events, iris) = run(&ghosts);
+        assert_eq!(run(&ghosts), (events.clone(), iris.clone()), "same batches");
+        let (events_b, iris_b) = run(&backwards);
+        assert_eq!(events_b, events, "ghosts met in the opposite order");
+        assert_eq!(iris_b, iris);
+        // The scene did raise several risks from one report, in partner order.
+        let risks: Vec<u64> = events
+            .iter()
+            .filter(|e| e.kind == EventKind::CollisionRisk)
+            .map(|e| e.objects[1].raw())
+            .collect();
+        assert!(risks.len() >= 5, "{risks:?}");
+        assert!(
+            risks.windows(5).any(|w| w == [2, 3, 7, 11, 19]),
+            "{risks:?}"
         );
     }
 }

@@ -655,6 +655,7 @@ fn install_collectors(
         );
         sink.counter("datacron_pipeline_events_total", &[], c.events);
         sink.counter("datacron_pipeline_triples_total", &[], c.triples);
+        sink.counter("datacron_cep_pair_candidates_total", &[], c.pair_candidates);
         sink.gauge("datacron_graph_triples", &[], c.graph_len);
         sink.counter("datacron_query_morsels_total", &[], c.query_morsels);
         sink.counter("datacron_query_steals_total", &[], c.query_steals);

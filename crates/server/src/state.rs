@@ -31,6 +31,8 @@ pub struct PipelineCounters {
     pub events: u64,
     /// RDF triples generated.
     pub triples: u64,
+    /// Neighbouring fixes examined by the pair detectors.
+    pub pair_candidates: u64,
     /// Current graph size, triples.
     pub graph_len: u64,
     /// Morsels executed by SPARQL queries since start.
@@ -471,6 +473,7 @@ impl AnalyticsState {
             reports_kept: m.reports_kept,
             events: m.events,
             triples: m.triples,
+            pair_candidates: m.pair_candidates,
             graph_len: self.pipeline.graph().len() as u64,
             query_morsels: self.query_morsels.load(Ordering::Relaxed),
             query_steals: self.query_steals.load(Ordering::Relaxed),
@@ -500,6 +503,7 @@ impl AnalyticsState {
             .field("reports_kept", m.reports_kept)
             .field("events", m.events)
             .field("triples", m.triples)
+            .field("pair_candidates", m.pair_candidates)
             .field("graph_len", self.pipeline.graph().len() as u64)
             .field("stage_latency", Json::Obj(stages))
             .build()

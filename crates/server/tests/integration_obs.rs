@@ -153,6 +153,61 @@ fn metrics_exposition_covers_every_subsystem() {
 }
 
 #[test]
+fn pair_candidates_are_a_scrapeable_count() {
+    let handle = start(test_config()).expect("server start");
+    let mut c = connect(handle.local_addr);
+
+    // Two vessels 200 m apart, three plausible fixes each (6 m/s east),
+    // interleaved in one batch. Every report but the very first finds the
+    // other vessel's latest fix in both pair detectors' cell indexes:
+    // 5 reports x 2 detectors.
+    let reports: Vec<Json> = (0..6)
+        .map(|i| {
+            let (vessel, step) = (i % 2, i / 2);
+            Json::obj()
+                .field("object", 7 + vessel as u64)
+                .field("t_ms", step as i64 * 10_000 + vessel as i64 * 1_000)
+                .field("lon", 25.0 + step as f64 * 0.000_68)
+                .field("lat", 36.0 + vessel as f64 * 0.001_8)
+                .field("speed_mps", 6.0)
+                .field("heading_deg", 90.0)
+                .build()
+        })
+        .collect();
+    let ingest = Json::obj()
+        .field("type", "ingest")
+        .field("reports", Json::Arr(reports))
+        .build();
+    let resp = c.call(&ingest).unwrap();
+    assert!(is_ok(&resp), "{resp}");
+    assert_eq!(resp.get("clean").and_then(Json::as_u64), Some(6), "{resp}");
+
+    let resp = c
+        .call(&Json::obj().field("type", "metrics").build())
+        .unwrap();
+    let text = resp
+        .get("exposition")
+        .and_then(Json::as_str)
+        .expect("exposition string");
+    assert!(
+        text.contains("# TYPE datacron_cep_pair_candidates_total counter"),
+        "{text}"
+    );
+    assert!(
+        text.contains("datacron_cep_pair_candidates_total 10\n"),
+        "{text}"
+    );
+    let resp = c.call(&Json::obj().field("type", "stats").build()).unwrap();
+    let stats = resp.get("pipeline").expect("stats.pipeline");
+    assert_eq!(
+        stats.get("pair_candidates").and_then(Json::as_u64),
+        Some(10),
+        "{resp}"
+    );
+    handle.shutdown();
+}
+
+#[test]
 fn slowlog_reports_span_breakdowns() {
     let dir = TempDir::new("obs-slowlog");
     let handle = start(ServerConfig {

@@ -75,14 +75,19 @@ request() {
   fi
 }
 
-# Exercise the write path so every subsystem has something to report.
-# The protocol is one JSON object per line, so the batch must stay on
-# a single line.
+# Exercise the write path so every subsystem has something to report:
+# two vessels 200 m apart, three plausible fixes each (6 m/s east),
+# interleaved, so the pair detectors have a neighbour to look at. The
+# protocol is one JSON object per line, so the batch must stay on a
+# single line.
 request "$(printf '%s' \
   '{"type":"ingest","reports":[' \
   '{"object":9,"t_ms":0,"lon":21.0,"lat":37.0,"speed_mps":6.0,"heading_deg":90.0},' \
-  '{"object":9,"t_ms":10000,"lon":21.01,"lat":37.0,"speed_mps":6.0,"heading_deg":90.0},' \
-  '{"object":9,"t_ms":20000,"lon":21.02,"lat":37.0,"speed_mps":6.0,"heading_deg":90.0}]}')"
+  '{"object":10,"t_ms":1000,"lon":21.0,"lat":37.0018,"speed_mps":6.0,"heading_deg":90.0},' \
+  '{"object":9,"t_ms":10000,"lon":21.00068,"lat":37.0,"speed_mps":6.0,"heading_deg":90.0},' \
+  '{"object":10,"t_ms":11000,"lon":21.00068,"lat":37.0018,"speed_mps":6.0,"heading_deg":90.0},' \
+  '{"object":9,"t_ms":20000,"lon":21.00136,"lat":37.0,"speed_mps":6.0,"heading_deg":90.0},' \
+  '{"object":10,"t_ms":21000,"lon":21.00136,"lat":37.0018,"speed_mps":6.0,"heading_deg":90.0}]}')"
 
 # The snapshot is written off the serving path: wait until it is
 # installed, and check the start-up recovery phases are reported.
@@ -124,6 +129,15 @@ done
 series='datacron_pipeline_stage_latency_us_count{stage=\"commit\"} 1\n'
 if [[ "$RESP" != *"$series"* ]]; then
   echo "obs-smoke: exposition missing the commit stage ($series)" >&2
+  echo "obs-smoke: response: $RESP" >&2
+  exit 1
+fi
+# Candidates the pair detectors examined: every report but the first
+# found the other vessel's fix, in both detectors (5 x 2). A count, so
+# it repeats exactly.
+series='datacron_cep_pair_candidates_total 10\n'
+if [[ "$RESP" != *"$series"* ]]; then
+  echo "obs-smoke: exposition missing $series" >&2
   echo "obs-smoke: response: $RESP" >&2
   exit 1
 fi
