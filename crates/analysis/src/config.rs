@@ -8,8 +8,8 @@
 //!   an `unsafe` block needs its justification no matter where it lives.
 //! - `truncation` (L3) applies to the binary-format modules where a
 //!   silent `as` truncation corrupts data on disk or on the wire.
-//! - `wallclock` (L4) applies everywhere except designated clock modules
-//!   and load-generation/bench tools that pace against real deadlines.
+//! - `wallclock` (L4) applies everywhere except `obs::clock` and the
+//!   load-generation/bench tools that pace against real deadlines.
 //! - `lock_order` (L5) applies to all non-test code.
 //! - `reactor_blocking` (L6) and `lock_across_call` (L9) are call-graph
 //!   rules over the item model; their scoping (reactor entry points,
@@ -131,8 +131,8 @@ impl Rule {
                  widening/masking argument."
             }
             Rule::Wallclock => {
-                "L4 wallclock: `Instant::now()`/`SystemTime::now()` only in the \
-                 designated clock modules and load/bench tools. Everything else \
+                "L4 wallclock: `Instant::now()`/`SystemTime::now()` only in \
+                 `obs::clock` and the load/bench tools. Everything else \
                  takes time through the injectable clock so tests can control it."
             }
             Rule::LockOrder => {
@@ -237,14 +237,11 @@ const TRUNCATION_SCOPE: [&str; 7] = [
     "crates/net/src/buf.rs",
 ];
 
-/// Files and trees allowed to read the wall clock. The two `clock.rs`
-/// modules are the designated abstractions; `metrics.rs` hosts the
-/// latency histogram that timestamps samples; loadgen and the bench
-/// binaries pace an open-loop workload against real deadlines.
-const WALLCLOCK_ALLOW: [&str; 5] = [
-    "crates/stream/src/clock.rs",
-    "crates/rdf/src/clock.rs",
-    "crates/stream/src/metrics.rs",
+/// Files and trees allowed to read the wall clock. `obs::clock` is the
+/// one designated abstraction; loadgen and the bench binaries pace an
+/// open-loop workload against real deadlines.
+const WALLCLOCK_ALLOW: [&str; 3] = [
+    "crates/obs/src/clock.rs",
     "crates/server/src/bin/loadgen.rs",
     "crates/bench/",
 ];
@@ -494,7 +491,12 @@ mod tests {
         assert!(rule_applies(Rule::Truncation, "crates/storage/src/crc.rs"));
         assert!(rule_applies(Rule::Truncation, "crates/repl/src/b64.rs"));
         assert!(!rule_applies(Rule::Truncation, "crates/storage/src/wal.rs"));
-        assert!(!rule_applies(Rule::Wallclock, "crates/stream/src/clock.rs"));
+        assert!(!rule_applies(Rule::Wallclock, "crates/obs/src/clock.rs"));
+        assert!(rule_applies(Rule::Wallclock, "crates/obs/src/histogram.rs"));
+        assert!(rule_applies(
+            Rule::Wallclock,
+            "crates/stream/src/metrics.rs"
+        ));
         assert!(!rule_applies(
             Rule::Wallclock,
             "crates/bench/src/bin/report.rs"

@@ -194,7 +194,7 @@ pub fn wallclock(tokens: &[Token], skip: &[bool]) -> Vec<Finding> {
             out.push(Finding::new(
                 t.line,
                 format!(
-                    "{}::now() outside a clock module; take time through stream::clock",
+                    "{}::now() outside a clock module; take time through obs::clock",
                     t.text
                 ),
             ));

@@ -7,8 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use datacron_obs::{ClockSource, MonotonicClock, Registry, SlowLog, Trace};
-use datacron_stream::clock::Stopwatch;
-use datacron_stream::LatencyHistogram;
+use datacron_obs::{LatencyHistogram, Stopwatch};
 use std::hint::black_box;
 use std::sync::Arc;
 

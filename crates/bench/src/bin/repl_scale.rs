@@ -17,10 +17,10 @@
 
 use datacron_core::{PipelineConfig, PolygonSpec};
 use datacron_geo::BoundingBox;
+use datacron_obs::{LatencyHistogram, Stopwatch};
 use datacron_server::client::is_ok;
 use datacron_server::{start, Client, Json, ReplicationConfig, ServerConfig};
 use datacron_storage::{FsyncPolicy, StorageConfig};
-use datacron_stream::LatencyHistogram;
 use std::fmt::Write as _;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -174,10 +174,10 @@ fn read_step(endpoints: &[SocketAddr], threads: usize, dur: Duration) -> StepRes
                 let mut seq = i as u64;
                 while !stop.load(Ordering::Relaxed) {
                     let req = read_request(seq, &mut rng);
-                    let t = Instant::now();
+                    let t = Stopwatch::start();
                     let resp = c.call(&req).expect("read");
                     assert!(is_ok(&resp), "read failed: {resp}");
-                    latency.record_since(t);
+                    latency.observe(&t);
                     ops.fetch_add(1, Ordering::Relaxed);
                     seq += 1;
                 }
@@ -195,8 +195,8 @@ fn read_step(endpoints: &[SocketAddr], threads: usize, dur: Duration) -> StepRes
         replicas: endpoints.len(),
         ops: total,
         ops_per_s: (total as f64 / elapsed) as u64,
-        p50_us: latency.percentile(50.0),
-        p99_us: latency.percentile(99.0),
+        p50_us: latency.quantile_us(0.5),
+        p99_us: latency.quantile_us(0.99),
     }
 }
 

@@ -17,7 +17,7 @@ use datacron_cep::{
 use datacron_core::{Pipeline, PipelineConfig};
 use datacron_forecast::{
     evaluate_horizons, reconstruct_tracks, ConstantTurnPredictor, DeadReckoningPredictor,
-    MarkovGridModel, Predictor, RouteModel, VerticalProfilePredictor,
+    HorizonReport, MarkovGridModel, Predictor, RouteModel, VerticalProfilePredictor,
 };
 use datacron_geo::{Grid, TimeMs};
 use datacron_link::{
@@ -28,6 +28,7 @@ use datacron_rdf::{
     execute, parse_query, Graph, HashPartitioner, PartitionedStore, SpatialGridPartitioner,
     TemporalPartitioner,
 };
+use datacron_server::Json;
 use datacron_sim::{
     generate_maritime, generate_registries, MaritimeConfig, NoiseModel, RegistryConfig,
 };
@@ -521,15 +522,9 @@ fn e6() {
     // Machine-readable output for downstream plotting, when requested.
     if let Ok(dir) = std::env::var("DATACRON_JSON_DIR") {
         let path = std::path::Path::new(&dir).join("e6_forecast.json");
-        match serde_json::to_string_pretty(&all_reports) {
-            Ok(json) => {
-                if let Err(e) = std::fs::write(&path, json) {
-                    eprintln!("could not write {}: {e}", path.display());
-                } else {
-                    println!("(wrote machine-readable results to {})", path.display());
-                }
-            }
-            Err(e) => eprintln!("could not serialise E6 results: {e}"),
+        match std::fs::write(&path, e6_json(&all_reports).to_string()) {
+            Ok(()) => println!("(wrote machine-readable results to {})", path.display()),
+            Err(e) => eprintln!("could not write {}: {e}", path.display()),
         }
     }
     println!(
@@ -540,6 +535,25 @@ fn e6() {
         )
     );
     println!("(A4 ablation: route-network vs memoryless baselines as horizon grows)");
+}
+
+/// E6's machine-readable dump: one object per (model, horizon) row.
+fn e6_json(reports: &[HorizonReport]) -> Json {
+    let rows = reports.iter().map(|r| {
+        let stats = Json::obj()
+            .field("cases", r.stats.cases)
+            .field("predicted", r.stats.predicted)
+            .field("median_m", r.stats.median_m)
+            .field("p90_m", r.stats.p90_m)
+            .field("mean_m", r.stats.mean_m)
+            .build();
+        Json::obj()
+            .field("model", r.model.as_str())
+            .field("horizon_min", r.horizon_min)
+            .field("stats", stats)
+            .build()
+    });
+    Json::Arr(rows.collect())
 }
 
 /// E7 — aviation forecasting (3D).
@@ -623,20 +637,20 @@ fn e8() {
     let reports = reports_of(&data);
 
     // Detector-suite throughput + per-report latency percentiles.
-    let hist = datacron_stream::LatencyHistogram::new();
+    let hist = datacron_obs::LatencyHistogram::new();
     let mut loiter = LoiteringDetector::default();
     let mut rendezvous = RendezvousDetector::new(data.world.region);
     let mut cpa = CpaDetector::default();
     let mut n_events = 0usize;
     let t = Instant::now();
     for r in &reports {
-        let t0 = Instant::now();
+        let t0 = datacron_obs::Stopwatch::start();
         if loiter.update(r).is_some() {
             n_events += 1;
         }
         n_events += rendezvous.update(r).len();
         n_events += cpa.update(r).len();
-        hist.record_since(t0);
+        hist.observe(&t0);
     }
     let secs = t.elapsed().as_secs_f64();
     let (p50, p99, max) = hist.summary_us();
@@ -1129,4 +1143,29 @@ fn main() {
         e12();
     }
     println!("\nreport generated in {:.1} s", t.elapsed().as_secs_f64());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use datacron_forecast::ErrorStats;
+
+    #[test]
+    fn e6_json_pins_field_names() {
+        let rows = [HorizonReport {
+            model: "route".to_string(),
+            horizon_min: 30,
+            stats: ErrorStats {
+                cases: 12,
+                predicted: 10,
+                median_m: 1500.5,
+                p90_m: 4000.0,
+                mean_m: f64::NAN,
+            },
+        }];
+        assert_eq!(
+            e6_json(&rows).to_string(),
+            r#"[{"model":"route","horizon_min":30,"stats":{"cases":12,"predicted":10,"median_m":1500.5,"p90_m":4000,"mean_m":null}}]"#
+        );
+    }
 }

@@ -9,10 +9,9 @@
 
 use datacron_model::EventKind;
 use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 /// A first-order Markov chain over [`EventKind`]s, with a pattern overlay.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PatternMarkovChain {
     /// Transition counts: kind → (next kind → count).
     counts: FxHashMap<EventKind, FxHashMap<EventKind, u64>>,

@@ -14,8 +14,9 @@
 //! [`Pipeline`] is the single-process façade: feed it observed reports in
 //! delivery order, get recognised events out, with every stage's latency
 //! measured (the paper's "operational latency requirements (i.e. in ms)").
-//! [`run_threaded`] runs the same stages across OS threads on the
-//! `datacron-stream` runtime, demonstrating the sharded deployment.
+//! `tests/integration_pipeline.rs` runs the same façade as one stage of
+//! the `datacron-stream` runtime (`FlatMapOp` over [`Pipeline::process`]),
+//! the threaded deployment.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,7 +24,6 @@
 
 pub mod pipeline;
 pub mod sync;
-pub mod threaded;
 
 pub use datacron_transform::MapperState;
 pub use pipeline::{
@@ -31,4 +31,3 @@ pub use pipeline::{
     StageLatency,
 };
 pub use sync::{TrackedMutex, TrackedRwLock};
-pub use threaded::run_threaded;

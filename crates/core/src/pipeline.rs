@@ -6,12 +6,10 @@ use datacron_cep::{
 };
 use datacron_geo::{BoundingBox, GeoPoint, Polygon};
 use datacron_model::{EventRecord, PositionReport};
+use datacron_obs::{LatencyHistogram, Stopwatch};
 use datacron_rdf::{Graph, Triple};
-use datacron_stream::clock::Stopwatch;
-use datacron_stream::LatencyHistogram;
 use datacron_synopses::{Cleanser, CriticalPointDetector, DeadReckoningCompressor, SynopsisConfig};
 use datacron_transform::{MapperState, RdfMapper};
-use serde::{Deserialize, Serialize};
 
 /// The pipeline's durable state, exported for persistence snapshots and
 /// restored on crash recovery.
@@ -43,7 +41,7 @@ pub struct PipelineState {
 }
 
 /// Pipeline configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PipelineConfig {
     /// Region of interest (drives pair detection grids).
     pub region: BoundingBox,
@@ -67,7 +65,7 @@ pub struct PipelineConfig {
 }
 
 /// A serialisable polygon spec (ring of `(lon, lat)` pairs).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PolygonSpec(pub Vec<(f64, f64)>);
 
 impl PolygonSpec {
@@ -98,7 +96,7 @@ impl Default for PipelineConfig {
 }
 
 /// Latency summary of one stage, microseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageLatency {
     /// Median.
     pub p50_us: u64,

@@ -2,10 +2,9 @@
 
 use crate::Predictor;
 use datacron_model::Trajectory;
-use serde::{Deserialize, Serialize};
 
 /// Error distribution at one horizon.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErrorStats {
     /// Evaluation cases attempted.
     pub cases: usize,
@@ -20,7 +19,7 @@ pub struct ErrorStats {
 }
 
 /// One row of the horizon sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HorizonReport {
     /// Predictor name.
     pub model: String,

@@ -2,14 +2,13 @@
 
 use crate::point::GeoPoint;
 use crate::time::TimeInterval;
-use serde::{Deserialize, Serialize};
 
 /// An axis-aligned bounding box in lon/lat degrees.
 ///
 /// Boxes never wrap the antimeridian; the synthetic worlds used in this
 /// reproduction (Aegean, western Europe) stay far from it, and callers that
 /// do need wrap-around can split into two boxes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundingBox {
     /// Minimum longitude (west edge).
     pub min_lon: f64,
@@ -155,7 +154,7 @@ impl BoundingBox {
 ///
 /// Used by the RDF store's spatiotemporal filters and by the space-time
 /// blocking scheme in link discovery.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpaceTimeBox {
     /// Spatial extent.
     pub space: BoundingBox,

@@ -7,11 +7,10 @@
 
 use crate::bbox::BoundingBox;
 use crate::point::GeoPoint;
-use serde::{Deserialize, Serialize};
 
 /// A cell address within a [`Grid`]: column (x, west→east) and row
 /// (y, south→north).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CellId {
     /// Column index.
     pub x: u32,
@@ -36,7 +35,7 @@ impl CellId {
 }
 
 /// A uniform lon/lat grid over a bounding region.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Grid {
     extent: BoundingBox,
     cell_deg: f64,

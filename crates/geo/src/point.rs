@@ -1,7 +1,5 @@
 //! Geographic points and spherical-Earth math.
 
-use serde::{Deserialize, Serialize};
-
 /// Mean Earth radius in metres (IUGG mean radius R1).
 pub const EARTH_RADIUS_M: f64 = 6_371_008.8;
 
@@ -10,7 +8,7 @@ pub const EARTH_RADIUS_M: f64 = 6_371_008.8;
 /// Longitude is in `[-180, 180]`, latitude in `[-90, 90]`. Constructors do
 /// not normalise automatically; use [`GeoPoint::normalized`] when ingesting
 /// untrusted data.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoPoint {
     /// Longitude in degrees east.
     pub lon: f64,
@@ -137,7 +135,7 @@ impl GeoPoint {
 }
 
 /// A position with altitude, used in the aviation (3D) domain.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoPoint3 {
     /// Horizontal position.
     pub horiz: GeoPoint,

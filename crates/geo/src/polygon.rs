@@ -2,14 +2,13 @@
 
 use crate::bbox::BoundingBox;
 use crate::point::GeoPoint;
-use serde::{Deserialize, Serialize};
 
 /// A simple (non-self-intersecting) polygon in lon/lat degrees.
 ///
 /// The ring is stored open (first vertex not repeated); closure is implicit.
 /// Point-in-polygon uses even-odd ray casting in coordinate space, which is
 /// accurate for the regional zones used in maritime/aviation surveillance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Polygon {
     ring: Vec<GeoPoint>,
     bbox: BoundingBox,

@@ -1,6 +1,5 @@
 //! Millisecond timestamps, intervals and Allen's interval algebra.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Sub};
 
@@ -9,9 +8,7 @@ use std::ops::{Add, Sub};
 /// All surveillance data in the workspace is stamped with `TimeMs`; the paper
 /// targets "operational latency requirements (i.e. in ms)", so milliseconds
 /// are the native resolution throughout.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TimeMs(pub i64);
 
 impl TimeMs {
@@ -100,7 +97,7 @@ impl fmt::Display for TimeMs {
 }
 
 /// A half-open time interval `[start, end)` in milliseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimeInterval {
     /// Inclusive start.
     pub start: TimeMs,
@@ -193,7 +190,7 @@ impl TimeInterval {
 }
 
 /// The thirteen Allen interval relations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AllenRelation {
     /// `self` ends before `other` starts.
     Before,

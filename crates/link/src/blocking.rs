@@ -9,10 +9,9 @@
 use crate::matcher::LinkRecord;
 use datacron_geo::{BoundingBox, Grid};
 use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 /// What blocking did to the search space.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockingStats {
     /// Full cross-product size.
     pub cross_product: usize,

@@ -3,10 +3,9 @@
 use crate::matcher::ScoredLink;
 use datacron_model::{labels::prf1, GroundTruth, LinkPair};
 use rustc_hash::FxHashSet;
-use serde::{Deserialize, Serialize};
 
 /// Precision/recall/F1 of a link set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkScores {
     /// True positives.
     pub tp: usize,

@@ -6,10 +6,9 @@ use datacron_geo::GeoPoint;
 use datacron_model::{LinkPair, ObjectId};
 use datacron_sim::registry::RegistryRecord;
 use rustc_hash::FxHashSet;
-use serde::{Deserialize, Serialize};
 
 /// The attribute view of a record that link discovery compares.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkRecord {
     /// Source-local object id.
     pub id: ObjectId,
@@ -36,7 +35,7 @@ impl From<&RegistryRecord> for LinkRecord {
 }
 
 /// A weighted matching rule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkRule {
     /// Weight of edit-distance name similarity.
     pub w_name: f64,
@@ -91,7 +90,7 @@ impl LinkRule {
 }
 
 /// An accepted link with its score.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScoredLink {
     /// The linked pair (left = source A id, right = source B id).
     pub pair: LinkPair,

@@ -2,7 +2,6 @@
 
 use crate::ids::ObjectId;
 use datacron_geo::{GeoPoint, TimeInterval, TimeMs};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The kinds of events the analytics components recognise or forecast.
@@ -11,7 +10,7 @@ use std::fmt;
 /// events combine multiple low-level events and/or multiple objects, matching
 /// the examples called out by the paper (collision prediction, capacity
 /// demand, hot spots).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
     // --- low-level (single report/segment scope) ---
     /// Object became stationary.
@@ -107,7 +106,7 @@ impl fmt::Display for EventKind {
 }
 
 /// A recognised (or forecast) event instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EventRecord {
     /// What happened.
     pub kind: EventKind,

@@ -1,13 +1,12 @@
 //! Identities of moving objects and data sources.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The surveillance domain an entity belongs to.
 ///
 /// datAcron targets exactly these two: maritime (2D movement) and aviation
 /// (3D movement).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Domain {
     /// Vessels at sea (AIS-style reports, 2D).
     Maritime,
@@ -29,9 +28,7 @@ impl fmt::Display for Domain {
 /// External identifiers (MMSI, ICAO 24-bit address, callsigns) live in the
 /// static metadata ([`crate::VesselInfo`] / [`crate::FlightInfo`]); hot paths
 /// key everything by this `u64`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct ObjectId(pub u64);
 
 impl ObjectId {
@@ -49,9 +46,7 @@ impl fmt::Display for ObjectId {
 
 /// Identifies one of the heterogeneous data sources feeding the system
 /// (terrestrial AIS, satellite AIS, radar, ADS-B network, vessel registry…).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct SourceId(pub u16);
 
 impl SourceId {

@@ -8,10 +8,9 @@
 use crate::event::EventKind;
 use crate::ids::ObjectId;
 use datacron_geo::{GeoPoint, TimeInterval};
-use serde::{Deserialize, Serialize};
 
 /// A true event planted by the simulator's behaviour scripts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LabeledEvent {
     /// The planted event kind.
     pub kind: EventKind,
@@ -26,7 +25,7 @@ pub struct LabeledEvent {
 /// A true identity link between two records (for link-discovery scoring):
 /// the record `left` in source A and `right` in source B denote the same
 /// real-world entity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LinkPair {
     /// Entity id as known to the first source.
     pub left: ObjectId,
@@ -50,7 +49,7 @@ impl LinkPair {
 }
 
 /// The full ground truth bundle for one simulated scenario.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GroundTruth {
     /// Planted events.
     pub events: Vec<LabeledEvent>,

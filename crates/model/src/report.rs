@@ -2,10 +2,9 @@
 
 use crate::ids::{Domain, ObjectId, SourceId};
 use datacron_geo::{GeoPoint, GeoPoint3, TimeMs};
-use serde::{Deserialize, Serialize};
 
 /// Navigational status carried by AIS-style reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum NavStatus {
     /// Under way using engine.
     #[default]
@@ -27,7 +26,7 @@ pub enum NavStatus {
 /// This is the unit that flows through the in-situ processing pipeline at
 /// "extremely high rates". The struct is kept at 64 bytes so hot channels
 /// move it by value without `memcpy` overhead.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PositionReport {
     /// The reporting object.
     pub object: ObjectId,
@@ -125,7 +124,7 @@ impl PositionReport {
 }
 
 /// Static metadata for a vessel, as found in ship registries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VesselInfo {
     /// Internal object id.
     pub object: ObjectId,
@@ -142,7 +141,7 @@ pub struct VesselInfo {
 }
 
 /// Static metadata for a flight.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlightInfo {
     /// Internal object id.
     pub object: ObjectId,

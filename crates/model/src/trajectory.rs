@@ -3,10 +3,9 @@
 use crate::ids::ObjectId;
 use crate::report::PositionReport;
 use datacron_geo::{BoundingBox, GeoPoint, GeoPoint3, TimeInterval, TimeMs};
-use serde::{Deserialize, Serialize};
 
 /// One fix of a trajectory.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrajPoint {
     /// Event time.
     pub time: TimeMs,
@@ -63,7 +62,7 @@ impl From<&PositionReport> for TrajPoint {
 ///
 /// The point sequence is kept sorted by time with strictly increasing
 /// timestamps; [`Trajectory::push`] enforces the invariant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trajectory {
     /// The moving object.
     pub object: ObjectId,

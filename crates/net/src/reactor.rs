@@ -21,8 +21,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use datacron_stream::clock::Stopwatch;
-use datacron_stream::metrics::LatencyHistogram;
+use datacron_obs::{LatencyHistogram, Stopwatch};
 use parking_lot::Mutex;
 
 use crate::buf::{Frame, LineBuffer};

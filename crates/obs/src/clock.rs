@@ -1,14 +1,60 @@
-//! The injected clock abstraction.
+//! The workspace's one clock module: the only library file that reads
+//! the wall clock (lint rule L4, `wallclock`).
 //!
-//! Library crates in this workspace must not read the wall clock
-//! directly (the L4 `wallclock` lint); they take a [`ClockSource`]
-//! instead. Production code injects [`MonotonicClock`] (which delegates
-//! to the sanctioned [`datacron_stream::clock::Stopwatch`]); tests
-//! inject [`ManualClock`] and advance time deterministically.
+//! Elapsed time is measured through [`Stopwatch`]; code whose timing
+//! must be testable takes a [`ClockSource`] instead. Production code
+//! injects [`MonotonicClock`] (a [`Stopwatch`] behind the trait); tests
+//! inject [`ManualClock`] and advance time deterministically. Funnelling
+//! `Instant::now()` through a single module keeps timing behaviour
+//! auditable and gives a simulated-clock backend exactly one seam to
+//! replace.
 
-use datacron_stream::clock::Stopwatch;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
+
+/// A monotonic stopwatch, started at construction.
+#[derive(Debug, Clone, Copy)]
+pub struct Stopwatch {
+    started: Instant,
+}
+
+impl Stopwatch {
+    /// Starts timing now.
+    pub fn start() -> Self {
+        Self {
+            started: Instant::now(),
+        }
+    }
+
+    /// Elapsed time since start (or the last [`Self::restart`]).
+    pub fn elapsed(&self) -> Duration {
+        self.started.elapsed()
+    }
+
+    /// Elapsed whole microseconds, saturating at `u64::MAX`.
+    pub fn elapsed_us(&self) -> u64 {
+        u64::try_from(self.elapsed().as_micros()).unwrap_or(u64::MAX)
+    }
+
+    /// Elapsed whole milliseconds, saturating at `u64::MAX`.
+    pub fn elapsed_ms(&self) -> u64 {
+        u64::try_from(self.elapsed().as_millis()).unwrap_or(u64::MAX)
+    }
+
+    /// Restarts the stopwatch and returns the lap time.
+    pub fn restart(&mut self) -> Duration {
+        let lap = self.started.elapsed();
+        self.started = Instant::now();
+        lap
+    }
+}
+
+impl Default for Stopwatch {
+    fn default() -> Self {
+        Self::start()
+    }
+}
 
 /// A monotonic microsecond clock with an arbitrary origin.
 ///
@@ -22,7 +68,7 @@ pub trait ClockSource: Send + Sync + fmt::Debug {
 }
 
 /// The production clock: monotonic microseconds since construction,
-/// read through the stream crate's sanctioned [`Stopwatch`].
+/// read through a [`Stopwatch`].
 #[derive(Debug)]
 pub struct MonotonicClock {
     origin: Stopwatch,
@@ -82,6 +128,23 @@ impl ClockSource for ManualClock {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stopwatch_advances() {
+        let sw = Stopwatch::start();
+        std::thread::sleep(Duration::from_millis(2));
+        assert!(sw.elapsed() >= Duration::from_millis(1));
+        assert!(sw.elapsed_us() >= 1000);
+    }
+
+    #[test]
+    fn restart_returns_lap() {
+        let mut sw = Stopwatch::start();
+        std::thread::sleep(Duration::from_millis(2));
+        let lap = sw.restart();
+        assert!(lap >= Duration::from_millis(1));
+        assert!(sw.elapsed() < lap);
+    }
 
     #[test]
     fn monotonic_clock_is_monotonic() {

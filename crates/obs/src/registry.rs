@@ -11,7 +11,7 @@
 //! while running collectors, so a collector may take any state or
 //! storage lock without ordering against the registry.
 
-use datacron_stream::LatencyHistogram;
+use crate::histogram::LatencyHistogram;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -2,12 +2,9 @@
 
 use crate::term::Term;
 use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 /// A dense identifier for an interned term.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct TermId(pub u32);
 
 impl TermId {

@@ -3,12 +3,12 @@
 //! inline worker), and the reference engine the test suites compare
 //! every executor against.
 
-use crate::clock::Stopwatch;
 use crate::dict::TermId;
 use crate::morsel::{execute_morsel, MorselConfig};
 use crate::query::{CmpOp, FilterExpr, PatternTerm, SelectQuery, TriplePattern};
 use crate::store::Graph;
 use crate::term::{Literal, Term};
+use datacron_obs::Stopwatch;
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::cmp::Ordering;
 use std::time::Duration;

@@ -38,7 +38,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod binary;
-pub mod clock;
 pub mod dict;
 pub mod engine;
 pub mod index;

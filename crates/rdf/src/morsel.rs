@@ -50,13 +50,13 @@
 //!   the early exit fires when one partition alone has produced `limit`
 //!   *distinct* rows, and that count needs the set.
 
-use crate::clock::Stopwatch;
 use crate::dict::TermId;
 use crate::engine::{cmp_satisfies, cmp_terms, pushdown_candidates, Bindings, QueryStats, Row};
 use crate::parallel::{DecodedBindings, PartitionedStats};
 use crate::query::{CmpOp, FilterExpr, PatternTerm, SelectQuery};
 use crate::store::{Graph, PatternSlice, ProbeHint, Triple};
 use crate::term::Term;
+use datacron_obs::Stopwatch;
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};

@@ -2,10 +2,9 @@
 
 use crate::term::Term;
 use datacron_geo::{BoundingBox, GeoPoint, TimeInterval};
-use serde::{Deserialize, Serialize};
 
 /// A position in a triple pattern: a variable or a concrete term.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PatternTerm {
     /// A named variable (`?x` — stored without the `?`).
     Var(String),
@@ -35,7 +34,7 @@ impl From<Term> for PatternTerm {
 }
 
 /// One triple pattern in a basic graph pattern.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TriplePattern {
     /// Subject position.
     pub s: PatternTerm,
@@ -68,7 +67,7 @@ impl TriplePattern {
 }
 
 /// Comparison operators usable in `FILTER`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CmpOp {
     /// `=`
     Eq,
@@ -85,7 +84,7 @@ pub enum CmpOp {
 }
 
 /// A filter expression.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FilterExpr {
     /// Compare a variable's value against a constant literal/IRI.
     Compare {
@@ -143,7 +142,7 @@ impl FilterExpr {
 
 /// A `SELECT` query: projected variables, a basic graph pattern, filters
 /// and an optional result limit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SelectQuery {
     /// Projected variable names (empty = `SELECT *`).
     pub vars: Vec<String>,

@@ -5,10 +5,9 @@ use crate::index::{SpatialIndex, TemporalIndex};
 use crate::merge::merge_sorted_run;
 use crate::term::Term;
 use rustc_hash::{FxHashMap, FxHashSet};
-use serde::{Deserialize, Serialize};
 
 /// An encoded triple.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Triple {
     /// Subject id.
     pub s: TermId,

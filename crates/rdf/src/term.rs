@@ -1,7 +1,6 @@
 //! RDF terms: IRIs and literals, including spatiotemporal typed literals.
 
 use datacron_geo::{GeoPoint, TimeMs};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -10,7 +9,7 @@ use std::hash::{Hash, Hasher};
 /// Floating values hash and compare by bit pattern so literals can live in
 /// hash maps (the dictionary); `NaN` therefore equals itself here, which is
 /// the desired interning semantics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Literal {
     /// A plain string literal.
     String(String),
@@ -78,7 +77,7 @@ impl fmt::Display for Literal {
 
 /// An RDF term: an IRI or a literal. (Blank nodes are modelled as IRIs in
 /// the `_:` namespace — sufficient for the datAcron mapping.)
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Term {
     /// An IRI (absolute or prefixed form, stored as written).
     Iri(String),

@@ -28,8 +28,8 @@
 //! followers (a replica answers ingest with `not_leader`).
 
 use datacron_core::sync::TrackedMutex;
+use datacron_obs::{LatencyHistogram, Stopwatch};
 use datacron_server::json::Json;
-use datacron_stream::LatencyHistogram;
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -150,7 +150,7 @@ fn run_connection(
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(Duration::from_millis(100)))?;
     let mut writer = stream.try_clone()?;
-    let inflight: Arc<TrackedMutex<HashMap<u64, Instant>>> =
+    let inflight: Arc<TrackedMutex<HashMap<u64, Stopwatch>>> =
         Arc::new(TrackedMutex::new("inflight", HashMap::new()));
     let stop = Arc::new(AtomicBool::new(false));
 
@@ -181,7 +181,7 @@ fn run_connection(
                     };
                     let id = resp.get("id").and_then(Json::as_u64);
                     if let Some(start) = id.and_then(|id| reader_inflight.lock().remove(&id)) {
-                        reader_stats.latency.record_since(start);
+                        reader_stats.latency.observe(&start);
                     }
                     if resp.get("ok").and_then(Json::as_bool) == Some(true) {
                         reader_stats.ok.fetch_add(1, Ordering::Relaxed);
@@ -226,7 +226,8 @@ fn run_connection(
         let mut line = String::new();
         req.write(&mut line);
         line.push('\n');
-        inflight.lock().insert(id, Instant::now());
+        let sent_at = Stopwatch::start();
+        inflight.lock().insert(id, sent_at);
         if std::io::Write::write_all(&mut writer, line.as_bytes()).is_err() {
             inflight.lock().remove(&id);
             stats.errors.fetch_add(1, Ordering::Relaxed);
@@ -346,8 +347,8 @@ fn run_step(
         errors,
         busy,
         timeouts,
-        stats.latency.percentile(50.0),
-        stats.latency.percentile(99.0),
+        stats.latency.quantile_us(0.5),
+        stats.latency.quantile_us(0.99),
         stats.latency.max_us(),
         conn_errors,
     );

@@ -5,8 +5,9 @@
 //! processing chain — in-situ trajectory compression, complex event
 //! recognition, and the RDF knowledge graph — to downstream consumers.
 //! This crate is that serving layer for the reproduction: a dependency-light
-//! multi-threaded TCP server (std::net + crossbeam, no async runtime)
-//! speaking newline-delimited JSON.
+//! TCP server (one epoll reactor from `datacron-net`, a fixed worker pool
+//! behind a crossbeam queue, no async runtime) speaking newline-delimited
+//! JSON.
 //!
 //! # Protocol
 //!
@@ -20,15 +21,23 @@
 //! # Architecture
 //!
 //! ```text
-//! clients ──TCP──▶ acceptor ──bounded queue──▶ worker pool ──▶ RwLock<AnalyticsState>
-//!                     │ queue full?                                │write: ingest
-//!                     └──▶ immediate "busy" response               │read : queries
+//!            ┌────────────── reactor thread (all socket I/O) ──────────────┐
+//! clients ──▶│ accept · read · frame lines        write replies ◀── handback │
+//!            └──────┬───────────────────────────────────────────────▲───────┘
+//!                   │ request lines                                 │ replies
+//!                   ▼                                               │
+//!             bounded queue ──▶ worker pool ──▶ RwLock<AnalyticsState>
+//!                   │ full?                         │write: ingest ─▶ WAL, group commit
+//!                   └──▶ immediate "busy" reply     │read : queries
 //! ```
 //!
-//! Admission control is explicit: a full queue produces an immediate
-//! `busy` error (the HTTP-429 analogue) rather than unbounded queueing,
-//! so p99 latency stays bounded under overload — measured end to end by
-//! the companion `loadgen` binary (experiment E13).
+//! The reactor owns every connection; workers only execute requests and
+//! hand each reply back through the reactor's completion queue (a durable
+//! ingest's ack is handed back by the fsync thread once its record is on
+//! disk). Admission control is explicit: a full queue answers that one
+//! request with an immediate `busy` error (the HTTP-429 analogue) and the
+//! connection survives, so p99 latency stays bounded under overload —
+//! measured end to end by the companion `loadgen` binary (experiment E13).
 
 #![warn(missing_docs)]
 

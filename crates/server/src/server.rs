@@ -28,11 +28,11 @@ use datacron_core::sync::{TrackedMutex, TrackedRwLock};
 use datacron_core::PipelineConfig;
 use datacron_geo::BoundingBox;
 use datacron_net::{ConnId, LineAction, Open, Reactor, ReactorConfig, ReactorHandle};
-use datacron_obs::{ClockSource, MonotonicClock, Registry, SlowLog, Trace};
+use datacron_obs::{
+    ClockSource, LatencyHistogram, MonotonicClock, Registry, SlowLog, Stopwatch, Trace,
+};
 use datacron_repl::{b64, epoch, FollowerProgress, FollowerRegistry, StalenessVerdict};
 use datacron_storage::{GroupCommit, SnapshotWorker, Storage, StorageConfig};
-use datacron_stream::clock::Stopwatch;
-use datacron_stream::LatencyHistogram;
 use std::io::{self, ErrorKind};
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
@@ -191,8 +191,8 @@ impl ServerMetrics {
                     tag.to_string(),
                     Json::obj()
                         .field("count", h.count())
-                        .field("p50_us", h.percentile(50.0))
-                        .field("p99_us", h.percentile(99.0))
+                        .field("p50_us", h.quantile_us(0.5))
+                        .field("p99_us", h.quantile_us(0.99))
                         .field("max_us", h.max_us())
                         .build(),
                 )

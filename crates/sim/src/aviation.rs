@@ -13,12 +13,11 @@ use datacron_model::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::maritime::ObservedReport;
 
 /// Configuration of an aviation scenario.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AviationConfig {
     /// RNG seed.
     pub seed: u64,

@@ -15,10 +15,9 @@ use datacron_model::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a maritime scenario.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MaritimeConfig {
     /// RNG seed; the scenario is fully determined by the config.
     pub seed: u64,
@@ -59,7 +58,7 @@ impl Default for MaritimeConfig {
 /// An observed report together with its delivery time (event time plus
 /// transport delay). Sorting by `delivery_ms` reproduces the out-of-order
 /// arrival the stream engine must handle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObservedReport {
     /// The noisy report as received.
     pub report: PositionReport,

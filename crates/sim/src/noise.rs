@@ -3,10 +3,9 @@
 use datacron_model::PositionReport;
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the observation noise applied to true kinematic states.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseModel {
     /// Standard deviation of the position error, metres.
     pub pos_sigma_m: f64,

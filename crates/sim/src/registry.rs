@@ -13,10 +13,9 @@ use datacron_geo::GeoPoint;
 use datacron_model::{GroundTruth, LinkPair, ObjectId, VesselInfo};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the registry forge.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RegistryConfig {
     /// RNG seed.
     pub seed: u64,
@@ -44,7 +43,7 @@ impl Default for RegistryConfig {
 }
 
 /// One registry record: static info plus a last-known position.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegistryRecord {
     /// Static vessel metadata (ids are source-local).
     pub info: VesselInfo,

@@ -7,10 +7,9 @@
 use datacron_geo::{BoundingBox, GeoPoint, Grid, TimeMs};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One sinusoidal mode of the synthetic field.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 struct Mode {
     kx: f64,
     ky: f64,
@@ -20,7 +19,7 @@ struct Mode {
 }
 
 /// A smooth synthetic wind field over a region.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WeatherGrid {
     grid: Grid,
     modes_u: Vec<Mode>,

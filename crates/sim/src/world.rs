@@ -1,10 +1,9 @@
 //! Static world models: ports, shipping lanes, airports and airways.
 
 use datacron_geo::{BoundingBox, GeoPoint, Polygon};
-use serde::{Deserialize, Serialize};
 
 /// A port in the maritime world.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Port {
     /// Human-readable name.
     pub name: String,
@@ -14,7 +13,7 @@ pub struct Port {
 
 /// The maritime world: a region, its ports and the shipping lanes that
 /// connect them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MaritimeWorld {
     /// Region of interest.
     pub region: BoundingBox,
@@ -28,7 +27,7 @@ pub struct MaritimeWorld {
 }
 
 /// A shipping lane between two ports, as a waypoint polyline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Lane {
     /// Index of the origin port in [`MaritimeWorld::ports`].
     pub from: usize,
@@ -55,7 +54,7 @@ impl MaritimeWorld {
 }
 
 /// An airport in the aviation world.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Airport {
     /// ICAO code, e.g. `"LGAV"`.
     pub icao: String,
@@ -67,7 +66,7 @@ pub struct Airport {
 
 /// The aviation world: a region, its airports, and en-route sectors used for
 /// hotspot/capacity analytics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AviationWorld {
     /// Region of interest.
     pub region: BoundingBox,

@@ -46,8 +46,7 @@
 //! the original error, appends and syncs refuse to run, and no fsync is
 //! ever retried.
 
-use datacron_stream::clock::Stopwatch;
-use datacron_stream::LatencyHistogram;
+use datacron_obs::{LatencyHistogram, Stopwatch};
 use std::fs::File;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -427,7 +427,7 @@ impl Storage {
             records_since_snapshot: self.records_since_snapshot(),
             next_seq: self.wal.next_seq(),
             last_snapshot_seq: self.last_snapshot_seq,
-            fsync_p99_us: fsync.percentile(99.0),
+            fsync_p99_us: fsync.quantile_us(0.99),
             fsyncs: fsync.count(),
             snapshot_age_us: self
                 .last_snapshot_at_us

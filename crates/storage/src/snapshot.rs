@@ -30,7 +30,7 @@ use crate::binser;
 use crate::commit::GroupCommit;
 use crate::crc::crc32;
 use datacron_obs::ClockSource;
-use datacron_stream::LatencyHistogram;
+use datacron_obs::LatencyHistogram;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};

@@ -41,8 +41,7 @@
 use crate::binser;
 use crate::commit::GroupCommit;
 use crate::crc::Crc32;
-use datacron_stream::clock::Stopwatch;
-use datacron_stream::LatencyHistogram;
+use datacron_obs::{LatencyHistogram, Stopwatch};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};

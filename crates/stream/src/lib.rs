@@ -14,14 +14,13 @@
 //! * **sharded parallel execution** — operators run on threads connected by
 //!   bounded crossbeam channels (backpressure), with hash partitioning by
 //!   key and watermark-aligned merging ([`runtime`]);
-//! * **metrics** — throughput counters and latency histograms used by the
-//!   latency experiments ([`metrics`]).
+//! * **metrics** — per-stage throughput counters ([`metrics`]) beside
+//!   `datacron-obs` latency histograms ([`InstrumentOp`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod clock;
 pub mod message;
 pub mod metrics;
 pub mod operator;
@@ -29,9 +28,8 @@ pub mod runtime;
 pub mod watermark;
 pub mod window;
 
-pub use clock::{Deadline, Stopwatch};
 pub use message::{Message, Record};
-pub use metrics::{LatencyHistogram, Throughput};
+pub use metrics::Throughput;
 pub use operator::{Chain, FilterOp, FlatMapOp, InstrumentOp, KeyedProcessOp, MapOp, Operator};
 pub use runtime::{
     collect_messages, merge_shards, run_source, shard_by_key, spawn_operator, StageHandle,

@@ -1,10 +1,9 @@
 //! Stream elements: records, watermarks and end-of-stream markers.
 
 use datacron_geo::TimeMs;
-use serde::{Deserialize, Serialize};
 
 /// A payload stamped with its event time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Record<T> {
     /// When the event happened in the real world.
     pub event_time: TimeMs,
@@ -35,7 +34,7 @@ impl<T> Record<T> {
 /// Watermarks assert that no further record with `event_time < t` will
 /// arrive on this channel; `End` closes the stream (all upstream data has
 /// been emitted).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Message<T> {
     /// A data record.
     Record(Record<T>),

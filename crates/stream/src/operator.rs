@@ -1,9 +1,9 @@
 //! The operator abstraction and the stateless/stateful building blocks.
 
-use crate::clock::Stopwatch;
 use crate::message::{Message, Record};
-use crate::metrics::{LatencyHistogram, Throughput};
+use crate::metrics::Throughput;
 use datacron_geo::TimeMs;
+use datacron_obs::{LatencyHistogram, Stopwatch};
 use rustc_hash::FxHashMap;
 use std::hash::Hash;
 use std::sync::Arc;

@@ -2,7 +2,6 @@
 
 use datacron_geo::{GeoPoint, TimeMs};
 use datacron_model::{ObjectId, PositionReport, TrajPoint};
-use datacron_stream::{Operator, Record};
 use rustc_hash::FxHashMap;
 
 /// Online threshold compression by dead reckoning.
@@ -92,18 +91,6 @@ impl DeadReckoningCompressor {
     /// Compresses a batch, returning the kept reports.
     pub fn compress_batch(&mut self, reports: &[PositionReport]) -> Vec<PositionReport> {
         reports.iter().filter(|r| self.check(r)).copied().collect()
-    }
-}
-
-impl Operator<PositionReport, PositionReport> for DeadReckoningCompressor {
-    fn on_record(
-        &mut self,
-        rec: Record<PositionReport>,
-        out: &mut dyn FnMut(Record<PositionReport>),
-    ) {
-        if self.check(&rec.payload) {
-            out(rec);
-        }
     }
 }
 

@@ -10,12 +10,10 @@
 use datacron_geo::units::heading_delta_deg;
 use datacron_geo::TimeMs;
 use datacron_model::{ObjectId, PositionReport};
-use datacron_stream::{Operator, Record};
 use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 /// Thresholds steering critical-point detection.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SynopsisConfig {
     /// Below this speed an object counts as stopped, m/s.
     pub stop_speed_mps: f64,
@@ -49,7 +47,7 @@ impl Default for SynopsisConfig {
 }
 
 /// The kinds of critical points.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CriticalKind {
     /// First report of a track.
     TrackStart,
@@ -75,7 +73,7 @@ pub enum CriticalKind {
 }
 
 /// A critical point: a kind plus the report it was detected at.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CriticalPoint {
     /// Why this report is critical.
     pub kind: CriticalKind,
@@ -100,8 +98,7 @@ struct TrackState {
 }
 
 /// The critical-point detector. Feed reports per object in event-time order
-/// ([`CriticalPointDetector::update`]), or run it as a stream [`Operator`]
-/// (it keys by object internally).
+/// ([`CriticalPointDetector::update`]); it keys by object internally.
 #[derive(Debug)]
 pub struct CriticalPointDetector {
     config: SynopsisConfig,
@@ -274,20 +271,6 @@ impl CriticalPointDetector {
             self.update(r, &mut out);
         }
         out
-    }
-}
-
-impl Operator<PositionReport, CriticalPoint> for CriticalPointDetector {
-    fn on_record(
-        &mut self,
-        rec: Record<PositionReport>,
-        out: &mut dyn FnMut(Record<CriticalPoint>),
-    ) {
-        let mut points = Vec::new();
-        self.update(&rec.payload, &mut points);
-        for cp in points {
-            out(Record::new(cp.report.time, cp));
-        }
     }
 }
 

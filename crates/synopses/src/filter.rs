@@ -2,7 +2,6 @@
 
 use datacron_geo::TimeMs;
 use datacron_model::{ObjectId, PositionReport};
-use datacron_stream::{Operator, Record};
 use rustc_hash::FxHashMap;
 
 /// Counters describing what the cleanser dropped.
@@ -38,8 +37,8 @@ struct LastFix {
 /// The stream cleanser: stateless plausibility checks plus per-object
 /// monotonicity and speed-jump checks.
 ///
-/// Usable as a plain filter ([`Cleanser::check`]) or as a stream
-/// [`Operator`].
+/// A plain filter: [`Cleanser::check`] per report, or
+/// [`Cleanser::clean_batch`] over a slice.
 #[derive(Debug)]
 pub struct Cleanser {
     /// Maximum physically plausible speed, m/s (default 60 ≈ 117 kn covers
@@ -112,18 +111,6 @@ impl Cleanser {
     /// Cleans a batch, returning the surviving reports.
     pub fn clean_batch(&mut self, reports: &[PositionReport]) -> Vec<PositionReport> {
         reports.iter().filter(|r| self.check(r)).copied().collect()
-    }
-}
-
-impl Operator<PositionReport, PositionReport> for Cleanser {
-    fn on_record(
-        &mut self,
-        rec: Record<PositionReport>,
-        out: &mut dyn FnMut(Record<PositionReport>),
-    ) {
-        if self.check(&rec.payload) {
-            out(rec);
-        }
     }
 }
 
@@ -209,19 +196,5 @@ mod tests {
         let clean = c.clean_batch(&batch);
         assert_eq!(clean.len(), 2);
         assert_eq!(c.stats().dropped(), 2);
-    }
-
-    #[test]
-    fn works_as_stream_operator() {
-        use datacron_stream::Message;
-        let mut c = Cleanser::default();
-        let input = vec![
-            Message::record(TimeMs(0), report(1, 0, 24.0, 37.0)),
-            Message::record(TimeMs(0), report(1, 0, 24.0, 37.0)),
-            Message::End,
-        ];
-        let out = c.run(input);
-        let n = out.iter().filter(|m| m.as_record().is_some()).count();
-        assert_eq!(n, 1);
     }
 }

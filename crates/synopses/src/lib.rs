@@ -18,8 +18,8 @@
 //!   Euclidean distance (SED) error between original and reconstructed
 //!   trajectories, the measures behind experiment E1/E2.
 //!
-//! Everything is available both as plain functions over slices (batch) and
-//! as [`datacron_stream::Operator`]s (streaming).
+//! Everything is a plain per-report method plus a batch form over slices;
+//! on the `datacron-stream` runtime a stage is `FilterOp(|r| c.check(r))`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,11 +2,10 @@
 
 use datacron_geo::position_at_time;
 use datacron_model::TrajPoint;
-use serde::{Deserialize, Serialize};
 
 /// Synchronized-Euclidean-Distance error statistics between an original
 /// trajectory and its compressed reconstruction.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SedStats {
     /// Number of original points compared.
     pub n: usize,

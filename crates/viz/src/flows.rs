@@ -1,10 +1,9 @@
 //! Origin–destination flow matrices.
 
 use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 /// A flow count matrix between named places (ports, airports, sectors).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FlowMatrix {
     places: Vec<String>,
     index: FxHashMap<String, usize>,

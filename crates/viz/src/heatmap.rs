@@ -2,10 +2,9 @@
 
 use datacron_geo::{CellId, GeoPoint, Grid};
 use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 /// A hotspot: a cell and its weight.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Hotspot {
     /// The cell.
     pub cell: CellId,

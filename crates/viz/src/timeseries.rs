@@ -2,10 +2,9 @@
 
 use datacron_geo::{TimeInterval, TimeMs};
 use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 /// A bucketed counter over time, with one series per category label.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TimeSeries {
     bucket_ms: i64,
     /// category → (bucket start ms → count).

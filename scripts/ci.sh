@@ -79,6 +79,19 @@ run cargo test "${CARGO_FLAGS[@]}" -q --workspace
 run cargo test "${CARGO_FLAGS[@]}" -q -p datacron-server --test integration_storage
 run cargo test "${CARGO_FLAGS[@]}" --release -q -p datacron-server --test integration_storage
 run cargo bench "${CARGO_FLAGS[@]}" --workspace --no-run
+# Dependency-graph guard: the server links what it runs. None of the
+# E12 stream substrate, the example-only crates or a serialisation
+# framework may sit on `datacron-server`'s normal-edge graph; on failure
+# the inverted tree names the offending edge.
+server_graph=$(cargo tree --offline --manifest-path benchmark/Cargo.toml \
+  -p datacron-server -e normal --prefix none)
+for pkg in datacron-stream datacron-sim datacron-link datacron-forecast serde serde_derive rand; do
+  if grep -q "^$pkg v" <<<"$server_graph"; then
+    echo "datacron-server must not depend on $pkg:" >&2
+    cargo tree --offline --manifest-path benchmark/Cargo.toml -e normal -i "$pkg" >&2
+    exit 1
+  fi
+done
 # The benchmark harness (BENCHMARK.json) is a package of its own that
 # compiles the real serve.rs and calls into core/rdf/server APIs (ingest
 # paths, and for its own traced replay the partitioned store and commit

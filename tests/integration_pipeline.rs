@@ -1,10 +1,16 @@
 //! Cross-crate integration: simulator → full pipeline → ground-truth
 //! scoring, latency budget, and the compression-quality claim (C1/C8/E2).
 
-use datacron_core::{run_threaded, Pipeline, PipelineConfig};
-use datacron_geo::TimeMs;
-use datacron_model::{labels::prf1, EventKind, PositionReport};
+use datacron_core::{Pipeline, PipelineConfig};
+use datacron_geo::{GeoPoint, TimeMs};
+use datacron_model::{
+    labels::prf1, EventKind, EventRecord, NavStatus, ObjectId, PositionReport, SourceId,
+};
 use datacron_sim::{generate_maritime, MaritimeConfig, NoiseModel};
+use datacron_stream::{
+    collect_messages, run_source, spawn_operator, with_watermarks, BoundedOutOfOrderness,
+    FlatMapOp, Message,
+};
 use datacron_synopses::DeadReckoningCompressor;
 
 fn scenario() -> datacron_sim::MaritimeData {
@@ -130,6 +136,69 @@ fn compression_preserves_analytics_quality() {
             cmp_r
         );
     }
+}
+
+/// The threaded deployment: the whole [`Pipeline`] as one operator stage of
+/// the sharded, backpressured `datacron-stream` runtime, the way the
+/// datAcron stack runs on a distributed streaming platform. `reports` are
+/// in delivery order; `disorder_ms` is the watermark slack. Returns the
+/// recognised events in emission order.
+fn run_threaded(
+    config: PipelineConfig,
+    reports: Vec<PositionReport>,
+    disorder_ms: i64,
+) -> Vec<EventRecord> {
+    let source: Vec<_> = with_watermarks(
+        reports.into_iter().map(|r| (r.time, r)),
+        BoundedOutOfOrderness::new(disorder_ms, 64),
+    )
+    .collect();
+    let mut pipeline = Pipeline::new(config);
+    let (rx, h_src) = run_source(source, 1024);
+    let stage = FlatMapOp(move |r: PositionReport| pipeline.process(&r));
+    let (rx, h_op) = spawn_operator(rx, stage, 1024);
+    let events = collect_messages(rx)
+        .into_iter()
+        .filter_map(|m| match m {
+            Message::Record(r) => Some(r.payload),
+            _ => None,
+        })
+        .collect();
+    h_src.join();
+    h_op.join();
+    events
+}
+
+#[test]
+fn threaded_run_matches_single_process() {
+    // A track with a sharp turn: both deployments must see the same events.
+    let reports: Vec<PositionReport> = (0..20i64)
+        .map(|i| {
+            let (lon, lat, heading) = if i < 10 {
+                (24.0 + 0.01 * i as f64, 37.0, 90.0)
+            } else {
+                (24.1, 37.0 + 0.01 * (i - 10) as f64, 0.0)
+            };
+            PositionReport::maritime(
+                ObjectId(1),
+                TimeMs(i * 60_000),
+                GeoPoint::new(lon, lat),
+                6.0,
+                heading,
+                SourceId::AIS_TERRESTRIAL,
+                NavStatus::UnderWay,
+            )
+        })
+        .collect();
+    let threaded = run_threaded(PipelineConfig::default(), reports.clone(), 0);
+    let direct = Pipeline::new(PipelineConfig::default()).process_batch(&reports);
+    let kinds = |evs: &[EventRecord]| {
+        let mut v: Vec<&'static str> = evs.iter().map(|e| e.kind.tag()).collect();
+        v.sort_unstable();
+        v
+    };
+    assert_eq!(kinds(&threaded), kinds(&direct));
+    assert!(run_threaded(PipelineConfig::default(), Vec::new(), 1000).is_empty());
 }
 
 #[test]
