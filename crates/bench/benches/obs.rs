@@ -43,10 +43,10 @@ fn bench_obs(c: &mut Criterion) {
         // lock-free fast path, which is what every sub-floor request pays.
         let log = SlowLog::new(4);
         for us in [1_000_000, 1_000_001, 1_000_002, 1_000_003] {
-            log.record("warm", us, Vec::new(), String::new());
+            log.record("warm", us, Vec::new(), String::new);
         }
         assert!(log.threshold_us() > 0);
-        b.iter(|| log.record(black_box("sparql"), black_box(5), Vec::new(), String::new()))
+        b.iter(|| log.record(black_box("sparql"), black_box(5), Vec::new(), String::new))
     });
 
     group.bench_function("registry_render", |b| {

@@ -145,7 +145,6 @@ fn concurrent_always(
     use std::sync::{Arc, Mutex};
     let dir = TempDir::new("bench-group");
     let (storage, _) = Storage::open(dir.path(), storage_cfg(FsyncPolicy::Always)).expect("open");
-    assert!(storage.group_commit_active(), "always => group commit");
     let commit = storage.commit();
     let storage = Arc::new(Mutex::new(storage));
     let per_thread = total_batches / clients;
@@ -160,14 +159,12 @@ fn concurrent_always(
                 .collect();
             std::thread::spawn(move || {
                 for payload in &my {
-                    let (seq, deferred) = storage
+                    let (_, ack_lsn) = storage
                         .lock()
                         .expect("storage lock")
                         .append_async(payload)
                         .expect("append");
-                    if deferred {
-                        commit.wait_durable(seq + 1).expect("durable");
-                    }
+                    commit.wait_durable(ack_lsn).expect("durable");
                 }
             })
         })

@@ -65,14 +65,23 @@ impl SlowLog {
     }
 
     /// Offers one finished request. Kept only when it is slower than the
-    /// current minimum (or the log is not yet full).
-    pub fn record(&self, tag: &'static str, total_us: u64, spans: Vec<Span>, detail: String) {
+    /// current minimum (or the log is not yet full). `detail` is called
+    /// only for a request that beats the floor, so the fast path formats
+    /// nothing.
+    pub fn record(
+        &self,
+        tag: &'static str,
+        total_us: u64,
+        spans: Vec<Span>,
+        detail: impl FnOnce() -> String,
+    ) {
         let floor = self.floor_us.load(Ordering::Relaxed);
         if floor > 0 && total_us <= floor {
             // Sequence numbers only matter for kept entries; fast-path
             // rejects are not worth a lock to number precisely.
             return;
         }
+        let detail = detail();
         let mut inner = self.inner.lock();
         inner.seq += 1;
         let entry = SlowLogEntry {
@@ -129,7 +138,7 @@ mod tests {
     use super::*;
 
     fn spanless(log: &SlowLog, tag: &'static str, total_us: u64) {
-        log.record(tag, total_us, Vec::new(), String::new());
+        log.record(tag, total_us, Vec::new(), String::new);
     }
 
     #[test]
@@ -178,12 +187,33 @@ mod tests {
                 start_us: 0,
                 dur_us: 400,
             }],
-            "SELECT ?n".to_string(),
+            || "SELECT ?n".to_string(),
         );
         let snap = log.snapshot(1);
         assert_eq!(snap[0].tag, "sparql");
         assert_eq!(snap[0].spans[0].name, "exec");
         assert_eq!(snap[0].detail, "SELECT ?n");
+    }
+
+    #[test]
+    fn detail_is_built_only_for_requests_that_beat_the_floor() {
+        let log = SlowLog::new(2);
+        let calls = std::cell::Cell::new(0u32);
+        let offer = |total_us| {
+            log.record("x", total_us, Vec::new(), || {
+                calls.set(calls.get() + 1);
+                format!("took {total_us}")
+            })
+        };
+        offer(100);
+        offer(200);
+        assert_eq!(calls.get(), 2, "a log that is not full keeps everything");
+        offer(50);
+        offer(100);
+        assert_eq!(calls.get(), 2, "at or below the floor: nothing formatted");
+        offer(150);
+        assert_eq!(calls.get(), 3);
+        assert_eq!(log.snapshot(1)[0].detail, "took 200");
     }
 
     #[test]
@@ -194,7 +224,7 @@ mod tests {
             let log = std::sync::Arc::clone(&log);
             handles.push(std::thread::spawn(move || {
                 for i in 0..500u64 {
-                    log.record("x", t * 1_000 + i, Vec::new(), String::new());
+                    log.record("x", t * 1_000 + i, Vec::new(), String::new);
                 }
             }));
         }

@@ -162,9 +162,7 @@ fn main() {
                 max_lag_records: opt(&args, "--max-lag"),
                 max_lag_us: opt::<u64>(&args, "--max-lag-ms").map(|ms| ms.saturating_mul(1000)),
             },
-            ..ReplicationConfig::default()
         },
-        ..ServerConfig::default()
     };
     let workers = cfg.workers;
     let queue = cfg.queue_capacity;

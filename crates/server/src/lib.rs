@@ -13,7 +13,7 @@
 //!
 //! One JSON object per line in each direction; see [`protocol`] for the
 //! request grammar. Supported types: `ingest`, `sparql`, `heatmap`,
-//! `flows`, `hotspots`, `events`, `stats`, the diagnostic `sleep`, and
+//! `flows`, `hotspots`, `events`, `stats`, `metrics`, `slowlog`, and
 //! the replication trio `repl_subscribe` / `repl_frame` / `repl_status`
 //! (see [`repl`]: a durable server is a leader shipping WAL frames;
 //! `--follow` turns a process into a read replica).
@@ -31,10 +31,12 @@
 //!                   └──▶ immediate "busy" reply     │read : queries
 //! ```
 //!
-//! The reactor owns every connection; workers only execute requests and
-//! hand each reply back through the reactor's completion queue (a durable
-//! ingest's ack is handed back by the fsync thread once its record is on
-//! disk). Admission control is explicit: a full queue answers that one
+//! The reactor owns every connection; workers only execute requests, and
+//! every reply goes back through the reactor's completion queue from one
+//! place, `Completion::finish` — called by the worker, or for a durable
+//! ingest off the WAL's commit watermark (by the flusher thread when the
+//! ack has to wait for a flush, under every `--fsync` policy). Admission
+//! control is explicit: a full queue answers that one
 //! request with an immediate `busy` error (the HTTP-429 analogue) and the
 //! connection survives, so p99 latency stays bounded under overload —
 //! measured end to end by the companion `loadgen` binary (experiment E13).

@@ -26,9 +26,6 @@ pub const MAX_BATCH: usize = 10_000;
 /// Largest `top_k` / `limit` honoured by query requests.
 pub const MAX_TOP_K: usize = 1_000;
 
-/// Longest `sleep` a client may request, milliseconds (diagnostics only).
-pub const MAX_SLEEP_MS: u64 = 5_000;
-
 /// Most WAL frames a single `repl_frame` response carries (bounds the
 /// response line; followers poll again for the rest).
 pub const MAX_REPL_FRAMES: usize = 512;
@@ -123,11 +120,6 @@ pub enum Request {
     },
     /// Server + pipeline statistics (latency percentiles, counters, queue).
     Stats,
-    /// Hold a worker for `ms` milliseconds (load/backpressure diagnostics).
-    Sleep {
-        /// Sleep duration, capped at [`MAX_SLEEP_MS`].
-        ms: u64,
-    },
     /// One Prometheus-style text snapshot of the unified metrics registry.
     Metrics,
     /// The slowest requests observed, with per-span latency breakdowns.
@@ -171,7 +163,6 @@ impl Request {
             Request::Hotspots { .. } => "hotspots",
             Request::Events { .. } => "events",
             Request::Stats => "stats",
-            Request::Sleep { .. } => "sleep",
             Request::Metrics => "metrics",
             Request::Slowlog { .. } => "slowlog",
             Request::ReplSubscribe { .. } => "repl_subscribe",
@@ -181,7 +172,7 @@ impl Request {
     }
 
     /// All request tags, in metric-index order (see `request_index`).
-    pub const TAGS: [&'static str; 13] = [
+    pub const TAGS: [&'static str; 12] = [
         "ingest",
         "sparql",
         "heatmap",
@@ -189,7 +180,6 @@ impl Request {
         "hotspots",
         "events",
         "stats",
-        "sleep",
         "metrics",
         "slowlog",
         "repl_subscribe",
@@ -209,12 +199,11 @@ impl Request {
             Request::Hotspots { .. } => 4,
             Request::Events { .. } => 5,
             Request::Stats => 6,
-            Request::Sleep { .. } => 7,
-            Request::Metrics => 8,
-            Request::Slowlog { .. } => 9,
-            Request::ReplSubscribe { .. } => 10,
-            Request::ReplFrame { .. } => 11,
-            Request::ReplStatus => 12,
+            Request::Metrics => 7,
+            Request::Slowlog { .. } => 8,
+            Request::ReplSubscribe { .. } => 9,
+            Request::ReplFrame { .. } => 10,
+            Request::ReplStatus => 11,
         }
     }
 
@@ -335,19 +324,6 @@ pub fn parse_request(line: &str) -> Result<Envelope, ProtocolError> {
             },
         },
         "stats" => Request::Stats,
-        "sleep" => {
-            let ms = v
-                .get("ms")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad("sleep needs integer \"ms\""))?;
-            if ms > MAX_SLEEP_MS {
-                return Err(ProtocolError::new(
-                    ErrorCode::TooLarge,
-                    format!("sleep of {ms} ms exceeds max {MAX_SLEEP_MS}"),
-                ));
-            }
-            Request::Sleep { ms }
-        }
         "metrics" => Request::Metrics,
         "slowlog" => Request::Slowlog {
             limit: parse_k(&v, "limit", MAX_TOP_K)?,
@@ -523,7 +499,6 @@ mod tests {
                 kind: None,
             },
             Request::Stats,
-            Request::Sleep { ms: 0 },
             Request::Metrics,
             Request::Slowlog { limit: 1 },
             Request::ReplSubscribe {
@@ -562,7 +537,6 @@ mod tests {
                 "events",
             ),
             (r#"{"type":"stats"}"#, "stats"),
-            (r#"{"type":"sleep","ms":10}"#, "sleep"),
             (r#"{"type":"metrics"}"#, "metrics"),
             (r#"{"type":"slowlog","limit":5}"#, "slowlog"),
             (
@@ -628,7 +602,6 @@ mod tests {
             r#"{"type":"ingest"}"#,
             r#"{"type":"ingest","reports":[{"object":1}]}"#,
             r#"{"type":"sparql"}"#,
-            r#"{"type":"sleep"}"#,
             r#"{"type":"nonsense"}"#,
             r#"not json"#,
         ] {
@@ -639,9 +612,23 @@ mod tests {
 
     #[test]
     fn oversize_limits_are_too_large() {
+        let reports = vec!["{}"; MAX_BATCH + 1].join(",");
         let err =
-            parse_request(&format!(r#"{{"type":"sleep","ms":{}}}"#, MAX_SLEEP_MS + 1)).unwrap_err();
+            parse_request(&format!(r#"{{"type":"ingest","reports":[{reports}]}}"#)).unwrap_err();
         assert_eq!(err.code, ErrorCode::TooLarge);
+    }
+
+    /// The worker-holding `sleep` diagnostic is gone from the protocol:
+    /// the name gets exactly what any other unknown type gets.
+    #[test]
+    fn retired_sleep_request_is_an_unknown_type() {
+        let unknown = parse_request(r#"{"type":"teleport","ms":10}"#).unwrap_err();
+        for line in [r#"{"type":"sleep"}"#, r#"{"type":"sleep","ms":10}"#] {
+            let err = parse_request(line).unwrap_err();
+            assert_eq!(err.code, ErrorCode::BadRequest, "{line}");
+            assert_eq!(err.msg, unknown.msg.replace("teleport", "sleep"), "{line}");
+        }
+        assert!(!Request::TAGS.contains(&"sleep"));
     }
 
     #[test]

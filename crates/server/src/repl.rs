@@ -30,6 +30,12 @@ use std::time::Duration;
 /// can be large, so this is far above the steady-state poll timeout.
 const BOOTSTRAP_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// How long the pull loop waits for the leader to accept a connection.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Most frames requested per poll (the protocol caps it anyway).
+const MAX_FRAMES_PER_POLL: u64 = 256;
+
 /// Replication knobs on [`ServerConfig`].
 #[derive(Debug, Clone)]
 pub struct ReplicationConfig {
@@ -41,8 +47,6 @@ pub struct ReplicationConfig {
     pub follower_id: String,
     /// Steady-state poll interval when the follower is caught up.
     pub poll_interval: Duration,
-    /// Most frames requested per poll (capped by the protocol anyway).
-    pub max_frames_per_poll: usize,
     /// Bounded-staleness policy for the follower's read path.
     pub policy: StalenessPolicy,
 }
@@ -53,7 +57,6 @@ impl Default for ReplicationConfig {
             follow: None,
             follower_id: "follower-1".to_string(),
             poll_interval: Duration::from_millis(50),
-            max_frames_per_poll: 256,
             policy: StalenessPolicy::default(),
         }
     }
@@ -207,9 +210,7 @@ pub(crate) fn sync_loop(s: &FollowerSync) {
     while !s.shutdown.load(Ordering::SeqCst) {
         if conn.is_none() {
             conn = leader_sockaddr(&s.leader)
-                .and_then(|a| {
-                    Client::connect_timeout(a, s.cfg.write_timeout.max(Duration::from_secs(5)))
-                })
+                .and_then(|a| Client::connect_timeout(a, CONNECT_TIMEOUT))
                 .ok();
         }
         let Some(c) = conn.as_mut() else {
@@ -241,7 +242,7 @@ fn poll_once(s: &FollowerSync, conn: &mut Client) -> io::Result<bool> {
         .field("type", "repl_frame")
         .field("follower", s.cfg.replication.follower_id.as_str())
         .field("from_seq", from_seq)
-        .field("max", s.cfg.replication.max_frames_per_poll as u64)
+        .field("max", MAX_FRAMES_PER_POLL)
         .build();
     let resp = conn.call(&req)?;
     if !client::is_ok(&resp) {
@@ -314,12 +315,10 @@ fn poll_once(s: &FollowerSync, conn: &mut Client) -> io::Result<bool> {
             .observe_apply(seq.saturating_add(1), batch.len() as u64);
     }
     trace.end_span("apply", apply_begin);
-    s.slowlog.record(
-        "repl_apply",
-        trace.total_us(),
-        trace.into_spans(),
-        format!("{} frames through seq {last_seq}", decoded.len()),
-    );
+    s.slowlog
+        .record("repl_apply", trace.total_us(), trace.into_spans(), || {
+            format!("{} frames through seq {last_seq}", decoded.len())
+        });
     Ok(true)
 }
 

@@ -9,7 +9,11 @@
 //! accept), and an individual request gets a `busy` line when the queue
 //! is full at dispatch — the connection itself survives. Workers execute
 //! requests only; finished responses travel back to the reactor through
-//! its wakeup pipe. Per connection, requests run one at a time in
+//! its wakeup pipe. A request ends in one place, `Completion::finish`:
+//! on the worker for reads and in-memory ingest, off the WAL's commit
+//! watermark for a durable ingest under every fsync policy (see
+//! `handle_line`), so no worker and no lock waits on a flush. Per
+//! connection, requests run one at a time in
 //! arrival order (pipelined lines queue in the loop), so responses are
 //! always ordered. Ingest takes the state write lock, every query takes
 //! a read lock, so queries proceed concurrently with each other and only
@@ -18,7 +22,7 @@
 use crate::codec;
 use crate::json::Json;
 use crate::protocol::{
-    self, error_response, error_response_with, ok_response, parse_request, Envelope, ErrorCode,
+    error_response, error_response_with, ok_response, parse_request, Envelope, ErrorCode,
     ProtocolError, Request, MAX_REPL_BYTES,
 };
 use crate::repl::{self, ReplRuntime, ReplicationConfig};
@@ -41,6 +45,23 @@ use std::sync::{Arc, OnceLock};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
+/// Largest accepted request line, bytes.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Upper bound on one reactor `epoll_wait` sleep (bounds shutdown
+/// latency and reaper staleness).
+const POLL_INTERVAL: Duration = Duration::from_millis(100);
+
+/// Write-stall deadline: a connection whose pending response bytes make
+/// no progress for this long is reaped by the reactor, so a stalled
+/// reader cannot hold buffer memory indefinitely. (Workers never touch
+/// sockets, so no thread is ever pinned either way.)
+const WRITE_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// Slow-query log capacity: the N slowest requests kept with their span
+/// breakdowns (served by the `slowlog` request).
+const SLOWLOG_CAPACITY: usize = 32;
+
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -60,11 +81,6 @@ pub struct ServerConfig {
     /// the reactor. Fully idle connections are free and never reaped.
     /// `None` disables reaping.
     pub idle_timeout: Option<Duration>,
-    /// Largest accepted request line, bytes.
-    pub max_line_bytes: usize,
-    /// Upper bound on one reactor `epoll_wait` sleep (bounds shutdown
-    /// latency and reaper staleness).
-    pub poll_interval: Duration,
     /// Pipeline configuration for the owned analytics state.
     pub pipeline: PipelineConfig,
     /// Density-grid cell size for the heatmap aggregate, degrees.
@@ -80,14 +96,6 @@ pub struct ServerConfig {
     /// Storage tuning (segment size, fsync policy, snapshot threshold);
     /// ignored unless `data_dir` is set.
     pub storage: StorageConfig,
-    /// Write-stall deadline: a connection whose pending response bytes
-    /// make no progress for this long is reaped by the reactor, so a
-    /// stalled reader cannot hold buffer memory indefinitely. (Workers
-    /// never touch sockets, so no thread is ever pinned either way.)
-    pub write_timeout: Duration,
-    /// Slow-query log capacity: the N slowest requests kept with their
-    /// span breakdowns (served by the `slowlog` request).
-    pub slowlog_capacity: usize,
     /// Replication role and knobs; default is a standalone leader.
     pub replication: ReplicationConfig,
 }
@@ -100,8 +108,6 @@ impl Default for ServerConfig {
             queue_capacity: 64,
             max_connections: 10_240,
             idle_timeout: Some(Duration::from_secs(30)),
-            max_line_bytes: 1 << 20,
-            poll_interval: Duration::from_millis(100),
             pipeline: PipelineConfig {
                 region: BoundingBox::new(-180.0, -90.0, 180.0, 90.0),
                 ..PipelineConfig::default()
@@ -110,8 +116,6 @@ impl Default for ServerConfig {
             query_workers: 0,
             data_dir: None,
             storage: StorageConfig::default(),
-            write_timeout: Duration::from_millis(500),
-            slowlog_capacity: 32,
             replication: ReplicationConfig::default(),
         }
     }
@@ -132,7 +136,7 @@ pub struct ServerMetrics {
     /// `Arc`-shared so each histogram can also live in the registry.
     pub latency: Vec<Arc<LatencyHistogram>>,
     /// Durable ingest: batch applied → ack fired (the `durable_wait`
-    /// span; near zero when the flush beat the state apply).
+    /// span; near zero when the watermark already covered the ack).
     pub durable_wait: Arc<LatencyHistogram>,
     /// `to_snapshot_bytes` for a threshold snapshot, under the state
     /// read lock.
@@ -233,7 +237,18 @@ pub struct ServerHandle {
     shutdown: Arc<AtomicBool>,
     net: ReactorHandle,
     threads: Vec<JoinHandle<()>>,
-    storage: Option<Arc<TrackedMutex<Storage>>>,
+    storage: Option<DurableStore>,
+}
+
+/// The durable store as the server holds it.
+#[derive(Clone)]
+struct DurableStore {
+    /// Lock order: state lock first, then storage — ingest, snapshots
+    /// and shutdown all follow it, so they can never deadlock.
+    storage: Arc<TrackedMutex<Storage>>,
+    /// The store's commit core, captured once at startup so an ack is
+    /// registered and fired without the storage lock.
+    commit: Arc<GroupCommit>,
 }
 
 impl ServerHandle {
@@ -248,9 +263,9 @@ impl ServerHandle {
         if let Some(snapshots) = self.snapshots() {
             snapshots.wait_idle();
         }
-        if let Some(storage) = &self.storage {
+        if let Some(store) = &self.storage {
             let state = self.state.read();
-            let mut storage = storage.lock();
+            let mut storage = store.storage.lock();
             if let Err(e) = storage.sync() {
                 eprintln!("datacron-server: shutdown WAL sync failed: {e}");
             }
@@ -268,8 +283,8 @@ impl ServerHandle {
     /// work for the same reason.
     pub fn abort(mut self) {
         self.stop_threads();
-        if let Some(storage) = &self.storage {
-            storage.lock().abandon();
+        if let Some(store) = &self.storage {
+            store.storage.lock().abandon();
         }
         // Returns once the snapshot thread has let go of the store, so
         // the caller may reopen the directory.
@@ -282,7 +297,13 @@ impl ServerHandle {
     /// snapshot between begin and publish.
     #[doc(hidden)]
     pub fn snapshots(&self) -> Option<Arc<SnapshotWorker>> {
-        self.storage.as_ref().map(|s| s.lock().snapshots())
+        self.storage.as_ref().map(|s| s.storage.lock().snapshots())
+    }
+
+    /// The durable store's commit core, for fault-injection tests.
+    #[doc(hidden)]
+    pub fn commit(&self) -> Option<Arc<GroupCommit>> {
+        self.storage.as_ref().map(|s| Arc::clone(&s.commit))
     }
 
     fn stop_threads(&mut self) {
@@ -316,13 +337,7 @@ struct Shared {
     /// after `Shared`); gives `stats` access to connection gauges.
     net: OnceLock<ReactorHandle>,
     cfg: ServerConfig,
-    /// Lock order: state write lock first, then storage — both ingest
-    /// and shutdown follow it, so they can never deadlock.
-    storage: Option<Arc<TrackedMutex<Storage>>>,
-    /// The group-commit core, captured once at startup so deferred acks
-    /// never take the storage lock. `Some` exactly when the store runs
-    /// the fsync thread (`fsync=always` with a data dir).
-    commit: Option<Arc<GroupCommit>>,
+    storage: Option<DurableStore>,
     /// Replication role plus its shared trackers.
     repl: ReplRuntime,
     /// What start-up recovery took, per phase (durable servers only).
@@ -396,11 +411,11 @@ pub fn start_with_clock(
                 // is exactly `next_seq` in its 0-based sequence space.
                 head: Arc::new(AtomicU64::new(storage.next_seq())),
             };
-            (
-                Some(Arc::new(TrackedMutex::new("storage", storage))),
-                state,
-                repl,
-            )
+            let store = DurableStore {
+                commit: storage.commit(),
+                storage: Arc::new(TrackedMutex::new("storage", storage)),
+            };
+            (Some(store), state, repl)
         }
         (None, None) => (
             None,
@@ -419,14 +434,14 @@ pub fn start_with_clock(
     let state = Arc::new(TrackedRwLock::new("state", recovered));
     let metrics = Arc::new(ServerMetrics::new());
     metrics.register_into(&registry, storage.is_some());
-    let slowlog = Arc::new(SlowLog::new(cfg.slowlog_capacity));
+    let slowlog = Arc::new(SlowLog::new(SLOWLOG_CAPACITY));
     let shutdown = Arc::new(AtomicBool::new(false));
     let (tx, rx) = channel::bounded::<Job>(cfg.queue_capacity.max(1));
     let jobs_in_flight = Arc::new(AtomicU64::new(0));
     install_collectors(
         &registry,
         &state,
-        storage.as_ref(),
+        storage.as_ref().map(|s| &s.storage),
         &metrics,
         &slowlog,
         rx.clone(),
@@ -442,13 +457,6 @@ pub fn start_with_clock(
         .saturating_add(64);
     let _ = datacron_net::sys::raise_nofile_limit(want_fds);
 
-    let commit = match &storage {
-        Some(storage) => {
-            let guard = storage.lock();
-            guard.group_commit_active().then(|| guard.commit())
-        }
-        None => None,
-    };
     let shared = Arc::new(Shared {
         state: Arc::clone(&state),
         metrics: Arc::clone(&metrics),
@@ -461,17 +469,16 @@ pub fn start_with_clock(
         net: OnceLock::new(),
         cfg,
         storage: storage.clone(),
-        commit,
         repl,
         recovery,
         started: Stopwatch::start(),
     });
 
     let reactor_cfg = ReactorConfig {
-        max_line_bytes: shared.cfg.max_line_bytes,
+        max_line_bytes: MAX_LINE_BYTES,
         idle_timeout: shared.cfg.idle_timeout,
-        write_stall_timeout: Some(shared.cfg.write_timeout),
-        poll_interval: shared.cfg.poll_interval,
+        write_stall_timeout: Some(WRITE_TIMEOUT),
+        poll_interval: POLL_INTERVAL,
         ..ReactorConfig::default()
     };
     let handler = ServerHandler {
@@ -672,8 +679,6 @@ fn install_collectors(
             sink.gauge("datacron_wal_durable_lsn", &[], s.durable_lsn);
             sink.counter("datacron_wal_fsyncs_total", &[], s.fsyncs);
             sink.counter("datacron_wal_commit_batches_total", &[], s.commit_batches);
-            sink.counter("datacron_wal_commit_waiters_total", &[], s.commit_waiters);
-            // The same count under the name that says what it means.
             // Every durable ack lands in
             // `datacron_ingest_durable_wait_latency_us`, so that
             // histogram's count minus this is the acks that fired inline.
@@ -923,163 +928,112 @@ impl datacron_net::Handler for ServerHandler {
             .fetch_add(1, Ordering::Relaxed);
         LineAction::Respond(error_line(
             ErrorCode::TooLarge,
-            &format!("line exceeds {} bytes", self.shared.cfg.max_line_bytes),
+            &format!("line exceeds {MAX_LINE_BYTES} bytes"),
         ))
     }
 }
 
-/// Pure request execution: take a job, run it, hand the response bytes
-/// back to the reactor. recv() errors only when the reactor exits and
-/// drops the sender; queued jobs are still drained first (channel
-/// semantics), their completions harmlessly dropped by the dead loop.
-///
-/// A durable ingest under group commit returns `None` from
-/// [`handle_line`]: the worker moves straight to the next job and the
-/// registered [`DeferredAck`] completes the response once the fsync
-/// thread's watermark covers the batch — workers never park on fsync.
+/// Pure request execution: take a job and run it; [`handle_line`] sees
+/// the reply off. recv() errors only when the reactor exits and drops
+/// the sender; queued jobs are still drained first (channel semantics),
+/// their completions harmlessly dropped by the dead loop.
 fn worker_loop(shared: &Shared, net: &ReactorHandle) {
     while let Ok(job) = shared.queue.recv() {
-        let queue_wait_us = shared.clock.now_us().saturating_sub(job.enqueued_us);
-        if let Some(mut response) =
-            handle_line(&job.line, shared, Some(queue_wait_us), job.conn, net)
-        {
-            response.push('\n');
-            shared.jobs_in_flight.fetch_sub(1, Ordering::Relaxed);
-            net.complete(job.conn, response.into_bytes());
-        }
+        handle_line(job, shared, net);
     }
 }
 
-/// Everything a deferred durable ack needs to finish a request once the
-/// group-commit watermark covers its batch: the serialized success
-/// response, the reactor handback, and the metrics/slowlog bookkeeping
-/// the worker would otherwise have done inline. Owns its `Trace` so the
-/// slowlog entry includes the real `durable_wait` span.
-struct DeferredAck {
+/// Where a request's reply goes and the bookkeeping that goes with it.
+/// Built once per request line by [`handle_line`] and consumed exactly
+/// once by [`Completion::finish`], on whichever thread the request ends.
+struct Completion {
     net: ReactorHandle,
     conn: ConnId,
     metrics: Arc<ServerMetrics>,
     slowlog: Arc<SlowLog>,
     jobs_in_flight: Arc<AtomicU64>,
-    idx: usize,
     start: Stopwatch,
-    trace: Trace,
-    wait_begin: u64,
-    tag: &'static str,
-    detail: String,
-    id: Json,
-    response: String,
 }
 
-impl DeferredAck {
-    /// Fired exactly once by the commit core — from the fsync thread on
-    /// success, from whoever poisons the WAL on failure, or inline when
-    /// the watermark already covered the batch at registration.
-    fn finish(mut self, result: Result<u64, String>) {
-        let waited_us = self.trace.end_span("durable_wait", self.wait_begin);
-        self.metrics.durable_wait.record_us(waited_us);
-        let (mut response, ok) = match result {
-            Ok(_) => (self.response, true),
-            Err(msg) => (
-                error_response(
-                    &self.id,
-                    ErrorCode::StorageError,
-                    &format!("wal fsync: {msg}"),
-                ),
-                false,
-            ),
-        };
-        self.metrics.latency[self.idx].observe(&self.start);
+impl Completion {
+    /// The one place a request ends: per-type latency, ok/err count,
+    /// slow log, admission count, reply handed back to the reactor.
+    /// `traced` is `None` for a line that did not parse — it is counted
+    /// and answered, but has no type to be timed under.
+    fn finish(self, traced: Option<(Request, Trace)>, mut response: String, ok: bool) {
+        if let Some((req, trace)) = traced {
+            self.metrics.latency[req.index()].observe(&self.start);
+            self.slowlog
+                .record(req.tag(), trace.total_us(), trace.into_spans(), || {
+                    detail_for(&req)
+                });
+        }
         let counter = if ok {
             &self.metrics.requests_ok
         } else {
             &self.metrics.requests_err
         };
         counter.fetch_add(1, Ordering::Relaxed);
-        self.slowlog.record(
-            self.tag,
-            self.trace.total_us(),
-            self.trace.into_spans(),
-            self.detail,
-        );
         response.push('\n');
         self.jobs_in_flight.fetch_sub(1, Ordering::Relaxed);
         self.net.complete(self.conn, response.into_bytes());
     }
 }
 
-/// Executes one request line. Returns `Some(response)` for the worker
-/// to complete immediately, or `None` when the ack was deferred to the
-/// group-commit watermark (a [`DeferredAck`] now owns the completion).
-fn handle_line(
-    line: &str,
-    shared: &Shared,
-    queue_wait_us: Option<u64>,
-    conn: ConnId,
-    net: &ReactorHandle,
-) -> Option<String> {
-    let start = Stopwatch::start();
-    match parse_request(line) {
-        Ok(env) => {
-            let mut trace = Trace::start(Arc::clone(&shared.clock));
-            if let Some(wait) = queue_wait_us {
-                trace.add_span_us("queue_wait", wait);
-            }
-            let idx = env.req.index();
-            let (resp, ok) = match dispatch(&env, shared, &mut trace) {
-                Dispatched::Done { response, ok } => (response, ok),
-                Dispatched::Deferred { response, lsn } => match &shared.commit {
-                    Some(commit) => {
-                        let wait_begin = trace.begin();
-                        let ack = DeferredAck {
-                            net: net.clone(),
-                            conn,
-                            metrics: Arc::clone(&shared.metrics),
-                            slowlog: Arc::clone(&shared.slowlog),
-                            jobs_in_flight: Arc::clone(&shared.jobs_in_flight),
-                            idx,
-                            start,
-                            trace,
-                            wait_begin,
-                            tag: env.req.tag(),
-                            detail: detail_for(&env.req),
-                            id: env.id.clone(),
-                            response,
-                        };
-                        commit.ack_when(lsn, Box::new(move |r| ack.finish(r)));
-                        return None;
-                    }
-                    // Unreachable in practice (deferral only happens in
-                    // group mode, which implies a commit handle); answer
-                    // rather than wedge the connection if it ever isn't.
-                    None => (response, true),
-                },
-            };
-            shared.metrics.latency[idx].observe(&start);
-            let counter = if ok {
-                &shared.metrics.requests_ok
-            } else {
-                &shared.metrics.requests_err
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
-            shared.slowlog.record(
-                env.req.tag(),
-                trace.total_us(),
-                trace.into_spans(),
-                detail_for(&env.req),
-            );
-            Some(resp)
-        }
+/// Executes one request line and finishes it: at once for reads,
+/// in-memory ingest and errors; for a durable ingest, when the commit
+/// watermark reaches the LSN the fsync policy makes its ack wait for —
+/// which is also at once when the watermark is already there, and on
+/// the flusher thread (or whoever poisons the WAL) otherwise, so a
+/// worker never parks on a flush.
+fn handle_line(job: Job, shared: &Shared, net: &ReactorHandle) {
+    let queue_wait_us = shared.clock.now_us().saturating_sub(job.enqueued_us);
+    let done = Completion {
+        net: net.clone(),
+        conn: job.conn,
+        metrics: Arc::clone(&shared.metrics),
+        slowlog: Arc::clone(&shared.slowlog),
+        jobs_in_flight: Arc::clone(&shared.jobs_in_flight),
+        start: Stopwatch::start(),
+    };
+    let env = match parse_request(&job.line) {
+        Ok(env) => env,
         Err(e) => {
-            shared.metrics.requests_err.fetch_add(1, Ordering::Relaxed);
             // Best-effort id echo even when the body failed to parse.
-            let id = Json::parse(line)
+            let id = Json::parse(&job.line)
                 .ok()
                 .and_then(|v| v.get("id").cloned())
                 .unwrap_or(Json::Null);
-            Some(error_response(&id, e.code, &e.msg))
+            return done.finish(None, error_response(&id, e.code, &e.msg), false);
         }
-    }
+    };
+    let mut trace = Trace::start(Arc::clone(&shared.clock));
+    trace.add_span_us("queue_wait", queue_wait_us);
+    let Reply {
+        response,
+        ok,
+        ack_lsn,
+    } = dispatch(&env, shared, &mut trace);
+    let Envelope { id, req } = env;
+    let Some((store, lsn)) = shared.storage.as_ref().zip(ack_lsn) else {
+        return done.finish(Some((req, trace)), response, ok);
+    };
+    let wait_begin = trace.begin();
+    store.commit.ack_when(
+        lsn,
+        Box::new(move |flushed| {
+            let waited_us = trace.end_span("durable_wait", wait_begin);
+            done.metrics.durable_wait.record_us(waited_us);
+            let (response, ok) = match flushed {
+                Ok(_) => (response, ok),
+                Err(msg) => (
+                    error_response(&id, ErrorCode::StorageError, &format!("wal fsync: {msg}")),
+                    false,
+                ),
+            };
+            done.finish(Some((req, trace)), response, ok)
+        }),
+    );
 }
 
 /// Free-form slow-log detail for a request: enough to identify the work
@@ -1118,19 +1072,18 @@ fn not_leader(repl: &ReplRuntime) -> ProtocolError {
     }
 }
 
-/// What [`dispatch`] produced: a finished response, or a success
-/// response that must be withheld until the durable watermark covers
-/// `lsn` (group-commit ingest — the ack may not outrun the fsync).
-enum Dispatched {
-    Done { response: String, ok: bool },
-    Deferred { response: String, lsn: u64 },
+/// What [`dispatch`] produced: the reply line, whether it is a success,
+/// and — for a durable ingest — the LSN the durable watermark must reach
+/// before the client may see it (the ack may not outrun the fsync policy).
+struct Reply {
+    response: String,
+    ok: bool,
+    ack_lsn: Option<u64>,
 }
 
-fn dispatch(env: &Envelope, shared: &Shared, trace: &mut Trace) -> Dispatched {
+fn dispatch(env: &Envelope, shared: &Shared, trace: &mut Trace) -> Reply {
     let id = &env.id;
-    // Set by the ingest arm when the batch's durability was deferred to
-    // the fsync thread: the LSN the ack must wait for.
-    let mut pending_lsn: Option<u64> = None;
+    let mut ack_lsn: Option<u64> = None;
     // Follower read path: bounded staleness is enforced before touching
     // state, so a shed read costs no locks.
     if let ReplRuntime::Follower {
@@ -1150,7 +1103,7 @@ fn dispatch(env: &Envelope, shared: &Shared, trace: &mut Trace) -> Dispatched {
                     ("lag_records".to_string(), Json::from(lag_records)),
                     ("silence_us".to_string(), Json::from(silence_us)),
                 ];
-                return Dispatched::Done {
+                return Reply {
                     response: error_response_with(
                         id,
                         ErrorCode::Stale,
@@ -1158,6 +1111,7 @@ fn dispatch(env: &Envelope, shared: &Shared, trace: &mut Trace) -> Dispatched {
                         extra,
                     ),
                     ok: false,
+                    ack_lsn: None,
                 };
             }
         }
@@ -1169,7 +1123,7 @@ fn dispatch(env: &Envelope, shared: &Shared, trace: &mut Trace) -> Dispatched {
                 Err(not_leader(&shared.repl))
             } else {
                 ingest_durable(reports, shared, trace).map(|(out, lsn)| {
-                    pending_lsn = lsn;
+                    ack_lsn = lsn;
                     vec![
                         ("accepted".into(), Json::from(out.accepted)),
                         ("clean".into(), Json::from(out.clean)),
@@ -1255,8 +1209,8 @@ fn dispatch(env: &Envelope, shared: &Shared, trace: &mut Trace) -> Dispatched {
                         .build(),
                 ));
             }
-            if let Some(storage) = &shared.storage {
-                let s = storage.lock().stats();
+            if let Some(store) = &shared.storage {
+                let s = store.storage.lock().stats();
                 fields.push((
                     "storage".to_string(),
                     Json::obj()
@@ -1291,10 +1245,6 @@ fn dispatch(env: &Envelope, shared: &Shared, trace: &mut Trace) -> Dispatched {
             }
             Ok(fields)
         }
-        Request::Sleep { ms } => {
-            thread::sleep(Duration::from_millis((*ms).min(protocol::MAX_SLEEP_MS)));
-            Ok(vec![("slept_ms".into(), Json::from(*ms))])
-        }
         Request::Metrics => Ok(vec![(
             "exposition".into(),
             Json::from(shared.registry.render()),
@@ -1312,7 +1262,7 @@ fn dispatch(env: &Envelope, shared: &Shared, trace: &mut Trace) -> Dispatched {
     };
     trace.end_span("exec", exec_begin);
     let ser_begin = trace.begin();
-    let out = match result {
+    let (response, ok) = match result {
         Ok(mut fields) => {
             // Reads carry the replica position they were served at, so
             // clients can reason about staleness end to end.
@@ -1331,19 +1281,16 @@ fn dispatch(env: &Envelope, shared: &Shared, trace: &mut Trace) -> Dispatched {
                 fields.push(("leader_epoch".into(), Json::from(leader_epoch)));
                 fields.push(("applied_lsn".into(), Json::from(applied_lsn)));
             }
-            let response = ok_response(id, fields);
-            match pending_lsn {
-                Some(lsn) => Dispatched::Deferred { response, lsn },
-                None => Dispatched::Done { response, ok: true },
-            }
+            (ok_response(id, fields), true)
         }
-        Err(e) => Dispatched::Done {
-            response: error_response_with(id, e.code, &e.msg, e.extra),
-            ok: false,
-        },
+        Err(e) => (error_response_with(id, e.code, &e.msg, e.extra), false),
     };
     trace.end_span("serialize", ser_begin);
-    out
+    Reply {
+        response,
+        ok,
+        ack_lsn,
+    }
 }
 
 /// Leader-side `repl_subscribe`: registers the follower and returns the
@@ -1363,7 +1310,7 @@ fn repl_subscribe(
     else {
         return Err(not_leader(&shared.repl));
     };
-    let Some(storage) = &shared.storage else {
+    let Some(store) = &shared.storage else {
         return Err(ProtocolError::new(
             ErrorCode::StorageError,
             "replication needs a durable leader (start it with --data-dir)",
@@ -1371,7 +1318,7 @@ fn repl_subscribe(
     };
     // State read lock first, then storage: the vetted order.
     let state = shared.state.read();
-    let storage = storage.lock();
+    let storage = store.storage.lock();
     let next_seq = storage.next_seq();
     let floor = storage.first_retained_seq();
     registry.observe_poll(follower, from_seq, shared.clock.now_us());
@@ -1409,13 +1356,13 @@ fn repl_frame(
     else {
         return Err(not_leader(&shared.repl));
     };
-    let Some(storage) = &shared.storage else {
+    let Some(store) = &shared.storage else {
         return Err(ProtocolError::new(
             ErrorCode::StorageError,
             "replication needs a durable leader (start it with --data-dir)",
         ));
     };
-    let storage = storage.lock();
+    let storage = store.storage.lock();
     let next_seq = storage.next_seq();
     let floor = storage.first_retained_seq();
     registry.observe_poll(follower, from_seq, shared.clock.now_us());
@@ -1559,29 +1506,24 @@ fn slowlog_fields(log: &SlowLog, limit: usize) -> Vec<(String, Json)> {
 /// recoverable; an append failure rejects the batch without applying
 /// it.
 ///
-/// Under group commit the append only *writes* the record (no fsync)
-/// and returns `Some(lsn)`: the caller must withhold the client's ack
-/// until the durable watermark reaches `lsn`. The state write lock is
-/// therefore never held across an fsync — the flush happens on the
-/// dedicated thread after every lock here is released, and concurrent
-/// batches share it. `None` means the configured policy already ran
-/// inline (memory-only, `EveryN`, `Never`, or `Always` without the
-/// thread) and the old ack-on-return contract holds.
+/// The append only *writes* the record and returns the LSN the fsync
+/// policy makes the ack wait for (`None` on a memory-only server): the
+/// caller must withhold the client's ack until the durable watermark
+/// reaches it. No lock taken here is ever held across an fsync — every
+/// flush happens on the WAL's flusher thread, and concurrent batches
+/// share it. The one wait under the locks is a segment seal, once per
+/// `--segment-bytes` of log.
 ///
 /// A snapshot the append made due starts once the state write lock is
 /// released: [`start_snapshot`] begins and serializes it under the state
-/// *read* lock and the snapshot thread writes it, so under group commit
-/// no lock taken here is held across `to_snapshot_bytes`, the snapshot
-/// file write or any fsync. The exception is the policies without a
-/// fsync thread (`EveryN`, `Never`): there the append's own fsync runs
-/// inline under both locks, as it always has, and so does the flush
-/// `begin_snapshot` needs (state read lock + storage lock).
+/// *read* lock and the snapshot thread writes it, so no lock taken here
+/// is held across `to_snapshot_bytes` or the snapshot file write either.
 fn ingest_durable(
     reports: &[datacron_model::PositionReport],
     shared: &Shared,
     trace: &mut Trace,
 ) -> Result<(datacron_core::IngestOutcome, Option<u64>), ProtocolError> {
-    let Some(storage) = &shared.storage else {
+    let Some(store) = &shared.storage else {
         let mut state = shared.state.write();
         return Ok((state.ingest(reports), None));
     };
@@ -1589,15 +1531,15 @@ fn ingest_durable(
     let mut state = shared.state.write();
     // Short storage critical section: write the record, read the
     // snapshot threshold (it counts WAL records, so it is already final
-    // for this batch) and return; the fsync (if any) is the thread's job.
-    let (seq, deferred, snapshot_due) = {
-        let mut guard = storage.lock();
+    // for this batch) and return.
+    let (seq, ack_lsn, snapshot_due) = {
+        let mut guard = store.storage.lock();
         let wal_begin = trace.begin();
         let appended = guard.append_async(&payload);
         trace.end_span("wal_append", wal_begin);
-        let (seq, deferred) = appended
+        let (seq, ack_lsn) = appended
             .map_err(|e| ProtocolError::new(ErrorCode::StorageError, format!("wal append: {e}")))?;
-        (seq, deferred, guard.should_snapshot())
+        (seq, ack_lsn, guard.should_snapshot())
     };
     if let ReplRuntime::Leader { registry, head, .. } = &shared.repl {
         // `head` is an LSN: one past the sequence just appended.
@@ -1611,9 +1553,9 @@ fn ingest_durable(
     let out = state.ingest(reports);
     drop(state);
     if snapshot_due {
-        start_snapshot(shared, storage);
+        start_snapshot(shared, &store.storage);
     }
-    Ok((out, deferred.then(|| seq.saturating_add(1))))
+    Ok((out, Some(ack_lsn)))
 }
 
 /// Begins a threshold snapshot and hands it to the snapshot thread.
@@ -1622,11 +1564,10 @@ fn ingest_durable(
 /// only happen under the state write lock, so the position `begin`
 /// notes is exactly what the bytes cover, while queries keep running.
 /// The storage lock is held for *begin* alone (state read lock first,
-/// then storage: the vetted order), which under group commit only
-/// requests the flush; without a fsync thread it has to run the flush
-/// itself, inside that lock. The *write* — wait until the WAL is
-/// durable through that position, then the file — runs on the snapshot
-/// thread with no lock, and *publish* takes the storage lock there.
+/// then storage: the vetted order), which only requests the flush. The
+/// *write* — wait until the WAL is durable through that position, then
+/// the file — runs on the snapshot thread with no lock, and *publish*
+/// takes the storage lock there.
 fn start_snapshot(shared: &Shared, storage: &Arc<TrackedMutex<Storage>>) {
     let state = shared.state.read();
     let (seq, snapshots) = {

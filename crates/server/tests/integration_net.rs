@@ -218,18 +218,17 @@ fn abrupt_disconnects_do_not_wedge_the_server() {
     let addr = handle.local_addr;
 
     // Disconnect with a request in flight: the worker's completion for a
-    // dead (generation-bumped) connection must be dropped safely.
+    // dead (generation-bumped) connection must be dropped safely. The
+    // reads cannot finish while this thread holds the state for writing.
+    let hold = handle.state.write();
     for _ in 0..8 {
         let mut c = connect(addr);
-        c.send(
-            &Json::obj()
-                .field("type", "sleep")
-                .field("ms", 50u64)
-                .build(),
-        )
-        .expect("send");
+        c.send(&Json::obj().field("type", "heatmap").build())
+            .expect("send");
         drop(c); // gone before the response exists
     }
+    std::thread::sleep(Duration::from_millis(50));
+    drop(hold);
 
     // Disconnect mid-write: ask for a big response, close without reading.
     for round in 0..4 {
@@ -330,15 +329,12 @@ fn saturated_queue_sheds_requests_not_connections() {
     let mut queued = connect(addr);
     let mut shed = connect(addr);
 
-    // Occupy the single worker...
+    // Occupy the single worker with a read that cannot get the state
+    // lock while this thread holds it for writing...
+    let hold = handle.state.write();
     sleeper
-        .send(
-            &Json::obj()
-                .field("type", "sleep")
-                .field("ms", 800u64)
-                .build(),
-        )
-        .expect("send sleep");
+        .send(&Json::obj().field("type", "heatmap").build())
+        .expect("send blocked read");
     std::thread::sleep(Duration::from_millis(150));
     // ...fill the single queue slot from a second connection...
     queued
@@ -362,7 +358,8 @@ fn saturated_queue_sheds_requests_not_connections() {
     assert_eq!(error_code(&resp), Some("busy"), "expected busy: {resp:?}");
 
     // Everyone queued or executing still completes normally.
-    let resp = sleeper.recv().expect("sleep response");
+    drop(hold);
+    let resp = sleeper.recv().expect("blocked read's response");
     assert!(is_ok(&resp));
     let resp = queued.recv().expect("queued response");
     assert!(is_ok(&resp));

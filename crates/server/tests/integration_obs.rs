@@ -222,15 +222,14 @@ fn slowlog_reports_span_breakdowns() {
     assert!(is_ok(&resp), "{resp}");
     let resp = c.call(&sparql_request(7)).unwrap();
     assert!(is_ok(&resp), "{resp}");
-    // A guaranteed-slow request so ordering is observable.
-    let resp = c
-        .call(
-            &Json::obj()
-                .field("type", "sleep")
-                .field("ms", 50u64)
-                .build(),
-        )
+    // A guaranteed-slow request so ordering is observable: a read that
+    // waits out this thread's hold of the state write lock.
+    let hold = handle.state.write();
+    c.send(&Json::obj().field("type", "heatmap").build())
         .unwrap();
+    std::thread::sleep(Duration::from_millis(80));
+    drop(hold);
+    let resp = c.recv().unwrap();
     assert!(is_ok(&resp), "{resp}");
 
     let resp = c
@@ -272,10 +271,10 @@ fn slowlog_reports_span_breakdowns() {
             .unwrap_or_else(|| panic!("no {tag} entry in {entries:?}"))
     };
 
-    // The sleep request really took >= 50 ms end to end.
-    let sleep = find("sleep");
-    assert!(sleep.get("total_us").and_then(Json::as_u64).unwrap() >= 50_000);
-    let names = span_names(sleep);
+    // The held read really took >= 50 ms end to end.
+    let held = find("heatmap");
+    assert!(held.get("total_us").and_then(Json::as_u64).unwrap() >= 50_000);
+    let names = span_names(held);
     assert!(names.contains(&"exec".to_string()), "{names:?}");
     assert!(names.contains(&"serialize".to_string()), "{names:?}");
 

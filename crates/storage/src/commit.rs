@@ -1,26 +1,27 @@
-//! Group commit: a shared durable-LSN watermark plus the dedicated
-//! fsync thread that advances it.
+//! Group commit: a shared durable-LSN watermark plus the one flusher
+//! thread that advances it.
 //!
-//! # Why a thread
+//! # One way to make a write durable
 //!
-//! Under [`FsyncPolicy::Always`](crate::FsyncPolicy::Always) the naive
-//! path fsyncs inside `Wal::append`, so every concurrent ingest pays a
-//! full device flush and the caller's lock is held across it. Group
-//! commit splits the ack from the flush: `append` writes the record and
-//! *requests* durability for its LSN, the fsync thread flushes the
-//! active segment once per batch, and every request at or below the new
-//! watermark completes with that single fsync. Throughput scales with
-//! concurrency while the guarantee — an acknowledged record is on disk —
-//! is unchanged.
+//! `Wal::append` only *writes* a record. Durability is the flusher's
+//! job under every [`FsyncPolicy`](crate::FsyncPolicy): the thread
+//! flushes the active segment once per batch, and every request at or
+//! below the new watermark completes with that single fsync — the only
+//! `sync_data` a segment ever sees is the one in [`GroupCommit::run`],
+//! and no caller's lock is held across it. The policy is one number,
+//! the *slack*: how many acknowledged records may be ahead of the
+//! watermark (`always` 0, `every=N` N − 1, `never` unbounded). It
+//! decides when an append asks for a flush and which LSN its ack waits
+//! for; it selects no code.
 //!
 //! # Flush on return
 //!
 //! The thread starts the next fsync the moment the previous one
 //! returns, if anything was requested meanwhile, and sleeps on a condvar
-//! otherwise. A group is therefore whatever was appended during the
-//! previous device flush: one record for a lone writer (it pays one
-//! flush per ack and nothing else), many under concurrency. There is no
-//! window, settle time or other pacing constant to tune.
+//! otherwise. A group is therefore whatever was requested during the
+//! previous device flush: one record for a lone `always` writer (it
+//! pays one flush per ack and nothing else), many under concurrency.
+//! There is no window, settle time or other pacing constant to tune.
 //!
 //! # LSN semantics
 //!
@@ -32,10 +33,10 @@
 //!
 //! The thread only ever fsyncs the *current* active segment (a cloned
 //! fd handed over by the WAL). That is sufficient because sealing a
-//! segment fsyncs it inline before the new file becomes active — so at
-//! the instant the thread samples `(requested, file)` under the lock,
-//! every record below `requested` is either already durable (sealed
-//! segments) or sits in `file`.
+//! segment waits for the watermark to cover it before the new file
+//! becomes active — so at the instant the thread samples `(requested,
+//! file)` under the lock, every record below `requested` is either
+//! already durable (sealed segments) or sits in `file`.
 //!
 //! # Poisoning (fsyncgate)
 //!
@@ -77,7 +78,7 @@ struct CommitState {
 }
 
 /// Shared group-commit core: the durable watermark, the waiter list,
-/// and the poison flag. One per [`Wal`](crate::Wal); the fsync thread
+/// and the poison flag. One per [`Wal`](crate::Wal); its flusher thread
 /// and every appender hold an `Arc` to it.
 pub struct GroupCommit {
     state: Mutex<CommitState>,
@@ -88,12 +89,11 @@ pub struct GroupCommit {
     /// The watermark: records `0..durable` are on disk. Written under
     /// the state lock; read lock-free.
     durable: AtomicU64,
-    /// Records made durable per fsync batch (the group size).
+    /// Records made durable per fsync batch (the group size); its count
+    /// is the number of batches.
     group_size: Arc<LatencyHistogram>,
-    batches: AtomicU64,
     waiters_total: AtomicU64,
-    /// Shared with the WAL so thread-issued fsyncs land in the same
-    /// latency histogram as inline ones.
+    /// Shared with the WAL, which serves it to stats and the registry.
     fsync_lat: Arc<LatencyHistogram>,
 }
 
@@ -124,7 +124,6 @@ impl GroupCommit {
             durable_cv: Condvar::new(),
             durable: AtomicU64::new(durable),
             group_size: Arc::new(LatencyHistogram::new()),
-            batches: AtomicU64::new(0),
             waiters_total: AtomicU64::new(0),
             fsync_lat,
         })
@@ -142,14 +141,14 @@ impl GroupCommit {
         self.durable.load(Ordering::Acquire)
     }
 
-    /// fsync batches completed (inline or by the thread).
+    /// fsync batches completed.
     pub fn batches(&self) -> u64 {
-        // ordering: pure statistic; readers only want an eventual count.
-        self.batches.load(Ordering::Relaxed)
+        self.group_size.count()
     }
 
-    /// Deferred acks that had to be parked for the fsync thread: their
-    /// record was not yet durable when [`GroupCommit::ack_when`] ran.
+    /// Deferred acks that had to be parked for the flusher: the LSN
+    /// they wait for was not yet durable when [`GroupCommit::ack_when`]
+    /// ran.
     pub fn waiters_registered(&self) -> u64 {
         // ordering: pure statistic; readers only want an eventual count.
         self.waiters_total.load(Ordering::Relaxed)
@@ -186,7 +185,10 @@ impl GroupCommit {
     /// immediately; pair with [`GroupCommit::ack_when`] or
     /// [`GroupCommit::wait_durable`].
     pub fn request(&self, lsn: u64) {
-        let mut g = self.lock();
+        self.request_locked(&mut self.lock(), lsn);
+    }
+
+    fn request_locked(&self, g: &mut CommitState, lsn: u64) {
         if lsn > g.requested {
             // Only signal when the thread could be idle: if `requested`
             // was already ahead of the watermark the thread is fsyncing
@@ -222,18 +224,12 @@ impl GroupCommit {
     }
 
     /// Blocks until records `0..lsn` are durable (requesting the work
-    /// if nobody has yet): the synchronous-append path and the snapshot
-    /// write's gate. Fails on poison, and on abandon — the thread that
-    /// would have flushed is gone.
+    /// if nobody has yet): blocking appends, explicit syncs, the segment
+    /// seal and the snapshot write's gate. Fails on poison, and on
+    /// abandon — the thread that would have flushed is gone.
     pub fn wait_durable(&self, lsn: u64) -> io::Result<u64> {
         let mut g = self.lock();
-        if lsn > g.requested {
-            let idle = g.requested == self.durable.load(Ordering::Acquire);
-            g.requested = lsn;
-            if idle {
-                self.work_cv.notify_one();
-            }
-        }
+        self.request_locked(&mut g, lsn);
         loop {
             if let Some(msg) = &g.poisoned {
                 return Err(io::Error::other(msg.clone()));
@@ -252,21 +248,16 @@ impl GroupCommit {
     /// Advances the watermark to `lsn` (monotonically) after a
     /// successful fsync covering it, waking and completing every waiter
     /// the new watermark covers. Callbacks fire after the lock drops.
-    pub(crate) fn complete_through(&self, lsn: u64) {
+    fn complete_through(&self, lsn: u64) {
         let mut due: Vec<(u64, AckCallback)> = Vec::new();
         {
             let mut g = self.lock();
-            if g.poisoned.is_some() {
-                return;
-            }
             let prev = self.durable.load(Ordering::Acquire);
             if lsn <= prev {
                 return;
             }
             self.durable.store(lsn, Ordering::Release);
             self.group_size.record_us(lsn - prev);
-            // ordering: pure statistic; readers only want an eventual count.
-            self.batches.fetch_add(1, Ordering::Relaxed);
             let mut i = 0;
             while i < g.waiters.len() {
                 if g.waiters[i].0 <= lsn {
@@ -289,7 +280,7 @@ impl GroupCommit {
     /// Poisons the log with the first failure's message (later calls
     /// keep the original), failing every pending waiter. Callbacks fire
     /// after the lock drops.
-    pub(crate) fn poison(&self, msg: String) {
+    fn poison(&self, msg: String) {
         let (msg, waiters) = {
             let mut g = self.lock();
             let msg = g.poisoned.get_or_insert(msg).clone();
@@ -321,26 +312,14 @@ impl GroupCommit {
         self.durable_cv.notify_all();
     }
 
-    /// Test hook: the next `n` fsyncs (inline or thread) fail with an
-    /// injected I/O error, exercising the poison path without a real
-    /// device failure.
+    /// Test hook: the next `n` fsyncs fail with an injected I/O error,
+    /// exercising the poison path without a real device failure.
     #[doc(hidden)]
     pub fn inject_fsync_failures(&self, n: u32) {
         self.lock().fail_fsyncs = n;
     }
 
-    /// Consumes one armed injected failure, if any.
-    pub(crate) fn take_injected_failure(&self) -> bool {
-        let mut g = self.lock();
-        if g.fail_fsyncs > 0 {
-            g.fail_fsyncs -= 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The fsync-thread body, flush on return: wait until something is
+    /// The flusher-thread body, flush on return: wait until something is
     /// requested beyond the watermark, fsync the active segment
     /// *outside* the lock, advance the watermark, look again. A group is
     /// whatever was appended while the previous fsync ran, so the device

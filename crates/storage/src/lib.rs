@@ -7,10 +7,10 @@
 //! (the same one etcd-style stores use):
 //!
 //! * [`wal`] — a segmented append-only log of ingest batches with
-//!   CRC-checksummed records and group-commit fsync batching;
-//! * [`commit`] — the group-commit core: a dedicated fsync thread, a
-//!   shared `durable_lsn` watermark, deferred-ack callbacks, and
-//!   permanent poisoning on fsync failure;
+//!   CRC-checksummed records; it writes, and owns the one flusher;
+//! * [`commit`] — the group-commit core: the flusher thread behind
+//!   every fsync policy, a shared `durable_lsn` watermark, deferred-ack
+//!   callbacks, and permanent poisoning on fsync failure;
 //! * [`snapshot`] — atomic point-in-time snapshots of pipeline state,
 //!   CRC-verified with fallback to older snapshots on corruption, and
 //!   the snapshot thread that writes them off the serving path;
@@ -148,10 +148,7 @@ pub struct Storage {
     clock: Arc<dyn ClockSource>,
     /// Clock reading when this handle last installed a snapshot.
     last_snapshot_at_us: Option<u64>,
-    /// The group-commit fsync thread (policy `Always` only); joined on
-    /// drop after a shutdown request drains pending work.
-    fsync_thread: Option<std::thread::JoinHandle<()>>,
-    /// The snapshot thread (every policy); drained and joined on drop.
+    /// The snapshot thread; drained and joined on drop.
     snapshot_thread: Option<std::thread::JoinHandle<()>>,
     /// Snapshot installations that failed (surfaced in stats/metrics;
     /// the old path only `eprintln!`ed at the call site).
@@ -177,28 +174,13 @@ impl Storage {
         clock: Arc<dyn ClockSource>,
     ) -> io::Result<(Self, Recovery)> {
         let dir: PathBuf = dir.as_ref().into();
-        let mut wal = Wal::open(
+        let wal = Wal::open(
             dir.join("wal"),
             WalConfig {
                 segment_bytes: cfg.segment_bytes,
                 fsync: cfg.fsync,
             },
         )?;
-        // Policy `Always` gets the dedicated fsync thread: appends write
-        // and request durability; the thread batches concurrent requests
-        // into one fsync and advances the shared watermark. `EveryN` and
-        // `Never` keep their inline behavior.
-        let fsync_thread = if cfg.fsync == FsyncPolicy::Always {
-            wal.enable_group_commit()?;
-            let commit = wal.commit_handle();
-            Some(
-                std::thread::Builder::new()
-                    .name("datacron-wal-fsync".into())
-                    .spawn(move || commit.run())?,
-            )
-        } else {
-            None
-        };
         let snaps = SnapshotStore::open(dir.join("snapshots"))?;
         let load_begin = clock.now_us();
         let snapshot = snaps.load_latest()?;
@@ -232,7 +214,6 @@ impl Storage {
             cfg,
             clock,
             last_snapshot_at_us: None,
-            fsync_thread,
             snapshot_thread: Some(snapshot_thread),
             snapshot_failures: 0,
             last_snapshot_error: None,
@@ -249,42 +230,28 @@ impl Storage {
         ))
     }
 
-    /// Appends one durable record (an encoded ingest batch). When this
-    /// returns under [`FsyncPolicy::Always`], the record is on disk —
-    /// with group commit active the call blocks until the watermark
-    /// covers the record (sharing the fsync with concurrent appends).
+    /// Appends one record (an encoded ingest batch) and blocks until the
+    /// fsync policy allows its ack — under [`FsyncPolicy::Always`] until
+    /// the record is on disk, sharing the flush with concurrent appends.
     /// Callers who can defer the ack should use
     /// [`Storage::append_async`] instead and not block at all.
     pub fn append(&mut self, payload: &[u8]) -> io::Result<u64> {
-        let (seq, deferred) = self.append_async(payload)?;
-        if deferred {
-            self.wal.commit_handle().wait_durable(seq + 1)?;
-        }
-        Ok(seq)
+        self.wal.append(payload)
     }
 
-    /// Appends one record without waiting for durability. Returns the
-    /// record's sequence number and whether durability was *deferred*:
-    /// `false` means the configured policy already ran inline (the old
-    /// contract holds); `true` means the caller must gate its ack on
-    /// the commit core — [`Storage::commit`] — reaching
-    /// `durable_lsn >= seq + 1` (via `ack_when` or `wait_durable`).
-    pub fn append_async(&mut self, payload: &[u8]) -> io::Result<(u64, bool)> {
-        let seq = self.wal.append(payload)?;
-        Ok((seq, self.wal.group_commit_active()))
+    /// Appends one record without waiting for any flush. Returns the
+    /// record's sequence number and the LSN its ack must wait for on the
+    /// commit core — [`Storage::commit`], via `ack_when` or
+    /// `wait_durable` — with the policy's slack already taken off (see
+    /// [`Wal::append_async`]).
+    pub fn append_async(&mut self, payload: &[u8]) -> io::Result<(u64, u64)> {
+        self.wal.append_async(payload)
     }
 
     /// The shared group-commit core: durable watermark, deferred acks,
-    /// poison state. Present under every policy (the watermark advances
-    /// on inline fsyncs too); only [`FsyncPolicy::Always`] runs the
-    /// fsync thread against it.
+    /// poison state.
     pub fn commit(&self) -> Arc<GroupCommit> {
         self.wal.commit_handle()
-    }
-
-    /// True when appends defer fsync to the group-commit thread.
-    pub fn group_commit_active(&self) -> bool {
-        self.wal.group_commit_active()
     }
 
     /// Flushes and fsyncs the WAL regardless of policy (shutdown path).
@@ -323,22 +290,14 @@ impl Storage {
     /// position the snapshot will cover — the caller serializes the
     /// state that has applied exactly records `0..seq` — makes sure
     /// durability through it is on its way, and marks the snapshot in
-    /// flight. Refused while another one is.
-    ///
-    /// With the fsync thread ([`FsyncPolicy::Always`]) this only
-    /// *requests* the flush. The other policies have no thread to ask,
-    /// so the flush runs here, inline, under whatever locks the caller
-    /// holds — as their appends' own fsyncs already do.
+    /// flight. Refused while another one is. The flush is only
+    /// *requested* here; the write step waits for it, holding no lock.
     pub fn begin_snapshot(&mut self) -> io::Result<u64> {
         if self.snapshot_in_flight {
             return Err(io::Error::other("a snapshot is already in flight"));
         }
-        if let Err(e) = self.wal.make_durable() {
-            self.note_snapshot_failure(&e);
-            return Err(e);
-        }
         self.snapshot_in_flight = true;
-        Ok(self.wal.next_seq())
+        Ok(self.wal.request_flush())
     }
 
     /// Step 3, under the storage lock, with the result of the write
@@ -477,7 +436,8 @@ impl Storage {
 impl Drop for Storage {
     fn drop(&mut self) {
         // The snapshot thread first: a submitted snapshot is still
-        // written (its durability gate needs the fsync thread alive).
+        // written (its durability gate needs the WAL's flusher, which
+        // the `wal` field joins when it drops after this body).
         if let Some(handle) = self.snapshot_thread.take() {
             self.snapshots.stop();
             // A publish callback that held the last reference drops the
@@ -485,13 +445,6 @@ impl Drop for Storage {
             if handle.thread().id() != std::thread::current().id() {
                 let _ = handle.join();
             }
-        }
-        if let Some(handle) = self.fsync_thread.take() {
-            // Drain-then-exit: the thread flushes any requested-but-not-
-            // yet-durable records before returning, so dropping a healthy
-            // store loses nothing.
-            self.wal.commit_handle().shutdown();
-            let _ = handle.join();
         }
     }
 }
@@ -751,7 +704,6 @@ mod tests {
     fn group_commit_blocking_append_is_durable() {
         let dir = TempDir::new("storage-group-append");
         let (mut st, _) = Storage::open(dir.path(), always_cfg()).unwrap();
-        assert!(st.group_commit_active(), "Always spawns the fsync thread");
         for i in 0..10u64 {
             assert_eq!(st.append(format!("r{i}").as_bytes()).unwrap(), i);
             assert!(
@@ -793,12 +745,11 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         let mut expected = Vec::new();
         for i in 0..8u64 {
-            let (seq, deferred) = st.append_async(format!("r{i}").as_bytes()).unwrap();
-            assert!(deferred);
-            assert_eq!(seq, i);
+            let (seq, ack_lsn) = st.append_async(format!("r{i}").as_bytes()).unwrap();
+            assert_eq!((seq, ack_lsn), (i, i + 1));
             let tx = tx.clone();
             commit.ack_when(
-                seq + 1,
+                ack_lsn,
                 Box::new(move |r| {
                     let _ = tx.send(r);
                 }),
@@ -1064,14 +1015,14 @@ mod tests {
         st.lock().unwrap().append(b"durable").unwrap();
         // The next fsync fails: the record below stays ahead of the
         // watermark for good, and so does any snapshot covering it.
-        let (seq, deferred) = {
+        let (seq, ack_lsn) = {
             let mut g = st.lock().unwrap();
             g.commit().inject_fsync_failures(1);
             g.append_async(b"never durable").unwrap()
         };
-        assert!(deferred);
+        assert_eq!(ack_lsn, seq + 1);
         let begun = st.lock().unwrap().begin_snapshot().unwrap();
-        assert_eq!(begun, seq + 1);
+        assert_eq!(begun, ack_lsn);
         submit(&st, begun, b"state-at-2");
         worker.wait_idle();
 

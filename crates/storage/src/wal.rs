@@ -18,12 +18,17 @@
 //!
 //! # Durability policy
 //!
-//! [`FsyncPolicy`] picks the ack-vs-loss trade: `Always` fsyncs after
-//! every append (no acknowledged record is ever lost), `EveryN(n)` group-
-//! commits every `n` records (bounded loss window of at most `n - 1`
-//! acknowledged records on power failure — process crashes lose nothing
-//! either way because appends go straight to the file, not a userspace
-//! buffer), `Never` leaves flushing to the OS (benchmark baseline).
+//! An append only writes; the log's one flusher thread (see
+//! [`crate::commit`]) owns every fsync. [`FsyncPolicy`] picks the
+//! ack-vs-loss trade as one number, the *slack*: how many acknowledged
+//! records may be ahead of the durable watermark. `Always` is 0 (no
+//! acknowledged record is ever lost), `EveryN(n)` is `n - 1` (a flush is
+//! asked for every `n` records; at most `n - 1` acknowledged records are
+//! lost to power failure — process crashes lose nothing either way
+//! because appends go straight to the file, not a userspace buffer),
+//! `Never` is unbounded (flushing is left to the OS; benchmark baseline).
+//! An append that got `seq` may be acknowledged once `durable_lsn >=
+//! (seq + 1) - slack`.
 //!
 //! # Failure handling
 //!
@@ -54,19 +59,29 @@ pub const RECORD_HEADER_BYTES: usize = 4 + 4 + 8;
 /// length field as a multi-gigabyte allocation).
 pub const MAX_RECORD_BYTES: u32 = 256 * 1024 * 1024;
 
-/// When to fsync appended records.
+/// How far acknowledged records may run ahead of the durable watermark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// fsync after every record: an acknowledged record survives power loss.
+    /// No slack: an acknowledged record survives power loss.
     Always,
-    /// Group commit: fsync once every `n` records (`n` is clamped to ≥ 1).
+    /// A flush is requested every `n` records (`n` is clamped to ≥ 1).
     /// At most `n - 1` acknowledged records can be lost to power failure.
     EveryN(u32),
-    /// Never fsync explicitly; the OS flushes when it pleases.
+    /// Never fsync on account of an append; the OS flushes when it pleases.
     Never,
 }
 
 impl FsyncPolicy {
+    /// The policy as its one number: acknowledged records allowed ahead
+    /// of the durable watermark.
+    pub fn slack(self) -> u64 {
+        match self {
+            Self::Always => 0,
+            Self::EveryN(n) => u64::from(n.max(1)) - 1,
+            Self::Never => u64::MAX,
+        }
+    }
+
     /// Parses `always`, `never`, or `every=N` (used by the CLI flag).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
@@ -141,23 +156,22 @@ pub struct Wal {
     active: File,
     active_bytes: u64,
     next_seq: u64,
-    /// Records appended since the last fsync (group-commit counter).
-    unsynced: u32,
+    /// Highest LSN this log has asked the flusher for.
+    requested: u64,
     /// fsync call latency (the group-commit cost the bench sweeps);
     /// `Arc`-shared so it can be registered into a metrics registry.
     fsync_lat: Arc<LatencyHistogram>,
-    /// Time to frame, checksum and `write` one record; the fsync, where
-    /// the policy runs one inline, is in `fsync_lat`.
+    /// Time to frame, checksum and `write` one record.
     append_lat: Arc<LatencyHistogram>,
     appended: u64,
     /// What open-time recovery cut off the newest segment, if anything.
     truncation_note: Option<String>,
     /// The shared group-commit core: durable watermark, waiters, and
-    /// the poison flag (consulted even when no fsync thread runs).
+    /// the poison flag.
     commit: Arc<GroupCommit>,
-    /// When set (policy `Always` with a fsync thread attached), appends
-    /// request durability from the thread instead of fsyncing inline.
-    group_mode: bool,
+    /// The flusher thread running [`GroupCommit::run`]; drained and
+    /// joined on drop.
+    flusher: Option<std::thread::JoinHandle<()>>,
 }
 
 fn segment_path(dir: &Path, first_seq: u64) -> PathBuf {
@@ -295,43 +309,36 @@ impl Wal {
         let active_bytes = valid_end;
 
         let fsync_lat = Arc::new(LatencyHistogram::new());
+        // Everything recovered from disk counts as durable.
+        let commit = GroupCommit::new(Arc::clone(&fsync_lat), next_seq);
+        commit.set_active_file(file.try_clone()?);
+        let flusher = std::thread::Builder::new()
+            .name("datacron-wal-fsync".into())
+            .spawn({
+                let commit = Arc::clone(&commit);
+                move || commit.run()
+            })?;
         Ok(Self {
             dir,
             cfg,
             active: file,
             active_bytes,
             next_seq,
-            unsynced: 0,
-            // Everything recovered from disk counts as durable.
-            commit: GroupCommit::new(Arc::clone(&fsync_lat), next_seq),
+            requested: next_seq,
+            commit,
+            flusher: Some(flusher),
             fsync_lat,
             append_lat: Arc::new(LatencyHistogram::new()),
             appended: 0,
             truncation_note,
             segments,
-            group_mode: false,
         })
-    }
-
-    /// Switches [`FsyncPolicy::Always`] appends from inline fsync to
-    /// requesting durability from a fsync thread (which the owner must
-    /// run on [`Wal::commit_handle`]). Hands the thread the active
-    /// segment's fd.
-    pub fn enable_group_commit(&mut self) -> io::Result<()> {
-        self.commit.set_active_file(self.active.try_clone()?);
-        self.group_mode = true;
-        Ok(())
     }
 
     /// The shared group-commit core (durable watermark, deferred acks,
     /// poison state).
     pub fn commit_handle(&self) -> Arc<GroupCommit> {
         Arc::clone(&self.commit)
-    }
-
-    /// True when appends defer fsync to the group-commit thread.
-    pub fn group_commit_active(&self) -> bool {
-        self.group_mode
     }
 
     /// The sequence number the next append will get.
@@ -383,16 +390,24 @@ impl Wal {
         self.truncation_note.as_deref()
     }
 
-    /// Appends one record and applies the fsync policy. Returns the
-    /// record's sequence number; when this returns under
-    /// [`FsyncPolicy::Always`] *without* group commit, the record is on
-    /// disk. With group commit enabled the record's durability is
-    /// requested from the fsync thread instead — wait on the commit
-    /// handle for `durable_lsn >= seq + 1` before acknowledging.
+    /// Appends one record and blocks until the policy allows its ack:
+    /// [`Wal::append_async`] plus a wait for the LSN it names. When this
+    /// returns under [`FsyncPolicy::Always`], the record is on disk.
+    pub fn append(&mut self, payload: &[u8]) -> io::Result<u64> {
+        let (seq, ack_lsn) = self.append_async(payload)?;
+        self.commit.wait_durable(ack_lsn)?;
+        Ok(seq)
+    }
+
+    /// Writes one record without waiting for any flush, asking the
+    /// flusher for everything appended so far once more than the slack
+    /// is unrequested. Returns the sequence number and the LSN the ack
+    /// must wait for on the commit handle (`ack_when` or `wait_durable`):
+    /// `(seq + 1)` less the policy's slack, 0 when there is no wait.
     ///
     /// Fails immediately (with the original error, no fsync retried)
     /// once the log is poisoned by a failed fsync.
-    pub fn append(&mut self, payload: &[u8]) -> io::Result<u64> {
+    pub fn append_async(&mut self, payload: &[u8]) -> io::Result<(u64, u64)> {
         self.commit.check_poison()?;
         if payload.len() as u64 > MAX_RECORD_BYTES as u64 {
             return Err(io::Error::new(
@@ -418,80 +433,53 @@ impl Wal {
         self.active_bytes += buf.len() as u64;
         self.next_seq += 1;
         self.appended += 1;
-        self.unsynced += 1;
         self.append_lat.observe(&t);
-        match self.cfg.fsync {
-            FsyncPolicy::Always => self.make_durable()?,
-            FsyncPolicy::EveryN(n) => {
-                if self.unsynced >= n.max(1) {
-                    self.sync()?;
-                }
-            }
-            FsyncPolicy::Never => {}
+        let slack = self.cfg.fsync.slack();
+        if self.next_seq - self.requested > slack {
+            self.request_flush();
         }
-        Ok(seq)
+        Ok((seq, self.next_seq.saturating_sub(slack)))
     }
 
-    /// Gets everything appended so far on its way to disk: requested
-    /// from the fsync thread in group mode (returns at once; wait on the
-    /// commit handle), flushed inline otherwise.
-    pub(crate) fn make_durable(&mut self) -> io::Result<()> {
-        if self.group_mode {
-            self.commit.request(self.next_seq);
-            Ok(())
-        } else {
-            self.sync()
-        }
+    /// Asks the flusher for everything appended so far and returns the
+    /// LSN that covers it; returns at once.
+    pub(crate) fn request_flush(&mut self) -> u64 {
+        self.requested = self.next_seq;
+        self.commit.request(self.next_seq);
+        self.next_seq
     }
 
-    /// Flushes and fsyncs the active segment now, regardless of policy,
-    /// advancing the durable watermark. On failure the log is poisoned:
-    /// this and every later append/sync return the original error and
-    /// the fsync is never retried (see the module docs).
+    /// Makes everything appended so far durable now, regardless of
+    /// policy, and waits for it. After a failed flush the log is
+    /// poisoned: this and every later append/sync return the original
+    /// error and the fsync is never retried (see the module docs).
     pub fn sync(&mut self) -> io::Result<()> {
-        self.commit.check_poison()?;
-        let t = Stopwatch::start();
-        let res = if self.commit.take_injected_failure() {
-            Err(io::Error::other("injected fsync failure"))
-        } else {
-            self.active.sync_data()
-        };
-        match res {
-            Ok(()) => {
-                self.fsync_lat.observe(&t);
-                self.unsynced = 0;
-                self.commit.complete_through(self.next_seq);
-                Ok(())
-            }
-            Err(e) => {
-                self.commit.poison(format!("wal fsync failed: {e}"));
-                Err(e)
-            }
-        }
+        let lsn = self.request_flush();
+        self.commit.wait_durable(lsn).map(drop)
     }
 
     /// Seals the active segment and starts a new one named after the
-    /// next sequence number. The seal goes through [`Wal::sync`] so it
-    /// is counted, timed, and poison-checked like every other fsync —
-    /// and so the group-commit thread never needs to touch a sealed
-    /// segment (its records are durable before the swap).
+    /// next sequence number. The seal is a [`Wal::sync`], so the flusher
+    /// never needs to touch a sealed segment: its records are durable
+    /// before the new file's fd is handed over.
     fn roll_segment(&mut self) -> io::Result<()> {
         self.sync()?;
         let path = segment_path(&self.dir, self.next_seq);
-        self.active = OpenOptions::new()
+        let file = OpenOptions::new()
             .create(true)
             .read(true)
             .append(true)
             .open(&path)?;
+        // Cloned before the swap: the flusher must never be left holding
+        // the sealed file while appends go to the new one.
+        let for_flusher = file.try_clone()?;
+        self.active = file;
         self.active_bytes = 0;
-        self.unsynced = 0;
         self.segments.push(Segment {
             first_seq: self.next_seq,
             path,
         });
-        if self.group_mode {
-            self.commit.set_active_file(self.active.try_clone()?);
-        }
+        self.commit.set_active_file(for_flusher);
         Ok(())
     }
 
@@ -646,6 +634,18 @@ impl Wal {
     }
 }
 
+impl Drop for Wal {
+    fn drop(&mut self) {
+        // Drain-then-exit: the flusher makes requested-but-not-yet-
+        // durable records durable before returning, so dropping a healthy
+        // log loses nothing it was asked to keep.
+        self.commit.shutdown();
+        if let Some(flusher) = self.flusher.take() {
+            let _ = flusher.join();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -797,9 +797,16 @@ mod tests {
             w.append(b"batched").unwrap();
         }
         assert_eq!(w.fsync_latency().count(), 4, "32 records / batch of 8");
-        let before = w.fsync_latency().count();
+        // A sync with nothing unflushed has nothing to do; with a tail
+        // short of the batch it is exactly one more flush.
         w.sync().unwrap();
-        assert_eq!(w.fsync_latency().count(), before + 1);
+        assert_eq!(w.fsync_latency().count(), 4);
+        for _ in 0..3 {
+            w.append(b"tail").unwrap();
+        }
+        w.sync().unwrap();
+        assert_eq!(w.fsync_latency().count(), 5);
+        assert_eq!(w.commit_handle().durable_lsn(), 35);
     }
 
     #[test]
@@ -834,8 +841,8 @@ mod tests {
 
     #[test]
     fn segment_seal_counts_as_fsync() {
-        // The roll_segment seal used to call sync_data() directly,
-        // bypassing the latency histogram and the fsync counter.
+        // Under `never` the seals are the only flushes there are, and
+        // each goes through the flusher: timed and counted.
         let dir = TempDir::new("wal-seal-count");
         let mut w = wal_in(
             &dir,
@@ -852,24 +859,50 @@ mod tests {
         assert_eq!(w.fsync_latency().count(), rolls, "each seal is one fsync");
     }
 
+    /// The one rule behind every policy: an ack never leaves more than
+    /// `slack` records ahead of the watermark, and a serial appender that
+    /// waits for each ack pays one flush per `slack + 1` records.
     #[test]
-    fn group_mode_defers_fsync_and_watermark_tracks() {
-        let dir = TempDir::new("wal-group-mode");
-        let mut w = wal_in(&dir, WalConfig::default());
-        w.enable_group_commit().unwrap();
-        let commit = w.commit_handle();
-        for i in 0..5u64 {
-            assert_eq!(w.append(b"deferred").unwrap(), i);
+    fn every_policy_acks_within_its_slack() {
+        const K: u64 = 50;
+        for (policy, slack) in [
+            (FsyncPolicy::Always, 0),
+            (FsyncPolicy::EveryN(2), 1),
+            (FsyncPolicy::EveryN(8), 7),
+            (FsyncPolicy::Never, u64::MAX),
+        ] {
+            assert_eq!(policy.slack(), slack);
+            let dir = TempDir::new("wal-slack");
+            let mut w = wal_in(
+                &dir,
+                WalConfig {
+                    fsync: policy,
+                    ..WalConfig::default()
+                },
+            );
+            let commit = w.commit_handle();
+            for seq in 0..K {
+                // What `append` does, with the ack LSN in view.
+                let (got, ack_lsn) = w.append_async(b"record").unwrap();
+                assert_eq!(got, seq);
+                assert_eq!(ack_lsn, (seq + 1).saturating_sub(slack));
+                commit.wait_durable(ack_lsn).unwrap();
+                let ahead = seq + 1 - commit.durable_lsn();
+                assert!(
+                    ahead <= slack,
+                    "{policy:?}: ack of {seq} left {ahead} ahead"
+                );
+            }
+            let flushes = if slack == u64::MAX {
+                0
+            } else {
+                K / (slack + 1)
+            };
+            assert_eq!(w.fsync_latency().count(), flushes, "{policy:?}");
+            assert_eq!(commit.batches(), flushes, "{policy:?}");
+            w.sync().unwrap();
+            assert_eq!(commit.durable_lsn(), K, "{policy:?}");
         }
-        // No inline fsync ran; durability was only *requested*.
-        assert_eq!(w.fsync_latency().count(), 0);
-        assert_eq!(commit.durable_lsn(), 0);
-        // An explicit sync (no thread in this test) advances the
-        // watermark and completes the whole group at once.
-        w.sync().unwrap();
-        assert_eq!(commit.durable_lsn(), 5);
-        assert_eq!(commit.wait_durable(5).unwrap(), 5);
-        assert_eq!(commit.batches(), 1);
     }
 
     #[test]

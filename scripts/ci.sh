@@ -92,6 +92,19 @@ for pkg in datacron-stream datacron-sim datacron-link datacron-forecast serde se
     exit 1
   fi
 done
+# One-write-path guard: the WAL's only `sync_data` is the flusher's
+# (`GroupCommit::run`), and neither the inline-flush fork nor the
+# worker-holding `sleep` request may come back under any name they had.
+sync_sites=$(cat crates/storage/src/wal.rs crates/storage/src/commit.rs | grep -c '\.sync_data()')
+if [ "$sync_sites" -ne 1 ]; then
+  echo "expected exactly one sync_data() call across wal.rs + commit.rs, found $sync_sites" >&2
+  exit 1
+fi
+retired='group_mode|enable_group_commit|group_commit_active|make_durable|take_injected_failure|Request::Sleep|MAX_SLEEP_MS'
+if grep -rnE "$retired" crates/; then
+  echo "retired write-path / protocol names are back (see above)" >&2
+  exit 1
+fi
 # The benchmark harness (BENCHMARK.json) is a package of its own that
 # compiles the real serve.rs and calls into core/rdf/server APIs (ingest
 # paths, and for its own traced replay the partitioned store and commit

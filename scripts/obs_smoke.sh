@@ -5,7 +5,8 @@
 # data dir, drives one ingest plus the `metrics` and `slowlog` requests
 # over the wire (plain bash /dev/tcp, no client tooling required), and
 # asserts the exposition is well-formed: the expected metric families
-# are present and the slow log carries span breakdowns.
+# are present and the slow log carries span breakdowns. A second boot
+# under `--fsync every=4` checks that policy acks off the watermark too.
 #
 # Usage: scripts/obs_smoke.sh   (expects `cargo build --release` done)
 
@@ -34,33 +35,42 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# --snapshot-every 1: the one ingest below crosses the threshold, so the
-# snapshot stages have a sample each.
-"$BIN" --addr 127.0.0.1:0 --workers 2 --queue 16 --data-dir "$DATA" \
-  --snapshot-every 1 >"$LOG" 2>&1 &
-SERVER_PID=$!
-
-# The server prints its bound address once the listener is up.
-ADDR=""
-for _ in $(seq 1 100); do
-  ADDR=$(sed -n 's/^datacron-server listening on \([0-9.:]*\) .*/\1/p' "$LOG")
-  [[ -n "$ADDR" ]] && break
-  if ! kill -0 "$SERVER_PID" 2>/dev/null; then
-    echo "obs-smoke: server exited during startup:" >&2
+# Boots the server on a fresh data dir with the given extra flags and
+# opens fd 3 to it.
+boot() {
+  rm -rf "$DATA" && mkdir -p "$DATA"
+  "$BIN" --addr 127.0.0.1:0 --workers 2 --queue 16 --data-dir "$DATA" "$@" >"$LOG" 2>&1 &
+  SERVER_PID=$!
+  # The server prints its bound address once the listener is up.
+  local addr=""
+  for _ in $(seq 1 100); do
+    addr=$(sed -n 's/^datacron-server listening on \([0-9.:]*\) .*/\1/p' "$LOG")
+    [[ -n "$addr" ]] && break
+    if ! kill -0 "$SERVER_PID" 2>/dev/null; then
+      echo "obs-smoke: server exited during startup:" >&2
+      cat "$LOG" >&2
+      exit 1
+    fi
+    sleep 0.1
+  done
+  if [[ -z "$addr" ]]; then
+    echo "obs-smoke: server did not report a listen address:" >&2
     cat "$LOG" >&2
     exit 1
   fi
-  sleep 0.1
-done
-if [[ -z "$ADDR" ]]; then
-  echo "obs-smoke: server did not report a listen address:" >&2
-  cat "$LOG" >&2
-  exit 1
-fi
+  exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"
+}
 
-HOST=${ADDR%:*}
-PORT=${ADDR##*:}
-exec 3<>"/dev/tcp/$HOST/$PORT"
+halt() {
+  exec 3<&- 3>&-
+  kill "$SERVER_PID"
+  wait "$SERVER_PID" 2>/dev/null || true
+  SERVER_PID=""
+}
+
+# --snapshot-every 1: the one ingest below crosses the threshold, so the
+# snapshot stages have a sample each.
+boot --snapshot-every 1
 
 # Sends one newline-delimited JSON request and reads the one-line reply
 # into RESP, asserting the server answered `"ok": true`.
@@ -164,9 +174,31 @@ for needle in '"entries"' '"total_us"' '"spans"' '"wal_append"'; do
   fi
 done
 
-exec 3<&- 3>&-
-kill "$SERVER_PID"
-wait "$SERVER_PID" 2>/dev/null || true
-SERVER_PID=""
+halt
+
+# Every fsync policy acks off the commit watermark: under `every=4` each
+# of six acked batches has a durable-wait sample, one flush was asked
+# for (at the fourth record), and at rest no more than three acknowledged
+# records are ahead of the watermark.
+boot --fsync every=4 --snapshot-every 0
+for i in 1 2 3 4 5 6; do
+  request "{\"type\":\"ingest\",\"reports\":[{\"object\":$i,\"t_ms\":0,\"lon\":21.0,\"lat\":37.0,\"speed_mps\":6.0,\"heading_deg\":90.0}]}"
+done
+request '{"type":"metrics"}'
+series='datacron_ingest_durable_wait_latency_us_count 6\n'
+if [[ "$RESP" != *"$series"* ]]; then
+  echo "obs-smoke: every=4: exposition missing $series" >&2
+  echo "obs-smoke: response: $RESP" >&2
+  exit 1
+fi
+request '{"type":"stats"}'
+next_seq=$(sed -n 's/.*"next_seq":\([0-9]*\),"durable_lsn".*/\1/p' <<<"$RESP")
+durable_lsn=$(sed -n 's/.*"durable_lsn":\([0-9]*\).*/\1/p' <<<"$RESP")
+if [[ "$next_seq" != 6 || $((next_seq - durable_lsn)) -gt 3 ]]; then
+  echo "obs-smoke: every=4: next_seq=$next_seq durable_lsn=$durable_lsn, want 6 and a gap <= 3" >&2
+  echo "obs-smoke: response: $RESP" >&2
+  exit 1
+fi
+halt
 
 echo "obs-smoke: OK ($FAMILIES metric families, slow log populated)"

@@ -175,17 +175,14 @@ fn queue_full_returns_busy_instead_of_hanging() {
     let addr = handle.local_addr;
 
     // A occupies the single worker: prove the worker owns the connection
-    // (response received), then park it in a long sleep.
+    // (response received), then park it on a read that cannot get the
+    // state lock while this thread holds it for writing.
     let mut a = connect(addr);
     let resp = a.call(&Json::obj().field("type", "stats").build()).unwrap();
     assert!(is_ok(&resp));
-    a.send(
-        &Json::obj()
-            .field("type", "sleep")
-            .field("ms", 1500u64)
-            .build(),
-    )
-    .unwrap();
+    let hold = handle.state.write();
+    a.send(&Json::obj().field("type", "heatmap").build())
+        .unwrap();
     thread::sleep(Duration::from_millis(100));
 
     // B fills the one queue slot (no worker free to drain it).
@@ -204,7 +201,8 @@ fn queue_full_returns_busy_instead_of_hanging() {
         "busy rejection took {waited:?}, should be immediate"
     );
 
-    // A's sleep eventually completes and the rejection was counted.
+    // Released, A's read completes; the rejection was counted.
+    drop(hold);
     let resp = a.recv().unwrap();
     assert!(is_ok(&resp));
     let resp = a.call(&Json::obj().field("type", "stats").build()).unwrap();
@@ -239,9 +237,10 @@ fn malformed_requests_get_errors_and_connection_survives() {
     let resp = c.recv().unwrap();
     assert_eq!(error_code(&resp), Some("query_error"));
 
-    c.send_raw(r#"{"type":"sleep","ms":99999999}"#).unwrap();
+    // The retired worker-holding diagnostic is just another unknown type.
+    c.send_raw(r#"{"type":"sleep","ms":10}"#).unwrap();
     let resp = c.recv().unwrap();
-    assert_eq!(error_code(&resp), Some("too_large"));
+    assert_eq!(error_code(&resp), Some("bad_request"));
 
     // The connection is still serviceable after every error.
     let resp = c.call(&Json::obj().field("type", "stats").build()).unwrap();

@@ -10,7 +10,7 @@
 
 use datacron_core::{PipelineConfig, PolygonSpec};
 use datacron_geo::BoundingBox;
-use datacron_server::client::is_ok;
+use datacron_server::client::{error_code, is_ok};
 use datacron_server::codec::decode_batch;
 use datacron_server::{start, Client, Json, ServerConfig};
 use datacron_storage::test_util::TempDir;
@@ -41,11 +41,15 @@ fn test_config() -> ServerConfig {
 }
 
 fn durable_config(dir: &Path, snapshot_every: u64) -> ServerConfig {
+    durable_config_with(dir, snapshot_every, FsyncPolicy::Always)
+}
+
+fn durable_config_with(dir: &Path, snapshot_every: u64, fsync: FsyncPolicy) -> ServerConfig {
     ServerConfig {
         data_dir: Some(dir.to_path_buf()),
         storage: StorageConfig {
             segment_bytes: 4096,
-            fsync: FsyncPolicy::Always,
+            fsync,
             snapshot_every_records: snapshot_every,
         },
         ..test_config()
@@ -569,22 +573,36 @@ fn bit_flipped_tail_recovers_to_last_valid_record() {
 }
 
 /// Crash-torture for group commit: concurrent clients hammer durable
-/// ingest at `fsync=always`, each recording exactly the batches the
-/// server acknowledged; the server is `abort()`ed mid-stream (no final
-/// fsync, pending group-commit work abandoned); recovery must contain
-/// every acknowledged batch. Durable-but-unacked extras are allowed —
-/// the invariant under test is ack ⟹ durable, never the converse.
+/// ingest, each recording exactly the batches the server acknowledged;
+/// the server is `abort()`ed mid-stream (no final fsync, pending
+/// group-commit work abandoned). Recovery must contain every
+/// acknowledged batch (a process crash loses nothing written), and what
+/// a power failure could have taken — acknowledged batches at or past
+/// the durable watermark the crash froze — is at most the policy's
+/// slack: none under `always`, three under `every=4`.
+/// Durable-but-unacked extras are allowed: the invariant under test is
+/// ack ⟹ durable (within the slack), never the converse.
 ///
 /// Each batch uses a unique object id encoding (client, batch), so "batch
 /// replayed" reduces to "object present in the decoded WAL".
 #[test]
 fn crash_torture_every_acked_batch_survives_abort() {
+    crash_torture("itest-torture", FsyncPolicy::Always);
+}
+
+#[test]
+fn crash_torture_every_4_leaves_at_most_three_acked_batches_undurable() {
+    crash_torture("itest-torture-every4", FsyncPolicy::EveryN(4));
+}
+
+fn crash_torture(tag: &str, fsync: FsyncPolicy) {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{Arc, Barrier};
 
     const CLIENTS: u64 = 8;
-    let dir = TempDir::new("itest-torture");
-    let handle = start(durable_config(dir.path(), 0)).expect("start");
+    let dir = TempDir::new(tag);
+    let handle = start(durable_config_with(dir.path(), 0, fsync)).expect("start");
+    let commit = handle.commit().expect("durable server");
     let addr = handle.local_addr;
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -620,6 +638,7 @@ fn crash_torture_every_acked_batch_survives_abort() {
     // Mid-stream unclean stop: closes every connection (unblocking any
     // client still waiting on a response) and abandons pending fsyncs.
     handle.abort();
+    let durable_lsn = commit.durable_lsn();
     let acked: Vec<u64> = threads
         .into_iter()
         .flat_map(|t| t.join().expect("client thread"))
@@ -641,16 +660,19 @@ fn crash_torture_every_acked_batch_survives_abort() {
     )
     .expect("reopen");
     assert!(recovery.snapshot.is_none(), "snapshots were disabled");
-    let recovered: std::collections::HashSet<u64> = recovery
+    // object → sequence number of the record that carried it.
+    let recovered: std::collections::HashMap<u64, u64> = recovery
         .wal_tail
         .iter()
-        .flat_map(|(_, payload)| decode_batch(payload).expect("decode recovered batch"))
-        .map(|r| r.object.raw())
+        .flat_map(|(seq, payload)| {
+            let batch = decode_batch(payload).expect("decode recovered batch");
+            batch.into_iter().map(|r| (r.object.raw(), *seq))
+        })
         .collect();
     let lost: Vec<u64> = acked
         .iter()
         .copied()
-        .filter(|o| !recovered.contains(o))
+        .filter(|o| !recovered.contains_key(o))
         .collect();
     assert!(
         lost.is_empty(),
@@ -659,6 +681,11 @@ fn crash_torture_every_acked_batch_survives_abort() {
         acked.len(),
         recovered.len(),
         &lost[..lost.len().min(16)]
+    );
+    let undurable = acked.iter().filter(|o| recovered[o] >= durable_lsn).count() as u64;
+    assert!(
+        undurable <= fsync.slack(),
+        "{undurable} acked batches at or past the durable watermark {durable_lsn} under {fsync:?}"
     );
 
     // And a restarted server replays them into query-visible state.
@@ -672,6 +699,50 @@ fn crash_torture_every_acked_batch_survives_abort() {
     }
     drop(c);
     restarted.shutdown();
+}
+
+/// A failed flush under `every=4`: the ack that was waiting on it
+/// carries `storage_error`, the WAL stays poisoned for every later
+/// ingest, and the fsync is never tried again.
+#[test]
+fn failed_flush_under_every_4_fails_the_waiting_ack_and_poisons_for_good() {
+    let dir = TempDir::new("itest-poison-every4");
+    let cfg = durable_config_with(dir.path(), 0, FsyncPolicy::EveryN(4));
+    let handle = start(cfg).expect("start");
+    let commit = handle.commit().expect("durable server");
+    let mut c = connect(handle.local_addr);
+
+    // Three batches fit in the slack: acknowledged, no flush asked for.
+    for obj in 0..3u64 {
+        let resp = c
+            .call(&ingest_request(500 + obj, 0, 2, 21.0, 36.0))
+            .unwrap();
+        assert!(is_ok(&resp), "{resp}");
+    }
+    assert_eq!(storage_stat(&mut c, "fsyncs").as_u64(), Some(0));
+
+    // The fourth asks for the flush and its ack waits on it.
+    commit.inject_fsync_failures(1);
+    let resp = c.call(&ingest_request(503, 0, 2, 21.0, 36.0)).unwrap();
+    assert_eq!(error_code(&resp), Some("storage_error"), "{resp}");
+    let msg = resp.get("error").and_then(Json::as_str).unwrap();
+    assert!(msg.contains("injected fsync failure"), "{msg}");
+
+    // Only one failure was armed: a retried fsync would succeed, count,
+    // and move the watermark.
+    for obj in 4..8u64 {
+        let resp = c
+            .call(&ingest_request(500 + obj, 0, 2, 21.0, 36.0))
+            .unwrap();
+        assert_eq!(error_code(&resp), Some("storage_error"), "{resp}");
+    }
+    assert_eq!(storage_stat(&mut c, "fsyncs").as_u64(), Some(0));
+    assert_eq!(storage_stat(&mut c, "durable_lsn").as_u64(), Some(0));
+    assert_eq!(storage_stat(&mut c, "next_seq").as_u64(), Some(4));
+    // Reads are unaffected.
+    assert!(object_rows(&mut c, 500) > 0);
+    drop(c);
+    handle.abort();
 }
 
 #[test]
