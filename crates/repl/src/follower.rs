@@ -2,10 +2,11 @@
 //!
 //! The sync loop (one thread in the serving process) updates a shared
 //! [`FollowerProgress`] as it polls the leader and applies frames. The
-//! follower's own log position is not here: it is the replicated
-//! state's. Read-path workers combine the two to stamp responses with
-//! `leader_epoch` / `applied_lsn` and to decide — via [`StalenessPolicy`]
-//! — whether the replica is too stale to serve.
+//! follower's log position and the leader epoch it counts in are not
+//! here: both belong to the replicated state, so a read stamps
+//! `leader_epoch` / `applied_lsn` from the state that answered it.
+//! Read-path workers combine that position with this progress to decide
+//! — via [`StalenessPolicy`] — whether the replica is too stale to serve.
 //!
 //! Staleness has two independent triggers, either of which sheds
 //! reads: the follower knows it is behind by more than
@@ -26,9 +27,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// lag a plain subtraction from the leader's `next_seq`.
 #[derive(Debug, Default)]
 pub struct FollowerProgress {
-    /// Last leader epoch observed (frozen if the leader dies).
-    leader_epoch: AtomicU64,
-    /// Leader's `next_seq` from the most recent successful poll.
+    /// Leader's `next_seq` (its durable head) from the most recent
+    /// successful poll.
     leader_next_seq: AtomicU64,
     /// Local clock reading at the most recent successful poll.
     last_contact_us: AtomicU64,
@@ -44,10 +44,9 @@ impl FollowerProgress {
         FollowerProgress::default()
     }
 
-    /// Records a successful poll: the leader (at `epoch`) reported
-    /// `next_seq`, observed at local time `now_us`.
-    pub fn observe_leader(&self, epoch: u64, next_seq: u64, now_us: u64) {
-        self.leader_epoch.store(epoch, Ordering::Release);
+    /// Records a successful poll: the leader reported `next_seq`,
+    /// observed at local time `now_us`.
+    pub fn observe_leader(&self, next_seq: u64, now_us: u64) {
         self.leader_next_seq.store(next_seq, Ordering::Release);
         self.last_contact_us.store(now_us, Ordering::Release);
     }
@@ -57,11 +56,6 @@ impl FollowerProgress {
     pub fn observe_apply(&self, frames: u64, records: u64) {
         self.frames_applied.fetch_add(frames, Ordering::Relaxed);
         self.records_applied.fetch_add(records, Ordering::Relaxed);
-    }
-
-    /// Last observed leader epoch (0 before first contact).
-    pub fn leader_epoch(&self) -> u64 {
-        self.leader_epoch.load(Ordering::Acquire)
     }
 
     /// Leader's `next_seq` at last contact.
@@ -120,11 +114,6 @@ pub enum StalenessVerdict {
 }
 
 impl StalenessPolicy {
-    /// True when neither bound is configured (reads never shed).
-    pub fn is_unbounded(&self) -> bool {
-        self.max_lag_records.is_none() && self.max_lag_us.is_none()
-    }
-
     /// Checks a state at position `applied_lsn` against the policy,
     /// given `progress` heard from the leader, at local time `now_us`.
     /// Before the first leader contact the silence bound does not
@@ -158,10 +147,11 @@ mod tests {
     #[test]
     fn progress_tracks_apply_and_contact() {
         let p = FollowerProgress::new();
-        p.observe_leader(3, 11, 1000);
+        p.observe_leader(11, 1000);
         p.observe_apply(5, 20);
         p.observe_apply(6, 20);
-        assert_eq!(p.leader_epoch(), 3);
+        assert_eq!(p.leader_next_seq(), 11);
+        assert_eq!(p.silence_us(1500), 500);
         assert_eq!(p.lag_records(11), 0); // next=11, applied=11
         assert_eq!(p.frames_applied(), 11);
         assert_eq!(p.records_applied(), 40);
@@ -170,7 +160,7 @@ mod tests {
     #[test]
     fn lag_records_counts_unapplied() {
         let p = FollowerProgress::new();
-        p.observe_leader(1, 101, 0);
+        p.observe_leader(101, 0);
         assert_eq!(p.lag_records(61), 40);
         // A state ahead of the last poll is not behind at all.
         assert_eq!(p.lag_records(102), 0);
@@ -181,16 +171,15 @@ mod tests {
         // LSN 0 means "nothing applied" — against a leader with 5
         // records the lag is all 5, including WAL sequence 0.
         let p = FollowerProgress::new();
-        p.observe_leader(1, 5, 100);
+        p.observe_leader(5, 100);
         assert_eq!(p.lag_records(0), 5);
     }
 
     #[test]
     fn unbounded_policy_never_sheds() {
         let policy = StalenessPolicy::default();
-        assert!(policy.is_unbounded());
         let p = FollowerProgress::new();
-        p.observe_leader(1, 1_000_000, 0);
+        p.observe_leader(1_000_000, 0);
         assert_eq!(policy.check(&p, 0, u64::MAX), StalenessVerdict::Fresh);
     }
 
@@ -201,10 +190,10 @@ mod tests {
             max_lag_us: None,
         };
         let p = FollowerProgress::new();
-        p.observe_leader(1, 12, 500);
+        p.observe_leader(12, 500);
         // State at 2: lag = 10, at the bound.
         assert_eq!(policy.check(&p, 2, 500), StalenessVerdict::Fresh);
-        p.observe_leader(1, 13, 600); // lag = 11, over
+        p.observe_leader(13, 600); // lag = 11, over
         assert_eq!(
             policy.check(&p, 2, 600),
             StalenessVerdict::Stale {
@@ -221,7 +210,7 @@ mod tests {
             max_lag_us: Some(1_000_000),
         };
         let p = FollowerProgress::new();
-        p.observe_leader(2, 5, 1_000_000);
+        p.observe_leader(5, 1_000_000);
         // Caught up and fresh contact: serve.
         assert_eq!(policy.check(&p, 5, 1_500_000), StalenessVerdict::Fresh);
         // Leader silent for 2s: shed even with zero record lag.

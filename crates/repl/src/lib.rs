@@ -6,7 +6,8 @@
 //! staleness gating ([`FollowerProgress`], [`StalenessPolicy`]), the durable
 //! leader-epoch counter ([`epoch::next_epoch`]), the append-time lag
 //! ring ([`LagTracker`]) and the base64 codec used to carry binary WAL
-//! payloads inside the newline-delimited JSON protocol ([`b64`]).
+//! payloads and snapshot files inside the newline-delimited JSON
+//! protocol ([`b64`]).
 //!
 //! The wire protocol itself (the `repl_subscribe` / `repl_frame` /
 //! `repl_status` requests) lives in `datacron-server`, which depends on
@@ -15,17 +16,21 @@
 //! and lets the lint gates (no panics, no truncating casts in codec
 //! paths) cover the logic without dragging in the serving stack.
 //!
-//! Replication model in one paragraph: the leader appends every ingest
-//! batch to its WAL (sequence numbers are the LSNs), and followers pull
-//! frames — `(seq, payload)` pairs — from the leader's log, applying
-//! them through the same pipeline batch-apply path recovery uses; the
-//! applying state records the position it has reached and takes only
-//! the record at that position next. A follower that starts (or falls)
-//! behind the leader's retained log bootstraps from a full state
-//! snapshot first, then tails. Staleness
-//! is observable (lag in records and microseconds, exported as gauges)
-//! and enforceable (a follower sheds reads with `stale` once lag
-//! crosses the configured bound).
+//! Replication model in one paragraph: a follower is built from exactly
+//! what the leader's own recovery would read. The leader appends every
+//! ingest batch to its WAL (sequence numbers are the LSNs); followers
+//! pull frames — `(seq, payload)` pairs — from the *durable* part of that
+//! log, below the commit watermark, and apply them through the same
+//! batch-apply path recovery uses; the applying state records the
+//! position it has reached, and the leader epoch that position counts
+//! in, and takes only the record at that position next. A follower that
+//! starts (or falls) behind the leader's retained log bootstraps from
+//! the leader's newest snapshot file first, then tails; a reply in a new
+//! epoch (the leader restarted, and may have lost unsynced records and
+//! regrown its log) rebuilds it the same way. Staleness is observable
+//! (lag in records and microseconds, exported as gauges) and
+//! enforceable (a follower sheds reads with `stale` once lag crosses the
+//! configured bound).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

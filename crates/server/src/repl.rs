@@ -2,21 +2,20 @@
 //! bootstrap, and the pull loop that tails the leader's WAL.
 //!
 //! The leader half is passive — serving `repl_subscribe` / `repl_frame`
-//! happens in the dispatcher — so this module is mostly the follower:
-//! [`bootstrap`] fetches a consistent starting state over the line
-//! protocol, and [`sync_loop`] (one thread per follower process) polls
-//! the leader for WAL frames and applies them through the same
-//! batch-apply path crash recovery uses. Replication invariants (lag
-//! accounting, staleness verdicts, epochs) live in `datacron-repl`;
-//! this module only moves bytes and takes locks.
+//! happens in the dispatcher — so this module is mostly the follower. It
+//! is built the way recovery builds a leader: [`bootstrap`] fetches the
+//! leader's newest snapshot file (if its log no longer starts at 0) and
+//! [`sync_loop`] (one thread per follower process) pulls the durable WAL
+//! after it, both through [`AnalyticsState::rebuild`]'s path. The state
+//! carries the leader epoch its position counts in; a reply in another
+//! epoch means a rebuild. Lag accounting and staleness verdicts live in
+//! `datacron-repl`; this module only moves bytes and takes locks.
 
 use crate::client::{self, Client};
-use crate::codec;
 use crate::json::Json;
 use crate::server::ServerConfig;
 use crate::state::AnalyticsState;
 use datacron_core::sync::TrackedRwLock;
-use datacron_model::PositionReport;
 use datacron_obs::{ClockSource, Registry, SlowLog, Trace};
 use datacron_repl::{b64, FollowerProgress, FollowerRegistry, Role, StalenessPolicy};
 use std::io::{self, ErrorKind};
@@ -111,31 +110,19 @@ fn proto_err(context: &str, resp: &Json) -> io::Error {
     )
 }
 
-/// What [`bootstrap`] brings back from the leader.
-pub(crate) struct Bootstrap {
-    /// The starting state: decoded snapshot at the leader's
-    /// `snapshot_lsn`, or fresh at 0 when the leader sent no snapshot
-    /// (it still retains its whole WAL, which replays through frames).
-    pub state: AnalyticsState,
-    /// Leader epoch at subscribe time.
-    pub epoch: u64,
-    /// Leader's WAL head (`next_seq`) at subscribe time.
-    pub leader_next_seq: u64,
-}
-
-/// Subscribes to `leader` and builds the follower's starting state.
-///
-/// Asks for the WAL from `from_seq`; the leader includes a full state
-/// snapshot only when that position has already been retired from its
-/// log. Fails fast (rather than serving empty state) when the leader is
-/// unreachable or refuses — a follower with no leader has nothing
-/// correct to serve.
-pub(crate) fn bootstrap(cfg: &ServerConfig, leader: &str, from_seq: u64) -> io::Result<Bootstrap> {
+/// Subscribes to `leader` from position 0 and builds the follower's
+/// starting state the way recovery builds a leader's: in the leader's
+/// epoch, from its newest snapshot file — sent only once position 0 has
+/// been retired from its log — or fresh at 0. Returns the state and the
+/// leader's durable head. Fails fast (rather than serving empty state)
+/// when the leader is unreachable or refuses — a follower with no leader
+/// has nothing correct to serve.
+pub(crate) fn bootstrap(cfg: &ServerConfig, leader: &str) -> io::Result<(AnalyticsState, u64)> {
     let mut c = Client::connect_timeout(leader_sockaddr(leader)?, BOOTSTRAP_TIMEOUT)?;
     let req = Json::obj()
         .field("type", "repl_subscribe")
         .field("follower", cfg.replication.follower_id.as_str())
-        .field("from_seq", from_seq)
+        .field("from_seq", 0u64)
         .build();
     let resp = c.call(&req)?;
     if !client::is_ok(&resp) {
@@ -144,37 +131,25 @@ pub(crate) fn bootstrap(cfg: &ServerConfig, leader: &str, from_seq: u64) -> io::
             format!("leader {leader} refused subscribe: {resp}"),
         ));
     }
-    let epoch = resp
-        .get("epoch")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| proto_err("subscribe", &resp))?;
-    let leader_next_seq = resp
-        .get("next_seq")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| proto_err("subscribe", &resp))?;
-    let state = match resp.get("snapshot").and_then(Json::as_str) {
-        Some(encoded) => {
-            let lsn = resp
-                .get("snapshot_lsn")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| proto_err("subscribe", &resp))?;
-            let bytes = b64::decode(encoded)
-                .map_err(|e| io::Error::new(ErrorKind::InvalidData, format!("snapshot: {e}")))?;
-            AnalyticsState::from_snapshot_bytes(
-                cfg.pipeline.clone(),
-                cfg.heat_cell_deg,
-                &bytes,
-                lsn,
-            )
-            .map_err(|e| io::Error::new(ErrorKind::InvalidData, format!("snapshot decode: {e}")))?
-        }
-        None => AnalyticsState::new(cfg.pipeline.clone(), cfg.heat_cell_deg),
+    let field = |key| resp.get(key).and_then(Json::as_u64);
+    let (Some(epoch), Some(next_seq)) = (field("epoch"), field("next_seq")) else {
+        return Err(proto_err("subscribe", &resp));
     };
-    Ok(Bootstrap {
-        state,
-        epoch,
-        leader_next_seq,
-    })
+    let snapshot = match (
+        resp.get("snapshot").and_then(Json::as_str),
+        field("snapshot_lsn"),
+    ) {
+        (None, _) => None,
+        (Some(encoded), Some(lsn)) => Some((lsn, b64::decode(encoded).map_err(invalid_snapshot)?)),
+        (Some(_), None) => return Err(proto_err("subscribe", &resp)),
+    };
+    let (pipeline, deg) = (cfg.pipeline.clone(), cfg.heat_cell_deg);
+    let state = AnalyticsState::rebuild(pipeline, deg, epoch, snapshot.as_ref(), &[])?;
+    Ok((state, next_seq))
+}
+
+fn invalid_snapshot(e: String) -> io::Error {
+    io::Error::new(ErrorKind::InvalidData, format!("snapshot: {e}"))
 }
 
 /// Everything the follower's pull loop needs, bundled for the thread.
@@ -224,13 +199,18 @@ pub(crate) fn sync_loop(s: &FollowerSync) {
     }
 }
 
-/// One poll/apply round. Returns whether any frame was applied. Frames
-/// that do not run on from the state's position, and a reset that brings
-/// no snapshot past it, are an error and leave the state as it was.
+/// One poll/apply round. Returns whether the state moved. A reply in
+/// another epoch than the state's, and a `reset`, rebuild the state the
+/// way startup built it; in the same epoch the rebuilt state must lie past
+/// the old one. Frames that do not run on from the state's position are
+/// an error and leave the state as it was.
 fn poll_once(s: &FollowerSync, conn: &mut Client) -> io::Result<bool> {
     // The sync loop is the follower state's only writer, so the position
     // cannot move between this read and the apply below.
-    let from_seq = s.state.read().applied_lsn();
+    let (from_seq, held_epoch) = {
+        let state = s.state.read();
+        (state.applied_lsn(), state.epoch())
+    };
     let req = Json::obj()
         .field("type", "repl_frame")
         .field("follower", s.cfg.replication.follower_id.as_str())
@@ -241,36 +221,31 @@ fn poll_once(s: &FollowerSync, conn: &mut Client) -> io::Result<bool> {
     if !client::is_ok(&resp) {
         return Err(io::Error::other(format!("leader rejected poll: {resp}")));
     }
-    let epoch = resp
-        .get("epoch")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| proto_err("poll", &resp))?;
-    let next_seq = resp
-        .get("next_seq")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| proto_err("poll", &resp))?;
-    s.progress.observe_leader(epoch, next_seq, s.clock.now_us());
-    if resp.get("reset").and_then(Json::as_bool) == Some(true) {
-        // Our position fell off the leader's retained log (it snapshotted
-        // and retired past us). Re-bootstrap and swap in the fresh state,
-        // which must be a snapshot past where we are.
-        let b = bootstrap(&s.cfg, &s.leader, from_seq)?;
-        let at = b.state.applied_lsn();
-        if at <= from_seq {
+    let field = |key| resp.get(key).and_then(Json::as_u64);
+    let (Some(epoch), Some(next_seq)) = (field("epoch"), field("next_seq")) else {
+        return Err(proto_err("poll", &resp));
+    };
+    if epoch != held_epoch || resp.get("reset").and_then(Json::as_bool) == Some(true) {
+        // A new epoch may have rewritten any position (a restarted leader
+        // regrows its log from its durable head), and a reset means ours
+        // fell off the retained log: either way, start over.
+        let (rebuilt, leader_next_seq) = bootstrap(&s.cfg, &s.leader)?;
+        let (at, rebuilt_epoch) = (rebuilt.applied_lsn(), rebuilt.epoch());
+        if rebuilt_epoch == held_epoch && at <= from_seq {
             let msg = format!("reset from position {from_seq} brought a state at position {at}");
             return Err(io::Error::new(ErrorKind::InvalidData, msg));
         }
         {
             let mut state = s.state.write();
-            *state = b.state;
+            *state = rebuilt;
             // Same histogram identities: re-registration replaces the old
             // pipeline's stage histograms in the registry.
             state.register_metrics(&s.registry);
         }
-        s.progress
-            .observe_leader(b.epoch, b.leader_next_seq, s.clock.now_us());
+        s.progress.observe_leader(leader_next_seq, s.clock.now_us());
         return Ok(true);
     }
+    s.progress.observe_leader(next_seq, s.clock.now_us());
     let Some(frames) = resp.get("frames").and_then(Json::as_array) else {
         return Err(proto_err("poll", &resp));
     };
@@ -278,39 +253,30 @@ fn poll_once(s: &FollowerSync, conn: &mut Client) -> io::Result<bool> {
         return Ok(false);
     }
 
-    // Decode, then apply every frame's batch in one shot — same
-    // single-commit path recovery uses, traced for the slowlog.
+    // Decode, then apply every frame in one shot — the batch path
+    // recovery uses, traced for the slowlog.
     let mut trace = Trace::start(Arc::clone(&s.clock));
     let decode_begin = trace.begin();
-    let mut batches: Vec<Vec<PositionReport>> = Vec::with_capacity(frames.len());
-    for (want, f) in (from_seq..).zip(frames) {
-        let seq = f
-            .get("seq")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| proto_err("frame", f))?;
-        if seq != want {
-            let msg = format!("frame seq {seq} where {want} was due");
-            return Err(io::Error::new(ErrorKind::InvalidData, msg));
-        }
-        let payload = f
-            .get("payload")
-            .and_then(Json::as_str)
-            .ok_or_else(|| proto_err("frame", f))?;
+    let mut log = Vec::with_capacity(frames.len());
+    for f in frames {
+        let (Some(seq), Some(payload)) = (
+            f.get("seq").and_then(Json::as_u64),
+            f.get("payload").and_then(Json::as_str),
+        ) else {
+            return Err(proto_err("frame", f));
+        };
         let bytes = b64::decode(payload)
             .map_err(|e| io::Error::new(ErrorKind::InvalidData, format!("frame {seq}: {e}")))?;
-        let batch = codec::decode_batch(&bytes)
-            .map_err(|e| io::Error::new(ErrorKind::InvalidData, format!("frame {seq}: {e}")))?;
-        batches.push(batch);
+        log.push((seq, bytes));
     }
     trace.end_span("decode", decode_begin);
     let apply_begin = trace.begin();
-    s.state.write().apply_log(from_seq, &batches)?;
-    let records = batches.iter().map(|b| b.len() as u64).sum();
-    s.progress.observe_apply(batches.len() as u64, records);
+    let out = s.state.write().apply_records(&log)?;
+    s.progress.observe_apply(log.len() as u64, out.accepted);
     trace.end_span("apply", apply_begin);
     s.slowlog
         .record("repl_apply", trace.total_us(), trace.into_spans(), || {
-            format!("{} frames from seq {from_seq}", batches.len())
+            format!("{} frames from seq {from_seq}", log.len())
         });
     Ok(true)
 }
@@ -338,7 +304,7 @@ mod tests {
     fn bootstrap_fails_fast_without_leader() {
         // Port 1 on loopback is essentially never listening.
         let cfg = ServerConfig::default();
-        assert!(bootstrap(&cfg, "127.0.0.1:1", 1).is_err());
+        assert!(bootstrap(&cfg, "127.0.0.1:1").is_err());
     }
 
     #[test]

@@ -274,8 +274,9 @@ struct Shared {
 }
 
 /// Start-up recovery time by phase, µs, measured once by [`recover`]:
-/// `(phase, µs)` for the snapshot file read, verify and decode; the WAL
-/// tail read and verify; and decoding and applying the tail.
+/// `(phase, µs)` for the snapshot file read and verify; the WAL tail read
+/// and verify; and the state build — snapshot and tail decoded, tail
+/// applied.
 type RecoveryTimes = [(&'static str, u64); 3];
 
 /// Binds, spawns the acceptor and worker pool, and returns immediately.
@@ -307,18 +308,15 @@ pub fn start_with_clock(
     let registry = Arc::new(Registry::new());
     let (storage, mut recovered, repl) = match (&cfg.replication.follow, &cfg.data_dir) {
         (Some(leader), _) => {
-            // From position 0: a fresh replica wants the log from its
-            // first record (the leader sends a snapshot instead when 0
-            // has been retired).
-            let b = repl::bootstrap(&cfg, leader, 0)?;
+            let (state, leader_next_seq) = repl::bootstrap(&cfg, leader)?;
             let progress = Arc::new(FollowerProgress::new());
-            progress.observe_leader(b.epoch, b.leader_next_seq, clock.now_us());
+            progress.observe_leader(leader_next_seq, clock.now_us());
             let repl = ReplRuntime::Follower {
                 leader: leader.clone(),
                 progress,
                 policy: cfg.replication.policy,
             };
-            (None, b.state, repl)
+            (None, state, repl)
         }
         (None, Some(dir)) => {
             let (storage, state, times) = recover(dir, &cfg, &clock, Arc::clone(&disk))?;
@@ -487,7 +485,10 @@ fn install_collectors(
         sink.gauge("datacron_repl_role", &[("role", repl.role().name())], 1);
         // The state's log position; on a durable leader the WAL head,
         // since appends happen only under the state write lock.
-        let applied_lsn = state.read().applied_lsn();
+        let (applied_lsn, state_epoch) = {
+            let state = state.read();
+            (state.applied_lsn(), state.epoch())
+        };
         match &repl {
             ReplRuntime::Leader { epoch, registry } => {
                 sink.gauge("datacron_repl_epoch", &[], *epoch);
@@ -505,102 +506,93 @@ fn install_collectors(
                 leader, progress, ..
             } => {
                 sink.gauge("datacron_repl_leader", &[("addr", leader)], 1);
-                sink.gauge("datacron_repl_epoch", &[], progress.leader_epoch());
-                sink.gauge("datacron_repl_applied_lsn", &[], applied_lsn);
-                sink.gauge(
-                    "datacron_repl_lag_records",
-                    &[],
-                    progress.lag_records(applied_lsn),
-                );
-                sink.gauge(
-                    "datacron_repl_silence_us",
-                    &[],
-                    progress.silence_us(clock.now_us()),
-                );
-                sink.counter(
-                    "datacron_repl_frames_applied_total",
-                    &[],
-                    progress.frames_applied(),
-                );
-                sink.counter(
-                    "datacron_repl_records_applied_total",
-                    &[],
-                    progress.records_applied(),
-                );
+                let silence_us = progress.silence_us(clock.now_us());
+                for (name, v) in [
+                    ("datacron_repl_epoch", state_epoch),
+                    ("datacron_repl_applied_lsn", applied_lsn),
+                    (
+                        "datacron_repl_lag_records",
+                        progress.lag_records(applied_lsn),
+                    ),
+                    ("datacron_repl_silence_us", silence_us),
+                ] {
+                    sink.gauge(name, &[], v);
+                }
+                let frames = progress.frames_applied();
+                sink.counter("datacron_repl_frames_applied_total", &[], frames);
+                let records = progress.records_applied();
+                sink.counter("datacron_repl_records_applied_total", &[], records);
             }
         }
-        sink.counter(
-            "datacron_connections_total",
-            &[("outcome", "accepted")],
-            metrics.connections_accepted.load(Ordering::Relaxed),
-        );
-        sink.counter(
-            "datacron_connections_total",
-            &[("outcome", "rejected")],
-            metrics.connections_rejected.load(Ordering::Relaxed),
-        );
-        sink.counter(
-            "datacron_requests_total",
-            &[("outcome", "ok")],
-            metrics.requests_ok.load(Ordering::Relaxed),
-        );
-        sink.counter(
-            "datacron_requests_total",
-            &[("outcome", "err")],
-            metrics.requests_err.load(Ordering::Relaxed),
-        );
-        sink.gauge(
-            "datacron_queue_depth",
-            &[],
-            metrics.queued.load(Ordering::Relaxed),
-        );
-        sink.gauge("datacron_queue_capacity", &[], queue_capacity);
-        sink.gauge("datacron_workers", &[], workers);
-        sink.gauge("datacron_slowlog_threshold_us", &[], slowlog.threshold_us());
+        let m = &metrics;
+        for (name, outcome, reported) in [
+            (
+                "datacron_connections_total",
+                "accepted",
+                &m.connections_accepted,
+            ),
+            (
+                "datacron_connections_total",
+                "rejected",
+                &m.connections_rejected,
+            ),
+            ("datacron_requests_total", "ok", &m.requests_ok),
+            ("datacron_requests_total", "err", &m.requests_err),
+        ] {
+            let v = reported.load(Ordering::Relaxed);
+            sink.counter(name, &[("outcome", outcome)], v);
+        }
+        for (name, v) in [
+            ("datacron_queue_depth", m.queued.load(Ordering::Relaxed)),
+            ("datacron_queue_capacity", queue_capacity),
+            ("datacron_workers", workers),
+            ("datacron_slowlog_threshold_us", slowlog.threshold_us()),
+        ] {
+            sink.gauge(name, &[], v);
+        }
         // State read lock and storage lock are taken one after the
         // other, never nested (and state -> storage is the vetted order).
         state.read().scrape_into(sink);
         if let Some(storage) = &storage {
             let s = storage.lock().stats();
-            sink.gauge("datacron_wal_bytes", &[], s.wal_bytes);
-            sink.gauge("datacron_wal_segments", &[], s.segments as u64);
-            sink.gauge("datacron_wal_next_seq", &[], s.next_seq);
-            sink.gauge("datacron_wal_durable_lsn", &[], s.durable_lsn);
-            sink.counter("datacron_wal_fsyncs_total", &[], s.fsyncs);
-            sink.counter("datacron_wal_commit_batches_total", &[], s.commit_batches);
+            for (name, v) in [
+                ("datacron_wal_bytes", s.wal_bytes),
+                ("datacron_wal_segments", s.segments as u64),
+                ("datacron_wal_next_seq", s.next_seq),
+                ("datacron_wal_durable_lsn", s.durable_lsn),
+                (
+                    "datacron_storage_snapshot_in_flight",
+                    u64::from(s.snapshot_in_flight),
+                ),
+                ("datacron_storage_last_snapshot_seq", s.last_snapshot_seq),
+                (
+                    "datacron_storage_records_since_snapshot",
+                    s.records_since_snapshot,
+                ),
+            ] {
+                sink.gauge(name, &[], v);
+            }
             // Every durable ack lands in
             // `datacron_ingest_durable_wait_latency_us`, so that
-            // histogram's count minus this is the acks that fired inline.
-            sink.counter("datacron_wal_acks_parked_total", &[], s.commit_waiters);
-            sink.gauge(
-                "datacron_storage_snapshot_in_flight",
-                &[],
-                u64::from(s.snapshot_in_flight),
-            );
-            sink.counter(
-                "datacron_storage_snapshot_failures_total",
-                &[],
-                s.snapshot_failures,
-            );
-            sink.gauge(
-                "datacron_storage_last_snapshot_seq",
-                &[],
-                s.last_snapshot_seq,
-            );
-            sink.gauge(
-                "datacron_storage_records_since_snapshot",
-                &[],
-                s.records_since_snapshot,
-            );
+            // histogram's count minus `acks_parked` is the acks that fired
+            // inline.
+            for (name, v) in [
+                ("datacron_wal_fsyncs_total", s.fsyncs),
+                ("datacron_wal_commit_batches_total", s.commit_batches),
+                ("datacron_wal_acks_parked_total", s.commit_waiters),
+                (
+                    "datacron_storage_snapshot_failures_total",
+                    s.snapshot_failures,
+                ),
+            ] {
+                sink.counter(name, &[], v);
+            }
             if let Some(age) = s.snapshot_age_us {
                 sink.gauge("datacron_storage_snapshot_age_us", &[], age);
             }
             if let Some(error) = &s.last_snapshot_error {
-                sink.gauge(
-                    "datacron_storage_last_snapshot_error",
-                    &[("error", error)],
-                    1,
-                );
+                let labels = [("error", error.as_str())];
+                sink.gauge("datacron_storage_last_snapshot_error", &labels, 1);
             }
         }
     });
@@ -611,54 +603,30 @@ fn install_collectors(
 /// separate from [`install_collectors`] because the reactor (and its
 /// stats) only exists once `Shared` does.
 fn install_net_collectors(registry: &Registry, net: &ReactorHandle) {
-    registry.register_histogram(
-        "datacron_net_loop_latency_us",
-        &[],
-        Arc::clone(&net.stats().loop_latency),
-    );
+    let loop_latency = Arc::clone(&net.stats().loop_latency);
+    registry.register_histogram("datacron_net_loop_latency_us", &[], loop_latency);
     let net = net.clone();
     registry.collector(move |sink| {
         let s = net.stats();
-        sink.gauge(
-            "datacron_net_open_connections",
-            &[],
-            s.open_connections.load(Ordering::Relaxed),
-        );
-        sink.gauge(
-            "datacron_net_read_buffer_bytes",
-            &[],
-            s.read_buffer_bytes.load(Ordering::Relaxed),
-        );
-        sink.gauge(
-            "datacron_net_write_buffer_bytes",
-            &[],
-            s.write_buffer_bytes.load(Ordering::Relaxed),
-        );
-        sink.counter(
-            "datacron_net_accepts_total",
-            &[],
-            s.accepts_total.load(Ordering::Relaxed),
-        );
-        sink.counter(
-            "datacron_net_conns_closed_total",
-            &[],
-            s.conns_closed_total.load(Ordering::Relaxed),
-        );
-        sink.counter(
-            "datacron_net_conns_reaped_total",
-            &[],
-            s.conns_reaped_total.load(Ordering::Relaxed),
-        );
-        sink.counter(
-            "datacron_net_wakeups_total",
-            &[],
-            s.wakeups_total.load(Ordering::Relaxed),
-        );
-        sink.counter(
-            "datacron_net_loop_iterations_total",
-            &[],
-            s.loop_iterations_total.load(Ordering::Relaxed),
-        );
+        for (name, reported) in [
+            ("datacron_net_open_connections", &s.open_connections),
+            ("datacron_net_read_buffer_bytes", &s.read_buffer_bytes),
+            ("datacron_net_write_buffer_bytes", &s.write_buffer_bytes),
+        ] {
+            sink.gauge(name, &[], reported.load(Ordering::Relaxed));
+        }
+        for (name, reported) in [
+            ("datacron_net_accepts_total", &s.accepts_total),
+            ("datacron_net_conns_closed_total", &s.conns_closed_total),
+            ("datacron_net_conns_reaped_total", &s.conns_reaped_total),
+            ("datacron_net_wakeups_total", &s.wakeups_total),
+            (
+                "datacron_net_loop_iterations_total",
+                &s.loop_iterations_total,
+            ),
+        ] {
+            sink.counter(name, &[], reported.load(Ordering::Relaxed));
+        }
     });
 }
 
@@ -677,48 +645,21 @@ fn recover(
 ) -> io::Result<(Storage, AnalyticsState, RecoveryTimes)> {
     let (storage, recovery) =
         Storage::open_with_clock(dir, cfg.storage.clone(), Arc::clone(clock), disk)?;
-    let invalid = |msg: String| io::Error::new(ErrorKind::InvalidData, msg);
-    let decode_begin = clock.now_us();
-    let mut state = match &recovery.snapshot {
-        Some((wal_seq, payload)) => AnalyticsState::from_snapshot_bytes(
-            cfg.pipeline.clone(),
-            cfg.heat_cell_deg,
-            payload,
-            *wal_seq,
-        )
-        .map_err(|e| invalid(format!("snapshot at wal seq {wal_seq}: {e}")))?,
-        None => AnalyticsState::new(cfg.pipeline.clone(), cfg.heat_cell_deg),
-    };
     let replay_begin = clock.now_us();
-    // Decode every tail record first, then apply them all through the
-    // batch path: one graph commit for the whole tail instead of one per
-    // record.
-    let mut batches = Vec::with_capacity(recovery.wal_tail.len());
-    for (seq, payload) in &recovery.wal_tail {
-        let batch = codec::decode_batch(payload)
-            .map_err(|e| invalid(format!("WAL record {seq} does not decode: {e}")))?;
-        batches.push(batch);
-    }
-    if let Some((first_seq, _)) = recovery.wal_tail.first() {
-        state
-            .apply_log(*first_seq, &batches)
-            .map_err(|e| invalid(format!("recovery: {e}")))?;
-    }
+    let (pipeline, deg, tail) = (cfg.pipeline.clone(), cfg.heat_cell_deg, &recovery.wal_tail);
+    let state = AnalyticsState::rebuild(pipeline, deg, 0, recovery.snapshot.as_ref(), tail)
+        .map_err(|e| io::Error::new(e.kind(), format!("recovery: {e}")))?;
     if state.applied_lsn() != storage.next_seq() {
-        return Err(invalid(format!(
-            "recovery: the WAL ends at seq {}, but the state is at position {}",
-            storage.next_seq(),
-            state.applied_lsn()
-        )));
+        let (head, at) = (storage.next_seq(), state.applied_lsn());
+        let msg =
+            format!("recovery: the WAL ends at seq {head}, but the state is at position {at}");
+        return Err(io::Error::new(ErrorKind::InvalidData, msg));
     }
     if let Some(note) = &recovery.truncation {
         eprintln!("datacron-server: WAL tail dropped during recovery: {note}");
     }
     let times = [
-        (
-            "snapshot_load",
-            recovery.snapshot_load_us + replay_begin.saturating_sub(decode_begin),
-        ),
+        ("snapshot_load", recovery.snapshot_load_us),
         ("wal_read", recovery.wal_read_us),
         ("replay", clock.now_us().saturating_sub(replay_begin)),
     ];
@@ -1078,9 +1019,10 @@ fn dispatch(env: &Envelope, shared: &Shared, trace: &mut Trace) -> Reply {
 
 /// Serves a read under one state read guard. The follower's staleness
 /// verdict, the answer and the `leader_epoch` / `applied_lsn` stamp all
-/// come from the state that guard holds, so a stamp is the position of
-/// the state that produced the answer — never one a concurrent apply
-/// reached after it. A memory-only server's state never moves off 0.
+/// come from the state that guard holds, so a stamp is the position —
+/// and on a follower the epoch — of the state that produced the answer,
+/// never one a concurrent apply or rebuild reached after it. A
+/// memory-only server's state never moves off 0.
 fn serve_read(
     shared: &Shared,
     answer: impl FnOnce(&AnalyticsState) -> Result<Json, ProtocolError>,
@@ -1107,7 +1049,7 @@ fn serve_read(
                 .with_field("lag_records", lag_records)
                 .with_field("silence_us", silence_us));
             }
-            progress.leader_epoch()
+            state.epoch()
         }
     };
     Ok(vec![
@@ -1118,55 +1060,58 @@ fn serve_read(
 }
 
 /// Leader-side `repl_subscribe`: registers the follower and returns the
-/// epoch and WAL head, plus a full serialized state snapshot when
-/// `from_seq` has already been retired from the log. The state read
-/// lock excludes ingest (which appends under the write lock), so the
-/// snapshot is exactly the state as of `next_seq`.
+/// epoch and durable WAL head, plus — when `from_seq` has been retired
+/// from the log — the newest snapshot file, the one recovery would start
+/// from. The snapshot thread writes a file only once the WAL is durable
+/// through its position, so a follower sees nothing a power cut can take
+/// back. The file is read holding no lock, so a subscribe never stalls
+/// ingest.
 fn repl_subscribe(
     shared: &Shared,
     follower: &str,
     from_seq: u64,
     trace: &mut Trace,
 ) -> Result<Vec<(String, Json)>, ProtocolError> {
-    let ReplRuntime::Leader {
-        epoch, registry, ..
-    } = &shared.repl
-    else {
-        return Err(not_leader(&shared.repl));
+    let (epoch, store) = repl_leader(shared, follower, from_seq)?;
+    let (mut floor, snapshots) = {
+        let storage = store.storage.lock();
+        (storage.first_retained_seq(), storage.snapshots())
     };
-    let Some(store) = &shared.storage else {
-        return Err(ProtocolError::new(
-            ErrorCode::StorageError,
-            "replication needs a durable leader (start it with --data-dir)",
-        ));
-    };
-    // State read lock first, then storage: the vetted order.
-    let state = shared.state.read();
-    let storage = store.storage.lock();
-    let next_seq = storage.next_seq();
-    let floor = storage.first_retained_seq();
-    registry.observe_poll(follower, from_seq, shared.clock.now_us());
     let mut fields = vec![
-        ("epoch".to_string(), Json::from(*epoch)),
-        ("next_seq".to_string(), Json::from(next_seq)),
+        ("epoch".to_string(), Json::from(epoch)),
         ("first_retained_seq".to_string(), Json::from(floor)),
     ];
     if from_seq < floor {
         let snap_begin = trace.begin();
-        let bytes = state.to_snapshot_bytes();
+        let (at, bytes) = loop {
+            let loaded = snapshots.load_latest();
+            // The floor only rises, past a snapshot already installed: a
+            // rise during the read may have pruned the file it listed.
+            let now = { store.storage.lock().first_retained_seq() };
+            match loaded.map_err(|e| storage_error("snapshot read", e))? {
+                Some((at, bytes)) if at >= now => break (at, bytes),
+                _ if now > floor => floor = now,
+                _ => {
+                    let msg = format!("no snapshot reaches the WAL, which starts at seq {now}");
+                    return Err(ProtocolError::new(ErrorCode::StorageError, msg));
+                }
+            }
+        };
         fields.push(("snapshot".to_string(), Json::from(b64::encode(&bytes))));
-        // The position of the state serialized; `next_seq`, since appends
-        // need the write lock.
-        fields.push(("snapshot_lsn".to_string(), Json::from(state.applied_lsn())));
+        fields.push(("snapshot_lsn".to_string(), Json::from(at)));
         trace.end_span("snapshot", snap_begin);
     }
+    // Read last, so it covers the snapshot.
+    fields.push(("next_seq".to_string(), store.commit.durable_lsn().into()));
     Ok(fields)
 }
 
-/// Leader-side `repl_frame`: serves a bounded window of WAL records
-/// from `from_seq`, or a `reset` marker when that position fell off the
-/// retained log (the follower must re-subscribe for a snapshot). The
-/// poll itself is the ack: everything below `from_seq` is confirmed.
+/// Leader-side `repl_frame`: serves a bounded window of durable WAL
+/// records from `from_seq`, or a `reset` marker when that position fell
+/// off the retained log (the follower must re-subscribe for a snapshot).
+/// The poll itself is the ack: everything below `from_seq` is confirmed.
+/// The advertised `next_seq` is the durable head, read after the frames,
+/// so it covers them.
 fn repl_frame(
     shared: &Shared,
     follower: &str,
@@ -1174,36 +1119,32 @@ fn repl_frame(
     max: usize,
     trace: &mut Trace,
 ) -> Result<Vec<(String, Json)>, ProtocolError> {
-    let ReplRuntime::Leader {
-        epoch, registry, ..
-    } = &shared.repl
-    else {
-        return Err(not_leader(&shared.repl));
-    };
-    let Some(store) = &shared.storage else {
-        return Err(ProtocolError::new(
-            ErrorCode::StorageError,
-            "replication needs a durable leader (start it with --data-dir)",
-        ));
-    };
-    let storage = store.storage.lock();
-    let next_seq = storage.next_seq();
+    let (epoch, store) = repl_leader(shared, follower, from_seq)?;
+    let mut storage = store.storage.lock();
     let floor = storage.first_retained_seq();
-    registry.observe_poll(follower, from_seq, shared.clock.now_us());
+    let frames = if from_seq < floor {
+        None
+    } else {
+        let read_begin = trace.begin();
+        let frames = storage
+            .read_from(from_seq, max, MAX_REPL_BYTES)
+            .map_err(|e| storage_error("wal read", e))?;
+        trace.end_span("wal_read", read_begin);
+        Some(frames)
+    };
+    drop(storage);
     let mut fields = vec![
-        ("epoch".to_string(), Json::from(*epoch)),
-        ("next_seq".to_string(), Json::from(next_seq)),
+        ("epoch".to_string(), Json::from(epoch)),
+        (
+            "next_seq".to_string(),
+            Json::from(store.commit.durable_lsn()),
+        ),
     ];
-    if from_seq < floor {
+    let Some(frames) = frames else {
         fields.push(("reset".to_string(), Json::Bool(true)));
         fields.push(("first_retained_seq".to_string(), Json::from(floor)));
         return Ok(fields);
-    }
-    let read_begin = trace.begin();
-    let frames = storage
-        .read_from(from_seq, max, MAX_REPL_BYTES)
-        .map_err(|e| ProtocolError::new(ErrorCode::StorageError, format!("wal read: {e}")))?;
-    trace.end_span("wal_read", read_begin);
+    };
     let arr: Vec<Json> = frames
         .iter()
         .map(|(seq, payload)| {
@@ -1215,6 +1156,31 @@ fn repl_frame(
         .collect();
     fields.push(("frames".to_string(), Json::Arr(arr)));
     Ok(fields)
+}
+
+/// The leader's epoch and durable store for a replication request, with
+/// the poll recorded in the follower registry; `not_leader` on a
+/// follower and a storage error on a memory-only leader.
+fn repl_leader<'a>(
+    shared: &'a Shared,
+    follower: &str,
+    from_seq: u64,
+) -> Result<(u64, &'a DurableStore), ProtocolError> {
+    let ReplRuntime::Leader { epoch, registry } = &shared.repl else {
+        return Err(not_leader(&shared.repl));
+    };
+    let Some(store) = &shared.storage else {
+        return Err(ProtocolError::new(
+            ErrorCode::StorageError,
+            "replication needs a durable leader (start it with --data-dir)",
+        ));
+    };
+    registry.observe_poll(follower, from_seq, shared.clock.now_us());
+    Ok((*epoch, store))
+}
+
+fn storage_error(what: &str, e: io::Error) -> ProtocolError {
+    ProtocolError::new(ErrorCode::StorageError, format!("{what}: {e}"))
 }
 
 /// The fields of the `stats` reply: `uptime_ms`, then `samples` — the
@@ -1274,8 +1240,11 @@ fn insert_at(obj: &mut Vec<(String, Json)>, path: &[&str], leaf: Json) {
 fn replication_json(shared: &Shared) -> Json {
     let now = shared.clock.now_us();
     // On a leader the state's position is the WAL head: appends happen
-    // only under the state write lock.
-    let applied_lsn = shared.state.read().applied_lsn();
+    // only under the state write lock. A follower's epoch is its state's.
+    let (applied_lsn, state_epoch) = {
+        let state = shared.state.read();
+        (state.applied_lsn(), state.epoch())
+    };
     match &shared.repl {
         ReplRuntime::Leader { epoch, registry } => {
             let fleet = registry.snapshot(applied_lsn, now);
@@ -1307,7 +1276,7 @@ fn replication_json(shared: &Shared) -> Json {
         } => Json::obj()
             .field("role", "follower")
             .field("leader", leader.as_str())
-            .field("epoch", progress.leader_epoch())
+            .field("epoch", state_epoch)
             .field("applied_lsn", applied_lsn)
             .field("leader_next_seq", progress.leader_next_seq())
             .field("lag_records", progress.lag_records(applied_lsn))

@@ -2,7 +2,7 @@
 //! visualisation aggregates, wrapped by the server in an `RwLock` so
 //! queries (read) proceed concurrently while ingest (write) applies.
 
-use crate::codec::{read_event, write_event};
+use crate::codec::{decode_batch, read_event, write_event};
 use crate::json::Json;
 use crate::protocol::{ErrorCode, ProtocolError};
 use datacron_core::{IngestOutcome, MapperState, Pipeline, PipelineConfig, PipelineState};
@@ -41,6 +41,10 @@ pub struct AnalyticsState {
     /// The process's one log position: WAL records `0..applied_lsn` are
     /// in this state. Moved only by [`AnalyticsState::apply_log`].
     applied_lsn: u64,
+    /// On a follower, the leader epoch `applied_lsn` counts in: the same
+    /// position in another epoch may be another history. Set by
+    /// [`AnalyticsState::rebuild`]; 0 on a leader, which keeps its own.
+    epoch: u64,
     heat: DensityGrid,
     flows: FlowMatrix,
     /// Zone the object most recently *exited* — the pending flow origin.
@@ -66,6 +70,7 @@ impl AnalyticsState {
         Self {
             pipeline: Pipeline::new(cfg),
             applied_lsn: 0,
+            epoch: 0,
             heat: DensityGrid::new(grid),
             flows: FlowMatrix::new(),
             last_exit: FxHashMap::default(),
@@ -97,6 +102,52 @@ impl AnalyticsState {
         self.applied_lsn
     }
 
+    /// The leader epoch [`AnalyticsState::applied_lsn`] counts in (0 on a
+    /// leader).
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// The one state builder, behind recovery and every follower
+    /// (re)bootstrap: the snapshot `(position, payload)` — or an empty
+    /// state at 0 — in `epoch`, then the log records after it through
+    /// [`AnalyticsState::apply_records`].
+    pub fn rebuild(
+        cfg: PipelineConfig,
+        heat_cell_deg: f64,
+        epoch: u64,
+        snapshot: Option<&(u64, Vec<u8>)>,
+        log: &[(u64, Vec<u8>)],
+    ) -> io::Result<Self> {
+        let mut state = match snapshot {
+            Some((at, bytes)) => Self::from_snapshot_bytes(cfg, heat_cell_deg, bytes, *at)
+                .map_err(|e| invalid(format!("snapshot at wal seq {at}: {e}")))?,
+            None => Self::new(cfg, heat_cell_deg),
+        };
+        state.epoch = epoch;
+        if !log.is_empty() {
+            state.apply_records(log)?;
+        }
+        Ok(state)
+    }
+
+    /// Decodes log records `(seq, payload)` and applies them through
+    /// [`AnalyticsState::apply_log`]. The seqs must run on one by one, and
+    /// every payload must decode, or nothing is applied.
+    pub fn apply_records(&mut self, log: &[(u64, Vec<u8>)]) -> io::Result<IngestOutcome> {
+        let first_seq = log.first().map_or(self.applied_lsn, |r| r.0);
+        let mut batches = Vec::with_capacity(log.len());
+        for ((seq, payload), want) in log.iter().zip(first_seq..) {
+            if *seq != want {
+                return Err(invalid(format!("WAL record {seq} where {want} was due")));
+            }
+            let batch = decode_batch(payload)
+                .map_err(|e| invalid(format!("WAL record {seq} does not decode: {e}")))?;
+            batches.push(batch);
+        }
+        self.apply_log(first_seq, &batches)
+    }
+
     /// Applies logged records `first_seq, first_seq + 1, …` — one batch
     /// each — through [`AnalyticsState::ingest_many`] and advances the
     /// position past them. Applies nothing and fails unless `first_seq`
@@ -110,7 +161,7 @@ impl AnalyticsState {
         if first_seq != at {
             let msg =
                 format!("log records start at seq {first_seq}, but the state is at position {at}");
-            return Err(io::Error::new(ErrorKind::InvalidData, msg));
+            return Err(invalid(msg));
         }
         let outcome = self.ingest_many(batches);
         self.applied_lsn += batches.len() as u64;
@@ -457,6 +508,7 @@ impl AnalyticsState {
         Ok(Self {
             pipeline,
             applied_lsn,
+            epoch: 0,
             heat: DensityGrid::from_state(grid, cells, dropped),
             flows: FlowMatrix::from_state(places, flows),
             last_exit,
@@ -504,6 +556,10 @@ impl AnalyticsState {
             self.pipeline.graph().len() as u64,
         );
     }
+}
+
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(ErrorKind::InvalidData, msg)
 }
 
 fn event_json(ev: &EventRecord) -> Json {

@@ -5,8 +5,10 @@
 //! follower bootstrap (WAL tail and snapshot paths), crash/restart
 //! catch-up, reads surviving a dead leader with a frozen epoch,
 //! `not_leader` write redirection, bounded-staleness shedding under an
-//! injected clock, read stamps that match their answers, and a scripted
-//! leader whose replies would move a follower anywhere but forward.
+//! injected clock, read stamps that match their answers, a scripted
+//! leader whose replies would move a follower anywhere but forward, and
+//! leaders power-cut under a live follower: the follower never holds a
+//! record the leader can lose, and a new epoch rebuilds it.
 
 use datacron_core::{PipelineConfig, PolygonSpec};
 use datacron_geo::BoundingBox;
@@ -18,7 +20,7 @@ use datacron_server::protocol::{parse_request, Request, MAX_FOLLOWERS};
 use datacron_server::{
     start, start_with_clock, Client, Json, ReplicationConfig, ServerConfig, ServerHandle,
 };
-use datacron_storage::test_util::{FaultDisk, TempDir};
+use datacron_storage::test_util::{FaultDisk, Op, TempDir};
 use datacron_storage::{FsyncPolicy, StdDisk, StorageConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -735,12 +737,11 @@ fn rotating_follower_ids_stay_within_the_cap() {
     leader.shutdown();
 }
 
-/// An advertised head is a promise that records `0..head` are pullable:
-/// `repl_status` reports the state's position, and the state takes a
-/// record only after it is in the WAL. Concurrent writers plus a status
-/// poller check the promise — a head that ran ahead of the log shows up
-/// as an empty pull at `head - 1`, a stale one as a head that moves
-/// backwards.
+/// An advertised head is a promise that records `0..head` are pullable
+/// and durable: the `next_seq` of a `repl_frame` reply never exceeds the
+/// commit watermark (`wal.durable_lsn`, read after the reply), never
+/// moves backwards, and record `head - 1` comes back from a pull.
+/// Concurrent writers plus a polling prober check the promise.
 #[test]
 fn advertised_head_is_always_pullable_under_concurrent_ingest() {
     let dir = TempDir::new("repl-head-order");
@@ -764,32 +765,24 @@ fn advertised_head_is_always_pullable_under_concurrent_ingest() {
     let mut c = connect(addr);
     let mut last_head = 0u64;
     loop {
-        let head = leader_head(&mut c);
+        let (head, _) = pull(&mut c, 0, 1);
+        let stats = c.call(&Json::obj().field("type", "stats").build()).unwrap();
+        let durable = stats.get("wal").and_then(|w| w.get("durable_lsn"));
+        let durable = durable.and_then(Json::as_u64).expect("wal.durable_lsn");
+        assert!(
+            head <= durable,
+            "advertised head {head} past the watermark {durable}"
+        );
         assert!(
             head >= last_head,
             "head moved backwards: {last_head} -> {head}"
         );
         last_head = head;
         if head > 0 {
-            let resp = c
-                .call(
-                    &Json::obj()
-                        .field("type", "repl_frame")
-                        .field("follower", "order-probe")
-                        .field("from_seq", head - 1)
-                        .field("max", 1u64)
-                        .build(),
-                )
-                .unwrap();
-            assert!(is_ok(&resp), "{resp}");
-            let frames = resp.get("frames").and_then(Json::as_array).expect("frames");
-            let first_seq = frames
-                .first()
-                .and_then(|f| f.get("seq"))
-                .and_then(Json::as_u64);
+            let (_, seqs) = pull(&mut c, head - 1, 1);
             assert_eq!(
-                first_seq,
-                Some(head - 1),
+                seqs.first(),
+                Some(&(head - 1)),
                 "advertised head {head} but record {} not pullable",
                 head - 1
             );
@@ -803,6 +796,29 @@ fn advertised_head_is_always_pullable_under_concurrent_ingest() {
         w.join().expect("writer thread");
     }
     assert_eq!(leader_head(&mut connect(addr)), 20);
+}
+
+/// One `repl_frame` poll under a probe id: the advertised head and the
+/// seqs of the frames served from `from_seq`.
+fn pull(c: &mut Client, from_seq: u64, max: u64) -> (u64, Vec<u64>) {
+    let resp = c
+        .call(
+            &Json::obj()
+                .field("type", "repl_frame")
+                .field("follower", "order-probe")
+                .field("from_seq", from_seq)
+                .field("max", max)
+                .build(),
+        )
+        .unwrap();
+    assert!(is_ok(&resp), "{resp}");
+    let frames = resp.get("frames").and_then(Json::as_array).expect("frames");
+    let seqs = frames.iter().filter_map(|f| f.get("seq")?.as_u64());
+    let head = resp
+        .get("next_seq")
+        .and_then(Json::as_u64)
+        .expect("next_seq");
+    (head, seqs.collect())
 }
 
 /// Stamp = answer: a read's `applied_lsn` is the position of the very
@@ -886,6 +902,10 @@ enum Script {
     Log(u64),
     /// `reset`; the re-subscribe that follows gets no snapshot.
     Reset,
+    /// The honest log of this many records that the leader regrew after
+    /// a restart into epoch 2: other records under the same seqs. Every
+    /// other script answers in epoch 1 with a head of 3.
+    Restarted(u64),
 }
 
 /// A leader that is only a `TcpListener` answering canned lines. Its
@@ -897,9 +917,11 @@ struct ScriptedLeader {
     script: Arc<Mutex<(Script, u64)>>,
 }
 
-/// The canned record at `seq`: `K` in-region reports of one object.
-fn scripted_frame(seq: u64) -> Json {
-    let line = ingest_request(900 + seq, 0, ScriptedLeader::K, 21.0, 36.0).to_string();
+/// The canned record at `seq` in `epoch`: `K` in-region reports of one
+/// object, `900 + seq` in epoch 1 and `950 + seq` in epoch 2.
+fn scripted_frame(seq: u64, epoch: u64) -> Json {
+    let object = 850 + 50 * epoch + seq;
+    let line = ingest_request(object, 0, ScriptedLeader::K, 21.0, 36.0).to_string();
     let Request::Ingest { reports } = parse_request(&line).unwrap().req else {
         unreachable!("an ingest request parses as one");
     };
@@ -940,21 +962,24 @@ impl ScriptedLeader {
                 s.1 += 1;
                 s.0.clone()
             };
+            let (epoch, head) = match current {
+                Script::Restarted(len) => (2, len),
+                _ => (1, 3),
+            };
+            let frames = |seqs: Vec<u64>| {
+                Json::Arr(seqs.into_iter().map(|q| scripted_frame(q, epoch)).collect())
+            };
             let reply = Json::obj()
                 .field("ok", true)
-                .field("epoch", 1u64)
-                .field("next_seq", 3u64);
+                .field("epoch", epoch)
+                .field("next_seq", head);
             let reply = match (req.get("type").and_then(Json::as_str), current) {
                 (Some("repl_subscribe"), _) => reply.field("first_retained_seq", 0u64),
                 (Some("repl_frame"), Script::Reset) => reply.field("reset", true),
-                (Some("repl_frame"), Script::Frames(seqs)) => reply.field(
-                    "frames",
-                    Json::Arr(seqs.into_iter().map(scripted_frame).collect()),
-                ),
-                (Some("repl_frame"), Script::Log(len)) => reply.field(
-                    "frames",
-                    Json::Arr((from_seq..len).map(scripted_frame).collect()),
-                ),
+                (Some("repl_frame"), Script::Frames(seqs)) => reply.field("frames", frames(seqs)),
+                (Some("repl_frame"), Script::Log(len) | Script::Restarted(len)) => {
+                    reply.field("frames", frames((from_seq..len).collect()))
+                }
                 _ => Json::obj().field("ok", false),
             };
             if writeln!(out, "{}", reply.build()).is_err() {
@@ -1022,4 +1047,297 @@ fn hostile_leader_cannot_move_a_follower() {
     await_applied(follower.local_addr, 3);
     assert_eq!(position_and_reports(follower.local_addr), (3, 3 * k));
     follower.shutdown();
+}
+
+/// A leader that comes back in a new epoch with a shorter log holds other
+/// records under positions the follower has applied. The follower
+/// rebuilds from the new epoch's log, and no read while it does pairs a
+/// position with the other epoch: every reply is the old state at 3 in
+/// epoch 1, or a state of the new log in epoch 2.
+#[test]
+fn new_epoch_with_a_shorter_log_rebuilds_the_follower() {
+    let k = ScriptedLeader::K as u64;
+    let leader = ScriptedLeader::start(Script::Log(3));
+    let follower = start_follower(leader.addr, "epoch-probe");
+    await_applied(follower.local_addr, 3);
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let reader = std::thread::spawn({
+        let (stop, addr) = (Arc::clone(&stop), follower.local_addr);
+        move || {
+            let mut c = connect(addr);
+            let read = Json::obj()
+                .field("type", "heatmap")
+                .field("top_k", 1u64)
+                .build();
+            while !stop.load(Ordering::Relaxed) {
+                let resp = c.call(&read).unwrap();
+                assert!(is_ok(&resp), "{resp}");
+                let stamp = |key| resp.get(key).and_then(Json::as_u64).unwrap();
+                let (epoch, lsn) = (stamp("leader_epoch"), stamp("applied_lsn"));
+                let weight = resp.get("result").and_then(|r| r.get("total_weight"));
+                assert_eq!(weight.and_then(Json::as_f64), Some((k * lsn) as f64));
+                assert!(
+                    (epoch, lsn) == (1, 3) || (epoch == 2 && lsn <= 2),
+                    "a read paired position {lsn} with epoch {epoch}"
+                );
+            }
+        }
+    });
+    leader.play(Script::Restarted(2));
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        let status = repl_status(&mut connect(follower.local_addr));
+        let at = |key| status.get(key).and_then(Json::as_u64);
+        if (at("epoch"), at("applied_lsn")) == (Some(2), Some(2)) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "never rebuilt: {status}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    stop.store(true, Ordering::Relaxed);
+    reader.join().expect("reader thread");
+    assert_eq!(position_and_reports(follower.local_addr), (2, 2 * k));
+    let mut c = connect(follower.local_addr);
+    assert_eq!(object_rows(&mut c, 900), 0, "epoch 1's record 0 is gone");
+    assert!(object_rows(&mut c, 950) > 0, "epoch 2's record 0 is in");
+    drop(c);
+    follower.shutdown();
+}
+
+/// A loopback address nothing listens on, for a leader that must come
+/// back on the address its follower follows.
+fn free_addr() -> String {
+    let probe = TcpListener::bind("127.0.0.1:0").unwrap();
+    probe.local_addr().unwrap().to_string()
+}
+
+/// A durable leader at `addr` under `fsync`, snapshotting every
+/// `snapshot_every` records into small WAL segments.
+fn leader_at(
+    dir: &std::path::Path,
+    addr: &str,
+    fsync: FsyncPolicy,
+    snapshot_every: u64,
+) -> ServerConfig {
+    let mut cfg = leader_config(dir, snapshot_every);
+    cfg.addr = addr.to_string();
+    cfg.workers = 2;
+    cfg.storage.fsync = fsync;
+    cfg.storage.segment_bytes = 1024;
+    cfg
+}
+
+fn field(json: &Json, key: &str) -> u64 {
+    json.get(key)
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("{key} in {json}"))
+}
+
+/// The check behind "zero lag means the same answers": at a quiet leader,
+/// a follower in the leader's epoch that heard the leader's current head
+/// and reports no lag against it must answer every read exactly as the
+/// leader does. (Until it hears the new epoch a follower keeps its old
+/// state; the rebuild then empties it, with lag, between two reads.)
+fn assert_zero_lag_means_same_answers(leader: SocketAddr, follower: SocketAddr) {
+    let leader_status = repl_status(&mut connect(leader));
+    let (epoch, head) = (
+        field(&leader_status, "epoch"),
+        field(&leader_status, "next_seq"),
+    );
+    let status = repl_status(&mut connect(follower));
+    let heard = (field(&status, "epoch"), field(&status, "leader_next_seq"));
+    if field(&status, "lag_records") == 0 && heard == (epoch, head) {
+        let want = fingerprint(&mut connect(leader));
+        let got = fingerprint(&mut connect(follower));
+        assert_eq!(
+            got, want,
+            "zero lag at head {head}, other answers: {status}"
+        );
+    }
+}
+
+/// Waits until the follower is in the leader's epoch at the leader's
+/// head — checking on the way that zero lag always means the same
+/// answers — then that it answers exactly as the leader does.
+fn await_converged(leader: SocketAddr, follower: SocketAddr, what: &str) {
+    let epoch = field(&repl_status(&mut connect(leader)), "epoch");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        assert_zero_lag_means_same_answers(leader, follower);
+        let head = leader_head(&mut connect(leader));
+        let status = repl_status(&mut connect(follower));
+        if field(&status, "epoch") == epoch && field(&status, "applied_lsn") == head {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{what}: never converged: {status}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let want = fingerprint(&mut connect(leader));
+    assert_eq!(fingerprint(&mut connect(follower)), want, "{what}");
+}
+
+/// One batch of three reports of `object`.
+fn batch(object: u64) -> Json {
+    ingest_request(object, 0, 3, 20.5 + 0.05 * (object % 40) as f64, 37.0)
+}
+
+/// The leader's flush is held while the follower polls, so
+/// four batches sit in the leader's WAL and state but not on its disk;
+/// then the power goes. The restarted leader has lost them, serves a new
+/// epoch and takes different batches under the same positions. The
+/// follower must never have applied what was lost, must rebuild in the
+/// new epoch, and must answer as the leader does once it reaches the
+/// advertised head — and zero lag must never hide other answers.
+fn power_cut_leader_rebuilds_its_follower(tag: &str, fsync: FsyncPolicy) {
+    let dir = TempDir::new(tag);
+    let mut cfg = leader_at(dir.path(), &free_addr(), fsync, 0);
+    // One segment: a roll would wait for the held flush under the locks.
+    cfg.storage.segment_bytes = 1 << 20;
+    let disk = FaultDisk::new();
+    let clock = Arc::new(MonotonicClock::new());
+    let leader = start_with_clock(cfg.clone(), clock, disk.clone()).expect("leader start");
+    let addr = leader.local_addr;
+    let follower = start_follower(addr, "fenced");
+    let mut c = connect(addr);
+    for object in 0..4 {
+        assert!(is_ok(&c.call(&batch(object)).unwrap()));
+    }
+    drop(c);
+    await_applied(follower.local_addr, 4);
+
+    // Four more batches, one connection each: under `always` each ack
+    // waits for the held flush, and a connection runs one request at a
+    // time.
+    disk.hold(Op::SyncData);
+    let writers: Vec<_> = (4..8)
+        .map(|object| std::thread::spawn(move || drop(connect(addr).call(&batch(object)))))
+        .collect();
+    disk.wait_held();
+    while leader_head(&mut connect(addr)) < 8 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // Let the follower poll a few times while nothing past 4 is durable.
+    let seen = |c: &mut Client| {
+        let status = repl_status(c);
+        let fleet = status.get("followers").and_then(Json::as_array).unwrap();
+        fleet
+            .iter()
+            .map(|f| field(f, "last_seen_us"))
+            .max()
+            .unwrap()
+    };
+    let mut c = connect(addr);
+    let first = seen(&mut c);
+    while seen(&mut c) < first + 2 * 5_000 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    drop(c);
+    let status = repl_status(&mut connect(follower.local_addr));
+    assert_eq!(
+        field(&status, "applied_lsn"),
+        4,
+        "applied what a power cut can take back"
+    );
+
+    disk.power_cut();
+    leader.shutdown();
+    for w in writers {
+        w.join().expect("writer thread");
+    }
+    let leader = start(cfg).expect("leader restart");
+    assert_eq!(
+        leader_head(&mut connect(addr)),
+        4,
+        "the four unsynced batches are gone"
+    );
+    await_converged(addr, follower.local_addr, "after the restart");
+
+    let mut c = connect(addr);
+    for object in 20..26 {
+        assert!(is_ok(&c.call(&batch(object)).unwrap()));
+    }
+    drop(c);
+    await_converged(addr, follower.local_addr, "after new batches");
+    assert_eq!(
+        field(&repl_status(&mut connect(follower.local_addr)), "epoch"),
+        2
+    );
+    follower.shutdown();
+    leader.shutdown();
+}
+
+#[test]
+fn power_cut_leader_rebuilds_its_follower_under_always() {
+    power_cut_leader_rebuilds_its_follower("repl-cut-always", FsyncPolicy::Always);
+}
+
+#[test]
+fn power_cut_leader_rebuilds_its_follower_under_every_4() {
+    power_cut_leader_rebuilds_its_follower("repl-cut-every4", FsyncPolicy::EveryN(4));
+}
+
+/// A short ingest stream into a leader with a follower attached; the
+/// leader's disk power-cuts at its `k`-th op (`None`: never), the leader
+/// is shut down, restarted on the same directory and address, and takes
+/// two more batches. The follower must end in the restarted leader's
+/// epoch with its answers. Returns the ops the first leader's disk saw.
+fn crash_with_follower(tag: &str, fsync: FsyncPolicy, k: Option<usize>) -> usize {
+    let what = format!("{fsync:?}, power cut at op {k:?}");
+    let dir = TempDir::new(tag);
+    let cfg = leader_at(dir.path(), &free_addr(), fsync, 3);
+    let disk = FaultDisk::new();
+    if let Some(k) = k {
+        disk.crash_at(k, true);
+    }
+    let clock = Arc::new(MonotonicClock::new());
+    let first = start_with_clock(cfg.clone(), clock, disk.clone()).ok();
+    let follower = first
+        .as_ref()
+        .map(|l| start_follower(l.local_addr, "attached"));
+    if let Some(leader) = first {
+        let mut c = connect(leader.local_addr);
+        for object in 0..6 {
+            // Ingests after the cut fail; what was acknowledged is the
+            // WAL's business (crash_steps), not this test's.
+            let _ = c.call(&batch(object));
+        }
+        drop(c);
+        leader.shutdown();
+    }
+    let leader = start(cfg).unwrap_or_else(|e| panic!("{what}: restart failed: {e}"));
+    let follower = follower.unwrap_or_else(|| start_follower(leader.local_addr, "attached"));
+    let mut c = connect(leader.local_addr);
+    for object in 10..12 {
+        let resp = c.call(&batch(object)).unwrap();
+        assert!(is_ok(&resp), "{what}: {resp}");
+    }
+    drop(c);
+    await_converged(leader.local_addr, follower.local_addr, &what);
+    follower.shutdown();
+    leader.shutdown();
+    disk.history().len()
+}
+
+/// Power-cuts a whole leader at each of its disk ops in turn, with a
+/// follower attached, under `fsync`.
+fn crash_schedule_with_a_follower(tag: &str, fsync: FsyncPolicy) {
+    let ops = crash_with_follower(tag, fsync, None);
+    assert!(ops > 20, "{ops} ops");
+    for k in 0..ops {
+        crash_with_follower(tag, fsync, Some(k));
+    }
+}
+
+#[test]
+fn crash_schedule_with_a_follower_under_always() {
+    crash_schedule_with_a_follower("repl-steps-always", FsyncPolicy::Always);
+}
+
+#[test]
+fn crash_schedule_with_a_follower_under_every_4() {
+    crash_schedule_with_a_follower("repl-steps-every4", FsyncPolicy::EveryN(4));
 }

@@ -198,6 +198,15 @@ impl Storage {
         disk: Arc<dyn Disk>,
     ) -> io::Result<(Self, Recovery)> {
         let dir: PathBuf = dir.as_ref().into();
+        // A directory is an entry of its parent: until the parent is
+        // synced, a power cut can drop it with everything in it.
+        for sub in ["wal", "snapshots"] {
+            disk.create_dir_all(&dir.join(sub))?;
+        }
+        let parent = dir.parent().filter(|p| !p.as_os_str().is_empty());
+        for synced in [dir.as_path(), parent.unwrap_or(Path::new("."))] {
+            disk.sync_dir(synced)?;
+        }
         let wal = Wal::open(
             dir.join("wal"),
             WalConfig {
@@ -363,11 +372,6 @@ impl Storage {
         Arc::clone(&self.snapshots)
     }
 
-    /// Snapshot installations that failed since this handle opened.
-    pub fn snapshot_failures(&self) -> u64 {
-        self.snapshot_failures
-    }
-
     /// Sequence number the next WAL append will get (the leader's
     /// log head, one past the last appended record).
     pub fn next_seq(&self) -> u64 {
@@ -380,20 +384,31 @@ impl Storage {
         self.wal.first_retained_seq()
     }
 
-    /// Bounded verified read of WAL records with `seq >= from_seq` —
-    /// the leader-side feed for replication frames: in order, at most
-    /// `max_records` records or about `max_bytes` of payload (at least
-    /// one record when one exists), stopping quietly at the first torn
-    /// or corrupt record. `from_seq` below [`Storage::first_retained_seq`]
-    /// starts at the first retained record; callers check and fall back
-    /// to a snapshot.
+    /// Bounded verified read of *durable* WAL records with `seq >=
+    /// from_seq` — the leader-side feed for replication frames, which
+    /// therefore never shows a follower a record a power cut can take
+    /// back: in order, below the commit watermark, at most `max_records`
+    /// records or about `max_bytes` of payload (at least one record when
+    /// one is due), stopping quietly at the first torn or corrupt record.
+    /// A reader at the watermark gets nothing, and asks the flusher for
+    /// whatever has been appended past it, so a lenient fsync policy does
+    /// not strand its last records. `from_seq` below
+    /// [`Storage::first_retained_seq`] starts at the first retained
+    /// record; callers check and fall back to a snapshot.
     pub fn read_from(
-        &self,
+        &mut self,
         from_seq: u64,
         max_records: usize,
         max_bytes: usize,
     ) -> io::Result<Vec<(u64, Vec<u8>)>> {
-        self.wal.tail_from(from_seq, max_records, max_bytes)
+        let durable = self.wal.commit_handle().durable_lsn();
+        if from_seq >= durable {
+            self.wal.request_flush();
+            return Ok(Vec::new());
+        }
+        let due = usize::try_from(durable - from_seq).unwrap_or(usize::MAX);
+        self.wal
+            .tail_from(from_seq, max_records.min(due), max_bytes)
     }
 
     /// Storage counters for the server's scrape-time collector.
@@ -663,6 +678,7 @@ mod tests {
         assert_eq!(st.stats().segments, 1);
         assert!(st.read_from(100, 10, usize::MAX).unwrap().is_empty());
         st.append(b"after-snap").unwrap();
+        st.sync().unwrap();
         let got = st.read_from(100, 10, usize::MAX).unwrap();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].0, 100);
@@ -670,23 +686,45 @@ mod tests {
     }
 
     #[test]
-    fn read_from_observes_unsynced_appends() {
-        // Group-commit leaves records unfsynced; they are still
-        // immediately visible to a tail read (appends bypass any
-        // userspace buffer).
-        let dir = TempDir::new("storage-readfrom-unsynced");
-        let (mut st, _) = Storage::open(
-            dir.path(),
-            StorageConfig {
-                fsync: FsyncPolicy::Never,
-                ..cfg(0)
-            },
-        )
-        .unwrap();
-        st.append(b"unsynced").unwrap();
-        let got = st.read_from(0, 10, usize::MAX).unwrap();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].1, b"unsynced");
+    fn read_from_stops_at_the_durable_watermark() {
+        // `every=4`: four blocking appends end in one flush through 4.
+        let dir = TempDir::new("storage-readfrom-durable");
+        let (mut st, disk) = open_faulty(&dir, cfg(0));
+        for i in 0..4u64 {
+            st.append(format!("synced-{i}").as_bytes()).unwrap();
+        }
+        assert_eq!(st.commit().durable_lsn(), 4);
+        // Three more inside the slack, with the next flush held: they are
+        // in the file, and a power cut could still take them.
+        disk.hold(Op::SyncData);
+        for i in 4..7u64 {
+            st.append_async(format!("unsynced-{i}").as_bytes()).unwrap();
+        }
+        let seqs = |got: Vec<(u64, Vec<u8>)>| got.into_iter().map(|r| r.0).collect::<Vec<_>>();
+        assert_eq!(
+            seqs(st.read_from(0, 100, usize::MAX).unwrap()),
+            [0, 1, 2, 3]
+        );
+        // A read at the watermark asks for the flush the slack withheld.
+        assert!(st.read_from(4, 100, usize::MAX).unwrap().is_empty());
+        let (tx, rx) = std::sync::mpsc::channel();
+        let flushing = disk.clone();
+        std::thread::spawn(move || {
+            flushing.wait_held();
+            tx.send(())
+        });
+        let asked = rx.recv_timeout(std::time::Duration::from_secs(10));
+        assert!(
+            asked.is_ok(),
+            "the read at the watermark asked for no flush"
+        );
+        assert!(st.read_from(4, 100, usize::MAX).unwrap().is_empty());
+        assert_eq!(st.commit().durable_lsn(), 4);
+        disk.release();
+        st.commit().wait_durable(7).unwrap();
+        let got = st.read_from(4, 100, usize::MAX).unwrap();
+        assert_eq!(seqs(got.clone()), [4, 5, 6]);
+        assert_eq!(got[0].1, b"unsynced-4");
     }
 
     fn always_cfg() -> StorageConfig {

@@ -65,14 +65,13 @@ fn parse_snap_name(name: &str) -> Option<u64> {
 }
 
 impl SnapshotStore {
-    /// Opens (creating if needed) the snapshot directory and deletes the
+    /// Opens the existing snapshot directory and deletes the
     /// `snap-*.tmp` files a crash between write and rename left behind:
     /// nothing ever reads them, and each is as large as a snapshot. The
     /// sweep is best effort — a file that cannot be removed wastes disk
     /// but must not keep the server from starting.
     pub(crate) fn open(dir: impl Into<PathBuf>, disk: Arc<dyn Disk>) -> io::Result<Self> {
         let dir = dir.into();
-        disk.create_dir_all(&dir)?;
         for entry in fs::read_dir(&dir)?.filter_map(|e| e.ok()) {
             let name = entry.file_name();
             let stale = name
@@ -250,6 +249,12 @@ impl SnapshotWorker {
     /// metrics registry registers.
     pub fn write_latency_shared(&self) -> Arc<LatencyHistogram> {
         Arc::clone(&self.write_lat)
+    }
+
+    /// The newest snapshot file that verifies, as `(wal_seq, payload)`:
+    /// what recovery starts from, read with no lock held.
+    pub fn load_latest(&self) -> io::Result<Option<(u64, Vec<u8>)>> {
+        self.store.load_latest()
     }
 
     /// The write step, holding no lock: waits until the WAL is durable

@@ -86,6 +86,8 @@ impl Op {
 /// A directory-entry change its directory has not been synced since.
 #[derive(Debug)]
 enum Entry {
+    /// A file or a directory; a power cut removes a directory with
+    /// everything in it.
     Created(PathBuf),
     /// `replaced` is what `to` held before, for a power cut to put back.
     Renamed {
@@ -133,6 +135,9 @@ impl State {
         // store that only deletes what a synced snapshot covers.
         while let Some(entry) = self.unsynced.pop() {
             match entry {
+                Entry::Created(path) if path.is_dir() => {
+                    let _ = fs::remove_dir_all(&path);
+                }
                 Entry::Created(path) => {
                     let _ = fs::remove_file(&path);
                     self.synced.remove(&path);
@@ -302,8 +307,9 @@ impl FaultDisk {
     }
 
     /// A power cut: [`FaultDisk::crash`], then every file this disk
-    /// wrote is cut back to its last synced length, and creations and
-    /// renames in a directory not synced since are undone.
+    /// wrote is cut back to its last synced length, and creations (of
+    /// files and of directories) and renames in a directory not synced
+    /// since are undone.
     pub fn power_cut(&self) {
         self.shared.lock().crash(true);
         self.shared.cv.notify_all();
@@ -332,8 +338,19 @@ impl FaultDisk {
 
 impl Disk for FaultDisk {
     fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
-        self.shared
-            .run(Op::CreateDir, dir, |_, _| fs::create_dir_all(dir))
+        self.shared.run(Op::CreateDir, dir, |s, _| {
+            // Each directory made here is an entry of its parent, unsynced
+            // until that parent is: outermost first, like the creations.
+            let mut made: Vec<PathBuf> = dir
+                .ancestors()
+                .take_while(|p| !p.as_os_str().is_empty() && !p.exists())
+                .map(Path::to_path_buf)
+                .collect();
+            fs::create_dir_all(dir)?;
+            made.reverse();
+            s.unsynced.extend(made.into_iter().map(Entry::Created));
+            Ok(())
+        })
     }
 
     fn open_append(&self, path: &Path) -> io::Result<Arc<dyn DiskFile>> {

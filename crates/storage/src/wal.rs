@@ -312,7 +312,8 @@ fn scan_segment(
 }
 
 impl Wal {
-    /// Opens (creating if needed) the log in `dir` on `disk`. A torn
+    /// Opens the log in the existing directory `dir` on `disk`, starting
+    /// an empty one there if it holds no segment. A torn
     /// final record in the newest segment — the footprint of a crash
     /// mid-append — is truncated away so the log is immediately
     /// appendable; corruption deeper in the log is left for
@@ -323,7 +324,6 @@ impl Wal {
         disk: Arc<dyn Disk>,
     ) -> io::Result<Self> {
         let dir = dir.into();
-        disk.create_dir_all(&dir)?;
         let mut segments: Vec<Segment> = fs::read_dir(&dir)?
             .filter_map(|e| e.ok())
             .filter_map(|e| {
@@ -562,9 +562,9 @@ impl Wal {
     /// the first retained record — callers are expected to check and
     /// fall back to a snapshot.
     ///
-    /// Appends go straight to the file (no userspace buffer), so a
-    /// tail read through a fresh handle observes every acknowledged
-    /// append.
+    /// Appends go straight to the file, so the scan sees records not yet
+    /// synced: a reader that must see only what survives a power cut
+    /// bounds `max_records` by the commit watermark, as `read_from` does.
     pub(crate) fn tail_from(
         &self,
         from_seq: u64,

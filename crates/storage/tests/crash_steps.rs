@@ -8,6 +8,9 @@
 //! cut), a WAL that issued no `sync_data` after its first failed one,
 //! and no panic anywhere. No randomness, no sleeps: the writer waits
 //! for every flush it needs, so the op sequence is the same every run.
+//! One more schedule opens a data directory that does not exist yet: the
+//! directory is an entry of its parent, which a power cut drops unless
+//! the parent was synced after it was made.
 
 use datacron_obs::MonotonicClock;
 use datacron_storage::test_util::{FaultDisk, Op, TempDir};
@@ -115,17 +118,20 @@ fn check_poison_once(disk: &FaultDisk, what: &str) {
     }
 }
 
-fn crash_at_every_step(tag: &str, fsync: FsyncPolicy) {
+/// Runs the schedule with the data directory at `data` below a fresh
+/// temp directory (`""` for the temp directory itself).
+fn crash_at_every_step(tag: &str, data: &str, fsync: FsyncPolicy) {
     count_panics();
     // A clean run: how many ops a whole run issues, and what it covers.
     let clean = FaultDisk::new();
     let dir = TempDir::new(tag);
-    assert_eq!(drive(dir.path(), fsync, &clean), RECORDS);
+    let path = dir.path().join(data);
+    assert_eq!(drive(&path, fsync, &clean), RECORDS);
     let ops = clean.history();
     let count = |op| ops.iter().filter(|(o, _, _)| *o == op).count();
     assert!(count(Op::OpenAppend) >= 3, "at least two segment rolls");
     assert!(count(Op::Rename) >= 3, "three snapshots");
-    check(dir.path(), RECORDS, 0, "clean run");
+    check(&path, RECORDS, 0, "clean run");
 
     for (k, (op, _, _)) in ops.iter().enumerate() {
         for power_cut in [false, true] {
@@ -134,12 +140,13 @@ fn crash_at_every_step(tag: &str, fsync: FsyncPolicy) {
                 if power_cut { "power cut" } else { "crash" },
             );
             let dir = TempDir::new(tag);
+            let path = dir.path().join(data);
             let disk = FaultDisk::new();
             disk.crash_at(k, power_cut);
-            let acked = drive(dir.path(), fsync, &disk);
+            let acked = drive(&path, fsync, &disk);
             check_poison_once(&disk, &what);
             let allowed = if power_cut { fsync.slack() } else { 0 };
-            check(dir.path(), acked, allowed, &what);
+            check(&path, acked, allowed, &what);
         }
     }
     assert_eq!(PANICS.load(Ordering::SeqCst), 0, "a thread panicked");
@@ -147,10 +154,15 @@ fn crash_at_every_step(tag: &str, fsync: FsyncPolicy) {
 
 #[test]
 fn crash_at_every_step_under_always() {
-    crash_at_every_step("steps-always", FsyncPolicy::Always);
+    crash_at_every_step("steps-always", "", FsyncPolicy::Always);
 }
 
 #[test]
 fn crash_at_every_step_under_every_4() {
-    crash_at_every_step("steps-every4", FsyncPolicy::EveryN(4));
+    crash_at_every_step("steps-every4", "", FsyncPolicy::EveryN(4));
+}
+
+#[test]
+fn crash_at_every_step_in_a_new_data_dir() {
+    crash_at_every_step("steps-new-dir", "data", FsyncPolicy::Always);
 }

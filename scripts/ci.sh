@@ -118,6 +118,19 @@ if [ "$std_sync" != crates/storage/src/disk.rs ] || [ "$seg_sync" != crates/stor
   grep -rn 'sync_data(' crates/storage/src crates/repl/src >&2
   exit 1
 fi
+# One snapshot producer: a leader serializes its state for a threshold
+# snapshot and for the final one at shutdown, nowhere else. A follower is
+# built from the newest snapshot *file*, so `repl_subscribe` never
+# serializes under the state lock. Prints `file:fn` per call outside tests.
+snap_callers=$(for f in crates/server/src/*.rs crates/server/src/bin/*.rs; do
+  awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+    /^ *(pub[^ ]* )?fn [a-z_0-9]+/ { match($0, /fn [a-z_0-9]+/); name = substr($0, RSTART + 3, RLENGTH - 3) }
+    /to_snapshot_bytes\(/ && !/fn to_snapshot_bytes/ { print f ":" name }' "$f"
+done | sort | tr '\n' ' ')
+if [ "$snap_callers" != "crates/server/src/server.rs:shutdown crates/server/src/server.rs:start_snapshot " ]; then
+  echo "to_snapshot_bytes( outside tests: expected only start_snapshot and ServerHandle::shutdown, found: $snap_callers" >&2
+  exit 1
+fi
 retired='group_mode|enable_group_commit|group_commit_active|make_durable|take_injected_failure|Request::Sleep|MAX_SLEEP_MS'
 retired="$retired"'|inject_fsync_failures|inject_dir_sync_failures|park_before_rename|wait_parked|fn abandon|\.abandon\('
 # One metrics surface: `stats` is the registry's samples under one rule,

@@ -7,7 +7,10 @@
 #   - the follower converges and serves the replicated rows,
 #   - follower reads are stamped with `leader_epoch` and `applied_lsn`,
 #   - writes at the follower bounce with `not_leader` + the leader addr,
-#   - the follower's metrics exposition carries the replication gauges.
+#   - the follower's metrics exposition carries the replication gauges,
+#   - after a SIGKILL and a restart of the leader on the same data dir
+#     and address, plus a new ingest, the follower is in the leader's new
+#     epoch and answers with the leader's row counts.
 #
 # Usage: scripts/repl_smoke.sh   (expects `cargo build --release` done)
 
@@ -152,4 +155,42 @@ if [[ "$RESP" != *'datacron_repl_followers'* ]]; then
   exit 1
 fi
 
-echo "repl-smoke: OK (follower converged, reads stamped, writes redirected)"
+# Leader crash and restart: a new epoch, which rebuilds the follower.
+request "$FOLLOWER_ADDR" '{"type":"repl_status"}'
+OLD_EPOCH=$(grep -o '"epoch":[0-9]*' <<<"$RESP" | cut -d: -f2)
+kill -9 "$LEADER_PID"
+wait "$LEADER_PID" 2>/dev/null || true
+"$BIN" --addr "$LEADER_ADDR" --workers 2 --queue 16 --data-dir "$DATA" \
+  >"$LEADER_LOG" 2>&1 &
+LEADER_PID=$!
+await_addr "$LEADER_LOG" "$LEADER_PID" >/dev/null
+request "$LEADER_ADDR" "$(printf '%s' \
+  '{"type":"ingest","reports":[' \
+  '{"object":10,"t_ms":0,"lon":21.5,"lat":37.0,"speed_mps":6.0,"heading_deg":90.0}]}')"
+
+ALL_ROWS='{"type":"sparql","query":"SELECT ?n ?o WHERE { ?n da:ofMovingObject ?o }","limit":100}'
+request "$LEADER_ADDR" "$ALL_ROWS"
+LEADER_ROWS=$(grep -o '"row_count":[0-9]*' <<<"$RESP")
+REBUILT=""
+for _ in $(seq 1 100); do
+  request "$FOLLOWER_ADDR" '{"type":"repl_status"}'
+  EPOCH=$(grep -o '"epoch":[0-9]*' <<<"$RESP" | cut -d: -f2)
+  if [[ "$EPOCH" -gt "$OLD_EPOCH" && "$RESP" == *'"applied_lsn":3,'* ]]; then
+    REBUILT=1
+    break
+  fi
+  sleep 0.1
+done
+if [[ -z "$REBUILT" ]]; then
+  echo "repl-smoke: follower never reached the restarted leader's epoch and head" >&2
+  echo "repl-smoke: last repl_status: $RESP" >&2
+  exit 1
+fi
+request "$FOLLOWER_ADDR" "$ALL_ROWS"
+FOLLOWER_ROWS=$(grep -o '"row_count":[0-9]*' <<<"$RESP")
+if [[ -z "$LEADER_ROWS" || "$FOLLOWER_ROWS" != "$LEADER_ROWS" ]]; then
+  echo "repl-smoke: follower $FOLLOWER_ROWS, leader $LEADER_ROWS after the restart" >&2
+  exit 1
+fi
+
+echo "repl-smoke: OK (follower converged, reads stamped, writes redirected, rebuilt after a leader restart)"
