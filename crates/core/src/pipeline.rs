@@ -352,8 +352,10 @@ impl Pipeline {
 
     /// Replay-oriented ingest: processes many batches through every
     /// stage but commits the RDF store **once**, at the end. A commit
-    /// merges its batch into the sorted indexes at a cost that follows
-    /// the batch, not the store, so N record-at-a-time
+    /// merges its batch into each index's small delta level, shifting the
+    /// delta's keys, not the store's, and now and then folds the delta
+    /// into the base at a cost that follows the store (see
+    /// `datacron_rdf::Graph`). N record-at-a-time
     /// [`Pipeline::ingest_batch`] calls would pay N small merges where
     /// this pays one larger one — a constant factor, no longer a cliff.
     /// Detector state advances identically to feeding the batches one by

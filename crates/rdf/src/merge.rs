@@ -6,11 +6,12 @@
 /// largest down, the old keys above it move up as one block
 /// (`copy_within`, a memmove) and the key drops into the gap.
 ///
-/// Cost: `run.len()` binary searches of the not-yet-moved prefix, and every
-/// old key moves at most once — the prefix below the smallest run key is
-/// never touched — with no buffer beyond the index's own growth. That holds
-/// at every run/index ratio (an empty index, a run longer than the index),
-/// so no caller ever falls back to re-sorting the whole index.
+/// Cost: per run key, a search down from the previous key's slot that
+/// costs O(log gap) ([`slot_from_end`]), and every old key moves at most
+/// once — the prefix below the smallest run key is never touched — with no
+/// buffer beyond the index's own growth. That holds at every run/index
+/// ratio (an empty index, a run longer than the index), so no caller ever
+/// falls back to re-sorting the whole index.
 ///
 /// A run key equal to an old key lands before it; callers that need a
 /// strictly increasing index keep the run duplicate-free and disjoint from
@@ -24,13 +25,34 @@ pub(crate) fn merge_sorted_run<T: Ord + Copy>(index: &mut Vec<T>, run: &[T]) {
     index.extend_from_slice(run);
     let mut dst = index.len();
     for &key in run.iter().rev() {
-        let slot = index[..src].partition_point(|k| *k < key);
+        let slot = slot_from_end(&index[..src], &key);
         dst -= src - slot;
         index.copy_within(slot..src, dst);
         src = slot;
         dst -= 1;
         index[dst] = key;
     }
+}
+
+/// `prefix.partition_point(|k| k < key)`, searched from the end: steps
+/// of 1, 2, 4, … down bracket the answer, then a binary search inside the
+/// bracket finishes. O(log gap) compares, all near the end of `prefix`,
+/// where a whole-prefix binary search would miss the cache on most of its
+/// log n probes — the difference between a fold of the delta into a large
+/// base costing its memmove and costing one cold search per delta key.
+fn slot_from_end<T: Ord>(prefix: &[T], key: &T) -> usize {
+    // Every key in `prefix[hi..]` is at least `key`.
+    let mut hi = prefix.len();
+    let mut step = 1;
+    while hi > 0 {
+        let probe = hi.saturating_sub(step);
+        if prefix[probe] < *key {
+            return probe + 1 + prefix[probe + 1..hi].partition_point(|k| k < key);
+        }
+        hi = probe;
+        step *= 2;
+    }
+    0
 }
 
 #[cfg(test)]
@@ -83,6 +105,18 @@ mod tests {
     #[test]
     fn equal_keys_are_kept() {
         assert_eq!(merged(&[1, 2, 2, 3], &[2, 3, 3]), vec![1, 2, 2, 2, 3, 3, 3]);
+    }
+
+    #[test]
+    fn search_from_the_end_is_the_partition_point() {
+        let v: Vec<u32> = (0..100).map(|i| i * 2).collect();
+        for len in [0, 1, 2, 3, 7, 64, 100] {
+            for key in 0..=201 {
+                let prefix = &v[..len];
+                let want = prefix.partition_point(|k| *k < key);
+                assert_eq!(slot_from_end(prefix, &key), want, "len {len} key {key}");
+            }
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ enum IndexOrder {
     Osp,
 }
 
-fn key_of(t: &Triple, order: IndexOrder) -> (u32, u32, u32) {
+fn key_of(t: &Triple, order: IndexOrder) -> Key {
     match order {
         IndexOrder::Spo => (t.s.raw(), t.p.raw(), t.o.raw()),
         IndexOrder::Pos => (t.p.raw(), t.o.raw(), t.s.raw()),
@@ -43,16 +43,14 @@ fn key_of(t: &Triple, order: IndexOrder) -> (u32, u32, u32) {
     }
 }
 
+/// One index key: a triple's ids in one index's component order.
+type Key = (u32, u32, u32);
+
 /// A planned committed-index scan: the chosen index, its component order,
 /// and the inclusive `lo..=hi` key bounds of the bound-component prefix.
-type PlannedRange<'a> = (
-    &'a Vec<(u32, u32, u32)>,
-    IndexOrder,
-    (u32, u32, u32),
-    (u32, u32, u32),
-);
+type PlannedRange<'a> = (&'a Levels, IndexOrder, Key, Key);
 
-fn triple_of(k: (u32, u32, u32), order: IndexOrder) -> Triple {
+fn triple_of(k: Key, order: IndexOrder) -> Triple {
     let (s, p, o) = match order {
         IndexOrder::Spo => (k.0, k.1, k.2),
         IndexOrder::Pos => (k.2, k.0, k.1),
@@ -79,53 +77,99 @@ pub struct PredicateStats {
     pub distinct_objects: usize,
 }
 
-/// A contiguous run of one committed permutation index holding **exactly**
-/// the committed triples matching a pattern (every bound-component
-/// combination is a prefix of one of the three index orders, so no
-/// post-filtering is needed). Obtained from [`Graph::pattern_slice`];
-/// pending tail triples are *not* included — see [`Graph::tail_triples`].
+/// The committed triples matching a pattern: one contiguous range of each
+/// level of the chosen permutation index, read as **one** sorted sequence
+/// (every bound-component combination is a prefix of one of the three
+/// index orders, so no post-filtering is needed). Positions are logical:
+/// `slice`, `len` and `iter` never show where one level ends and the other
+/// begins, so the rows and their order do not depend on when the last fold
+/// ran. Obtained from [`Graph::pattern_slice`]; pending tail triples are
+/// *not* included — see [`Graph::tail_triples`].
 #[derive(Debug, Clone, Copy)]
 pub struct PatternSlice<'a> {
-    keys: &'a [(u32, u32, u32)],
+    base: &'a [Key],
+    delta: &'a [Key],
     order: IndexOrder,
 }
 
 impl<'a> PatternSlice<'a> {
-    /// A clamped sub-range of this slice. The morsel executor uses this to
-    /// split one seed scan into fixed-size work units without re-planning.
+    /// A clamped sub-range `lo..hi` of this slice's merged sequence. The
+    /// morsel executor uses this to split one seed scan into fixed-size
+    /// work units without re-planning.
     pub fn slice(&self, lo: usize, hi: usize) -> PatternSlice<'a> {
-        let lo = lo.min(self.keys.len());
-        let hi = hi.clamp(lo, self.keys.len());
+        let lo = lo.min(self.len());
+        let hi = hi.clamp(lo, self.len());
+        let (a, b) = (self.co_rank(lo), self.co_rank(hi));
         PatternSlice {
-            keys: &self.keys[lo..hi],
+            base: &self.base[a..b],
+            delta: &self.delta[lo - a..hi - b],
             order: self.order,
         }
     }
 
+    /// How many of the first `k` keys of the merged sequence come from
+    /// the base: the least `i` such that `base[i]` does not sort before
+    /// `delta[k - i - 1]`. One binary search; the levels are disjoint, so
+    /// the split is unique.
+    fn co_rank(&self, k: usize) -> usize {
+        let (mut lo, mut hi) = (k.saturating_sub(self.delta.len()), k.min(self.base.len()));
+        while lo < hi {
+            let i = lo + (hi - lo) / 2;
+            if self.base[i] < self.delta[k - i - 1] {
+                lo = i + 1;
+            } else {
+                hi = i;
+            }
+        }
+        lo
+    }
+
     /// Number of matching committed triples.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.base.len() + self.delta.len()
     }
 
     /// True when no committed triple matches.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.base.is_empty() && self.delta.is_empty()
     }
 
-    /// Iterates the matches as [`Triple`]s.
-    pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
-        let order = self.order;
-        self.keys.iter().map(move |&k| triple_of(k, order))
+    /// Iterates the matches as [`Triple`]s, in index order.
+    pub fn iter(&self) -> impl Iterator<Item = Triple> + 'a {
+        let PatternSlice {
+            mut base,
+            mut delta,
+            order,
+        } = *self;
+        std::iter::from_fn(move || {
+            let key = match (base.split_first(), delta.split_first()) {
+                (Some((&b, rest)), Some((&d, _))) if b < d => {
+                    base = rest;
+                    b
+                }
+                (_, Some((&d, rest))) => {
+                    delta = rest;
+                    d
+                }
+                (Some((&b, rest)), None) => {
+                    base = rest;
+                    b
+                }
+                (None, None) => return None,
+            };
+            Some(triple_of(key, order))
+        })
     }
 }
 
-/// Cursor state for [`Graph::pattern_slice_hinted`]: the index position of
-/// the previous probe's range start. One hint is valid for one pattern
-/// *shape* (bound-component combination) against one graph; callers keep
-/// one per join step.
+/// Cursor state for [`Graph::pattern_slice_hinted`]: the position of the
+/// previous probe's range start in each level of the index. One hint is
+/// valid for one pattern *shape* (bound-component combination) against one
+/// graph; callers keep one per join step.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ProbeHint {
-    pos: usize,
+    base: usize,
+    delta: usize,
 }
 
 /// How far (in keys, by doubling) a hinted probe searches forward from
@@ -140,11 +184,7 @@ const GALLOP_MAX_JUMP: usize = 128;
 /// unsorted variable): it falls back to the plain whole-index binary
 /// search, whose fixed midpoints stay cache-resident from probe to probe,
 /// where searches over ever-different sub-ranges would miss on every level.
-fn gallop(
-    index: &[(u32, u32, u32)],
-    from: usize,
-    below: impl Fn(&(u32, u32, u32)) -> bool,
-) -> usize {
+fn gallop(index: &[Key], from: usize, below: impl Fn(&Key) -> bool) -> usize {
     let mut low = from;
     let mut jump = 1usize;
     while jump <= GALLOP_MAX_JUMP {
@@ -163,20 +203,112 @@ fn gallop(
     index.partition_point(|k| below(k))
 }
 
+/// The `lo..=hi` range of one sorted level, searched from the hint `pos`
+/// (see [`Graph::pattern_slice_hinted`]), which it moves to the range's
+/// start.
+fn hinted_range<'a>(index: &'a [Key], lo: Key, hi: Key, pos: &mut usize) -> &'a [Key] {
+    // A level wholly above or below the range — the delta, for a probe of
+    // a subject older than every recent commit — answers in two compares.
+    match (index.first(), index.last()) {
+        (Some(&first), Some(&last)) if first <= hi && last >= lo => {}
+        _ => return &[],
+    }
+    let from = (*pos).min(index.len());
+    let a = if index[..from].last().is_some_and(|&k| k >= lo) {
+        // Hint overshot the range start: plain binary search.
+        index.partition_point(|&k| k < lo)
+    } else {
+        gallop(index, from, |&k| k < lo)
+    };
+    let b = gallop(index, a, |&k| k <= hi);
+    *pos = a;
+    &index[a..b]
+}
+
+/// The delta level folds into the base once it holds `1 / FOLD_RATIO` of
+/// the base's keys. With `n` triples in the base and `b` per commit, a
+/// commit shifts about `n / (2 · FOLD_RATIO)` delta keys per index (the
+/// delta's mean size) and, amortised, `FOLD_RATIO · b` base keys for the
+/// fold; the sum is least at `FOLD_RATIO = sqrt(n / 2b)`: ≈ 40 for the
+/// serving store (≈ 130k triples, ≈ 40 per 64-report batch), ≈ 70 at 1M
+/// with 100 per batch. The `commit_tail` bench at 8, 32 and 128 picked
+/// the value (DESIGN, "Commit merges").
+const FOLD_RATIO: usize = 32;
+
+/// One permutation index in two sorted levels: a large base and a small
+/// delta, disjoint. A commit merges into the delta, so its shifts follow
+/// the delta, not the store; the fold merges the delta into the base.
+#[derive(Debug, Default)]
+struct Levels {
+    base: Vec<Key>,
+    delta: Vec<Key>,
+}
+
+impl Levels {
+    /// True when either level holds `key`.
+    fn contains(&self, key: &Key) -> bool {
+        self.base.binary_search(key).is_ok() || self.delta.binary_search(key).is_ok()
+    }
+
+    /// True when either level holds a key starting with `(a, b)`.
+    fn prefix2_present(&self, a: u32, b: u32) -> bool {
+        [&self.base, &self.delta].into_iter().any(|level| {
+            let i = level.partition_point(|&k| k < (a, b, 0));
+            matches!(level.get(i), Some(&(x, y, _)) if x == a && y == b)
+        })
+    }
+
+    /// Adds the sorted `run` (disjoint from both levels): straight into an
+    /// empty base, else into the delta, which then folds into the base
+    /// when `fold` says so. [`merge_sorted_run`] does all three merges.
+    fn add(&mut self, run: &[Key], fold: bool) {
+        if self.base.is_empty() {
+            merge_sorted_run(&mut self.base, run);
+        } else {
+            merge_sorted_run(&mut self.delta, run);
+            if fold {
+                merge_sorted_run(&mut self.base, &self.delta);
+                self.delta.clear();
+            }
+        }
+        // `run` is disjoint from both levels and duplicate-free, so
+        // neither level has equal neighbours.
+        debug_assert!(self.base.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(self.delta.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    /// The `lo..=hi` range of each level, found with binary searches
+    /// (O(log n), no visiting).
+    fn range(&self, lo: Key, hi: Key) -> (&[Key], &[Key]) {
+        let of = |level: &'_ [Key]| -> (usize, usize) {
+            (
+                level.partition_point(|&k| k < lo),
+                level.partition_point(|&k| k <= hi),
+            )
+        };
+        let ((a, b), (c, d)) = (of(&self.base), of(&self.delta));
+        (&self.base[a..b], &self.delta[c..d])
+    }
+}
+
 /// A dictionary-encoded RDF graph with three sorted permutation indexes and
 /// secondary spatiotemporal literal indexes.
 ///
 /// Writes go to an unsorted tail; [`Graph::commit`] sorts the tail and
-/// merges it into each index in place, so a commit costs in proportion to
-/// the batch (plus the keys it has to shift), not to the store. Reads
-/// transparently search both, so interleaved insert/query is correct
-/// without explicit commits.
+/// merges it into each index's small delta level in place, so a commit
+/// shifts the delta's keys, not the store's. Once the delta holds
+/// `1 / FOLD_RATIO` of the base, the commit also folds it into the base:
+/// an O(n) stall once per `n / FOLD_RATIO` new triples ([`Graph::folds`]
+/// counts them). Reads transparently search the tail and both levels, so
+/// interleaved insert/query is correct without explicit commits.
 #[derive(Debug, Default)]
 pub struct Graph {
     dict: Dictionary,
-    spo: Vec<(u32, u32, u32)>,
-    pos: Vec<(u32, u32, u32)>,
-    osp: Vec<(u32, u32, u32)>,
+    spo: Levels,
+    pos: Levels,
+    osp: Levels,
+    /// Folds of the delta levels into the base since this graph was built.
+    folds: u64,
     /// Uncommitted triples (unsorted). Disjoint from the committed indexes
     /// and duplicate-free (enforced at insert), so `len` stays exact.
     tail: Vec<Triple>,
@@ -242,8 +374,7 @@ impl Graph {
     /// here, so the tail only ever holds genuinely new triples and
     /// [`Graph::len`] is exact at all times.
     pub fn insert_encoded(&mut self, t: Triple) {
-        if self.spo.binary_search(&key_of(&t, IndexOrder::Spo)).is_ok() || !self.tail_set.insert(t)
-        {
+        if self.spo.contains(&key_of(&t, IndexOrder::Spo)) || !self.tail_set.insert(t) {
             return;
         }
         self.tail.push(t);
@@ -284,23 +415,24 @@ impl Graph {
 
     /// The commit routine: `new` holds triples absent from the committed
     /// indexes and distinct among themselves. Updates the per-predicate
-    /// statistics from the delta, then per index order sorts the new keys
-    /// and merges that run in place ([`merge_sorted_run`]): `t log t` to
-    /// sort, `t log n` to find the slots, at most `n` keys shifted.
+    /// statistics from them, then per index order sorts the new keys and
+    /// merges that run into the index ([`Levels::add`]): `t log t` to
+    /// sort, `t log d` to find the slots, at most the delta's `d` keys
+    /// shifted — plus the base's `n` when the commit folds.
     fn merge_new(&mut self, new: &[Triple]) {
-        // Statistics delta: `new` holds exactly the new distinct triples,
-        // so counting is O(t log t + t log n).
+        // Statistics: `new` holds exactly the new distinct triples, so
+        // counting is O(t log t + t log n).
         for t in new {
             self.pred_stats.entry(t.p.raw()).or_default().triples += 1;
         }
-        let mut pairs: Vec<(u32, u32, u32)> = new
+        let mut pairs: Vec<Key> = new
             .iter()
             .map(|t| (t.s.raw(), t.p.raw(), u32::MAX))
             .collect();
         pairs.sort_unstable();
         pairs.dedup();
         for &(s, p, _) in &pairs {
-            if !Self::prefix2_present(&self.spo, s, p) {
+            if !self.spo.prefix2_present(s, p) {
                 self.pred_stats.entry(p).or_default().distinct_subjects += 1;
             }
         }
@@ -309,11 +441,14 @@ impl Graph {
         pairs.sort_unstable();
         pairs.dedup();
         for &(p, o, _) in &pairs {
-            if !Self::prefix2_present(&self.pos, p, o) {
+            if !self.pos.prefix2_present(p, o) {
                 self.pred_stats.entry(p).or_default().distinct_objects += 1;
             }
         }
 
+        // All three indexes hold the same triples, so they fold together.
+        let fold = !self.spo.base.is_empty()
+            && (self.spo.delta.len() + new.len()) * FOLD_RATIO >= self.spo.base.len();
         let mut run = pairs;
         for order in [IndexOrder::Spo, IndexOrder::Pos, IndexOrder::Osp] {
             let index = match order {
@@ -324,21 +459,13 @@ impl Graph {
             run.clear();
             run.extend(new.iter().map(|t| key_of(t, order)));
             run.sort_unstable();
-            merge_sorted_run(index, &run);
-            // `new` is disjoint from the index and duplicate-free, so the
-            // merged index has no equal neighbours.
-            debug_assert!(index.windows(2).all(|w| w[0] < w[1]));
+            index.add(&run, fold);
         }
-        self.len = self.spo.len();
+        self.folds += u64::from(fold);
+        self.len = self.spo.base.len() + self.spo.delta.len();
         if self.track_new {
             self.new_log.extend_from_slice(new);
         }
-    }
-
-    /// True when `index` holds any key starting with `(a, b)`.
-    fn prefix2_present(index: &[(u32, u32, u32)], a: u32, b: u32) -> bool {
-        let i = index.partition_point(|&k| k < (a, b, 0));
-        matches!(index.get(i), Some(&(x, y, _)) if x == a && y == b)
     }
 
     /// Enables (or disables) the commit log: while enabled, every commit
@@ -363,6 +490,13 @@ impl Graph {
     /// against both the committed indexes and the pending tail.
     pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// How many commits have folded the delta levels into the base since
+    /// this graph was built (a snapshot restore lands in the base without
+    /// one). Each is an O(n) stall of its commit.
+    pub fn folds(&self) -> u64 {
+        self.folds
     }
 
     /// Number of pending (uncommitted) triples.
@@ -430,22 +564,9 @@ impl Graph {
         (index, order, lo, hi)
     }
 
-    /// The committed-index range matching a pattern, found with two binary
-    /// searches (O(log n), no visiting).
-    fn committed_range(
-        &self,
-        s: Option<TermId>,
-        p: Option<TermId>,
-        o: Option<TermId>,
-    ) -> (&[(u32, u32, u32)], IndexOrder) {
-        let (index, order, lo, hi) = self.plan_range(s, p, o);
-        let a = index.partition_point(|&k| k < lo);
-        let b = index.partition_point(|&k| k <= hi);
-        (&index[a..b], order)
-    }
-
-    /// The committed triples matching a pattern, as a contiguous slice of
-    /// the chosen permutation index. Pending tail triples are not included
+    /// The committed triples matching a pattern, as one range of each
+    /// level of the chosen permutation index, found with binary searches
+    /// (O(log n), no visiting). Pending tail triples are not included
     /// — the executor checks [`Graph::tail_len`] and scans
     /// [`Graph::tail_triples`] when non-empty (the serving path always
     /// commits, so the tail is empty in the common case).
@@ -455,8 +576,9 @@ impl Graph {
         p: Option<TermId>,
         o: Option<TermId>,
     ) -> PatternSlice<'_> {
-        let (keys, order) = self.committed_range(s, p, o);
-        PatternSlice { keys, order }
+        let (index, order, lo, hi) = self.plan_range(s, p, o);
+        let (base, delta) = index.range(lo, hi);
+        PatternSlice { base, delta, order }
     }
 
     /// Like [`Graph::pattern_slice`], but seeded with a position hint from
@@ -465,9 +587,10 @@ impl Graph {
     /// successive probe keys ascend — the common case when the probing
     /// variable was seeded from a sorted index prefix — the exponential
     /// (galloping) search from the hint replaces a full O(log n) binary
-    /// search with an O(log gap) one over cache-adjacent keys. A hint that
-    /// overshoots (non-monotonic probe order) falls back to a binary
-    /// search, so results are always exact.
+    /// search with an O(log gap) one over cache-adjacent keys, in each
+    /// level from that level's hint. A hint that overshoots (non-monotonic
+    /// probe order) falls back to a binary search, so results are always
+    /// exact.
     pub fn pattern_slice_hinted(
         &self,
         s: Option<TermId>,
@@ -476,17 +599,9 @@ impl Graph {
         hint: &mut ProbeHint,
     ) -> PatternSlice<'_> {
         let (index, order, lo, hi) = self.plan_range(s, p, o);
-        let from = hint.pos.min(index.len());
-        let a = if index[..from].last().is_some_and(|&k| k >= lo) {
-            // Hint overshot the range start: plain binary search.
-            index.partition_point(|&k| k < lo)
-        } else {
-            gallop(index, from, |&k| k < lo)
-        };
-        let b = gallop(index, a, |&k| k <= hi);
-        hint.pos = a;
         PatternSlice {
-            keys: &index[a..b],
+            base: hinted_range(&index.base, lo, hi, &mut hint.base),
+            delta: hinted_range(&index.delta, lo, hi, &mut hint.delta),
             order,
         }
     }
@@ -501,7 +616,7 @@ impl Graph {
         p: Option<TermId>,
         o: Option<TermId>,
     ) -> usize {
-        self.committed_range(s, p, o).0.len() + self.tail.len()
+        self.pattern_slice(s, p, o).len() + self.tail.len()
     }
 
     /// Number of committed index keys a scan of this pattern will visit.
@@ -509,7 +624,7 @@ impl Graph {
     /// this equals the exact committed match count — regression tests use
     /// it to pin index-selection decisions.
     pub fn probe_width(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> usize {
-        self.committed_range(s, p, o).0.len()
+        self.pattern_slice(s, p, o).len()
     }
 
     /// Statistics for a predicate over the committed indexes; `None` when
@@ -529,9 +644,7 @@ impl Graph {
         o: Option<TermId>,
         visit: &mut dyn FnMut(Triple),
     ) {
-        let (keys, order) = self.committed_range(s, p, o);
-        for &k in keys {
-            let t = triple_of(k, order);
+        for t in self.pattern_slice(s, p, o).iter() {
             debug_assert!(t.matches(s, p, o), "prefix range must be exact");
             visit(t);
         }
@@ -562,15 +675,11 @@ impl Graph {
         out
     }
 
-    /// Iterates all committed + pending triples (order unspecified).
+    /// Iterates all committed triples in SPO order — whatever the split
+    /// between the levels — then the pending ones, unordered.
     pub fn iter_triples(&self) -> impl Iterator<Item = Triple> + '_ {
-        self.spo
+        self.pattern_slice(None, None, None)
             .iter()
-            .map(|&(s, p, o)| Triple {
-                s: TermId(s),
-                p: TermId(p),
-                o: TermId(o),
-            })
             .chain(self.tail.iter().copied())
     }
 }
@@ -805,7 +914,10 @@ mod tests {
         );
         // Empty graph: any probe is empty at any hint.
         let empty = Graph::new();
-        let mut hint = ProbeHint { pos: 10 };
+        let mut hint = ProbeHint {
+            base: 10,
+            delta: 10,
+        };
         assert!(empty
             .pattern_slice_hinted(None, None, None, &mut hint)
             .is_empty());

@@ -266,12 +266,45 @@ fn spatial_partitioning_sound_under_pruning() {
 // ---- Commit merges each batch into the sorted indexes ----------------------
 //
 // Seeded interleavings of insert and commit against a `BTreeSet` model,
-// plus fixed shapes: the 64k auto-commit one needs 70 000 inserts.
+// plus fixed shapes: the 64k auto-commit one needs 70 000 inserts. Each
+// index has a base and a delta level; reads must not show where one ends,
+// whichever side of a fold they run.
 
 mod commit_merge {
     use datacron_geo::Rng;
-    use datacron_rdf::{Graph, PredicateStats, Term, TermId, Triple};
-    use std::collections::BTreeSet;
+    use datacron_rdf::{
+        from_binary, to_binary, Graph, PredicateStats, ProbeHint, Term, TermId, Triple,
+    };
+    use std::collections::{BTreeMap, BTreeSet};
+
+    type Ids = (u32, u32, u32);
+
+    fn ids(t: Triple) -> Ids {
+        (t.s.raw(), t.p.raw(), t.o.raw())
+    }
+
+    /// Bits of a pattern's bound components: `S | P | O`.
+    const S: u8 = 4;
+    const P: u8 = 2;
+    const O: u8 = 1;
+
+    /// The sort key of the index a pattern with bound components `mask`
+    /// reads: SPO, or OSP for `o` and `(s, o)`, or POS for `p` and
+    /// `(p, o)`. The bound components are always the key's prefix.
+    fn order_key(mask: u8, (s, p, o): Ids) -> Ids {
+        if mask & O != 0 && mask & P == 0 {
+            (o, s, p)
+        } else if mask & P != 0 && mask & S == 0 {
+            (p, o, s)
+        } else {
+            (s, p, o)
+        }
+    }
+
+    /// The pattern with `mask`'s components of `t` bound.
+    fn pattern(mask: u8, (s, p, o): Ids) -> [Option<TermId>; 3] {
+        [(S, s), (P, p), (O, o)].map(|(bit, id)| (mask & bit != 0).then_some(TermId(id)))
+    }
 
     /// `Graph::insert_encoded` commits by itself when the tail reaches this.
     const AUTO_COMMIT_TAIL: usize = 64 * 1024;
@@ -316,9 +349,96 @@ mod commit_merge {
             self.committed.append(&mut self.pending);
         }
 
+        /// Every pattern shape (all 8 bound combinations), probed at every
+        /// prefix the model holds, through every read path: plain and
+        /// sub-range slices, hinted probes in ascending and descending
+        /// order, `match_pattern` and `probe_width`. Skipped past a few
+        /// thousand triples (the auto-commit shape), where probing every
+        /// prefix costs seconds in a debug build.
+        fn check_reads(&self) {
+            let g = &self.graph;
+            if self.committed.len() > 4096 {
+                return;
+            }
+            for mask in 0..8u8 {
+                let mut rows: Vec<(Ids, Ids)> = self
+                    .committed
+                    .iter()
+                    .map(|&t| (order_key(mask, t), t))
+                    .collect();
+                rows.sort_unstable();
+                let bound = mask.count_ones() as usize;
+                let prefix = |k: Ids| {
+                    let mut key = [k.0, k.1, k.2];
+                    key[bound..].fill(u32::MAX);
+                    key
+                };
+                let groups: Vec<&[(Ids, Ids)]> =
+                    rows.chunk_by(|a, b| prefix(a.0) == prefix(b.0)).collect();
+                let mut pending: BTreeMap<[u32; 3], BTreeSet<Ids>> = BTreeMap::new();
+                for &t in &self.pending {
+                    pending
+                        .entry(prefix(order_key(mask, t)))
+                        .or_default()
+                        .insert(t);
+                }
+                let (mut up, mut down) = (ProbeHint::default(), ProbeHint::default());
+                for (i, group) in groups.iter().enumerate() {
+                    let want: Vec<Ids> = group.iter().map(|r| r.1).collect();
+                    let [s, p, o] = pattern(mask, want[0]);
+                    let slice = g.pattern_slice(s, p, o);
+                    let got: Vec<Ids> = slice.iter().map(ids).collect();
+                    assert_eq!(got, want, "mask {mask:03b} at {:?}", want[0]);
+                    assert_eq!(slice.len(), want.len());
+                    assert_eq!(g.probe_width(s, p, o), want.len());
+                    // Every split point of a small slice, and fixed-size
+                    // chunks (as the morsel executor cuts them) of any.
+                    if want.len() <= 4 {
+                        for lo in 0..=want.len() + 1 {
+                            for hi in 0..=want.len() + 1 {
+                                let sub: Vec<Ids> = slice.slice(lo, hi).iter().map(ids).collect();
+                                let (a, b) =
+                                    (lo.min(want.len()), hi.clamp(lo.min(want.len()), want.len()));
+                                assert_eq!(sub, &want[a..b], "mask {mask:03b} slice({lo}, {hi})");
+                            }
+                        }
+                    }
+                    for step in [1, 7] {
+                        let chunks: Vec<Ids> = (0..want.len())
+                            .step_by(step)
+                            .flat_map(|lo| slice.slice(lo, lo + step).iter().map(ids))
+                            .collect();
+                        assert_eq!(chunks, want, "mask {mask:03b} in chunks of {step}");
+                    }
+                    let hinted = g.pattern_slice_hinted(s, p, o, &mut up);
+                    assert_eq!(hinted.iter().map(ids).collect::<Vec<_>>(), want);
+                    let back = groups[groups.len() - 1 - i];
+                    let [bs, bp, bo] = pattern(mask, back[0].1);
+                    let hinted = g.pattern_slice_hinted(bs, bp, bo, &mut down);
+                    assert!(hinted.iter().map(ids).eq(back.iter().map(|r| r.1)));
+                    // The committed matches in index order, then the tail's.
+                    let mut visited = Vec::new();
+                    g.match_pattern(s, p, o, &mut |t| visited.push(ids(t)));
+                    let (committed, tail) = visited.split_at(want.len());
+                    assert_eq!(committed, &want[..]);
+                    let tail: BTreeSet<Ids> = tail.iter().copied().collect();
+                    let want = pending.remove(&prefix(group[0].0)).unwrap_or_default();
+                    assert_eq!(tail, want, "mask {mask:03b} tail matches");
+                }
+                // A prefix the graph does not hold.
+                if mask != 0 {
+                    let v = u32::try_from(g.dict().len()).unwrap();
+                    let [s, p, o] = pattern(mask, (v, v, v));
+                    assert!(g.pattern_slice(s, p, o).is_empty());
+                    assert_eq!(g.probe_width(s, p, o), 0);
+                }
+            }
+        }
+
         /// The committed indexes, the counts and the statistics all agree
         /// with the model.
         fn check(&self) {
+            self.check_reads();
             let g = &self.graph;
             assert_eq!(g.len(), self.committed.len() + self.pending.len());
             assert_eq!(g.tail_len(), self.pending.len());
@@ -366,6 +486,95 @@ mod commit_merge {
                 };
                 let want = (recount.triples > 0).then_some(recount);
                 assert_eq!(g.predicate_stats(TermId(p)), want, "stats of predicate {p}");
+            }
+
+            // A snapshot is the triple set, not the split: a restore puts
+            // everything in the base and writes the same bytes.
+            if self.pending.is_empty() {
+                let bytes = to_binary(g);
+                let restored = from_binary(&bytes).expect("own snapshot restores");
+                assert_eq!(to_binary(&restored), bytes);
+            }
+        }
+    }
+
+    #[test]
+    fn commit_into_an_empty_base_then_one_larger_than_the_base() {
+        let mut m = Modelled::new(60);
+        for (s, p, o) in [(5, 1, 9), (2, 1, 9), (7, 0, 3)] {
+            m.insert(s, p, o);
+        }
+        m.commit();
+        m.check();
+        assert_eq!(m.graph.folds(), 0, "an empty base takes the run as is");
+        for s in 0..60 {
+            m.insert(s, 1, 59 - s);
+            m.insert(s, 2, 9);
+        }
+        m.commit();
+        m.check();
+        assert_eq!(m.graph.folds(), 1, "a run larger than the base folds");
+        // A small commit now sits in the delta until the next fold.
+        m.insert(30, 0, 3);
+        m.insert(31, 1, 9);
+        m.commit();
+        m.check();
+        assert_eq!(m.graph.folds(), 1);
+        // Re-inserting what only the delta holds is a duplicate.
+        m.insert(30, 0, 3);
+        assert_eq!(m.graph.tail_len(), 0);
+        m.check();
+    }
+
+    #[test]
+    fn seeded_interleavings_cross_three_folds() {
+        for seed in 0..6u64 {
+            let mut rng = Rng::seed_from_u64(seed);
+            let vocabulary = rng.gen_range(40u32..80);
+            let predicates = rng.gen_range(2u32..5);
+            let mut m = Modelled::new(vocabulary);
+            let triple = |rng: &mut Rng| {
+                // Low, high or anywhere: runs land below, above and
+                // between the keys of both levels.
+                let s = match rng.gen_range(0u32..3) {
+                    0 => rng.gen_range(0..vocabulary / 4),
+                    1 => rng.gen_range(vocabulary - vocabulary / 4..vocabulary),
+                    _ => rng.gen_range(0..vocabulary),
+                };
+                (
+                    s,
+                    rng.gen_range(0..predicates),
+                    rng.gen_range(0..vocabulary),
+                )
+            };
+            // A bulk first commit into the empty base, then small batches,
+            // so the delta lives through several commits before each fold.
+            for _ in 0..rng.gen_range(400usize..1200) {
+                let (s, p, o) = triple(&mut rng);
+                m.insert(s, p, o);
+            }
+            m.commit();
+            m.check();
+            let mut last: Vec<Ids> = Vec::new();
+            let mut commits = 0;
+            while m.graph.folds() < 3 {
+                commits += 1;
+                assert!(commits < 2_000, "seed {seed}: no third fold");
+                let mut batch = Vec::new();
+                for _ in 0..rng.gen_range(1usize..10) {
+                    batch.push(triple(&mut rng));
+                }
+                // Repeats of the last batch, which the delta holds unless
+                // that commit folded.
+                if !last.is_empty() && rng.gen_bool(0.5) {
+                    batch.push(last[rng.gen_range(0..last.len())]);
+                }
+                for &(s, p, o) in &batch {
+                    m.insert(s, p, o);
+                }
+                m.commit();
+                m.check();
+                last = batch;
             }
         }
     }

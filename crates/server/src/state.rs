@@ -180,8 +180,9 @@ impl AnalyticsState {
     /// **once** and the aggregates fold as usual. This is the replay path
     /// (recovery and follower catch-up, via `apply_log`): one merge of
     /// the whole run into the sorted indexes instead of one small merge
-    /// per batch — a constant-factor saving, since a commit costs in
-    /// proportion to its batch, not to the graph. Live ingest passes one
+    /// per batch — a constant-factor saving, since a commit shifts the
+    /// keys of each index's small delta level and only a fold, once per
+    /// `1/32` of growth, touches the whole graph. Live ingest passes one
     /// batch at a time — queries between the batches of one call would
     /// see uncommitted triples as missing.
     pub fn ingest_many<B: AsRef<[PositionReport]>>(&mut self, batches: &[B]) -> IngestOutcome {
@@ -529,9 +530,10 @@ impl AnalyticsState {
     }
 
     /// Writes the state's counters into a scrape: the pipeline's lifetime
-    /// counts, the graph size and the query executor's totals.
+    /// counts, the graph size and folds, and the query executor's totals.
     pub fn scrape_into(&self, sink: &mut Sink) {
         let m = self.pipeline.metrics();
+        let graph = self.pipeline.graph();
         for (name, v) in [
             ("datacron_pipeline_reports_in_total", m.reports_in),
             ("datacron_pipeline_reports_clean_total", m.reports_clean),
@@ -539,6 +541,7 @@ impl AnalyticsState {
             ("datacron_pipeline_events_total", m.events),
             ("datacron_pipeline_triples_total", m.triples),
             ("datacron_cep_pair_candidates_total", m.pair_candidates),
+            ("datacron_graph_folds_total", graph.folds()),
             (
                 "datacron_query_morsels_total",
                 self.query_morsels.load(Ordering::Relaxed),
@@ -550,11 +553,7 @@ impl AnalyticsState {
         ] {
             sink.counter(name, &[], v);
         }
-        sink.gauge(
-            "datacron_graph_triples",
-            &[],
-            self.pipeline.graph().len() as u64,
-        );
+        sink.gauge("datacron_graph_triples", &[], graph.len() as u64);
     }
 }
 

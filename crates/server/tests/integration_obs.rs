@@ -95,6 +95,7 @@ fn metrics_exposition_covers_every_subsystem() {
         "# TYPE datacron_connections_total counter",
         "# TYPE datacron_pipeline_reports_in_total counter",
         "# TYPE datacron_graph_triples gauge",
+        "# TYPE datacron_graph_folds_total counter",
         "# TYPE datacron_wal_bytes gauge",
         "# TYPE datacron_wal_fsyncs_total counter",
         "# TYPE datacron_wal_acks_parked_total counter",
@@ -482,6 +483,8 @@ fn stats_and_metrics_are_one_surface() {
     assert_eq!(u64_at(&stats, "wal", "next_seq"), Some(1));
     assert_eq!(u64_at(&stats, "pipeline", "reports_in"), Some(40));
     assert!(u64_at(&stats, "graph", "triples").unwrap() > 0);
+    // One commit into an empty graph lands in the base: no fold.
+    assert_eq!(u64_at(&stats, "graph", "folds"), Some(0));
     let recovery = stats.get("storage").and_then(|s| s.get("recovery_us"));
     assert!(recovery.and_then(|r| r.get("replay")).is_some(), "{stats}");
     assert_eq!(
@@ -496,9 +499,14 @@ fn stats_and_metrics_are_one_surface() {
     let mut c = connect(handle.local_addr);
     let resp = c.call(&ingest_request(4, 0, 40, 21.0, 37.0)).unwrap();
     assert!(is_ok(&resp), "{resp}");
+    // A second batch as large as the first outgrows the delta's share of
+    // the base, so its commit folds.
+    let resp = c.call(&ingest_request(5, 0, 40, 21.5, 37.5)).unwrap();
+    assert!(is_ok(&resp), "{resp}");
     let stats = assert_one_surface(&mut c);
     assert!(stats.get("storage").is_none() && stats.get("wal").is_none());
-    assert_eq!(u64_at(&stats, "pipeline", "reports_in"), Some(40));
+    assert_eq!(u64_at(&stats, "pipeline", "reports_in"), Some(80));
+    assert_eq!(u64_at(&stats, "graph", "folds"), Some(1));
     handle.shutdown();
 }
 

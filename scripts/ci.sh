@@ -131,6 +131,18 @@ if [ "$snap_callers" != "crates/server/src/server.rs:shutdown crates/server/src/
   echo "to_snapshot_bytes( outside tests: expected only start_snapshot and ServerHandle::shutdown, found: $snap_callers" >&2
   exit 1
 fi
+# One index merge: the store's commit and fold (both in `Levels::add`)
+# and the temporal index's rebuild are the only callers of
+# `merge_sorted_run(` outside tests.
+merge_callers=$(for f in $(grep -rl 'merge_sorted_run(' crates --include='*.rs'); do
+  awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+    /^ *(pub[^ ]* )?fn [a-z_0-9]+/ { match($0, /fn [a-z_0-9]+/); name = substr($0, RSTART + 3, RLENGTH - 3) }
+    /merge_sorted_run\(/ && !/fn merge_sorted_run/ { print f ":" name }' "$f"
+done | sort -u | tr '\n' ' ')
+if [ "$merge_callers" != "crates/rdf/src/index.rs:rebuild crates/rdf/src/store.rs:add " ]; then
+  echo "merge_sorted_run( outside tests: expected only Levels::add (store.rs) and TemporalIndex::rebuild (index.rs), found: $merge_callers" >&2
+  exit 1
+fi
 retired='group_mode|enable_group_commit|group_commit_active|make_durable|take_injected_failure|Request::Sleep|MAX_SLEEP_MS'
 retired="$retired"'|inject_fsync_failures|inject_dir_sync_failures|park_before_rename|wait_parked|fn abandon|\.abandon\('
 # One metrics surface: `stats` is the registry's samples under one rule,
@@ -140,6 +152,8 @@ retired="$retired"'|PipelineCounters|pipeline_stats|fn to_json|StageLatency|late
 # comes back; and the lock tracker is on in every debug build, so no
 # feature hides it and no hook resets it.
 retired="$retired"'|head: Arc<AtomicU64>|head\.(load|store)\(|fn reset_lock_graph_for_tests|tracked-locks'
+# A permutation index grows by merging sorted runs, never by a re-sort.
+retired="$retired"'|\.(spo|pos|osp)\.sort'
 if grep -rnE "$retired" crates/ tests/; then
   echo "retired write-path / protocol / test-hook / metrics names are back (see above)" >&2
   exit 1

@@ -120,7 +120,8 @@ STATS=$RESP
 PAIRS=(
   '"last_snapshot_seq": datacron_storage_last_snapshot_seq'
   '"reports_in": datacron_pipeline_reports_in_total'
-  '"graph":{"triples": datacron_graph_triples'
+  '"graph":{"folds": datacron_graph_folds_total'
+  '"graph":{"folds":[0-9]*,"triples": datacron_graph_triples'
 )
 
 request '{"type":"metrics"}'
@@ -132,6 +133,7 @@ for family in \
   '# TYPE datacron_net_open_connections gauge' \
   '# TYPE datacron_net_loop_latency_us summary' \
   '# TYPE datacron_graph_triples gauge' \
+  '# TYPE datacron_graph_folds_total counter' \
   '# TYPE datacron_wal_bytes gauge' \
   '# TYPE datacron_wal_fsync_latency_us summary' \
   '# TYPE datacron_wal_acks_parked_total counter' \
