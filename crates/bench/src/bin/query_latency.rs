@@ -12,10 +12,11 @@
 //! the largest work unit, so one oversized predicate range can no longer
 //! serialize the query), compares the morsel planner's planning time
 //! against the retained reference planner (`fast_us` in the JSON is the
-//! morsel planner; the key predates the single-engine layout), sweeps the hash-partition
-//! count and the worker count (1 → 8, with `host_cores` recorded so
-//! flat curves on small hosts read as what they are), and writes
-//! everything to `BENCH_query.json` at the repo root.
+//! morsel planner; the key predates the single-engine layout), sweeps the
+//! hash-partition count (star3 on a `PartitionedStore`) and the worker
+//! count (1 → 8 on the single graph, with `host_cores` recorded so flat
+//! curves on small hosts read as what they are), and writes everything
+//! to `BENCH_query.json` at the repo root.
 
 use datacron_geo::{GeoPoint, TimeMs};
 use datacron_rdf::{
@@ -182,10 +183,10 @@ fn partition_sweep(g: &Graph, q: &SelectQuery, iters: usize) -> Vec<SweepResult>
             let store = PartitionedStore::build(g, Box::new(HashPartitioner::new(n)));
             let mut lat = Vec::with_capacity(iters);
             let mut probed = 0;
-            let _ = store.execute(q);
+            let _ = store.execute(q).expect("star3 is a subject star");
             for _ in 0..iters {
                 let t = Instant::now();
-                let (_, stats) = store.execute(q);
+                let (_, stats) = store.execute(q).expect("star3 is a subject star");
                 lat.push(t.elapsed().as_micros() as u64);
                 probed = stats.partitions_probed;
             }
@@ -207,21 +208,21 @@ struct WorkerSweepResult {
     steals: u64,
 }
 
-/// Worker-count sweep at a fixed 8-way partitioning: the same morsel
-/// stream drained by pools of 1 → 8 workers. On a host with fewer cores
-/// than workers the curve legitimately flattens at `host_cores`.
+/// Worker-count sweep of the serving executor: the single graph's morsel
+/// stream (what `datacron-serve --query-workers` sizes) drained by pools
+/// of 1 → 8 workers. On a host with fewer cores than workers the curve
+/// legitimately flattens at `host_cores`.
 fn worker_sweep(g: &Graph, q: &SelectQuery, iters: usize) -> Vec<WorkerSweepResult> {
-    let store = PartitionedStore::build(g, Box::new(HashPartitioner::new(8)));
     [1usize, 2, 4, 8]
         .into_iter()
         .map(|workers| {
             let cfg = MorselConfig::with_workers(workers);
             let mut lat = Vec::with_capacity(iters);
             let mut last = None;
-            let _ = store.execute_with(q, &cfg);
+            let _ = execute_morsel(g, q, &cfg);
             for _ in 0..iters {
                 let t = Instant::now();
-                let (_, stats) = store.execute_with(q, &cfg);
+                let (_, _, stats) = execute_morsel(g, q, &cfg);
                 lat.push(t.elapsed().as_micros() as u64);
                 last = Some(stats);
             }

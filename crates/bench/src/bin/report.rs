@@ -424,7 +424,7 @@ fn e5() {
             let mut count = 0;
             for _ in 0..3 {
                 let t = Instant::now();
-                let (b, stats) = store.execute(&q);
+                let (b, stats) = store.execute(&q).expect("E5 queries are subject stars");
                 best = best.min(t.elapsed().as_secs_f64() * 1000.0);
                 touched = stats.partitions_touched;
                 count = b.rows.len();
@@ -454,7 +454,7 @@ fn e5() {
         let mut best = f64::MAX;
         for _ in 0..3 {
             let t = Instant::now();
-            let _ = store.execute(&q);
+            let _ = store.execute(&q).expect("E5 queries are subject stars");
             best = best.min(t.elapsed().as_secs_f64() * 1000.0);
         }
         let b = *base.get_or_insert(best);

@@ -27,8 +27,9 @@
 //!   binding buffers, eager filters and hinted probes;
 //! * [`partition`] — the partitioning algorithms under evaluation: hash by
 //!   subject, spatial grid by subject home location, temporal range;
-//! * [`parallel`] — a partitioned store executing queries across worker
-//!   threads and merging results;
+//! * [`parallel`] — a partitioned store that answers subject-star queries
+//!   exactly, one routed partition after another on the morsel pool, and
+//!   refuses every other query shape ([`NotAStar`]);
 //! * [`ntriples`] / [`binary`] — text and compact binary serialization of
 //!   a whole graph (dictionary included), the formats the storage layer
 //!   snapshots and the durability tests round-trip.
@@ -58,7 +59,7 @@ pub use engine::{execute, execute_reference, Bindings, QueryStats};
 pub use infer::{saturate_same_as, SaturationStats};
 pub use morsel::{execute_morsel, MorselConfig, MorselStats, DEFAULT_MORSEL_TRIPLES};
 pub use ntriples::{from_ntriples, to_ntriples};
-pub use parallel::{DecodedBindings, PartitionedStats, PartitionedStore};
+pub use parallel::{DecodedBindings, NotAStar, PartitionedStats, PartitionedStore};
 pub use parser::parse_query;
 pub use partition::{HashPartitioner, Partitioner, SpatialGridPartitioner, TemporalPartitioner};
 pub use query::{FilterExpr, PatternTerm, SelectQuery, TriplePattern};

@@ -1,16 +1,16 @@
-//! Morsel-driven, work-stealing BGP execution — the crate's one optimised
-//! engine: the planner, the join loop and the output stage here serve the
-//! single graph ([`execute_morsel`], and [`crate::engine::execute`] as its
-//! one-inline-worker form) and the partitioned store alike.
+//! Morsel-driven, work-stealing BGP execution over one graph — the
+//! crate's one optimised engine: the planner, the join loop and the
+//! output stage of [`execute_morsel`], and of [`crate::engine::execute`]
+//! as its one-inline-worker form.
 //!
-//! Every routed partition's *seed scan* (the first pattern of the join
-//! order) is split into fixed-size triple **morsels**, all morsels from
-//! all partitions feed one worker pool through per-worker deques, and an
-//! idle worker **steals** from a victim's deque — so the largest single
-//! work unit is bounded by [`MorselConfig::morsel_triples`] no matter how
-//! skewed the partitions are. Hand-rolled on `std` threads and
-//! mutex-guarded deques, matching the repo's build-the-substrate style
-//! (no rayon). A pool of one runs inline on the caller thread.
+//! The *seed scan* (the first pattern of the join order) is split into
+//! fixed-size triple **morsels**, the morsels feed one worker pool through
+//! per-worker deques, and an idle worker **steals** from a victim's deque
+//! — so the largest single work unit is bounded by
+//! [`MorselConfig::morsel_triples`] no matter how large the seed range is.
+//! Hand-rolled on `std` threads and mutex-guarded deques, matching the
+//! repo's build-the-substrate style (no rayon). A pool of one runs inline
+//! on the caller thread.
 //!
 //! Each worker carries one set of flat columnar binding buffers
 //! (`cur`/`next`/`scratch`, `width`-sized row chunks) across every
@@ -30,29 +30,26 @@
 //!
 //! Join order comes from the per-predicate statistics
 //! ([`Graph::estimate_pattern`] plus degree refinement), computed **once
-//! up front** per partition — valid because the greedy cost function
-//! depends only on which variables are bound, which is identical for
-//! every row.
+//! up front** — valid because the greedy cost function depends only on
+//! which variables are bound, which is identical for every row.
 //!
 //! Workers append projected rows to a flat id buffer (no per-row
-//! allocation); the merge concatenates them, preserving the
-//! co-partitioned join semantics documented in [`crate::parallel`].
-//! Each projected row is hashed **at most once per query**, and where it
-//! happens is read off the query, never a setting:
+//! allocation); the merge concatenates them. Each projected row is hashed
+//! **at most once per query**, and where it happens is read off the
+//! query, never a setting:
 //!
 //! * a projection that covers every BGP variable needs no dedup at all —
 //!   an index-nested-loop join over a duplicate-free store cannot repeat
 //!   a full binding (the binding fixes the triple each pattern matched,
-//!   every triple lives in exactly one morsel of one partition);
+//!   every triple lives in exactly one morsel);
 //! * a projection that drops a variable dedups once, in the merge, which
 //!   is also what catches the same row produced by two workers;
 //! * only `LIMIT` over such a projection keeps a worker-local set too:
-//!   the early exit fires when one partition alone has produced `limit`
+//!   the early exit fires when one worker alone has produced `limit`
 //!   *distinct* rows, and that count needs the set.
 
 use crate::dict::TermId;
 use crate::engine::{cmp_satisfies, cmp_terms, pushdown_candidates, Bindings, QueryStats, Row};
-use crate::parallel::{DecodedBindings, PartitionedStats};
 use crate::query::{CmpOp, FilterExpr, PatternTerm, SelectQuery};
 use crate::store::{Graph, PatternSlice, ProbeHint, Triple};
 use crate::term::Term;
@@ -108,7 +105,7 @@ impl MorselConfig {
     }
 }
 
-/// Executor statistics: how parallel the execution actually was.
+/// Executor statistics: how much of the pool the execution used.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MorselStats {
     /// Worker pool size the config resolved to.
@@ -121,7 +118,7 @@ pub struct MorselStats {
     pub steals: u64,
 }
 
-/// One position of a planned pattern, resolved against a graph's
+/// One position of a planned pattern, resolved against the graph's
 /// dictionary: a constant id or a variable slot.
 #[derive(Debug, Clone, Copy)]
 enum Slot {
@@ -140,7 +137,7 @@ impl Slot {
     }
 }
 
-/// One join step: a triple pattern resolved against one graph (a variable
+/// One join step: a triple pattern resolved against the graph (a variable
 /// may repeat within one pattern).
 #[derive(Debug, Clone, Copy)]
 struct Step {
@@ -218,21 +215,27 @@ fn shape(q: &SelectQuery) -> Shape<'_> {
     }
 }
 
-/// A per-graph execution plan: join order as resolved steps plus the
-/// pushdown candidate sets.
-struct Plan {
+/// An execution plan: join order as resolved steps, the pushdown
+/// candidate sets, and the seed scan.
+struct Plan<'a> {
     steps: Vec<Step>,
     candidates: FxHashMap<usize, FxHashSet<TermId>>,
+    /// The committed triples matching the seed pattern (the first step,
+    /// before any variable is bound), found once and chunked into morsels.
+    seed: PatternSlice<'a>,
 }
 
-/// Plans `q` against one graph. Returns the plan (`None` = provably empty
-/// here: a constant term absent from this graph's dictionary) and the
-/// pushdown candidate count (counted even for empty plans, matching the
-/// reference engine's accounting).
-fn plan_graph(g: &Graph, q: &SelectQuery, shape: &Shape<'_>) -> (Option<Plan>, usize) {
+/// Plans `q` (a non-empty BGP) against the graph. Returns the plan
+/// (`None` = provably empty: a variable the BGP never binds, or a constant
+/// absent from the dictionary) and the pushdown candidate count (counted
+/// even for a missing constant, matching the reference engine's accounting).
+fn plan_graph<'a>(g: &'a Graph, q: &SelectQuery, shape: &Shape<'_>) -> (Option<Plan<'a>>, usize) {
+    if !shape.valid {
+        return (None, 0);
+    }
     let (candidates, pushdown) = pushdown_candidates(g, q, &shape.var_idx);
 
-    // Resolve every pattern against this graph's dictionary, once.
+    // Resolve every pattern against the dictionary, once.
     let slot = |pt: &PatternTerm| match pt {
         PatternTerm::Term(t) => g.dict().lookup(t).map(Slot::Const),
         PatternTerm::Var(v) => Some(Slot::Var(shape.var_idx[v])),
@@ -240,8 +243,7 @@ fn plan_graph(g: &Graph, q: &SelectQuery, shape: &Shape<'_>) -> (Option<Plan>, u
     let mut remaining: Vec<Step> = Vec::with_capacity(q.patterns.len());
     for pat in &q.patterns {
         let (Some(s), Some(p), Some(o)) = (slot(&pat.s), slot(&pat.p), slot(&pat.o)) else {
-            // Unknown constant: zero matches in this graph — the query
-            // is empty here.
+            // Unknown constant: zero matches — the query is empty.
             return (None, pushdown);
         };
         remaining.push(Step { s, p, o });
@@ -304,26 +306,23 @@ fn plan_graph(g: &Graph, q: &SelectQuery, shape: &Shape<'_>) -> (Option<Plan>, u
         steps.push(step);
     }
     steps.append(&mut remaining);
-    (Some(Plan { steps, candidates }), pushdown)
+    let Some(first) = steps.first() else {
+        return (None, pushdown);
+    };
+    let (s, p, o) = first.probe(&shape.unbound);
+    let seed = g.pattern_slice(s, p, o);
+    let plan = Plan {
+        steps,
+        candidates,
+        seed,
+    };
+    (Some(plan), pushdown)
 }
 
-/// One planned partition feeding the shared pool.
-struct Unit<'a> {
-    graph: &'a Graph,
-    /// Index into the caller's routed graph list (result rows decode
-    /// through this graph).
-    gidx: usize,
-    plan: Plan,
-    /// The committed triples matching the seed pattern (the first step,
-    /// before any variable is bound), found once and chunked into morsels.
-    seed: PatternSlice<'a>,
-}
-
-/// A fixed-size unit of seed-scan work: a key range of one partition's
-/// seed slice, or a chunk of its uncommitted tail.
+/// A fixed-size unit of seed-scan work: a key range of the seed slice, or
+/// a chunk of the uncommitted tail.
 #[derive(Debug, Clone, Copy)]
 struct Morsel {
-    unit: u32,
     lo: usize,
     hi: usize,
     tail: bool,
@@ -331,7 +330,8 @@ struct Morsel {
 
 /// Everything a worker needs, shared by reference across the pool.
 struct Ctx<'a, 'q> {
-    units: Vec<Unit<'a>>,
+    graph: &'a Graph,
+    plan: Plan<'a>,
     shape: &'q Shape<'q>,
     /// The query's `LIMIT`, at least 1 (see [`RunOutcome::limit`]).
     limit: Option<usize>,
@@ -343,9 +343,8 @@ struct Ctx<'a, 'q> {
 struct WorkerOut {
     /// Projected rows back to back, `proj_idx.len()` ids each.
     flat: Vec<TermId>,
-    /// `(unit ordinal, row count)` per morsel that produced rows, in
-    /// `flat` order.
-    runs: Vec<(u32, usize)>,
+    /// Rows in `flat` (a count of its own: rows may be zero ids wide).
+    rows: usize,
     probes: usize,
     intermediate: usize,
     morsels: u64,
@@ -395,15 +394,13 @@ struct WorkerState {
     /// Per-step probe cursors (reset at morsel start).
     hints: Vec<ProbeHint>,
     bufs: BindBufs,
-    /// Worker-local dedup over (unit, projected row); used only when a
-    /// `LIMIT` has to count distinct rows of a variable-dropping projection.
-    seen: FxHashSet<(u32, Row)>,
-    /// Rows kept per unit (worker-local limit cap).
-    per_unit: Vec<usize>,
+    /// Worker-local dedup over projected rows; used only when a `LIMIT`
+    /// has to count distinct rows of a variable-dropping projection.
+    seen: FxHashSet<Row>,
 }
 
 impl WorkerState {
-    fn new(width: usize, steps: usize, units: usize) -> Self {
+    fn new(width: usize, steps: usize) -> Self {
         WorkerState {
             cur: Vec::new(),
             next: Vec::new(),
@@ -413,7 +410,6 @@ impl WorkerState {
                 memo: vec![None; width],
             },
             seen: FxHashSet::default(),
-            per_unit: vec![0; units],
         }
     }
 }
@@ -422,9 +418,7 @@ impl WorkerState {
 /// repeated variables, pushdown candidate sets, and eager comparison
 /// filters. Returns false when the triple cannot extend the row.
 fn bind(
-    g: &Graph,
-    shape: &Shape<'_>,
-    plan: &Plan,
+    ctx: &Ctx<'_, '_>,
     step: &Step,
     row: &[Option<TermId>],
     t: Triple,
@@ -437,17 +431,17 @@ fn bind(
             Some(existing) if existing != id => return false,
             Some(_) => {}
             None => {
-                if let Some(cand) = plan.candidates.get(&vi) {
+                if let Some(cand) = ctx.plan.candidates.get(&vi) {
                     if !cand.contains(&id) {
                         return false;
                     }
                 }
-                let filters = &shape.eager[vi];
+                let filters = &ctx.shape.eager[vi];
                 if !filters.is_empty() {
                     let ok = match bufs.memo[vi] {
                         Some((mid, verdict)) if mid == id => verdict,
                         _ => {
-                            let Some(term) = g.decode(id) else {
+                            let Some(term) = ctx.graph.decode(id) else {
                                 return false;
                             };
                             let verdict = filters
@@ -472,10 +466,8 @@ fn bind(
 /// `committed`, and every triple of `tail` matching the step's pattern
 /// under `row`, that binds. Appends the extended rows to `next` and
 /// returns how many there were.
-#[allow(clippy::too_many_arguments)]
 fn extend_row(
-    unit: &Unit<'_>,
-    shape: &Shape<'_>,
+    ctx: &Ctx<'_, '_>,
     step: &Step,
     row: &[Option<TermId>],
     committed: PatternSlice<'_>,
@@ -487,7 +479,7 @@ fn extend_row(
     let tail = tail.iter().copied().filter(|t| t.matches(s, p, o));
     let mut rows = 0;
     for t in committed.iter().chain(tail) {
-        if bind(unit.graph, shape, &unit.plan, step, row, t, bufs) {
+        if bind(ctx, step, row, t, bufs) {
             next.extend_from_slice(&bufs.scratch);
             rows += 1;
         }
@@ -498,10 +490,9 @@ fn extend_row(
 /// Runs one morsel through every join step and appends surviving projected
 /// rows to `out`.
 fn run_morsel(ctx: &Ctx<'_, '_>, m: Morsel, st: &mut WorkerState, out: &mut WorkerOut) {
-    let unit = &ctx.units[m.unit as usize];
-    let (g, shape) = (unit.graph, ctx.shape);
+    let (g, shape) = (ctx.graph, ctx.shape);
     let width = shape.all_vars.len();
-    let Some((seed, joins)) = unit.plan.steps.split_first() else {
+    let Some((seed, joins)) = ctx.plan.steps.split_first() else {
         return;
     };
     for h in &mut st.hints {
@@ -512,13 +503,12 @@ fn run_morsel(ctx: &Ctx<'_, '_>, m: Morsel, st: &mut WorkerState, out: &mut Work
     // tail chunk), into the flat `cur` buffer.
     st.cur.clear();
     let (committed, tail) = if m.tail {
-        (unit.seed.slice(0, 0), &g.tail_triples()[m.lo..m.hi])
+        (ctx.plan.seed.slice(0, 0), &g.tail_triples()[m.lo..m.hi])
     } else {
-        (unit.seed.slice(m.lo, m.hi), &[][..])
+        (ctx.plan.seed.slice(m.lo, m.hi), &[][..])
     };
     let mut cur_rows = extend_row(
-        unit,
-        shape,
+        ctx,
         seed,
         &shape.unbound,
         committed,
@@ -542,16 +532,7 @@ fn run_morsel(ctx: &Ctx<'_, '_>, m: Morsel, st: &mut WorkerState, out: &mut Work
             let (s, p, o) = step.probe(row);
             let committed = g.pattern_slice_hinted(s, p, o, hint);
             out.probes += 1;
-            next_rows += extend_row(
-                unit,
-                shape,
-                step,
-                row,
-                committed,
-                tail,
-                &mut st.bufs,
-                &mut st.next,
-            );
+            next_rows += extend_row(ctx, step, row, committed, tail, &mut st.bufs, &mut st.next);
         }
         std::mem::swap(&mut st.cur, &mut st.next);
         cur_rows = next_rows;
@@ -561,15 +542,12 @@ fn run_morsel(ctx: &Ctx<'_, '_>, m: Morsel, st: &mut WorkerState, out: &mut Work
     // Projection + limit cap. Every BGP variable is bound after the last
     // step, so no residual filter pass remains (the eager path already
     // applied every comparison).
-    let ui = m.unit as usize;
     let cap = ctx.limit;
     let count_distinct = cap.is_some() && shape.drops_var;
-    let before = st.per_unit[ui];
     for r in 0..cur_rows {
-        if cap.is_some_and(|c| st.per_unit[ui] >= c) {
-            // This unit alone already guarantees `limit` distinct rows
-            // globally (ids decode injectively per graph), so the rest
-            // of the morsel can be dropped.
+        if cap.is_some_and(|c| out.rows >= c) {
+            // This worker alone already holds `limit` distinct rows, so
+            // the rest of the morsel can be dropped.
             break;
         }
         let row = &st.cur[r * width..(r + 1) * width];
@@ -578,18 +556,14 @@ fn run_morsel(ctx: &Ctx<'_, '_>, m: Morsel, st: &mut WorkerState, out: &mut Work
             .extend(shape.proj_idx.iter().filter_map(|&i| row[i]));
         let projected = &out.flat[start..];
         if projected.len() != shape.proj_idx.len()
-            || (count_distinct && !st.seen.insert((m.unit, projected.to_vec())))
+            || (count_distinct && !st.seen.insert(projected.to_vec()))
         {
             out.flat.truncate(start);
             continue;
         }
-        st.per_unit[ui] += 1;
+        out.rows += 1;
     }
-    let kept = st.per_unit[ui] - before;
-    if kept > 0 {
-        out.runs.push((m.unit, kept));
-    }
-    if cap.is_some_and(|c| st.per_unit[ui] >= c) {
+    if cap.is_some_and(|c| out.rows >= c) {
         ctx.limit_hit.store(true, AtomicOrdering::Relaxed);
     }
 }
@@ -598,14 +572,7 @@ fn run_morsel(ctx: &Ctx<'_, '_>, m: Morsel, st: &mut WorkerState, out: &mut Work
 /// is hit. `next` also counts the steals it makes.
 fn worker_run(ctx: &Ctx<'_, '_>, mut next: impl FnMut(&mut u64) -> Option<Morsel>) -> WorkerOut {
     let mut out = WorkerOut::default();
-    let width = ctx.shape.all_vars.len();
-    let steps = ctx
-        .units
-        .iter()
-        .map(|u| u.plan.steps.len())
-        .max()
-        .unwrap_or(0);
-    let mut st = WorkerState::new(width, steps, ctx.units.len());
+    let mut st = WorkerState::new(ctx.shape.all_vars.len(), ctx.plan.steps.len());
     loop {
         if ctx.limit_hit.load(AtomicOrdering::Relaxed) {
             break;
@@ -619,7 +586,56 @@ fn worker_run(ctx: &Ctx<'_, '_>, mut next: impl FnMut(&mut u64) -> Option<Morsel
     out
 }
 
-/// The outcome of a pool run, before result-format-specific merging.
+/// Splits the seed scan (and the usually empty uncommitted tail) into
+/// fixed-size morsels and drains them through the work-stealing pool.
+fn drain(ctx: &Ctx<'_, '_>, morsel_triples: usize, stats: &mut MorselStats) -> Vec<WorkerOut> {
+    let step = morsel_triples.max(1);
+    let mut morsels: Vec<Morsel> = Vec::new();
+    let mut chunk = |n: usize, tail: bool| {
+        let mut lo = 0;
+        while lo < n {
+            let hi = (lo + step).min(n);
+            morsels.push(Morsel { lo, hi, tail });
+            lo = hi;
+        }
+    };
+    chunk(ctx.plan.seed.len(), false);
+    chunk(ctx.graph.tail_triples().len(), true);
+    stats.morsels = morsels.len() as u64;
+
+    let pool = stats.workers.min(morsels.len()).max(1);
+    if pool <= 1 {
+        // No parallelism to win: the caller thread runs the morsels in
+        // order — no deque, no lock, no spawn.
+        let mut inline = morsels.into_iter();
+        return vec![worker_run(ctx, |_| inline.next())];
+    }
+    // Contiguous runs per worker, so each own deque ascends (probe hints
+    // stay monotonic); stealing takes from the far end. All morsels
+    // exist up front, so one empty sweep means done.
+    let total = morsels.len();
+    let mut queues: Vec<VecDeque<Morsel>> = (0..pool).map(|_| VecDeque::new()).collect();
+    for (i, m) in morsels.into_iter().enumerate() {
+        queues[i * pool / total].push_back(m);
+    }
+    let deques: Vec<Mutex<VecDeque<Morsel>>> = queues.into_iter().map(Mutex::new).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..pool)
+            .map(|w| {
+                let deques = &deques;
+                scope.spawn(move || worker_run(ctx, |steals| next_morsel(deques, w, steals)))
+            })
+            .collect();
+        handles
+            .into_iter()
+            // lint:allow(no_panic) re-raise a worker panic on the
+            // caller thread rather than silently dropping results.
+            .map(|h| h.join().expect("morsel worker panicked"))
+            .collect()
+    })
+}
+
+/// The outcome of a pool run, before the merge.
 struct RunOutcome {
     projected: Vec<String>,
     /// Whether the merge must dedup (see the module docs).
@@ -628,178 +644,66 @@ struct RunOutcome {
     /// the reference engine, which checks the limit after pushing a row.
     limit: Option<usize>,
     workers: Vec<WorkerOut>,
-    /// Unit ordinal → index into the caller's graph list.
-    unit_gidx: Vec<usize>,
     stats: QueryStats,
     morsel: MorselStats,
-    /// Partitions with a live plan (the `partitions_probed` count).
-    ready: usize,
 }
 
-impl RunOutcome {
-    /// Every projected row with the index (into the caller's graph list)
-    /// of the graph whose dictionary decodes it, in worker order.
-    fn rows(&self) -> impl Iterator<Item = (usize, &[TermId])> + '_ {
-        let width = self.projected.len();
-        self.workers.iter().flat_map(move |w| {
-            let mut at = 0usize;
-            w.runs.iter().flat_map(move |&(unit, n)| {
-                let first = at;
-                at += n;
-                let gidx = self.unit_gidx[unit as usize];
-                (first..at).map(move |r| (gidx, &w.flat[r * width..(r + 1) * width]))
-            })
-        })
-    }
-}
-
-/// Plans `q` against every routed graph, splits the seed scans into
-/// morsels, and drains them through the work-stealing pool.
-fn run(graphs: &[&Graph], q: &SelectQuery, cfg: &MorselConfig) -> RunOutcome {
+/// Plans `q` against `g`, splits the seed scan into morsels, and drains
+/// them through the work-stealing pool.
+fn run(g: &Graph, q: &SelectQuery, cfg: &MorselConfig) -> RunOutcome {
     let shape = shape(q);
     let limit = q.limit.map(|l| l.max(1));
     let mut stats = QueryStats::default();
-    let mut morsel_stats = MorselStats {
+    let mut morsel = MorselStats {
         workers: cfg.resolved_workers(),
         ..MorselStats::default()
     };
-    if q.patterns.is_empty() {
-        // The empty BGP has exactly one solution, the empty binding,
-        // wherever it is asked; there is no seed scan to morselize.
-        let mut only = WorkerOut::default();
-        if shape.valid && !graphs.is_empty() {
-            only.runs.push((0, 1));
-        }
-        return RunOutcome {
-            projected: shape.projected,
-            dedup: false,
-            limit,
-            workers: vec![only],
-            unit_gidx: vec![0],
-            stats,
-            morsel: morsel_stats,
-            ready: 0,
-        };
-    }
-    let mut units: Vec<Unit<'_>> = Vec::new();
-    let mut planning = Duration::ZERO;
-    if shape.valid {
-        for (gidx, &g) in graphs.iter().enumerate() {
-            let t_plan = Stopwatch::start();
-            let (plan, pushdown) = plan_graph(g, q, &shape);
-            // Per-partition planning runs on the caller thread but is
-            // reported as the per-partition maximum, the same critical-path
-            // convention the thread-per-partition executor used.
-            planning = planning.max(t_plan.elapsed());
-            stats.pushdown_candidates += pushdown;
-            // The BGP is non-empty here, so a live plan has a first step.
-            let Some(plan) = plan else { continue };
-            let Some(&first) = plan.steps.first() else {
-                continue;
-            };
-            let (s, p, o) = first.probe(&shape.unbound);
-            units.push(Unit {
-                graph: g,
-                gidx,
-                seed: g.pattern_slice(s, p, o),
-                plan,
-            });
-        }
-    }
-    stats.planning_us = planning.as_micros() as u64;
-    // The seed scan of each planned partition counts as one probe, as in
-    // the per-partition engine (morsels chunk that one logical probe).
-    stats.probes += units.len();
-    let ready = units.len();
-
-    // Morsel generation: fixed-size chunks of every seed slice plus the
-    // (usually empty) uncommitted tails.
-    let step = cfg.morsel_triples.max(1);
-    let mut morsels: Vec<Morsel> = Vec::new();
-    for (ui, unit) in units.iter().enumerate() {
-        let mut chunk = |n: usize, tail: bool| {
-            let mut lo = 0;
-            while lo < n {
-                let hi = (lo + step).min(n);
-                morsels.push(Morsel {
-                    unit: ui as u32,
-                    lo,
-                    hi,
-                    tail,
-                });
-                lo = hi;
-            }
-        };
-        chunk(unit.seed.len(), false);
-        chunk(unit.graph.tail_triples().len(), true);
-    }
-    morsel_stats.morsels = morsels.len() as u64;
-
-    let pool = morsel_stats.workers.min(morsels.len()).max(1);
-    let ctx = Ctx {
-        units,
-        shape: &shape,
-        limit,
-        limit_hit: AtomicBool::new(false),
-    };
-    let workers: Vec<WorkerOut> = if pool <= 1 {
-        // No parallelism to win: the caller thread runs the morsels in
-        // order — no deque, no lock, no spawn.
-        let mut inline = morsels.into_iter();
-        vec![worker_run(&ctx, |_| inline.next())]
+    let workers = if q.patterns.is_empty() {
+        // The empty BGP has exactly one solution, the empty binding;
+        // there is no seed scan to morselize.
+        let rows = usize::from(shape.valid);
+        vec![WorkerOut {
+            rows,
+            ..WorkerOut::default()
+        }]
     } else {
-        // Contiguous runs per worker, so each own deque ascends (probe
-        // hints stay monotonic); stealing takes from the far end. All
-        // morsels exist up front, so one empty sweep means done.
-        let total = morsels.len();
-        let mut queues: Vec<VecDeque<Morsel>> = (0..pool).map(|_| VecDeque::new()).collect();
-        for (i, m) in morsels.into_iter().enumerate() {
-            queues[i * pool / total].push_back(m);
+        let t_plan = Stopwatch::start();
+        let (plan, pushdown) = plan_graph(g, q, &shape);
+        stats.planning_us = t_plan.elapsed().as_micros() as u64;
+        stats.pushdown_candidates = pushdown;
+        match plan {
+            None => Vec::new(),
+            Some(plan) => {
+                // The seed scan counts as one probe (morsels chunk that
+                // one logical probe).
+                stats.probes = 1;
+                let ctx = Ctx {
+                    graph: g,
+                    plan,
+                    shape: &shape,
+                    limit,
+                    limit_hit: AtomicBool::new(false),
+                };
+                drain(&ctx, cfg.morsel_triples, &mut morsel)
+            }
         }
-        let deques: Vec<Mutex<VecDeque<Morsel>>> = queues.into_iter().map(Mutex::new).collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..pool)
-                .map(|w| {
-                    let (ctx, deques) = (&ctx, &deques);
-                    scope.spawn(move || worker_run(ctx, |steals| next_morsel(deques, w, steals)))
-                })
-                .collect();
-            handles
-                .into_iter()
-                // lint:allow(no_panic) re-raise a worker panic on the
-                // caller thread rather than silently dropping results.
-                .map(|h| h.join().expect("morsel worker panicked"))
-                .collect()
-        })
     };
-
     for o in &workers {
         stats.probes += o.probes;
         stats.intermediate += o.intermediate;
-        morsel_stats.steals += o.steals;
+        morsel.steals += o.steals;
         if o.morsels > 0 {
-            morsel_stats.workers_used += 1;
+            morsel.workers_used += 1;
         }
     }
-    let unit_gidx = ctx.units.iter().map(|u| u.gidx).collect();
     RunOutcome {
+        projected: shape.projected,
         dedup: shape.drops_var,
         limit,
-        projected: shape.projected,
         workers,
-        unit_gidx,
         stats,
-        morsel: morsel_stats,
-        ready,
+        morsel,
     }
-}
-
-/// Time since `t_total` not already reported as planning.
-fn exec_us(t_total: &Stopwatch, stats: &QueryStats) -> u64 {
-    t_total
-        .elapsed()
-        .saturating_sub(Duration::from_micros(stats.planning_us))
-        .as_micros() as u64
 }
 
 /// Executes `q` against a single graph on the morsel executor. Returns
@@ -812,73 +716,28 @@ pub fn execute_morsel(
     cfg: &MorselConfig,
 ) -> (Bindings, QueryStats, MorselStats) {
     let t_total = Stopwatch::start();
-    let out = run(&[graph], q, cfg);
+    let out = run(graph, q, cfg);
+    let width = out.projected.len();
     let mut seen: FxHashSet<&[TermId]> = FxHashSet::default();
     let rows: Vec<Row> = out
-        .rows()
-        .filter(|&(_, row)| !out.dedup || seen.insert(row))
+        .workers
+        .iter()
+        .flat_map(|w| (0..w.rows).map(move |r| &w.flat[r * width..(r + 1) * width]))
+        .filter(|&row| !out.dedup || seen.insert(row))
         .take(out.limit.unwrap_or(usize::MAX))
-        .map(|(_, row)| row.to_vec())
+        .map(<[TermId]>::to_vec)
         .collect();
     let mut stats = out.stats;
-    stats.exec_us = exec_us(&t_total, &stats);
-    (
-        Bindings {
-            vars: out.projected,
-            rows,
-        },
-        stats,
-        out.morsel,
-    )
-}
-
-/// Partitioned execution over an already-routed graph list: runs the
-/// shared pool, then decodes and merges rows, deduplicating (when the
-/// projection drops a variable) via a rendered key — terms have no
-/// cross-partition ids. The caller fills in `partitions_total`.
-pub(crate) fn execute_routed(
-    graphs: &[&Graph],
-    q: &SelectQuery,
-    cfg: &MorselConfig,
-) -> (DecodedBindings, PartitionedStats) {
-    let t_total = Stopwatch::start();
-    let out = run(graphs, q, cfg);
-    let mut seen: FxHashSet<String> = FxHashSet::default();
-    let rows: Vec<Vec<Term>> = out
-        .rows()
-        .map(|(gidx, row)| -> Vec<Term> {
-            row.iter()
-                // lint:allow(no_panic) ids are local to the partition
-                // that produced them.
-                .map(|id| graphs[gidx].decode(*id).expect("local id").clone())
-                .collect()
-        })
-        .filter(|terms| {
-            !out.dedup
-                || seen.insert(
-                    terms
-                        .iter()
-                        .map(|t| t.to_string())
-                        .collect::<Vec<_>>()
-                        .join("\u{1f}"),
-                )
-        })
-        .take(out.limit.unwrap_or(usize::MAX))
-        .collect();
-    let mut engine = out.stats;
-    engine.exec_us = exec_us(&t_total, &engine);
-    let stats = PartitionedStats {
-        partitions_touched: graphs.len(),
-        partitions_total: graphs.len(),
-        partitions_probed: out.ready,
-        workers: out.morsel.workers,
-        workers_used: out.morsel.workers_used,
-        morsels: out.morsel.morsels,
-        steals: out.morsel.steals,
-        engine,
+    // Time since the start not already reported as planning.
+    stats.exec_us = t_total
+        .elapsed()
+        .saturating_sub(Duration::from_micros(stats.planning_us))
+        .as_micros() as u64;
+    let bindings = Bindings {
+        vars: out.projected,
+        rows,
     };
-    let vars = out.projected;
-    (DecodedBindings { vars, rows }, stats)
+    (bindings, stats, out.morsel)
 }
 
 #[cfg(test)]

@@ -1,27 +1,29 @@
-//! The partitioned, parallel store: queries fan out to partition workers
-//! and results merge, with partition pruning driven by the partitioner's
-//! routing knowledge.
+//! The partitioned store: a graph split across partitions by subject,
+//! answering subject-star queries partition by partition and merging the
+//! results, with partition pruning driven by the partitioner's routing
+//! knowledge.
 //!
 //! # Query semantics
 //!
 //! All partitioners place triples **by subject**, so a *star* query (every
-//! pattern shares one subject variable) evaluates exactly: each binding is
-//! wholly contained in one partition. General joins are evaluated
-//! *partition-locally* (co-partitioned join semantics — the standard
-//! trade-off of hash-partitioned RDF stores that avoid broadcast joins);
-//! bindings that would span two partitions are not produced. The
-//! experiments use star-shaped and co-partitioned workloads, matching how
-//! the datAcron ontology models per-entity data.
+//! pattern shares one subject term — the same variable or the same
+//! constant) evaluates exactly: each binding is wholly contained in one
+//! partition. Subject stars are the one query shape subject-hash
+//! partitioning keeps local (Özsu, *A Survey of RDF Data Management
+//! Systems*, listed in PAPERS.md). Any other BGP — a path, or two patterns
+//! on different subjects — can bind triples from two partitions, which
+//! this store does not join, so [`PartitionedStore::execute`] refuses it
+//! with [`NotAStar`] instead of answering with a partition-local subset.
 //!
-//! Those partition-local joins are why this store is **not a serving
-//! route**: the server answers every SPARQL request from its one [`Graph`]
-//! on the morsel pool ([`crate::morsel::execute_morsel`]), which is exact
-//! for any join shape. `PartitionedStore` and the partitioners are the
-//! library's partitioning code (experiment E5) and the starting point for
-//! a shard router, which needs a gather-side join for non-star queries.
+//! The store is **not a serving route**: the server answers every SPARQL
+//! request from its one [`Graph`] on the morsel pool
+//! ([`crate::morsel::execute_morsel`]), which is exact for any join
+//! shape. `PartitionedStore` and the partitioners are the library's
+//! partitioning code (experiment E5) and the starting point for a shard
+//! router, which would need a gather-side join to answer more than stars.
 
 use crate::engine::QueryStats;
-use crate::morsel::{self, MorselConfig};
+use crate::morsel::{execute_morsel, MorselConfig};
 use crate::partition::Partitioner;
 use crate::query::{FilterExpr, SelectQuery};
 use crate::store::{Graph, Triple};
@@ -36,24 +38,35 @@ pub struct PartitionedStats {
     pub partitions_touched: usize,
     /// Partitions that existed.
     pub partitions_total: usize,
-    /// Partitions whose engine actually issued index probes (the
-    /// partition-parallelism proof: > 1 means the query really fanned out).
+    /// Partitions whose plan issued an index probe (> 1 means the query
+    /// really fanned out).
     pub partitions_probed: usize,
     /// Worker pool size the morsel executor resolved to.
     pub workers: usize,
-    /// Workers that processed at least one morsel (the intra-query
-    /// parallelism proof — can exceed `partitions_probed` now that work
-    /// units are morsels, not partitions).
+    /// The most workers that processed a morsel of one partition: the
+    /// partitions run one after another, each on the whole pool.
     pub workers_used: usize,
     /// Morsels executed across all partitions.
     pub morsels: u64,
     /// Morsels obtained by work stealing.
     pub steals: u64,
-    /// Merged per-partition engine statistics: counters are summed;
-    /// `planning_us`/`exec_us` take the per-partition maximum (the
-    /// critical path, since partitions run on concurrent workers).
+    /// Per-partition engine statistics, summed — `planning_us` and
+    /// `exec_us` too, since the partitions run one after another.
     pub engine: QueryStats,
 }
+
+/// The refusal of a query that is not a subject star: its patterns do not
+/// all share one subject term, so a binding may span two partitions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NotAStar;
+
+impl std::fmt::Display for NotAStar {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("a partitioned store answers subject-star queries only")
+    }
+}
+
+impl std::error::Error for NotAStar {}
 
 /// Decoded query results (terms, not ids — ids are partition-local).
 #[derive(Debug, Clone, PartialEq)]
@@ -64,7 +77,7 @@ pub struct DecodedBindings {
     pub rows: Vec<Vec<Term>>,
 }
 
-/// A store split across partitions, queried in parallel.
+/// A store split across partitions by subject.
 pub struct PartitionedStore {
     parts: Vec<Graph>,
     partitioner: Box<dyn Partitioner>,
@@ -178,38 +191,85 @@ impl PartitionedStore {
         out
     }
 
-    /// Executes a query across the routed partitions on the morsel-driven
-    /// work-stealing executor (default configuration: one worker per
-    /// core) and merges the decoded results.
-    pub fn execute(&self, q: &SelectQuery) -> (DecodedBindings, PartitionedStats) {
+    /// Executes a subject-star query across the routed partitions on the
+    /// morsel executor (default configuration: one worker per core) and
+    /// merges the decoded results; refuses any other query.
+    pub fn execute(
+        &self,
+        q: &SelectQuery,
+    ) -> Result<(DecodedBindings, PartitionedStats), NotAStar> {
         self.execute_with(q, &MorselConfig::default())
     }
 
     /// [`PartitionedStore::execute`] with an explicit executor
     /// configuration (worker count, morsel size).
     ///
-    /// All routed partitions feed **one** shared worker pool: each
-    /// partition's seed scan is split into fixed-size morsels distributed
-    /// over per-worker deques, and idle workers steal, so a skewed
-    /// partition no longer serializes the query the way the old
-    /// one-thread-per-partition model did. Joins stay partition-local
-    /// (the co-partitioned semantics documented above).
+    /// The routed partitions run one after another, each on the whole
+    /// worker pool with the query's own `LIMIT`; their rows are decoded
+    /// (ids are partition-local) and deduplicated, and the loop stops once
+    /// `LIMIT` rows are merged. As every partition may return the full
+    /// limit, the answer is the single graph's row set, or under `LIMIT`
+    /// some `min(limit, distinct)` of its rows. The empty BGP is a star.
     pub fn execute_with(
         &self,
         q: &SelectQuery,
         cfg: &MorselConfig,
-    ) -> (DecodedBindings, PartitionedStats) {
+    ) -> Result<(DecodedBindings, PartitionedStats), NotAStar> {
+        if q.patterns.windows(2).any(|w| w[0].s != w[1].s) {
+            return Err(NotAStar);
+        }
         let routed = self.route(q);
-        let graphs: Vec<&Graph> = routed.iter().map(|&idx| &self.parts[idx]).collect();
-        let (bindings, mut stats) = morsel::execute_routed(&graphs, q, cfg);
-        stats.partitions_total = self.parts.len();
-        (bindings, stats)
+        let mut stats = PartitionedStats {
+            partitions_touched: routed.len(),
+            partitions_total: self.parts.len(),
+            workers: cfg.resolved_workers(),
+            ..PartitionedStats::default()
+        };
+        let limit = q.limit.map_or(usize::MAX, |l| l.max(1));
+        let vars = if q.vars.is_empty() {
+            q.all_vars()
+        } else {
+            q.vars.clone()
+        };
+        // A non-empty star's binding lives in one partition; dropping a variable can repeat rows.
+        let dedup = q.patterns.is_empty() || q.all_vars().iter().any(|v| !vars.contains(v));
+        let mut seen: FxHashSet<Vec<Term>> = FxHashSet::default();
+        let mut rows: Vec<Vec<Term>> = Vec::new();
+        for g in routed.iter().map(|&idx| &self.parts[idx]) {
+            if rows.len() >= limit {
+                break;
+            }
+            let (b, engine, ms) = execute_morsel(g, q, cfg);
+            stats.partitions_probed += usize::from(engine.probes > 0);
+            stats.workers_used = stats.workers_used.max(ms.workers_used);
+            stats.morsels += ms.morsels;
+            stats.steals += ms.steals;
+            let sum = &mut stats.engine;
+            sum.intermediate += engine.intermediate;
+            sum.pushdown_candidates += engine.pushdown_candidates;
+            sum.probes += engine.probes;
+            sum.planning_us += engine.planning_us;
+            sum.exec_us += engine.exec_us;
+            for row in b.rows {
+                let terms: Vec<Term> = row
+                    .iter()
+                    // lint:allow(no_panic) ids are local to the partition
+                    // that produced them.
+                    .map(|id| g.decode(*id).expect("local id").clone())
+                    .collect();
+                if rows.len() < limit && (!dedup || seen.insert(terms.clone())) {
+                    rows.push(terms);
+                }
+            }
+        }
+        Ok((DecodedBindings { vars, rows }, stats))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::execute_reference;
     use crate::parser::parse_query;
     use crate::partition::{HashPartitioner, SpatialGridPartitioner, TemporalPartitioner};
     use datacron_geo::{GeoPoint, TimeMs};
@@ -232,6 +292,27 @@ mod tests {
         }
         g.commit();
         g
+    }
+
+    fn sorted(mut rows: Vec<Vec<Term>>) -> Vec<Vec<Term>> {
+        rows.sort_by_key(|r| format!("{r:?}"));
+        rows
+    }
+
+    /// The reference engine's rows for `text` over `source()`, decoded.
+    fn reference(text: &str) -> Vec<Vec<Term>> {
+        let g = source();
+        let (b, _) = execute_reference(&g, &parse_query(text).unwrap());
+        let rows = b.rows.iter().map(|r| b.decode_row(&g, r));
+        sorted(rows.map(|r| r.into_iter().cloned().collect()).collect())
+    }
+
+    /// The store's rows for `text`, sorted; panics on a refusal.
+    fn answer(store: &PartitionedStore, text: &str, cfg: &MorselConfig) -> Vec<Vec<Term>> {
+        let (b, _) = store
+            .execute_with(&parse_query(text).unwrap(), cfg)
+            .unwrap();
+        sorted(b.rows)
     }
 
     fn stores() -> Vec<PartitionedStore> {
@@ -264,16 +345,13 @@ mod tests {
 
     #[test]
     fn star_query_same_answer_on_every_partitioning() {
-        let q =
-            parse_query("SELECT ?v ?s WHERE { ?v type Vessel . ?v speed ?s . FILTER (?s >= 5.0) }")
-                .unwrap();
-        let mut counts = Vec::new();
-        for store in stores() {
-            let (b, _) = store.execute(&q);
-            counts.push(b.rows.len());
-        }
+        let text = "SELECT ?v ?s WHERE { ?v type Vessel . ?v speed ?s . FILTER (?s >= 5.0) }";
+        let want = reference(text);
         // speeds 5.0..=9.75 → i in 20..40 → 20 rows.
-        assert_eq!(counts, vec![20, 20, 20]);
+        assert_eq!(want.len(), 20);
+        for store in stores() {
+            assert_eq!(answer(&store, text, &MorselConfig::default()), want);
+        }
     }
 
     #[test]
@@ -287,21 +365,20 @@ mod tests {
                 1.0,
             )),
         );
-        let q = parse_query(
-            "SELECT ?v WHERE { ?v pos ?g . FILTER st_within(?g, 19.5, 35.5, 21.5, 38.5) }",
-        )
-        .unwrap();
-        let (b, stats) = store.execute(&q);
+        let text = "SELECT ?v WHERE { ?v pos ?g . FILTER st_within(?g, 19.5, 35.5, 21.5, 38.5) }";
+        let q = parse_query(text).unwrap();
+        let (b, stats) = store.execute(&q).unwrap();
         // Vessels with lon 20 or 21: i%10 ∈ {0,1} → 8 vessels.
-        assert_eq!(b.rows.len(), 8);
+        assert_eq!(reference(text).len(), 8);
+        assert_eq!(sorted(b.rows), reference(text));
         assert!(
             stats.partitions_touched < stats.partitions_total,
             "no pruning: {stats:?}"
         );
         // Hash partitioning cannot prune the same query.
         let hash_store = PartitionedStore::build(&g, Box::new(HashPartitioner::new(8)));
-        let (b2, stats2) = hash_store.execute(&q);
-        assert_eq!(b2.rows.len(), 8);
+        let (b2, stats2) = hash_store.execute(&q).unwrap();
+        assert_eq!(sorted(b2.rows), reference(text));
         assert_eq!(stats2.partitions_touched, stats2.partitions_total);
     }
 
@@ -312,49 +389,56 @@ mod tests {
             &g,
             Box::new(TemporalPartitioner::new(4, TimeMs(0), 10 * 60_000)),
         );
-        let q =
-            parse_query("SELECT ?v WHERE { ?v at ?t . FILTER t_between(?t, 0, 600000) }").unwrap();
-        let (b, stats) = store.execute(&q);
-        assert_eq!(b.rows.len(), 10); // first 10 minutes → v0..v9
+        let text = "SELECT ?v WHERE { ?v at ?t . FILTER t_between(?t, 0, 600000) }";
+        let (b, stats) = store.execute(&parse_query(text).unwrap()).unwrap();
+        assert_eq!(sorted(b.rows), reference(text)); // first 10 minutes → v0..v9
+        assert_eq!(reference(text).len(), 10);
         assert_eq!(stats.partitions_touched, 1);
     }
 
     #[test]
     fn limit_respected_across_partitions() {
-        let store = &stores()[0];
-        let q = parse_query("SELECT ?v WHERE { ?v type Vessel } LIMIT 7").unwrap();
-        let (b, _) = store.execute(&q);
-        assert_eq!(b.rows.len(), 7);
+        let all = reference("SELECT ?v WHERE { ?v type Vessel }");
+        for store in stores() {
+            let got = answer(
+                &store,
+                "SELECT ?v WHERE { ?v type Vessel } LIMIT 7",
+                &MorselConfig::default(),
+            );
+            assert_eq!(got.len(), 7);
+            assert!(got.windows(2).all(|w| w[0] != w[1]), "duplicate row");
+            assert!(
+                got.iter().all(|r| all.contains(r)),
+                "row outside the reference set"
+            );
+        }
     }
 
     #[test]
     fn dedup_across_partitions() {
         // Projecting a constant-valued variable dedups globally.
-        let store = &stores()[0];
-        let q = parse_query("SELECT ?t WHERE { ?v type ?t }").unwrap();
-        let (b, _) = store.execute(&q);
-        assert_eq!(b.rows.len(), 1);
-        assert_eq!(b.rows[0][0], Term::iri("Vessel"));
+        let text = "SELECT ?t WHERE { ?v type ?t }";
+        assert_eq!(reference(text), vec![vec![Term::iri("Vessel")]]);
+        for store in stores() {
+            assert_eq!(
+                answer(&store, text, &MorselConfig::default()),
+                reference(text)
+            );
+        }
     }
 
     #[test]
     fn execute_with_explicit_workers_matches_default() {
-        let q =
-            parse_query("SELECT ?v ?s WHERE { ?v type Vessel . ?v speed ?s . FILTER (?s >= 5.0) }")
-                .unwrap();
+        let text = "SELECT ?v ?s WHERE { ?v type Vessel . ?v speed ?s . FILTER (?s >= 5.0) }";
+        let q = parse_query(text).unwrap();
         for store in stores() {
-            let (reference, _) = store.execute(&q);
-            let mut reference_rows = reference.rows;
-            reference_rows.sort_by_key(|r| format!("{r:?}"));
             for workers in [1, 2, 8] {
                 let cfg = MorselConfig {
                     workers,
                     morsel_triples: 16,
                 };
-                let (b, stats) = store.execute_with(&q, &cfg);
-                let mut rows = b.rows;
-                rows.sort_by_key(|r| format!("{r:?}"));
-                assert_eq!(rows, reference_rows);
+                assert_eq!(answer(&store, text, &cfg), reference(text));
+                let (_, stats) = store.execute_with(&q, &cfg).unwrap();
                 assert_eq!(stats.workers, workers);
                 assert!(stats.workers_used >= 1 && stats.workers_used <= workers);
                 // 4 partitions × (40 type triples at 16/morsel = 3 morsels)
@@ -370,7 +454,7 @@ mod tests {
     fn stats_surface_morsel_counters() {
         let store = &stores()[0];
         let q = parse_query("SELECT ?v WHERE { ?v type Vessel }").unwrap();
-        let (b, stats) = store.execute(&q);
+        let (b, stats) = store.execute(&q).unwrap();
         assert_eq!(b.rows.len(), 40);
         assert!(stats.workers >= 1);
         assert!(stats.morsels >= stats.partitions_probed as u64);
@@ -382,7 +466,7 @@ mod tests {
         let g = Graph::new();
         let store = PartitionedStore::build(&g, Box::new(HashPartitioner::new(2)));
         let q = parse_query("SELECT ?v WHERE { ?v type Vessel }").unwrap();
-        let (b, stats) = store.execute(&q);
+        let (b, stats) = store.execute(&q).unwrap();
         assert!(b.rows.is_empty());
         assert_eq!(stats.partitions_touched, 2);
     }

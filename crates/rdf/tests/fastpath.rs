@@ -8,7 +8,8 @@
 
 use datacron_rdf::{
     execute, execute_morsel, execute_reference, from_binary, parse_query, to_binary, Bindings,
-    Graph, HashPartitioner, MorselConfig, PartitionedStore, SelectQuery, Term, TermId, Triple,
+    Graph, HashPartitioner, MorselConfig, NotAStar, PartitionedStore, SelectQuery, Term, TermId,
+    Triple,
 };
 
 /// Deterministic xorshift64* — the suite must not depend on ambient
@@ -233,8 +234,8 @@ fn reference_rendered(g: &Graph, text: &str) -> Vec<String> {
 
 /// `LIMIT n` returns `min(n, distinct)` rows, each a member of the
 /// reference row set and none twice — on the single graph at every worker
-/// count, and through the partitioned store (star shapes, whose partitioned
-/// answer equals the single graph's).
+/// count, and through the partitioned store for star shapes (the store
+/// refuses the path).
 #[test]
 fn limit_returns_min_of_limit_and_distinct_members() {
     let mut rng = Rng(0x5EED_000A);
@@ -259,8 +260,9 @@ fn limit_returns_min_of_limit_and_distinct_members() {
                 };
                 let (b, _, _) = execute_morsel(&g, &q, &cfg);
                 let mut got = vec![rendered(&decoded(&g, &b))];
-                if star {
-                    got.push(rendered(&store.execute_with(&q, &cfg).0.rows));
+                match store.execute_with(&q, &cfg) {
+                    Ok((parted, _)) if star => got.push(rendered(&parted.rows)),
+                    answer => assert_eq!(answer, Err(NotAStar), "{text}"),
                 }
                 for got in got {
                     assert_eq!(got.len(), want, "{text} workers {workers}");
@@ -294,7 +296,7 @@ fn empty_bgp_and_unknown_constants_agree_with_reference() {
         let (reference, _) = execute_reference(&g, q);
         let (single, _) = execute(&g, q);
         assert_eq!(single, reference, "{q:?}");
-        let (parted, stats) = store.execute(q);
+        let (parted, stats) = store.execute(q).expect("a star");
         assert_eq!(parted.vars, reference.vars, "{q:?}");
         assert_eq!(parted.rows, decoded(&g, &reference), "{q:?}");
         assert_eq!(stats.partitions_probed, 0, "{q:?}");
@@ -362,17 +364,15 @@ fn morsel_executor_matches_reference_under_concurrent_ingest() {
                     workers: 2,
                     morsel_triples: 8,
                 };
-                // Star-shaped / single-pattern queries only: the mirror
-                // partitions by subject, so only co-partitioned joins
-                // answer identically to the single graph (the documented
-                // semantics of `PartitionedStore`).
+                // Subject stars only: the mirror partitions by subject and
+                // refuses every other shape (`NotAStar`).
                 let star_shapes: Vec<&str> =
                     [0, 1, 4, 5].iter().map(|&i| QUERY_SHAPES[i]).collect();
                 for i in 0..rounds {
                     let st = shared.read().unwrap();
                     let shape = star_shapes[(reader + i) % star_shapes.len()];
                     let q = parse_query(shape).unwrap();
-                    let (b, _) = st.mirror.execute_with(&q, &cfg);
+                    let (b, _) = st.mirror.execute_with(&q, &cfg).expect("a star");
                     let got = rendered(&b.rows);
                     let expected = reference_rendered(&st.source, shape);
                     assert_eq!(got, expected, "{shape}");
@@ -595,8 +595,8 @@ fn incremental_partition_mirror_matches_bulk_build() {
     let bulk = PartitionedStore::build(&source, Box::new(HashPartitioner::new(4)));
     assert_eq!(mirror.partition_sizes(), bulk.partition_sizes());
     let q = parse_query("SELECT ?s ?o WHERE { ?s p0 ?o }").unwrap();
-    let (inc, inc_stats) = mirror.execute(&q);
-    let (blk, _) = bulk.execute(&q);
+    let (inc, inc_stats) = mirror.execute(&q).expect("a star");
+    let (blk, _) = bulk.execute(&q).expect("a star");
     assert_eq!(rendered(&inc.rows), rendered(&blk.rows));
     assert!(
         inc_stats.partitions_probed > 1,

@@ -3,8 +3,9 @@
 
 use datacron_geo::{BoundingBox, GeoPoint, Rng, TimeInterval, TimeMs};
 use datacron_rdf::{
-    execute, Graph, HashPartitioner, PartitionedStore, PatternTerm, SelectQuery,
-    SpatialGridPartitioner, Term, TriplePattern,
+    execute, execute_reference, Graph, HashPartitioner, MorselConfig, NotAStar, PartitionedStore,
+    Partitioner, PatternTerm, SelectQuery, SpatialGridPartitioner, TemporalPartitioner, Term,
+    TriplePattern,
 };
 
 const CASES: u64 = 256;
@@ -124,27 +125,228 @@ fn pattern_matching_regression_bound_subject_and_object_never_joined() {
     check_pattern_against_scan("regression", &[(5, 0, 0), (0, 0, 19)], (5, 0, 19), 5);
 }
 
-/// Star queries return identical answers on the single graph and on any
-/// partitioned store.
+// ---- The partitioned store answers subject stars exactly, or refuses -----
+//
+// Rows are compared as decoded sets against `execute_reference` over the
+// unpartitioned graph, so a lost, invented or repeated row fails where a
+// row count could balance out.
+
+/// `arb_triples` plus, for about half the subjects, a `pos` point and an
+/// `at` instant, so the spatial and temporal partitioners home those
+/// subjects by content instead of by their hash fallback.
+fn arb_located_graph(rng: &mut Rng) -> Graph {
+    let mut g = Graph::new();
+    for (s, p, o) in arb_triples(rng) {
+        g.insert(&term_s(s), &term_p(p), &term_o(o));
+    }
+    for s in 0..20u8 {
+        if rng.gen_bool(0.5) {
+            let (lon, lat) = (rng.gen_range(20.0..28.0), rng.gen_range(34.0..41.0));
+            let at = TimeMs(rng.gen_range(0i64..100_000));
+            g.insert(
+                &term_s(s),
+                &Term::iri("pos"),
+                &Term::point(GeoPoint::new(lon, lat)),
+            );
+            g.insert(&term_s(s), &Term::iri("at"), &Term::time(at));
+        }
+    }
+    g.commit();
+    g
+}
+
+/// The three partitioners over `n` partitions.
+fn partitioners(n: usize) -> [Box<dyn Partitioner>; 3] {
+    [
+        Box::new(HashPartitioner::new(n)),
+        Box::new(SpatialGridPartitioner::new(
+            n,
+            BoundingBox::new(19.0, 33.0, 29.0, 42.0),
+            1.0,
+        )),
+        Box::new(TemporalPartitioner::new(n, TimeMs(0), 20_000)),
+    ]
+}
+
+/// A constant subject, predicate or object drawn from the vocabulary
+/// `arb_located_graph` uses (`pos`/`at` included).
+fn arb_constant(rng: &mut Rng, position: u8) -> PatternTerm {
+    match position {
+        0 => term_s(rng.gen_range(0u8..20)).into(),
+        1 if rng.gen_bool(0.2) => Term::iri(if rng.gen_bool(0.5) { "pos" } else { "at" }).into(),
+        1 => term_p(rng.gen_range(0u8..5)).into(),
+        _ => term_o(rng.gen_range(0u8..20)).into(),
+    }
+}
+
+/// A random subject star: 1–3 patterns on one subject (the variable `?s`,
+/// or a constant), constant or variable predicates, variable (sometimes
+/// shared) or constant objects, a projection that may drop the subject,
+/// and sometimes a `LIMIT`.
+fn arb_star(rng: &mut Rng) -> SelectQuery {
+    let subject = if rng.gen_bool(0.7) {
+        PatternTerm::var("s")
+    } else {
+        arb_constant(rng, 0)
+    };
+    let patterns = (0..rng.gen_range(1..=3))
+        .map(|i| {
+            let p = if rng.gen_bool(0.2) {
+                PatternTerm::var(format!("p{i}"))
+            } else {
+                arb_constant(rng, 1)
+            };
+            let o = match rng.gen_range(0..4) {
+                0 => arb_constant(rng, 2),
+                1 => PatternTerm::var("o0"),
+                _ => PatternTerm::var(format!("o{i}")),
+            };
+            TriplePattern::new(subject.clone(), p, o)
+        })
+        .collect();
+    let mut q = SelectQuery::new(patterns);
+    let vars = q.all_vars();
+    let kept: Vec<&str> = vars
+        .iter()
+        .filter(|_| rng.gen_bool(0.5))
+        .map(String::as_str)
+        .collect();
+    if rng.gen_bool(0.5) {
+        q = q.select(&kept);
+    }
+    if rng.gen_bool(0.3) {
+        q = q.with_limit(rng.gen_range(0..6));
+    }
+    q
+}
+
+/// A random BGP of 2–3 patterns whose subjects are not all one term: a
+/// path through the first pattern's object, or patterns on unrelated
+/// subjects, constant or variable, in any order.
+fn arb_non_star(rng: &mut Rng) -> SelectQuery {
+    let first = TriplePattern::new(
+        PatternTerm::var("a"),
+        arb_constant(rng, 1),
+        PatternTerm::var("b"),
+    );
+    let other_subject = match rng.gen_range(0..3) {
+        0 => PatternTerm::var("b"),
+        1 => PatternTerm::var("c"),
+        _ => arb_constant(rng, 0),
+    };
+    let second = TriplePattern::new(other_subject, arb_constant(rng, 1), PatternTerm::var("d"));
+    let mut patterns = vec![first, second];
+    if rng.gen_bool(0.5) {
+        let s = if rng.gen_bool(0.5) {
+            PatternTerm::var("a")
+        } else {
+            arb_constant(rng, 0)
+        };
+        patterns.push(TriplePattern::new(
+            s,
+            arb_constant(rng, 1),
+            PatternTerm::var("e"),
+        ));
+    }
+    let turn = rng.gen_range(0..patterns.len());
+    patterns.rotate_left(turn);
+    SelectQuery::new(patterns)
+}
+
+/// A query's rows rendered one string per row, sorted.
+fn rendered_rows(rows: impl Iterator<Item = Vec<String>>) -> Vec<String> {
+    let mut out: Vec<String> = rows.map(|r| r.join(" ")).collect();
+    out.sort();
+    out
+}
+
+/// Every random subject star returns exactly `execute_reference`'s row set
+/// over the whole graph — under `LIMIT`, `min(limit, distinct)` members of
+/// it and none twice — on every partitioner, at 1, 2 and 8 workers.
 #[test]
 fn partitioned_star_query_matches_single_graph() {
     for seed in 0..CASES {
         let mut rng = Rng::seed_from_u64(seed);
-        let triples = arb_triples(&mut rng);
-        let qp = rng.gen_range(0u8..5);
+        let g = arb_located_graph(&mut rng);
+        let q = arb_star(&mut rng);
         let n_parts = rng.gen_range(1usize..6);
-        let g = build_graph(&triples);
-        let q = SelectQuery::new(vec![TriplePattern::new(
-            PatternTerm::var("s"),
-            term_p(qp),
-            PatternTerm::var("o"),
-        )]);
-        let (single, _) = execute(&g, &q);
-        let store = PartitionedStore::build(&g, Box::new(HashPartitioner::new(n_parts)));
-        let (parted, stats) = store.execute(&q);
-        assert_eq!(single.len(), parted.rows.len(), "seed {seed}");
-        assert_eq!(stats.partitions_total, n_parts, "seed {seed}");
+        let unlimited = SelectQuery {
+            limit: None,
+            ..q.clone()
+        };
+        let (reference, _) = execute_reference(&g, &unlimited);
+        let all = rendered_rows(reference.rows.iter().map(|r| {
+            reference
+                .decode_row(&g, r)
+                .iter()
+                .map(|t| t.to_string())
+                .collect()
+        }));
+        let want = q.limit.map_or(all.len(), |l| l.max(1).min(all.len()));
+        for partitioner in partitioners(n_parts) {
+            let store = PartitionedStore::build(&g, partitioner);
+            for workers in [1, 2, 8] {
+                let cfg = MorselConfig {
+                    workers,
+                    morsel_triples: 3,
+                };
+                let case = format!("seed {seed}, {n_parts} parts, {workers} workers: {q:?}");
+                let (parted, stats) = store.execute_with(&q, &cfg).expect(&case);
+                assert_eq!(parted.vars, reference.vars, "{case}");
+                assert_eq!(stats.partitions_total, n_parts, "{case}");
+                let got = rendered_rows(
+                    parted
+                        .rows
+                        .iter()
+                        .map(|r| r.iter().map(|t| t.to_string()).collect()),
+                );
+                if q.limit.is_none() {
+                    assert_eq!(got, all, "{case}");
+                } else {
+                    assert_eq!(got.len(), want, "{case}");
+                    assert!(got.windows(2).all(|w| w[0] != w[1]), "duplicate: {case}");
+                    assert!(got.iter().all(|r| all.binary_search(r).is_ok()), "{case}");
+                }
+            }
+        }
     }
+}
+
+/// Every BGP whose patterns do not all share one subject is refused, on
+/// every partitioner, rather than answered partition-locally.
+#[test]
+fn partitioned_store_refuses_every_non_star_query() {
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from_u64(seed);
+        let g = arb_located_graph(&mut rng);
+        let q = arb_non_star(&mut rng);
+        for partitioner in partitioners(rng.gen_range(1usize..6)) {
+            let store = PartitionedStore::build(&g, partitioner);
+            assert_eq!(store.execute(&q), Err(NotAStar), "seed {seed}: {q:?}");
+        }
+    }
+}
+
+/// The node → moving object → class join over 40 position nodes of 10
+/// vessels. Partition-local evaluation answered it on four hash
+/// partitions with 8 of its 40 rows and no error; the store now refuses
+/// it, and the single graph keeps answering all 40.
+#[test]
+fn partitioned_store_refuses_the_node_to_vessel_join() {
+    let mut g = Graph::new();
+    for i in 0..40 {
+        let vessel = Term::iri(format!("o{}", i % 10));
+        let node = Term::iri(format!("n{i}"));
+        g.insert(&node, &Term::iri("ofMovingObject"), &vessel);
+        g.insert(&vessel, &Term::iri("type"), &Term::iri("Vessel"));
+    }
+    g.commit();
+    let q =
+        datacron_rdf::parse_query("SELECT ?n ?o WHERE { ?n ofMovingObject ?o . ?o type Vessel }")
+            .unwrap();
+    assert_eq!(execute_reference(&g, &q).0.rows.len(), 40);
+    let store = PartitionedStore::build(&g, Box::new(HashPartitioner::new(4)));
+    assert_eq!(store.execute(&q), Err(NotAStar));
 }
 
 /// Spatial pushdown agrees with post-filtering.
@@ -258,8 +460,21 @@ fn spatial_partitioning_sound_under_pruning() {
                 1.0,
             )),
         );
-        let (parted, _) = store.execute(&q);
-        assert_eq!(single.len(), parted.rows.len(), "seed {seed}");
+        let (parted, _) = store.execute(&q).expect("a star");
+        let want = rendered_rows(single.rows.iter().map(|r| {
+            single
+                .decode_row(&g, r)
+                .iter()
+                .map(|t| t.to_string())
+                .collect()
+        }));
+        let got = rendered_rows(
+            parted
+                .rows
+                .iter()
+                .map(|r| r.iter().map(|t| t.to_string()).collect()),
+        );
+        assert_eq!(got, want, "seed {seed}");
     }
 }
 

@@ -2,7 +2,9 @@
 //!
 //! Builds an RDF store from a simulated scenario, partitions it spatially,
 //! and answers queries — either the built-in demo set or one passed on the
-//! command line:
+//! command line. The store answers subject-star queries (every pattern on
+//! one subject) exactly and refuses any other shape, which the console
+//! prints instead of rows:
 //!
 //! ```sh
 //! cargo run --release --example sparql_console
@@ -84,8 +86,17 @@ fn main() {
             }
         };
         let t = Instant::now();
-        let (bindings, stats) = store.execute(&q);
+        let answer = store.execute(&q);
         let elapsed = t.elapsed();
+        let (bindings, stats) = match answer {
+            Ok(answer) => answer,
+            Err(refusal) => {
+                // Not a subject star: a partition-local answer could miss
+                // rows, so the store gives none.
+                println!("   refused: {refusal}");
+                continue;
+            }
+        };
         println!(
             "   {} rows in {:?} ({} of {} partitions touched)",
             bindings.rows.len(),

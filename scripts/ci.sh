@@ -154,8 +154,17 @@ retired="$retired"'|PipelineCounters|pipeline_stats|fn to_json|StageLatency|late
 retired="$retired"'|head: Arc<AtomicU64>|head\.(load|store)\(|fn reset_lock_graph_for_tests|tracked-locks'
 # A permutation index grows by merging sorted runs, never by a re-sort.
 retired="$retired"'|\.(spo|pos|osp)\.sort'
+# One executor, one graph: the morsel engine has no multi-partition mode.
+retired="$retired"'|execute_routed|unit_gidx|per_unit'
 if grep -rnE "$retired" crates/ tests/; then
   echo "retired write-path / protocol / test-hook / metrics names are back (see above)" >&2
+  exit 1
+fi
+# The executor knows nothing of partitions: `PartitionedStore` runs it
+# once per partition and owns the star rule, so the module that serves
+# every SPARQL request cannot grow a partition-aware mode back.
+if grep -nE '\bparallel\b|Partition|gidx' crates/rdf/src/morsel.rs; then
+  echo "crates/rdf/src/morsel.rs must not name parallel, Partition* or gidx (see above)" >&2
   exit 1
 fi
 # The benchmark harness (BENCHMARK.json) is a package of its own that
