@@ -420,27 +420,27 @@ fn e5() {
         for (qname, text) in &queries[3..] {
             let q = parse_query(text).expect("valid query");
             let mut best = f64::MAX;
-            let mut touched = 0;
+            let mut probed = 0;
             let mut count = 0;
             for _ in 0..3 {
                 let t = Instant::now();
                 let (b, stats) = store.execute(&q).expect("E5 queries are subject stars");
                 best = best.min(t.elapsed().as_secs_f64() * 1000.0);
-                touched = stats.partitions_touched;
+                probed = stats.partitions_probed;
                 count = b.rows.len();
             }
             rows.push(vec![
                 pname.to_string(),
                 qname.to_string(),
                 format!("{count}"),
-                format!("{touched}/8"),
+                format!("{probed}/8"),
                 fmt(best, 2),
             ]);
         }
     }
     println!(
         "partitioned (8 partitions, A2 ablation):\n{}",
-        table(&["partitioner", "query", "rows", "touched", "ms"], &rows)
+        table(&["partitioner", "query", "rows", "probed", "ms"], &rows)
     );
 
     // Parallel speedup: the heavy filter query over increasing partition

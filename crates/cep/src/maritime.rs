@@ -639,26 +639,6 @@ pub struct CpaDetector {
 /// touches one or two rows and, at mid latitudes, one or two columns.
 const CPA_CELL_DEG: f64 = 0.5;
 
-/// A lon/lat box that contains every point whose
-/// [`GeoPoint::fast_dist2_m2`] distance from `p` is within `range_m`. That
-/// distance scales longitude by the cosine of the pair's *mean* latitude,
-/// which lies within the latitude span of `p`, so the longitude span is
-/// sized at the box's poleward edge; at the pole it is every longitude.
-/// No wrap at ±180°: the distance does not wrap either.
-fn range_box(p: &GeoPoint, range_m: f64) -> BoundingBox {
-    // Wider by a part in 10⁹ than the exact span, so a partner exactly at
-    // `range_m` cannot fall outside on rounding.
-    let dlat = (range_m / EARTH_RADIUS_M).to_degrees() * (1.0 + 1e-9);
-    let poleward = (p.lat.abs() + dlat).min(90.0);
-    let dlon = (dlat / poleward.to_radians().cos()).min(360.0);
-    BoundingBox {
-        min_lon: p.lon - dlon,
-        min_lat: p.lat - dlat,
-        max_lon: p.lon + dlon,
-        max_lat: p.lat + dlat,
-    }
-}
-
 /// One vessel as the origin of its own local tangent plane (ENU): the
 /// half of [`cpa`] that does not depend on the partner, worked out once per
 /// report however many partners there are.
@@ -784,7 +764,7 @@ impl CpaDetector {
             return out;
         }
         let pos = r.position();
-        let reach = range_box(&pos, self.pair_range_m);
+        let reach = BoundingBox::around(&pos, self.pair_range_m);
         let grid = self.fleet.grid();
         let lo = grid.cell_of_clamped(&GeoPoint::new(reach.min_lon, reach.min_lat));
         let hi = grid.cell_of_clamped(&GeoPoint::new(reach.max_lon, reach.max_lat));

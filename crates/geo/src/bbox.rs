@@ -1,6 +1,6 @@
 //! Axis-aligned spatial and spatiotemporal envelopes.
 
-use crate::point::GeoPoint;
+use crate::point::{GeoPoint, EARTH_RADIUS_M};
 use crate::time::TimeInterval;
 
 /// An axis-aligned bounding box in lon/lat degrees.
@@ -43,6 +43,28 @@ impl BoundingBox {
     /// The zero-area box at a single point.
     pub fn from_point(p: GeoPoint) -> Self {
         Self::new(p.lon, p.lat, p.lon, p.lat)
+    }
+
+    /// A box that contains every point within `radius_m` of `center`, by
+    /// [`GeoPoint::haversine_m`] or by [`GeoPoint::fast_dist2_m2`]. No
+    /// distance is shorter than its span in latitude, so the latitude span
+    /// is exact. Both distances shrink longitude by the cosine of a
+    /// latitude inside that span, so the longitude span is sized at the
+    /// box's poleward edge; at the pole it is every longitude. The box does
+    /// not wrap at ±180° and the haversine distance does: a caller that
+    /// measures across the antimeridian also looks 360° over.
+    pub fn around(center: &GeoPoint, radius_m: f64) -> Self {
+        // Wider by a part in 10⁹ than the exact span, so a point exactly
+        // at `radius_m` cannot fall outside on rounding.
+        let dlat = (radius_m / EARTH_RADIUS_M).to_degrees() * (1.0 + 1e-9);
+        let poleward = (center.lat.abs() + dlat).min(90.0);
+        let dlon = (dlat / poleward.to_radians().cos()).min(360.0);
+        BoundingBox {
+            min_lon: center.lon - dlon,
+            min_lat: center.lat - dlat,
+            max_lon: center.lon + dlon,
+            max_lat: center.lat + dlat,
+        }
     }
 
     /// The tightest box around an iterator of points; `None` when empty.

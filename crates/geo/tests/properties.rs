@@ -3,7 +3,7 @@
 
 use datacron_geo::{
     point_along, BoundingBox, CellId, GeoPoint, Grid, Polygon, RTree, RTreeEntry, Rng,
-    TimeInterval, TimeMs,
+    TimeInterval, TimeMs, EARTH_RADIUS_M,
 };
 
 const CASES: u64 = 256;
@@ -78,6 +78,48 @@ fn destination_distance_consistent() {
             (p.haversine_m(&q) - dist).abs() < dist * 1e-6 + 0.01,
             "seed {seed}"
         );
+    }
+}
+
+/// `BoundingBox::around` holds every point within the radius, by the
+/// haversine and by the equirectangular distance, for centres up to 89.9°
+/// of latitude and radii up to 1 000 km. Points are drawn at a random
+/// bearing, most of them near the edge of the range. The box does not wrap
+/// and the haversine distance does, so a haversine point may lie in the
+/// box 360° over instead.
+#[test]
+fn radius_box_holds_every_point_in_range() {
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from_u64(seed);
+        let center = GeoPoint::new(rng.gen_range(-180.0..180.0), rng.gen_range(-89.9..89.9));
+        let radius_m = rng.gen_range(1.0..1_000_000.0);
+        let bbox = BoundingBox::around(&center, radius_m);
+        let inside = |p: GeoPoint| {
+            [0.0, 360.0, -360.0]
+                .iter()
+                .any(|shift| bbox.contains(&GeoPoint::new(p.lon + shift, p.lat)))
+        };
+        for _ in 0..64 {
+            let bearing: f64 = rng.gen_range(0.0..360.0);
+            let d = radius_m * rng.f64().powf(0.25);
+            let p = center.destination(bearing, d);
+            if p.haversine_m(&center) <= radius_m {
+                assert!(inside(p), "seed {seed}: {p:?} by haversine, {bbox:?}");
+            }
+            // The point `d` away by the equirectangular distance, if it is
+            // a point on the globe.
+            let lat = center.lat + (d * bearing.to_radians().cos() / EARTH_RADIUS_M).to_degrees();
+            let mean_lat = ((center.lat + lat) / 2.0).to_radians();
+            let dlon =
+                (d * bearing.to_radians().sin() / (EARTH_RADIUS_M * mean_lat.cos())).to_degrees();
+            let q = GeoPoint::new(center.lon + dlon, lat);
+            if q.is_valid() && q.fast_dist2_m2(&center).sqrt() <= radius_m {
+                assert!(
+                    bbox.contains(&q),
+                    "seed {seed}: {q:?} by fast_dist2, {bbox:?}"
+                );
+            }
+        }
     }
 }
 

@@ -64,17 +64,26 @@ impl SpatialIndex {
         out
     }
 
-    /// Ids of point literals within `radius_m` of `center`.
+    /// Ids of point literals within `radius_m` of `center`
+    /// ([`GeoPoint::haversine_m`]).
     pub fn near(&self, center: &GeoPoint, radius_m: f64) -> FxHashSet<TermId> {
-        // Prefilter by bbox, refine by distance.
-        let margin_deg = radius_m / 111_000.0 * 1.5 + 1e-6;
-        let bbox = BoundingBox::from_point(*center).buffered(margin_deg);
+        // Prefilter by the box around the radius and its copies 360° east
+        // and west (they hold points only where the box crosses the
+        // antimeridian); refine by distance.
+        let reach = BoundingBox::around(center, radius_m);
         let mut out = FxHashSet::default();
-        self.tree.for_each_in(&bbox, |e| {
-            if e.bbox.center().haversine_m(center) <= radius_m {
-                out.insert(e.item);
-            }
-        });
+        for shift in [0.0, 360.0, -360.0] {
+            let bbox = BoundingBox {
+                min_lon: reach.min_lon + shift,
+                max_lon: reach.max_lon + shift,
+                ..reach
+            };
+            self.tree.for_each_in(&bbox, |e| {
+                if e.bbox.center().haversine_m(center) <= radius_m {
+                    out.insert(e.item);
+                }
+            });
+        }
         for (p, id) in &self.tail {
             if p.haversine_m(center) <= radius_m {
                 out.insert(*id);

@@ -28,7 +28,8 @@
 //! * [`partition`] — the partitioning algorithms under evaluation: hash by
 //!   subject, spatial grid by subject home location, temporal range;
 //! * [`parallel`] — a partitioned store that answers subject-star queries
-//!   exactly, one routed partition after another on the morsel pool, and
+//!   exactly, one partition after another on the morsel pool (pruned by
+//!   each partition's own spatial and temporal indexes), and
 //!   refuses every other query shape ([`NotAStar`]);
 //! * [`ntriples`] / [`binary`] — text and compact binary serialization of
 //!   a whole graph (dictionary included), the formats the storage layer

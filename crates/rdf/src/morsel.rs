@@ -226,7 +226,8 @@ struct Plan<'a> {
 }
 
 /// Plans `q` (a non-empty BGP) against the graph. Returns the plan
-/// (`None` = provably empty: a variable the BGP never binds, or a constant
+/// (`None` = provably empty: a variable the BGP never binds, a filter the
+/// graph's spatial or temporal index finds no candidate for, or a constant
 /// absent from the dictionary) and the pushdown candidate count (counted
 /// even for a missing constant, matching the reference engine's accounting).
 fn plan_graph<'a>(g: &'a Graph, q: &SelectQuery, shape: &Shape<'_>) -> (Option<Plan<'a>>, usize) {
@@ -234,6 +235,11 @@ fn plan_graph<'a>(g: &'a Graph, q: &SelectQuery, shape: &Shape<'_>) -> (Option<P
         return (None, 0);
     }
     let (candidates, pushdown) = pushdown_candidates(g, q, &shape.var_idx);
+    // Every filter variable occurs in the BGP, so every row binds it to a
+    // candidate: with none, no seed scan can produce a row.
+    if candidates.values().any(FxHashSet::is_empty) {
+        return (None, pushdown);
+    }
 
     // Resolve every pattern against the dictionary, once.
     let slot = |pt: &PatternTerm| match pt {
@@ -868,6 +874,28 @@ mod tests {
         assert_eq!(execute_morsel(&g, &q, &MorselConfig::default()).0, {
             execute_reference(&g, &q).0
         });
+    }
+
+    #[test]
+    fn a_filter_without_candidates_plans_nothing() {
+        let g = fleet();
+        for text in [
+            "SELECT ?v WHERE { ?v type Vessel . ?v pos ?g . FILTER st_within(?g, 0, 0, 1, 1) }",
+            "SELECT ?v WHERE { ?v pos ?g . FILTER st_near(?g, 20, 36, 100000) FILTER st_within(?g, 22, 35, 26, 37) FILTER st_near(?g, 25, 36, 1000) }",
+            "SELECT ?v ?t WHERE { ?v at ?t . ?v type Vessel . FILTER t_between(?t, 30000, 99000) }",
+        ] {
+            let q = parse_query(text).unwrap();
+            let (b, stats, ms) = execute_morsel(&g, &q, &MorselConfig::default());
+            assert_eq!(b, execute_reference(&g, &q).0, "{text}");
+            assert!(b.rows.is_empty(), "{text}");
+            assert_eq!((stats.probes, ms.morsels), (0, 0), "{text}");
+        }
+        // One candidate is enough to plan and scan.
+        let text = "SELECT ?v WHERE { ?v at ?t . FILTER t_between(?t, 29000, 99000) }";
+        let (b, stats, _) =
+            execute_morsel(&g, &parse_query(text).unwrap(), &MorselConfig::default());
+        assert_eq!((b.rows.len(), stats.pushdown_candidates), (1, 1));
+        assert!(stats.probes > 0);
     }
 
     #[test]

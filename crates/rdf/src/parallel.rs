@@ -1,7 +1,6 @@
 //! The partitioned store: a graph split across partitions by subject,
 //! answering subject-star queries partition by partition and merging the
-//! results, with partition pruning driven by the partitioner's routing
-//! knowledge.
+//! results.
 //!
 //! # Query semantics
 //!
@@ -15,6 +14,18 @@
 //! this store does not join, so [`PartitionedStore::execute`] refuses it
 //! with [`NotAStar`] instead of answering with a partition-local subset.
 //!
+//! # Pruning
+//!
+//! One rule decides where a spatial or temporal match can be: the index
+//! that answers the filter. Every partition is planned; a partition whose
+//! own spatial or temporal index leaves a filter without a candidate is
+//! provably empty, so it costs that one lookup and runs no scan
+//! ([`PartitionedStats::partitions_probed`] does not count it). The
+//! partitioner's homes decide placement only — a spatial or temporal
+//! partitioner puts the matches of the filters it was designed for in few
+//! partitions — so the answer is exact by construction, also for a subject
+//! with several points or instants, or one the hash fallback placed.
+//!
 //! The store is **not a serving route**: the server answers every SPARQL
 //! request from its one [`Graph`] on the morsel pool
 //! ([`crate::morsel::execute_morsel`]), which is exact for any join
@@ -25,21 +36,20 @@
 use crate::engine::QueryStats;
 use crate::morsel::{execute_morsel, MorselConfig};
 use crate::partition::Partitioner;
-use crate::query::{FilterExpr, SelectQuery};
+use crate::query::SelectQuery;
 use crate::store::{Graph, Triple};
 use crate::term::Term;
-use datacron_geo::BoundingBox;
 use datacron_geo::FxHashSet;
 
 /// Aggregate statistics of a partitioned execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PartitionedStats {
-    /// Partitions the query was routed to.
-    pub partitions_touched: usize,
     /// Partitions that existed.
     pub partitions_total: usize,
-    /// Partitions whose plan issued an index probe (> 1 means the query
-    /// really fanned out).
+    /// Partitions whose plan issued an index probe: the rest were pruned,
+    /// their indexes holding no candidate for a filter (or their
+    /// dictionaries no pattern constant). > 1 means the query really
+    /// fanned out.
     pub partitions_probed: usize,
     /// Worker pool size the morsel executor resolved to.
     pub workers: usize,
@@ -94,9 +104,9 @@ impl PartitionedStore {
     }
 
     /// An empty store ready for incremental [`PartitionedStore::ingest`].
-    /// Intended for partitioners whose `assign` needs no `prepare` pass
-    /// (hash by subject); location/time-homed partitioners would route
-    /// every subject through the hash fallback.
+    /// There is no `prepare` pass, so a location- or time-homed
+    /// partitioner places every subject by its hash fallback: answers stay
+    /// exact, only the locality is lost.
     pub fn empty(partitioner: Box<dyn Partitioner>) -> Self {
         let parts = (0..partitioner.partitions())
             .map(|_| Graph::new())
@@ -155,44 +165,8 @@ impl PartitionedStore {
         self.len() == 0
     }
 
-    /// The partitions a query must touch, from its pushdown filters.
-    fn route(&self, q: &SelectQuery) -> Vec<usize> {
-        let mut routed: Option<FxHashSet<usize>> = None;
-        let narrow = |set: Vec<usize>, routed: &mut Option<FxHashSet<usize>>| {
-            let set: FxHashSet<usize> = set.into_iter().collect();
-            *routed = Some(match routed.take() {
-                None => set,
-                Some(prev) => prev.intersection(&set).copied().collect(),
-            });
-        };
-        for f in &q.filters {
-            match f {
-                FilterExpr::SpatialWithin { bbox, .. } => {
-                    narrow(self.partitioner.route_bbox(bbox), &mut routed)
-                }
-                FilterExpr::SpatialNear {
-                    center, radius_m, ..
-                } => {
-                    let margin = radius_m / 111_000.0 * 1.5 + 1e-6;
-                    let bbox = BoundingBox::from_point(*center).buffered(margin);
-                    narrow(self.partitioner.route_bbox(&bbox), &mut routed)
-                }
-                FilterExpr::TimeBetween { interval, .. } => {
-                    narrow(self.partitioner.route_interval(interval), &mut routed)
-                }
-                FilterExpr::Compare { .. } => {}
-            }
-        }
-        let mut out: Vec<usize> = match routed {
-            None => (0..self.parts.len()).collect(),
-            Some(set) => set.into_iter().collect(),
-        };
-        out.sort_unstable();
-        out
-    }
-
-    /// Executes a subject-star query across the routed partitions on the
-    /// morsel executor (default configuration: one worker per core) and
+    /// Executes a subject-star query across the partitions on the morsel
+    /// executor (default configuration: one worker per core) and
     /// merges the decoded results; refuses any other query.
     pub fn execute(
         &self,
@@ -204,8 +178,8 @@ impl PartitionedStore {
     /// [`PartitionedStore::execute`] with an explicit executor
     /// configuration (worker count, morsel size).
     ///
-    /// The routed partitions run one after another, each on the whole
-    /// worker pool with the query's own `LIMIT`; their rows are decoded
+    /// The partitions run one after another, each on the whole worker
+    /// pool with the query's own `LIMIT`; their rows are decoded
     /// (ids are partition-local) and deduplicated, and the loop stops once
     /// `LIMIT` rows are merged. As every partition may return the full
     /// limit, the answer is the single graph's row set, or under `LIMIT`
@@ -218,9 +192,7 @@ impl PartitionedStore {
         if q.patterns.windows(2).any(|w| w[0].s != w[1].s) {
             return Err(NotAStar);
         }
-        let routed = self.route(q);
         let mut stats = PartitionedStats {
-            partitions_touched: routed.len(),
             partitions_total: self.parts.len(),
             workers: cfg.resolved_workers(),
             ..PartitionedStats::default()
@@ -235,7 +207,7 @@ impl PartitionedStore {
         let dedup = q.patterns.is_empty() || q.all_vars().iter().any(|v| !vars.contains(v));
         let mut seen: FxHashSet<Vec<Term>> = FxHashSet::default();
         let mut rows: Vec<Vec<Term>> = Vec::new();
-        for g in routed.iter().map(|&idx| &self.parts[idx]) {
+        for g in &self.parts {
             if rows.len() >= limit {
                 break;
             }
@@ -272,7 +244,7 @@ mod tests {
     use crate::engine::execute_reference;
     use crate::parser::parse_query;
     use crate::partition::{HashPartitioner, SpatialGridPartitioner, TemporalPartitioner};
-    use datacron_geo::{GeoPoint, TimeMs};
+    use datacron_geo::{BoundingBox, GeoPoint, TimeMs};
 
     fn source() -> Graph {
         let mut g = Graph::new();
@@ -372,14 +344,17 @@ mod tests {
         assert_eq!(reference(text).len(), 8);
         assert_eq!(sorted(b.rows), reference(text));
         assert!(
-            stats.partitions_touched < stats.partitions_total,
+            stats.partitions_probed < stats.partitions_total,
             "no pruning: {stats:?}"
         );
-        // Hash partitioning cannot prune the same query.
+        // Hash partitioning scatters the same matches over more partitions.
         let hash_store = PartitionedStore::build(&g, Box::new(HashPartitioner::new(8)));
         let (b2, stats2) = hash_store.execute(&q).unwrap();
         assert_eq!(sorted(b2.rows), reference(text));
-        assert_eq!(stats2.partitions_touched, stats2.partitions_total);
+        assert!(
+            stats.partitions_probed < stats2.partitions_probed,
+            "{stats:?} vs {stats2:?}"
+        );
     }
 
     #[test]
@@ -393,7 +368,7 @@ mod tests {
         let (b, stats) = store.execute(&parse_query(text).unwrap()).unwrap();
         assert_eq!(sorted(b.rows), reference(text)); // first 10 minutes → v0..v9
         assert_eq!(reference(text).len(), 10);
-        assert_eq!(stats.partitions_touched, 1);
+        assert_eq!(stats.partitions_probed, 1);
     }
 
     #[test]
@@ -468,6 +443,6 @@ mod tests {
         let q = parse_query("SELECT ?v WHERE { ?v type Vessel }").unwrap();
         let (b, stats) = store.execute(&q).unwrap();
         assert!(b.rows.is_empty());
-        assert_eq!(stats.partitions_touched, 2);
+        assert_eq!((stats.partitions_probed, stats.partitions_total), (0, 2));
     }
 }

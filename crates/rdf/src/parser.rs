@@ -16,6 +16,10 @@
 //! st_near   := "st_near(" var "," lon "," lat "," radius_m ")"
 //! t_between := "t_between(" var "," start_ms "," end_ms ")"
 //! ```
+//!
+//! `st_within` bounds are degrees, inclusive; `st_near` matches points
+//! within `radius_m` metres by great-circle distance; `t_between` is the
+//! half-open interval `[start_ms, end_ms)`.
 
 use crate::query::{CmpOp, FilterExpr, PatternTerm, SelectQuery, TriplePattern};
 use crate::term::Term;

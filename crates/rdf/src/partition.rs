@@ -8,15 +8,22 @@
 //!
 //! * [`HashPartitioner`] — uniform hash of the subject id (the baseline);
 //! * [`SpatialGridPartitioner`] — a subject's home follows its *location*
-//!   (the point literal it links to), so spatial range queries touch few
-//!   partitions;
+//!   (the point literal it links to), so the points a spatial range query
+//!   matches sit in few partitions;
 //! * [`TemporalPartitioner`] — the home follows the subject's timestamp
-//!   literal, so time-window queries touch few partitions.
+//!   literal, so the instants a time window matches sit in few partitions.
+//!
+//! A home decides placement only (balance and locality), never which
+//! partitions a query reads: each partition's own spatial and temporal
+//! indexes answer its filters, and a partition they leave without a
+//! candidate is skipped after that one lookup (see [`crate::parallel`]).
+//! So a subject with several points or instants, or one placed by the
+//! hash fallback, is found wherever it lives.
 
 use crate::dict::TermId;
 use crate::store::{Graph, Triple};
 use datacron_geo::FxHashMap;
-use datacron_geo::{BoundingBox, GeoPoint, Grid, TimeInterval, TimeMs};
+use datacron_geo::{BoundingBox, GeoPoint, Grid, TimeMs};
 
 /// Assigns each subject (and thus each triple) to a partition.
 pub trait Partitioner: Send + Sync {
@@ -30,17 +37,19 @@ pub trait Partitioner: Send + Sync {
     /// Hook called once before assignment so the partitioner can learn
     /// subject homes (two-pass partitioning). Default: nothing.
     fn prepare(&mut self, _source: &Graph) {}
+}
 
-    /// Partitions a spatial query box: which partitions can hold matching
-    /// subjects. Default: all.
-    fn route_bbox(&self, _bbox: &BoundingBox) -> Vec<usize> {
-        (0..self.partitions()).collect()
-    }
+/// Fibonacci hashing of the dense subject id onto `n` partitions: spreads
+/// sequential ids well.
+fn hash_home(s: TermId, n: usize) -> usize {
+    let h = (s.raw() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (((h >> 32) * n as u64) >> 32) as usize
+}
 
-    /// Partitions a temporal query interval. Default: all.
-    fn route_interval(&self, _interval: &TimeInterval) -> Vec<usize> {
-        (0..self.partitions()).collect()
-    }
+/// A learned home, or the hash of the subject id for a subject `prepare`
+/// saw no point or instant for.
+fn home_or_hash(homes: &FxHashMap<TermId, usize>, s: TermId, n: usize) -> usize {
+    homes.get(&s).copied().unwrap_or_else(|| hash_home(s, n))
 }
 
 /// Uniform hash partitioning by subject id.
@@ -63,17 +72,15 @@ impl Partitioner for HashPartitioner {
     }
 
     fn assign(&self, triple: &Triple, _source: &Graph) -> usize {
-        // Fibonacci hashing of the dense id spreads sequential ids well.
-        let h = (triple.s.raw() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (((h >> 32) * self.n as u64) >> 32) as usize
+        hash_home(triple.s, self.n)
     }
 }
 
 /// Spatial grid partitioning: subjects live where their geometry is.
 ///
 /// `prepare` scans the graph for triples whose object is a point literal and
-/// records each subject's last seen location; `assign` then routes all of a
-/// subject's triples to the grid cell of that location (cells are folded
+/// records each subject's last seen location; `assign` then places all of a
+/// subject's triples in the grid cell of that location (cells are folded
 /// onto `n` partitions round-robin). Subjects without geometry fall back to
 /// hash placement.
 #[derive(Debug)]
@@ -95,14 +102,10 @@ impl SpatialGridPartitioner {
         }
     }
 
-    fn cell_to_partition(&self, cell: datacron_geo::CellId) -> usize {
+    fn partition_of_point(&self, p: &GeoPoint) -> usize {
         // Row-major fold keeps neighbouring cells on mostly-distinct
         // partitions while remaining deterministic.
-        (cell.pack() % self.n as u64) as usize
-    }
-
-    fn partition_of_point(&self, p: &GeoPoint) -> usize {
-        self.cell_to_partition(self.grid.cell_of_clamped(p))
+        (self.grid.cell_of_clamped(p).pack() % self.n as u64) as usize
     }
 }
 
@@ -122,31 +125,7 @@ impl Partitioner for SpatialGridPartitioner {
     }
 
     fn assign(&self, triple: &Triple, _source: &Graph) -> usize {
-        match self.homes.get(&triple.s) {
-            Some(&part) => part,
-            None => {
-                let h = (triple.s.raw() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                (((h >> 32) * self.n as u64) >> 32) as usize
-            }
-        }
-    }
-
-    fn route_bbox(&self, bbox: &BoundingBox) -> Vec<usize> {
-        let mut parts: Vec<usize> = self
-            .grid
-            .cells_intersecting(bbox)
-            .into_iter()
-            .map(|c| self.cell_to_partition(c))
-            .collect();
-        parts.sort_unstable();
-        parts.dedup();
-        if parts.is_empty() {
-            // Query box outside the grid extent: nothing spatial can match,
-            // but hash-fallback subjects may still be anywhere.
-            (0..self.n).collect()
-        } else {
-            parts
-        }
+        home_or_hash(&self.homes, triple.s, self.n)
     }
 }
 
@@ -195,27 +174,7 @@ impl Partitioner for TemporalPartitioner {
     }
 
     fn assign(&self, triple: &Triple, _source: &Graph) -> usize {
-        match self.homes.get(&triple.s) {
-            Some(&part) => part,
-            None => {
-                let h = (triple.s.raw() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                (((h >> 32) * self.n as u64) >> 32) as usize
-            }
-        }
-    }
-
-    fn route_interval(&self, interval: &TimeInterval) -> Vec<usize> {
-        let first = (interval.start - self.epoch).div_euclid(self.slice_ms);
-        let last = (interval.end - 1 - self.epoch).div_euclid(self.slice_ms);
-        if last - first + 1 >= self.n as i64 {
-            return (0..self.n).collect();
-        }
-        let mut parts: Vec<usize> = (first..=last)
-            .map(|s| (s.rem_euclid(self.n as i64)) as usize)
-            .collect();
-        parts.sort_unstable();
-        parts.dedup();
-        parts
+        home_or_hash(&self.homes, triple.s, self.n)
     }
 }
 
@@ -280,47 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn spatial_routing_narrows_partitions() {
-        let g = geo_graph();
-        let extent = BoundingBox::new(19.0, 35.0, 29.0, 42.0);
-        let mut p = SpatialGridPartitioner::new(8, extent, 1.0);
-        p.prepare(&g);
-        // A small box touches fewer partitions than the full region.
-        let narrow = p.route_bbox(&BoundingBox::new(20.0, 35.8, 20.9, 36.2));
-        let wide = p.route_bbox(&extent);
-        assert!(!narrow.is_empty());
-        assert!(narrow.len() < wide.len());
-        // Subjects inside the narrow box are homed on a routed partition.
-        for t in g.iter_triples() {
-            if let Some(pt) = g.decode(t.o).and_then(|term| term.as_point()) {
-                if BoundingBox::new(20.0, 35.8, 20.9, 36.2).contains(&pt) {
-                    assert!(narrow.contains(&p.assign(&t, &g)));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn temporal_routing_narrows_partitions() {
-        let g = geo_graph();
-        let mut p = TemporalPartitioner::new(8, TimeMs(0), 5 * 60_000);
-        p.prepare(&g);
-        let narrow = p.route_interval(&TimeInterval::new(TimeMs(0), TimeMs(4 * 60_000)));
-        assert_eq!(narrow.len(), 1);
-        // A huge interval touches all partitions.
-        let all = p.route_interval(&TimeInterval::new(TimeMs(0), TimeMs(10_000 * 60_000)));
-        assert_eq!(all.len(), 8);
-        // Subjects in the narrow window are homed on the routed partition.
-        for t in g.iter_triples() {
-            if let Some(time) = g.decode(t.o).and_then(|term| term.as_time()) {
-                if time < TimeMs(4 * 60_000) {
-                    assert_eq!(vec![p.assign(&t, &g)], narrow);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn subjects_without_hints_fall_back_to_hash() {
         let mut g = Graph::new();
         g.insert(&Term::iri("x"), &Term::iri("p"), &Term::iri("y"));
@@ -333,18 +251,5 @@ mod tests {
         assert!(a < 4);
         // Deterministic fallback.
         assert_eq!(a, sp.assign(&t, &g));
-    }
-
-    #[test]
-    fn default_routing_is_all_partitions() {
-        let p = HashPartitioner::new(5);
-        assert_eq!(
-            p.route_bbox(&BoundingBox::new(0.0, 0.0, 1.0, 1.0)),
-            vec![0, 1, 2, 3, 4]
-        );
-        assert_eq!(
-            p.route_interval(&TimeInterval::new(TimeMs(0), TimeMs(1))),
-            vec![0, 1, 2, 3, 4]
-        );
     }
 }

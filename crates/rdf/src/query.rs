@@ -103,7 +103,10 @@ pub enum FilterExpr {
         /// The query box.
         bbox: BoundingBox,
     },
-    /// `st_near(?v, lon, lat, radius_m)` — within a radius of a point.
+    /// `st_near(?v, lon, lat, radius_m)` — the variable's point literal is
+    /// within `radius_m` metres of the centre by great-circle distance
+    /// ([`GeoPoint::haversine_m`]), at any latitude and across the
+    /// antimeridian.
     SpatialNear {
         /// Variable bound to a point literal.
         var: String,

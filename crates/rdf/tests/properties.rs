@@ -3,9 +3,9 @@
 
 use datacron_geo::{BoundingBox, GeoPoint, Rng, TimeInterval, TimeMs};
 use datacron_rdf::{
-    execute, execute_reference, Graph, HashPartitioner, MorselConfig, NotAStar, PartitionedStore,
-    Partitioner, PatternTerm, SelectQuery, SpatialGridPartitioner, TemporalPartitioner, Term,
-    TriplePattern,
+    execute, execute_reference, FilterExpr, Graph, HashPartitioner, MorselConfig, NotAStar,
+    PartitionedStore, Partitioner, PatternTerm, SelectQuery, SpatialGridPartitioner,
+    TemporalPartitioner, Term, Triple, TriplePattern,
 };
 
 const CASES: u64 = 256;
@@ -260,6 +260,59 @@ fn rendered_rows(rows: impl Iterator<Item = Vec<String>>) -> Vec<String> {
     out
 }
 
+/// `q`'s projected variables and its rows over the whole graph by
+/// `execute_reference`, without its `LIMIT`, rendered and sorted.
+fn reference_rows(g: &Graph, q: &SelectQuery) -> (Vec<String>, Vec<String>) {
+    let unlimited = SelectQuery {
+        limit: None,
+        ..q.clone()
+    };
+    let (reference, _) = execute_reference(g, &unlimited);
+    let all = rendered_rows(reference.rows.iter().map(|r| {
+        reference
+            .decode_row(g, r)
+            .iter()
+            .map(|t| t.to_string())
+            .collect()
+    }));
+    (reference.vars, all)
+}
+
+/// The store answers `q` at 1, 2 and 8 workers with exactly the reference
+/// rows `all` — under `LIMIT`, `min(limit, distinct)` members of them and
+/// none twice.
+fn assert_store_answers(
+    store: &PartitionedStore,
+    q: &SelectQuery,
+    (vars, all): &(Vec<String>, Vec<String>),
+    case: &str,
+) {
+    let want = q.limit.map_or(all.len(), |l| l.max(1).min(all.len()));
+    for workers in [1, 2, 8] {
+        let cfg = MorselConfig {
+            workers,
+            morsel_triples: 3,
+        };
+        let case = format!("{case}, {workers} workers: {q:?}");
+        let (parted, stats) = store.execute_with(q, &cfg).expect(&case);
+        assert_eq!(&parted.vars, vars, "{case}");
+        assert_eq!(stats.partitions_total, store.partitions(), "{case}");
+        let got = rendered_rows(
+            parted
+                .rows
+                .iter()
+                .map(|r| r.iter().map(|t| t.to_string()).collect()),
+        );
+        if q.limit.is_none() {
+            assert_eq!(&got, all, "{case}");
+        } else {
+            assert_eq!(got.len(), want, "{case}");
+            assert!(got.windows(2).all(|w| w[0] != w[1]), "duplicate: {case}");
+            assert!(got.iter().all(|r| all.binary_search(r).is_ok()), "{case}");
+        }
+    }
+}
+
 /// Every random subject star returns exactly `execute_reference`'s row set
 /// over the whole graph — under `LIMIT`, `min(limit, distinct)` members of
 /// it and none twice — on every partitioner, at 1, 2 and 8 workers.
@@ -270,46 +323,209 @@ fn partitioned_star_query_matches_single_graph() {
         let g = arb_located_graph(&mut rng);
         let q = arb_star(&mut rng);
         let n_parts = rng.gen_range(1usize..6);
-        let unlimited = SelectQuery {
-            limit: None,
-            ..q.clone()
-        };
-        let (reference, _) = execute_reference(&g, &unlimited);
-        let all = rendered_rows(reference.rows.iter().map(|r| {
-            reference
-                .decode_row(&g, r)
-                .iter()
-                .map(|t| t.to_string())
-                .collect()
-        }));
-        let want = q.limit.map_or(all.len(), |l| l.max(1).min(all.len()));
+        let reference = reference_rows(&g, &q);
         for partitioner in partitioners(n_parts) {
             let store = PartitionedStore::build(&g, partitioner);
-            for workers in [1, 2, 8] {
-                let cfg = MorselConfig {
-                    workers,
-                    morsel_triples: 3,
-                };
-                let case = format!("seed {seed}, {n_parts} parts, {workers} workers: {q:?}");
-                let (parted, stats) = store.execute_with(&q, &cfg).expect(&case);
-                assert_eq!(parted.vars, reference.vars, "{case}");
-                assert_eq!(stats.partitions_total, n_parts, "{case}");
-                let got = rendered_rows(
-                    parted
-                        .rows
-                        .iter()
-                        .map(|r| r.iter().map(|t| t.to_string()).collect()),
-                );
-                if q.limit.is_none() {
-                    assert_eq!(got, all, "{case}");
-                } else {
-                    assert_eq!(got.len(), want, "{case}");
-                    assert!(got.windows(2).all(|w| w[0] != w[1]), "duplicate: {case}");
-                    assert!(got.iter().all(|r| all.binary_search(r).is_ok()), "{case}");
-                }
+            assert_eq!(store.partitions(), n_parts);
+            let case = format!("seed {seed}, {n_parts} parts");
+            assert_store_answers(&store, &q, &reference, &case);
+        }
+    }
+}
+
+/// `arb_triples` plus, for about half the subjects, 2–3 `pos` points and
+/// 2–3 `at` instants drawn apart, so most of them have points in several
+/// grid cells and instants in several time slices, and only the last of
+/// each decides the subject's home.
+fn arb_multi_located_graph(rng: &mut Rng) -> Graph {
+    let mut g = Graph::new();
+    for (s, p, o) in arb_triples(rng) {
+        g.insert(&term_s(s), &term_p(p), &term_o(o));
+    }
+    for s in 0..20u8 {
+        if rng.gen_bool(0.5) {
+            for _ in 0..rng.gen_range(2..=3) {
+                let (lon, lat) = (rng.gen_range(20.0..28.0), rng.gen_range(34.0..41.0));
+                let point = Term::point(GeoPoint::new(lon, lat));
+                g.insert(&term_s(s), &Term::iri("pos"), &point);
+            }
+            for _ in 0..rng.gen_range(2..=3) {
+                let at = Term::time(TimeMs(rng.gen_range(0i64..100_000)));
+                g.insert(&term_s(s), &Term::iri("at"), &at);
             }
         }
     }
+    g.commit();
+    g
+}
+
+/// A random star on `?s` over `pos ?g`, `at ?t` or both, sometimes with
+/// one more pattern, filtered by `st_within` or `st_near` (or both) on
+/// `?g` and `t_between` on `?t`; sometimes projected or limited.
+fn arb_filtered_star(rng: &mut Rng) -> SelectQuery {
+    let s = || PatternTerm::var("s");
+    let (spatial, temporal) = match rng.gen_range(0..3) {
+        0 => (true, false),
+        1 => (false, true),
+        _ => (true, true),
+    };
+    let mut patterns = Vec::new();
+    if spatial {
+        patterns.push(TriplePattern::new(
+            s(),
+            Term::iri("pos"),
+            PatternTerm::var("g"),
+        ));
+    }
+    if temporal {
+        patterns.push(TriplePattern::new(
+            s(),
+            Term::iri("at"),
+            PatternTerm::var("t"),
+        ));
+    }
+    if rng.gen_bool(0.3) {
+        patterns.push(TriplePattern::new(
+            s(),
+            arb_constant(rng, 1),
+            PatternTerm::var("o"),
+        ));
+    }
+    let turn = rng.gen_range(0..patterns.len());
+    patterns.rotate_left(turn);
+    let mut q = SelectQuery::new(patterns);
+    if spatial {
+        let within = rng.gen_bool(0.7);
+        if within {
+            let (lon, lat) = (rng.gen_range(19.0..28.0), rng.gen_range(33.0..41.0));
+            let (w, h) = (rng.gen_range(0.2..4.0), rng.gen_range(0.2..4.0));
+            q = q.filter(FilterExpr::SpatialWithin {
+                var: "g".into(),
+                bbox: BoundingBox::new(lon, lat, lon + w, lat + h),
+            });
+        }
+        if !within || rng.gen_bool(0.3) {
+            let center = GeoPoint::new(rng.gen_range(20.0..28.0), rng.gen_range(34.0..41.0));
+            q = q.filter(FilterExpr::SpatialNear {
+                var: "g".into(),
+                center,
+                radius_m: rng.gen_range(1_000.0..300_000.0),
+            });
+        }
+    }
+    if temporal {
+        let start = rng.gen_range(0i64..100_000);
+        let interval = TimeInterval::new(TimeMs(start), TimeMs(start + rng.gen_range(1..60_000)));
+        q = q.filter(FilterExpr::TimeBetween {
+            var: "t".into(),
+            interval,
+        });
+    }
+    if rng.gen_bool(0.3) {
+        q = q.select(&["s"]);
+    }
+    if rng.gen_bool(0.2) {
+        q = q.with_limit(rng.gen_range(0..6));
+    }
+    q
+}
+
+/// Every partitioner's store over `g`, built by `build` and by `empty` plus
+/// two `ingest` batches split at a random triple.
+fn built_and_ingested(g: &Graph, n: usize, rng: &mut Rng) -> Vec<PartitionedStore> {
+    let triples: Vec<Triple> = g.iter_triples().collect();
+    let cut = rng.gen_range(0..=triples.len());
+    let mut stores: Vec<PartitionedStore> = partitioners(n)
+        .into_iter()
+        .map(|p| PartitionedStore::build(g, p))
+        .collect();
+    for p in partitioners(n) {
+        let mut store = PartitionedStore::empty(p);
+        store.ingest(g, &triples[..cut]);
+        store.ingest(g, &triples[cut..]);
+        stores.push(store);
+    }
+    stores
+}
+
+/// Spatially and temporally filtered stars return exactly
+/// `execute_reference`'s row set over the whole graph when subjects carry
+/// several points and instants, on every partitioner, built by `build` or
+/// by `empty` + `ingest`: a partition is skipped only when its own indexes
+/// hold no candidate, so neither a subject's other homes nor the hash
+/// fallback can hide a row.
+#[test]
+fn partitioned_filtered_star_matches_single_graph() {
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from_u64(seed);
+        let g = arb_multi_located_graph(&mut rng);
+        let q = arb_filtered_star(&mut rng);
+        let n_parts = rng.gen_range(1usize..6);
+        let reference = reference_rows(&g, &q);
+        for (i, store) in built_and_ingested(&g, n_parts, &mut rng).iter().enumerate() {
+            let case = format!("seed {seed}, store {i} of {n_parts} parts");
+            assert_store_answers(store, &q, &reference, &case);
+        }
+    }
+}
+
+/// 20 subjects, each with an instant in the first ten minutes and a later
+/// one 30 minutes on, on four 10-minute slices: every subject is homed by
+/// its later instant, away from the slice a first-ten-minutes window
+/// covers. That window must still find all 20 — and read one partition.
+#[test]
+fn temporal_store_finds_instants_outside_the_home_slice() {
+    let mut g = Graph::new();
+    for i in 0..20i64 {
+        let s = Term::iri(format!("v{i}"));
+        g.insert(&s, &Term::iri("at"), &Term::time(TimeMs(i * 30_000)));
+        g.insert(
+            &s,
+            &Term::iri("at"),
+            &Term::time(TimeMs(1_800_000 + i * 30_000)),
+        );
+    }
+    g.commit();
+    let q = datacron_rdf::parse_query(
+        "SELECT ?v ?t WHERE { ?v at ?t . FILTER t_between(?t, 0, 600000) }",
+    )
+    .unwrap();
+    let reference = reference_rows(&g, &q);
+    assert_eq!(reference.1.len(), 20);
+    let store = PartitionedStore::build(
+        &g,
+        Box::new(TemporalPartitioner::new(4, TimeMs(0), 10 * 60_000)),
+    );
+    assert_store_answers(&store, &q, &reference, "two instants");
+    assert_eq!(store.execute(&q).unwrap().1.partitions_probed, 1);
+}
+
+/// `empty` + `ingest` has no `prepare` pass, so a spatial partitioner
+/// places all 40 vessels by the hash fallback. A spatial star over 8 of
+/// them must still return all 8.
+#[test]
+fn spatial_store_built_by_ingest_finds_hash_placed_subjects() {
+    let mut g = Graph::new();
+    for i in 0..40i64 {
+        let s = Term::iri(format!("v{i}"));
+        let pos = GeoPoint::new(20.0 + (i % 10) as f64, 36.0 + (i / 10) as f64 * 0.5);
+        g.insert(&s, &Term::iri("type"), &Term::iri("Vessel"));
+        g.insert(&s, &Term::iri("pos"), &Term::point(pos));
+    }
+    g.commit();
+    let q = datacron_rdf::parse_query(
+        "SELECT ?v WHERE { ?v pos ?g . FILTER st_within(?g, 19.5, 35.5, 21.5, 38.5) }",
+    )
+    .unwrap();
+    let reference = reference_rows(&g, &q);
+    assert_eq!(reference.1.len(), 8);
+    let mut store = PartitionedStore::empty(Box::new(SpatialGridPartitioner::new(
+        8,
+        BoundingBox::new(19.0, 35.0, 31.0, 39.0),
+        1.0,
+    )));
+    store.ingest(&g, &g.iter_triples().collect::<Vec<_>>());
+    assert_store_answers(&store, &q, &reference, "ingested");
 }
 
 /// Every BGP whose patterns do not all share one subject is refused, on
@@ -382,6 +598,70 @@ fn spatial_pushdown_equals_post_filter() {
             .filter(|&&(lon, lat)| bbox.contains(&GeoPoint::new(lon, lat)))
             .count();
         assert_eq!(b.len(), expected, "seed {seed}");
+    }
+}
+
+/// `st_near` returns exactly the points a brute-force `haversine_m` scan
+/// over the decoded point literals finds within the radius: at latitudes
+/// 0–85° and across the antimeridian, for radii of 100 m to 50 km, on an
+/// index whose points all sit in its unsorted tail (500 points) and on one
+/// whose R-tree holds 8 192 of them (9 001). Points lie at 0.5–1.5 radii
+/// of the centre, so most are near the circle's edge.
+#[test]
+fn st_near_matches_brute_force_haversine() {
+    let radii = [100.0, 1_000.0, 10_000.0, 50_000.0];
+    let centers = [
+        (10.0, 0.0),
+        (10.0, 37.0),
+        (10.0, 60.0),
+        (10.0, 70.0),
+        (10.0, 85.0),
+    ];
+    let centers = centers.into_iter().chain([(179.99, 60.0)]);
+    for (seed, (lon, lat)) in centers.enumerate() {
+        let center = GeoPoint::new(lon, lat);
+        let mut rng = Rng::seed_from_u64(seed as u64);
+        for n in [500, 9_001] {
+            let mut g = Graph::new();
+            for i in 0..n {
+                let radius = radii[rng.gen_range(0..radii.len())];
+                let d = radius * rng.gen_range(0.5..1.5);
+                let p = center.destination(rng.gen_range(0.0..360.0), d);
+                g.insert(
+                    &Term::iri(format!("v{i}")),
+                    &Term::iri("pos"),
+                    &Term::point(p),
+                );
+            }
+            g.commit();
+            let all = SelectQuery::new(vec![TriplePattern::new(
+                PatternTerm::var("v"),
+                Term::iri("pos"),
+                PatternTerm::var("g"),
+            )]);
+            let (points, _) = execute(&g, &all);
+            for radius_m in radii {
+                let mut want: Vec<&Term> = points
+                    .rows
+                    .iter()
+                    .map(|r| points.decode_row(&g, r))
+                    .filter(|r| r[1].as_point().unwrap().haversine_m(&center) <= radius_m)
+                    .map(|r| r[0])
+                    .collect();
+                let q = all.clone().select(&["v"]).filter(FilterExpr::SpatialNear {
+                    var: "g".into(),
+                    center,
+                    radius_m,
+                });
+                let (b, _) = execute(&g, &q);
+                let mut got: Vec<&Term> = b.rows.iter().map(|r| b.decode_row(&g, r)[0]).collect();
+                want.sort_by_key(|t| t.to_string());
+                got.sort_by_key(|t| t.to_string());
+                let case = format!("centre {center:?}, {n} points, {radius_m} m");
+                assert!(want.len() > n / 16, "{case}: {} in range", want.len());
+                assert_eq!(got, want, "{case}");
+            }
+        }
     }
 }
 

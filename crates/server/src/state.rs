@@ -692,6 +692,51 @@ mod tests {
         assert!(morsels(&s) >= before + 2);
     }
 
+    /// `st_near` on the serving path returns exactly the point literals
+    /// a brute-force `haversine_m` scan finds in range. At 60° N the
+    /// circle is wider in longitude than 1.5× its radius in degrees of
+    /// latitude: here the one vessel in range is 9 km due east of the
+    /// centre, in a graph of 9 001 points, so the R-tree holds it.
+    #[test]
+    fn sparql_st_near_matches_haversine_at_60_degrees_north() {
+        let cfg = PipelineConfig {
+            region: BoundingBox::new(0.0, 45.0, 50.0, 70.0),
+            ..PipelineConfig::default()
+        };
+        let mut s = AnalyticsState::new(cfg, 0.25);
+        let center = GeoPoint::new(10.0, 60.0);
+        let east = center.destination(90.0, 9_000.0);
+        let mut reports = vec![report(1, 0, east.lon, east.lat)];
+        // 9 000 vessels on a 0.3° × 0.2° lattice, hundreds of km away.
+        reports.extend((0..9_000u64).map(|i| {
+            let (col, row) = ((i % 100) as f64, (i / 100) as f64);
+            report(i + 2, 0, 20.0 + col * 0.3, 50.0 + row * 0.2)
+        }));
+        s.ingest(&reports);
+        let graph = s.pipeline.graph();
+        assert_eq!(graph.spatial().len(), 9_001);
+        let all = parse_query("SELECT ?n ?g WHERE { ?n da:hasGeometry ?g }").unwrap();
+        let (points, _) = execute(graph, &all);
+        let want: Vec<String> = points
+            .rows
+            .iter()
+            .map(|r| points.decode_row(graph, r))
+            .filter(|r| r[1].as_point().unwrap().haversine_m(&center) <= 10_000.0)
+            .map(|r| r[0].to_string())
+            .collect();
+        assert_eq!(want.len(), 1);
+        let query = "SELECT ?n WHERE { ?n da:hasGeometry ?g . FILTER st_near(?g, 10, 60, 10000) }";
+        let res = s.sparql(query, 100).unwrap();
+        let got: Vec<&str> = res
+            .get("rows")
+            .and_then(Json::as_array)
+            .unwrap()
+            .iter()
+            .map(|row| row.as_array().unwrap()[0].as_str().unwrap())
+            .collect();
+        assert_eq!(got, want);
+    }
+
     #[test]
     fn apply_log_takes_only_the_next_record() {
         let mut s = state();

@@ -98,10 +98,10 @@ fn main() {
             }
         };
         println!(
-            "   {} rows in {:?} ({} of {} partitions touched)",
+            "   {} rows in {:?} ({} of {} partitions probed)",
             bindings.rows.len(),
             elapsed,
-            stats.partitions_touched,
+            stats.partitions_probed,
             stats.partitions_total
         );
         for row in bindings.rows.iter().take(5) {

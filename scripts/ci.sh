@@ -156,8 +156,17 @@ retired="$retired"'|head: Arc<AtomicU64>|head\.(load|store)\(|fn reset_lock_grap
 retired="$retired"'|\.(spo|pos|osp)\.sort'
 # One executor, one graph: the morsel engine has no multi-partition mode.
 retired="$retired"'|execute_routed|unit_gidx|per_unit'
+# One pruning rule: the index that answers a filter. No partitioner
+# routes a box or an interval, and no store counts routed partitions.
+retired="$retired"'|route_bbox|route_interval|partitions_touched'
 if grep -rnE "$retired" crates/ tests/; then
   echo "retired write-path / protocol / test-hook / metrics names are back (see above)" >&2
+  exit 1
+fi
+# One box around a radius (`BoundingBox::around` in datacron-geo): the
+# RDF store keeps no metres-per-degree guess of its own.
+if grep -rn '111_000' crates/rdf/src; then
+  echo "crates/rdf/src must size radius boxes with BoundingBox::around, not 111_000 (see above)" >&2
   exit 1
 fi
 # The executor knows nothing of partitions: `PartitionedStore` runs it

@@ -129,7 +129,7 @@ fn spatial_partitioner_prunes_spatial_queries() {
     .unwrap();
     let (_, stats) = store.execute(&q).expect("a subject star");
     assert!(
-        stats.partitions_touched < stats.partitions_total,
-        "spatial routing failed: {stats:?}"
+        stats.partitions_probed < stats.partitions_total,
+        "spatial pruning failed: {stats:?}"
     );
 }
