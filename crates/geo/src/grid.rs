@@ -157,24 +157,6 @@ impl Grid {
         }
         out
     }
-
-    /// All cells whose boxes intersect `query` (clipped to the grid extent).
-    pub fn cells_intersecting(&self, query: &BoundingBox) -> Vec<CellId> {
-        if !self.extent.intersects(query) {
-            return Vec::new();
-        }
-        let lo = self.cell_of_clamped(&GeoPoint::new(query.min_lon, query.min_lat));
-        let hi = self.cell_of_clamped(&GeoPoint::new(query.max_lon, query.max_lat));
-        let mut out = Vec::with_capacity(
-            ((hi.x - lo.x + 1) as usize).saturating_mul((hi.y - lo.y + 1) as usize),
-        );
-        for y in lo.y..=hi.y {
-            for x in lo.x..=hi.x {
-                out.push(CellId { x, y });
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -254,23 +236,6 @@ mod tests {
         assert!(corner.contains(&CellId { x: 0, y: 1 }));
         assert!(corner.contains(&CellId { x: 1, y: 1 }));
         assert_eq!(g.neighbors(CellId { x: 5, y: 0 }).len(), 5);
-    }
-
-    #[test]
-    fn cells_intersecting_query() {
-        let g = grid_10x10();
-        let cells = g.cells_intersecting(&BoundingBox::new(1.5, 1.5, 3.5, 2.5));
-        // Columns 1..=3, rows 1..=2 → 3 * 2 cells.
-        assert_eq!(cells.len(), 6);
-        assert!(cells.contains(&CellId { x: 1, y: 1 }));
-        assert!(cells.contains(&CellId { x: 3, y: 2 }));
-        // Disjoint query.
-        assert!(g
-            .cells_intersecting(&BoundingBox::new(20.0, 20.0, 30.0, 30.0))
-            .is_empty());
-        // Query spilling past the extent is clipped, not an error.
-        let clipped = g.cells_intersecting(&BoundingBox::new(8.5, 8.5, 20.0, 20.0));
-        assert_eq!(clipped.len(), 4);
     }
 
     #[test]

@@ -4,10 +4,17 @@
 //! as its one-inline-worker form.
 //!
 //! The *seed scan* (the first pattern of the join order) is split into
-//! fixed-size triple **morsels**, the morsels feed one worker pool through
+//! fixed-size **morsels**, the morsels feed one worker pool through
 //! per-worker deques, and an idle worker **steals** from a victim's deque
 //! — so the largest single work unit is bounded by
 //! [`MorselConfig::morsel_triples`] no matter how large the seed range is.
+//! The seed is the first pattern's slice of the index, or, when a
+//! `st_within`/`st_near`/`t_between` filter's candidate ids from the
+//! spatial or temporal index are fewer than that slice's triples, those
+//! ids: the first pattern becomes the cheapest one mentioning the
+//! filtered variable, probed once per candidate in ascending id order,
+//! so a narrow box or window reads its few candidates instead of the
+//! whole predicate.
 //! Hand-rolled on `std` threads and mutex-guarded deques, matching the
 //! repo's build-the-substrate style (no rayon). A pool of one runs inline
 //! on the caller thread.
@@ -21,12 +28,14 @@
 //!   moment `?s` binds instead of after the last join, collapsing the
 //!   intermediate row count at the earliest possible step (a per-worker
 //!   memo caches the verdict per term id, so runs of equal ids decode and
-//!   compare once);
+//!   compare once); a candidate seed applies its variable's filters to
+//!   each id before probing with it;
 //! * **hinted probes** — within a morsel the probe keys of a join step
-//!   ascend whenever the seed came off a sorted index prefix, so each step
-//!   keeps a [`ProbeHint`] cursor and probes via
-//!   [`Graph::pattern_slice_hinted`] (galloping search from the previous
-//!   position) instead of a cold O(log n) binary search.
+//!   ascend whenever the seed came off a sorted index prefix or sorted
+//!   candidate ids, so each step (a candidate seed's probes too) keeps a
+//!   [`ProbeHint`] cursor and probes via [`Graph::pattern_slice_hinted`]
+//!   (galloping search from the previous position) instead of a cold
+//!   O(log n) binary search.
 //!
 //! Join order comes from the per-predicate statistics
 //! ([`Graph::estimate_pattern`] plus degree refinement), computed **once
@@ -69,8 +78,8 @@ pub const DEFAULT_MORSEL_TRIPLES: usize = 4096;
 pub struct MorselConfig {
     /// Worker pool size; `0` = one worker per available core.
     pub workers: usize,
-    /// Seed-scan triples per morsel (the bound on the largest single work
-    /// unit). Values below 1 are treated as 1.
+    /// Seed-scan triples, or seed candidate ids, per morsel (the bound on
+    /// the largest single work unit). Values below 1 are treated as 1.
     pub morsel_triples: usize,
 }
 
@@ -215,14 +224,117 @@ fn shape(q: &SelectQuery) -> Shape<'_> {
     }
 }
 
+/// What the first step of the join order runs against before any
+/// variable is bound.
+enum Seed<'a> {
+    /// The committed triples matching the first step, found once; the
+    /// uncommitted tail is chunked into morsels of its own.
+    Slice(PatternSlice<'a>),
+    /// One variable's pushdown candidates, ascending: the first step is
+    /// probed once per id with `var` bound to it, so successive probes
+    /// gallop through the index, and each probe also matches the tail.
+    Candidates { var: usize, ids: Vec<TermId> },
+}
+
 /// An execution plan: join order as resolved steps, the pushdown
-/// candidate sets, and the seed scan.
+/// candidate sets, and the seed.
 struct Plan<'a> {
     steps: Vec<Step>,
     candidates: FxHashMap<usize, FxHashSet<TermId>>,
-    /// The committed triples matching the seed pattern (the first step,
-    /// before any variable is bound), found once and chunked into morsels.
-    seed: PatternSlice<'a>,
+    seed: Seed<'a>,
+}
+
+/// The planner's estimate of the rows `step` yields per incoming row once
+/// the variables in `bound` are bound: its O(log n) range estimate,
+/// refined by predicate statistics (a bound variable acts as a constant at
+/// probe time, so the predicate's average degree predicts the per-probe
+/// fan-out, and an unbound variable with pushdown candidates can bind only
+/// those, each with that same fan-out).
+fn step_cost(
+    g: &Graph,
+    shape: &Shape<'_>,
+    candidates: &FxHashMap<usize, FxHashSet<TermId>>,
+    step: &Step,
+    bound: &[bool],
+) -> f64 {
+    let (s, p, o) = step.probe(&shape.unbound);
+    let mut cost = g.estimate_pattern(s, p, o) as f64;
+    let pstats = p.and_then(|pid| g.predicate_stats(pid));
+    for (slot, degree) in [
+        (
+            step.s,
+            pstats.map(|st| st.triples as f64 / st.distinct_subjects.max(1) as f64),
+        ),
+        (step.p, None),
+        (
+            step.o,
+            pstats.map(|st| st.triples as f64 / st.distinct_objects.max(1) as f64),
+        ),
+    ] {
+        let Slot::Var(vi) = slot else { continue };
+        if bound[vi] {
+            cost = match degree {
+                Some(d) => cost.min(d),
+                None => cost / 16.0,
+            };
+        } else if let Some(cand) = candidates.get(&vi) {
+            cost = cost.min(cand.len() as f64 * degree.unwrap_or(1.0));
+        }
+        // A variable with an eager comparison filter sheds rows at bind
+        // time, so patterns binding it early are cheaper than their raw
+        // range width.
+        if !shape.eager[vi].is_empty() {
+            cost /= 4.0;
+        }
+    }
+    cost
+}
+
+/// Greedy join order over `remaining`, starting from the variables in
+/// `bound`: repeatedly the cheapest step ([`step_cost`]), the first one
+/// drawn from the steps that mention `first_mentions` when that is given.
+/// Computed once, not per join state: the cost depends only on the
+/// bound-variable set, which the order itself determines. The last step
+/// left needs no costing.
+fn join_order(
+    g: &Graph,
+    shape: &Shape<'_>,
+    candidates: &FxHashMap<usize, FxHashSet<TermId>>,
+    mut remaining: Vec<Step>,
+    mut bound: Vec<bool>,
+    mut first_mentions: Option<usize>,
+) -> Vec<Step> {
+    let mut steps = Vec::with_capacity(remaining.len());
+    while remaining.len() > 1 {
+        let mentions = |step: &Step| {
+            first_mentions.is_none_or(|vi| {
+                [step.s, step.p, step.o]
+                    .into_iter()
+                    .any(|slot| matches!(slot, Slot::Var(v) if v == vi))
+            })
+        };
+        let mut best: Option<(usize, f64)> = None;
+        for (ri, step) in remaining.iter().enumerate() {
+            if !mentions(step) {
+                continue;
+            }
+            let cost = step_cost(g, shape, candidates, step, &bound);
+            if best.is_none_or(|(_, c)| cost < c) {
+                best = Some((ri, cost));
+            }
+        }
+        let Some((ri, _)) = best else { break };
+        let step = remaining.swap_remove(ri);
+        for slot in [step.s, step.p, step.o] {
+            if let Slot::Var(vi) = slot {
+                bound[vi] = true;
+            }
+        }
+        steps.push(step);
+        first_mentions = None;
+    }
+    steps.append(&mut remaining);
+    steps
 }
 
 /// Plans `q` (a non-empty BGP) against the graph. Returns the plan
@@ -230,6 +342,11 @@ struct Plan<'a> {
 /// graph's spatial or temporal index finds no candidate for, or a constant
 /// absent from the dictionary) and the pushdown candidate count (counted
 /// even for a missing constant, matching the reference engine's accounting).
+///
+/// The seed is the greedy first step's slice, unless a variable's
+/// pushdown candidates are fewer than that slice's triples: then the
+/// smallest such set seeds the join, the first step is the cheapest one
+/// mentioning its variable, and the rest follow greedily with it bound.
 fn plan_graph<'a>(g: &'a Graph, q: &SelectQuery, shape: &Shape<'_>) -> (Option<Plan<'a>>, usize) {
     if !shape.valid {
         return (None, 0);
@@ -255,78 +372,47 @@ fn plan_graph<'a>(g: &'a Graph, q: &SelectQuery, shape: &Shape<'_>) -> (Option<P
         remaining.push(Step { s, p, o });
     }
 
-    // Upfront greedy join order: the cost of a pattern is its O(log n)
-    // range estimate, refined by predicate statistics for variables an
-    // earlier step has bound (a bound variable acts as a constant at
-    // probe time, so the predicate's average degree predicts the
-    // per-probe fan-out). Computed once, not per join state: the cost
-    // depends only on the bound-variable set, which the order itself
-    // determines. The last pattern left needs no costing.
-    let mut bound = vec![false; shape.all_vars.len()];
-    let mut steps = Vec::with_capacity(remaining.len());
-    while remaining.len() > 1 {
-        let mut best: Option<(usize, f64)> = None;
-        for (ri, step) in remaining.iter().enumerate() {
-            let (s, p, o) = step.probe(&shape.unbound);
-            let mut cost = g.estimate_pattern(s, p, o) as f64;
-            let pstats = p.and_then(|pid| g.predicate_stats(pid));
-            for (slot, degree) in [
-                (
-                    step.s,
-                    pstats.map(|st| st.triples as f64 / st.distinct_subjects.max(1) as f64),
-                ),
-                (step.p, None),
-                (
-                    step.o,
-                    pstats.map(|st| st.triples as f64 / st.distinct_objects.max(1) as f64),
-                ),
-            ] {
-                let Slot::Var(vi) = slot else { continue };
-                if bound[vi] {
-                    cost = match degree {
-                        Some(d) => cost.min(d),
-                        None => cost / 16.0,
-                    };
-                }
-                if candidates.contains_key(&vi) {
-                    cost /= 4.0;
-                }
-                // A variable with an eager comparison filter sheds rows
-                // at bind time, so patterns binding it early are cheaper
-                // than their raw range width.
-                if !shape.eager[vi].is_empty() {
-                    cost /= 4.0;
-                }
-            }
-            if best.is_none_or(|(_, c)| cost < c) {
-                best = Some((ri, cost));
-            }
-        }
-        let Some((ri, _)) = best else { break };
-        let step = remaining.swap_remove(ri);
-        for slot in [step.s, step.p, step.o] {
-            if let Slot::Var(vi) = slot {
-                bound[vi] = true;
-            }
-        }
-        steps.push(step);
-    }
-    steps.append(&mut remaining);
+    let none_bound = vec![false; shape.all_vars.len()];
+    let steps = join_order(
+        g,
+        shape,
+        &candidates,
+        remaining.clone(),
+        none_bound.clone(),
+        None,
+    );
     let Some(first) = steps.first() else {
         return (None, pushdown);
     };
     let (s, p, o) = first.probe(&shape.unbound);
-    let seed = g.pattern_slice(s, p, o);
-    let plan = Plan {
-        steps,
-        candidates,
-        seed,
+    let slice = g.pattern_slice(s, p, o);
+    let smallest = candidates
+        .iter()
+        .min_by_key(|&(&vi, set)| (set.len(), vi))
+        .filter(|(_, set)| set.len() < slice.len() + g.tail_len());
+    let plan = match smallest {
+        None => Plan {
+            steps,
+            seed: Seed::Slice(slice),
+            candidates,
+        },
+        Some((&var, set)) => {
+            let mut ids: Vec<TermId> = set.iter().copied().collect();
+            ids.sort_unstable();
+            let mut bound = none_bound;
+            bound[var] = true;
+            Plan {
+                steps: join_order(g, shape, &candidates, remaining, bound, Some(var)),
+                seed: Seed::Candidates { var, ids },
+                candidates,
+            }
+        }
     };
     (Some(plan), pushdown)
 }
 
-/// A fixed-size unit of seed-scan work: a key range of the seed slice, or
-/// a chunk of the uncommitted tail.
+/// A fixed-size unit of seed-scan work: a key range of the seed slice, a
+/// chunk of the uncommitted tail, or a run of the seed's candidate ids.
 #[derive(Debug, Clone, Copy)]
 struct Morsel {
     lo: usize,
@@ -399,6 +485,9 @@ struct WorkerState {
     next: Vec<Option<TermId>>,
     /// Per-step probe cursors (reset at morsel start).
     hints: Vec<ProbeHint>,
+    /// The all-unbound row but for the seeded variable: what a candidate
+    /// seed probes the first step with.
+    seed_row: Vec<Option<TermId>>,
     bufs: BindBufs,
     /// Worker-local dedup over projected rows; used only when a `LIMIT`
     /// has to count distinct rows of a variable-dropping projection.
@@ -411,11 +500,34 @@ impl WorkerState {
             cur: Vec::new(),
             next: Vec::new(),
             hints: vec![ProbeHint::default(); steps],
+            seed_row: vec![None; width],
             bufs: BindBufs {
                 scratch: vec![None; width],
                 memo: vec![None; width],
             },
             seen: FxHashSet::default(),
+        }
+    }
+}
+
+/// Whether `id` passes every eager comparison filter of variable slot
+/// `vi`. `memo` keeps the last verdict per slot, so runs of equal ids
+/// decode and compare once.
+fn eager_ok(ctx: &Ctx<'_, '_>, vi: usize, id: TermId, memo: &mut [Option<(TermId, bool)>]) -> bool {
+    let filters = &ctx.shape.eager[vi];
+    if filters.is_empty() {
+        return true;
+    }
+    match memo[vi] {
+        Some((mid, verdict)) if mid == id => verdict,
+        _ => {
+            let verdict = ctx.graph.decode(id).is_some_and(|term| {
+                filters
+                    .iter()
+                    .all(|(op, value)| cmp_satisfies(*op, cmp_terms(term, value)))
+            });
+            memo[vi] = Some((id, verdict));
+            verdict
         }
     }
 }
@@ -442,24 +554,8 @@ fn bind(
                         return false;
                     }
                 }
-                let filters = &ctx.shape.eager[vi];
-                if !filters.is_empty() {
-                    let ok = match bufs.memo[vi] {
-                        Some((mid, verdict)) if mid == id => verdict,
-                        _ => {
-                            let Some(term) = ctx.graph.decode(id) else {
-                                return false;
-                            };
-                            let verdict = filters
-                                .iter()
-                                .all(|(op, value)| cmp_satisfies(*op, cmp_terms(term, value)));
-                            bufs.memo[vi] = Some((id, verdict));
-                            verdict
-                        }
-                    };
-                    if !ok {
-                        return false;
-                    }
+                if !eager_ok(ctx, vi, id, &mut bufs.memo) {
+                    return false;
                 }
                 bufs.scratch[vi] = Some(id);
             }
@@ -504,30 +600,60 @@ fn run_morsel(ctx: &Ctx<'_, '_>, m: Morsel, st: &mut WorkerState, out: &mut Work
     for h in &mut st.hints {
         *h = ProbeHint::default();
     }
-
-    // Seed phase: the all-unbound row against the morsel's key range (or
-    // tail chunk), into the flat `cur` buffer.
-    st.cur.clear();
-    let (committed, tail) = if m.tail {
-        (ctx.plan.seed.slice(0, 0), &g.tail_triples()[m.lo..m.hi])
-    } else {
-        (ctx.plan.seed.slice(m.lo, m.hi), &[][..])
+    let Some((seed_hint, join_hints)) = st.hints.split_first_mut() else {
+        return;
     };
-    let mut cur_rows = extend_row(
-        ctx,
-        seed,
-        &shape.unbound,
-        committed,
-        tail,
-        &mut st.bufs,
-        &mut st.cur,
-    );
+
+    // Seed phase, into the flat `cur` buffer: the all-unbound row against
+    // the morsel's key range (or tail chunk), or one hinted probe per
+    // candidate id of the morsel that passes its variable's eager filters.
+    st.cur.clear();
+    let mut cur_rows = match &ctx.plan.seed {
+        Seed::Slice(slice) => {
+            let (committed, tail) = if m.tail {
+                (slice.slice(0, 0), &g.tail_triples()[m.lo..m.hi])
+            } else {
+                (slice.slice(m.lo, m.hi), &[][..])
+            };
+            extend_row(
+                ctx,
+                seed,
+                &shape.unbound,
+                committed,
+                tail,
+                &mut st.bufs,
+                &mut st.cur,
+            )
+        }
+        Seed::Candidates { var, ids } => {
+            let mut rows = 0;
+            for &id in &ids[m.lo..m.hi] {
+                if !eager_ok(ctx, *var, id, &mut st.bufs.memo) {
+                    continue;
+                }
+                st.seed_row[*var] = Some(id);
+                let (s, p, o) = seed.probe(&st.seed_row);
+                let committed = g.pattern_slice_hinted(s, p, o, seed_hint);
+                out.probes += 1;
+                rows += extend_row(
+                    ctx,
+                    seed,
+                    &st.seed_row,
+                    committed,
+                    g.tail_triples(),
+                    &mut st.bufs,
+                    &mut st.cur,
+                );
+            }
+            rows
+        }
+    };
     out.intermediate += cur_rows;
 
     // Join steps over the reused flat buffers. The serving path always
     // commits, so the tail is empty in the common case.
     let tail = g.tail_triples();
-    for (step, hint) in joins.iter().zip(&mut st.hints) {
+    for (step, hint) in joins.iter().zip(join_hints) {
         if cur_rows == 0 {
             break;
         }
@@ -605,8 +731,14 @@ fn drain(ctx: &Ctx<'_, '_>, morsel_triples: usize, stats: &mut MorselStats) -> V
             lo = hi;
         }
     };
-    chunk(ctx.plan.seed.len(), false);
-    chunk(ctx.graph.tail_triples().len(), true);
+    match &ctx.plan.seed {
+        Seed::Slice(slice) => {
+            chunk(slice.len(), false);
+            chunk(ctx.graph.tail_triples().len(), true);
+        }
+        // A candidate probe matches the tail itself.
+        Seed::Candidates { ids, .. } => chunk(ids.len(), false),
+    }
     stats.morsels = morsels.len() as u64;
 
     let pool = stats.workers.min(morsels.len()).max(1);
@@ -680,9 +812,9 @@ fn run(g: &Graph, q: &SelectQuery, cfg: &MorselConfig) -> RunOutcome {
         match plan {
             None => Vec::new(),
             Some(plan) => {
-                // The seed scan counts as one probe (morsels chunk that
-                // one logical probe).
-                stats.probes = 1;
+                // A slice seed counts as one probe (morsels chunk that
+                // one logical probe); a candidate seed counts its probes.
+                stats.probes = usize::from(matches!(plan.seed, Seed::Slice(_)));
                 let ctx = Ctx {
                     graph: g,
                     plan,

@@ -48,8 +48,9 @@ pub struct PartitionedStats {
     pub partitions_total: usize,
     /// Partitions whose plan issued an index probe: the rest were pruned,
     /// their indexes holding no candidate for a filter (or their
-    /// dictionaries no pattern constant). > 1 means the query really
-    /// fanned out.
+    /// dictionaries no pattern constant, or a comparison filter rejecting
+    /// every candidate a seed would probe with). > 1 means the query
+    /// really fanned out.
     pub partitions_probed: usize,
     /// Worker pool size the morsel executor resolved to.
     pub workers: usize,

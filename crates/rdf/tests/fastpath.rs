@@ -6,10 +6,12 @@
 //! interleaved insert/commit cycles, and index selection must stay pinned
 //! to the tightest permutation index.
 
+use datacron_geo::{BoundingBox, GeoPoint, TimeInterval, TimeMs};
+use datacron_rdf::query::CmpOp;
 use datacron_rdf::{
     execute, execute_morsel, execute_reference, from_binary, parse_query, to_binary, Bindings,
-    Graph, HashPartitioner, MorselConfig, NotAStar, PartitionedStore, SelectQuery, Term, TermId,
-    Triple,
+    FilterExpr, Graph, HashPartitioner, MorselConfig, NotAStar, PartitionedStore, PatternTerm,
+    SelectQuery, Term, TermId, Triple, TriplePattern, DEFAULT_MORSEL_TRIPLES,
 };
 
 /// Deterministic xorshift64* — the suite must not depend on ambient
@@ -602,4 +604,107 @@ fn incremental_partition_mirror_matches_bulk_build() {
         inc_stats.partitions_probed > 1,
         "hash partitioning must spread this workload: {inc_stats:?}"
     );
+}
+
+/// 20 000 nodes, each with its own point on a 200 × 100 grid of 0.01°
+/// steps from (20°, 34°) and its own instant, one second apart.
+fn located_nodes() -> Graph {
+    let mut g = Graph::new();
+    for i in 0..20_000i64 {
+        let n = Term::iri(format!("n{i}"));
+        let (lon, lat) = (
+            20.0 + (i % 200) as f64 * 0.01,
+            34.0 + (i / 200) as f64 * 0.01,
+        );
+        g.insert(&n, &Term::iri("pos"), &Term::point(GeoPoint::new(lon, lat)));
+        g.insert(&n, &Term::iri("at"), &Term::time(TimeMs(i * 1000)));
+        let class = if i % 3 == 0 { "Buoy" } else { "Vessel" };
+        g.insert(&n, &Term::iri("type"), &Term::iri(class));
+    }
+    g.commit();
+    g
+}
+
+/// A narrow `st_within` seeds the join from its candidate ids: one morsel,
+/// one probe per candidate, and no more seed rows than candidates — where
+/// a slice seed would scan all 20 000 `pos` triples in five morsels. A
+/// box around the whole world has as many candidates as the slice has
+/// triples, so it keeps the slice seed.
+#[test]
+fn a_narrow_box_seeds_from_its_candidates_and_the_world_box_from_the_slice() {
+    let g = located_nodes();
+    let narrow = BoundingBox::new(20.995, 34.195, 21.055, 34.245);
+    let candidates = g.spatial().within(&narrow).len();
+    assert_eq!(candidates, 6 * 5);
+    for workers in [1, 2, 4] {
+        let cfg = MorselConfig::with_workers(workers);
+        let q = parse_query(
+            "SELECT ?n WHERE { ?n pos ?g . FILTER st_within(?g, 20.995, 34.195, 21.055, 34.245) }",
+        )
+        .unwrap();
+        let (b, stats, ms) = execute_morsel(&g, &q, &cfg);
+        assert_eq!(b.rows.len(), candidates);
+        assert_eq!(stats.pushdown_candidates, candidates);
+        assert!(stats.intermediate <= candidates, "{stats:?}");
+        assert_eq!(ms.morsels, 1, "{ms:?}");
+        assert_eq!(stats.probes, candidates, "{stats:?}");
+
+        let q =
+            parse_query("SELECT ?n WHERE { ?n pos ?g . FILTER st_within(?g, -180, -90, 180, 90) }")
+                .unwrap();
+        let (b, stats, ms) = execute_morsel(&g, &q, &cfg);
+        assert_eq!(b.rows.len(), 20_000);
+        assert_eq!(stats.pushdown_candidates, 20_000);
+        assert_eq!(
+            ms.morsels,
+            20_000usize.div_ceil(DEFAULT_MORSEL_TRIPLES) as u64
+        );
+        assert_eq!(stats.probes, 1, "one slice scan: {stats:?}");
+    }
+}
+
+/// A comparison filter on the variable a `t_between` seeds from still
+/// sheds the candidates it rejects: with `?t >= 105 s` beside a window
+/// of 100–120 s, the rows are the reference engine's, not the window's.
+#[test]
+fn a_candidate_seed_keeps_the_eager_filter_on_its_variable() {
+    let g = located_nodes();
+    let window = FilterExpr::TimeBetween {
+        var: "t".into(),
+        interval: TimeInterval::new(TimeMs(100_000), TimeMs(120_000)),
+    };
+    let at_least = FilterExpr::Compare {
+        var: "t".into(),
+        op: CmpOp::Ge,
+        value: Term::time(TimeMs(105_000)),
+    };
+    let pattern =
+        |s: &str, p: &str, o: PatternTerm| TriplePattern::new(PatternTerm::var(s), Term::iri(p), o);
+    let shapes = [
+        SelectQuery::new(vec![pattern("n", "at", PatternTerm::var("t"))]),
+        SelectQuery::new(vec![
+            pattern("n", "type", Term::iri("Vessel").into()),
+            pattern("n", "at", PatternTerm::var("t")),
+        ]),
+    ];
+    for q in shapes {
+        let windowed = q.clone().filter(window.clone());
+        let q = windowed.clone().filter(at_least.clone());
+        let (reference, _) = execute_reference(&g, &q);
+        let (wide, _) = execute_reference(&g, &windowed);
+        assert!(
+            !reference.rows.is_empty() && reference.rows.len() < wide.rows.len(),
+            "the comparison must drop some of the window's rows"
+        );
+        for workers in [1, 2, 4] {
+            let (b, stats, ms) = execute_morsel(&g, &q, &MorselConfig::with_workers(workers));
+            assert_eq!(ms.morsels, 1, "a candidate seed: {ms:?}");
+            assert_eq!(stats.pushdown_candidates, 20);
+            assert_eq!(
+                sorted_rows(b.rows),
+                sorted_rows(reference.rows.clone()),
+                "{q:?} at {workers} workers"
+            );
+        }
+    }
 }

@@ -88,6 +88,10 @@ run cargo test -q --workspace
 # actually ships, hence release.
 run cargo test -q -p datacron-server --test integration_storage
 run cargo test --release -q -p datacron-server --test integration_storage
+# The executor's differential suite against the reference engine, in
+# release too: at 2 and 4 workers the optimized build is where morsels
+# are short enough for the workers' interleavings to actually race.
+run cargo test --release -q -p datacron-rdf --test differential
 # The timing benches (`harness = false` binaries over datacron_bench::bench).
 run cargo bench --workspace --no-run
 # Dependency-graph guard: the server links what it runs. Neither the
@@ -159,6 +163,9 @@ retired="$retired"'|execute_routed|unit_gidx|per_unit'
 # One pruning rule: the index that answers a filter. No partitioner
 # routes a box or an interval, and no store counts routed partitions.
 retired="$retired"'|route_bbox|route_interval|partitions_touched'
+# The grid answers a point's cell and its neighbours; no box-to-cells
+# walk is left without a caller.
+retired="$retired"'|cells_intersecting'
 if grep -rnE "$retired" crates/ tests/; then
   echo "retired write-path / protocol / test-hook / metrics names are back (see above)" >&2
   exit 1
