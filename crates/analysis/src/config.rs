@@ -493,13 +493,10 @@ mod tests {
         assert!(!rule_applies(Rule::Truncation, "crates/storage/src/wal.rs"));
         assert!(!rule_applies(Rule::Wallclock, "crates/obs/src/clock.rs"));
         assert!(rule_applies(Rule::Wallclock, "crates/obs/src/histogram.rs"));
-        assert!(rule_applies(
-            Rule::Wallclock,
-            "crates/stream/src/metrics.rs"
-        ));
+        assert!(rule_applies(Rule::Wallclock, "crates/obs/src/trace.rs"));
         assert!(!rule_applies(
             Rule::Wallclock,
-            "crates/bench/src/bin/report.rs"
+            "crates/bench/src/bin/query_latency.rs"
         ));
         assert!(rule_applies(Rule::Wallclock, "crates/core/src/pipeline.rs"));
         assert!(rule_applies(

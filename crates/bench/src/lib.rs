@@ -1,8 +1,9 @@
-//! Shared workload builders for the experiment suite (E1–E12).
+//! Shared workload builders for the experiment suite (EXPERIMENTS.md).
 //!
-//! Every experiment in EXPERIMENTS.md draws its data from these builders so
-//! the timing benches (`benches/`, timed by [`bench`]) and the `report`
-//! binary (quality metrics) measure the same workloads.
+//! Every experiment draws its data from these builders, so the timing
+//! benches (`benches/`, timed by [`bench`]) and the claim tests
+//! (`tests/claims.rs`, the quality numbers pinned exactly) measure the same
+//! seeded workloads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -109,31 +110,6 @@ pub fn bench<T>(name: &str, elements: u64, mut routine: impl FnMut() -> T) {
     });
 }
 
-/// Renders a markdown-style table row.
-pub fn row(cells: &[String]) -> String {
-    format!("| {} |", cells.join(" | "))
-}
-
-/// Renders a markdown-style table from headers and rows.
-pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut out = String::new();
-    out.push_str(&row(&headers
-        .iter()
-        .map(|h| h.to_string())
-        .collect::<Vec<_>>()));
-    out.push('\n');
-    out.push_str(&row(&headers
-        .iter()
-        .map(|_| "---".to_string())
-        .collect::<Vec<_>>()));
-    out.push('\n');
-    for r in rows {
-        out.push_str(&row(r));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,11 +119,5 @@ mod tests {
         let a = maritime_small();
         let b = maritime_small();
         assert_eq!(a.reports.len(), b.reports.len());
-    }
-
-    #[test]
-    fn table_rendering() {
-        let t = table(&["a", "b"], &[vec!["1".into(), "2".into()]]);
-        assert_eq!(t, "| a | b |\n| --- | --- |\n| 1 | 2 |\n");
     }
 }

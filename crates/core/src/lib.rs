@@ -14,9 +14,8 @@
 //! [`Pipeline`] is the single-process façade: feed it observed reports in
 //! delivery order, get recognised events out, with every stage's latency
 //! measured (the paper's "operational latency requirements (i.e. in ms)").
-//! `tests/integration_pipeline.rs` runs the same façade as one stage of
-//! the `datacron-stream` runtime (`FlatMapOp` over [`Pipeline::process`]),
-//! the threaded deployment.
+//! The streaming deployment is the server's serving path: reactor →
+//! request queue → one [`Pipeline`] → WAL → followers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

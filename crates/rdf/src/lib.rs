@@ -10,8 +10,9 @@
 //!   **point** and **time** literals) and dictionary encoding onto dense
 //!   `u32` ids;
 //! * [`store`] — a triple store with SPO/POS/OSP sorted indexes, bulk load
-//!   and incremental insert (each commit merges its sorted batch into the
-//!   indexes in place);
+//!   and incremental insert (each index is a sorted base plus a small
+//!   delta: a commit merges its sorted batch into the delta, which folds
+//!   into the base once it grows past a fixed share of it);
 //! * [`index`] — secondary **spatial** (R-tree) and **temporal** (sorted
 //!   run) indexes over typed literals, powering filter pushdown;
 //! * [`query`] / [`parser`] — a SPARQL-subset AST and text syntax:
@@ -43,7 +44,6 @@ pub mod binary;
 pub mod dict;
 pub mod engine;
 pub mod index;
-pub mod infer;
 mod merge;
 pub mod morsel;
 pub mod ntriples;
@@ -57,7 +57,6 @@ pub mod term;
 pub use binary::{from_binary, to_binary};
 pub use dict::{Dictionary, TermId};
 pub use engine::{execute, execute_reference, Bindings, QueryStats};
-pub use infer::{saturate_same_as, SaturationStats};
 pub use morsel::{execute_morsel, MorselConfig, MorselStats, DEFAULT_MORSEL_TRIPLES};
 pub use ntriples::{from_ntriples, to_ntriples};
 pub use parallel::{DecodedBindings, NotAStar, PartitionedStats, PartitionedStore};

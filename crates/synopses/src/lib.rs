@@ -18,8 +18,9 @@
 //!   Euclidean distance (SED) error between original and reconstructed
 //!   trajectories, the measures behind experiment E1/E2.
 //!
-//! Everything is a plain per-report method plus a batch form over slices;
-//! on the `datacron-stream` runtime a stage is `FilterOp(|r| c.check(r))`.
+//! Everything is a plain per-report method plus a batch form over slices.
+//! `crates/bench/tests/claims.rs` pins what they keep and the error they
+//! cost on a seeded world (E1, E2).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

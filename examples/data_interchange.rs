@@ -1,6 +1,6 @@
 //! Data interchange between datAcron components: AIS CSV files in,
-//! N-Triples out, with `owl:sameAs` saturation merging the views of two
-//! sources over the same fleet.
+//! N-Triples out, with `owl:sameAs` links joining the views of two sources
+//! over the same fleet.
 //!
 //! ```sh
 //! cargo run --release --example data_interchange
@@ -8,7 +8,7 @@
 
 use datacron_geo::TimeMs;
 use datacron_link::{discover_links, evaluate_links, LinkRecord, LinkRule};
-use datacron_rdf::{execute, parse_query, saturate_same_as, to_ntriples, Graph};
+use datacron_rdf::{execute, from_ntriples, parse_query, to_ntriples, Graph};
 use datacron_sim::{
     generate_maritime, generate_registries, MaritimeConfig, NoiseModel, RegistryConfig,
 };
@@ -84,33 +84,33 @@ fn main() {
         }
     );
 
-    // 4. Saturate: source-B identifiers inherit source-A data and vice
-    //    versa, so queries need no alias awareness.
-    let stats = saturate_same_as(&mut graph);
-    println!(
-        "sameAs saturation: {} classes merged, {} triples added",
-        stats.classes, stats.added
-    );
+    // 4. Query across the links: source-B records carry no MMSI
+    //    (externalId) of their own, so they answer an MMSI query through
+    //    their A-side alias.
     let q = parse_query(
-        // Source B records carry no MMSI (externalId) of their own; after
-        // saturation they answer MMSI queries through their A-side alias.
-        "SELECT ?x ?m WHERE { ?x da:externalId ?m . FILTER (?m >= 237000000) } LIMIT 100000",
+        "SELECT ?x ?m WHERE { ?x owl:sameAs ?a . ?a da:externalId ?m . FILTER (?m >= 237000000) } LIMIT 100000",
     )
     .unwrap();
     let (bindings, _) = execute(&graph, &q);
     println!(
-        "identifiers answering an MMSI query after saturation: {}",
+        "identifiers answering an MMSI query through a sameAs link: {}",
         bindings.len()
     );
 
-    // 5. Dump the merged knowledge graph as N-Triples.
-    let nt_path = dir.join("merged.nt");
+    // 5. Dump the linked knowledge graph as N-Triples, read it back, and
+    //    ask the same question of the copy.
+    let nt_path = dir.join("linked.nt");
     let dump = to_ntriples(&graph);
     std::fs::write(&nt_path, &dump).expect("write N-Triples");
+    let text = std::fs::read_to_string(&nt_path).expect("read N-Triples");
+    let copy = from_ntriples(&text).expect("parse N-Triples");
+    assert_eq!(copy.len(), graph.len(), "round trip keeps every triple");
+    assert_eq!(execute(&copy, &q).0.len(), bindings.len());
     println!(
-        "wrote {} N-Triples lines to {}",
+        "wrote {} N-Triples lines to {} and read back {} triples",
         dump.lines().count(),
-        nt_path.display()
+        nt_path.display(),
+        copy.len()
     );
     println!("\nsample:");
     for line in dump.lines().take(5) {
