@@ -11,15 +11,17 @@ use datacron_rdf::{Graph, Triple};
 use datacron_synopses::{Cleanser, CriticalPointDetector, DeadReckoningCompressor, SynopsisConfig};
 use datacron_transform::{MapperState, RdfMapper};
 
-/// The pipeline's durable state, exported for persistence snapshots and
-/// restored on crash recovery.
+/// The pipeline's durable state besides its graph, exported for
+/// persistence snapshots and restored on crash recovery.
 ///
-/// Covers everything query-visible: the RDF graph (dictionary included,
-/// via [`datacron_rdf::to_binary`]), the mapper's exactly-once typing and
-/// event numbering, and the lifetime counters. Detector state and latency
-/// histograms are deliberately **not** captured — detectors restart cold
-/// (per-object windows refill as the replayed/new stream arrives) and
-/// latency observations describe the dead process, not this one.
+/// With the RDF graph (which the snapshot writer encodes straight from
+/// [`Pipeline::graph`] with [`datacron_rdf::write_binary`], dictionary
+/// included) this covers everything query-visible: the mapper's
+/// exactly-once typing and event numbering, and the lifetime counters.
+/// Detector state and latency histograms are deliberately **not**
+/// captured — detectors restart cold (per-object windows refill as the
+/// replayed/new stream arrives) and latency observations describe the
+/// dead process, not this one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineState {
     /// Reports fed in.
@@ -36,8 +38,6 @@ pub struct PipelineState {
     pub triples: u64,
     /// Mapper state (typed objects, event numbering).
     pub mapper: MapperState,
-    /// The RDF graph, in [`datacron_rdf::binary`] format.
-    pub graph: Vec<u8>,
 }
 
 /// Pipeline configuration.
@@ -415,9 +415,8 @@ impl Pipeline {
         &self.metrics
     }
 
-    /// Exports the pipeline's durable state (see [`PipelineState`] for
-    /// what is and isn't captured). Cheap relative to a WAL replay: the
-    /// graph dominates and serializes at memory bandwidth.
+    /// Exports the pipeline's durable state besides the graph (see
+    /// [`PipelineState`] for what is and isn't captured).
     pub fn export_state(&self) -> PipelineState {
         PipelineState {
             reports_in: self.metrics.reports_in,
@@ -427,18 +426,15 @@ impl Pipeline {
             events: self.metrics.events,
             triples: self.metrics.triples,
             mapper: self.mapper.export_state(),
-            graph: datacron_rdf::to_binary(&self.graph),
         }
     }
 
-    /// Rebuilds a pipeline from a config plus exported state. Detectors
-    /// start cold; the graph, mapper and counters are restored exactly.
-    pub fn from_state(
-        config: PipelineConfig,
-        state: PipelineState,
-    ) -> Result<Self, datacron_rdf::binary::BinError> {
+    /// Rebuilds a pipeline from a config, exported state and the restored
+    /// graph. Detectors start cold; the graph, mapper and counters are
+    /// restored exactly.
+    pub fn from_state(config: PipelineConfig, state: PipelineState, graph: Graph) -> Self {
         let mut p = Self::new(config);
-        p.graph = datacron_rdf::from_binary(&state.graph)?;
+        p.graph = graph;
         p.mapper = RdfMapper::from_state(state.mapper);
         p.metrics.reports_in = state.reports_in;
         p.metrics.reports_clean = state.reports_clean;
@@ -446,7 +442,7 @@ impl Pipeline {
         p.metrics.critical_points = state.critical_points;
         p.metrics.events = state.events;
         p.metrics.triples = state.triples;
-        Ok(p)
+        p
     }
 }
 
@@ -699,7 +695,8 @@ mod tests {
         p.ingest_batch(&batch);
 
         let state = p.export_state();
-        let mut p2 = Pipeline::from_state(PipelineConfig::default(), state).unwrap();
+        let graph = datacron_rdf::from_binary(&datacron_rdf::to_binary(p.graph())).unwrap();
+        let mut p2 = Pipeline::from_state(PipelineConfig::default(), state, graph);
 
         // Counters and graph content carry over exactly.
         assert_eq!(p2.metrics().reports_in, p.metrics().reports_in);

@@ -3,17 +3,22 @@
 //! This is the snapshot format the storage layer persists: terms in
 //! dictionary-id order followed by encoded triples, so restoring assigns
 //! every term the **same id** it had in the source graph and the triples
-//! can be re-inserted verbatim. Rebuilding through [`Graph::encode`] and
-//! the commit routine (one bulk merge of the decoded triples) also
-//! reconstructs the secondary spatial/temporal indexes and the
-//! per-predicate statistics — none of that state travels in the payload.
+//! can be re-inserted verbatim. None of the derived state travels in the
+//! payload: [`from_binary`] decodes every term, hands them in id order to
+//! the dictionary's bulk builder, then to [`Graph::load`], which builds
+//! the three permutation indexes, the per-predicate statistics and the
+//! spatial/temporal literal indexes once each. Neither the per-term
+//! interning path nor the commit routine runs on a restore.
+//!
+//! Decoding never trusts a count: a term or triple count that the bytes
+//! left could not hold is an error before anything is allocated for it.
 //!
 //! Unlike [`crate::ntriples`], this format round-trips every `f64` bit
 //! pattern exactly (doubles and points travel as raw bits, not decimal
 //! text) and is several times smaller; the text dump remains the
 //! interchange/debugging format.
 
-use crate::dict::TermId;
+use crate::dict::{Dictionary, TermId};
 use crate::store::{Graph, Triple};
 use crate::term::{Literal, Term};
 use datacron_geo::{GeoPoint, TimeMs};
@@ -74,15 +79,29 @@ fn read_term(r: &mut Reader<'_>) -> Result<Term, BinError> {
     })
 }
 
+/// The fewest bytes a term takes on the wire: a variant tag and a
+/// boolean.
+const MIN_TERM_BYTES: usize = 4 + 1;
+
+/// The bytes of one triple on the wire: three `u32` ids.
+const TRIPLE_BYTES: usize = 3 * 4;
+
 /// Serializes the whole graph — dictionary terms in id order, then all
 /// triples (committed + pending) as raw id triplets.
 pub fn to_binary(graph: &Graph) -> Vec<u8> {
+    let mut w = Writer::with_capacity(16 + graph.dict().len() * 16 + graph.len() * 12);
+    write_binary(graph, &mut w);
+    w.into_bytes()
+}
+
+/// Appends [`to_binary`]'s bytes to `w`, for a caller that embeds the
+/// graph in a larger payload without building it apart first.
+pub fn write_binary(graph: &Graph, w: &mut Writer) {
     let dict = graph.dict();
-    let mut w = Writer::with_capacity(16 + dict.len() * 16 + graph.len() * 12);
     w.u32(VERSION);
     w.seq_len(dict.len());
     for (_, term) in dict.iter() {
-        write_term(&mut w, term);
+        write_term(w, term);
     }
     w.seq_len(graph.len());
     for t in graph.iter_triples() {
@@ -90,12 +109,25 @@ pub fn to_binary(graph: &Graph) -> Vec<u8> {
         w.u32(t.p.raw());
         w.u32(t.o.raw());
     }
-    w.into_bytes()
+}
+
+/// Reads a count of items that take at least `min_bytes` each, refusing
+/// one the rest of the input could not hold.
+fn count(r: &mut Reader<'_>, min_bytes: usize, what: &str) -> Result<usize, BinError> {
+    let n = r.seq_len()?;
+    if n.checked_mul(min_bytes).is_none_or(|b| b > r.remaining()) {
+        return Err(BinError::msg(format!(
+            "{n} {what} cannot fit in the {} bytes left",
+            r.remaining()
+        )));
+    }
+    Ok(n)
 }
 
 /// Reconstructs a graph from [`to_binary`] output. Term ids match the
-/// source graph exactly; any structural damage (bad variant, id out of
-/// range, a repeated triple, trailing bytes) is an error, never a panic.
+/// source graph exactly; any structural damage (bad variant, a repeated
+/// term, id out of range, a repeated triple, an impossible count,
+/// trailing bytes) is an error, never a panic.
 pub fn from_binary(bytes: &[u8]) -> Result<Graph, BinError> {
     let mut r = Reader::new(bytes);
     let version = r.u32()?;
@@ -104,22 +136,14 @@ pub fn from_binary(bytes: &[u8]) -> Result<Graph, BinError> {
             "unsupported graph format version {version}"
         )));
     }
-    let mut g = Graph::new();
-    let n_terms = r.seq_len()?;
-    // Compare ids in u32 (their native width) against a running counter
-    // instead of casting through usize.
-    let mut expect: u32 = 0;
+    let n_terms = count(&mut r, MIN_TERM_BYTES, "terms")?;
+    let mut terms = Vec::with_capacity(n_terms);
     for _ in 0..n_terms {
-        let term = read_term(&mut r)?;
-        let id = g.encode(&term);
-        if id.raw() != expect {
-            return Err(BinError::msg(format!(
-                "duplicate dictionary term at id {expect}"
-            )));
-        }
-        expect = expect.wrapping_add(1);
+        terms.push(read_term(&mut r)?);
     }
-    let n_triples = r.seq_len()?;
+    let dict = Dictionary::from_terms(terms)
+        .map_err(|id| BinError::msg(format!("duplicate dictionary term at id {id}")))?;
+    let n_triples = count(&mut r, TRIPLE_BYTES, "triples")?;
     let n_terms_u64 = u64::try_from(n_terms).unwrap_or(u64::MAX);
     let mut triples = Vec::with_capacity(n_triples);
     for _ in 0..n_triples {
@@ -136,15 +160,14 @@ pub fn from_binary(bytes: &[u8]) -> Result<Graph, BinError> {
         });
     }
     r.finish()?;
-    g.load(triples).map_err(|t| {
+    Graph::load(dict, triples).map_err(|t| {
         BinError::msg(format!(
             "duplicate triple ({}, {}, {})",
             t.s.raw(),
             t.p.raw(),
             t.o.raw()
         ))
-    })?;
-    Ok(g)
+    })
 }
 
 #[cfg(test)]
@@ -289,6 +312,71 @@ mod tests {
         assert!(from_binary(&to_binary(&g)).is_ok());
         for which in [0, n - 2, n - 1] {
             assert!(from_binary(&with_repeated_triple(to_binary(&g), n, which)).is_err());
+        }
+    }
+
+    /// A payload written by hand, so it can hold what no graph would.
+    fn payload(terms: &[Term], n_terms: usize, triples: &[[u32; 3]], n_triples: usize) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.u32(VERSION);
+        w.seq_len(n_terms);
+        for t in terms {
+            write_term(&mut w, t);
+        }
+        w.seq_len(n_triples);
+        for id in triples.iter().flatten() {
+            w.u32(*id);
+        }
+        w.into_bytes()
+    }
+
+    fn hostile(terms: &[Term], n_terms: usize, triples: &[[u32; 3]], n_triples: usize) -> String {
+        from_binary(&payload(terms, n_terms, triples, n_triples))
+            .map(|_| ())
+            .unwrap_err()
+            .to_string()
+    }
+
+    #[test]
+    fn repeated_terms_rejected_at_the_first_and_last_id() {
+        let (a, b, c) = (Term::iri("da:a"), Term::iri("da:b"), Term::integer(3));
+        let t = [[0, 1, 2]];
+        assert!(from_binary(&payload(&[a.clone(), b.clone(), c.clone()], 3, &t, 1)).is_ok());
+        // The term at id 0 again, right after it and as the last id.
+        let err = hostile(&[a.clone(), a.clone(), b.clone(), c.clone()], 4, &t, 1);
+        assert!(err.contains("duplicate dictionary term at id 1"), "{err}");
+        let err = hostile(&[a.clone(), b.clone(), c.clone(), a.clone()], 4, &t, 1);
+        assert!(err.contains("duplicate dictionary term at id 3"), "{err}");
+        // The last id repeating one in the middle.
+        let err = hostile(&[a, b.clone(), c, b], 4, &t, 1);
+        assert!(err.contains("duplicate dictionary term at id 3"), "{err}");
+    }
+
+    #[test]
+    fn counts_the_payload_cannot_hold_are_rejected_before_allocating() {
+        let terms = [Term::iri("da:a"), Term::iri("da:b")];
+        let t = [[0, 1, 0], [1, 0, 1]];
+        assert!(from_binary(&payload(&terms, 2, &t, 2)).is_ok());
+        // Fewer bytes left than one byte per claimed item: the reader's
+        // own length check.
+        for n in [1 << 40, usize::MAX / 2] {
+            assert!(from_binary(&payload(&terms, n, &t, 2)).is_err());
+        }
+        // Plausible for bytes, not for terms: a term takes at least five.
+        let rest = payload(&terms, 2, &t, 2).len() - 12;
+        let err = hostile(&terms, rest / 2, &t, 2);
+        assert!(err.contains("cannot fit"), "{err}");
+        // Plausible for bytes, not for triples: each takes twelve.
+        let err = hostile(&terms, 2, &t, 20);
+        assert!(err.contains("cannot fit"), "{err}");
+    }
+
+    #[test]
+    fn ids_out_of_range_rejected_in_every_position() {
+        let terms = [Term::iri("da:a"), Term::iri("da:b")];
+        for bad in [[2, 0, 1], [0, 2, 1], [0, 1, 2], [u32::MAX, 0, 0]] {
+            let err = hostile(&terms, 2, &[[0, 1, 0], bad], 2);
+            assert!(err.contains("out of range"), "{bad:?}: {err}");
         }
     }
 

@@ -31,6 +31,22 @@ impl Dictionary {
         Self::default()
     }
 
+    /// The bulk builder behind snapshot restore: `terms[i]` gets id `i`.
+    /// One pass into a map sized up front; each term moves in and is
+    /// cloned once, for its map key. `Err(i)` names the first id whose
+    /// term repeats an earlier one (ids would no longer be a bijection),
+    /// or that a `u32` cannot hold.
+    pub(crate) fn from_terms(terms: Vec<Term>) -> Result<Self, usize> {
+        let mut ids = FxHashMap::with_capacity_and_hasher(terms.len(), Default::default());
+        for (i, term) in terms.iter().enumerate() {
+            let id = u32::try_from(i).map_err(|_| i)?;
+            if ids.insert(term.clone(), TermId(id)).is_some() {
+                return Err(i);
+            }
+        }
+        Ok(Self { terms, ids })
+    }
+
     /// Number of interned terms.
     pub fn len(&self) -> usize {
         self.terms.len()
@@ -120,6 +136,28 @@ mod tests {
         assert_eq!(d.lookup(&Term::iri("nope")), None);
         assert_eq!(d.decode(TermId(0)), None);
         assert!(d.is_empty());
+    }
+
+    #[test]
+    fn from_terms_matches_encoding_in_order_and_rejects_repeats() {
+        let terms = vec![Term::iri("a"), Term::integer(1), Term::string("a")];
+        let mut d = Dictionary::new();
+        for t in &terms {
+            d.encode(t);
+        }
+        let bulk = Dictionary::from_terms(terms.clone()).unwrap();
+        assert!(bulk.iter().eq(d.iter()));
+        for t in &terms {
+            assert_eq!(bulk.lookup(t), d.lookup(t));
+        }
+        let repeat = |at: usize| {
+            let mut v = terms.clone();
+            v.insert(at, terms[0].clone());
+            Dictionary::from_terms(v).map(|_| ()).unwrap_err()
+        };
+        assert_eq!(repeat(1), 1);
+        assert_eq!(repeat(3), 3);
+        assert!(Dictionary::from_terms(Vec::new()).unwrap().is_empty());
     }
 
     #[test]

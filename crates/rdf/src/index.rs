@@ -15,11 +15,30 @@ use datacron_geo::{BoundingBox, GeoPoint, RTree, RTreeEntry, TimeInterval, TimeM
 pub struct SpatialIndex {
     tree: RTree<TermId>,
     tail: Vec<(GeoPoint, TermId)>,
+    /// R-tree bulk loads since this index was built.
+    builds: u64,
 }
 
 const SPATIAL_TAIL_LIMIT: usize = 8 * 1024;
 
 impl SpatialIndex {
+    /// An index over all of `points` at once, for snapshot restore: one
+    /// R-tree bulk load (none when empty) and an empty tail.
+    pub(crate) fn from_points(points: Vec<(GeoPoint, TermId)>) -> Self {
+        let mut idx = Self {
+            tail: points,
+            ..Self::default()
+        };
+        idx.rebuild();
+        idx
+    }
+
+    /// R-tree bulk loads since this index was built: one per tail fold,
+    /// and one for a restore.
+    pub fn builds(&self) -> u64 {
+        self.builds
+    }
+
     /// Registers a point literal.
     pub fn insert(&mut self, id: TermId, p: GeoPoint) {
         self.tail.push((p, id));
@@ -48,6 +67,7 @@ impl SpatialIndex {
         let mut entries = std::mem::take(&mut self.tree).into_entries();
         entries.extend(self.tail.drain(..).map(|(p, id)| RTreeEntry::point(p, id)));
         self.tree = RTree::bulk_load(entries);
+        self.builds += 1;
     }
 
     /// Ids of point literals inside `bbox`.
@@ -103,6 +123,16 @@ pub struct TemporalIndex {
 const TEMPORAL_TAIL_LIMIT: usize = 8 * 1024;
 
 impl TemporalIndex {
+    /// An index over all of `instants` at once, for snapshot restore:
+    /// one sort and an empty tail.
+    pub(crate) fn from_instants(mut instants: Vec<(TimeMs, TermId)>) -> Self {
+        instants.sort_unstable();
+        Self {
+            sorted: instants,
+            tail: Vec::new(),
+        }
+    }
+
     /// Registers a time literal.
     pub fn insert(&mut self, id: TermId, t: TimeMs) {
         self.tail.push((t, id));
@@ -280,6 +310,35 @@ mod tests {
             }
             assert_eq!(before[0].len(), idx.len());
         }
+    }
+
+    #[test]
+    fn bulk_built_indexes_answer_like_inserted_ones() {
+        let (mut spatial, mut temporal) = (SpatialIndex::default(), TemporalIndex::default());
+        let (mut points, mut instants) = (Vec::new(), Vec::new());
+        for i in 0..(2 * SPATIAL_TAIL_LIMIT + 1) {
+            let id = TermId(u32::try_from(i).unwrap());
+            let p = GeoPoint::new(20.0 + (i % 97) as f64 * 0.01, 37.0 + (i % 89) as f64 * 0.01);
+            let t = TimeMs(i64::try_from((i * 7_919) % 10_007).unwrap());
+            spatial.insert(id, p);
+            temporal.insert(id, t);
+            points.push((p, id));
+            instants.push((t, id));
+        }
+        assert_eq!(spatial.builds(), 2, "inserts fold the tail twice");
+        let (bulk_spatial, bulk_temporal) = (
+            SpatialIndex::from_points(points),
+            TemporalIndex::from_instants(instants),
+        );
+        assert_eq!(bulk_spatial.builds(), 1);
+        assert!(bulk_spatial.tail.is_empty() && bulk_temporal.tail.is_empty());
+        let bbox = BoundingBox::new(20.2, 37.1, 20.5, 37.6);
+        assert_eq!(bulk_spatial.within(&bbox), spatial.within(&bbox));
+        let c = GeoPoint::new(20.4, 37.4);
+        assert_eq!(bulk_spatial.near(&c, 5_000.0), spatial.near(&c, 5_000.0));
+        let w = TimeInterval::new(TimeMs(1_000), TimeMs(1_500));
+        assert_eq!(bulk_temporal.between(&w), temporal.between(&w));
+        assert_eq!(SpatialIndex::from_points(Vec::new()).builds(), 0);
     }
 
     #[test]

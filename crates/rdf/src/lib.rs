@@ -54,7 +54,7 @@ pub mod query;
 pub mod store;
 pub mod term;
 
-pub use binary::{from_binary, to_binary};
+pub use binary::{from_binary, to_binary, write_binary};
 pub use dict::{Dictionary, TermId};
 pub use engine::{execute, execute_reference, Bindings, QueryStats};
 pub use morsel::{execute_morsel, MorselConfig, MorselStats, DEFAULT_MORSEL_TRIPLES};

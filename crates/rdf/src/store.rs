@@ -225,6 +225,30 @@ fn hinted_range<'a>(index: &'a [Key], lo: Key, hi: Key, pos: &mut usize) -> &'a 
     &index[a..b]
 }
 
+/// A stable counting sort of `keys` by the first component of
+/// `rekey(key)`, an id below `terms`; returns the rekeyed keys. One
+/// counting pass and one scatter: O(n + terms), no comparisons. Fed SPO
+/// keys rekeyed to `(o, s, p)` it yields OSP, because equal objects keep
+/// their SPO order.
+fn counting_sort(keys: &[Key], terms: usize, rekey: impl Fn(Key) -> Key) -> Vec<Key> {
+    // `next[id]` becomes the first slot of `id`'s run.
+    let mut next = vec![0usize; terms + 1];
+    for &k in keys {
+        next[rekey(k).0 as usize + 1] += 1;
+    }
+    for i in 1..next.len() {
+        next[i] += next[i - 1];
+    }
+    let mut out = vec![(0, 0, 0); keys.len()];
+    for &k in keys {
+        let key = rekey(k);
+        let slot = &mut next[key.0 as usize];
+        out[*slot] = key;
+        *slot += 1;
+    }
+    out
+}
+
 /// The delta level folds into the base once it holds `1 / FOLD_RATIO` of
 /// the base's keys. With `n` triples in the base and `b` per commit, a
 /// commit shifts about `n / (2 · FOLD_RATIO)` delta keys per index (the
@@ -396,21 +420,68 @@ impl Graph {
         self.merge_new(&tail);
     }
 
-    /// Bulk entry for snapshot restore, into a graph that holds no triples
-    /// yet: adds `triples` through the commit routine in one merge,
-    /// skipping the per-triple tail bookkeeping. The payload is not
-    /// trusted to be duplicate-free: a repeated triple is returned as the
-    /// error and nothing is added.
-    pub(crate) fn load(&mut self, mut triples: Vec<Triple>) -> Result<(), Triple> {
-        debug_assert!(self.is_empty(), "bulk load is for a fresh graph");
-        // `Triple` orders as SPO, and so does a `to_binary` payload bar its
-        // pending tail: this sort has little to do.
-        triples.sort_unstable();
-        if let Some(w) = triples.windows(2).find(|w| w[0] == w[1]) {
-            return Err(w[0]);
+    /// The bulk builder behind snapshot restore: the graph over `dict`
+    /// holding `triples`, every index built once. No commit runs:
+    ///
+    /// - SPO is one sort of the triples. A `to_binary` payload is in SPO
+    ///   order bar its pending tail, so the run-adaptive sort has little
+    ///   to do.
+    /// - OSP is a stable counting sort of SPO by object; POS is a stable
+    ///   counting sort of OSP by predicate. O(n + terms) each.
+    /// - The statistics are counted in one pass over SPO (triples and
+    ///   distinct subjects, per `(s, p)` run) and one over POS (distinct
+    ///   objects, per `(p, o)` run).
+    /// - The spatial and temporal indexes take the dictionary's point
+    ///   and time literals in one R-tree bulk load and one sort.
+    ///
+    /// Everything lands in the base levels. Every id must be below
+    /// `dict.len()`. The payload is not trusted to be duplicate-free: a
+    /// repeated triple is returned as the error.
+    pub(crate) fn load(dict: Dictionary, triples: Vec<Triple>) -> Result<Self, Triple> {
+        let mut spo: Vec<Key> = triples
+            .into_iter()
+            .map(|t| key_of(&t, IndexOrder::Spo))
+            .collect();
+        spo.sort();
+        if let Some(w) = spo.windows(2).find(|w| w[0] == w[1]) {
+            return Err(triple_of(w[0], IndexOrder::Spo));
         }
-        self.merge_new(&triples);
-        Ok(())
+        let osp = counting_sort(&spo, dict.len(), |(s, p, o)| (o, s, p));
+        let pos = counting_sort(&osp, dict.len(), |(o, s, p)| (p, o, s));
+        let mut pred_stats: FxHashMap<u32, PredicateStats> = FxHashMap::default();
+        for run in spo.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let stats = pred_stats.entry(run[0].1).or_default();
+            stats.triples += run.len();
+            stats.distinct_subjects += 1;
+        }
+        for run in pos.chunk_by(|a, b| a.0 == b.0) {
+            let objects = run.chunk_by(|a, b| a.1 == b.1).count();
+            pred_stats.entry(run[0].0).or_default().distinct_objects += objects;
+        }
+        let (mut points, mut instants) = (Vec::new(), Vec::new());
+        for (id, term) in dict.iter() {
+            if let Some(p) = term.as_point() {
+                points.push((p, id));
+            }
+            if let Some(t) = term.as_time() {
+                instants.push((t, id));
+            }
+        }
+        let level = |base| Levels {
+            base,
+            delta: Vec::new(),
+        };
+        Ok(Self {
+            dict,
+            len: spo.len(),
+            spo: level(spo),
+            pos: level(pos),
+            osp: level(osp),
+            pred_stats,
+            spatial: SpatialIndex::from_points(points),
+            temporal: TemporalIndex::from_instants(instants),
+            ..Self::default()
+        })
     }
 
     /// The commit routine: `new` holds triples absent from the committed

@@ -3,9 +3,9 @@
 
 use datacron_geo::{BoundingBox, GeoPoint, Rng, TimeInterval, TimeMs};
 use datacron_rdf::{
-    execute, execute_reference, FilterExpr, Graph, HashPartitioner, MorselConfig, NotAStar,
-    PartitionedStore, Partitioner, PatternTerm, SelectQuery, SpatialGridPartitioner,
-    TemporalPartitioner, Term, Triple, TriplePattern,
+    execute, execute_reference, from_binary, to_binary, FilterExpr, Graph, HashPartitioner,
+    MorselConfig, NotAStar, PartitionedStore, Partitioner, PatternTerm, SelectQuery,
+    SpatialGridPartitioner, TemporalPartitioner, Term, Triple, TriplePattern,
 };
 
 const CASES: u64 = 256;
@@ -701,6 +701,57 @@ fn temporal_pushdown_equals_post_filter() {
     }
 }
 
+/// A restore builds the R-tree once — one bulk load, where the source's
+/// inserts folded its tail at 8 192 and 16 384 point literals — and the
+/// restored spatial and temporal indexes answer `within`, `near` and
+/// `between` exactly as the source's do. The source holds a folded base,
+/// a delta and a pending tail.
+#[test]
+fn restore_builds_the_r_tree_once_and_answers_like_the_source() {
+    const POINTS: usize = 2 * 8_192 + 1;
+    let mut rng = Rng::seed_from_u64(11);
+    let mut g = Graph::new();
+    let (pos, at) = (Term::iri("pos"), Term::iri("at"));
+    for i in 0..POINTS {
+        let s = Term::iri(format!("n{i}"));
+        let p = GeoPoint::new(rng.gen_range(20.0..28.0), rng.gen_range(34.0..41.0));
+        g.insert(&s, &pos, &Term::point(p));
+        g.insert(&s, &at, &Term::time(TimeMs(rng.gen_range(0i64..1_000_000))));
+        // Commit in growing batches, then leave the last ones pending.
+        if i < POINTS - 40 && (i + 1) % (1 + i / 8) == 0 {
+            g.commit();
+        }
+    }
+    assert!(g.folds() > 0 && g.tail_len() > 0);
+    assert_eq!(g.spatial().builds(), 2, "the source folded its tail twice");
+    let restored = from_binary(&to_binary(&g)).expect("restore");
+    assert_eq!(restored.spatial().builds(), 1, "one bulk load");
+    assert_eq!(restored.spatial().len(), POINTS);
+    assert_eq!(restored.temporal().len(), g.temporal().len());
+    for _ in 0..64 {
+        let (lon, lat) = (rng.gen_range(19.0..28.0), rng.gen_range(33.0..41.0));
+        let bbox = BoundingBox::new(
+            lon,
+            lat,
+            lon + rng.gen_range(0.01..3.0),
+            lat + rng.gen_range(0.01..3.0),
+        );
+        assert_eq!(restored.spatial().within(&bbox), g.spatial().within(&bbox));
+        let center = GeoPoint::new(lon, lat);
+        let radius_m = rng.gen_range(100.0..80_000.0);
+        assert_eq!(
+            restored.spatial().near(&center, radius_m),
+            g.spatial().near(&center, radius_m)
+        );
+        let start = rng.gen_range(0i64..1_000_000);
+        let window = TimeInterval::new(TimeMs(start), TimeMs(start + rng.gen_range(1..50_000)));
+        assert_eq!(
+            restored.temporal().between(&window),
+            g.temporal().between(&window)
+        );
+    }
+}
+
 /// Spatial partitioning never loses or duplicates star-query rows, and
 /// pruning never drops answers.
 #[test]
@@ -930,9 +981,32 @@ mod commit_merge {
             }
         }
 
+        /// What [`Modelled::check_committed`] checks, and the same of the
+        /// graph a snapshot of this one restores.
+        fn check(&self) {
+            self.check_committed();
+            self.check_restore();
+        }
+
+        /// A restore holds the source's committed and pending triples,
+        /// all committed, in the base: it must read like the model with
+        /// the tail committed, through every path `check_committed`
+        /// probes (all 8 pattern shapes, plain and hinted, and every
+        /// predicate's statistics).
+        fn check_restore(&self) {
+            let restored = Modelled {
+                graph: from_binary(&to_binary(&self.graph)).expect("own snapshot restores"),
+                committed: self.committed.union(&self.pending).copied().collect(),
+                pending: BTreeSet::new(),
+            };
+            restored.check_committed();
+            assert_eq!(restored.graph.folds(), 0, "a restore lands in the base");
+            assert_eq!(restored.graph.dict().len(), self.graph.dict().len());
+        }
+
         /// The committed indexes, the counts and the statistics all agree
         /// with the model.
-        fn check(&self) {
+        fn check_committed(&self) {
             self.check_reads();
             let g = &self.graph;
             assert_eq!(g.len(), self.committed.len() + self.pending.len());
@@ -972,14 +1046,19 @@ mod commit_merge {
             assert!(osp.iter().eq(want.iter()), "OSP order");
 
             // Statistics: a recount from scratch, for every id as predicate.
+            let mut of_p: BTreeMap<u32, (usize, BTreeSet<u32>, BTreeSet<u32>)> = BTreeMap::new();
+            for &(s, p, o) in &self.committed {
+                let (triples, subjects, objects) = of_p.entry(p).or_default();
+                *triples += 1;
+                subjects.insert(s);
+                objects.insert(o);
+            }
             for p in ids {
-                let of_p = || self.committed.iter().filter(move |t| t.1 == p);
-                let recount = PredicateStats {
-                    triples: of_p().count(),
-                    distinct_subjects: of_p().map(|t| t.0).collect::<BTreeSet<_>>().len(),
-                    distinct_objects: of_p().map(|t| t.2).collect::<BTreeSet<_>>().len(),
-                };
-                let want = (recount.triples > 0).then_some(recount);
+                let want = of_p.get(&p).map(|(triples, s, o)| PredicateStats {
+                    triples: *triples,
+                    distinct_subjects: s.len(),
+                    distinct_objects: o.len(),
+                });
                 assert_eq!(g.predicate_stats(TermId(p)), want, "stats of predicate {p}");
             }
 
@@ -1075,6 +1154,49 @@ mod commit_merge {
     }
 
     #[test]
+    fn restore_of_a_folded_base_a_delta_and_a_pending_tail() {
+        for seed in 0..24u64 {
+            let mut rng = Rng::seed_from_u64(100 + seed);
+            let vocabulary = rng.gen_range(8u32..64);
+            let predicates = rng.gen_range(1u32..6).min(vocabulary);
+            let mut m = Modelled::new(vocabulary);
+            let triple = |rng: &mut Rng| {
+                (
+                    rng.gen_range(0..vocabulary),
+                    rng.gen_range(0..predicates),
+                    rng.gen_range(0..vocabulary),
+                )
+            };
+            for _ in 0..rng.gen_range(50usize..400) {
+                let (s, p, o) = triple(&mut rng);
+                m.insert(s, p, o);
+            }
+            m.commit();
+            // Commit small batches until one folds, then until new
+            // triples sit in the delta: committed since the last fold.
+            let mut at_fold = None;
+            while at_fold.is_none_or(|n| m.committed.len() == n) {
+                let folds = m.graph.folds();
+                for _ in 0..rng.gen_range(1usize..12) {
+                    let (s, p, o) = triple(&mut rng);
+                    m.insert(s, p, o);
+                }
+                m.commit();
+                if m.graph.folds() > folds {
+                    at_fold = Some(m.committed.len());
+                }
+            }
+            // The pending tail: new triples and repeats of committed ones.
+            while m.pending.is_empty() {
+                let (s, p, o) = triple(&mut rng);
+                m.insert(s, p, o);
+            }
+            assert!(m.graph.tail_len() > 0);
+            m.check();
+        }
+    }
+
+    #[test]
     fn commit_of_nothing_and_into_an_empty_index() {
         let mut m = Modelled::new(8);
         m.commit();
@@ -1163,10 +1285,19 @@ mod commit_merge {
             let predicates = rng.gen_range(1u32..5).min(vocabulary);
             let commit_share = rng.gen_range(0.01f64..0.3);
             let mut m = Modelled::new(vocabulary);
+            let mut commits = 0u32;
             for _ in 0..rng.gen_range(1usize..400) {
                 if rng.gen_bool(commit_share) {
+                    // Every commit is checked, the snapshot's byte round
+                    // trip included; the restored graph's reads are checked
+                    // at each seed's end and at every 8th commit.
                     m.commit();
-                    m.check();
+                    commits += 1;
+                    if commits.is_multiple_of(8) {
+                        m.check();
+                    } else {
+                        m.check_committed();
+                    }
                 } else {
                     // A third of the inserts come from the low, the high or
                     // the whole id range, so runs sit below, above or

@@ -144,7 +144,7 @@ pub(crate) fn bootstrap(cfg: &ServerConfig, leader: &str) -> io::Result<(Analyti
         (Some(_), None) => return Err(proto_err("subscribe", &resp)),
     };
     let (pipeline, deg) = (cfg.pipeline.clone(), cfg.heat_cell_deg);
-    let state = AnalyticsState::rebuild(pipeline, deg, epoch, snapshot.as_ref(), &[])?;
+    let state = AnalyticsState::rebuild(pipeline, deg, epoch, snapshot.as_ref())?;
     Ok((state, next_seq))
 }
 

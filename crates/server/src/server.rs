@@ -274,10 +274,12 @@ struct Shared {
 }
 
 /// Start-up recovery time by phase, µs, measured once by [`recover`]:
-/// `(phase, µs)` for the snapshot file read and verify; the WAL tail read
-/// and verify; and the state build — snapshot and tail decoded, tail
-/// applied.
-type RecoveryTimes = [(&'static str, u64); 3];
+/// `(phase, µs)` for the log open (the newest segment scanned for a torn
+/// tail); the snapshot file read and verify; the WAL tail read and
+/// verify; the state restored from the snapshot payload; and the tail
+/// replayed through the pipeline. Together they cover the restart apart
+/// from the data directory's syncs and the snapshot thread's start.
+type RecoveryTimes = [(&'static str, u64); 5];
 
 /// Binds, spawns the acceptor and worker pool, and returns immediately.
 pub fn start(cfg: ServerConfig) -> io::Result<ServerHandle> {
@@ -645,10 +647,15 @@ fn recover(
 ) -> io::Result<(Storage, AnalyticsState, RecoveryTimes)> {
     let (storage, recovery) =
         Storage::open_with_clock(dir, cfg.storage.clone(), Arc::clone(clock), disk)?;
+    let restore_begin = clock.now_us();
+    let (pipeline, deg) = (cfg.pipeline.clone(), cfg.heat_cell_deg);
+    let context = |e: io::Error| io::Error::new(e.kind(), format!("recovery: {e}"));
+    let mut state =
+        AnalyticsState::rebuild(pipeline, deg, 0, recovery.snapshot.as_ref()).map_err(context)?;
     let replay_begin = clock.now_us();
-    let (pipeline, deg, tail) = (cfg.pipeline.clone(), cfg.heat_cell_deg, &recovery.wal_tail);
-    let state = AnalyticsState::rebuild(pipeline, deg, 0, recovery.snapshot.as_ref(), tail)
-        .map_err(|e| io::Error::new(e.kind(), format!("recovery: {e}")))?;
+    if !recovery.wal_tail.is_empty() {
+        state.apply_records(&recovery.wal_tail).map_err(context)?;
+    }
     if state.applied_lsn() != storage.next_seq() {
         let (head, at) = (storage.next_seq(), state.applied_lsn());
         let msg =
@@ -659,8 +666,10 @@ fn recover(
         eprintln!("datacron-server: WAL tail dropped during recovery: {note}");
     }
     let times = [
+        ("wal_open", recovery.wal_open_us),
         ("snapshot_load", recovery.snapshot_load_us),
         ("wal_read", recovery.wal_read_us),
+        ("restore", replay_begin.saturating_sub(restore_begin)),
         ("replay", clock.now_us().saturating_sub(replay_begin)),
     ];
     Ok((storage, state, times))

@@ -110,14 +110,13 @@ impl AnalyticsState {
 
     /// The one state builder, behind recovery and every follower
     /// (re)bootstrap: the snapshot `(position, payload)` — or an empty
-    /// state at 0 — in `epoch`, then the log records after it through
+    /// state at 0 — in `epoch`. The log records after it go through
     /// [`AnalyticsState::apply_records`].
     pub fn rebuild(
         cfg: PipelineConfig,
         heat_cell_deg: f64,
         epoch: u64,
         snapshot: Option<&(u64, Vec<u8>)>,
-        log: &[(u64, Vec<u8>)],
     ) -> io::Result<Self> {
         let mut state = match snapshot {
             Some((at, bytes)) => Self::from_snapshot_bytes(cfg, heat_cell_deg, bytes, *at)
@@ -125,9 +124,6 @@ impl AnalyticsState {
             None => Self::new(cfg, heat_cell_deg),
         };
         state.epoch = epoch;
-        if !log.is_empty() {
-            state.apply_records(log)?;
-        }
         Ok(state)
     }
 
@@ -364,7 +360,8 @@ impl AnalyticsState {
     /// histograms describe the old process.
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
         let ps = self.pipeline.export_state();
-        let mut w = Writer::with_capacity(64 + ps.graph.len());
+        let graph = self.pipeline.graph();
+        let mut w = Writer::with_capacity(4096 + 16 * graph.dict().len() + 12 * graph.len());
         w.u32(SNAPSHOT_VERSION);
         // Pipeline counters + mapper + graph.
         w.u64(ps.reports_in);
@@ -379,7 +376,7 @@ impl AnalyticsState {
         }
         w.u64(ps.mapper.event_seq);
         w.u64(ps.mapper.triples_emitted);
-        w.bytes(&ps.graph);
+        w.nested(|w| datacron_rdf::write_binary(graph, w));
         // Heatmap cells.
         let (cells, dropped) = self.heat.export_state();
         w.seq_len(cells.len());
@@ -451,7 +448,8 @@ impl AnalyticsState {
         }
         let event_seq = r.u64()?;
         let triples_emitted = r.u64()?;
-        let graph = r.bytes()?.to_vec();
+        // Decoded in place from the snapshot bytes, not copied out first.
+        let graph = datacron_rdf::from_binary(r.bytes()?)?;
         let n_cells = r.seq_len()?;
         let mut cells = Vec::with_capacity(n_cells);
         for _ in 0..n_cells {
@@ -503,9 +501,9 @@ impl AnalyticsState {
                     event_seq,
                     triples_emitted,
                 },
-                graph,
             },
-        )?;
+            graph,
+        );
         Ok(Self {
             pipeline,
             applied_lsn,
@@ -530,7 +528,8 @@ impl AnalyticsState {
     }
 
     /// Writes the state's counters into a scrape: the pipeline's lifetime
-    /// counts, the graph size and folds, and the query executor's totals.
+    /// counts, the graph size, folds and R-tree builds, and the query
+    /// executor's totals.
     pub fn scrape_into(&self, sink: &mut Sink) {
         let m = self.pipeline.metrics();
         let graph = self.pipeline.graph();
@@ -542,6 +541,10 @@ impl AnalyticsState {
             ("datacron_pipeline_triples_total", m.triples),
             ("datacron_cep_pair_candidates_total", m.pair_candidates),
             ("datacron_graph_folds_total", graph.folds()),
+            (
+                "datacron_graph_spatial_builds_total",
+                graph.spatial().builds(),
+            ),
             (
                 "datacron_query_morsels_total",
                 self.query_morsels.load(Ordering::Relaxed),

@@ -128,6 +128,18 @@ impl Writer {
         self.buf.extend_from_slice(v);
     }
 
+    /// Length-prefixed bytes that `write` encodes in place: the wire form
+    /// of [`Writer::bytes`] over what `write` pushes, without building
+    /// those bytes apart and copying them in. The prefix is reserved,
+    /// then filled once `write` returns.
+    pub fn nested(&mut self, write: impl FnOnce(&mut Writer)) {
+        let at = self.buf.len();
+        self.u64(0);
+        write(self);
+        let len = u64::try_from(self.buf.len() - at - 8).unwrap_or(u64::MAX);
+        self.buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
+    }
+
     /// Length-prefixed UTF-8 string.
     pub fn str(&mut self, v: &str) {
         self.bytes(v.as_bytes());
@@ -266,15 +278,17 @@ impl<'a> Reader<'a> {
         Ok(n)
     }
 
-    /// Length-prefixed raw bytes.
-    pub fn bytes(&mut self) -> Result<Vec<u8>> {
+    /// Length-prefixed raw bytes, borrowed from the input.
+    pub fn bytes(&mut self) -> Result<&'a [u8]> {
         let n = self.seq_len()?;
-        Ok(self.take(n)?.to_vec())
+        self.take(n)
     }
 
     /// Length-prefixed UTF-8 string.
     pub fn string(&mut self) -> Result<String> {
-        String::from_utf8(self.bytes()?).map_err(|e| BinError::msg(format!("invalid utf-8: {e}")))
+        std::str::from_utf8(self.bytes()?)
+            .map(str::to_owned)
+            .map_err(|e| BinError::msg(format!("invalid utf-8: {e}")))
     }
 
     /// Option tag byte; `true` means a value follows.
@@ -343,6 +357,22 @@ mod tests {
         assert_eq!(r.u32().unwrap(), 99);
         assert_eq!(r.variant().unwrap(), 2);
         r.finish().unwrap();
+    }
+
+    #[test]
+    fn nested_writes_the_bytes_wire_form() {
+        let mut apart = Writer::new();
+        apart.u8(7);
+        apart.bytes(&[1, 2, 3, 4, 5]);
+        apart.bytes(&[]);
+        let mut nested = Writer::new();
+        nested.u8(7);
+        nested.nested(|w| {
+            w.u8(1);
+            w.u32(u32::from_le_bytes([2, 3, 4, 5]));
+        });
+        nested.nested(|_| {});
+        assert_eq!(nested.into_bytes(), apart.into_bytes());
     }
 
     #[test]

@@ -105,7 +105,11 @@ pub struct Recovery {
     /// `Some(description)` when the log ended in a torn or corrupted
     /// record that was dropped (expected after a crash mid-append).
     pub truncation: Option<String>,
-    /// Time spent reading and verifying the snapshot file, µs.
+    /// Time spent opening the log, µs: listing the segments and scanning
+    /// the newest one for a torn tail to cut.
+    pub wal_open_us: u64,
+    /// Time spent clearing stale snapshot temporaries and reading and
+    /// verifying the newest snapshot file, µs.
     pub snapshot_load_us: u64,
     /// Time spent reading and verifying the WAL tail, µs.
     pub wal_read_us: u64,
@@ -207,6 +211,7 @@ impl Storage {
         for synced in [dir.as_path(), parent.unwrap_or(Path::new("."))] {
             disk.sync_dir(synced)?;
         }
+        let open_begin = clock.now_us();
         let wal = Wal::open(
             dir.join("wal"),
             WalConfig {
@@ -215,8 +220,8 @@ impl Storage {
             },
             Arc::clone(&disk),
         )?;
-        let snaps = SnapshotStore::open(dir.join("snapshots"), disk)?;
         let load_begin = clock.now_us();
+        let snaps = SnapshotStore::open(dir.join("snapshots"), disk)?;
         let snapshot = snaps.load_latest()?;
         let read_begin = clock.now_us();
         let from_seq = snapshot.as_ref().map_or(0, |(seq, _)| *seq);
@@ -258,6 +263,7 @@ impl Storage {
                 snapshot,
                 wal_tail: replay.records,
                 truncation,
+                wal_open_us: load_begin.saturating_sub(open_begin),
                 snapshot_load_us: read_begin.saturating_sub(load_begin),
                 wal_read_us: read_end.saturating_sub(read_begin),
             },

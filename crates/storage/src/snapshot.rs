@@ -354,6 +354,22 @@ mod tests {
     }
 
     #[test]
+    fn header_bytes_are_pinned() {
+        // The on-disk format, byte for byte: magic, version 1, wal_seq 42,
+        // length 8, and the CRC-32 of the payload (0x1E2AF8B7). A checksum
+        // or header change fails here before it strands a file on disk.
+        let dir = TempDir::new("snap-pinned");
+        open(&dir).save(42, b"datacron").unwrap();
+        let file = fs::read(snap_path(dir.path(), 42)).unwrap();
+        let header: [u8; 28] = [
+            b'D', b'S', b'N', b'P', 1, 0, 0, 0, 42, 0, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0,
+            0xB7, 0xF8, 0x2A, 0x1E,
+        ];
+        assert_eq!(file[..28], header);
+        assert_eq!(&file[28..], b"datacron");
+    }
+
+    #[test]
     fn newest_wins_and_pruning_bounds_disk() {
         let dir = TempDir::new("snap-prune");
         let s = open(&dir);

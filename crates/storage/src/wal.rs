@@ -686,6 +686,22 @@ mod tests {
     }
 
     #[test]
+    fn record_bytes_are_pinned() {
+        // The on-disk format, byte for byte: length 8, the CRC-32 of the
+        // seq bytes and the payload (0x97B36C8B), seq 0, the payload. A
+        // checksum or framing change fails here before it strands a log.
+        let dir = TempDir::new("wal-pinned");
+        {
+            let mut w = wal_in(&dir, WalConfig::default());
+            assert_eq!(w.append(b"datacron").unwrap(), 0);
+        }
+        let file = std::fs::read(segment_path(dir.path(), 0)).unwrap();
+        let mut want = vec![8, 0, 0, 0, 0x8B, 0x6C, 0xB3, 0x97, 0, 0, 0, 0, 0, 0, 0, 0];
+        want.extend_from_slice(b"datacron");
+        assert_eq!(file, want);
+    }
+
+    #[test]
     fn reopen_continues_sequence() {
         let dir = TempDir::new("wal-reopen");
         {

@@ -92,6 +92,11 @@ run cargo test --release -q -p datacron-server --test integration_storage
 # release too: at 2 and 4 workers the optimized build is where morsels
 # are short enough for the workers' interleavings to actually race.
 run cargo test --release -q -p datacron-rdf --test differential
+# Restore equivalence in release too: every commit_merge model check also
+# restores a snapshot of its graph and reads it back through all 8
+# pattern shapes, plain and hinted, and the statistics; the R-tree test
+# restores 16 385 point literals with one bulk load.
+run cargo test --release -q -p datacron-rdf --test properties -- commit_merge restore_builds
 # The timing benches (`harness = false` binaries over datacron_bench::bench).
 run cargo bench --workspace --no-run
 # Dependency-graph guard: the server links what it runs. The
@@ -171,6 +176,14 @@ retired="$retired"'|cells_intersecting'
 retired="$retired"'|datacron[-_]stream|saturate_same_as|DATACRON_JSON_DIR|--bin report'
 if grep -rnE --exclude=ci.sh "$retired" crates/ tests/ examples/ scripts/; then
   echo "retired write-path / protocol / test-hook / metrics names are back (see above)" >&2
+  exit 1
+fi
+# One restore path: a snapshot restore hands the decoded terms to the
+# dictionary's bulk builder and the triples to `Graph::load`, which builds
+# each index once. Neither the per-term interning path nor the commit
+# routine comes back into the decoder.
+if grep -nE '\.encode\(|merge_new' crates/rdf/src/binary.rs; then
+  echo "crates/rdf/src/binary.rs must not name .encode( or merge_new (see above)" >&2
   exit 1
 fi
 # One box around a radius (`BoundingBox::around` in datacron-geo): the

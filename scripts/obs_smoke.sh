@@ -107,7 +107,8 @@ for _ in $(seq 1 100); do
   sleep 0.05
 done
 for needle in '"snapshot_in_flight":0' '"last_snapshot_seq":1' \
-  '"recovery_us":{"snapshot_load":' '"wal_read":' '"replay":'; do
+  '"recovery_us":{"wal_open":' '"snapshot_load":' '"wal_read":' '"restore":' \
+  '"replay":'; do
   if [[ "$RESP" != *"$needle"* ]]; then
     echo "obs-smoke: stats.storage missing $needle" >&2
     echo "obs-smoke: response: $RESP" >&2
@@ -121,7 +122,8 @@ PAIRS=(
   '"last_snapshot_seq": datacron_storage_last_snapshot_seq'
   '"reports_in": datacron_pipeline_reports_in_total'
   '"graph":{"folds": datacron_graph_folds_total'
-  '"graph":{"folds":[0-9]*,"triples": datacron_graph_triples'
+  '"spatial_builds": datacron_graph_spatial_builds_total'
+  '"spatial_builds":[0-9]*,"triples": datacron_graph_triples'
 )
 
 request '{"type":"metrics"}'
@@ -134,6 +136,7 @@ for family in \
   '# TYPE datacron_net_loop_latency_us summary' \
   '# TYPE datacron_graph_triples gauge' \
   '# TYPE datacron_graph_folds_total counter' \
+  '# TYPE datacron_graph_spatial_builds_total counter' \
   '# TYPE datacron_wal_bytes gauge' \
   '# TYPE datacron_wal_fsync_latency_us summary' \
   '# TYPE datacron_wal_acks_parked_total counter' \

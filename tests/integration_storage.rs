@@ -450,7 +450,7 @@ fn abort_between_begin_and_publish_recovers_previous_snapshot_and_full_tail() {
         Some(12)
     );
     let recovery = stat(&mut c, "storage.recovery_us");
-    for phase in ["snapshot_load", "wal_read", "replay"] {
+    for phase in ["wal_open", "snapshot_load", "wal_read", "restore", "replay"] {
         assert!(
             recovery.get(phase).and_then(Json::as_u64).is_some(),
             "{recovery}"
