@@ -1,14 +1,15 @@
 //! E5 timing: triple-store load and query answering, with the partitioning
 //! ablation (A2), and the cost of committing serving-sized batches into a
-//! store of a given size, folds included (`commit_tail`).
+//! store of a given size, folds included (`commit_tail`), and into a
+//! spatial index growing to 1M point literals (`commit_tail/points_1M`).
 
 use datacron_bench::{bench, maritime_small, reports_of};
-use datacron_geo::{GeoPoint, TimeMs};
+use datacron_geo::{GeoPoint, Rng, TimeMs};
 use datacron_model::{NavStatus, ObjectId, PositionReport, SourceId};
 use datacron_obs::Stopwatch;
 use datacron_rdf::{
     execute, parse_query, Graph, HashPartitioner, PartitionedStore, SpatialGridPartitioner,
-    TemporalPartitioner,
+    TemporalPartitioner, Term,
 };
 use datacron_transform::RdfMapper;
 use std::hint::black_box;
@@ -150,7 +151,46 @@ fn bench_commit_tail() {
     }
 }
 
+/// 1M distinct point literals, encoded and committed 64 at a time (one
+/// serving batch's reports) into an empty graph, so the spatial index
+/// grows from nothing to 1M keys. Encoding only queues a point's key; the
+/// commits, which merge and fold them, are timed. Prints the mean commit
+/// and the max, which is the largest fold.
+fn bench_commit_points() {
+    const BATCH: usize = 64;
+    const POINTS: usize = 1_000_000;
+    let mut rng = Rng::seed_from_u64(7);
+    let mut g = Graph::new();
+    let (mut total, mut max) = (Duration::ZERO, Duration::ZERO);
+    for _ in 0..POINTS / BATCH {
+        let batch: Vec<Term> = (0..BATCH)
+            .map(|_| {
+                let (lon, lat) = (rng.gen_range(-180.0..180.0), rng.gen_range(-90.0..90.0));
+                Term::point(GeoPoint::new(lon, lat))
+            })
+            .collect();
+        for p in &batch {
+            g.encode(p);
+        }
+        let t = Stopwatch::start();
+        g.commit();
+        let spent = t.elapsed();
+        total += spent;
+        max = max.max(spent);
+    }
+    assert_eq!(g.spatial().len(), POINTS);
+    let us = |d: Duration| d.as_secs_f64() * 1e6;
+    println!(
+        "{:<44} {:>10.1} us mean {:>10.1} us max  ({} batches of {BATCH})",
+        "commit_tail/points_1M",
+        us(total) / (POINTS / BATCH) as f64,
+        us(max),
+        POINTS / BATCH,
+    );
+}
+
 fn main() {
     bench_rdf();
     bench_commit_tail();
+    bench_commit_points();
 }

@@ -151,8 +151,7 @@ impl BoundingBox {
         (self.max_lat - self.min_lat).max(0.0)
     }
 
-    /// Area in square degrees — a cheap proxy used by R-tree packing
-    /// heuristics, not a physical area.
+    /// Area in square degrees — a cheap size proxy, not a physical area.
     pub fn area_deg2(&self) -> f64 {
         if self.is_empty() {
             0.0

@@ -11,8 +11,6 @@
 //! * [`Grid`] / [`CellId`] — equi-angular space tiling used for blocking in
 //!   link discovery, spatial RDF partitioning, Markov-grid forecasting and
 //!   heatmap aggregation.
-//! * [`RTree`] — an STR bulk-loaded R-tree for spatial range and
-//!   nearest-neighbour queries.
 //! * [`TimeMs`] / [`TimeInterval`] — millisecond timestamps and intervals
 //!   with the Allen interval relations.
 //!
@@ -35,7 +33,6 @@ pub mod interp;
 pub mod point;
 pub mod polygon;
 pub mod rng;
-pub mod rtree;
 pub mod time;
 pub mod units;
 
@@ -46,5 +43,4 @@ pub use interp::{lerp, point_along, position3_at_time, position_at_time};
 pub use point::{GeoPoint, GeoPoint3, EARTH_RADIUS_M};
 pub use polygon::Polygon;
 pub use rng::Rng;
-pub use rtree::{RTree, RTreeEntry};
 pub use time::{AllenRelation, TimeInterval, TimeMs};

@@ -112,7 +112,7 @@ impl GeoPoint {
     /// Equirectangular local approximation of the squared distance in
     /// metres². Accurate for separations up to a few tens of kilometres and
     /// far cheaper than [`GeoPoint::haversine_m`]; used in hot loops
-    /// (R-tree pruning, blocking).
+    /// (blocking).
     pub fn fast_dist2_m2(&self, other: &GeoPoint) -> f64 {
         let mean_lat = ((self.lat + other.lat) / 2.0).to_radians();
         let dx = (other.lon - self.lon).to_radians() * mean_lat.cos() * EARTH_RADIUS_M;

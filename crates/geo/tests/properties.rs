@@ -2,8 +2,8 @@
 //! seeded cases, and a failure names the seed that reproduces it.
 
 use datacron_geo::{
-    point_along, BoundingBox, CellId, GeoPoint, Grid, Polygon, RTree, RTreeEntry, Rng,
-    TimeInterval, TimeMs, EARTH_RADIUS_M,
+    point_along, BoundingBox, CellId, GeoPoint, Grid, Polygon, Rng, TimeInterval, TimeMs,
+    EARTH_RADIUS_M,
 };
 
 const CASES: u64 = 256;
@@ -194,61 +194,6 @@ fn cellid_pack_unpack() {
             y: rng.gen_range(0..=u32::MAX),
         };
         assert_eq!(CellId::unpack(c.pack()), c, "seed {seed}");
-    }
-}
-
-#[test]
-fn rtree_query_equals_linear_scan() {
-    for seed in 0..CASES {
-        let mut rng = Rng::seed_from_u64(seed);
-        let pts = arb_points(&mut rng, 0..200, arb_regional_point);
-        let q_lon = rng.gen_range(20.0..27.0);
-        let q_lat = rng.gen_range(34.0..40.0);
-        let w = rng.gen_range(0.0..3.0);
-        let h = rng.gen_range(0.0..3.0);
-        let query = BoundingBox::new(q_lon, q_lat, q_lon + w, q_lat + h);
-        let entries: Vec<RTreeEntry<usize>> = pts
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| RTreeEntry::point(p, i))
-            .collect();
-        let tree = RTree::bulk_load(entries);
-        let mut got: Vec<usize> = tree.query(&query).iter().map(|e| e.item).collect();
-        let mut want: Vec<usize> = pts
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| query.contains(p))
-            .map(|(i, _)| i)
-            .collect();
-        got.sort_unstable();
-        want.sort_unstable();
-        assert_eq!(got, want, "seed {seed}");
-    }
-}
-
-#[test]
-fn rtree_nearest_is_global_minimum() {
-    for seed in 0..CASES {
-        let mut rng = Rng::seed_from_u64(seed);
-        let pts = arb_points(&mut rng, 1..200, arb_regional_point);
-        let probe = arb_regional_point(&mut rng);
-        let entries: Vec<RTreeEntry<usize>> = pts
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| RTreeEntry::point(p, i))
-            .collect();
-        let tree = RTree::bulk_load(entries);
-        let (nearest, d) = tree.nearest(&probe, 1)[0];
-        let best = pts
-            .iter()
-            .map(|p| probe.fast_dist2_m2(p).sqrt())
-            .fold(f64::INFINITY, f64::min);
-        assert!((d - best).abs() < 1e-6, "seed {seed}");
-        let np = nearest.bbox.center();
-        assert!(
-            (probe.fast_dist2_m2(&np).sqrt() - best).abs() < 1e-6,
-            "seed {seed}"
-        );
     }
 }
 

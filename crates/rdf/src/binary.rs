@@ -236,6 +236,27 @@ mod tests {
         assert_eq!(g2.temporal().len(), g.temporal().len());
     }
 
+    /// A point literal with a NaN or infinite coordinate is indexed on an
+    /// edge cell and restores like any other; no box contains it.
+    #[test]
+    fn non_finite_point_literals_restore() {
+        use datacron_geo::BoundingBox;
+        let mut g = Graph::new();
+        let points = [(f64::NAN, 1.0), (f64::INFINITY, f64::NAN), (20.0, 37.0)];
+        for (i, (lon, lat)) in points.into_iter().enumerate() {
+            g.insert(
+                &Term::iri(format!("n{i}")),
+                &Term::iri("pos"),
+                &Term::point(GeoPoint::new(lon, lat)),
+            );
+        }
+        let g2 = from_binary(&to_binary(&g)).unwrap();
+        assert_eq!(g2.spatial().len(), 3);
+        let world = BoundingBox::new(-180.0, -90.0, 180.0, 90.0);
+        assert_eq!(g2.spatial().within(&world), g.spatial().within(&world));
+        assert_eq!(g2.spatial().within(&world).len(), 1);
+    }
+
     #[test]
     fn exotic_doubles_survive_exactly() {
         let mut g = Graph::new();

@@ -9,12 +9,14 @@
 //! * [`term`] / [`dict`] — RDF terms (IRIs, plain/typed literals including
 //!   **point** and **time** literals) and dictionary encoding onto dense
 //!   `u32` ids;
-//! * [`store`] — a triple store with SPO/POS/OSP sorted indexes, bulk load
-//!   and incremental insert (each index is a sorted base plus a small
-//!   delta: a commit merges its sorted batch into the delta, which folds
-//!   into the base once it grows past a fixed share of it);
-//! * [`index`] — secondary **spatial** (R-tree) and **temporal** (sorted
-//!   run) indexes over typed literals, powering filter pushdown;
+//! * [`store`] — a triple store with SPO/POS/OSP sorted indexes and the
+//!   literal indexes, bulk load and incremental insert (each index is a
+//!   sorted base plus a small delta: a commit merges its sorted batch into
+//!   the delta, which folds into the base once it grows past a fixed
+//!   share of it);
+//! * [`index`] — the secondary **spatial** (Z-order keys) and
+//!   **temporal** (instants) indexes over typed literals, read through
+//!   the graph's levels, powering filter pushdown;
 //! * [`query`] / [`parser`] — a SPARQL-subset AST and text syntax:
 //!   `SELECT ?v … WHERE { basic graph pattern }` plus `FILTER` comparisons
 //!   and the spatiotemporal builtins `st_within`, `st_near`, `t_between`;

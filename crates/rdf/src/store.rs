@@ -1,7 +1,9 @@
-//! The triple store: SPO/POS/OSP sorted indexes over dictionary-encoded ids.
+//! The triple store: SPO/POS/OSP sorted indexes over dictionary-encoded
+//! ids, and the spatial and temporal literal indexes, all in one two-level
+//! shape.
 
 use crate::dict::{Dictionary, TermId};
-use crate::index::{SpatialIndex, TemporalIndex};
+use crate::index::{instant_key, point_key, InstantKey, PointKey, SpatialIndex, TemporalIndex};
 use crate::merge::merge_sorted_run;
 use crate::term::Term;
 use datacron_geo::{FxHashMap, FxHashSet};
@@ -48,7 +50,7 @@ type Key = (u32, u32, u32);
 
 /// A planned committed-index scan: the chosen index, its component order,
 /// and the inclusive `lo..=hi` key bounds of the bound-component prefix.
-type PlannedRange<'a> = (&'a Levels, IndexOrder, Key, Key);
+type PlannedRange<'a> = (&'a Levels<Key>, IndexOrder, Key, Key);
 
 fn triple_of(k: Key, order: IndexOrder) -> Triple {
     let (s, p, o) = match order {
@@ -259,52 +261,77 @@ fn counting_sort(keys: &[Key], terms: usize, rekey: impl Fn(Key) -> Key) -> Vec<
 /// the value (DESIGN, "Commit merges").
 const FOLD_RATIO: usize = 32;
 
-/// One permutation index in two sorted levels: a large base and a small
-/// delta, disjoint. A commit merges into the delta, so its shifts follow
-/// the delta, not the store; the fold merges the delta into the base.
+/// One sorted index in two levels: a large base and a small delta,
+/// disjoint. A commit merges into the delta, so its shifts follow the
+/// delta, not the store; the fold merges the delta into the base. The five
+/// indexes of a [`Graph`] share this shape: SPO/POS/OSP over [`Key`]s, the
+/// spatial index over [`PointKey`]s, the temporal one over
+/// [`InstantKey`]s.
 #[derive(Debug, Default)]
-struct Levels {
-    base: Vec<Key>,
-    delta: Vec<Key>,
+struct Levels<K> {
+    base: Vec<K>,
+    delta: Vec<K>,
 }
 
-impl Levels {
-    /// True when either level holds `key`.
-    fn contains(&self, key: &Key) -> bool {
-        self.base.binary_search(key).is_ok() || self.delta.binary_search(key).is_ok()
+impl<K: Ord + Copy> Levels<K> {
+    /// Levels holding the sorted, duplicate-free `base` and no delta.
+    fn from_base(base: Vec<K>) -> Self {
+        Self {
+            base,
+            delta: Vec::new(),
+        }
     }
 
-    /// True when either level holds a key starting with `(a, b)`.
-    fn prefix2_present(&self, a: u32, b: u32) -> bool {
-        [&self.base, &self.delta].into_iter().any(|level| {
-            let i = level.partition_point(|&k| k < (a, b, 0));
-            matches!(level.get(i), Some(&(x, y, _)) if x == a && y == b)
-        })
+    /// Number of keys in both levels.
+    fn len(&self) -> usize {
+        self.base.len() + self.delta.len()
+    }
+
+    /// True when either level holds `key`.
+    fn contains(&self, key: &K) -> bool {
+        self.base.binary_search(key).is_ok() || self.delta.binary_search(key).is_ok()
     }
 
     /// Adds the sorted `run` (disjoint from both levels): straight into an
     /// empty base, else into the delta, which then folds into the base
-    /// when `fold` says so. [`merge_sorted_run`] does all three merges.
-    fn add(&mut self, run: &[Key], fold: bool) {
-        if self.base.is_empty() {
+    /// once it holds `1 / FOLD_RATIO` of it. [`merge_sorted_run`] does all
+    /// three merges. Returns whether the delta folded.
+    fn add(&mut self, run: &[K]) -> bool {
+        let fold = if self.base.is_empty() {
             merge_sorted_run(&mut self.base, run);
+            false
         } else {
             merge_sorted_run(&mut self.delta, run);
+            let fold = self.delta.len() * FOLD_RATIO >= self.base.len();
             if fold {
                 merge_sorted_run(&mut self.base, &self.delta);
                 self.delta.clear();
             }
-        }
+            fold
+        };
         // `run` is disjoint from both levels and duplicate-free, so
         // neither level has equal neighbours.
         debug_assert!(self.base.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(self.delta.windows(2).all(|w| w[0] < w[1]));
+        fold
+    }
+
+    /// Sorts the pending keys, adds them ([`Levels::add`]) and empties
+    /// `pending`. Returns whether the delta folded.
+    fn add_pending(&mut self, pending: &mut Vec<K>) -> bool {
+        if pending.is_empty() {
+            return false;
+        }
+        pending.sort_unstable();
+        let fold = self.add(pending);
+        pending.clear();
+        fold
     }
 
     /// The `lo..=hi` range of each level, found with binary searches
     /// (O(log n), no visiting).
-    fn range(&self, lo: Key, hi: Key) -> (&[Key], &[Key]) {
-        let of = |level: &'_ [Key]| -> (usize, usize) {
+    fn range(&self, lo: K, hi: K) -> (&[K], &[K]) {
+        let of = |level: &'_ [K]| -> (usize, usize) {
             (
                 level.partition_point(|&k| k < lo),
                 level.partition_point(|&k| k <= hi),
@@ -315,23 +342,43 @@ impl Levels {
     }
 }
 
-/// A dictionary-encoded RDF graph with three sorted permutation indexes and
-/// secondary spatiotemporal literal indexes.
+impl Levels<Key> {
+    /// True when either level holds a key starting with `(a, b)`.
+    fn prefix2_present(&self, a: u32, b: u32) -> bool {
+        [&self.base, &self.delta].into_iter().any(|level| {
+            let i = level.partition_point(|&k| k < (a, b, 0));
+            matches!(level.get(i), Some(&(x, y, _)) if x == a && y == b)
+        })
+    }
+}
+
+/// A dictionary-encoded RDF graph: three sorted permutation indexes and
+/// the spatial and temporal literal indexes, each a two-level [`Levels`].
 ///
-/// Writes go to an unsorted tail; [`Graph::commit`] sorts the tail and
-/// merges it into each index's small delta level in place, so a commit
-/// shifts the delta's keys, not the store's. Once the delta holds
-/// `1 / FOLD_RATIO` of the base, the commit also folds it into the base:
-/// an O(n) stall once per `n / FOLD_RATIO` new triples ([`Graph::folds`]
-/// counts them). Reads transparently search the tail and both levels, so
-/// interleaved insert/query is correct without explicit commits.
+/// Writes go to an unsorted tail, and a literal new to the dictionary is
+/// queued for its literal index; [`Graph::commit`] sorts the tail and each
+/// queue and merges them into each index's small delta level in place, so
+/// a commit shifts the delta's keys, not the store's. Once a delta holds
+/// `1 / FOLD_RATIO` of its base, the commit also folds it into the base:
+/// an O(n) stall once per `n / FOLD_RATIO` new keys ([`Graph::folds`]
+/// counts the permutation indexes'). Reads transparently search the tail,
+/// the queues and both levels, so interleaved insert/query is correct
+/// without explicit commits.
 #[derive(Debug, Default)]
 pub struct Graph {
     dict: Dictionary,
-    spo: Levels,
-    pos: Levels,
-    osp: Levels,
-    /// Folds of the delta levels into the base since this graph was built.
+    spo: Levels<Key>,
+    pos: Levels<Key>,
+    osp: Levels<Key>,
+    /// Point literals by Z-order key ([`SpatialIndex`]).
+    points: Levels<PointKey>,
+    /// Time literals by instant ([`TemporalIndex`]).
+    instants: Levels<InstantKey>,
+    /// Point and time literals encoded since the last commit (unsorted).
+    new_points: Vec<PointKey>,
+    new_instants: Vec<InstantKey>,
+    /// Folds of SPO's delta into its base since this graph was built; POS
+    /// and OSP hold the same triples and fold with it.
     folds: u64,
     /// Uncommitted triples (unsorted). Disjoint from the committed indexes
     /// and duplicate-free (enforced at insert), so `len` stays exact.
@@ -344,8 +391,6 @@ pub struct Graph {
     track_new: bool,
     /// Committed-but-not-yet-drained new triples (`PartitionedStore::ingest`).
     new_log: Vec<Triple>,
-    spatial: SpatialIndex,
-    temporal: TemporalIndex,
     len: usize,
 }
 
@@ -364,14 +409,14 @@ impl Graph {
     pub fn encode(&mut self, term: &Term) -> TermId {
         let known = self.dict.len();
         let id = self.dict.encode(term);
-        // Typed literals feed the secondary indexes on first encounter
-        // only: a repeated literal keeps its id and is already indexed.
+        // Typed literals are queued for the literal indexes on first
+        // encounter only: a repeated literal keeps its id and its key.
         if self.dict.len() > known {
             if let Some(p) = term.as_point() {
-                self.spatial.insert(id, p);
+                self.new_points.push(point_key(&p, id));
             }
             if let Some(t) = term.as_time() {
-                self.temporal.insert(id, t);
+                self.new_instants.push(instant_key(t, id));
             }
         }
         id
@@ -409,9 +454,11 @@ impl Graph {
         }
     }
 
-    /// Merges pending inserts into the sorted indexes and updates the
-    /// per-predicate statistics from the delta.
+    /// Merges pending inserts and queued literals into the sorted indexes
+    /// and updates the per-predicate statistics from the delta.
     pub fn commit(&mut self) {
+        self.points.add_pending(&mut self.new_points);
+        self.instants.add_pending(&mut self.new_instants);
         if self.tail.is_empty() {
             return;
         }
@@ -432,7 +479,7 @@ impl Graph {
     ///   distinct subjects, per `(s, p)` run) and one over POS (distinct
     ///   objects, per `(p, o)` run).
     /// - The spatial and temporal indexes take the dictionary's point
-    ///   and time literals in one R-tree bulk load and one sort.
+    ///   and time literals, one sort each.
     ///
     /// Everything lands in the base levels. Every id must be below
     /// `dict.len()`. The payload is not trusted to be duplicate-free: a
@@ -461,25 +508,23 @@ impl Graph {
         let (mut points, mut instants) = (Vec::new(), Vec::new());
         for (id, term) in dict.iter() {
             if let Some(p) = term.as_point() {
-                points.push((p, id));
+                points.push(point_key(&p, id));
             }
             if let Some(t) = term.as_time() {
-                instants.push((t, id));
+                instants.push(instant_key(t, id));
             }
         }
-        let level = |base| Levels {
-            base,
-            delta: Vec::new(),
-        };
+        points.sort_unstable();
+        instants.sort_unstable();
         Ok(Self {
             dict,
             len: spo.len(),
-            spo: level(spo),
-            pos: level(pos),
-            osp: level(osp),
+            spo: Levels::from_base(spo),
+            pos: Levels::from_base(pos),
+            osp: Levels::from_base(osp),
+            points: Levels::from_base(points),
+            instants: Levels::from_base(instants),
             pred_stats,
-            spatial: SpatialIndex::from_points(points),
-            temporal: TemporalIndex::from_instants(instants),
             ..Self::default()
         })
     }
@@ -517,9 +562,8 @@ impl Graph {
             }
         }
 
-        // All three indexes hold the same triples, so they fold together.
-        let fold = !self.spo.base.is_empty()
-            && (self.spo.delta.len() + new.len()) * FOLD_RATIO >= self.spo.base.len();
+        // All three indexes hold the same triples, so they fold together;
+        // SPO's fold is the one counted.
         let mut run = pairs;
         for order in [IndexOrder::Spo, IndexOrder::Pos, IndexOrder::Osp] {
             let index = match order {
@@ -529,11 +573,12 @@ impl Graph {
             };
             run.clear();
             run.extend(new.iter().map(|t| key_of(t, order)));
-            run.sort_unstable();
-            index.add(&run, fold);
+            let fold = index.add_pending(&mut run);
+            if order == IndexOrder::Spo {
+                self.folds += u64::from(fold);
+            }
         }
-        self.folds += u64::from(fold);
-        self.len = self.spo.base.len() + self.spo.delta.len();
+        self.len = self.spo.len();
         if self.track_new {
             self.new_log.extend_from_slice(new);
         }
@@ -563,9 +608,11 @@ impl Graph {
         self.len
     }
 
-    /// How many commits have folded the delta levels into the base since
-    /// this graph was built (a snapshot restore lands in the base without
-    /// one). Each is an O(n) stall of its commit.
+    /// How many commits have folded the permutation indexes' delta levels
+    /// into their bases since this graph was built (a snapshot restore
+    /// lands in the base without one). Each is an O(n) stall of its
+    /// commit. The literal indexes fold by the same rule on their own
+    /// sizes and are not counted here.
     pub fn folds(&self) -> u64 {
         self.folds
     }
@@ -586,14 +633,21 @@ impl Graph {
         self.len == 0
     }
 
-    /// The spatial literal index.
-    pub fn spatial(&self) -> &SpatialIndex {
-        &self.spatial
+    /// The spatial literal index: committed and queued point literals.
+    pub fn spatial(&self) -> SpatialIndex<'_> {
+        SpatialIndex {
+            sorted: [&self.points.base, &self.points.delta],
+            pending: &self.new_points,
+            dict: &self.dict,
+        }
     }
 
-    /// The temporal literal index.
-    pub fn temporal(&self) -> &TemporalIndex {
-        &self.temporal
+    /// The temporal literal index: committed and queued time literals.
+    pub fn temporal(&self) -> TemporalIndex<'_> {
+        TemporalIndex {
+            sorted: [&self.instants.base, &self.instants.delta],
+            pending: &self.new_instants,
+        }
     }
 
     /// Chooses the permutation index whose sort order makes the bound
@@ -893,6 +947,34 @@ mod tests {
             .between(&TimeInterval::new(TimeMs(1000), TimeMs(3000)));
         assert_eq!(hits.len(), 2);
         assert!(hits.contains(&time_id(1000).unwrap()) && hits.contains(&time_id(2000).unwrap()));
+    }
+
+    #[test]
+    fn levels_fold_on_their_own_sizes() {
+        // A base of 2 · FOLD_RATIO keys folds at the second delta key.
+        let n = 2 * FOLD_RATIO;
+        let mut levels = Levels::<usize>::default();
+        let run: Vec<usize> = (0..n).collect();
+        assert!(!levels.add(&run), "a run into an empty base does not fold");
+        assert_eq!((levels.base.len(), levels.delta.len()), (n, 0));
+        assert!(!levels.add(&[n + 10]));
+        assert_eq!((levels.base.len(), levels.delta.len()), (n, 1));
+        assert!(levels.add(&[n + 5]));
+        assert_eq!((levels.base.len(), levels.delta.len()), (n + 2, 0));
+        assert!(levels.contains(&(n + 5)) && levels.contains(&(n + 10)));
+    }
+
+    #[test]
+    fn commit_indexes_literals_encoded_without_a_triple() {
+        let mut g = Graph::new();
+        g.encode(&Term::point(GeoPoint::new(1.0, 2.0)));
+        g.encode(&Term::time(TimeMs(5)));
+        g.encode(&Term::time(TimeMs(5)));
+        assert_eq!((g.new_points.len(), g.new_instants.len()), (1, 1));
+        g.commit();
+        assert!(g.new_points.is_empty() && g.new_instants.is_empty());
+        assert_eq!((g.points.len(), g.instants.len()), (1, 1));
+        assert_eq!((g.len(), g.folds()), (0, 0));
     }
 
     #[test]

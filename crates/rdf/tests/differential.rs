@@ -2,10 +2,12 @@
 //! on seeded spatiotemporal BGPs. Every case is a connected BGP of one to
 //! three patterns carrying `st_within`, `st_near` or `t_between` filters,
 //! sometimes a comparison on a filtered variable, a `LIMIT` and a
-//! projection subset, over a graph whose committed triples sit in a
-//! folded base and a non-empty delta beside an uncommitted tail. Rows are
-//! compared decoded, at 1, 2 and 4 workers and at two morsel sizes, and
-//! `st_near` rows also against a brute-force haversine scan. The cases
+//! projection subset, over a graph whose committed triples and literals
+//! sit in a base that has absorbed two folds and a non-empty delta, beside
+//! an uncommitted tail. Rows are compared decoded, at 1, 2 and 4 workers
+//! and at two morsel sizes. Both engines read the same spatial and
+//! temporal indexes, so every unlimited case is also checked against a
+//! filter oracle that tests each decoded literal directly. The cases
 //! cover candidate sets both smaller than every pattern slice (the
 //! executor seeds from them) and at least as large as every slice (it
 //! scans one). `scripts/ci.sh` runs it in release too, where workers race.
@@ -43,9 +45,12 @@ fn insert_node(g: &mut Graph, rng: &mut Rng, i: usize, objects: usize) {
     }
 }
 
-/// A graph in all three states at once: a base that has absorbed a fold,
-/// a delta the last commit merged into (under `1/32` of the base, so it
-/// did not fold), and an uncommitted tail.
+/// A graph in all three states at once: a base that has absorbed two
+/// folds, a delta the last commit merged into (under `1/32` of the base,
+/// so it did not fold), and an uncommitted tail. Each node brings one or
+/// two fresh point literals, so each fold commit adds at least a fifth of
+/// the points already indexed and the spatial levels fold with the triple
+/// indexes; the 3-node delta commit adds too few to fold either.
 fn arb_graph(rng: &mut Rng) -> Graph {
     let mut g = Graph::new();
     let objects = rng.gen_range(8..40);
@@ -62,7 +67,13 @@ fn arb_graph(rng: &mut Rng) -> Graph {
     let delta = 3;
     let tail = rng.gen_range(2..6);
     let mut i = 0;
-    for (nodes, commit) in [(base, true), (fold, true), (delta, true), (tail, false)] {
+    for (nodes, commit) in [
+        (base, true),
+        (fold, true),
+        (fold, true),
+        (delta, true),
+        (tail, false),
+    ] {
         for _ in 0..nodes {
             insert_node(&mut g, rng, i, objects);
             i += 1;
@@ -71,7 +82,11 @@ fn arb_graph(rng: &mut Rng) -> Graph {
             g.commit();
         }
     }
-    assert_eq!(g.folds(), 1, "the second commit folds, the third does not");
+    assert_eq!(
+        g.folds(),
+        2,
+        "the second and third commits fold, the fourth does not"
+    );
     assert!(g.tail_len() > 0);
     g
 }
@@ -121,14 +136,7 @@ fn arb_bbox(rng: &mut Rng) -> BoundingBox {
     BoundingBox::new(lon, lat, lon + w, lat + h)
 }
 
-/// One case: the query plus, when it carries `st_near`, its centre and
-/// radius for the haversine oracle.
-struct Case {
-    q: SelectQuery,
-    near: Option<(GeoPoint, f64)>,
-}
-
-fn arb_case(rng: &mut Rng) -> Case {
+fn arb_case(rng: &mut Rng) -> SelectQuery {
     // A connected BGP: each further template shares a variable.
     let mut chosen = vec![rng.gen_range(0..TEMPLATES.len())];
     let size = rng.gen_range(1..=3usize);
@@ -147,7 +155,6 @@ fn arb_case(rng: &mut Rng) -> Case {
         vars
     };
     let mut q = SelectQuery::new(chosen.iter().map(|&t| pattern(t)).collect());
-    let mut near = None;
     if vars.contains(&"g") && rng.gen_bool(0.8) {
         q = if rng.gen_bool(0.6) {
             q.filter(FilterExpr::SpatialWithin {
@@ -157,7 +164,6 @@ fn arb_case(rng: &mut Rng) -> Case {
         } else {
             let center = GeoPoint::new(rng.gen_range(20.0..28.0), rng.gen_range(34.0..41.0));
             let radius_m = [2_000.0, 20_000.0, 80_000.0, 400_000.0][rng.gen_range(0..4usize)];
-            near = Some((center, radius_m));
             q.filter(FilterExpr::SpatialNear {
                 var: "g".into(),
                 center,
@@ -211,7 +217,7 @@ fn arb_case(rng: &mut Rng) -> Case {
     if rng.gen_bool(0.3) {
         q = q.with_limit(rng.gen_range(1..20));
     }
-    Case { q, near }
+    q
 }
 
 /// Each row decoded and rendered, so rows compare as term sets.
@@ -265,17 +271,44 @@ fn slice_widths(g: &Graph, q: &SelectQuery) -> Vec<usize> {
         .collect()
 }
 
-/// The `st_near` oracle: the query without its `st_near` filter, every
-/// variable projected, kept where `?g` lies within the radius by
-/// `haversine_m`, then projected as the query projects.
-fn near_oracle(g: &Graph, q: &SelectQuery, center: GeoPoint, radius_m: f64) -> Vec<String> {
+/// True when the decoded literal behind `id` satisfies the spatial or
+/// temporal filter `f`, tested directly on the value: `contains`,
+/// `haversine_m` or the half-open interval, with no index involved.
+fn holds(g: &Graph, f: &FilterExpr, id: TermId) -> bool {
+    let term = g.decode(id).unwrap();
+    match f {
+        FilterExpr::SpatialWithin { bbox, .. } => {
+            term.as_point().is_some_and(|p| bbox.contains(&p))
+        }
+        FilterExpr::SpatialNear {
+            center, radius_m, ..
+        } => term
+            .as_point()
+            .is_some_and(|p| p.haversine_m(center) <= *radius_m),
+        FilterExpr::TimeBetween { interval, .. } => {
+            term.as_time().is_some_and(|t| interval.contains(t))
+        }
+        FilterExpr::Compare { .. } => unreachable!("comparisons stay in the query"),
+    }
+}
+
+/// The filter oracle: the query without its `st_within`, `st_near` and
+/// `t_between` filters, every variable projected, kept where each of those
+/// filters holds on its variable's decoded literal ([`holds`]), then
+/// projected as the query projects. The reference engine answers only the
+/// unfiltered patterns, so a wrong candidate set from the spatial or
+/// temporal index cannot pass both sides.
+fn filter_oracle(g: &Graph, q: &SelectQuery) -> Vec<String> {
     let mut all = q.clone();
-    all.filters
-        .retain(|f| !matches!(f, FilterExpr::SpatialNear { .. }));
+    let (compares, st): (Vec<FilterExpr>, Vec<FilterExpr>) = q
+        .filters
+        .iter()
+        .cloned()
+        .partition(|f| matches!(f, FilterExpr::Compare { .. }));
+    all.filters = compares;
     all.vars.clear();
     let (wide, _) = execute_reference(g, &all);
     let col = |v: &str| wide.vars.iter().position(|w| w == v).unwrap();
-    let gi = col("g");
     let projected: Vec<usize> = if q.vars.is_empty() {
         (0..wide.vars.len()).collect()
     } else {
@@ -284,10 +317,7 @@ fn near_oracle(g: &Graph, q: &SelectQuery, center: GeoPoint, radius_m: f64) -> V
     let rows: Vec<Vec<TermId>> = wide
         .rows
         .iter()
-        .filter(|r| {
-            let point = g.decode(r[gi]).and_then(Term::as_point).unwrap();
-            point.haversine_m(&center) <= radius_m
-        })
+        .filter(|r| st.iter().all(|f| holds(g, f, r[col(f.var())])))
         .map(|r| projected.iter().map(|&i| r[i]).collect())
         .collect::<FxHashSet<_>>()
         .into_iter()
@@ -298,12 +328,14 @@ fn near_oracle(g: &Graph, q: &SelectQuery, center: GeoPoint, radius_m: f64) -> V
 
 #[test]
 fn morsel_executor_matches_the_reference_on_spatiotemporal_bgps() {
-    let (mut fewer, mut more, mut near_checked) = (0, 0, 0);
+    let (mut fewer, mut more) = (0, 0);
+    // Oracle checks per filter kind: `st_within`, `st_near`, `t_between`.
+    let mut checked = [0u64; 3];
     for graph_seed in 0..GRAPHS {
         let mut rng = Rng::seed_from_u64(graph_seed);
         let g = arb_graph(&mut rng);
         for query_seed in 0..QUERIES_PER_GRAPH {
-            let Case { q, near } = arb_case(&mut rng);
+            let q = arb_case(&mut rng);
             let case = format!("graph {graph_seed}, query {query_seed}: {q:?}");
 
             let smallest = candidate_sets(&g, &q).iter().map(FxHashSet::len).min();
@@ -323,9 +355,16 @@ fn morsel_executor_matches_the_reference_on_spatiotemporal_bgps() {
                 all.limit = None;
                 decoded(&g, &execute_reference(&g, &all).0)
             };
-            if let (Some((center, radius_m)), None) = (near, q.limit) {
-                assert_eq!(want, near_oracle(&g, &q, center, radius_m), "{case}");
-                near_checked += 1;
+            if q.limit.is_none() {
+                assert_eq!(want, filter_oracle(&g, &q), "{case}");
+                for f in &q.filters {
+                    match f {
+                        FilterExpr::SpatialWithin { .. } => checked[0] += 1,
+                        FilterExpr::SpatialNear { .. } => checked[1] += 1,
+                        FilterExpr::TimeBetween { .. } => checked[2] += 1,
+                        FilterExpr::Compare { .. } => {}
+                    }
+                }
             }
             for workers in [1, 2, 4] {
                 for morsel_triples in [5, DEFAULT_MORSEL_TRIPLES] {
@@ -355,8 +394,9 @@ fn morsel_executor_matches_the_reference_on_spatiotemporal_bgps() {
     }
     let cases = GRAPHS * QUERIES_PER_GRAPH;
     assert!(
-        fewer >= cases / 8 && more >= cases / 16 && near_checked >= cases / 16,
+        fewer >= cases / 8 && more >= cases / 16 && checked.iter().all(|&n| n >= cases / 16),
         "coverage: {fewer} cases with candidates fewer than every slice, {more} with \
-         candidates at least every slice, {near_checked} st_near oracle checks"
+         candidates at least every slice, {checked:?} st_within/st_near/t_between \
+         oracle checks"
     );
 }

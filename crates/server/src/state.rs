@@ -528,7 +528,7 @@ impl AnalyticsState {
     }
 
     /// Writes the state's counters into a scrape: the pipeline's lifetime
-    /// counts, the graph size, folds and R-tree builds, and the query
+    /// counts, the graph size and folds, and the query
     /// executor's totals.
     pub fn scrape_into(&self, sink: &mut Sink) {
         let m = self.pipeline.metrics();
@@ -541,10 +541,6 @@ impl AnalyticsState {
             ("datacron_pipeline_triples_total", m.triples),
             ("datacron_cep_pair_candidates_total", m.pair_candidates),
             ("datacron_graph_folds_total", graph.folds()),
-            (
-                "datacron_graph_spatial_builds_total",
-                graph.spatial().builds(),
-            ),
             (
                 "datacron_query_morsels_total",
                 self.query_morsels.load(Ordering::Relaxed),
@@ -699,7 +695,7 @@ mod tests {
     /// a brute-force `haversine_m` scan finds in range. At 60° N the
     /// circle is wider in longitude than 1.5× its radius in degrees of
     /// latitude: here the one vessel in range is 9 km due east of the
-    /// centre, in a graph of 9 001 points, so the R-tree holds it.
+    /// centre, in a graph of 9 001 committed points.
     #[test]
     fn sparql_st_near_matches_haversine_at_60_degrees_north() {
         let cfg = PipelineConfig {

@@ -96,7 +96,6 @@ fn metrics_exposition_covers_every_subsystem() {
         "# TYPE datacron_pipeline_reports_in_total counter",
         "# TYPE datacron_graph_triples gauge",
         "# TYPE datacron_graph_folds_total counter",
-        "# TYPE datacron_graph_spatial_builds_total counter",
         "# TYPE datacron_wal_bytes gauge",
         "# TYPE datacron_wal_fsyncs_total counter",
         "# TYPE datacron_wal_acks_parked_total counter",
@@ -486,9 +485,6 @@ fn stats_and_metrics_are_one_surface() {
     assert!(u64_at(&stats, "graph", "triples").unwrap() > 0);
     // One commit into an empty graph lands in the base: no fold.
     assert_eq!(u64_at(&stats, "graph", "folds"), Some(0));
-    // Fewer point literals than the spatial index's tail holds: no
-    // R-tree has been built yet.
-    assert_eq!(u64_at(&stats, "graph", "spatial_builds"), Some(0));
     let recovery = stats.get("storage").and_then(|s| s.get("recovery_us"));
     for phase in ["wal_open", "snapshot_load", "wal_read", "restore", "replay"] {
         assert!(recovery.and_then(|r| r.get(phase)).is_some(), "{stats}");

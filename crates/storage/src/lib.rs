@@ -105,13 +105,15 @@ pub struct Recovery {
     /// `Some(description)` when the log ended in a torn or corrupted
     /// record that was dropped (expected after a crash mid-append).
     pub truncation: Option<String>,
-    /// Time spent opening the log, µs: listing the segments and scanning
-    /// the newest one for a torn tail to cut.
+    /// Time spent opening the log, µs: listing the segments and reading
+    /// the newest one once, which cuts a torn tail and keeps its records
+    /// after the snapshot.
     pub wal_open_us: u64,
     /// Time spent clearing stale snapshot temporaries and reading and
-    /// verifying the newest snapshot file, µs.
+    /// verifying the newest snapshot file, µs. Runs before the log opens.
     pub snapshot_load_us: u64,
-    /// Time spent reading and verifying the WAL tail, µs.
+    /// Time spent reading and verifying the sealed WAL segments' records
+    /// after the snapshot, µs.
     pub wal_read_us: u64,
 }
 
@@ -211,21 +213,25 @@ impl Storage {
         for synced in [dir.as_path(), parent.unwrap_or(Path::new("."))] {
             disk.sync_dir(synced)?;
         }
+        // The snapshot first: its position is where replay starts, so the
+        // log's open-time read of the newest segment keeps what replay
+        // needs of it.
+        let load_begin = clock.now_us();
+        let snaps = SnapshotStore::open(dir.join("snapshots"), Arc::clone(&disk))?;
+        let snapshot = snaps.load_latest()?;
         let open_begin = clock.now_us();
-        let wal = Wal::open(
+        let from_seq = snapshot.as_ref().map_or(0, |(seq, _)| *seq);
+        let (wal, newest) = Wal::open(
             dir.join("wal"),
             WalConfig {
                 segment_bytes: cfg.segment_bytes,
                 fsync: cfg.fsync,
             },
-            Arc::clone(&disk),
+            disk,
+            from_seq,
         )?;
-        let load_begin = clock.now_us();
-        let snaps = SnapshotStore::open(dir.join("snapshots"), disk)?;
-        let snapshot = snaps.load_latest()?;
         let read_begin = clock.now_us();
-        let from_seq = snapshot.as_ref().map_or(0, |(seq, _)| *seq);
-        let replay = wal.replay_from(from_seq)?;
+        let replay = wal.replay(newest)?;
         let read_end = clock.now_us();
         // Open-time recovery already cut a torn/corrupt newest-segment
         // tail; corruption deeper in the log surfaces from replay.
@@ -263,8 +269,8 @@ impl Storage {
                 snapshot,
                 wal_tail: replay.records,
                 truncation,
-                wal_open_us: load_begin.saturating_sub(open_begin),
-                snapshot_load_us: read_begin.saturating_sub(load_begin),
+                wal_open_us: read_begin.saturating_sub(open_begin),
+                snapshot_load_us: open_begin.saturating_sub(load_begin),
                 wal_read_us: read_end.saturating_sub(read_begin),
             },
         ))
@@ -550,6 +556,33 @@ mod tests {
         assert_eq!(rec.wal_tail[0].1, b"batch-10");
         assert!(rec.truncation.is_none());
         assert_eq!(st.stats().records_since_snapshot, 3);
+    }
+
+    /// The tail after a snapshot comes from the sealed segments, read by
+    /// replay, and the newest one, read once by the log's open.
+    #[test]
+    fn recovery_tail_spans_sealed_segments_and_the_newest() {
+        let dir = TempDir::new("storage-tail-segments");
+        {
+            let (mut st, _) = Storage::open(dir.path(), cfg(0)).unwrap();
+            for _ in 0..20 {
+                st.append(&[0x11; 64]).unwrap();
+            }
+            st.install_snapshot(b"state-after-20").unwrap();
+            for i in 20..50u64 {
+                st.append(format!("batch-{i:02}-{}", "x".repeat(48)).as_bytes())
+                    .unwrap();
+            }
+            assert!(st.stats().segments > 2, "{} segments", st.stats().segments);
+            st.sync().unwrap();
+        }
+        let (st, rec) = Storage::open(dir.path(), cfg(0)).unwrap();
+        assert_eq!(rec.snapshot.map(|(seq, _)| seq), Some(20));
+        let seqs: Vec<u64> = rec.wal_tail.iter().map(|(s, _)| *s).collect();
+        assert_eq!(seqs, (20..50).collect::<Vec<_>>());
+        assert!(rec.wal_tail[29].1.starts_with(b"batch-49-"));
+        assert!(rec.truncation.is_none());
+        assert_eq!(st.stats().next_seq, 50);
     }
 
     #[test]

@@ -159,6 +159,49 @@ pub(crate) struct Replay {
     pub end: ReplayEnd,
 }
 
+/// The newest segment as [`Wal::open`] read it, for [`Wal::replay`]: the
+/// sequence number of its first record, if any, and its verified records
+/// at or past the replay start `from_seq`. Replay reads the sealed
+/// segments only and takes these, so a restart reads each segment once.
+#[derive(Debug)]
+pub(crate) struct NewestSegment {
+    from_seq: u64,
+    first: Option<u64>,
+    records: Vec<(u64, Vec<u8>)>,
+}
+
+impl NewestSegment {
+    /// [`scan_segment`] over the records read at open: the first must
+    /// carry `expect` when that is set, then each goes to `visit` until it
+    /// returns `false`.
+    fn scan(
+        self,
+        expect: &mut Option<u64>,
+        mut visit: impl FnMut(u64, Vec<u8>) -> bool,
+    ) -> SegmentEnd {
+        if let (Some(first), Some(e)) = (self.first, *expect) {
+            if first != e {
+                return SegmentEnd {
+                    offset: 0,
+                    corrupt: Some(format!("sequence break: got {first}, expected {expect:?}")),
+                };
+            }
+        }
+        let mut offset = 0;
+        for (seq, payload) in self.records {
+            offset += (RECORD_HEADER_BYTES + payload.len()) as u64;
+            *expect = Some(seq + 1);
+            if !visit(seq, payload) {
+                break;
+            }
+        }
+        SegmentEnd {
+            offset,
+            corrupt: None,
+        }
+    }
+}
+
 /// The segmented write-ahead log.
 #[derive(Debug)]
 pub(crate) struct Wal {
@@ -317,12 +360,16 @@ impl Wal {
     /// final record in the newest segment — the footprint of a crash
     /// mid-append — is truncated away so the log is immediately
     /// appendable; corruption deeper in the log is left for
-    /// [`Wal::replay_from`] to report.
+    /// [`Wal::replay`] to report. The same read of the newest segment
+    /// keeps its records at or past `from_seq` for [`Wal::replay`].
+    /// Whether to truncate is decided within that segment alone, without
+    /// the sequence chain from the sealed ones.
     pub(crate) fn open(
         dir: impl Into<PathBuf>,
         cfg: WalConfig,
         disk: Arc<dyn Disk>,
-    ) -> io::Result<Self> {
+        from_seq: u64,
+    ) -> io::Result<(Self, NewestSegment)> {
         let dir = dir.into();
         let mut segments: Vec<Segment> = fs::read_dir(&dir)?
             .filter_map(|e| e.ok())
@@ -345,13 +392,23 @@ impl Wal {
         }
 
         // Scan the newest segment: find the end of its last valid record,
-        // truncate anything after it, and learn the next sequence number.
+        // truncate anything after it, learn the next sequence number, and
+        // keep the records replay will want.
         // lint:allow(no_panic) a segment was pushed just above when the
         // directory scan found none, so the list is never empty here.
         let last = segments.last().expect("at least one segment");
         let mut next_seq = last.first_seq;
-        let end = scan_segment(last, &mut None, |seq, _| {
+        let mut newest = NewestSegment {
+            from_seq,
+            first: None,
+            records: Vec::new(),
+        };
+        let end = scan_segment(last, &mut None, |seq, payload| {
             next_seq = seq + 1;
+            newest.first.get_or_insert(seq);
+            if seq >= from_seq {
+                newest.records.push((seq, payload));
+            }
             true
         })?;
         let file = disk.open_append(&last.path)?;
@@ -382,7 +439,7 @@ impl Wal {
                 let commit = Arc::clone(&commit);
                 move || commit.run()
             })?;
-        Ok(Self {
+        let wal = Self {
             dir,
             cfg,
             disk,
@@ -396,7 +453,8 @@ impl Wal {
             append_lat: Arc::new(LatencyHistogram::new()),
             truncation_note,
             segments,
-        })
+        };
+        Ok((wal, newest))
     }
 
     /// The shared group-commit core (durable watermark, deferred acks,
@@ -539,11 +597,15 @@ impl Wal {
         Ok(())
     }
 
-    /// Replays every verified record with `seq >= from_seq`, in order,
-    /// stopping (never panicking) at the first record that fails its
-    /// checksum, breaks sequence monotonicity, or is torn.
-    pub(crate) fn replay_from(&self, from_seq: u64) -> io::Result<Replay> {
-        self.scan(from_seq, usize::MAX, usize::MAX)
+    /// Replays every verified record with `seq >= from_seq` (the position
+    /// [`Wal::open`] was given), in order, stopping (never panicking) at
+    /// the first record that fails its checksum, breaks sequence
+    /// monotonicity, or is torn. Reads the sealed segments; the newest
+    /// one's records are the ones `open` kept. A corrupt sealed segment
+    /// ends the replay there, and a newest segment whose first record does
+    /// not continue the sealed ones' chain is reported corrupt.
+    pub(crate) fn replay(&self, newest: NewestSegment) -> io::Result<Replay> {
+        self.scan(newest.from_seq, usize::MAX, usize::MAX, Some(newest))
     }
 
     /// First sequence number still present in the log: the first
@@ -571,12 +633,20 @@ impl Wal {
         max_records: usize,
         max_bytes: usize,
     ) -> io::Result<Vec<(u64, Vec<u8>)>> {
-        Ok(self.scan(from_seq, max_records, max_bytes)?.records)
+        Ok(self.scan(from_seq, max_records, max_bytes, None)?.records)
     }
 
     /// The one log scan behind replay and tailing: verified records with
     /// `seq >= from_seq` across the segments, in order, up to the bounds.
-    fn scan(&self, from_seq: u64, max_records: usize, max_bytes: usize) -> io::Result<Replay> {
+    /// The newest segment comes from `newest` when given, else from its
+    /// file.
+    fn scan(
+        &self,
+        from_seq: u64,
+        max_records: usize,
+        max_bytes: usize,
+        mut newest: Option<NewestSegment>,
+    ) -> io::Result<Replay> {
         let mut records = Vec::new();
         let mut bytes = 0usize;
         let mut full = false;
@@ -589,14 +659,18 @@ impl Wal {
                     continue;
                 }
             }
-            let end = scan_segment(seg, &mut expect, |seq, payload| {
+            let visit = |seq, payload: Vec<u8>| {
                 if seq >= from_seq {
                     bytes += payload.len();
                     records.push((seq, payload));
                     full = records.len() >= max_records.max(1) || bytes >= max_bytes.max(1);
                 }
                 !full
-            })?;
+            };
+            let end = match newest.take_if(|_| i + 1 == self.segments.len()) {
+                Some(newest) => newest.scan(&mut expect, visit),
+                None => scan_segment(seg, &mut expect, visit)?,
+            };
             if let Some(reason) = end.corrupt {
                 let end = ReplayEnd::Corrupt {
                     segment: seg.path.clone(),
@@ -661,7 +735,17 @@ mod tests {
     use std::io::Write;
 
     fn wal_in(dir: &TempDir, cfg: WalConfig) -> Wal {
-        Wal::open(dir.path(), cfg, Arc::new(StdDisk)).expect("open wal")
+        Wal::open(dir.path(), cfg, Arc::new(StdDisk), 0)
+            .expect("open wal")
+            .0
+    }
+
+    impl Wal {
+        /// Every verified record with `seq >= from_seq`, read from the
+        /// files as they are now, including what was appended since open.
+        fn replay_from(&self, from_seq: u64) -> io::Result<Replay> {
+            self.scan(from_seq, usize::MAX, usize::MAX, None)
+        }
     }
 
     #[test]
@@ -754,6 +838,102 @@ mod tests {
         assert_eq!(w.append(b"after-retire").unwrap(), 50);
     }
 
+    /// A log of several segments, closed: `(dir, segment paths)`.
+    fn closed_log(name: &str) -> (TempDir, Vec<PathBuf>) {
+        let dir = TempDir::new(name);
+        let paths = {
+            let mut w = wal_in(
+                &dir,
+                WalConfig {
+                    segment_bytes: 256,
+                    fsync: FsyncPolicy::Never,
+                },
+            );
+            for i in 0..40u64 {
+                w.append(format!("record-{i:04}-padding-padding").as_bytes())
+                    .unwrap();
+            }
+            w.segments.iter().map(|s| s.path.clone()).collect()
+        };
+        (dir, paths)
+    }
+
+    #[test]
+    fn reopen_replays_the_sealed_segments_and_the_newest_read_at_open() {
+        let (dir, paths) = closed_log("wal-reopen-replay");
+        assert!(paths.len() > 3, "{} segments", paths.len());
+        for from_seq in [0, 17, 39, 40] {
+            let (w, newest) = Wal::open(
+                dir.path(),
+                WalConfig::default(),
+                Arc::new(StdDisk),
+                from_seq,
+            )
+            .unwrap();
+            let kept = newest.records.len();
+            let replay = w.replay(newest).unwrap();
+            assert_eq!(replay.end, ReplayEnd::Clean);
+            let seqs: Vec<u64> = replay.records.iter().map(|r| r.0).collect();
+            assert_eq!(seqs, (from_seq..40).collect::<Vec<_>>(), "from {from_seq}");
+            assert_eq!(replay.records, w.replay_from(from_seq).unwrap().records);
+            assert!(kept > 0 || from_seq == 40);
+        }
+    }
+
+    #[test]
+    fn a_corrupt_sealed_segment_ends_the_replay_there() {
+        let (dir, paths) = closed_log("wal-sealed-corrupt");
+        let victim = &paths[1];
+        let mut bytes = fs::read(victim).unwrap();
+        bytes[RECORD_HEADER_BYTES + 2] ^= 0x01;
+        fs::write(victim, &bytes).unwrap();
+        let (w, newest) =
+            Wal::open(dir.path(), WalConfig::default(), Arc::new(StdDisk), 0).unwrap();
+        assert!(w.truncation_note().is_none(), "the newest segment is whole");
+        let replay = w.replay(newest).unwrap();
+        let first_of_victim =
+            parse_segment_name(victim.file_name().unwrap().to_str().unwrap()).unwrap();
+        assert_eq!(
+            replay.records.last().map(|r| r.0 + 1),
+            Some(first_of_victim)
+        );
+        match replay.end {
+            ReplayEnd::Corrupt {
+                segment, offset, ..
+            } => {
+                assert_eq!((&segment, offset), (victim, 0));
+            }
+            ReplayEnd::Clean => panic!("a corrupt sealed segment must end the replay"),
+        }
+    }
+
+    #[test]
+    fn a_newest_segment_that_breaks_the_chain_is_corrupt() {
+        let (dir, paths) = closed_log("wal-newest-chain");
+        // The last sealed segment goes: the sealed chain now ends short of
+        // the newest segment's first record.
+        fs::remove_file(&paths[paths.len() - 2]).unwrap();
+        let (w, newest) =
+            Wal::open(dir.path(), WalConfig::default(), Arc::new(StdDisk), 0).unwrap();
+        assert!(
+            w.truncation_note().is_none(),
+            "the newest segment alone is valid"
+        );
+        let replay = w.replay(newest).unwrap();
+        match replay.end {
+            ReplayEnd::Corrupt {
+                segment,
+                offset,
+                reason,
+            } => {
+                assert_eq!((&segment, offset), (paths.last().unwrap(), 0));
+                assert!(reason.contains("sequence break"), "{reason}");
+            }
+            ReplayEnd::Clean => panic!("the chain break must be reported"),
+        }
+        assert_eq!(replay.records, w.replay_from(0).unwrap().records);
+    }
+
     #[test]
     fn torn_tail_is_truncated_on_open() {
         let dir = TempDir::new("wal-torn");
@@ -842,7 +1022,9 @@ mod tests {
     fn failed_fsync_poisons_permanently() {
         let dir = TempDir::new("wal-poison");
         let disk = FaultDisk::new();
-        let mut w = Wal::open(dir.path(), WalConfig::default(), disk.clone()).unwrap();
+        let mut w = Wal::open(dir.path(), WalConfig::default(), disk.clone(), 0)
+            .unwrap()
+            .0;
         assert_eq!(w.append(b"good").unwrap(), 0);
         let fsyncs_before_failure = w.fsync_latency().count();
 
@@ -873,7 +1055,9 @@ mod tests {
     fn short_write_poisons_and_reopen_cuts_the_torn_record() {
         let dir = TempDir::new("wal-short-write");
         let disk = FaultDisk::new();
-        let mut w = Wal::open(dir.path(), WalConfig::default(), disk.clone()).unwrap();
+        let mut w = Wal::open(dir.path(), WalConfig::default(), disk.clone(), 0)
+            .unwrap()
+            .0;
         for i in 0..3u64 {
             assert_eq!(w.append(format!("rec-{i}").as_bytes()).unwrap(), i);
         }

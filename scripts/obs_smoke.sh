@@ -122,8 +122,7 @@ PAIRS=(
   '"last_snapshot_seq": datacron_storage_last_snapshot_seq'
   '"reports_in": datacron_pipeline_reports_in_total'
   '"graph":{"folds": datacron_graph_folds_total'
-  '"spatial_builds": datacron_graph_spatial_builds_total'
-  '"spatial_builds":[0-9]*,"triples": datacron_graph_triples'
+  '"folds":[0-9]*,"triples": datacron_graph_triples'
 )
 
 request '{"type":"metrics"}'
@@ -136,7 +135,6 @@ for family in \
   '# TYPE datacron_net_loop_latency_us summary' \
   '# TYPE datacron_graph_triples gauge' \
   '# TYPE datacron_graph_folds_total counter' \
-  '# TYPE datacron_graph_spatial_builds_total counter' \
   '# TYPE datacron_wal_bytes gauge' \
   '# TYPE datacron_wal_fsync_latency_us summary' \
   '# TYPE datacron_wal_acks_parked_total counter' \
