@@ -1,22 +1,22 @@
-//! E5 timing: triple-store load and query answering, with the partitioning
-//! ablation (A2), and the cost of committing serving-sized batches into a
-//! store of a given size, folds included (`commit_tail`), and into a
-//! spatial index growing to 1M point literals (`commit_tail/points_1M`).
+//! E5 timing: triple-store load, the six E5 query templates on the one
+//! graph (the E5 store, one inline worker), and the cost of committing
+//! serving-sized batches into a store of a given size, folds included
+//! (`commit_tail`), and into a spatial index growing to 1M point literals
+//! (`commit_tail/points_1M`).
 
-use datacron_bench::{bench, maritime_small, reports_of};
+use datacron_bench::{bench, maritime_small, maritime_workload, reports_of};
 use datacron_geo::{GeoPoint, Rng, TimeMs};
 use datacron_model::{NavStatus, ObjectId, PositionReport, SourceId};
 use datacron_obs::Stopwatch;
-use datacron_rdf::{
-    execute, parse_query, Graph, HashPartitioner, PartitionedStore, SpatialGridPartitioner,
-    TemporalPartitioner, Term,
-};
+use datacron_rdf::{execute, parse_query, Graph, Term};
 use datacron_transform::RdfMapper;
 use std::hint::black_box;
 use std::time::Duration;
 
-fn build_graph() -> (Graph, datacron_geo::BoundingBox) {
-    let data = maritime_small();
+/// The E5 store: the standard maritime workload mapped to RDF (≈ 682k
+/// triples).
+fn build_graph() -> Graph {
+    let data = maritime_workload(1);
     let reports = reports_of(&data);
     let mut graph = Graph::new();
     let mut mapper = RdfMapper::new();
@@ -27,11 +27,11 @@ fn build_graph() -> (Graph, datacron_geo::BoundingBox) {
         mapper.map_report(&mut graph, r, None);
     }
     graph.commit();
-    (graph, data.world.region)
+    graph
 }
 
 fn bench_rdf() {
-    let (graph, region) = build_graph();
+    let graph = build_graph();
 
     let data = maritime_small();
     let reports = reports_of(&data);
@@ -47,44 +47,16 @@ fn bench_rdf() {
 
     let queries = [
         ("q1_lookup", "SELECT ?n WHERE { ?n da:ofMovingObject da:obj/7 }"),
-        ("q2_star", "SELECT ?v ?name WHERE { ?v da:name ?name . ?v rdf:type da:Vessel }"),
+        ("q2_star", "SELECT ?v ?name ?flag WHERE { ?v da:name ?name . ?v da:flag ?flag . ?v rdf:type da:Vessel }"),
+        ("q3_filter", "SELECT ?n ?s WHERE { ?n da:speed ?s . FILTER (?s > 8.0) }"),
         ("q4_spatial", "SELECT ?n WHERE { ?n da:hasGeometry ?g . FILTER st_within(?g, 23.2, 37.4, 24.2, 38.4) }"),
         ("q5_temporal", "SELECT ?n WHERE { ?n da:hasTemporalFeature ?t . FILTER t_between(?t, 0, 3600000) }"),
-        ("q6_spatiotemporal", "SELECT ?n WHERE { ?n da:hasGeometry ?g . ?n da:hasTemporalFeature ?t . FILTER st_within(?g, 23.2, 37.4, 24.7, 38.9) FILTER t_between(?t, 0, 3600000) }"),
+        ("q6_spatiotemporal", "SELECT ?n WHERE { ?n da:hasGeometry ?g . ?n da:hasTemporalFeature ?t . FILTER st_within(?g, 23.2, 37.4, 24.7, 38.9) FILTER t_between(?t, 0, 7200000) }"),
     ];
     for (name, text) in queries {
         let q = parse_query(text).unwrap();
         bench(&format!("rdf/{name}"), 0, || {
             execute(&graph, black_box(&q)).0.len()
-        });
-    }
-
-    // Partitioning ablation on the spatial query.
-    let q = parse_query(queries[2].1).unwrap();
-    let stores = vec![
-        (
-            "hash",
-            PartitionedStore::build(&graph, Box::new(HashPartitioner::new(4))),
-        ),
-        (
-            "spatial",
-            PartitionedStore::build(
-                &graph,
-                Box::new(SpatialGridPartitioner::new(4, region, 0.5)),
-            ),
-        ),
-        (
-            "temporal",
-            PartitionedStore::build(
-                &graph,
-                Box::new(TemporalPartitioner::new(4, TimeMs(0), 30 * 60_000)),
-            ),
-        ),
-    ];
-    for (name, store) in &stores {
-        bench(&format!("rdf/partitioned_spatial_query/{name}"), 0, || {
-            let answer = store.execute(black_box(&q)).expect("a subject star");
-            answer.0.rows.len()
         });
     }
 }

@@ -1,4 +1,4 @@
-//! E14 — query latency vs. store size vs. partition count.
+//! E14 — query latency vs. store size.
 //!
 //! ```sh
 //! cargo run --release -p datacron-bench --bin query_latency           # full (up to 1M triples)
@@ -13,15 +13,13 @@
 //! serialize the query), compares the morsel planner's planning time
 //! against the retained reference planner (`fast_us` in the JSON is the
 //! morsel planner; the key predates the single-engine layout), sweeps the
-//! hash-partition count (star3 on a `PartitionedStore`) and the worker
-//! count (1 → 8 on the single graph, with `host_cores` recorded so flat
-//! curves on small hosts read as what they are), and writes everything
-//! to `BENCH_query.json` at the repo root.
+//! worker count (1 → 8 on the one graph, with `host_cores` recorded so
+//! flat curves on small hosts read as what they are), and writes
+//! everything to `BENCH_query.json` at the repo root.
 
 use datacron_geo::{GeoPoint, TimeMs};
 use datacron_rdf::{
-    execute, execute_morsel, execute_reference, parse_query, Graph, HashPartitioner, MorselConfig,
-    PartitionedStore, SelectQuery, Term,
+    execute, execute_morsel, execute_reference, parse_query, Graph, MorselConfig, SelectQuery, Term,
 };
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -170,36 +168,6 @@ fn planning_comparison(g: &Graph, q: &SelectQuery, iters: usize) -> (u64, u64) {
     (percentile(&morsel, 50.0), percentile(&reference, 50.0))
 }
 
-struct SweepResult {
-    partitions: usize,
-    p50_us: u64,
-    partitions_probed: usize,
-}
-
-fn partition_sweep(g: &Graph, q: &SelectQuery, iters: usize) -> Vec<SweepResult> {
-    [1usize, 2, 4, 8]
-        .into_iter()
-        .map(|n| {
-            let store = PartitionedStore::build(g, Box::new(HashPartitioner::new(n)));
-            let mut lat = Vec::with_capacity(iters);
-            let mut probed = 0;
-            let _ = store.execute(q).expect("star3 is a subject star");
-            for _ in 0..iters {
-                let t = Instant::now();
-                let (_, stats) = store.execute(q).expect("star3 is a subject star");
-                lat.push(t.elapsed().as_micros() as u64);
-                probed = stats.partitions_probed;
-            }
-            lat.sort_unstable();
-            SweepResult {
-                partitions: n,
-                p50_us: percentile(&lat, 50.0),
-                partitions_probed: probed,
-            }
-        })
-        .collect()
-}
-
 struct WorkerSweepResult {
     workers: usize,
     p50_us: u64,
@@ -294,14 +262,6 @@ fn main() {
             "  planning star3: morsel planner {fast_us}us vs reference {reference_us}us ({speedup:.1}x)"
         );
 
-        let sweep = partition_sweep(&g, star3, iters.min(20));
-        for s in &sweep {
-            eprintln!(
-                "  partitions={} p50 {}us probed {}",
-                s.partitions, s.p50_us, s.partitions_probed
-            );
-        }
-
         let wsweep = worker_sweep(&g, star3, iters.min(20));
         let base = wsweep.first().map(|w| w.p50_us).unwrap_or(0);
         for w in &wsweep {
@@ -338,18 +298,7 @@ fn main() {
             out,
             "      ],\n      \"planning_comparison_star3\": {{\"fast_us\": {fast_us}, \"reference_us\": {reference_us}, \"speedup\": {speedup:.2}}},\n"
         );
-        out.push_str("      \"partition_sweep\": [\n");
-        for (pi, s) in sweep.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "        {{\"partitions\": {}, \"p50_us\": {}, \"partitions_probed\": {}}}{}",
-                s.partitions,
-                s.p50_us,
-                s.partitions_probed,
-                if pi + 1 < sweep.len() { "," } else { "" }
-            );
-        }
-        out.push_str("      ],\n      \"worker_sweep\": [\n");
+        out.push_str("      \"worker_sweep\": [\n");
         for (wi, w) in wsweep.iter().enumerate() {
             let _ = writeln!(
                 out,

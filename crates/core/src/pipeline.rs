@@ -186,9 +186,9 @@ pub struct IngestOutcome {
     /// Events recognised while processing the batch.
     pub events: Vec<EventRecord>,
     /// The encoded triples this batch committed, in commit order. Empty
-    /// unless [`Pipeline::track_new_triples`] is on; used by
-    /// `PartitionedStore::ingest` callers to keep a partitioned copy in
-    /// sync without re-scanning the graph.
+    /// unless [`Pipeline::track_new_triples`] is on, which only the
+    /// benchmark harness's traced replay turns on, to keep its partition
+    /// copy in sync without re-scanning the graph.
     pub new_triples: Vec<Triple>,
 }
 
@@ -390,7 +390,8 @@ impl Pipeline {
     /// Turns the commit log on or off. While on, every commit appends the
     /// newly merged triples to a log that the next [`Pipeline::ingest_batch`]
     /// drains into [`IngestOutcome::new_triples`]. Off by default (the
-    /// server leaves it off); used by `PartitionedStore::ingest` callers.
+    /// server leaves it off); the benchmark harness's traced replay turns
+    /// it on.
     pub fn track_new_triples(&mut self, on: bool) {
         self.graph.track_new_triples(on);
     }

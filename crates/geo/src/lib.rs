@@ -4,13 +4,12 @@
 //!
 //! * [`GeoPoint`] / [`GeoPoint3`] — positions on a spherical Earth, with
 //!   great-circle distance, bearing and destination-point math.
-//! * [`BoundingBox`] / [`SpaceTimeBox`] — axis-aligned spatial and
-//!   spatiotemporal envelopes.
+//! * [`BoundingBox`] — axis-aligned spatial envelopes.
 //! * [`Polygon`] — simple polygons with point-in-polygon tests (used for
 //!   zones of interest: ports, sectors, protected areas).
 //! * [`Grid`] / [`CellId`] — equi-angular space tiling used for blocking in
-//!   link discovery, spatial RDF partitioning, Markov-grid forecasting and
-//!   heatmap aggregation.
+//!   link discovery, Markov-grid forecasting, the CEP pair detectors' cell
+//!   indexes and heatmap aggregation.
 //! * [`TimeMs`] / [`TimeInterval`] — millisecond timestamps and intervals
 //!   with the Allen interval relations.
 //!
@@ -36,7 +35,7 @@ pub mod rng;
 pub mod time;
 pub mod units;
 
-pub use bbox::{BoundingBox, SpaceTimeBox};
+pub use bbox::BoundingBox;
 pub use grid::{CellId, Grid};
 pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use interp::{lerp, point_along, position3_at_time, position_at_time};

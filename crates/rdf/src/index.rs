@@ -201,7 +201,10 @@ impl SpatialIndex<'_> {
         // Prefilter by the box around the radius and its copies 360° east
         // and west (they hold points only where the box crosses the
         // antimeridian, and the edge cells past ±180°); refine by distance.
-        let reach = BoundingBox::around(center, radius_m);
+        // The box is built around the centre's longitude wrapped into
+        // [-180°, 180°), as the haversine distance sees it (-356° is 4°).
+        let lon = (center.lon + 180.0).rem_euclid(360.0) - 180.0;
+        let reach = BoundingBox::around(&GeoPoint::new(lon, center.lat), radius_m);
         let mut out = FxHashSet::default();
         for shift in [0.0, 360.0, -360.0] {
             let bbox = BoundingBox {

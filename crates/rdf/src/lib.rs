@@ -1,10 +1,14 @@
-//! A spatiotemporal RDF store with partitioning and parallel querying.
+//! A spatiotemporal RDF store with parallel querying.
 //!
 //! datAcron's query-answering component "provides parallel query processing
 //! techniques for spatio-temporal query languages over interlinked data
 //! stored in parallel RDF stores, using sophisticated RDF partitioning
-//! algorithms". This crate is that component, scaled to a multi-core
-//! machine:
+//! algorithms". This crate is that component on one multi-core machine:
+//! the parallelism is the morsel executor's work-stealing pool over one
+//! graph, and the pruning is its spatial and temporal indexes. Partitioning
+//! is placement for a multi-host deployment (parked): alone on one host,
+//! every partitioned store was slower on every E5 template (EXPERIMENTS
+//! E5).
 //!
 //! * [`term`] / [`dict`] — RDF terms (IRIs, plain/typed literals including
 //!   **point** and **time** literals) and dictionary encoding onto dense
@@ -25,15 +29,9 @@
 //!   and [`execute_reference`], the unoptimised oracle the suites compare
 //!   against;
 //! * [`morsel`] — the one optimised BGP engine: greedy join ordering from
-//!   index statistics, spatial/temporal pushdown, index nested loops over
-//!   fixed-size seed-scan morsels on a work-stealing pool, reusable flat
-//!   binding buffers, eager filters and hinted probes;
-//! * [`partition`] — the partitioning algorithms under evaluation: hash by
-//!   subject, spatial grid by subject home location, temporal range;
-//! * [`parallel`] — a partitioned store that answers subject-star queries
-//!   exactly, one partition after another on the morsel pool (pruned by
-//!   each partition's own spatial and temporal indexes), and
-//!   refuses every other query shape ([`NotAStar`]);
+//!   index statistics, spatial/temporal pushdown and candidate seeding,
+//!   index nested loops over fixed-size morsels on a work-stealing pool,
+//!   reusable flat binding buffers, eager filters and hinted probes;
 //! * [`ntriples`] / [`binary`] — text and compact binary serialization of
 //!   a whole graph (dictionary included), the formats the storage layer
 //!   snapshots and the durability tests round-trip.
@@ -49,8 +47,8 @@ pub mod index;
 mod merge;
 pub mod morsel;
 pub mod ntriples;
-pub mod parallel;
 pub mod parser;
+#[doc(hidden)]
 pub mod partition;
 pub mod query;
 pub mod store;
@@ -61,9 +59,9 @@ pub use dict::{Dictionary, TermId};
 pub use engine::{execute, execute_reference, Bindings, QueryStats};
 pub use morsel::{execute_morsel, MorselConfig, MorselStats, DEFAULT_MORSEL_TRIPLES};
 pub use ntriples::{from_ntriples, to_ntriples};
-pub use parallel::{DecodedBindings, NotAStar, PartitionedStats, PartitionedStore};
 pub use parser::parse_query;
-pub use partition::{HashPartitioner, Partitioner, SpatialGridPartitioner, TemporalPartitioner};
+#[doc(hidden)]
+pub use partition::{HashPartitioner, PartitionedStore};
 pub use query::{FilterExpr, PatternTerm, SelectQuery, TriplePattern};
 pub use store::{Graph, PatternSlice, PredicateStats, ProbeHint, Triple};
 pub use term::{Literal, Term};

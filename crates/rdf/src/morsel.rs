@@ -160,6 +160,13 @@ impl Step {
     fn probe(&self, row: &[Option<TermId>]) -> (Option<TermId>, Option<TermId>, Option<TermId>) {
         (self.s.probe(row), self.p.probe(row), self.o.probe(row))
     }
+
+    /// True when the variable `vi` occurs in the pattern.
+    fn mentions(&self, vi: usize) -> bool {
+        [self.s, self.p, self.o]
+            .into_iter()
+            .any(|slot| matches!(slot, Slot::Var(v) if v == vi))
+    }
 }
 
 /// Graph-independent query analysis: variable table, projection, eager
@@ -306,16 +313,9 @@ fn join_order(
 ) -> Vec<Step> {
     let mut steps = Vec::with_capacity(remaining.len());
     while remaining.len() > 1 {
-        let mentions = |step: &Step| {
-            first_mentions.is_none_or(|vi| {
-                [step.s, step.p, step.o]
-                    .into_iter()
-                    .any(|slot| matches!(slot, Slot::Var(v) if v == vi))
-            })
-        };
         let mut best: Option<(usize, f64)> = None;
         for (ri, step) in remaining.iter().enumerate() {
-            if !mentions(step) {
+            if !first_mentions.is_none_or(|vi| step.mentions(vi)) {
                 continue;
             }
             let cost = step_cost(g, shape, candidates, step, &bound);
@@ -343,10 +343,12 @@ fn join_order(
 /// absent from the dictionary) and the pushdown candidate count (counted
 /// even for a missing constant, matching the reference engine's accounting).
 ///
-/// The seed is the greedy first step's slice, unless a variable's
-/// pushdown candidates are fewer than that slice's triples: then the
+/// The seed is the greedy first step's slice, unless a variable of that
+/// step has pushdown candidates fewer than the slice's triples: then the
 /// smallest such set seeds the join, the first step is the cheapest one
 /// mentioning its variable, and the rest follow greedily with it bound.
+/// That step's cost weighs each candidate by its fan-out, so instants a
+/// whole fleet shares do not seed ahead of points of one node each.
 fn plan_graph<'a>(g: &'a Graph, q: &SelectQuery, shape: &Shape<'_>) -> (Option<Plan<'a>>, usize) {
     if !shape.valid {
         return (None, 0);
@@ -388,6 +390,7 @@ fn plan_graph<'a>(g: &'a Graph, q: &SelectQuery, shape: &Shape<'_>) -> (Option<P
     let slice = g.pattern_slice(s, p, o);
     let smallest = candidates
         .iter()
+        .filter(|&(&vi, _)| first.mentions(vi))
         .min_by_key(|&(&vi, set)| (set.len(), vi))
         .filter(|(_, set)| set.len() < slice.len() + g.tail_len());
     let plan = match smallest {

@@ -389,7 +389,7 @@ pub struct Graph {
     pred_stats: FxHashMap<u32, PredicateStats>,
     /// When true, commits append newly added triples to `new_log`.
     track_new: bool,
-    /// Committed-but-not-yet-drained new triples (`PartitionedStore::ingest`).
+    /// Committed-but-not-yet-drained new triples.
     new_log: Vec<Triple>,
     len: usize,
 }
@@ -586,9 +586,9 @@ impl Graph {
 
     /// Enables (or disables) the commit log: while enabled, every commit
     /// appends the newly added triples to an internal log drained by
-    /// [`Graph::take_new_triples`]. Used by `PartitionedStore::ingest`
-    /// callers to keep a partitioned copy in sync without rescanning the
-    /// graph.
+    /// [`Graph::take_new_triples`]. The benchmark harness's traced replay
+    /// uses it to keep its hash-placed partition copy (`partition.rs`) in
+    /// sync without rescanning the graph; the server leaves it off.
     pub fn track_new_triples(&mut self, on: bool) {
         self.track_new = on;
         if !on {

@@ -1,16 +1,21 @@
 //! Differential suite: the morsel executor against the reference engine
-//! on seeded spatiotemporal BGPs. Every case is a connected BGP of one to
-//! three patterns carrying `st_within`, `st_near` or `t_between` filters,
-//! sometimes a comparison on a filtered variable, a `LIMIT` and a
-//! projection subset, over a graph whose committed triples and literals
-//! sit in a base that has absorbed two folds and a non-empty delta, beside
-//! an uncommitted tail. Rows are compared decoded, at 1, 2 and 4 workers
-//! and at two morsel sizes. Both engines read the same spatial and
-//! temporal indexes, so every unlimited case is also checked against a
-//! filter oracle that tests each decoded literal directly. The cases
+//! on seeded BGPs, over graphs whose committed triples and literals sit
+//! in a base that has absorbed two folds and a non-empty delta, beside an
+//! uncommitted tail. Rows are compared decoded, at 1, 2 and 4 workers and
+//! at two morsel sizes. `scripts/ci.sh` runs it in release too, where
+//! workers race.
+//!
+//! The first property draws spatiotemporal cases: connected BGPs of one
+//! to three patterns carrying `st_within`, `st_near` or `t_between`
+//! filters, sometimes a comparison on a filtered variable, a `LIMIT` and
+//! a projection subset. Both engines read the same spatial and temporal
+//! indexes, so every unlimited case is also checked against a filter
+//! oracle that tests each decoded literal directly (`st_near` centres
+//! include ones given a turn or two of 360° off the globe). The cases
 //! cover candidate sets both smaller than every pattern slice (the
 //! executor seeds from them) and at least as large as every slice (it
-//! scans one). `scripts/ci.sh` runs it in release too, where workers race.
+//! scans one). The second draws unfiltered stars, paths, unknown
+//! constants and the empty BGP.
 
 use datacron_geo::{BoundingBox, FxHashSet, GeoPoint, Rng, TimeInterval, TimeMs};
 use datacron_rdf::query::CmpOp;
@@ -162,7 +167,18 @@ fn arb_case(rng: &mut Rng) -> SelectQuery {
                 bbox: arb_bbox(rng),
             })
         } else {
-            let center = GeoPoint::new(rng.gen_range(20.0..28.0), rng.gen_range(34.0..41.0));
+            // Sometimes the centre is given one or two turns of 360° away:
+            // `st_near` takes any longitude, and the haversine distance
+            // does not see the turns.
+            let turns = if rng.gen_bool(0.5) {
+                [-2.0, -1.0, 1.0, 2.0][rng.gen_range(0..4usize)]
+            } else {
+                0.0
+            };
+            let center = GeoPoint::new(
+                rng.gen_range(20.0..28.0) + turns * 360.0,
+                rng.gen_range(34.0..41.0),
+            );
             let radius_m = [2_000.0, 20_000.0, 80_000.0, 400_000.0][rng.gen_range(0..4usize)];
             q.filter(FilterExpr::SpatialNear {
                 var: "g".into(),
@@ -326,11 +342,48 @@ fn filter_oracle(g: &Graph, q: &SelectQuery) -> Vec<String> {
     decoded(g, &Bindings { vars, rows })
 }
 
+/// The morsel executor's rows for `q` at 1, 2 and 4 workers and at two
+/// morsel sizes against `execute_reference`'s: the same projected
+/// variables and the same decoded row set, or under `LIMIT` some
+/// `min(limit, distinct)` rows of the unlimited answer, none twice.
+fn assert_matches_reference(g: &Graph, q: &SelectQuery, case: &str) {
+    let (reference, _) = execute_reference(g, q);
+    let want = decoded(g, &reference);
+    let unlimited = {
+        let mut all = q.clone();
+        all.limit = None;
+        decoded(g, &execute_reference(g, &all).0)
+    };
+    for workers in [1, 2, 4] {
+        for morsel_triples in [5, DEFAULT_MORSEL_TRIPLES] {
+            let cfg = MorselConfig {
+                workers,
+                morsel_triples,
+            };
+            let (b, _, _) = execute_morsel(g, q, &cfg);
+            let at = format!("{case} at {workers} workers, morsels of {morsel_triples}");
+            assert_eq!(b.vars, reference.vars, "{at}");
+            let got = decoded(g, &b);
+            if q.limit.is_none() {
+                assert_eq!(got, want, "{at}");
+            } else {
+                assert_eq!(got.len(), want.len(), "{at}");
+                assert!(got.windows(2).all(|w| w[0] != w[1]), "{at}");
+                assert!(
+                    got.iter().all(|r| unlimited.binary_search(r).is_ok()),
+                    "{at}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn morsel_executor_matches_the_reference_on_spatiotemporal_bgps() {
     let (mut fewer, mut more) = (0, 0);
-    // Oracle checks per filter kind: `st_within`, `st_near`, `t_between`.
-    let mut checked = [0u64; 3];
+    // Oracle checks per filter kind: `st_within`, `st_near`, `t_between`,
+    // and `st_near` around a centre outside [-180°, 180°].
+    let mut checked = [0u64; 4];
     for graph_seed in 0..GRAPHS {
         let mut rng = Rng::seed_from_u64(graph_seed);
         let g = arb_graph(&mut rng);
@@ -348,55 +401,209 @@ fn morsel_executor_matches_the_reference_on_spatiotemporal_bgps() {
                 }
             }
 
-            let (reference, _) = execute_reference(&g, &q);
-            let want = decoded(&g, &reference);
-            let unlimited = {
-                let mut all = q.clone();
-                all.limit = None;
-                decoded(&g, &execute_reference(&g, &all).0)
-            };
             if q.limit.is_none() {
+                let want = decoded(&g, &execute_reference(&g, &q).0);
                 assert_eq!(want, filter_oracle(&g, &q), "{case}");
                 for f in &q.filters {
                     match f {
                         FilterExpr::SpatialWithin { .. } => checked[0] += 1,
-                        FilterExpr::SpatialNear { .. } => checked[1] += 1,
+                        FilterExpr::SpatialNear { center, .. } => {
+                            checked[1] += 1;
+                            checked[3] += u64::from(center.lon.abs() > 180.0);
+                        }
                         FilterExpr::TimeBetween { .. } => checked[2] += 1,
                         FilterExpr::Compare { .. } => {}
                     }
                 }
             }
-            for workers in [1, 2, 4] {
-                for morsel_triples in [5, DEFAULT_MORSEL_TRIPLES] {
-                    let cfg = MorselConfig {
-                        workers,
-                        morsel_triples,
-                    };
-                    let (b, _, _) = execute_morsel(&g, &q, &cfg);
-                    let at = format!("{case} at {workers} workers, morsels of {morsel_triples}");
-                    assert_eq!(b.vars, reference.vars, "{at}");
-                    let got = decoded(&g, &b);
-                    if q.limit.is_none() {
-                        assert_eq!(got, want, "{at}");
-                    } else {
-                        // Some `min(limit, distinct)` rows of the answer,
-                        // none twice.
-                        assert_eq!(got.len(), want.len(), "{at}");
-                        assert!(got.windows(2).all(|w| w[0] != w[1]), "{at}");
-                        assert!(
-                            got.iter().all(|r| unlimited.binary_search(r).is_ok()),
-                            "{at}"
-                        );
-                    }
-                }
-            }
+            assert_matches_reference(&g, &q, &case);
         }
     }
     let cases = GRAPHS * QUERIES_PER_GRAPH;
     assert!(
-        fewer >= cases / 8 && more >= cases / 16 && checked.iter().all(|&n| n >= cases / 16),
+        fewer >= cases / 8
+            && more >= cases / 16
+            && checked[..3].iter().all(|&n| n >= cases / 16)
+            && checked[3] >= cases / 32,
         "coverage: {fewer} cases with candidates fewer than every slice, {more} with \
-         candidates at least every slice, {checked:?} st_within/st_near/t_between \
-         oracle checks"
+         candidates at least every slice, {checked:?} st_within/st_near/t_between/ \
+         off-globe st_near oracle checks"
+    );
+}
+
+// ---- Stars, paths, the empty BGP and unknown constants, unfiltered -------
+
+const PREDICATES: [&str; 6] = ["pos", "at", "obj", "type", "evPos", "evAt"];
+
+/// A constant subject: a node, an object or an event of `arb_graph`'s
+/// vocabulary (the event may not exist: only every other node has one).
+fn arb_subject(rng: &mut Rng) -> Term {
+    match rng.gen_range(0..3u32) {
+        0 => Term::iri(format!("n{}", rng.gen_range(0..300))),
+        1 => Term::iri(format!("o{}", rng.gen_range(0..8))),
+        _ => Term::iri(format!("e{}", rng.gen_range(0..300))),
+    }
+}
+
+/// A constant object: a class or an object IRI.
+fn arb_object(rng: &mut Rng) -> Term {
+    match rng.gen_range(0..3u32) {
+        0 => Term::iri("Vessel"),
+        1 => Term::iri("Buoy"),
+        _ => Term::iri(format!("o{}", rng.gen_range(0..8))),
+    }
+}
+
+/// A subject star without filters: 1–3 patterns on one subject (the
+/// variable `?s`, or a constant), constant or variable predicates, and
+/// objects that are constants, a variable the patterns share, or one of
+/// their own.
+fn arb_star(rng: &mut Rng) -> SelectQuery {
+    let subject = if rng.gen_bool(0.7) {
+        PatternTerm::var("s")
+    } else {
+        PatternTerm::from(arb_subject(rng))
+    };
+    let patterns = (0..rng.gen_range(1..=3usize))
+        .map(|i| {
+            let p = if rng.gen_bool(0.2) {
+                PatternTerm::var(format!("p{i}"))
+            } else {
+                PatternTerm::from(Term::iri(PREDICATES[rng.gen_range(0..PREDICATES.len())]))
+            };
+            let o = match rng.gen_range(0..5u32) {
+                0 => PatternTerm::from(arb_object(rng)),
+                1 => PatternTerm::var("x"),
+                _ => PatternTerm::var(format!("v{i}")),
+            };
+            TriplePattern::new(subject.clone(), p, o)
+        })
+        .collect();
+    SelectQuery::new(patterns)
+}
+
+/// A path without filters, its patterns in any order: node → object →
+/// class (`?n obj ?o . ?o type ?c`), sometimes one hop further out of the
+/// class (which has no triples), or a node and an event that share an
+/// instant (a join on the object); one variable may be a constant, any
+/// predicate a variable.
+fn arb_path(rng: &mut Rng) -> SelectQuery {
+    let mut patterns = match rng.gen_range(0..3u32) {
+        0 => vec![("n", "obj", "o"), ("o", "type", "c")],
+        1 => vec![("n", "obj", "o"), ("o", "type", "c"), ("c", "p", "x")],
+        _ => vec![("n", "at", "t"), ("e", "evAt", "t")],
+    }
+    .into_iter()
+    .map(|(s, p, o)| {
+        let p = if p == "p" || rng.gen_bool(0.15) {
+            PatternTerm::var(format!("p_{s}"))
+        } else {
+            PatternTerm::from(Term::iri(p))
+        };
+        TriplePattern::new(PatternTerm::var(s), p, PatternTerm::var(o))
+    })
+    .collect::<Vec<_>>();
+    // Bind one variable to a constant in every pattern that names it.
+    if rng.gen_bool(0.4) {
+        let (var, term) = match rng.gen_range(0..3u32) {
+            0 => ("n", Term::iri(format!("n{}", rng.gen_range(0..300)))),
+            1 => ("o", Term::iri(format!("o{}", rng.gen_range(0..8)))),
+            _ => ("c", arb_object(rng)),
+        };
+        for pat in &mut patterns {
+            for slot in [&mut pat.s, &mut pat.o] {
+                if slot.as_var() == Some(var) {
+                    *slot = PatternTerm::from(term.clone());
+                }
+            }
+        }
+    }
+    shuffle(rng, &mut patterns);
+    SelectQuery::new(patterns)
+}
+
+/// Fisher–Yates shuffle.
+fn shuffle<T>(rng: &mut Rng, items: &mut [T]) {
+    for i in (1..items.len()).rev() {
+        items.swap(i, rng.gen_range(0..=i));
+    }
+}
+
+/// Puts a term the graph never stored in one position of one of `q`'s
+/// patterns.
+fn with_unknown_constant(rng: &mut Rng, mut q: SelectQuery) -> SelectQuery {
+    let i = rng.gen_range(0..q.patterns.len());
+    let pat = &mut q.patterns[i];
+    match rng.gen_range(0..3u32) {
+        0 => pat.s = Term::iri("n_unknown").into(),
+        1 => pat.p = Term::iri("draught").into(),
+        _ => pat.o = Term::iri("Submarine").into(),
+    }
+    q
+}
+
+/// Unfiltered stars with variable and constant subjects, paths, unknown
+/// constants and the empty BGP, with projections that may drop the
+/// subject and sometimes a `LIMIT`: the morsel executor returns
+/// `execute_reference`'s rows at every worker count, over a folded base,
+/// a delta and an uncommitted tail.
+#[test]
+fn morsel_executor_matches_the_reference_on_stars_paths_and_empty_answers() {
+    // Cases per kind: variable-subject star, constant-subject star, star
+    // projecting its subject away, limited star, path, unknown constant,
+    // empty BGP.
+    let mut drawn = [0u64; 7];
+    for graph_seed in 0..GRAPHS {
+        let mut rng = Rng::seed_from_u64(1_000 + graph_seed);
+        let g = arb_graph(&mut rng);
+        for query_seed in 0..QUERIES_PER_GRAPH {
+            let kind = rng.gen_range(0..8u32);
+            let mut q = match kind {
+                0..=3 => arb_star(&mut rng),
+                4 | 5 => arb_path(&mut rng),
+                6 => {
+                    let q = if rng.gen_bool(0.5) {
+                        arb_star(&mut rng)
+                    } else {
+                        arb_path(&mut rng)
+                    };
+                    with_unknown_constant(&mut rng, q)
+                }
+                _ => SelectQuery::new(Vec::new()),
+            };
+            let vars = q.all_vars();
+            if !vars.is_empty() && rng.gen_bool(0.4) {
+                let subset: Vec<&str> = vars
+                    .iter()
+                    .map(String::as_str)
+                    .filter(|_| rng.gen_bool(0.5))
+                    .collect();
+                if !subset.is_empty() {
+                    q = q.select(&subset);
+                }
+            }
+            if rng.gen_bool(0.3) {
+                q = q.with_limit(rng.gen_range(1..20));
+            }
+            if kind <= 3 {
+                let var_subject = q.patterns[0].s.as_var() == Some("s");
+                drawn[0] += u64::from(var_subject);
+                drawn[1] += u64::from(!var_subject);
+                drawn[2] += u64::from(
+                    var_subject && !q.vars.is_empty() && !q.vars.contains(&"s".to_string()),
+                );
+                drawn[3] += u64::from(q.limit.is_some());
+            }
+            drawn[4] += u64::from(kind == 4 || kind == 5);
+            drawn[5] += u64::from(kind == 6);
+            drawn[6] += u64::from(kind == 7);
+            let case = format!("graph {graph_seed}, query {query_seed}: {q:?}");
+            assert_matches_reference(&g, &q, &case);
+        }
+    }
+    assert!(
+        drawn.iter().all(|&n| n >= 8),
+        "coverage: {drawn:?} variable-subject stars, constant-subject stars, \
+         subject-dropping stars, limited stars, paths, unknown constants, empty BGPs"
     );
 }

@@ -1,17 +1,16 @@
 //! Executor regression suite. There is one optimised engine — the morsel
 //! executor, which `execute` runs with one inline worker — and it must
 //! return exactly the retained reference engine's row set (any order) at
-//! every worker count and morsel size, on the single graph and through
-//! the partitioned store; predicate statistics must stay exact under
-//! interleaved insert/commit cycles, and index selection must stay pinned
-//! to the tightest permutation index.
+//! every worker count and morsel size; predicate statistics must stay
+//! exact under interleaved insert/commit cycles, and index selection must
+//! stay pinned to the tightest permutation index.
 
 use datacron_geo::{BoundingBox, GeoPoint, TimeInterval, TimeMs};
 use datacron_rdf::query::CmpOp;
 use datacron_rdf::{
     execute, execute_morsel, execute_reference, from_binary, parse_query, to_binary, Bindings,
-    FilterExpr, Graph, HashPartitioner, MorselConfig, NotAStar, PartitionedStore, PatternTerm,
-    SelectQuery, Term, TermId, Triple, TriplePattern, DEFAULT_MORSEL_TRIPLES,
+    FilterExpr, Graph, MorselConfig, PatternTerm, SelectQuery, Term, TermId, Triple, TriplePattern,
+    DEFAULT_MORSEL_TRIPLES,
 };
 
 /// Deterministic xorshift64* — the suite must not depend on ambient
@@ -235,20 +234,17 @@ fn reference_rendered(g: &Graph, text: &str) -> Vec<String> {
 }
 
 /// `LIMIT n` returns `min(n, distinct)` rows, each a member of the
-/// reference row set and none twice — on the single graph at every worker
-/// count, and through the partitioned store for star shapes (the store
-/// refuses the path).
+/// reference row set and none twice, at every worker count.
 #[test]
 fn limit_returns_min_of_limit_and_distinct_members() {
     let mut rng = Rng(0x5EED_000A);
     let mut g = random_graph(&mut rng, 60, 150);
     g.commit();
-    let store = PartitionedStore::build(&g, Box::new(HashPartitioner::new(4)));
-    for (body, star) in [
-        ("SELECT ?v WHERE { ?v type Vessel }", true),
-        ("SELECT ?t WHERE { ?v type ?t }", true),
-        ("SELECT ?s WHERE { ?v type Vessel . ?v speed ?s }", true),
-        ("SELECT ?a WHERE { ?a link ?b . ?b type Buoy }", false),
+    for body in [
+        "SELECT ?v WHERE { ?v type Vessel }",
+        "SELECT ?t WHERE { ?v type ?t }",
+        "SELECT ?s WHERE { ?v type Vessel . ?v speed ?s }",
+        "SELECT ?a WHERE { ?a link ?b . ?b type Buoy }",
     ] {
         let all = reference_rendered(&g, body);
         for n in [1usize, 2, 5, 1000] {
@@ -261,32 +257,25 @@ fn limit_returns_min_of_limit_and_distinct_members() {
                     morsel_triples: 7,
                 };
                 let (b, _, _) = execute_morsel(&g, &q, &cfg);
-                let mut got = vec![rendered(&decoded(&g, &b))];
-                match store.execute_with(&q, &cfg) {
-                    Ok((parted, _)) if star => got.push(rendered(&parted.rows)),
-                    answer => assert_eq!(answer, Err(NotAStar), "{text}"),
-                }
-                for got in got {
-                    assert_eq!(got.len(), want, "{text} workers {workers}");
-                    assert!(got.windows(2).all(|w| w[0] != w[1]), "{text}: duplicate");
-                    assert!(
-                        got.iter().all(|r| all.binary_search(r).is_ok()),
-                        "{text}: row outside the reference set"
-                    );
-                }
+                let got = rendered(&decoded(&g, &b));
+                assert_eq!(got.len(), want, "{text} workers {workers}");
+                assert!(got.windows(2).all(|w| w[0] != w[1]), "{text}: duplicate");
+                assert!(
+                    got.iter().all(|r| all.binary_search(r).is_ok()),
+                    "{text}: row outside the reference set"
+                );
             }
         }
     }
 }
 
 /// Queries with nothing to scan — the empty BGP, and constants absent
-/// from the dictionary — agree with the reference engine on both routes.
+/// from the dictionary — agree with the reference engine.
 #[test]
 fn empty_bgp_and_unknown_constants_agree_with_reference() {
     let mut rng = Rng(0x5EED_000B);
     let mut g = random_graph(&mut rng, 30, 60);
     g.commit();
-    let store = PartitionedStore::build(&g, Box::new(HashPartitioner::new(4)));
     let empty_bgp = SelectQuery::new(Vec::new());
     let unknown = [
         "SELECT ?v WHERE { ?v type Submarine }",
@@ -296,69 +285,49 @@ fn empty_bgp_and_unknown_constants_agree_with_reference() {
     .map(|text| parse_query(text).unwrap());
     for q in std::iter::once(&empty_bgp).chain(&unknown) {
         let (reference, _) = execute_reference(&g, q);
-        let (single, _) = execute(&g, q);
+        let (single, stats) = execute(&g, q);
         assert_eq!(single, reference, "{q:?}");
-        let (parted, stats) = store.execute(q).expect("a star");
-        assert_eq!(parted.vars, reference.vars, "{q:?}");
-        assert_eq!(parted.rows, decoded(&g, &reference), "{q:?}");
-        assert_eq!(stats.partitions_probed, 0, "{q:?}");
+        assert_eq!(stats.probes, 0, "{q:?}");
     }
     // The empty BGP's one solution is the empty binding.
     assert_eq!(execute(&g, &empty_bgp).0.rows, vec![Vec::<TermId>::new()]);
 }
 
-/// The morsel executor stays correct while the partition mirror is being
-/// ingested into concurrently: readers hold the same lock discipline the
-/// server uses (queries under read, ingest under write) and every answer
-/// must equal the reference engine's answer over the source graph
-/// observed under the same read lock.
+/// The morsel executor stays correct while the graph is being ingested
+/// into concurrently: readers hold the same lock discipline the server
+/// uses (queries under read, ingest under write) and every answer at 2
+/// workers must equal the reference engine's answer over the graph
+/// version the same read lock pins.
 #[test]
 fn morsel_executor_matches_reference_under_concurrent_ingest() {
     use std::sync::RwLock;
 
-    struct Mirrored {
-        source: Graph,
-        mirror: PartitionedStore,
-    }
-
-    let mut source = Graph::new();
-    source.track_new_triples(true);
-    let shared = RwLock::new(Mirrored {
-        source,
-        mirror: PartitionedStore::empty(Box::new(HashPartitioner::new(4))),
-    });
+    let shared = RwLock::new(Graph::new());
     let rounds = 12;
 
     std::thread::scope(|scope| {
-        // Writer: batches of inserts, each committed and synced to the
-        // mirror under the write lock.
+        // Writer: batches of inserts, each committed under the write lock.
         scope.spawn(|| {
             let mut rng = Rng(0x5EED_0008);
             for _ in 0..rounds {
-                let mut st = shared.write().unwrap();
+                let mut g = shared.write().unwrap();
                 for _ in 0..30 {
                     let s = Term::iri(format!("s{}", rng.below(20)));
                     let class = if rng.below(3) == 0 { "Buoy" } else { "Vessel" };
-                    st.source.insert(&s, &Term::iri("type"), &Term::iri(class));
-                    st.source.insert(
+                    g.insert(&s, &Term::iri("type"), &Term::iri(class));
+                    g.insert(
                         &s,
                         &Term::iri("speed"),
                         &Term::double(rng.below(20) as f64 / 2.0),
                     );
                     let b = Term::iri(format!("s{}", rng.below(20)));
-                    st.source.insert(&s, &Term::iri("link"), &b);
+                    g.insert(&s, &Term::iri("link"), &b);
                 }
-                st.source.commit();
-                let delta = st.source.take_new_triples();
-                let Mirrored { source, mirror } = &mut *st;
-                mirror.ingest(source, &delta);
-                drop(st);
+                g.commit();
+                drop(g);
                 std::thread::yield_now();
             }
         });
-        // Readers: hammer the mirror with every query shape at 2 workers
-        // and check each answer against the reference engine over the
-        // exact graph version the same read lock pins.
         for reader in 0..2 {
             let shared = &shared;
             scope.spawn(move || {
@@ -366,19 +335,16 @@ fn morsel_executor_matches_reference_under_concurrent_ingest() {
                     workers: 2,
                     morsel_triples: 8,
                 };
-                // Subject stars only: the mirror partitions by subject and
-                // refuses every other shape (`NotAStar`).
-                let star_shapes: Vec<&str> =
-                    [0, 1, 4, 5].iter().map(|&i| QUERY_SHAPES[i]).collect();
                 for i in 0..rounds {
-                    let st = shared.read().unwrap();
-                    let shape = star_shapes[(reader + i) % star_shapes.len()];
-                    let q = parse_query(shape).unwrap();
-                    let (b, _) = st.mirror.execute_with(&q, &cfg).expect("a star");
-                    let got = rendered(&b.rows);
-                    let expected = reference_rendered(&st.source, shape);
-                    assert_eq!(got, expected, "{shape}");
-                    drop(st);
+                    let g = shared.read().unwrap();
+                    let shape = QUERY_SHAPES[(reader + i) % QUERY_SHAPES.len()];
+                    let (b, _, _) = execute_morsel(&g, &parse_query(shape).unwrap(), &cfg);
+                    assert_eq!(
+                        rendered(&decoded(&g, &b)),
+                        reference_rendered(&g, shape),
+                        "{shape}"
+                    );
+                    drop(g);
                     std::thread::yield_now();
                 }
             });
@@ -573,39 +539,6 @@ fn per_batch_commits_and_snapshot_restore_return_the_same_rows() {
     }
 }
 
-/// The commit log hands every committed triple to the partition mirror
-/// exactly once: an incrementally synced mirror answers queries
-/// identically to one bulk-built from the final graph.
-#[test]
-fn incremental_partition_mirror_matches_bulk_build() {
-    let mut rng = Rng(0x5EED_0006);
-    let mut source = Graph::new();
-    source.track_new_triples(true);
-    let mut mirror = PartitionedStore::empty(Box::new(HashPartitioner::new(4)));
-    for _ in 0..5 {
-        for _ in 0..40 {
-            let s = Term::iri(format!("s{}", rng.below(25)));
-            let p = Term::iri(format!("p{}", rng.below(3)));
-            let o = Term::iri(format!("o{}", rng.below(12)));
-            source.insert(&s, &p, &o);
-        }
-        source.commit();
-        let delta = source.take_new_triples();
-        mirror.ingest(&source, &delta);
-    }
-    assert_eq!(mirror.len(), source.len(), "no triple lost or duplicated");
-    let bulk = PartitionedStore::build(&source, Box::new(HashPartitioner::new(4)));
-    assert_eq!(mirror.partition_sizes(), bulk.partition_sizes());
-    let q = parse_query("SELECT ?s ?o WHERE { ?s p0 ?o }").unwrap();
-    let (inc, inc_stats) = mirror.execute(&q).expect("a star");
-    let (blk, _) = bulk.execute(&q).expect("a star");
-    assert_eq!(rendered(&inc.rows), rendered(&blk.rows));
-    assert!(
-        inc_stats.partitions_probed > 1,
-        "hash partitioning must spread this workload: {inc_stats:?}"
-    );
-}
-
 /// 20 000 nodes, each with its own point on a 200 × 100 grid of 0.01°
 /// steps from (20°, 34°) and its own instant, one second apart.
 fn located_nodes() -> Graph {
@@ -706,5 +639,38 @@ fn a_candidate_seed_keeps_the_eager_filter_on_its_variable() {
                 "{q:?} at {workers} workers"
             );
         }
+    }
+}
+
+/// Both filters of a spatiotemporal star have candidates, and the smaller
+/// set is the worse seed: 2 instants that 1 000 nodes each share, against
+/// 30 points of one node each. The join seeds from the points (a probe per
+/// point, then one per node it reached: 60) instead of from the instants
+/// (2 probes, then one per node: 2 002).
+#[test]
+fn the_seed_weighs_each_candidate_by_its_fan_out() {
+    let mut g = Graph::new();
+    for i in 0..20_000i64 {
+        let n = Term::iri(format!("n{i}"));
+        let (lon, lat) = (
+            20.0 + (i % 200) as f64 * 0.01,
+            34.0 + (i / 200) as f64 * 0.01,
+        );
+        g.insert(&n, &Term::iri("pos"), &Term::point(GeoPoint::new(lon, lat)));
+        g.insert(&n, &Term::iri("at"), &Term::time(TimeMs((i % 20) * 1000)));
+    }
+    g.commit();
+    let q = parse_query(
+        "SELECT ?n WHERE { ?n pos ?g . ?n at ?t . \
+         FILTER st_within(?g, 20.995, 34.195, 21.055, 34.245) FILTER t_between(?t, 0, 2000) }",
+    )
+    .unwrap();
+    let (reference, _) = execute_reference(&g, &q);
+    assert_eq!(reference.rows.len(), 10);
+    for workers in [1, 2, 4] {
+        let (b, stats, _) = execute_morsel(&g, &q, &MorselConfig::with_workers(workers));
+        assert_eq!(stats.pushdown_candidates, 30 + 2);
+        assert_eq!(stats.probes, 60, "{stats:?}");
+        assert_eq!(sorted_rows(b.rows), sorted_rows(reference.rows.clone()));
     }
 }

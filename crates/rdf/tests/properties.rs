@@ -3,9 +3,8 @@
 
 use datacron_geo::{BoundingBox, FxHashSet, GeoPoint, Rng, TimeInterval, TimeMs};
 use datacron_rdf::{
-    execute, execute_reference, from_binary, to_binary, FilterExpr, Graph, HashPartitioner,
-    MorselConfig, NotAStar, PartitionedStore, Partitioner, PatternTerm, SelectQuery,
-    SpatialGridPartitioner, TemporalPartitioner, Term, Triple, TriplePattern,
+    execute, from_binary, to_binary, FilterExpr, Graph, PatternTerm, SelectQuery, Term,
+    TriplePattern,
 };
 
 const CASES: u64 = 256;
@@ -123,446 +122,6 @@ fn pattern_matching_equals_linear_scan() {
 #[test]
 fn pattern_matching_regression_bound_subject_and_object_never_joined() {
     check_pattern_against_scan("regression", &[(5, 0, 0), (0, 0, 19)], (5, 0, 19), 5);
-}
-
-// ---- The partitioned store answers subject stars exactly, or refuses -----
-//
-// Rows are compared as decoded sets against `execute_reference` over the
-// unpartitioned graph, so a lost, invented or repeated row fails where a
-// row count could balance out.
-
-/// `arb_triples` plus, for about half the subjects, a `pos` point and an
-/// `at` instant, so the spatial and temporal partitioners home those
-/// subjects by content instead of by their hash fallback.
-fn arb_located_graph(rng: &mut Rng) -> Graph {
-    let mut g = Graph::new();
-    for (s, p, o) in arb_triples(rng) {
-        g.insert(&term_s(s), &term_p(p), &term_o(o));
-    }
-    for s in 0..20u8 {
-        if rng.gen_bool(0.5) {
-            let (lon, lat) = (rng.gen_range(20.0..28.0), rng.gen_range(34.0..41.0));
-            let at = TimeMs(rng.gen_range(0i64..100_000));
-            g.insert(
-                &term_s(s),
-                &Term::iri("pos"),
-                &Term::point(GeoPoint::new(lon, lat)),
-            );
-            g.insert(&term_s(s), &Term::iri("at"), &Term::time(at));
-        }
-    }
-    g.commit();
-    g
-}
-
-/// The three partitioners over `n` partitions.
-fn partitioners(n: usize) -> [Box<dyn Partitioner>; 3] {
-    [
-        Box::new(HashPartitioner::new(n)),
-        Box::new(SpatialGridPartitioner::new(
-            n,
-            BoundingBox::new(19.0, 33.0, 29.0, 42.0),
-            1.0,
-        )),
-        Box::new(TemporalPartitioner::new(n, TimeMs(0), 20_000)),
-    ]
-}
-
-/// A constant subject, predicate or object drawn from the vocabulary
-/// `arb_located_graph` uses (`pos`/`at` included).
-fn arb_constant(rng: &mut Rng, position: u8) -> PatternTerm {
-    match position {
-        0 => term_s(rng.gen_range(0u8..20)).into(),
-        1 if rng.gen_bool(0.2) => Term::iri(if rng.gen_bool(0.5) { "pos" } else { "at" }).into(),
-        1 => term_p(rng.gen_range(0u8..5)).into(),
-        _ => term_o(rng.gen_range(0u8..20)).into(),
-    }
-}
-
-/// A random subject star: 1–3 patterns on one subject (the variable `?s`,
-/// or a constant), constant or variable predicates, variable (sometimes
-/// shared) or constant objects, a projection that may drop the subject,
-/// and sometimes a `LIMIT`.
-fn arb_star(rng: &mut Rng) -> SelectQuery {
-    let subject = if rng.gen_bool(0.7) {
-        PatternTerm::var("s")
-    } else {
-        arb_constant(rng, 0)
-    };
-    let patterns = (0..rng.gen_range(1..=3))
-        .map(|i| {
-            let p = if rng.gen_bool(0.2) {
-                PatternTerm::var(format!("p{i}"))
-            } else {
-                arb_constant(rng, 1)
-            };
-            let o = match rng.gen_range(0..4) {
-                0 => arb_constant(rng, 2),
-                1 => PatternTerm::var("o0"),
-                _ => PatternTerm::var(format!("o{i}")),
-            };
-            TriplePattern::new(subject.clone(), p, o)
-        })
-        .collect();
-    let mut q = SelectQuery::new(patterns);
-    let vars = q.all_vars();
-    let kept: Vec<&str> = vars
-        .iter()
-        .filter(|_| rng.gen_bool(0.5))
-        .map(String::as_str)
-        .collect();
-    if rng.gen_bool(0.5) {
-        q = q.select(&kept);
-    }
-    if rng.gen_bool(0.3) {
-        q = q.with_limit(rng.gen_range(0..6));
-    }
-    q
-}
-
-/// A random BGP of 2–3 patterns whose subjects are not all one term: a
-/// path through the first pattern's object, or patterns on unrelated
-/// subjects, constant or variable, in any order.
-fn arb_non_star(rng: &mut Rng) -> SelectQuery {
-    let first = TriplePattern::new(
-        PatternTerm::var("a"),
-        arb_constant(rng, 1),
-        PatternTerm::var("b"),
-    );
-    let other_subject = match rng.gen_range(0..3) {
-        0 => PatternTerm::var("b"),
-        1 => PatternTerm::var("c"),
-        _ => arb_constant(rng, 0),
-    };
-    let second = TriplePattern::new(other_subject, arb_constant(rng, 1), PatternTerm::var("d"));
-    let mut patterns = vec![first, second];
-    if rng.gen_bool(0.5) {
-        let s = if rng.gen_bool(0.5) {
-            PatternTerm::var("a")
-        } else {
-            arb_constant(rng, 0)
-        };
-        patterns.push(TriplePattern::new(
-            s,
-            arb_constant(rng, 1),
-            PatternTerm::var("e"),
-        ));
-    }
-    let turn = rng.gen_range(0..patterns.len());
-    patterns.rotate_left(turn);
-    SelectQuery::new(patterns)
-}
-
-/// A query's rows rendered one string per row, sorted.
-fn rendered_rows(rows: impl Iterator<Item = Vec<String>>) -> Vec<String> {
-    let mut out: Vec<String> = rows.map(|r| r.join(" ")).collect();
-    out.sort();
-    out
-}
-
-/// `q`'s projected variables and its rows over the whole graph by
-/// `execute_reference`, without its `LIMIT`, rendered and sorted.
-fn reference_rows(g: &Graph, q: &SelectQuery) -> (Vec<String>, Vec<String>) {
-    let unlimited = SelectQuery {
-        limit: None,
-        ..q.clone()
-    };
-    let (reference, _) = execute_reference(g, &unlimited);
-    let all = rendered_rows(reference.rows.iter().map(|r| {
-        reference
-            .decode_row(g, r)
-            .iter()
-            .map(|t| t.to_string())
-            .collect()
-    }));
-    (reference.vars, all)
-}
-
-/// The store answers `q` at 1, 2 and 8 workers with exactly the reference
-/// rows `all` — under `LIMIT`, `min(limit, distinct)` members of them and
-/// none twice.
-fn assert_store_answers(
-    store: &PartitionedStore,
-    q: &SelectQuery,
-    (vars, all): &(Vec<String>, Vec<String>),
-    case: &str,
-) {
-    let want = q.limit.map_or(all.len(), |l| l.max(1).min(all.len()));
-    for workers in [1, 2, 8] {
-        let cfg = MorselConfig {
-            workers,
-            morsel_triples: 3,
-        };
-        let case = format!("{case}, {workers} workers: {q:?}");
-        let (parted, stats) = store.execute_with(q, &cfg).expect(&case);
-        assert_eq!(&parted.vars, vars, "{case}");
-        assert_eq!(stats.partitions_total, store.partitions(), "{case}");
-        let got = rendered_rows(
-            parted
-                .rows
-                .iter()
-                .map(|r| r.iter().map(|t| t.to_string()).collect()),
-        );
-        if q.limit.is_none() {
-            assert_eq!(&got, all, "{case}");
-        } else {
-            assert_eq!(got.len(), want, "{case}");
-            assert!(got.windows(2).all(|w| w[0] != w[1]), "duplicate: {case}");
-            assert!(got.iter().all(|r| all.binary_search(r).is_ok()), "{case}");
-        }
-    }
-}
-
-/// Every random subject star returns exactly `execute_reference`'s row set
-/// over the whole graph — under `LIMIT`, `min(limit, distinct)` members of
-/// it and none twice — on every partitioner, at 1, 2 and 8 workers.
-#[test]
-fn partitioned_star_query_matches_single_graph() {
-    for seed in 0..CASES {
-        let mut rng = Rng::seed_from_u64(seed);
-        let g = arb_located_graph(&mut rng);
-        let q = arb_star(&mut rng);
-        let n_parts = rng.gen_range(1usize..6);
-        let reference = reference_rows(&g, &q);
-        for partitioner in partitioners(n_parts) {
-            let store = PartitionedStore::build(&g, partitioner);
-            assert_eq!(store.partitions(), n_parts);
-            let case = format!("seed {seed}, {n_parts} parts");
-            assert_store_answers(&store, &q, &reference, &case);
-        }
-    }
-}
-
-/// `arb_triples` plus, for about half the subjects, 2–3 `pos` points and
-/// 2–3 `at` instants drawn apart, so most of them have points in several
-/// grid cells and instants in several time slices, and only the last of
-/// each decides the subject's home.
-fn arb_multi_located_graph(rng: &mut Rng) -> Graph {
-    let mut g = Graph::new();
-    for (s, p, o) in arb_triples(rng) {
-        g.insert(&term_s(s), &term_p(p), &term_o(o));
-    }
-    for s in 0..20u8 {
-        if rng.gen_bool(0.5) {
-            for _ in 0..rng.gen_range(2..=3) {
-                let (lon, lat) = (rng.gen_range(20.0..28.0), rng.gen_range(34.0..41.0));
-                let point = Term::point(GeoPoint::new(lon, lat));
-                g.insert(&term_s(s), &Term::iri("pos"), &point);
-            }
-            for _ in 0..rng.gen_range(2..=3) {
-                let at = Term::time(TimeMs(rng.gen_range(0i64..100_000)));
-                g.insert(&term_s(s), &Term::iri("at"), &at);
-            }
-        }
-    }
-    g.commit();
-    g
-}
-
-/// A random star on `?s` over `pos ?g`, `at ?t` or both, sometimes with
-/// one more pattern, filtered by `st_within` or `st_near` (or both) on
-/// `?g` and `t_between` on `?t`; sometimes projected or limited.
-fn arb_filtered_star(rng: &mut Rng) -> SelectQuery {
-    let s = || PatternTerm::var("s");
-    let (spatial, temporal) = match rng.gen_range(0..3) {
-        0 => (true, false),
-        1 => (false, true),
-        _ => (true, true),
-    };
-    let mut patterns = Vec::new();
-    if spatial {
-        patterns.push(TriplePattern::new(
-            s(),
-            Term::iri("pos"),
-            PatternTerm::var("g"),
-        ));
-    }
-    if temporal {
-        patterns.push(TriplePattern::new(
-            s(),
-            Term::iri("at"),
-            PatternTerm::var("t"),
-        ));
-    }
-    if rng.gen_bool(0.3) {
-        patterns.push(TriplePattern::new(
-            s(),
-            arb_constant(rng, 1),
-            PatternTerm::var("o"),
-        ));
-    }
-    let turn = rng.gen_range(0..patterns.len());
-    patterns.rotate_left(turn);
-    let mut q = SelectQuery::new(patterns);
-    if spatial {
-        let within = rng.gen_bool(0.7);
-        if within {
-            let (lon, lat) = (rng.gen_range(19.0..28.0), rng.gen_range(33.0..41.0));
-            let (w, h) = (rng.gen_range(0.2..4.0), rng.gen_range(0.2..4.0));
-            q = q.filter(FilterExpr::SpatialWithin {
-                var: "g".into(),
-                bbox: BoundingBox::new(lon, lat, lon + w, lat + h),
-            });
-        }
-        if !within || rng.gen_bool(0.3) {
-            let center = GeoPoint::new(rng.gen_range(20.0..28.0), rng.gen_range(34.0..41.0));
-            q = q.filter(FilterExpr::SpatialNear {
-                var: "g".into(),
-                center,
-                radius_m: rng.gen_range(1_000.0..300_000.0),
-            });
-        }
-    }
-    if temporal {
-        let start = rng.gen_range(0i64..100_000);
-        let interval = TimeInterval::new(TimeMs(start), TimeMs(start + rng.gen_range(1..60_000)));
-        q = q.filter(FilterExpr::TimeBetween {
-            var: "t".into(),
-            interval,
-        });
-    }
-    if rng.gen_bool(0.3) {
-        q = q.select(&["s"]);
-    }
-    if rng.gen_bool(0.2) {
-        q = q.with_limit(rng.gen_range(0..6));
-    }
-    q
-}
-
-/// Every partitioner's store over `g`, built by `build` and by `empty` plus
-/// two `ingest` batches split at a random triple.
-fn built_and_ingested(g: &Graph, n: usize, rng: &mut Rng) -> Vec<PartitionedStore> {
-    let triples: Vec<Triple> = g.iter_triples().collect();
-    let cut = rng.gen_range(0..=triples.len());
-    let mut stores: Vec<PartitionedStore> = partitioners(n)
-        .into_iter()
-        .map(|p| PartitionedStore::build(g, p))
-        .collect();
-    for p in partitioners(n) {
-        let mut store = PartitionedStore::empty(p);
-        store.ingest(g, &triples[..cut]);
-        store.ingest(g, &triples[cut..]);
-        stores.push(store);
-    }
-    stores
-}
-
-/// Spatially and temporally filtered stars return exactly
-/// `execute_reference`'s row set over the whole graph when subjects carry
-/// several points and instants, on every partitioner, built by `build` or
-/// by `empty` + `ingest`: a partition is skipped only when its own indexes
-/// hold no candidate, so neither a subject's other homes nor the hash
-/// fallback can hide a row.
-#[test]
-fn partitioned_filtered_star_matches_single_graph() {
-    for seed in 0..CASES {
-        let mut rng = Rng::seed_from_u64(seed);
-        let g = arb_multi_located_graph(&mut rng);
-        let q = arb_filtered_star(&mut rng);
-        let n_parts = rng.gen_range(1usize..6);
-        let reference = reference_rows(&g, &q);
-        for (i, store) in built_and_ingested(&g, n_parts, &mut rng).iter().enumerate() {
-            let case = format!("seed {seed}, store {i} of {n_parts} parts");
-            assert_store_answers(store, &q, &reference, &case);
-        }
-    }
-}
-
-/// 20 subjects, each with an instant in the first ten minutes and a later
-/// one 30 minutes on, on four 10-minute slices: every subject is homed by
-/// its later instant, away from the slice a first-ten-minutes window
-/// covers. That window must still find all 20 — and read one partition.
-#[test]
-fn temporal_store_finds_instants_outside_the_home_slice() {
-    let mut g = Graph::new();
-    for i in 0..20i64 {
-        let s = Term::iri(format!("v{i}"));
-        g.insert(&s, &Term::iri("at"), &Term::time(TimeMs(i * 30_000)));
-        g.insert(
-            &s,
-            &Term::iri("at"),
-            &Term::time(TimeMs(1_800_000 + i * 30_000)),
-        );
-    }
-    g.commit();
-    let q = datacron_rdf::parse_query(
-        "SELECT ?v ?t WHERE { ?v at ?t . FILTER t_between(?t, 0, 600000) }",
-    )
-    .unwrap();
-    let reference = reference_rows(&g, &q);
-    assert_eq!(reference.1.len(), 20);
-    let store = PartitionedStore::build(
-        &g,
-        Box::new(TemporalPartitioner::new(4, TimeMs(0), 10 * 60_000)),
-    );
-    assert_store_answers(&store, &q, &reference, "two instants");
-    assert_eq!(store.execute(&q).unwrap().1.partitions_probed, 1);
-}
-
-/// `empty` + `ingest` has no `prepare` pass, so a spatial partitioner
-/// places all 40 vessels by the hash fallback. A spatial star over 8 of
-/// them must still return all 8.
-#[test]
-fn spatial_store_built_by_ingest_finds_hash_placed_subjects() {
-    let mut g = Graph::new();
-    for i in 0..40i64 {
-        let s = Term::iri(format!("v{i}"));
-        let pos = GeoPoint::new(20.0 + (i % 10) as f64, 36.0 + (i / 10) as f64 * 0.5);
-        g.insert(&s, &Term::iri("type"), &Term::iri("Vessel"));
-        g.insert(&s, &Term::iri("pos"), &Term::point(pos));
-    }
-    g.commit();
-    let q = datacron_rdf::parse_query(
-        "SELECT ?v WHERE { ?v pos ?g . FILTER st_within(?g, 19.5, 35.5, 21.5, 38.5) }",
-    )
-    .unwrap();
-    let reference = reference_rows(&g, &q);
-    assert_eq!(reference.1.len(), 8);
-    let mut store = PartitionedStore::empty(Box::new(SpatialGridPartitioner::new(
-        8,
-        BoundingBox::new(19.0, 35.0, 31.0, 39.0),
-        1.0,
-    )));
-    store.ingest(&g, &g.iter_triples().collect::<Vec<_>>());
-    assert_store_answers(&store, &q, &reference, "ingested");
-}
-
-/// Every BGP whose patterns do not all share one subject is refused, on
-/// every partitioner, rather than answered partition-locally.
-#[test]
-fn partitioned_store_refuses_every_non_star_query() {
-    for seed in 0..CASES {
-        let mut rng = Rng::seed_from_u64(seed);
-        let g = arb_located_graph(&mut rng);
-        let q = arb_non_star(&mut rng);
-        for partitioner in partitioners(rng.gen_range(1usize..6)) {
-            let store = PartitionedStore::build(&g, partitioner);
-            assert_eq!(store.execute(&q), Err(NotAStar), "seed {seed}: {q:?}");
-        }
-    }
-}
-
-/// The node → moving object → class join over 40 position nodes of 10
-/// vessels. Partition-local evaluation answered it on four hash
-/// partitions with 8 of its 40 rows and no error; the store now refuses
-/// it, and the single graph keeps answering all 40.
-#[test]
-fn partitioned_store_refuses_the_node_to_vessel_join() {
-    let mut g = Graph::new();
-    for i in 0..40 {
-        let vessel = Term::iri(format!("o{}", i % 10));
-        let node = Term::iri(format!("n{i}"));
-        g.insert(&node, &Term::iri("ofMovingObject"), &vessel);
-        g.insert(&vessel, &Term::iri("type"), &Term::iri("Vessel"));
-    }
-    g.commit();
-    let q =
-        datacron_rdf::parse_query("SELECT ?n ?o WHERE { ?n ofMovingObject ?o . ?o type Vessel }")
-            .unwrap();
-    assert_eq!(execute_reference(&g, &q).0.rows.len(), 40);
-    let store = PartitionedStore::build(&g, Box::new(HashPartitioner::new(4)));
-    assert_eq!(store.execute(&q), Err(NotAStar));
 }
 
 /// Spatial pushdown agrees with post-filtering.
@@ -866,13 +425,13 @@ fn secondary_indexes_match_a_dictionary_scan() {
                     [-90.0, 90.0, 89.99][rng.gen_range(0..3usize)],
                 ),
                 _ => {
-                    // A stored point on the globe: a centre past ±180° is
-                    // outside what the ±360° copies cover.
-                    let on_globe: Vec<&GeoPoint> = stored
+                    // A stored point, past ±180° included: `near` wraps
+                    // the centre's longitude before it builds its boxes.
+                    let finite: Vec<&GeoPoint> = stored
                         .iter()
-                        .filter(|p| p.lon.abs() <= 180.0 && p.lat.abs() <= 90.0)
+                        .filter(|p| p.lon.is_finite() && p.lat.abs() <= 90.0)
                         .collect();
-                    *on_globe[rng.gen_range(0..on_globe.len())]
+                    *finite[rng.gen_range(0..finite.len())]
                 }
             };
             let radius_m = [500.0, 20_000.0, 150_000.0, 2_000_000.0][rng.gen_range(0..4usize)];
@@ -958,63 +517,6 @@ fn secondary_indexes_match_a_dictionary_scan() {
             &stored,
             &format!("seed {seed}, restored"),
         );
-    }
-}
-
-/// Spatial partitioning never loses or duplicates star-query rows, and
-/// pruning never drops answers.
-#[test]
-fn spatial_partitioning_sound_under_pruning() {
-    for seed in 0..CASES {
-        let mut rng = Rng::seed_from_u64(seed);
-        let points = arb_points(&mut rng, 1..60);
-        let q_lon = rng.gen_range(20.0..27.0);
-        let q_lat = rng.gen_range(34.0..40.0);
-        let mut g = Graph::new();
-        for (i, &(lon, lat)) in points.iter().enumerate() {
-            let s = Term::iri(format!("v{i}"));
-            g.insert(&s, &Term::iri("pos"), &Term::point(GeoPoint::new(lon, lat)));
-            g.insert(&s, &Term::iri("kind"), &Term::iri("V"));
-        }
-        g.commit();
-        let bbox = BoundingBox::new(q_lon, q_lat, q_lon + 1.5, q_lat + 1.5);
-        let q = SelectQuery::new(vec![
-            TriplePattern::new(PatternTerm::var("v"), Term::iri("kind"), Term::iri("V")),
-            TriplePattern::new(
-                PatternTerm::var("v"),
-                Term::iri("pos"),
-                PatternTerm::var("g"),
-            ),
-        ])
-        .select(&["v"])
-        .filter(datacron_rdf::FilterExpr::SpatialWithin {
-            var: "g".into(),
-            bbox,
-        });
-        let (single, _) = execute(&g, &q);
-        let store = PartitionedStore::build(
-            &g,
-            Box::new(SpatialGridPartitioner::new(
-                5,
-                BoundingBox::new(19.0, 33.0, 29.0, 42.0),
-                1.0,
-            )),
-        );
-        let (parted, _) = store.execute(&q).expect("a star");
-        let want = rendered_rows(single.rows.iter().map(|r| {
-            single
-                .decode_row(&g, r)
-                .iter()
-                .map(|t| t.to_string())
-                .collect()
-        }));
-        let got = rendered_rows(
-            parted
-                .rows
-                .iter()
-                .map(|r| r.iter().map(|t| t.to_string()).collect()),
-        );
-        assert_eq!(got, want, "seed {seed}");
     }
 }
 

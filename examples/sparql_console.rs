@@ -1,10 +1,10 @@
-//! Spatiotemporal SPARQL over a partitioned store.
+//! Spatiotemporal SPARQL over the one graph.
 //!
-//! Builds an RDF store from a simulated scenario, partitions it spatially,
-//! and answers queries — either the built-in demo set or one passed on the
-//! command line. The store answers subject-star queries (every pattern on
-//! one subject) exactly and refuses any other shape, which the console
-//! prints instead of rows:
+//! Builds an RDF store from a simulated scenario and answers queries on
+//! the morsel executor, as the server does — either the built-in demo set
+//! or one passed on the command line. Any basic graph pattern is answered
+//! exactly; spatial and temporal filters are pushed down to the graph's
+//! indexes:
 //!
 //! ```sh
 //! cargo run --release --example sparql_console
@@ -13,7 +13,7 @@
 //! ```
 
 use datacron_geo::TimeMs;
-use datacron_rdf::{parse_query, Graph, PartitionedStore, SpatialGridPartitioner};
+use datacron_rdf::{execute_morsel, parse_query, Graph, MorselConfig};
 use datacron_sim::{generate_maritime, MaritimeConfig, NoiseModel};
 use datacron_synopses::DeadReckoningCompressor;
 use datacron_transform::RdfMapper;
@@ -48,17 +48,6 @@ fn main() {
         (1.0 - compressor.ratio()) * 100.0
     );
 
-    // Partition spatially over the Aegean.
-    let store = PartitionedStore::build(
-        &graph,
-        Box::new(SpatialGridPartitioner::new(8, scenario.world.region, 0.5)),
-    );
-    println!(
-        "partitioned into {} spatial partitions: sizes {:?}",
-        store.partitions(),
-        store.partition_sizes()
-    );
-
     let queries: Vec<String> = {
         let args: Vec<String> = std::env::args().skip(1).collect();
         if args.is_empty() {
@@ -70,6 +59,8 @@ fn main() {
                 "SELECT ?n WHERE { ?n da:hasTemporalFeature ?t . FILTER t_between(?t, 0, 3600000) } LIMIT 10"
                     .to_string(),
                 "SELECT ?n ?s WHERE { ?n da:speed ?s . FILTER (?s > 8.0) } LIMIT 5".to_string(),
+                "SELECT ?n ?name WHERE { ?n da:ofMovingObject ?v . ?v da:name ?name } LIMIT 5"
+                    .to_string(),
             ]
         } else {
             args
@@ -86,26 +77,22 @@ fn main() {
             }
         };
         let t = Instant::now();
-        let answer = store.execute(&q);
+        let (bindings, stats, morsels) = execute_morsel(&graph, &q, &MorselConfig::default());
         let elapsed = t.elapsed();
-        let (bindings, stats) = match answer {
-            Ok(answer) => answer,
-            Err(refusal) => {
-                // Not a subject star: a partition-local answer could miss
-                // rows, so the store gives none.
-                println!("   refused: {refusal}");
-                continue;
-            }
-        };
         println!(
-            "   {} rows in {:?} ({} of {} partitions probed)",
-            bindings.rows.len(),
+            "   {} rows in {:?} ({} probes, {} morsels on {} workers)",
+            bindings.len(),
             elapsed,
-            stats.partitions_probed,
-            stats.partitions_total
+            stats.probes,
+            morsels.morsels,
+            morsels.workers_used
         );
         for row in bindings.rows.iter().take(5) {
-            let rendered: Vec<String> = row.iter().map(|t| t.to_string()).collect();
+            let rendered: Vec<String> = bindings
+                .decode_row(&graph, row)
+                .iter()
+                .map(|t| t.to_string())
+                .collect();
             println!("   {}", rendered.join("  "));
         }
     }

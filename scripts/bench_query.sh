@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# E14 — query latency vs. store size vs. partition count.
+# E14 — query latency vs. store size.
 #
 # Builds the release query_latency binary, runs the canonical query mix
-# against 10k / 100k / 1M-triple stores, and writes BENCH_query.json at
-# the repo root (p50/p99 per query shape with the p99/p50 tail ratio,
-# morsel-vs-reference planner comparison, hash-partition sweep, and the
+# against 10k / 100k / 1M-triple stores on the one graph, and writes
+# BENCH_query.json at the repo root (p50/p99 per query shape with the
+# p99/p50 tail ratio, morsel-vs-reference planner comparison, and the
 # morsel-executor worker sweep 1..8 with morsel/steal counters). The
 # binary asserts star3's p99/p50 tail ratio stays < 3x and records
 # host_cores so flat worker-sweep curves on small hosts read as what

@@ -178,6 +178,9 @@ retired="$retired"'|datacron[-_]stream|saturate_same_as|DATACRON_JSON_DIR|--bin 
 # One index shape: the literal indexes are sorted key runs in the graph's
 # `Levels`, so no R-tree, tail limit or rebuild counter comes back.
 retired="$retired"'|RTree|SPATIAL_TAIL_LIMIT|TEMPORAL_TAIL_LIMIT|spatial_builds'
+# C4 runs on the one graph: the partitioned query path, its refusal and
+# statistics types, and the location- and time-homed partitioners are gone.
+retired="$retired"'|SpatialGridPartitioner|TemporalPartitioner|NotAStar|PartitionedStats|DecodedBindings|partitions_probed|partition_sweep'
 if grep -rnE --exclude=ci.sh "$retired" crates/ tests/ examples/ scripts/; then
   echo "retired write-path / protocol / test-hook / metrics names are back (see above)" >&2
   exit 1
@@ -196,17 +199,26 @@ if grep -rn '111_000' crates/rdf/src; then
   echo "crates/rdf/src must size radius boxes with BoundingBox::around, not 111_000 (see above)" >&2
   exit 1
 fi
-# The executor knows nothing of partitions: `PartitionedStore` runs it
-# once per partition and owns the star rule, so the module that serves
-# every SPARQL request cannot grow a partition-aware mode back.
+# The executor knows nothing of partitions: C4's parallel query processing
+# is the morsel pool over the one graph, and its pruning is the spatial and
+# temporal indexes, so the module that serves every SPARQL request cannot
+# grow a partition-aware mode back.
 if grep -nE '\bparallel\b|Partition|gidx' crates/rdf/src/morsel.rs; then
   echo "crates/rdf/src/morsel.rs must not name parallel, Partition* or gidx (see above)" >&2
   exit 1
 fi
+# What is left of the partitioned store is the hash-placed copy the
+# benchmark's traced replay syncs (`datacron_rdf::partition`, doc-hidden):
+# no code but that module, the rdf crate root and `benchmark/` names it.
+if grep -rnwE --exclude=ci.sh 'PartitionedStore|HashPartitioner' crates/ tests/ examples/ scripts/ \
+  | grep -vE '^crates/rdf/src/(partition|lib)\.rs:'; then
+  echo "PartitionedStore / HashPartitioner are named outside crates/rdf/src/{partition,lib}.rs and benchmark/ (see above)" >&2
+  exit 1
+fi
 # The benchmark harness (BENCHMARK.json) is a package of its own that
 # compiles the real serve.rs and calls into core/rdf/server APIs (ingest
-# paths, and for its own traced replay the partitioned store and commit
-# log the server no longer uses). Build it and run its unit tests here so
+# paths, and for its own traced replay the hash-placed partition copy and
+# commit log the server no longer uses). Build it and run its unit tests here so
 # a harness-facing API break fails CI, not the benchmark run. Always
 # offline: its third-party crates are the stubs it vendors.
 run cargo test --offline --manifest-path benchmark/Cargo.toml

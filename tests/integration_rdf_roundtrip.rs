@@ -1,11 +1,8 @@
-//! Cross-crate integration: CSV → parse → RDF mapping → partitioned
-//! query answering (C2 + C4 together).
+//! Cross-crate integration: CSV → parse → RDF mapping → parallel query
+//! answering on the one graph (C2 + C4 together).
 
 use datacron_geo::TimeMs;
-use datacron_rdf::{
-    execute, parse_query, Graph, HashPartitioner, PartitionedStore, SpatialGridPartitioner,
-    TemporalPartitioner, Term,
-};
+use datacron_rdf::{execute_morsel, execute_reference, parse_query, Graph, MorselConfig, Term};
 use datacron_sim::{generate_maritime, MaritimeConfig, NoiseModel};
 use datacron_transform::{parse_ais_csv, report_to_ais_csv, RdfMapper};
 
@@ -42,8 +39,11 @@ fn csv_round_trip_preserves_reports() {
     }
 }
 
+/// The mapped scenario answers every query shape — stars, a spatial and
+/// a temporal filter, and a path through the moving object — with the
+/// reference engine's rows at 1, 2 and 4 workers.
 #[test]
-fn mapped_store_answers_equivalently_under_all_partitioners() {
+fn mapped_store_answers_like_the_reference_at_every_worker_count() {
     let data = scenario();
     let mut graph = Graph::new();
     let mut mapper = RdfMapper::new();
@@ -61,18 +61,7 @@ fn mapped_store_answers_equivalently_under_all_partitioners() {
         "SELECT ?n WHERE { ?n da:hasGeometry ?g . FILTER st_within(?g, 23.0, 36.5, 25.0, 38.5) }",
         "SELECT ?n WHERE { ?n da:hasTemporalFeature ?t . FILTER t_between(?t, 0, 1800000) }",
         "SELECT ?v ?s WHERE { ?n da:ofMovingObject ?v . ?n da:speed ?s . FILTER (?s > 9.0) }",
-    ];
-    let region = data.world.region;
-    let stores = [
-        PartitionedStore::build(&graph, Box::new(HashPartitioner::new(4))),
-        PartitionedStore::build(
-            &graph,
-            Box::new(SpatialGridPartitioner::new(4, region, 0.5)),
-        ),
-        PartitionedStore::build(
-            &graph,
-            Box::new(TemporalPartitioner::new(4, TimeMs(0), 30 * 60_000)),
-        ),
+        "SELECT ?n ?name WHERE { ?n da:ofMovingObject ?v . ?v da:name ?name }",
     ];
     // Rows as sorted rendered strings: a lost row cannot hide behind an
     // invented one the way it could behind a row count.
@@ -91,45 +80,19 @@ fn mapped_store_answers_equivalently_under_all_partitioners() {
     };
     for q_text in queries {
         let q = parse_query(q_text).unwrap();
-        let (single, _) = execute(&graph, &q);
+        let (reference, _) = execute_reference(&graph, &q);
         let want = rendered(
-            single
+            reference
                 .rows
                 .iter()
-                .map(|r| single.decode_row(&graph, r))
+                .map(|r| reference.decode_row(&graph, r))
                 .collect(),
         );
         assert!(!want.is_empty(), "{q_text}");
-        for (i, store) in stores.iter().enumerate() {
-            let (parted, _) = store
-                .execute(&q)
-                .expect("every query here is a subject star");
-            let got = rendered(parted.rows.iter().map(|r| r.iter().collect()).collect());
-            assert_eq!(got, want, "partitioner {i} disagrees on: {q_text}");
+        for workers in [1, 2, 4] {
+            let (b, _, _) = execute_morsel(&graph, &q, &MorselConfig::with_workers(workers));
+            let got = rendered(b.rows.iter().map(|r| b.decode_row(&graph, r)).collect());
+            assert_eq!(got, want, "{workers} workers disagree on: {q_text}");
         }
     }
-}
-
-#[test]
-fn spatial_partitioner_prunes_spatial_queries() {
-    let data = scenario();
-    let mut graph = Graph::new();
-    let mut mapper = RdfMapper::new();
-    for obs in &data.reports {
-        mapper.map_report(&mut graph, &obs.report, None);
-    }
-    graph.commit();
-    let store = PartitionedStore::build(
-        &graph,
-        Box::new(SpatialGridPartitioner::new(8, data.world.region, 0.5)),
-    );
-    let q = parse_query(
-        "SELECT ?n WHERE { ?n da:hasGeometry ?g . FILTER st_within(?g, 23.4, 37.7, 23.8, 38.1) }",
-    )
-    .unwrap();
-    let (_, stats) = store.execute(&q).expect("a subject star");
-    assert!(
-        stats.partitions_probed < stats.partitions_total,
-        "spatial pruning failed: {stats:?}"
-    );
 }
