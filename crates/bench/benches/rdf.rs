@@ -1,8 +1,8 @@
 //! E5 timing: triple-store load, the six E5 query templates on the one
 //! graph (the E5 store, one inline worker), and the cost of committing
 //! serving-sized batches into a store of a given size, folds included
-//! (`commit_tail`), and into a spatial index growing to 1M point literals
-//! (`commit_tail/points_1M`).
+//! (`commit_tail`), and of whole batches into a dictionary and a spatial
+//! index growing to 1M point literals (`commit_tail/points_1M`).
 
 use datacron_bench::{bench, maritime_small, maritime_workload, reports_of};
 use datacron_geo::{GeoPoint, Rng, TimeMs};
@@ -124,16 +124,17 @@ fn bench_commit_tail() {
 }
 
 /// 1M distinct point literals, encoded and committed 64 at a time (one
-/// serving batch's reports) into an empty graph, so the spatial index
-/// grows from nothing to 1M keys. Encoding only queues a point's key; the
-/// commits, which merge and fold them, are timed. Prints the mean commit
-/// and the max, which is the largest fold.
+/// serving batch's reports) into an empty graph, so the dictionary and
+/// the spatial index grow from nothing to 1M terms and keys. Each batch
+/// is timed whole (its 64 encodes, then the commit that merges and folds
+/// their keys), and its commit alone. Prints the mean and max commit, and
+/// the max batch: the largest fold, or a stall inside `encode`.
 fn bench_commit_points() {
     const BATCH: usize = 64;
     const POINTS: usize = 1_000_000;
     let mut rng = Rng::seed_from_u64(7);
     let mut g = Graph::new();
-    let (mut total, mut max) = (Duration::ZERO, Duration::ZERO);
+    let (mut total, mut max, mut max_batch) = (Duration::ZERO, Duration::ZERO, Duration::ZERO);
     for _ in 0..POINTS / BATCH {
         let batch: Vec<Term> = (0..BATCH)
             .map(|_| {
@@ -141,6 +142,7 @@ fn bench_commit_points() {
                 Term::point(GeoPoint::new(lon, lat))
             })
             .collect();
+        let whole = Stopwatch::start();
         for p in &batch {
             g.encode(p);
         }
@@ -149,14 +151,16 @@ fn bench_commit_points() {
         let spent = t.elapsed();
         total += spent;
         max = max.max(spent);
+        max_batch = max_batch.max(whole.elapsed());
     }
     assert_eq!(g.spatial().len(), POINTS);
     let us = |d: Duration| d.as_secs_f64() * 1e6;
     println!(
-        "{:<44} {:>10.1} us mean {:>10.1} us max  ({} batches of {BATCH})",
+        "{:<44} {:>10.1} us mean {:>10.1} us max {:>10.1} us max batch  ({} batches of {BATCH})",
         "commit_tail/points_1M",
         us(total) / (POINTS / BATCH) as f64,
         us(max),
+        us(max_batch),
         POINTS / BATCH,
     );
 }

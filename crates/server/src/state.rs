@@ -528,7 +528,7 @@ impl AnalyticsState {
     }
 
     /// Writes the state's counters into a scrape: the pipeline's lifetime
-    /// counts, the graph size and folds, and the query
+    /// counts, the graph's triples, terms and folds, and the query
     /// executor's totals.
     pub fn scrape_into(&self, sink: &mut Sink) {
         let m = self.pipeline.metrics();
@@ -553,6 +553,7 @@ impl AnalyticsState {
             sink.counter(name, &[], v);
         }
         sink.gauge("datacron_graph_triples", &[], graph.len() as u64);
+        sink.gauge("datacron_graph_terms", &[], graph.dict().len() as u64);
     }
 }
 

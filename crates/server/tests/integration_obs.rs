@@ -2,9 +2,11 @@
 //! registry exposition, `stats` as the same samples under one rule, and
 //! the `slowlog` span breakdowns, plus scrapes racing live workers.
 
-use datacron_core::PipelineConfig;
-use datacron_geo::BoundingBox;
+use datacron_core::{Pipeline, PipelineConfig};
+use datacron_geo::{BoundingBox, GeoPoint, TimeMs};
+use datacron_model::{NavStatus, ObjectId, PositionReport, SourceId};
 use datacron_server::client::is_ok;
+use datacron_server::protocol::report_to_json;
 use datacron_server::{start, Client, Json, ServerConfig};
 use datacron_storage::test_util::TempDir;
 use datacron_storage::StorageConfig;
@@ -28,22 +30,31 @@ fn connect(addr: SocketAddr) -> Client {
     Client::connect_timeout(addr, Duration::from_secs(10)).expect("connect")
 }
 
-fn ingest_request(object: u64, t0_s: i64, n: usize, lon0: f64, lat: f64) -> Json {
-    let reports: Vec<Json> = (0..n)
+/// `n` fixes of one vessel 10 s and 0.01° apart, heading east at 6 m/s.
+fn reports(object: u64, t0_s: i64, n: usize, lon0: f64, lat: f64) -> Vec<PositionReport> {
+    (0..n)
         .map(|i| {
-            Json::obj()
-                .field("object", object)
-                .field("t_ms", (t0_s + i as i64 * 10) * 1000)
-                .field("lon", lon0 + i as f64 * 0.01)
-                .field("lat", lat)
-                .field("speed_mps", 6.0)
-                .field("heading_deg", 90.0)
-                .build()
+            PositionReport::maritime(
+                ObjectId(object),
+                TimeMs((t0_s + i as i64 * 10) * 1000),
+                GeoPoint::new(lon0 + i as f64 * 0.01, lat),
+                6.0,
+                90.0,
+                SourceId::AIS_TERRESTRIAL,
+                NavStatus::UnderWay,
+            )
         })
-        .collect();
+        .collect()
+}
+
+fn ingest_request(object: u64, t0_s: i64, n: usize, lon0: f64, lat: f64) -> Json {
+    let reports = reports(object, t0_s, n, lon0, lat);
     Json::obj()
         .field("type", "ingest")
-        .field("reports", Json::Arr(reports))
+        .field(
+            "reports",
+            Json::Arr(reports.iter().map(report_to_json).collect()),
+        )
         .build()
 }
 
@@ -95,6 +106,7 @@ fn metrics_exposition_covers_every_subsystem() {
         "# TYPE datacron_connections_total counter",
         "# TYPE datacron_pipeline_reports_in_total counter",
         "# TYPE datacron_graph_triples gauge",
+        "# TYPE datacron_graph_terms gauge",
         "# TYPE datacron_graph_folds_total counter",
         "# TYPE datacron_wal_bytes gauge",
         "# TYPE datacron_wal_fsyncs_total counter",
@@ -509,6 +521,13 @@ fn stats_and_metrics_are_one_surface() {
     assert!(stats.get("storage").is_none() && stats.get("wal").is_none());
     assert_eq!(u64_at(&stats, "pipeline", "reports_in"), Some(80));
     assert_eq!(u64_at(&stats, "graph", "folds"), Some(1));
+    // The dictionary's size, against the same batches run in process.
+    let mut reference = Pipeline::new(test_config().pipeline);
+    reference.ingest_batch(&reports(4, 0, 40, 21.0, 37.0));
+    reference.ingest_batch(&reports(5, 0, 40, 21.5, 37.5));
+    let terms = reference.graph().dict().len() as u64;
+    assert!(terms > 0);
+    assert_eq!(u64_at(&stats, "graph", "terms"), Some(terms));
     handle.shutdown();
 }
 

@@ -98,6 +98,13 @@ run cargo test --release -q -p datacron-rdf --test differential
 # tests restore 16 385 point literals and compare every secondary-index
 # answer with a dictionary scan, live, uncommitted and restored.
 run cargo test --release -q -p datacron-rdf --test properties -- commit_merge restore_answers secondary_indexes
+# The dictionary against its model in release too: encode, lookup,
+# decode, iter and the bulk restore through resizes, at every load
+# threshold and under colliding hashes, no encode moving more than its
+# step of the growing table; and the snapshot's term section mutated
+# byte by byte, every restore an error or a whole graph.
+run cargo test --release -q -p datacron-rdf --lib dict::
+run cargo test --release -q -p datacron-rdf --test hostile_bytes
 # The timing benches (`harness = false` binaries over datacron_bench::bench).
 run cargo bench --workspace --no-run
 # Dependency-graph guard: the server links what it runs. The

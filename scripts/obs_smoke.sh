@@ -122,7 +122,8 @@ PAIRS=(
   '"last_snapshot_seq": datacron_storage_last_snapshot_seq'
   '"reports_in": datacron_pipeline_reports_in_total'
   '"graph":{"folds": datacron_graph_folds_total'
-  '"folds":[0-9]*,"triples": datacron_graph_triples'
+  '"folds":[0-9]*,"terms": datacron_graph_terms'
+  '"terms":[0-9]*,"triples": datacron_graph_triples'
 )
 
 request '{"type":"metrics"}'
@@ -134,6 +135,7 @@ for family in \
   '# TYPE datacron_net_open_connections gauge' \
   '# TYPE datacron_net_loop_latency_us summary' \
   '# TYPE datacron_graph_triples gauge' \
+  '# TYPE datacron_graph_terms gauge' \
   '# TYPE datacron_graph_folds_total counter' \
   '# TYPE datacron_wal_bytes gauge' \
   '# TYPE datacron_wal_fsync_latency_us summary' \
