@@ -1,14 +1,15 @@
 //! E5 timing: triple-store load, the six E5 query templates on the one
-//! graph (the E5 store, one inline worker), and the cost of committing
-//! serving-sized batches into a store of a given size, folds included
-//! (`commit_tail`), and of whole batches into a dictionary and a spatial
-//! index growing to 1M point literals (`commit_tail/points_1M`).
+//! graph (the E5 store, one inline worker; each followed by the engine's
+//! own `planning_us` / `exec_us` p50 at 1 and 2 workers), and the cost of
+//! committing serving-sized batches into a store of a given size, folds
+//! included (`commit_tail`), and of whole batches into a dictionary and a
+//! spatial index growing to 1M point literals (`commit_tail/points_1M`).
 
 use datacron_bench::{bench, maritime_small, maritime_workload, reports_of};
 use datacron_geo::{GeoPoint, Rng, TimeMs};
 use datacron_model::{NavStatus, ObjectId, PositionReport, SourceId};
 use datacron_obs::Stopwatch;
-use datacron_rdf::{execute, parse_query, Graph, Term};
+use datacron_rdf::{execute, execute_morsel, parse_query, Graph, MorselConfig, Term};
 use datacron_transform::RdfMapper;
 use std::hint::black_box;
 use std::time::Duration;
@@ -58,8 +59,28 @@ fn bench_rdf() {
         bench(&format!("rdf/{name}"), 0, || {
             execute(&graph, black_box(&q)).0.len()
         });
+        for workers in [1, 2] {
+            let cfg = MorselConfig::with_workers(workers);
+            let (mut planning, mut exec): (Vec<u64>, Vec<u64>) = (0..SPLIT_RUNS)
+                .map(|_| {
+                    let stats = execute_morsel(&graph, &q, &cfg).1;
+                    (stats.planning_us, stats.exec_us)
+                })
+                .unzip();
+            planning.sort_unstable();
+            exec.sort_unstable();
+            println!(
+                "{:<44} {:>10} us planning p50 {:>10} us exec p50",
+                format!("rdf/{name}/split/{workers}w"),
+                planning[SPLIT_RUNS / 2],
+                exec[SPLIT_RUNS / 2],
+            );
+        }
     }
 }
+
+/// Runs per template and worker count behind the planning / exec split.
+const SPLIT_RUNS: usize = 51;
 
 /// Maps `nodes` synthetic reports, numbered from `from`, through the real
 /// mapper (6 triples each): a fresh node subject — the highest id so far —

@@ -109,19 +109,23 @@ fn resolve(
     }
 }
 
-/// Pushdown: the candidate id set per variable slot from the
-/// spatiotemporal filters of `q` (several filters on one variable
-/// intersect), plus the number of candidate ids the indexes produced.
-/// Every filter variable must be in `var_idx`.
+/// Per variable slot, the pushdown candidates of the spatiotemporal
+/// filters on it: one sorted, duplicate-free run of ids (several filters
+/// on one variable intersect), or `None` when no such filter names it.
+pub(crate) type Candidates = Vec<Option<Vec<TermId>>>;
+
+/// Pushdown: the candidate runs of `q`'s filters per variable slot, plus
+/// the number of candidate ids the indexes produced. Every filter
+/// variable must be in `var_idx`.
 pub(crate) fn pushdown_candidates(
     graph: &Graph,
     q: &SelectQuery,
     var_idx: &FxHashMap<String, usize>,
-) -> (FxHashMap<usize, FxHashSet<TermId>>, usize) {
+) -> (Candidates, usize) {
     let mut produced = 0usize;
-    let mut candidates: FxHashMap<usize, FxHashSet<TermId>> = FxHashMap::default();
+    let mut candidates: Candidates = vec![None; var_idx.len()];
     for f in &q.filters {
-        let set = match f {
+        let run = match f {
             FilterExpr::SpatialWithin { bbox, .. } => graph.spatial().within(bbox),
             FilterExpr::SpatialNear {
                 center, radius_m, ..
@@ -129,25 +133,22 @@ pub(crate) fn pushdown_candidates(
             FilterExpr::TimeBetween { interval, .. } => graph.temporal().between(interval),
             FilterExpr::Compare { .. } => continue,
         };
-        produced += set.len();
-        let idx = var_idx[f.var()];
-        match candidates.get_mut(&idx) {
-            Some(existing) => existing.retain(|id| set.contains(id)),
-            None => {
-                candidates.insert(idx, set);
-            }
+        produced += run.len();
+        match &mut candidates[var_idx[f.var()]] {
+            Some(existing) => existing.retain(|id| run.binary_search(id).is_ok()),
+            unfiltered => *unfiltered = Some(run),
         }
     }
     (candidates, produced)
 }
 
 /// The reference engine's prologue: variable table, projection, pushdown
-/// candidate sets. `Err` carries the (empty) early-exit result.
+/// candidate runs. `Err` carries the (empty) early-exit result.
 struct Prologue {
     all_vars: Vec<String>,
     var_idx: FxHashMap<String, usize>,
     projected: Vec<String>,
-    candidates: FxHashMap<usize, FxHashSet<TermId>>,
+    candidates: Candidates,
 }
 
 fn prologue(graph: &Graph, q: &SelectQuery, stats: &mut QueryStats) -> Result<Prologue, Bindings> {
@@ -204,9 +205,10 @@ pub fn execute(graph: &Graph, q: &SelectQuery) -> (Bindings, QueryStats) {
 
 /// Executes a query on the **reference path**: the original O(matches)
 /// `count_pattern` planner and per-triple callback probes with per-row
-/// allocation. Retained verbatim so the morsel executor can be validated
-/// for identical row sets and benchmarked for planning cost — do not
-/// "optimise" this function.
+/// allocation, a filtered variable binding only ids that a `binary_search`
+/// finds in the candidate run the morsel executor shares. Retained so the
+/// morsel executor can be validated for identical row sets and
+/// benchmarked for planning cost — do not "optimise" this function.
 pub fn execute_reference(graph: &Graph, q: &SelectQuery) -> (Bindings, QueryStats) {
     let t_total = Stopwatch::start();
     let mut stats = QueryStats::default();
@@ -254,7 +256,7 @@ pub fn execute_reference(graph: &Graph, q: &SelectQuery) -> (Bindings, QueryStat
                 if bound.contains(&vi) {
                     cost /= 16.0;
                 }
-                if candidates.contains_key(&vi) {
+                if candidates[vi].is_some() {
                     cost /= 4.0;
                 }
             }
@@ -292,8 +294,8 @@ pub fn execute_reference(graph: &Graph, q: &SelectQuery) -> (Bindings, QueryStat
                             }
                             Some(_) => {}
                             None => {
-                                if let Some(cand) = candidates.get(&vi) {
-                                    if !cand.contains(&id) {
+                                if let Some(cand) = &candidates[vi] {
+                                    if cand.binary_search(&id).is_err() {
                                         ok = false;
                                         break;
                                     }

@@ -15,11 +15,11 @@
 //!   interval is one range per level.
 //!
 //! Literals encoded since the last commit are queued, unsorted, and each
-//! read scans the queue too.
+//! read scans them too. A read answers a sorted, duplicate-free id run.
 
 use crate::dict::{Dictionary, TermId};
 use crate::term::Term;
-use datacron_geo::{BoundingBox, FxHashSet, GeoPoint, TimeInterval, TimeMs};
+use datacron_geo::{BoundingBox, GeoPoint, TimeInterval, TimeMs};
 
 /// A spatial index key: the Z-order key of the point's cell, then its id.
 pub(crate) type PointKey = (u64, u32);
@@ -158,9 +158,9 @@ impl SpatialIndex<'_> {
         self.len() == 0
     }
 
-    /// Calls `visit` with each point literal whose cell lies in `bbox`'s
-    /// cells, a superset of those inside `bbox`.
-    fn for_each_in(&self, bbox: &BoundingBox, mut visit: impl FnMut(TermId, GeoPoint)) {
+    /// Appends to `out` each point literal `keep` accepts among those whose
+    /// cell lies in `bbox`'s cells, a superset of those inside `bbox`.
+    fn hits(&self, bbox: &BoundingBox, keep: impl Fn(GeoPoint) -> bool, out: &mut Vec<TermId>) {
         let (lo, hi) = (
             cells(bbox.min_lon, bbox.min_lat),
             cells(bbox.max_lon, bbox.max_lat),
@@ -170,8 +170,9 @@ impl SpatialIndex<'_> {
         }
         let mut hit = |id: u32| {
             let id = TermId(id);
-            if let Some(p) = self.dict.decode(id).and_then(Term::as_point) {
-                visit(id, p);
+            let point = self.dict.decode(id).and_then(Term::as_point);
+            if point.is_some_and(&keep) {
+                out.push(id);
             }
         };
         for level in self.sorted {
@@ -184,40 +185,36 @@ impl SpatialIndex<'_> {
         }
     }
 
-    /// Ids of point literals inside `bbox`.
-    pub fn within(&self, bbox: &BoundingBox) -> FxHashSet<TermId> {
-        let mut out = FxHashSet::default();
-        self.for_each_in(bbox, |id, p| {
-            if bbox.contains(&p) {
-                out.insert(id);
-            }
-        });
+    /// Ids of point literals inside `bbox`, ascending.
+    pub fn within(&self, bbox: &BoundingBox) -> Vec<TermId> {
+        let mut out = Vec::new();
+        self.hits(bbox, |p| bbox.contains(&p), &mut out);
+        out.sort_unstable();
         out
     }
 
     /// Ids of point literals within `radius_m` of `center`
-    /// ([`GeoPoint::haversine_m`]).
-    pub fn near(&self, center: &GeoPoint, radius_m: f64) -> FxHashSet<TermId> {
+    /// ([`GeoPoint::haversine_m`]), ascending.
+    pub fn near(&self, center: &GeoPoint, radius_m: f64) -> Vec<TermId> {
         // Prefilter by the box around the radius and its copies 360° east
         // and west (they hold points only where the box crosses the
         // antimeridian, and the edge cells past ±180°); refine by distance.
         // The box is built around the centre's longitude wrapped into
         // [-180°, 180°), as the haversine distance sees it (-356° is 4°).
+        // Two boxes share the saturated edge cell: a point on it may repeat.
         let lon = (center.lon + 180.0).rem_euclid(360.0) - 180.0;
         let reach = BoundingBox::around(&GeoPoint::new(lon, center.lat), radius_m);
-        let mut out = FxHashSet::default();
+        let mut out = Vec::new();
         for shift in [0.0, 360.0, -360.0] {
             let bbox = BoundingBox {
                 min_lon: reach.min_lon + shift,
                 max_lon: reach.max_lon + shift,
                 ..reach
             };
-            self.for_each_in(&bbox, |id, p| {
-                if p.haversine_m(center) <= radius_m {
-                    out.insert(id);
-                }
-            });
+            self.hits(&bbox, |p| p.haversine_m(center) <= radius_m, &mut out);
         }
+        out.sort_unstable();
+        out.dedup();
         out
     }
 }
@@ -241,10 +238,10 @@ impl TemporalIndex<'_> {
         self.len() == 0
     }
 
-    /// Ids of time literals inside the half-open `interval`.
-    pub fn between(&self, interval: &TimeInterval) -> FxHashSet<TermId> {
+    /// Ids of time literals inside the half-open `interval`, ascending.
+    pub fn between(&self, interval: &TimeInterval) -> Vec<TermId> {
         let (start, end) = (interval.start.millis(), interval.end.millis());
-        let mut out = FxHashSet::default();
+        let mut out = Vec::new();
         for level in self.sorted {
             let a = level.partition_point(|k| k.0 < start);
             let b = a + level[a..].partition_point(|k| k.0 < end);
@@ -252,9 +249,10 @@ impl TemporalIndex<'_> {
         }
         for &(t, id) in self.pending {
             if start <= t && t < end {
-                out.insert(TermId(id));
+                out.push(TermId(id));
             }
         }
+        out.sort_unstable();
         out
     }
 }
@@ -434,13 +432,52 @@ mod tests {
         g.commit();
         let spatial = g.spatial();
         let within = |a, b| spatial.within(&BoundingBox::new(a, 36.0, b, 38.0));
-        assert_eq!(within(199.0, 201.0), [east].into_iter().collect());
-        assert_eq!(within(-201.0, -199.0), [west].into_iter().collect());
+        assert_eq!(within(199.0, 201.0), [east]);
+        assert_eq!(within(-201.0, -199.0), [west]);
         // The haversine distance wraps, and the copy 360° over reaches
         // the edge cell.
         let near = |lon| spatial.near(&GeoPoint::new(lon, 37.0), 1_000.0);
-        assert_eq!(near(-160.0), [east].into_iter().collect());
-        assert_eq!(near(160.0), [west].into_iter().collect());
+        assert_eq!(near(-160.0), [east]);
+        assert_eq!(near(160.0), [west]);
+    }
+
+    /// Every read answers a strictly ascending run, from the sorted levels
+    /// and the queue alike. `near`'s boxes 360° apart both reach the
+    /// saturated edge cell, where every point at lon 180° or past it sits:
+    /// each is answered once.
+    #[test]
+    fn reads_answer_strictly_ascending_runs_of_distinct_ids() {
+        let mut g = Graph::new();
+        let edge: Vec<TermId> = [180.0, 180.02, 180.05, 180.1]
+            .into_iter()
+            .map(|lon| point(&mut g, lon, 37.0))
+            .collect();
+        point(&mut g, 179.0, 37.0);
+        point(&mut g, 200.0, 37.0);
+        let near = |g: &Graph| g.spatial().near(&GeoPoint::new(179.9, 37.0), 20_000.0);
+        assert_eq!(near(&g), edge, "queued");
+        // Points and instants out of id order; the last 50 stay queued.
+        for i in (0..340i64).rev() {
+            let (lon, lat) = (
+                23.0 + (i * 37 % 100) as f64 * 0.01,
+                37.0 + (i % 7) as f64 * 0.1,
+            );
+            point(&mut g, lon, lat);
+            instant(&mut g, i * 53 % 1_000);
+            if i % 100 == 50 {
+                g.commit();
+            }
+        }
+        assert_eq!(near(&g), edge, "committed");
+        let ascending = |ids: &[TermId]| ids.len() > 40 && ids.windows(2).all(|w| w[0] < w[1]);
+        let hits = g
+            .spatial()
+            .within(&BoundingBox::new(23.2, 37.0, 23.8, 37.5));
+        assert!(ascending(&hits), "{hits:?}");
+        let hits = g
+            .temporal()
+            .between(&TimeInterval::new(TimeMs(100), TimeMs(990)));
+        assert!(ascending(&hits), "{hits:?}");
     }
 
     #[test]

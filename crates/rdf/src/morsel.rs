@@ -9,12 +9,13 @@
 //! — so the largest single work unit is bounded by
 //! [`MorselConfig::morsel_triples`] no matter how large the seed range is.
 //! The seed is the first pattern's slice of the index, or, when a
-//! `st_within`/`st_near`/`t_between` filter's candidate ids from the
-//! spatial or temporal index are fewer than that slice's triples, those
-//! ids: the first pattern becomes the cheapest one mentioning the
-//! filtered variable, probed once per candidate in ascending id order,
-//! so a narrow box or window reads its few candidates instead of the
-//! whole predicate.
+//! `st_within`/`st_near`/`t_between` filter's candidate ids (the sorted
+//! run the spatial or temporal index answers, kept as is) are fewer than
+//! that slice's triples, those ids: the first pattern becomes the
+//! cheapest one mentioning the filtered variable, probed once per id in
+//! run order, so a narrow box or window reads its few candidates instead
+//! of the whole predicate. A join binds a filtered variable only to ids
+//! a `binary_search` finds in its run.
 //! Hand-rolled on `std` threads and mutex-guarded deques, matching the
 //! repo's build-the-substrate style (no rayon). A pool of one runs inline
 //! on the caller thread.
@@ -58,7 +59,9 @@
 //!   *distinct* rows, and that count needs the set.
 
 use crate::dict::TermId;
-use crate::engine::{cmp_satisfies, cmp_terms, pushdown_candidates, Bindings, QueryStats, Row};
+use crate::engine::{
+    cmp_satisfies, cmp_terms, pushdown_candidates, Bindings, Candidates, QueryStats, Row,
+};
 use crate::query::{CmpOp, FilterExpr, PatternTerm, SelectQuery};
 use crate::store::{Graph, PatternSlice, ProbeHint, Triple};
 use crate::term::Term;
@@ -237,17 +240,17 @@ enum Seed<'a> {
     /// The committed triples matching the first step, found once; the
     /// uncommitted tail is chunked into morsels of its own.
     Slice(PatternSlice<'a>),
-    /// One variable's pushdown candidates, ascending: the first step is
-    /// probed once per id with `var` bound to it, so successive probes
-    /// gallop through the index, and each probe also matches the tail.
-    Candidates { var: usize, ids: Vec<TermId> },
+    /// The candidate run of variable slot `var`: the first step is probed
+    /// once per id with `var` bound to it, so successive probes gallop
+    /// through the index, and each probe also matches the tail.
+    Candidates { var: usize },
 }
 
 /// An execution plan: join order as resolved steps, the pushdown
-/// candidate sets, and the seed.
+/// candidate runs, and the seed.
 struct Plan<'a> {
     steps: Vec<Step>,
-    candidates: FxHashMap<usize, FxHashSet<TermId>>,
+    candidates: Candidates,
     seed: Seed<'a>,
 }
 
@@ -260,7 +263,7 @@ struct Plan<'a> {
 fn step_cost(
     g: &Graph,
     shape: &Shape<'_>,
-    candidates: &FxHashMap<usize, FxHashSet<TermId>>,
+    candidates: &Candidates,
     step: &Step,
     bound: &[bool],
 ) -> f64 {
@@ -284,7 +287,7 @@ fn step_cost(
                 Some(d) => cost.min(d),
                 None => cost / 16.0,
             };
-        } else if let Some(cand) = candidates.get(&vi) {
+        } else if let Some(cand) = &candidates[vi] {
             cost = cost.min(cand.len() as f64 * degree.unwrap_or(1.0));
         }
         // A variable with an eager comparison filter sheds rows at bind
@@ -297,25 +300,27 @@ fn step_cost(
     cost
 }
 
-/// Greedy join order over `remaining`, starting from the variables in
-/// `bound`: repeatedly the cheapest step ([`step_cost`]), the first one
-/// drawn from the steps that mention `first_mentions` when that is given.
+/// Greedy join order over `remaining`, starting with only the `seed`
+/// variable bound, if any: repeatedly the cheapest step ([`step_cost`]),
+/// the first one drawn from the steps that mention `seed`.
 /// Computed once, not per join state: the cost depends only on the
 /// bound-variable set, which the order itself determines. The last step
 /// left needs no costing.
 fn join_order(
     g: &Graph,
     shape: &Shape<'_>,
-    candidates: &FxHashMap<usize, FxHashSet<TermId>>,
+    candidates: &Candidates,
     mut remaining: Vec<Step>,
-    mut bound: Vec<bool>,
-    mut first_mentions: Option<usize>,
+    mut seed: Option<usize>,
 ) -> Vec<Step> {
+    let mut bound: Vec<bool> = (0..shape.all_vars.len())
+        .map(|vi| seed == Some(vi))
+        .collect();
     let mut steps = Vec::with_capacity(remaining.len());
     while remaining.len() > 1 {
         let mut best: Option<(usize, f64)> = None;
         for (ri, step) in remaining.iter().enumerate() {
-            if !first_mentions.is_none_or(|vi| step.mentions(vi)) {
+            if !seed.is_none_or(|vi| step.mentions(vi)) {
                 continue;
             }
             let cost = step_cost(g, shape, candidates, step, &bound);
@@ -331,7 +336,7 @@ fn join_order(
             }
         }
         steps.push(step);
-        first_mentions = None;
+        seed = None;
     }
     steps.append(&mut remaining);
     steps
@@ -345,8 +350,9 @@ fn join_order(
 ///
 /// The seed is the greedy first step's slice, unless a variable of that
 /// step has pushdown candidates fewer than the slice's triples: then the
-/// smallest such set seeds the join, the first step is the cheapest one
-/// mentioning its variable, and the rest follow greedily with it bound.
+/// smallest such run seeds the join as it is, the first step is the
+/// cheapest one mentioning its variable, and the rest follow greedily
+/// with it bound.
 /// That step's cost weighs each candidate by its fan-out, so instants a
 /// whole fleet shares do not seed ahead of points of one node each.
 fn plan_graph<'a>(g: &'a Graph, q: &SelectQuery, shape: &Shape<'_>) -> (Option<Plan<'a>>, usize) {
@@ -356,7 +362,7 @@ fn plan_graph<'a>(g: &'a Graph, q: &SelectQuery, shape: &Shape<'_>) -> (Option<P
     let (candidates, pushdown) = pushdown_candidates(g, q, &shape.var_idx);
     // Every filter variable occurs in the BGP, so every row binds it to a
     // candidate: with none, no seed scan can produce a row.
-    if candidates.values().any(FxHashSet::is_empty) {
+    if candidates.iter().flatten().any(Vec::is_empty) {
         return (None, pushdown);
     }
 
@@ -374,42 +380,28 @@ fn plan_graph<'a>(g: &'a Graph, q: &SelectQuery, shape: &Shape<'_>) -> (Option<P
         remaining.push(Step { s, p, o });
     }
 
-    let none_bound = vec![false; shape.all_vars.len()];
-    let steps = join_order(
-        g,
-        shape,
-        &candidates,
-        remaining.clone(),
-        none_bound.clone(),
-        None,
-    );
+    let steps = join_order(g, shape, &candidates, remaining.clone(), None);
     let Some(first) = steps.first() else {
         return (None, pushdown);
     };
     let (s, p, o) = first.probe(&shape.unbound);
     let slice = g.pattern_slice(s, p, o);
-    let smallest = candidates
-        .iter()
-        .filter(|&(&vi, _)| first.mentions(vi))
-        .min_by_key(|&(&vi, set)| (set.len(), vi))
-        .filter(|(_, set)| set.len() < slice.len() + g.tail_len());
+    let smallest = (0..candidates.len())
+        .filter(|&vi| first.mentions(vi))
+        .filter_map(|vi| Some((candidates[vi].as_ref()?.len(), vi)))
+        .min()
+        .filter(|&(len, _)| len < slice.len() + g.tail_len());
     let plan = match smallest {
         None => Plan {
             steps,
             seed: Seed::Slice(slice),
             candidates,
         },
-        Some((&var, set)) => {
-            let mut ids: Vec<TermId> = set.iter().copied().collect();
-            ids.sort_unstable();
-            let mut bound = none_bound;
-            bound[var] = true;
-            Plan {
-                steps: join_order(g, shape, &candidates, remaining, bound, Some(var)),
-                seed: Seed::Candidates { var, ids },
-                candidates,
-            }
-        }
+        Some((_, var)) => Plan {
+            steps: join_order(g, shape, &candidates, remaining, Some(var)),
+            seed: Seed::Candidates { var },
+            candidates,
+        },
     };
     (Some(plan), pushdown)
 }
@@ -536,7 +528,7 @@ fn eager_ok(ctx: &Ctx<'_, '_>, vi: usize, id: TermId, memo: &mut [Option<(TermId
 }
 
 /// Binds `t` into `bufs.scratch` (copied from `row` first), honoring
-/// repeated variables, pushdown candidate sets, and eager comparison
+/// repeated variables, pushdown candidate runs, and eager comparison
 /// filters. Returns false when the triple cannot extend the row.
 fn bind(
     ctx: &Ctx<'_, '_>,
@@ -552,8 +544,8 @@ fn bind(
             Some(existing) if existing != id => return false,
             Some(_) => {}
             None => {
-                if let Some(cand) = ctx.plan.candidates.get(&vi) {
-                    if !cand.contains(&id) {
+                if let Some(cand) = &ctx.plan.candidates[vi] {
+                    if cand.binary_search(&id).is_err() {
                         return false;
                     }
                 }
@@ -628,13 +620,14 @@ fn run_morsel(ctx: &Ctx<'_, '_>, m: Morsel, st: &mut WorkerState, out: &mut Work
                 &mut st.cur,
             )
         }
-        Seed::Candidates { var, ids } => {
+        &Seed::Candidates { var } => {
+            let ids = ctx.plan.candidates[var].as_deref().unwrap_or_default();
             let mut rows = 0;
             for &id in &ids[m.lo..m.hi] {
-                if !eager_ok(ctx, *var, id, &mut st.bufs.memo) {
+                if !eager_ok(ctx, var, id, &mut st.bufs.memo) {
                     continue;
                 }
-                st.seed_row[*var] = Some(id);
+                st.seed_row[var] = Some(id);
                 let (s, p, o) = seed.probe(&st.seed_row);
                 let committed = g.pattern_slice_hinted(s, p, o, seed_hint);
                 out.probes += 1;
@@ -740,7 +733,9 @@ fn drain(ctx: &Ctx<'_, '_>, morsel_triples: usize, stats: &mut MorselStats) -> V
             chunk(ctx.graph.tail_triples().len(), true);
         }
         // A candidate probe matches the tail itself.
-        Seed::Candidates { ids, .. } => chunk(ids.len(), false),
+        &Seed::Candidates { var } => {
+            chunk(ctx.plan.candidates[var].as_ref().map_or(0, Vec::len), false)
+        }
     }
     stats.morsels = morsels.len() as u64;
 

@@ -254,9 +254,10 @@ fn decoded(g: &Graph, b: &Bindings) -> Vec<String> {
 }
 
 /// The candidate ids per filtered variable, as the spatial and temporal
-/// indexes answer each filter (several filters on one variable intersect).
-fn candidate_sets(g: &Graph, q: &SelectQuery) -> Vec<FxHashSet<TermId>> {
-    let mut sets: Vec<(String, FxHashSet<TermId>)> = Vec::new();
+/// indexes answer each filter: sorted runs (several filters on one
+/// variable intersect).
+fn candidate_sets(g: &Graph, q: &SelectQuery) -> Vec<Vec<TermId>> {
+    let mut sets: Vec<(String, Vec<TermId>)> = Vec::new();
     for f in &q.filters {
         let set = match f {
             FilterExpr::SpatialWithin { bbox, .. } => g.spatial().within(bbox),
@@ -267,7 +268,7 @@ fn candidate_sets(g: &Graph, q: &SelectQuery) -> Vec<FxHashSet<TermId>> {
             FilterExpr::Compare { .. } => continue,
         };
         match sets.iter_mut().find(|(v, _)| v == f.var()) {
-            Some((_, existing)) => existing.retain(|id| set.contains(id)),
+            Some((_, existing)) => existing.retain(|id| set.binary_search(id).is_ok()),
             None => sets.push((f.var().to_string(), set)),
         }
     }
@@ -391,7 +392,7 @@ fn morsel_executor_matches_the_reference_on_spatiotemporal_bgps() {
             let q = arb_case(&mut rng);
             let case = format!("graph {graph_seed}, query {query_seed}: {q:?}");
 
-            let smallest = candidate_sets(&g, &q).iter().map(FxHashSet::len).min();
+            let smallest = candidate_sets(&g, &q).iter().map(Vec::len).min();
             let widths = slice_widths(&g, &q);
             if let Some(k) = smallest {
                 if widths.iter().all(|&w| k < w) {

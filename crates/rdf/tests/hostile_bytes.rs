@@ -1,6 +1,6 @@
-//! Byte-mutation suite for `from_binary`, aimed at its term section (the
-//! dictionary's bulk restore): every single-byte flip of the header and
-//! the terms, and seeded random flips and truncations of the whole
+//! Byte-mutation suite for `from_binary`: every single-byte flip of the
+//! header, the term section (the dictionary's bulk restore) and the
+//! triple section, and seeded random flips and truncations of the whole
 //! payload, on a seeded graph.
 //!
 //! Each case must end in `Err` or in a graph that is whole: its ids a
@@ -198,9 +198,9 @@ fn mutated_payloads_end_in_an_error_or_a_whole_graph() {
         cases += 1;
         restored += usize::from(restore(b, fixed, &name));
     };
-    // Every byte of the header and the terms, flipped three ways: its low
-    // bit (a length or id one off), its high bit, and all of it.
-    for at in 0..terms_end {
+    // Every byte, flipped three ways: its low bit (a length or id one
+    // off), its high bit, and all of it.
+    for at in 0..bytes.len() {
         for mask in [0x01u8, 0x80, 0xFF] {
             let mut b = bytes.clone();
             b[at] ^= mask;

@@ -206,6 +206,14 @@ if grep -rn '111_000' crates/rdf/src; then
   echo "crates/rdf/src must size radius boxes with BoundingBox::around, not 111_000 (see above)" >&2
   exit 1
 fi
+# One representation of a filter's candidates: the spatial and temporal
+# indexes answer a sorted, duplicate-free run of ids, the planner seeds
+# from it as is and a join tests membership with `binary_search`, so no
+# hash set of term ids comes back anywhere in the RDF crate.
+if grep -rn 'FxHashSet<TermId>' crates/rdf/src; then
+  echo "crates/rdf/src must not name FxHashSet<TermId>: candidates are sorted runs (see above)" >&2
+  exit 1
+fi
 # The executor knows nothing of partitions: C4's parallel query processing
 # is the morsel pool over the one graph, and its pruning is the spatial and
 # temporal indexes, so the module that serves every SPARQL request cannot
