@@ -154,7 +154,7 @@ fn measure_shape(g: &Graph, name: &'static str, q: &SelectQuery, iters: usize) -
 
 /// Median planning time of both planners on one query (the reference
 /// engine times its O(matches) `count_pattern` planner the same way the
-/// morsel planner times its O(log n) `estimate_pattern` one). Returns
+/// morsel planner times its O(log n) `probe_width` one). Returns
 /// `(morsel planner, reference)`.
 fn planning_comparison(g: &Graph, q: &SelectQuery, iters: usize) -> (u64, u64) {
     let mut morsel = Vec::new();

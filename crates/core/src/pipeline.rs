@@ -396,16 +396,18 @@ impl Pipeline {
         self.graph.track_new_triples(on);
     }
 
-    /// Read-only view of the RDF store as of the last commit (every
-    /// [`Pipeline::ingest_batch`] commits; interleaved raw [`Pipeline::process`]
-    /// calls may leave a small uncommitted tail pending until the next
-    /// commit). Cheap: no work is done here, so concurrent readers behind a
-    /// read lock can query while no ingest is applying.
+    /// Read-only view of the RDF store as of its last commit: every
+    /// [`Pipeline::ingest_batch`] commits, while the triples of raw
+    /// [`Pipeline::process`] calls stay invisible to every read until the
+    /// next commit ([`Pipeline::graph_mut`] or an ingest). Cheap: no work
+    /// is done here, so concurrent readers behind a read lock can query
+    /// while no ingest is applying.
     pub fn graph(&self) -> &Graph {
         &self.graph
     }
 
-    /// Commits and exposes the RDF store for querying.
+    /// Commits, so reads see every triple processed so far, and exposes
+    /// the RDF store.
     pub fn graph_mut(&mut self) -> &mut Graph {
         self.graph.commit();
         &mut self.graph

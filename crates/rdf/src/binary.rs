@@ -3,7 +3,10 @@
 //! This is the snapshot format the storage layer persists: terms in
 //! dictionary-id order followed by encoded triples, so restoring assigns
 //! every term the **same id** it had in the source graph and the triples
-//! can be re-inserted verbatim. None of the derived state travels in the
+//! can be re-inserted verbatim. Like every read of the graph, a snapshot
+//! holds it as of its last commit: the committed triples and the terms
+//! encoded before that commit, so the restored graph answers exactly as
+//! its source did. None of the derived state travels in the
 //! payload: [`from_binary`] decodes every term, hands them in id order to
 //! the dictionary's bulk builder, then to [`Graph::load`], which builds
 //! the three permutation indexes, the per-predicate statistics and the
@@ -86,8 +89,9 @@ const MIN_TERM_BYTES: usize = 4 + 1;
 /// The bytes of one triple on the wire: three `u32` ids.
 const TRIPLE_BYTES: usize = 3 * 4;
 
-/// Serializes the whole graph — dictionary terms in id order, then all
-/// triples (committed + pending) as raw id triplets.
+/// Serializes the graph as of its last commit — those dictionary terms
+/// in id order, then the committed triples in SPO order as raw id
+/// triplets.
 pub fn to_binary(graph: &Graph) -> Vec<u8> {
     let mut w = Writer::with_capacity(16 + graph.dict().len() * 16 + graph.len() * 12);
     write_binary(graph, &mut w);
@@ -97,10 +101,10 @@ pub fn to_binary(graph: &Graph) -> Vec<u8> {
 /// Appends [`to_binary`]'s bytes to `w`, for a caller that embeds the
 /// graph in a larger payload without building it apart first.
 pub fn write_binary(graph: &Graph, w: &mut Writer) {
-    let dict = graph.dict();
+    let terms = graph.committed_terms();
     w.u32(VERSION);
-    w.seq_len(dict.len());
-    for (_, term) in dict.iter() {
+    w.seq_len(terms);
+    for (_, term) in graph.dict().iter().take(terms) {
         write_term(w, term);
     }
     w.seq_len(graph.len());
@@ -250,6 +254,7 @@ mod tests {
                 &Term::point(GeoPoint::new(lon, lat)),
             );
         }
+        g.commit();
         let g2 = from_binary(&to_binary(&g)).unwrap();
         assert_eq!(g2.spatial().len(), 3);
         let world = BoundingBox::new(-180.0, -90.0, 180.0, 90.0);
@@ -275,15 +280,6 @@ mod tests {
         for (id, term) in g.dict().iter() {
             assert_eq!(g2.decode(id), Some(term));
         }
-    }
-
-    #[test]
-    fn pending_tail_is_included() {
-        let mut g = sample();
-        g.insert(&Term::iri("da:x"), &Term::iri("da:p"), &Term::iri("da:y"));
-        // No commit — the pending triple must still be captured.
-        let g2 = from_binary(&to_binary(&g)).unwrap();
-        assert_eq!(g2.len(), g.len());
     }
 
     #[test]
@@ -325,10 +321,10 @@ mod tests {
             let err = from_binary(&with_repeated_triple(to_binary(&g), n, which)).unwrap_err();
             assert!(err.to_string().contains("duplicate triple"), "{err}");
         }
-        // The same with a pending tail in the payload: committed and
-        // pending triples repeated alike.
+        // The same after a second commit.
         g.insert(&Term::iri("da:x"), &Term::iri("da:p"), &Term::iri("da:y"));
         g.insert(&Term::iri("da:a"), &Term::iri("da:p"), &Term::iri("da:y"));
+        g.commit();
         let n = g.len();
         assert!(from_binary(&to_binary(&g)).is_ok());
         for which in [0, n - 2, n - 1] {

@@ -14,8 +14,8 @@
 //! * [`TemporalIndex`] keys a time literal by its instant, then its id; an
 //!   interval is one range per level.
 //!
-//! Literals encoded since the last commit are queued, unsorted, and each
-//! read scans them too. A read answers a sorted, duplicate-free id run.
+//! Both hold the point and time literals encoded before the graph's last
+//! commit. A read answers a sorted, duplicate-free id run.
 
 use crate::dict::{Dictionary, TermId};
 use crate::term::Term;
@@ -138,19 +138,18 @@ fn scan(level: &[PointKey], lo: (u32, u32), hi: (u32, u32), hit: &mut impl FnMut
     }
 }
 
-/// The spatial index of a [`crate::Graph`]: its point literals, committed
-/// (two sorted levels) and queued (unsorted).
+/// The spatial index of a [`crate::Graph`]: its committed point literals,
+/// in two sorted levels.
 #[derive(Debug, Clone, Copy)]
 pub struct SpatialIndex<'a> {
-    pub(crate) sorted: [&'a [PointKey]; 2],
-    pub(crate) pending: &'a [PointKey],
+    pub(crate) levels: [&'a [PointKey]; 2],
     pub(crate) dict: &'a Dictionary,
 }
 
 impl SpatialIndex<'_> {
     /// Number of indexed point literals.
     pub fn len(&self) -> usize {
-        self.sorted[0].len() + self.sorted[1].len() + self.pending.len()
+        self.levels[0].len() + self.levels[1].len()
     }
 
     /// True when empty.
@@ -175,13 +174,8 @@ impl SpatialIndex<'_> {
                 out.push(id);
             }
         };
-        for level in self.sorted {
+        for level in self.levels {
             scan(level, lo, hi, &mut hit);
-        }
-        for &(z, id) in self.pending {
-            if in_cells(z, lo, hi) {
-                hit(id);
-            }
         }
     }
 
@@ -219,18 +213,17 @@ impl SpatialIndex<'_> {
     }
 }
 
-/// The temporal index of a [`crate::Graph`]: its time literals, committed
-/// (two sorted levels) and queued (unsorted).
+/// The temporal index of a [`crate::Graph`]: its committed time literals,
+/// in two sorted levels.
 #[derive(Debug, Clone, Copy)]
 pub struct TemporalIndex<'a> {
-    pub(crate) sorted: [&'a [InstantKey]; 2],
-    pub(crate) pending: &'a [InstantKey],
+    pub(crate) levels: [&'a [InstantKey]; 2],
 }
 
 impl TemporalIndex<'_> {
     /// Number of indexed time literals.
     pub fn len(&self) -> usize {
-        self.sorted[0].len() + self.sorted[1].len() + self.pending.len()
+        self.levels[0].len() + self.levels[1].len()
     }
 
     /// True when empty.
@@ -242,15 +235,10 @@ impl TemporalIndex<'_> {
     pub fn between(&self, interval: &TimeInterval) -> Vec<TermId> {
         let (start, end) = (interval.start.millis(), interval.end.millis());
         let mut out = Vec::new();
-        for level in self.sorted {
+        for level in self.levels {
             let a = level.partition_point(|k| k.0 < start);
             let b = a + level[a..].partition_point(|k| k.0 < end);
             out.extend(level[a..b].iter().map(|&(_, id)| TermId(id)));
-        }
-        for &(t, id) in self.pending {
-            if start <= t && t < end {
-                out.push(TermId(id));
-            }
         }
         out.sort_unstable();
         out
@@ -277,6 +265,7 @@ mod tests {
         let a = point(&mut g, 23.0, 37.0);
         let b = point(&mut g, 25.0, 38.0);
         point(&mut g, 40.0, 50.0);
+        g.commit();
         let hits = g
             .spatial()
             .within(&BoundingBox::new(22.0, 36.0, 26.0, 39.0));
@@ -291,8 +280,9 @@ mod tests {
             .map(|i| point(&mut g, 23.0 + 0.01 * i as f64, 37.0))
             .collect();
         g.commit();
-        // Committed levels plus a queued point.
+        // A second commit puts a point in the delta level.
         let fresh = point(&mut g, 23.055, 37.0);
+        g.commit();
         let hits = g
             .spatial()
             .within(&BoundingBox::new(23.0, 36.9, 23.1, 37.1));
@@ -310,13 +300,9 @@ mod tests {
         let a = g.encode(&Term::point(c.destination(90.0, 500.0)));
         g.encode(&Term::point(c.destination(90.0, 2_000.0)));
         let b = g.encode(&Term::point(c.destination(0.0, 900.0)));
-        let hits = g.spatial().near(&c, 1_000.0);
-        assert_eq!(hits.len(), 2);
-        assert!(hits.contains(&a) && hits.contains(&b));
-        // After a commit, same answer from the sorted levels.
         g.commit();
-        assert!(g.spatial().pending.is_empty());
-        assert_eq!(g.spatial().near(&c, 1_000.0), hits);
+        let hits = g.spatial().near(&c, 1_000.0);
+        assert_eq!(hits, [a, b]);
     }
 
     #[test]
@@ -334,53 +320,54 @@ mod tests {
         assert!(!hits.contains(&ids[5]));
     }
 
+    /// An instant encoded after the last commit is not answered until the
+    /// next one, which puts it in the delta beside the base's.
     #[test]
     fn temporal_mixed_sorted_and_tail() {
         let mut g = Graph::new();
-        instant(&mut g, 100);
+        let first = instant(&mut g, 100);
         g.commit();
-        instant(&mut g, 150);
-        let hits = g
-            .temporal()
-            .between(&TimeInterval::new(TimeMs(0), TimeMs(200)));
-        assert_eq!(hits.len(), 2);
+        let second = instant(&mut g, 150);
+        let window = TimeInterval::new(TimeMs(0), TimeMs(200));
+        assert_eq!(g.temporal().between(&window), [first]);
+        g.commit();
+        assert_eq!(g.temporal().between(&window), [first, second]);
     }
 
     #[test]
     fn temporal_rebuild_keeps_between_answers_with_out_of_order_inserts() {
         let mut g = Graph::new();
+        let mut encoded: Vec<(i64, TermId)> = Vec::new();
         // Three rounds, each encoded out of time order and overlapping the
         // rounds before it, so every commit merges below, between and
         // above the sorted levels. Repeated instants keep their one id.
         for round in 0..3i64 {
             for k in (0..200i64).rev() {
-                instant(&mut g, (k * 37 + round * 11) % 500 * 10);
+                let ms = (k * 37 + round * 11) % 500 * 10;
+                encoded.push((ms, instant(&mut g, ms)));
             }
-            let intervals = [
+            g.commit();
+            let idx = g.temporal();
+            for level in idx.levels {
+                assert!(level.windows(2).all(|w| w[0] < w[1]));
+            }
+            for (a, b) in [
                 (0, 5_000),
                 (0, 1),
                 (1_230, 1_240),
                 (2_000, 3_500),
                 (4_990, 9_000),
-            ];
-            let before: Vec<_> = intervals
-                .iter()
-                .map(|&(a, b)| {
-                    g.temporal()
-                        .between(&TimeInterval::new(TimeMs(a), TimeMs(b)))
-                })
-                .collect();
-            g.commit();
-            let idx = g.temporal();
-            assert!(idx.pending.is_empty());
-            for level in idx.sorted {
-                assert!(level.windows(2).all(|w| w[0] < w[1]));
-            }
-            for (&(a, b), want) in intervals.iter().zip(&before) {
+            ] {
+                let mut want: Vec<TermId> = encoded
+                    .iter()
+                    .filter(|&&(ms, _)| a <= ms && ms < b)
+                    .map(|&(_, id)| id)
+                    .collect();
+                want.sort_unstable();
+                want.dedup();
                 let got = idx.between(&TimeInterval::new(TimeMs(a), TimeMs(b)));
-                assert_eq!(&got, want, "[{a}, {b}) after commit {round}");
+                assert_eq!(got, want, "[{a}, {b}) after commit {round}");
             }
-            assert_eq!(before[0].len(), idx.len());
         }
     }
 
@@ -397,10 +384,10 @@ mod tests {
                 g.commit();
             }
         }
+        g.commit();
         let restored = from_binary(&to_binary(&g)).unwrap();
         let (spatial, temporal) = (restored.spatial(), restored.temporal());
-        assert!(spatial.sorted[1].is_empty() && spatial.pending.is_empty());
-        assert!(temporal.sorted[1].is_empty() && temporal.pending.is_empty());
+        assert!(spatial.levels[1].is_empty() && temporal.levels[1].is_empty());
         let bbox = BoundingBox::new(20.2, 37.1, 20.5, 37.6);
         assert_eq!(spatial.within(&bbox), g.spatial().within(&bbox));
         let c = GeoPoint::new(20.4, 37.4);
@@ -441,10 +428,10 @@ mod tests {
         assert_eq!(near(160.0), [west]);
     }
 
-    /// Every read answers a strictly ascending run, from the sorted levels
-    /// and the queue alike. `near`'s boxes 360° apart both reach the
-    /// saturated edge cell, where every point at lon 180° or past it sits:
-    /// each is answered once.
+    /// Every read answers a strictly ascending run, from the base and the
+    /// delta alike. `near`'s boxes 360° apart both reach the saturated
+    /// edge cell, where every point at lon 180° or past it sits: each is
+    /// answered once.
     #[test]
     fn reads_answer_strictly_ascending_runs_of_distinct_ids() {
         let mut g = Graph::new();
@@ -454,9 +441,10 @@ mod tests {
             .collect();
         point(&mut g, 179.0, 37.0);
         point(&mut g, 200.0, 37.0);
+        g.commit();
         let near = |g: &Graph| g.spatial().near(&GeoPoint::new(179.9, 37.0), 20_000.0);
-        assert_eq!(near(&g), edge, "queued");
-        // Points and instants out of id order; the last 50 stay queued.
+        assert_eq!(near(&g), edge, "base");
+        // Points and instants out of id order, committed in batches.
         for i in (0..340i64).rev() {
             let (lon, lat) = (
                 23.0 + (i * 37 % 100) as f64 * 0.01,
@@ -468,7 +456,8 @@ mod tests {
                 g.commit();
             }
         }
-        assert_eq!(near(&g), edge, "committed");
+        g.commit();
+        assert_eq!(near(&g), edge, "base and delta");
         let ascending = |ids: &[TermId]| ids.len() > 40 && ids.windows(2).all(|w| w[0] < w[1]);
         let hits = g
             .spatial()

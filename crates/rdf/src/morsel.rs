@@ -18,7 +18,9 @@
 //! a `binary_search` finds in its run.
 //! Hand-rolled on `std` threads and mutex-guarded deques, matching the
 //! repo's build-the-substrate style (no rayon). A pool of one runs inline
-//! on the caller thread.
+//! on the caller thread. Like every read of the graph, a query sees it as
+//! of its last commit: the seed, the probes and the candidates all come
+//! from the sorted levels.
 //!
 //! Each worker carries one set of flat columnar binding buffers
 //! (`cur`/`next`/`scratch`, `width`-sized row chunks) across every
@@ -39,7 +41,7 @@
 //!   O(log n) binary search.
 //!
 //! Join order comes from the per-predicate statistics
-//! ([`Graph::estimate_pattern`] plus degree refinement), computed **once
+//! ([`Graph::probe_width`] plus degree refinement), computed **once
 //! up front** — valid because the greedy cost function depends only on
 //! which variables are bound, which is identical for every row.
 //!
@@ -237,12 +239,11 @@ fn shape(q: &SelectQuery) -> Shape<'_> {
 /// What the first step of the join order runs against before any
 /// variable is bound.
 enum Seed<'a> {
-    /// The committed triples matching the first step, found once; the
-    /// uncommitted tail is chunked into morsels of its own.
+    /// The triples matching the first step, found once.
     Slice(PatternSlice<'a>),
     /// The candidate run of variable slot `var`: the first step is probed
     /// once per id with `var` bound to it, so successive probes gallop
-    /// through the index, and each probe also matches the tail.
+    /// through the index.
     Candidates { var: usize },
 }
 
@@ -268,7 +269,7 @@ fn step_cost(
     bound: &[bool],
 ) -> f64 {
     let (s, p, o) = step.probe(&shape.unbound);
-    let mut cost = g.estimate_pattern(s, p, o) as f64;
+    let mut cost = g.probe_width(s, p, o) as f64;
     let pstats = p.and_then(|pid| g.predicate_stats(pid));
     for (slot, degree) in [
         (
@@ -390,7 +391,7 @@ fn plan_graph<'a>(g: &'a Graph, q: &SelectQuery, shape: &Shape<'_>) -> (Option<P
         .filter(|&vi| first.mentions(vi))
         .filter_map(|vi| Some((candidates[vi].as_ref()?.len(), vi)))
         .min()
-        .filter(|&(len, _)| len < slice.len() + g.tail_len());
+        .filter(|&(len, _)| len < slice.len());
     let plan = match smallest {
         None => Plan {
             steps,
@@ -406,13 +407,12 @@ fn plan_graph<'a>(g: &'a Graph, q: &SelectQuery, shape: &Shape<'_>) -> (Option<P
     (Some(plan), pushdown)
 }
 
-/// A fixed-size unit of seed-scan work: a key range of the seed slice, a
-/// chunk of the uncommitted tail, or a run of the seed's candidate ids.
+/// A fixed-size unit of seed-scan work: a key range of the seed slice or
+/// a run of the seed's candidate ids.
 #[derive(Debug, Clone, Copy)]
 struct Morsel {
     lo: usize,
     hi: usize,
-    tail: bool,
 }
 
 /// Everything a worker needs, shared by reference across the pool.
@@ -560,22 +560,18 @@ fn bind(
 }
 
 /// One probe of one join step: extends `row` with every triple of
-/// `committed`, and every triple of `tail` matching the step's pattern
-/// under `row`, that binds. Appends the extended rows to `next` and
-/// returns how many there were.
+/// `matches` that binds. Appends the extended rows to `next` and returns
+/// how many there were.
 fn extend_row(
     ctx: &Ctx<'_, '_>,
     step: &Step,
     row: &[Option<TermId>],
-    committed: PatternSlice<'_>,
-    tail: &[Triple],
+    matches: PatternSlice<'_>,
     bufs: &mut BindBufs,
     next: &mut Vec<Option<TermId>>,
 ) -> usize {
-    let (s, p, o) = step.probe(row);
-    let tail = tail.iter().copied().filter(|t| t.matches(s, p, o));
     let mut rows = 0;
-    for t in committed.iter().chain(tail) {
+    for t in matches.iter() {
         if bind(ctx, step, row, t, bufs) {
             next.extend_from_slice(&bufs.scratch);
             rows += 1;
@@ -600,26 +596,18 @@ fn run_morsel(ctx: &Ctx<'_, '_>, m: Morsel, st: &mut WorkerState, out: &mut Work
     };
 
     // Seed phase, into the flat `cur` buffer: the all-unbound row against
-    // the morsel's key range (or tail chunk), or one hinted probe per
-    // candidate id of the morsel that passes its variable's eager filters.
+    // the morsel's key range, or one hinted probe per candidate id of the
+    // morsel that passes its variable's eager filters.
     st.cur.clear();
     let mut cur_rows = match &ctx.plan.seed {
-        Seed::Slice(slice) => {
-            let (committed, tail) = if m.tail {
-                (slice.slice(0, 0), &g.tail_triples()[m.lo..m.hi])
-            } else {
-                (slice.slice(m.lo, m.hi), &[][..])
-            };
-            extend_row(
-                ctx,
-                seed,
-                &shape.unbound,
-                committed,
-                tail,
-                &mut st.bufs,
-                &mut st.cur,
-            )
-        }
+        Seed::Slice(slice) => extend_row(
+            ctx,
+            seed,
+            &shape.unbound,
+            slice.slice(m.lo, m.hi),
+            &mut st.bufs,
+            &mut st.cur,
+        ),
         &Seed::Candidates { var } => {
             let ids = ctx.plan.candidates[var].as_deref().unwrap_or_default();
             let mut rows = 0;
@@ -629,26 +617,16 @@ fn run_morsel(ctx: &Ctx<'_, '_>, m: Morsel, st: &mut WorkerState, out: &mut Work
                 }
                 st.seed_row[var] = Some(id);
                 let (s, p, o) = seed.probe(&st.seed_row);
-                let committed = g.pattern_slice_hinted(s, p, o, seed_hint);
+                let matches = g.pattern_slice_hinted(s, p, o, seed_hint);
                 out.probes += 1;
-                rows += extend_row(
-                    ctx,
-                    seed,
-                    &st.seed_row,
-                    committed,
-                    g.tail_triples(),
-                    &mut st.bufs,
-                    &mut st.cur,
-                );
+                rows += extend_row(ctx, seed, &st.seed_row, matches, &mut st.bufs, &mut st.cur);
             }
             rows
         }
     };
     out.intermediate += cur_rows;
 
-    // Join steps over the reused flat buffers. The serving path always
-    // commits, so the tail is empty in the common case.
-    let tail = g.tail_triples();
+    // Join steps over the reused flat buffers.
     for (step, hint) in joins.iter().zip(join_hints) {
         if cur_rows == 0 {
             break;
@@ -658,9 +636,9 @@ fn run_morsel(ctx: &Ctx<'_, '_>, m: Morsel, st: &mut WorkerState, out: &mut Work
         for r in 0..cur_rows {
             let row = &st.cur[r * width..(r + 1) * width];
             let (s, p, o) = step.probe(row);
-            let committed = g.pattern_slice_hinted(s, p, o, hint);
+            let matches = g.pattern_slice_hinted(s, p, o, hint);
             out.probes += 1;
-            next_rows += extend_row(ctx, step, row, committed, tail, &mut st.bufs, &mut st.next);
+            next_rows += extend_row(ctx, step, row, matches, &mut st.bufs, &mut st.next);
         }
         std::mem::swap(&mut st.cur, &mut st.next);
         cur_rows = next_rows;
@@ -714,29 +692,21 @@ fn worker_run(ctx: &Ctx<'_, '_>, mut next: impl FnMut(&mut u64) -> Option<Morsel
     out
 }
 
-/// Splits the seed scan (and the usually empty uncommitted tail) into
-/// fixed-size morsels and drains them through the work-stealing pool.
+/// Splits the seed scan into fixed-size morsels and drains them through
+/// the work-stealing pool.
 fn drain(ctx: &Ctx<'_, '_>, morsel_triples: usize, stats: &mut MorselStats) -> Vec<WorkerOut> {
     let step = morsel_triples.max(1);
-    let mut morsels: Vec<Morsel> = Vec::new();
-    let mut chunk = |n: usize, tail: bool| {
-        let mut lo = 0;
-        while lo < n {
-            let hi = (lo + step).min(n);
-            morsels.push(Morsel { lo, hi, tail });
-            lo = hi;
-        }
+    let n = match &ctx.plan.seed {
+        Seed::Slice(slice) => slice.len(),
+        &Seed::Candidates { var } => ctx.plan.candidates[var].as_ref().map_or(0, Vec::len),
     };
-    match &ctx.plan.seed {
-        Seed::Slice(slice) => {
-            chunk(slice.len(), false);
-            chunk(ctx.graph.tail_triples().len(), true);
-        }
-        // A candidate probe matches the tail itself.
-        &Seed::Candidates { var } => {
-            chunk(ctx.plan.candidates[var].as_ref().map_or(0, Vec::len), false)
-        }
-    }
+    let morsels: Vec<Morsel> = (0..n)
+        .step_by(step)
+        .map(|lo| Morsel {
+            lo,
+            hi: (lo + step).min(n),
+        })
+        .collect();
     stats.morsels = morsels.len() as u64;
 
     let pool = stats.workers.min(morsels.len()).max(1);
@@ -955,14 +925,23 @@ mod tests {
 
     #[test]
     fn matches_reference_with_uncommitted_tail() {
+        let text = "SELECT ?v ?s WHERE { ?v type Vessel . ?v speed ?s . FILTER (?s >= 9.0) }";
+        let q = parse_query(text).unwrap();
         let mut g = fleet();
+        let rows = |g: &Graph| {
+            execute_morsel(g, &q, &MorselConfig::with_workers(2))
+                .0
+                .len()
+        };
+        let committed = rows(&g);
         g.insert(&Term::iri("v99"), &Term::iri("type"), &Term::iri("Vessel"));
         g.insert(&Term::iri("v99"), &Term::iri("speed"), &Term::double(40.0));
-        // No commit: the tail morsels must see these.
-        check_equivalence(
-            &g,
-            "SELECT ?v ?s WHERE { ?v type Vessel . ?v speed ?s . FILTER (?s >= 9.0) }",
-        );
+        // No commit: both engines read the graph as of the last commit.
+        check_equivalence(&g, text);
+        assert_eq!(rows(&g), committed);
+        g.commit();
+        check_equivalence(&g, text);
+        assert_eq!(rows(&g), committed + 1);
     }
 
     #[test]

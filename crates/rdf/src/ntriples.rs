@@ -5,15 +5,19 @@
 //! points and times), one triple per line, ` .` terminated — close enough
 //! to N-Triples for interchange between datAcron components and readable
 //! in tests and dumps.
+//!
+//! A dump holds the graph as of its last commit, as every read does. Any
+//! text [`from_ntriples`] accepts dumps back to text it parses to the same
+//! triples: an IRI holding `<`, `>` or `"` (which a dump could not
+//! bracket or tokenize back) is refused.
 
 use crate::store::Graph;
 use crate::term::Term;
 use datacron_geo::{GeoPoint, TimeMs};
 use std::fmt::Write as _;
 
-/// Serializes all triples (committed + pending) to the line format.
-/// Output order is deterministic (SPO index order, then insertion order of
-/// the uncommitted tail).
+/// Serializes the committed triples to the line format, in SPO index
+/// order.
 pub fn to_ntriples(graph: &Graph) -> String {
     let mut out = String::new();
     for t in graph.iter_triples() {
@@ -52,6 +56,9 @@ fn parse_term(tok: &str, line: usize) -> Result<Term, NtParseError> {
     };
     if let Some(rest) = tok.strip_prefix('<') {
         let iri = rest.strip_suffix('>').ok_or_else(|| err("unclosed IRI"))?;
+        if iri.contains(['<', '>', '"']) {
+            return Err(err("'<', '>' or '\"' inside an IRI"));
+        }
         return Ok(Term::iri(iri));
     }
     if tok.starts_with('"') {
@@ -109,7 +116,7 @@ fn parse_term(tok: &str, line: usize) -> Result<Term, NtParseError> {
         return Ok(Term::double(d));
     }
     // Prefixed name.
-    if tok.contains(':') {
+    if tok.contains(':') && !tok.contains('"') {
         return Ok(Term::iri(tok));
     }
     Err(err("unrecognised term"))
@@ -275,6 +282,24 @@ mod tests {
         assert!(e.message.contains("terminating"));
         let e = from_ntriples("da:a da:p \"unclosed .\n").unwrap_err();
         assert_eq!(e.line, 1);
+    }
+
+    /// An IRI a dump would write unbracketed, or could not tokenize back,
+    /// is refused rather than accepted once and lost on the next parse.
+    #[test]
+    fn iris_a_dump_cannot_carry_are_refused() {
+        for line in [
+            "<<a:b> da:p da:o .",
+            "<\"a:b> da:p da:o .",
+            "<a>b> da:p da:o .",
+            "da:s da:p da:o\"x .",
+            "da:s da:p a://b\"c\" .",
+        ] {
+            assert!(from_ntriples(line).is_err(), "{line}");
+        }
+        let g = from_ntriples("<a:b> <x> da:o .").unwrap();
+        let again = from_ntriples(&to_ntriples(&g)).unwrap();
+        assert_eq!(to_ntriples(&again), to_ntriples(&g));
     }
 
     #[test]

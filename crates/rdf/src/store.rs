@@ -1,12 +1,14 @@
 //! The triple store: SPO/POS/OSP sorted indexes over dictionary-encoded
 //! ids, and the spatial and temporal literal indexes, all in one two-level
-//! shape.
+//! shape. A read sees the graph as of its last commit: inserts wait in an
+//! unsorted write buffer that no read consults, and the commit merges
+//! them, with the literals encoded since the last one, into the levels.
 
 use crate::dict::{Dictionary, TermId};
 use crate::index::{instant_key, point_key, InstantKey, PointKey, SpatialIndex, TemporalIndex};
 use crate::merge::merge_sorted_run;
 use crate::term::Term;
-use datacron_geo::{FxHashMap, FxHashSet};
+use datacron_geo::FxHashMap;
 
 /// An encoded triple.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -85,8 +87,7 @@ pub struct PredicateStats {
 /// index orders, so no post-filtering is needed). Positions are logical:
 /// `slice`, `len` and `iter` never show where one level ends and the other
 /// begins, so the rows and their order do not depend on when the last fold
-/// ran. Obtained from [`Graph::pattern_slice`]; pending tail triples are
-/// *not* included — see [`Graph::tail_triples`].
+/// ran. Obtained from [`Graph::pattern_slice`].
 #[derive(Debug, Clone, Copy)]
 pub struct PatternSlice<'a> {
     base: &'a [Key],
@@ -295,8 +296,12 @@ impl<K: Ord + Copy> Levels<K> {
     /// Adds the sorted `run` (disjoint from both levels): straight into an
     /// empty base, else into the delta, which then folds into the base
     /// once it holds `1 / FOLD_RATIO` of it. [`merge_sorted_run`] does all
-    /// three merges. Returns whether the delta folded.
+    /// three merges. Returns whether the delta folded; an empty run
+    /// changes nothing.
     fn add(&mut self, run: &[K]) -> bool {
+        if run.is_empty() {
+            return false;
+        }
         let fold = if self.base.is_empty() {
             merge_sorted_run(&mut self.base, run);
             false
@@ -313,18 +318,6 @@ impl<K: Ord + Copy> Levels<K> {
         // neither level has equal neighbours.
         debug_assert!(self.base.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(self.delta.windows(2).all(|w| w[0] < w[1]));
-        fold
-    }
-
-    /// Sorts the pending keys, adds them ([`Levels::add`]) and empties
-    /// `pending`. Returns whether the delta folded.
-    fn add_pending(&mut self, pending: &mut Vec<K>) -> bool {
-        if pending.is_empty() {
-            return false;
-        }
-        pending.sort_unstable();
-        let fold = self.add(pending);
-        pending.clear();
         fold
     }
 
@@ -355,15 +348,15 @@ impl Levels<Key> {
 /// A dictionary-encoded RDF graph: three sorted permutation indexes and
 /// the spatial and temporal literal indexes, each a two-level [`Levels`].
 ///
-/// Writes go to an unsorted tail, and a literal new to the dictionary is
-/// queued for its literal index; [`Graph::commit`] sorts the tail and each
-/// queue and merges them into each index's small delta level in place, so
-/// a commit shifts the delta's keys, not the store's. Once a delta holds
-/// `1 / FOLD_RATIO` of its base, the commit also folds it into the base:
-/// an O(n) stall once per `n / FOLD_RATIO` new keys ([`Graph::folds`]
-/// counts the permutation indexes'). Reads transparently search the tail,
-/// the queues and both levels, so interleaved insert/query is correct
-/// without explicit commits.
+/// **A read sees the graph as of its last [`Graph::commit`].** Inserts go
+/// to an unsorted write buffer that no read consults, and a literal new
+/// to the dictionary reaches its literal index only at the commit. The
+/// commit sorts the buffer, drops its repeats and the triples already
+/// held, and merges the rest into each index's small delta level in
+/// place, so it shifts the delta's keys, not the store's. Once a delta
+/// holds `1 / FOLD_RATIO` of its base, the commit also folds it into the
+/// base: an O(n) stall once per `n / FOLD_RATIO` new keys
+/// ([`Graph::folds`] counts the permutation indexes').
 #[derive(Debug, Default)]
 pub struct Graph {
     dict: Dictionary,
@@ -374,24 +367,41 @@ pub struct Graph {
     points: Levels<PointKey>,
     /// Time literals by instant ([`TemporalIndex`]).
     instants: Levels<InstantKey>,
-    /// Point and time literals encoded since the last commit (unsorted).
-    new_points: Vec<PointKey>,
-    new_instants: Vec<InstantKey>,
+    /// Dictionary terms at the last commit: the literal indexes hold the
+    /// point and time literals below this id.
+    terms: usize,
     /// Folds of SPO's delta into its base since this graph was built; POS
     /// and OSP hold the same triples and fold with it.
     folds: u64,
-    /// Uncommitted triples (unsorted). Disjoint from the committed indexes
-    /// and duplicate-free (enforced at insert), so `len` stays exact.
-    tail: Vec<Triple>,
-    /// Membership set for the tail (insert-time dedup).
-    tail_set: FxHashSet<Triple>,
+    /// Triples inserted since the last commit, unsorted, repeats included.
+    writes: Vec<Triple>,
     /// Per-predicate statistics over the committed indexes.
     pred_stats: FxHashMap<u32, PredicateStats>,
     /// When true, commits append newly added triples to `new_log`.
     track_new: bool,
     /// Committed-but-not-yet-drained new triples.
     new_log: Vec<Triple>,
-    len: usize,
+}
+
+/// The spatial and temporal index keys of the point and time literals
+/// among dictionary ids `from..dict.len()`, each run sorted: what a commit
+/// adds for the terms encoded since the last one, and, from 0, what a
+/// restore builds.
+fn literal_keys(dict: &Dictionary, from: usize) -> (Vec<PointKey>, Vec<InstantKey>) {
+    let (mut points, mut instants) = (Vec::new(), Vec::new());
+    // Ids below `dict.len()` fit a `u32`: the dictionary hands out no more.
+    for id in (from..dict.len()).map(|i| TermId(i as u32)) {
+        let term = dict.decode(id);
+        if let Some(p) = term.and_then(Term::as_point) {
+            points.push(point_key(&p, id));
+        }
+        if let Some(t) = term.and_then(Term::as_time) {
+            instants.push(instant_key(t, id));
+        }
+    }
+    points.sort_unstable();
+    instants.sort_unstable();
+    (points, instants)
 }
 
 impl Graph {
@@ -405,21 +415,10 @@ impl Graph {
         &self.dict
     }
 
-    /// Encodes a term through this graph's dictionary.
+    /// Encodes a term through this graph's dictionary. A new point or
+    /// time literal reaches its literal index at the next commit.
     pub fn encode(&mut self, term: &Term) -> TermId {
-        let known = self.dict.len();
-        let id = self.dict.encode(term);
-        // Typed literals are queued for the literal indexes on first
-        // encounter only: a repeated literal keeps its id and its key.
-        if self.dict.len() > known {
-            if let Some(p) = term.as_point() {
-                self.new_points.push(point_key(&p, id));
-            }
-            if let Some(t) = term.as_time() {
-                self.new_instants.push(instant_key(t, id));
-            }
-        }
-        id
+        self.dict.encode(term)
     }
 
     /// Decodes an id.
@@ -428,7 +427,7 @@ impl Graph {
     }
 
     /// Inserts a triple of terms. Duplicate triples are tolerated (dropped
-    /// at insert, see [`Graph::insert_encoded`]).
+    /// at the commit, see [`Graph::insert_encoded`]).
     pub fn insert(&mut self, s: &Term, p: &Term, o: &Term) {
         let t = Triple {
             s: self.encode(s),
@@ -439,47 +438,48 @@ impl Graph {
     }
 
     /// Inserts an already-encoded triple (ids must come from this graph's
-    /// dictionary). Duplicates of committed or pending triples are dropped
-    /// here, so the tail only ever holds genuinely new triples and
-    /// [`Graph::len`] is exact at all times.
+    /// dictionary). Reads see it after the next [`Graph::commit`], which
+    /// drops it if it repeats a held or an earlier inserted triple.
     pub fn insert_encoded(&mut self, t: Triple) {
-        if self.spo.contains(&key_of(&t, IndexOrder::Spo)) || !self.tail_set.insert(t) {
-            return;
-        }
-        self.tail.push(t);
-        self.len += 1;
-        // Keep the unsorted tail bounded so reads stay fast.
-        if self.tail.len() >= 64 * 1024 {
-            self.commit();
-        }
+        self.writes.push(t);
     }
 
-    /// Merges pending inserts and queued literals into the sorted indexes
-    /// and updates the per-predicate statistics from the delta.
+    /// Makes the inserts and the literals encoded since the last commit
+    /// visible: adds the new literals' keys to the literal indexes, then
+    /// merges the new distinct triples into the sorted indexes and updates
+    /// the per-predicate statistics from them.
     pub fn commit(&mut self) {
-        self.points.add_pending(&mut self.new_points);
-        self.instants.add_pending(&mut self.new_instants);
-        if self.tail.is_empty() {
+        let (points, instants) = literal_keys(&self.dict, self.terms);
+        self.points.add(&points);
+        self.instants.add(&instants);
+        self.terms = self.dict.len();
+        if self.writes.is_empty() {
             return;
         }
-        let tail = std::mem::take(&mut self.tail);
-        self.tail_set.clear();
-        self.merge_new(&tail);
+        // `Triple` orders as an SPO key, so one sort lines up the repeats
+        // and the run SPO merges.
+        let mut new = std::mem::take(&mut self.writes);
+        new.sort_unstable();
+        new.dedup();
+        new.retain(|t| !self.spo.contains(&key_of(t, IndexOrder::Spo)));
+        self.merge_new(&new);
+        // Keep the buffer's allocation for the next batch.
+        new.clear();
+        self.writes = new;
     }
 
     /// The bulk builder behind snapshot restore: the graph over `dict`
     /// holding `triples`, every index built once. No commit runs:
     ///
     /// - SPO is one sort of the triples. A `to_binary` payload is in SPO
-    ///   order bar its pending tail, so the run-adaptive sort has little
-    ///   to do.
+    ///   order, so the run-adaptive sort has little to do.
     /// - OSP is a stable counting sort of SPO by object; POS is a stable
     ///   counting sort of OSP by predicate. O(n + terms) each.
     /// - The statistics are counted in one pass over SPO (triples and
     ///   distinct subjects, per `(s, p)` run) and one over POS (distinct
     ///   objects, per `(p, o)` run).
     /// - The spatial and temporal indexes take the dictionary's point
-    ///   and time literals, one sort each.
+    ///   and time literals ([`literal_keys`] from id 0), one sort each.
     ///
     /// Everything lands in the base levels. Every id must be below
     /// `dict.len()`. The payload is not trusted to be duplicate-free: a
@@ -505,20 +505,10 @@ impl Graph {
             let objects = run.chunk_by(|a, b| a.1 == b.1).count();
             pred_stats.entry(run[0].0).or_default().distinct_objects += objects;
         }
-        let (mut points, mut instants) = (Vec::new(), Vec::new());
-        for (id, term) in dict.iter() {
-            if let Some(p) = term.as_point() {
-                points.push(point_key(&p, id));
-            }
-            if let Some(t) = term.as_time() {
-                instants.push(instant_key(t, id));
-            }
-        }
-        points.sort_unstable();
-        instants.sort_unstable();
+        let (points, instants) = literal_keys(&dict, 0);
         Ok(Self {
+            terms: dict.len(),
             dict,
-            len: spo.len(),
             spo: Levels::from_base(spo),
             pos: Levels::from_base(pos),
             osp: Levels::from_base(osp),
@@ -573,12 +563,12 @@ impl Graph {
             };
             run.clear();
             run.extend(new.iter().map(|t| key_of(t, order)));
-            let fold = index.add_pending(&mut run);
+            run.sort_unstable();
+            let fold = index.add(&run);
             if order == IndexOrder::Spo {
                 self.folds += u64::from(fold);
             }
         }
-        self.len = self.spo.len();
         if self.track_new {
             self.new_log.extend_from_slice(new);
         }
@@ -602,10 +592,9 @@ impl Graph {
         std::mem::take(&mut self.new_log)
     }
 
-    /// Number of distinct triples. Exact at all times: inserts dedup
-    /// against both the committed indexes and the pending tail.
+    /// Number of distinct committed triples.
     pub fn len(&self) -> usize {
-        self.len
+        self.spo.len()
     }
 
     /// How many commits have folded the permutation indexes' delta levels
@@ -617,37 +606,30 @@ impl Graph {
         self.folds
     }
 
-    /// Number of pending (uncommitted) triples.
-    pub fn tail_len(&self) -> usize {
-        self.tail.len()
-    }
-
-    /// The pending (uncommitted) triples, unordered. Duplicate-free and
-    /// disjoint from the committed indexes.
-    pub fn tail_triples(&self) -> &[Triple] {
-        &self.tail
-    }
-
-    /// True when the graph holds no triples.
+    /// True when the graph holds no committed triple.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
-    /// The spatial literal index: committed and queued point literals.
+    /// The spatial literal index: the committed point literals.
     pub fn spatial(&self) -> SpatialIndex<'_> {
         SpatialIndex {
-            sorted: [&self.points.base, &self.points.delta],
-            pending: &self.new_points,
+            levels: [&self.points.base, &self.points.delta],
             dict: &self.dict,
         }
     }
 
-    /// The temporal literal index: committed and queued time literals.
+    /// The temporal literal index: the committed time literals.
     pub fn temporal(&self) -> TemporalIndex<'_> {
         TemporalIndex {
-            sorted: [&self.instants.base, &self.instants.delta],
-            pending: &self.new_instants,
+            levels: [&self.instants.base, &self.instants.delta],
         }
+    }
+
+    /// Dictionary terms as of the last commit: the terms a snapshot
+    /// ([`crate::to_binary`]) writes, ids `0..committed_terms()`.
+    pub(crate) fn committed_terms(&self) -> usize {
+        self.terms
     }
 
     /// Chooses the permutation index whose sort order makes the bound
@@ -691,10 +673,7 @@ impl Graph {
 
     /// The committed triples matching a pattern, as one range of each
     /// level of the chosen permutation index, found with binary searches
-    /// (O(log n), no visiting). Pending tail triples are not included
-    /// — the executor checks [`Graph::tail_len`] and scans
-    /// [`Graph::tail_triples`] when non-empty (the serving path always
-    /// commits, so the tail is empty in the common case).
+    /// (O(log n), no visiting).
     pub fn pattern_slice(
         &self,
         s: Option<TermId>,
@@ -731,37 +710,25 @@ impl Graph {
         }
     }
 
-    /// O(log n) cardinality estimate for a pattern: the exact committed
-    /// match count (range width via two `partition_point` calls) plus the
-    /// pending-tail size as an upper bound on tail matches. Never visits
-    /// triples — this is what makes planning cheap.
-    pub fn estimate_pattern(
-        &self,
-        s: Option<TermId>,
-        p: Option<TermId>,
-        o: Option<TermId>,
-    ) -> usize {
-        self.pattern_slice(s, p, o).len() + self.tail.len()
-    }
-
-    /// Number of committed index keys a scan of this pattern will visit.
-    /// Because index selection always makes the bound components a prefix,
-    /// this equals the exact committed match count — regression tests use
-    /// it to pin index-selection decisions.
+    /// Number of committed index keys a scan of this pattern will visit,
+    /// in O(log n) (range widths via binary searches, no visiting): the
+    /// morsel planner's cardinality estimate. Because index selection
+    /// always makes the bound components a prefix, this equals the exact
+    /// match count — regression tests use it to pin index-selection
+    /// decisions.
     pub fn probe_width(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> usize {
         self.pattern_slice(s, p, o).len()
     }
 
     /// Statistics for a predicate over the committed indexes; `None` when
-    /// no committed triple uses it. Pending tail triples are not counted
-    /// until the next commit.
+    /// no committed triple uses it.
     pub fn predicate_stats(&self, p: TermId) -> Option<PredicateStats> {
         self.pred_stats.get(&p.raw()).copied()
     }
 
     /// Matches a triple pattern (`None` = wildcard), invoking `visit` for
-    /// each matching triple. Chooses the permutation index that makes the
-    /// bound components a prefix; scans the uncommitted tail as well.
+    /// each matching committed triple in index order. Chooses the
+    /// permutation index that makes the bound components a prefix.
     pub fn match_pattern(
         &self,
         s: Option<TermId>,
@@ -773,15 +740,11 @@ impl Graph {
             debug_assert!(t.matches(s, p, o), "prefix range must be exact");
             visit(t);
         }
-        // The uncommitted tail.
-        for t in self.tail.iter().filter(|t| t.matches(s, p, o)) {
-            visit(*t);
-        }
     }
 
     /// Counts matches for a pattern by visiting them (O(matches) — the
     /// *reference* planner uses this; the morsel planner uses
-    /// [`Graph::estimate_pattern`]).
+    /// [`Graph::probe_width`]).
     pub fn count_pattern(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> usize {
         let mut n = 0;
         self.match_pattern(s, p, o, &mut |_| n += 1);
@@ -800,12 +763,10 @@ impl Graph {
         out
     }
 
-    /// Iterates all committed triples in SPO order — whatever the split
-    /// between the levels — then the pending ones, unordered.
+    /// Iterates all committed triples in SPO order, whatever the split
+    /// between the levels.
     pub fn iter_triples(&self) -> impl Iterator<Item = Triple> + '_ {
-        self.pattern_slice(None, None, None)
-            .iter()
-            .chain(self.tail.iter().copied())
+        self.pattern_slice(None, None, None).iter()
     }
 }
 
@@ -834,6 +795,7 @@ mod tests {
             &Term::iri("at"),
             &Term::time(TimeMs(1000)),
         );
+        g.commit();
         g
     }
 
@@ -890,17 +852,6 @@ mod tests {
     }
 
     #[test]
-    fn reads_see_uncommitted_tail() {
-        let mut g = Graph::new();
-        g.insert(&Term::iri("a"), &Term::iri("p"), &Term::iri("b"));
-        // No commit yet.
-        let p = g.encode(&Term::iri("p"));
-        assert_eq!(g.collect_pattern(None, Some(p), None).len(), 1);
-        g.commit();
-        assert_eq!(g.collect_pattern(None, Some(p), None).len(), 1);
-    }
-
-    #[test]
     fn commit_dedupes() {
         let mut g = Graph::new();
         for _ in 0..5 {
@@ -908,6 +859,14 @@ mod tests {
         }
         g.commit();
         assert_eq!(g.len(), 1);
+        // Repeats of a held triple, beside one new triple.
+        g.insert(&Term::iri("a"), &Term::iri("p"), &Term::iri("b"));
+        g.insert(&Term::iri("a"), &Term::iri("p"), &Term::iri("c"));
+        g.insert(&Term::iri("a"), &Term::iri("p"), &Term::iri("b"));
+        g.commit();
+        assert_eq!(g.len(), 2);
+        let p = g.dict().lookup(&Term::iri("p")).unwrap();
+        assert_eq!(g.predicate_stats(p).unwrap().triples, 2);
     }
 
     #[test]
@@ -970,11 +929,14 @@ mod tests {
         g.encode(&Term::point(GeoPoint::new(1.0, 2.0)));
         g.encode(&Term::time(TimeMs(5)));
         g.encode(&Term::time(TimeMs(5)));
-        assert_eq!((g.new_points.len(), g.new_instants.len()), (1, 1));
+        assert_eq!((g.points.len(), g.instants.len()), (0, 0));
         g.commit();
-        assert!(g.new_points.is_empty() && g.new_instants.is_empty());
         assert_eq!((g.points.len(), g.instants.len()), (1, 1));
-        assert_eq!((g.len(), g.folds()), (0, 0));
+        assert_eq!((g.len(), g.folds(), g.committed_terms()), (0, 0, 2));
+        // A commit adds only the literals encoded since the last one.
+        g.encode(&Term::time(TimeMs(6)));
+        g.commit();
+        assert_eq!((g.points.len(), g.instants.len()), (1, 2));
     }
 
     #[test]
@@ -990,24 +952,10 @@ mod tests {
     #[test]
     fn iter_triples_covers_everything() {
         let mut g = sample_graph();
-        g.commit();
         g.insert(&Term::iri("x"), &Term::iri("p"), &Term::iri("y"));
+        assert_eq!(g.iter_triples().count(), 6);
+        g.commit();
         assert_eq!(g.iter_triples().count(), 7);
-    }
-
-    #[test]
-    fn large_batch_autocommits() {
-        let mut g = Graph::new();
-        for i in 0..70_000 {
-            g.insert(
-                &Term::iri(format!("s{i}")),
-                &Term::iri("p"),
-                &Term::integer(i),
-            );
-        }
-        // The 64k auto-commit must have fired at least once.
-        let p = g.encode(&Term::iri("p"));
-        assert_eq!(g.count_pattern(None, Some(p), None), 70_000);
     }
 
     #[test]
@@ -1079,7 +1027,6 @@ mod tests {
     #[test]
     fn pattern_slice_subrange_clamps() {
         let mut g = sample_graph();
-        g.commit();
         let ty = g.encode(&Term::iri("type"));
         let s = g.pattern_slice(None, Some(ty), None);
         assert_eq!(s.len(), 3);

@@ -1,7 +1,7 @@
 //! Differential suite: the morsel executor against the reference engine
-//! on seeded BGPs, over graphs whose committed triples and literals sit
-//! in a base that has absorbed two folds and a non-empty delta, beside an
-//! uncommitted tail. Rows are compared decoded, at 1, 2 and 4 workers and
+//! on seeded BGPs, over graphs whose triples and literals sit in a base
+//! that has absorbed two folds and a non-empty delta. Rows are compared
+//! decoded, at 1, 2 and 4 workers and
 //! at two morsel sizes. `scripts/ci.sh` runs it in release too, where
 //! workers race.
 //!
@@ -50,12 +50,13 @@ fn insert_node(g: &mut Graph, rng: &mut Rng, i: usize, objects: usize) {
     }
 }
 
-/// A graph in all three states at once: a base that has absorbed two
-/// folds, a delta the last commit merged into (under `1/32` of the base,
-/// so it did not fold), and an uncommitted tail. Each node brings one or
-/// two fresh point literals, so each fold commit adds at least a fifth of
-/// the points already indexed and the spatial levels fold with the triple
-/// indexes; the 3-node delta commit adds too few to fold either.
+/// A graph in both levels at once: a base that has absorbed two folds,
+/// and a delta the last two commits merged into (under `1/32` of the
+/// base, so neither folded). Each node brings one or two fresh point
+/// literals, so each fold commit adds at least a fifth of the points
+/// already indexed and the spatial levels fold with the triple indexes;
+/// the delta commits, of 3 and of 2 to 5 nodes, add too few to fold
+/// either.
 fn arb_graph(rng: &mut Rng) -> Graph {
     let mut g = Graph::new();
     let objects = rng.gen_range(8..40);
@@ -69,30 +70,19 @@ fn arb_graph(rng: &mut Rng) -> Graph {
     }
     let base = rng.gen_range(300..700);
     let fold = base / 4;
-    let delta = 3;
-    let tail = rng.gen_range(2..6);
     let mut i = 0;
-    for (nodes, commit) in [
-        (base, true),
-        (fold, true),
-        (fold, true),
-        (delta, true),
-        (tail, false),
-    ] {
+    for nodes in [base, fold, fold, 3, rng.gen_range(2..6)] {
         for _ in 0..nodes {
             insert_node(&mut g, rng, i, objects);
             i += 1;
         }
-        if commit {
-            g.commit();
-        }
+        g.commit();
     }
     assert_eq!(
         g.folds(),
         2,
-        "the second and third commits fold, the fourth does not"
+        "the second and third commits fold, the last two do not"
     );
-    assert!(g.tail_len() > 0);
     g
 }
 
@@ -276,7 +266,7 @@ fn candidate_sets(g: &Graph, q: &SelectQuery) -> Vec<Vec<TermId>> {
 }
 
 /// Triples a scan of each pattern with every variable unbound would read:
-/// its committed slice plus the whole tail.
+/// its slice.
 fn slice_widths(g: &Graph, q: &SelectQuery) -> Vec<usize> {
     let id = |pt: &PatternTerm| match pt {
         PatternTerm::Term(t) => g.dict().lookup(t),
@@ -284,7 +274,7 @@ fn slice_widths(g: &Graph, q: &SelectQuery) -> Vec<usize> {
     };
     q.patterns
         .iter()
-        .map(|p| g.probe_width(id(&p.s), id(&p.p), id(&p.o)) + g.tail_len())
+        .map(|p| g.probe_width(id(&p.s), id(&p.p), id(&p.o)))
         .collect()
 }
 
@@ -546,8 +536,8 @@ fn with_unknown_constant(rng: &mut Rng, mut q: SelectQuery) -> SelectQuery {
 /// Unfiltered stars with variable and constant subjects, paths, unknown
 /// constants and the empty BGP, with projections that may drop the
 /// subject and sometimes a `LIMIT`: the morsel executor returns
-/// `execute_reference`'s rows at every worker count, over a folded base,
-/// a delta and an uncommitted tail.
+/// `execute_reference`'s rows at every worker count, over a folded base
+/// and a delta.
 #[test]
 fn morsel_executor_matches_the_reference_on_stars_paths_and_empty_answers() {
     // Cases per kind: variable-subject star, constant-subject star, star

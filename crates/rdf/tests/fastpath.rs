@@ -96,8 +96,8 @@ fn execute_matches_reference_on_random_graphs() {
     }
 }
 
-/// Same property with a non-empty uncommitted tail: the executor's
-/// separate tail scan must not lose or duplicate matches.
+/// Same property with inserts pending: both engines answer from the
+/// graph as of its last commit, and agree again once the inserts commit.
 #[test]
 fn execute_matches_reference_with_pending_tail() {
     let mut rng = Rng(0x5EED_0002);
@@ -105,7 +105,11 @@ fn execute_matches_reference_with_pending_tail() {
         let entities = 5 + rng.below(40);
         let mut g = random_graph(&mut rng, entities, entities);
         g.commit();
-        // Extra links + one new entity stay in the tail.
+        let before: Vec<_> = QUERY_SHAPES
+            .iter()
+            .map(|shape| sorted_rows(execute(&g, &parse_query(shape).unwrap()).0.rows))
+            .collect();
+        // Extra links + one new entity, not yet committed.
         let x = Term::iri("extra");
         g.insert(&x, &Term::iri("type"), &Term::iri("Vessel"));
         g.insert(&x, &Term::iri("speed"), &Term::double(3.5));
@@ -113,7 +117,18 @@ fn execute_matches_reference_with_pending_tail() {
             let a = Term::iri(format!("s{}", rng.below(entities)));
             g.insert(&a, &Term::iri("link"), &x);
         }
-        assert!(g.tail_len() > 0, "the tail must actually be non-empty");
+        for (shape, before) in QUERY_SHAPES.iter().zip(&before) {
+            let q = parse_query(shape).unwrap();
+            let (fast, _) = execute(&g, &q);
+            let (reference, _) = execute_reference(&g, &q);
+            assert_eq!(&sorted_rows(fast.rows), before, "round {round}: {shape}");
+            assert_eq!(
+                &sorted_rows(reference.rows),
+                before,
+                "round {round}: {shape}"
+            );
+        }
+        g.commit();
         for shape in QUERY_SHAPES {
             let q = parse_query(shape).unwrap();
             let (fast, _) = execute(&g, &q);
@@ -121,7 +136,7 @@ fn execute_matches_reference_with_pending_tail() {
             assert_eq!(
                 sorted_rows(fast.rows),
                 sorted_rows(reference.rows),
-                "round {round}: {shape}"
+                "round {round}, committed: {shape}"
             );
         }
     }
@@ -130,8 +145,7 @@ fn execute_matches_reference_with_pending_tail() {
 /// The morsel executor shares no join code with the reference engine:
 /// every query shape, at worker counts {1, 2, 8} and a
 /// morsel size small enough to force multi-morsel execution, returns
-/// exactly the reference engine's row set — committed-only graphs and
-/// graphs with a pending tail alike.
+/// exactly the reference engine's row set.
 #[test]
 fn morsel_executor_matches_reference_at_all_worker_counts() {
     let mut rng = Rng(0x5EED_0007);
@@ -139,13 +153,6 @@ fn morsel_executor_matches_reference_at_all_worker_counts() {
         let entities = 5 + rng.below(50);
         let mut g = random_graph(&mut rng, entities, entities * 2);
         g.commit();
-        if round % 2 == 1 {
-            // Odd rounds leave fresh triples in the uncommitted tail.
-            let x = Term::iri("extra");
-            g.insert(&x, &Term::iri("type"), &Term::iri("Vessel"));
-            g.insert(&x, &Term::iri("speed"), &Term::double(4.5));
-            assert!(g.tail_len() > 0);
-        }
         for shape in QUERY_SHAPES {
             let q = parse_query(shape).unwrap();
             let (reference, _) = execute_reference(&g, &q);
@@ -440,48 +447,104 @@ fn s_and_o_bound_pattern_scans_tight_osp_range() {
     }
 }
 
-/// Slice scans see exactly what the callback path sees, committed and
-/// pending alike.
+/// Slice scans see exactly what the callback path sees, in the same
+/// order: the committed triples, with a pending insert in neither.
 #[test]
 fn pattern_slice_plus_tail_equals_callback_path() {
     let mut rng = Rng(0x5EED_0005);
     let mut g = random_graph(&mut rng, 40, 80);
     g.commit();
     g.insert(&Term::iri("late"), &Term::iri("type"), &Term::iri("Vessel"));
-    let ty = g.encode(&Term::iri("type"));
-    let vessel = g.encode(&Term::iri("Vessel"));
+    let ty = g.dict().lookup(&Term::iri("type")).unwrap();
+    let vessel = g.dict().lookup(&Term::iri("Vessel")).unwrap();
+    let late = g.dict().lookup(&Term::iri("late")).unwrap();
     for (s, p, o) in [
         (None, Some(ty), None),
         (None, Some(ty), Some(vessel)),
         (None, None, None),
     ] {
-        let mut via_slice: Vec<Triple> = g.pattern_slice(s, p, o).iter().collect();
-        via_slice.extend(g.tail_triples().iter().filter(|t| t.matches(s, p, o)));
-        let mut via_callback = g.collect_pattern(s, p, o);
-        via_slice.sort();
-        via_callback.sort();
-        assert_eq!(via_slice, via_callback);
+        let via_slice: Vec<Triple> = g.pattern_slice(s, p, o).iter().collect();
+        assert_eq!(via_slice, g.collect_pattern(s, p, o));
+        assert!(via_slice.iter().all(|t| t.s != late));
     }
 }
 
-/// `len()` stays exact at every point — duplicates against committed
-/// data and within the tail are both rejected at insert time.
+/// `len()` counts the distinct committed triples: repeats within one
+/// commit's inserts and of committed triples are dropped at the commit.
 #[test]
 fn len_is_exact_with_duplicate_inserts() {
     let mut g = Graph::new();
     let t = (Term::iri("a"), Term::iri("b"), Term::iri("c"));
     g.insert(&t.0, &t.1, &t.2);
-    g.insert(&t.0, &t.1, &t.2); // duplicate within the tail
-    assert_eq!(g.len(), 1);
+    g.insert(&t.0, &t.1, &t.2); // repeated before the commit
+    assert_eq!(g.len(), 0);
     g.commit();
     assert_eq!(g.len(), 1);
-    g.insert(&t.0, &t.1, &t.2); // duplicate against committed data
-    assert_eq!(g.len(), 1);
-    assert_eq!(g.tail_len(), 0);
+    g.insert(&t.0, &t.1, &t.2); // repeats a committed triple
     g.insert(&t.0, &t.1, &Term::iri("d"));
-    assert_eq!(g.len(), 2);
+    assert_eq!(g.len(), 1);
     g.commit();
+    assert_eq!(g.len(), 2);
     assert_eq!(g.iter_triples().count(), 2);
+}
+
+/// A read sees the graph as of its last commit. An inserted triple and a
+/// new point and time literal are invisible to every read path — slices,
+/// the callback path, both engines, the literal indexes, the triple
+/// iterator and a snapshot — until the commit, and visible to all of
+/// them after it.
+#[test]
+fn uncommitted_writes_are_invisible_until_commit() {
+    let mut rng = Rng(0x5EED_000C);
+    let mut g = random_graph(&mut rng, 20, 30);
+    g.commit();
+    let (here, now) = (GeoPoint::new(23.5, 37.9), TimeMs(1_234));
+    let x = Term::iri("fresh");
+    g.insert(&x, &Term::iri("type"), &Term::iri("Vessel"));
+    g.insert(&x, &Term::iri("pos"), &Term::point(here));
+    g.insert(&x, &Term::iri("at"), &Term::time(now));
+    let box_ = BoundingBox::new(23.0, 37.5, 24.0, 38.5);
+    let window = TimeInterval::new(TimeMs(1_000), TimeMs(2_000));
+    let q = parse_query(
+        "SELECT ?v WHERE { ?v type Vessel . ?v pos ?g . FILTER st_within(?g, 23, 37.5, 24, 38.5) }",
+    )
+    .unwrap();
+    let ty = g.dict().lookup(&Term::iri("type")).unwrap();
+    let fresh = g.dict().lookup(&x).unwrap();
+
+    // What each read path answers about the fresh node and its literals.
+    let seen = |g: &Graph| {
+        let slice = g.pattern_slice(Some(fresh), None, None).len();
+        let callback = g.collect_pattern(None, Some(ty), None).len();
+        let rows = execute(g, &q).0.len();
+        let reference = execute_reference(g, &q).0.len();
+        let within = g.spatial().within(&box_).len();
+        let between = g.temporal().between(&window).len();
+        let iter = g.iter_triples().filter(|t| t.s == fresh).count();
+        let restored = from_binary(&to_binary(g)).unwrap();
+        let snapshot = (
+            restored.dict().lookup(&x).is_some(),
+            restored.len(),
+            restored.spatial().within(&box_).len(),
+            restored.temporal().between(&window).len(),
+        );
+        (
+            slice, callback, rows, reference, within, between, iter, snapshot,
+        )
+    };
+    let vessels = g.collect_pattern(None, Some(ty), None).len();
+    let committed = g.len();
+    assert_eq!(
+        seen(&g),
+        (0, vessels, 0, 0, 0, 0, 0, (false, committed, 0, 0)),
+        "before the commit"
+    );
+    g.commit();
+    assert_eq!(
+        seen(&g),
+        (3, vessels + 1, 1, 1, 1, 1, 3, (true, committed + 3, 1, 1)),
+        "after the commit"
+    );
 }
 
 /// A graph grown by many small commits — across folds of its delta level

@@ -1,23 +1,31 @@
-//! Byte-mutation suite for `from_binary`: every single-byte flip of the
-//! header, the term section (the dictionary's bulk restore) and the
-//! triple section, and seeded random flips and truncations of the whole
-//! payload, on a seeded graph.
+//! Byte-mutation suites for the two graph codecs, on seeded graphs.
 //!
-//! Each case must end in `Err` or in a graph that is whole: its ids a
-//! bijection with its terms, every triple's ids decodable, and its own
-//! bytes restoring to the same graph. None may panic, and none may
-//! allocate more than a fixed multiple of the payload's size: a count the
-//! bytes cannot back must be refused before anything is sized by it.
+//! `from_binary`: every single-byte flip of the header, the term section
+//! (the dictionary's bulk restore) and the triple section, and seeded
+//! random flips and truncations of the whole payload. Each case must end
+//! in `Err` or in a graph that is whole: its ids a bijection with its
+//! terms, every triple's ids decodable, and its own bytes restoring to
+//! the same graph. None may panic, and none may allocate more than a
+//! fixed multiple of the payload's size: a count the bytes cannot back
+//! must be refused before anything is sized by it.
 //!
-//! The binary counts its heap with a global allocator, so it holds one
-//! test: another running beside it would count in.
+//! `from_ntriples`: every byte of a dump with point and time literals
+//! flipped, deleted and duplicated. Each case must end in `Err` or in a
+//! graph whose own dump parses back to the same triple set; none may
+//! panic.
+//!
+//! The binary counts its heap with a global allocator, so its tests take
+//! one lock: another running beside the `from_binary` suite would count
+//! in.
 
 use datacron_geo::{GeoPoint, Rng, TimeMs};
 use datacron_rdf::binary::BinError;
-use datacron_rdf::{from_binary, to_binary, Graph, Term, Triple};
+use datacron_rdf::{from_binary, from_ntriples, to_binary, to_ntriples, Graph, Term, Triple};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::{Mutex, MutexGuard};
 
 /// The system allocator, with a count of the bytes live and their peak.
 struct Counting;
@@ -79,6 +87,18 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
+
+/// Held by each test for its whole run, so no test allocates beside the
+/// one measuring.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn one_at_a_time() -> MutexGuard<'static, ()> {
+    // A test that failed while holding the lock poisons it; the next one
+    // still runs alone.
+    ONE_AT_A_TIME
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Heap bytes a restore may take per payload byte, beyond what restoring
 /// an empty graph takes (the open dictionary chunk, the smallest table,
@@ -183,6 +203,7 @@ fn restore(bytes: &[u8], fixed: usize, case: &str) -> bool {
 
 #[test]
 fn mutated_payloads_end_in_an_error_or_a_whole_graph() {
+    let _alone = one_at_a_time();
     let (empty, fixed) = measured(&to_binary(&Graph::new()));
     assert!(matches!(empty, Some(Ok(_))));
     let g = seeded_graph(60);
@@ -243,4 +264,67 @@ fn mutated_payloads_end_in_an_error_or_a_whole_graph() {
         restored > 0 && restored < cases / 2,
         "{restored} of {cases} restored"
     );
+}
+
+/// The triples of `g`, decoded: a set to compare graphs whose
+/// dictionaries number the terms differently.
+fn decoded_triples(g: &Graph) -> HashSet<[Term; 3]> {
+    g.iter_triples()
+        .map(|t| [t.s, t.p, t.o].map(|id| g.decode(id).expect("id from the graph").clone()))
+        .collect()
+}
+
+/// Parses `text` and checks the outcome; `case` names it on failure.
+/// Returns whether the parse succeeded.
+fn parse(text: &str, case: &str) -> bool {
+    let Ok(parsed) = catch_unwind(|| from_ntriples(text)) else {
+        panic!("{case}: from_ntriples panicked");
+    };
+    let Ok(g) = parsed else {
+        return false;
+    };
+    let dump = to_ntriples(&g);
+    let again = from_ntriples(&dump)
+        .unwrap_or_else(|e| panic!("{case}: its own dump does not parse: {e}\n{dump}"));
+    assert_eq!(
+        decoded_triples(&again),
+        decoded_triples(&g),
+        "{case}: the dump does not round-trip\n{dump}"
+    );
+    true
+}
+
+#[test]
+fn mutated_ntriples_end_in_an_error_or_a_graph_that_round_trips() {
+    let _alone = one_at_a_time();
+    let mut g = seeded_graph(12);
+    g.commit();
+    let dump = to_ntriples(&g);
+    assert!(dump.contains("^^geo:wktLiteral") && dump.contains("^^xsd:dateTime"));
+    assert!(parse(&dump, "the dump itself"));
+    let bytes = dump.as_bytes();
+
+    let (mut cases, mut parsed) = (0usize, 0usize);
+    let mut case = |b: &[u8], name: String| {
+        cases += 1;
+        // A flip can leave invalid UTF-8; the parser reads text, so it
+        // gets the lossy decoding.
+        parsed += usize::from(parse(&String::from_utf8_lossy(b), &name));
+    };
+    for at in 0..bytes.len() {
+        for bit in 0..8 {
+            let mut b = bytes.to_vec();
+            b[at] ^= 1 << bit;
+            case(&b, format!("byte {at} ^ bit {bit}"));
+        }
+        let mut b = bytes.to_vec();
+        b.remove(at);
+        case(&b, format!("byte {at} deleted"));
+        let mut b = bytes.to_vec();
+        b.insert(at, bytes[at]);
+        case(&b, format!("byte {at} duplicated"));
+    }
+    // Some mutations must still parse (a digit of a number, a letter of a
+    // name) and some must not: otherwise the suite tests nothing.
+    assert!(parsed > 0 && parsed < cases, "{parsed} of {cases} parsed");
 }

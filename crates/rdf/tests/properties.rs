@@ -261,8 +261,8 @@ fn temporal_pushdown_equals_post_filter() {
 
 /// The restored spatial and temporal indexes, each sorted once into its
 /// base level, answer `within`, `near` and `between` exactly as the
-/// source's do. The source holds a folded base, a delta and a pending
-/// tail.
+/// source's do. The source holds a folded base, a delta and inserts not
+/// yet committed, which neither answers.
 #[test]
 fn restore_answers_like_the_source() {
     const POINTS: usize = 2 * 8_192 + 1;
@@ -279,9 +279,9 @@ fn restore_answers_like_the_source() {
             g.commit();
         }
     }
-    assert!(g.folds() > 0 && g.tail_len() > 0);
+    assert!(g.folds() > 0 && g.spatial().len() < POINTS);
     let restored = from_binary(&to_binary(&g)).expect("restore");
-    assert_eq!(restored.spatial().len(), POINTS);
+    assert_eq!(restored.spatial().len(), g.spatial().len());
     assert_eq!(restored.temporal().len(), g.temporal().len());
     for _ in 0..64 {
         let (lon, lat) = (rng.gen_range(19.0..28.0), rng.gen_range(33.0..41.0));
@@ -385,10 +385,10 @@ fn arb_edge_box(rng: &mut Rng, stored: &[GeoPoint]) -> BoundingBox {
 }
 
 /// `within`, `near` and `between` return exactly what a linear scan of
-/// the dictionary's point and time literals finds, as the same sorted
-/// run: on the live graph
-/// after every commit, with a batch of literals still uncommitted, and
-/// after `from_binary`. The literals come in a first commit and then
+/// the point and time literals the dictionary held at the last commit
+/// finds, as the same sorted run: on the live graph after every commit,
+/// with a batch of literals still uncommitted (which no read may see),
+/// and after `from_binary`. The literals come in a first commit and then
 /// four commits that each add a quarter of what is indexed (so each
 /// folds the secondary levels: a fold needs `1/32`), then one commit too
 /// small to fold, so the live checks see a folded base, a delta, and
@@ -397,10 +397,11 @@ fn arb_edge_box(rng: &mut Rng, stored: &[GeoPoint]) -> BoundingBox {
 /// runs across the antimeridian and at the poles.
 #[test]
 fn secondary_indexes_match_a_dictionary_scan() {
-    fn check(g: &Graph, rng: &mut Rng, stored: &[GeoPoint], case: &str) {
+    fn check(g: &Graph, terms: usize, rng: &mut Rng, stored: &[GeoPoint], case: &str) {
         let points = || {
             g.dict()
                 .iter()
+                .take(terms)
                 .filter_map(|(id, t)| t.as_point().map(|p| (id, p)))
         };
         // The dictionary iterates in id order, so a scan is a sorted run.
@@ -447,6 +448,7 @@ fn secondary_indexes_match_a_dictionary_scan() {
         let instants: Vec<_> = g
             .dict()
             .iter()
+            .take(terms)
             .filter_map(|(id, t)| t.as_time().map(|t| (id, t)))
             .collect();
         assert_eq!(g.temporal().len(), instants.len(), "{case}");
@@ -492,7 +494,7 @@ fn secondary_indexes_match_a_dictionary_scan() {
         batches.push(rng.gen_range(1..3));
         batches.push(rng.gen_range(1..6));
         let last = batches.len() - 1;
-        let mut n = 0;
+        let (mut n, mut terms) = (0, 0);
         for (b, &size) in batches.iter().enumerate() {
             for _ in 0..size {
                 let s = Term::iri(format!("n{n}"));
@@ -508,26 +510,25 @@ fn secondary_indexes_match_a_dictionary_scan() {
             }
             if b < last {
                 g.commit();
+                terms = g.dict().len();
             }
-            check(&g, &mut rng, &stored, &format!("seed {seed}, batch {b}"));
+            let case = format!("seed {seed}, batch {b}");
+            check(&g, terms, &mut rng, &stored, &case);
         }
-        assert!(g.tail_len() > 0);
+        assert!(g.dict().len() > terms);
         let restored = from_binary(&to_binary(&g)).expect("restore");
-        check(
-            &restored,
-            &mut rng,
-            &stored,
-            &format!("seed {seed}, restored"),
-        );
+        assert_eq!(restored.dict().len(), terms);
+        let case = format!("seed {seed}, restored");
+        check(&restored, terms, &mut rng, &stored, &case);
     }
 }
 
 // ---- Commit merges each batch into the sorted indexes ----------------------
 //
 // Seeded interleavings of insert and commit against a `BTreeSet` model,
-// plus fixed shapes: the 64k auto-commit one needs 70 000 inserts. Each
-// index has a base and a delta level; reads must not show where one ends,
-// whichever side of a fold they run.
+// plus fixed shapes. Each index has a base and a delta level; reads must
+// not show where one ends, whichever side of a fold they run, and no read
+// may show an insert before its commit.
 
 mod commit_merge {
     use datacron_geo::Rng;
@@ -565,10 +566,9 @@ mod commit_merge {
         [(S, s), (P, p), (O, o)].map(|(bit, id)| (mask & bit != 0).then_some(TermId(id)))
     }
 
-    /// `Graph::insert_encoded` commits by itself when the tail reaches this.
-    const AUTO_COMMIT_TAIL: usize = 64 * 1024;
-
-    /// A graph beside the model of what it must hold.
+    /// A graph beside the model of what it must hold: the committed
+    /// triples, which every read sees, and the pending ones, which none
+    /// does.
     struct Modelled {
         graph: Graph,
         committed: BTreeSet<(u32, u32, u32)>,
@@ -576,12 +576,13 @@ mod commit_merge {
     }
 
     impl Modelled {
-        /// A graph whose dictionary holds ids `0..vocabulary`.
+        /// A graph whose dictionary holds ids `0..vocabulary`, committed.
         fn new(vocabulary: u32) -> Self {
             let mut graph = Graph::new();
             for i in 0..vocabulary {
                 assert_eq!(graph.encode(&Term::integer(i64::from(i))), TermId(i));
             }
+            graph.commit();
             Modelled {
                 graph,
                 committed: BTreeSet::new(),
@@ -598,9 +599,6 @@ mod commit_merge {
             if !self.committed.contains(&(s, p, o)) {
                 self.pending.insert((s, p, o));
             }
-            if self.pending.len() >= AUTO_COMMIT_TAIL {
-                self.committed.append(&mut self.pending);
-            }
         }
 
         fn commit(&mut self) {
@@ -611,14 +609,9 @@ mod commit_merge {
         /// Every pattern shape (all 8 bound combinations), probed at every
         /// prefix the model holds, through every read path: plain and
         /// sub-range slices, hinted probes in ascending and descending
-        /// order, `match_pattern` and `probe_width`. Skipped past a few
-        /// thousand triples (the auto-commit shape), where probing every
-        /// prefix costs seconds in a debug build.
+        /// order, `match_pattern` and `probe_width`.
         fn check_reads(&self) {
             let g = &self.graph;
-            if self.committed.len() > 4096 {
-                return;
-            }
             for mask in 0..8u8 {
                 let mut rows: Vec<(Ids, Ids)> = self
                     .committed
@@ -634,13 +627,6 @@ mod commit_merge {
                 };
                 let groups: Vec<&[(Ids, Ids)]> =
                     rows.chunk_by(|a, b| prefix(a.0) == prefix(b.0)).collect();
-                let mut pending: BTreeMap<[u32; 3], BTreeSet<Ids>> = BTreeMap::new();
-                for &t in &self.pending {
-                    pending
-                        .entry(prefix(order_key(mask, t)))
-                        .or_default()
-                        .insert(t);
-                }
                 let (mut up, mut down) = (ProbeHint::default(), ProbeHint::default());
                 for (i, group) in groups.iter().enumerate() {
                     let want: Vec<Ids> = group.iter().map(|r| r.1).collect();
@@ -675,14 +661,10 @@ mod commit_merge {
                     let [bs, bp, bo] = pattern(mask, back[0].1);
                     let hinted = g.pattern_slice_hinted(bs, bp, bo, &mut down);
                     assert!(hinted.iter().map(ids).eq(back.iter().map(|r| r.1)));
-                    // The committed matches in index order, then the tail's.
+                    // The committed matches in index order, and nothing else.
                     let mut visited = Vec::new();
                     g.match_pattern(s, p, o, &mut |t| visited.push(ids(t)));
-                    let (committed, tail) = visited.split_at(want.len());
-                    assert_eq!(committed, &want[..]);
-                    let tail: BTreeSet<Ids> = tail.iter().copied().collect();
-                    let want = pending.remove(&prefix(group[0].0)).unwrap_or_default();
-                    assert_eq!(tail, want, "mask {mask:03b} tail matches");
+                    assert_eq!(visited, want, "mask {mask:03b} callback path");
                 }
                 // A prefix the graph does not hold.
                 if mask != 0 {
@@ -691,6 +673,11 @@ mod commit_merge {
                     assert!(g.pattern_slice(s, p, o).is_empty());
                     assert_eq!(g.probe_width(s, p, o), 0);
                 }
+            }
+            // No pending triple shows before its commit.
+            for &(s, p, o) in &self.pending {
+                let [s, p, o] = pattern(S | P | O, (s, p, o));
+                assert!(g.pattern_slice(s, p, o).is_empty(), "{s:?} {p:?} {o:?}");
             }
         }
 
@@ -701,15 +688,15 @@ mod commit_merge {
             self.check_restore();
         }
 
-        /// A restore holds the source's committed and pending triples,
-        /// all committed, in the base: it must read like the model with
-        /// the tail committed, through every path `check_committed`
-        /// probes (all 8 pattern shapes, plain and hinted, and every
-        /// predicate's statistics).
+        /// A restore holds the source's committed triples, in the base,
+        /// and none of its pending ones: it must read like the model's
+        /// committed set through every path `check_committed` probes (all
+        /// 8 pattern shapes, plain and hinted, and every predicate's
+        /// statistics).
         fn check_restore(&self) {
             let restored = Modelled {
                 graph: from_binary(&to_binary(&self.graph)).expect("own snapshot restores"),
-                committed: self.committed.union(&self.pending).copied().collect(),
+                committed: self.committed.clone(),
                 pending: BTreeSet::new(),
             };
             restored.check_committed();
@@ -722,14 +709,7 @@ mod commit_merge {
         fn check_committed(&self) {
             self.check_reads();
             let g = &self.graph;
-            assert_eq!(g.len(), self.committed.len() + self.pending.len());
-            assert_eq!(g.tail_len(), self.pending.len());
-            let tail: BTreeSet<_> = g
-                .tail_triples()
-                .iter()
-                .map(|t| (t.s.raw(), t.p.raw(), t.o.raw()))
-                .collect();
-            assert_eq!(tail, self.pending);
+            assert_eq!(g.len(), self.committed.len());
 
             // SPO: one slice is the whole index.
             let spo: Vec<_> = g
@@ -777,11 +757,9 @@ mod commit_merge {
 
             // A snapshot is the triple set, not the split: a restore puts
             // everything in the base and writes the same bytes.
-            if self.pending.is_empty() {
-                let bytes = to_binary(g);
-                let restored = from_binary(&bytes).expect("own snapshot restores");
-                assert_eq!(to_binary(&restored), bytes);
-            }
+            let bytes = to_binary(g);
+            let restored = from_binary(&bytes).expect("own snapshot restores");
+            assert_eq!(to_binary(&restored), bytes);
         }
     }
 
@@ -809,8 +787,9 @@ mod commit_merge {
         assert_eq!(m.graph.folds(), 1);
         // Re-inserting what only the delta holds is a duplicate.
         m.insert(30, 0, 3);
-        assert_eq!(m.graph.tail_len(), 0);
+        m.commit();
         m.check();
+        assert_eq!(m.graph.len(), m.committed.len());
     }
 
     #[test]
@@ -899,12 +878,11 @@ mod commit_merge {
                     at_fold = Some(m.committed.len());
                 }
             }
-            // The pending tail: new triples and repeats of committed ones.
+            // Pending inserts: new triples and repeats of committed ones.
             while m.pending.is_empty() {
                 let (s, p, o) = triple(&mut rng);
                 m.insert(s, p, o);
             }
-            assert!(m.graph.tail_len() > 0);
             m.check();
         }
     }
@@ -1031,31 +1009,5 @@ mod commit_merge {
             m.commit();
             m.check();
         }
-    }
-
-    #[test]
-    fn a_run_crossing_the_auto_commit() {
-        // 70 000 distinct triples without a commit call: the tail commits
-        // by itself at 64k, into an index that already holds a committed
-        // prefix, and the rest stays pending.
-        let mut m = Modelled::new(300);
-        for s in 0..20 {
-            m.insert(s * 7, 1, s);
-        }
-        m.commit();
-        let mut n = 0;
-        'fill: for s in 0..300 {
-            for o in 0..300 {
-                m.insert(s, 2 + (o % 2), o);
-                n += 1;
-                if n == 70_000 {
-                    break 'fill;
-                }
-            }
-        }
-        assert_eq!(m.pending.len(), 70_000 - AUTO_COMMIT_TAIL);
-        m.check();
-        m.commit();
-        m.check();
     }
 }

@@ -96,13 +96,16 @@ run cargo test --release -q -p datacron-rdf --test differential
 # restores a snapshot of its graph and reads it back through all 8
 # pattern shapes, plain and hinted, and the statistics; the literal-index
 # tests restore 16 385 point literals and compare every secondary-index
-# answer with a dictionary scan, live, uncommitted and restored.
+# answer with a scan of the committed dictionary, live (literals not yet
+# committed beside, which no read may see) and restored.
 run cargo test --release -q -p datacron-rdf --test properties -- commit_merge restore_answers secondary_indexes
 # The dictionary against its model in release too: encode, lookup,
 # decode, iter and the bulk restore through resizes, at every load
 # threshold and under colliding hashes, no encode moving more than its
 # step of the growing table; and the snapshot's term section mutated
-# byte by byte, every restore an error or a whole graph.
+# byte by byte, every restore an error or a whole graph; and an
+# N-Triples dump with each byte flipped, deleted and duplicated, every parse an
+# error or a graph that round-trips.
 run cargo test --release -q -p datacron-rdf --lib dict::
 run cargo test --release -q -p datacron-rdf --test hostile_bytes
 # The timing benches (`harness = false` binaries over datacron_bench::bench).
@@ -212,6 +215,13 @@ fi
 # hash set of term ids comes back anywhere in the RDF crate.
 if grep -rn 'FxHashSet<TermId>' crates/rdf/src; then
   echo "crates/rdf/src must not name FxHashSet<TermId>: candidates are sorted runs (see above)" >&2
+  exit 1
+fi
+# One read path: every read sees the graph as of its last commit, so the
+# executor, the literal indexes and the reference engine consult only the
+# sorted levels — no uncommitted tail and no queue of new literals.
+if grep -nE 'tail_triples|tail_len|pending' crates/rdf/src/morsel.rs crates/rdf/src/index.rs crates/rdf/src/engine.rs; then
+  echo "crates/rdf/src/{morsel,index,engine}.rs must not name tail_triples, tail_len or pending: reads see the last commit (see above)" >&2
   exit 1
 fi
 # The executor knows nothing of partitions: C4's parallel query processing
