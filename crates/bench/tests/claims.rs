@@ -9,6 +9,8 @@
 //!
 //! - C1 (E1, E2): in-situ compression ratio, its reconstruction error, and
 //!   what the detectors find on the raw vs the compressed stream.
+//! - C2 (E3): the triples the mapper makes of the standard world, per kept
+//!   report through the pipeline and per raw report alone.
 //! - C3 (E4): link discovery across two registries.
 //! - C5 (E6, E7): trajectory forecast error at the longest horizon.
 //! - C6 (E9): close-encounter forecasting and pattern completion.
@@ -17,6 +19,7 @@ use datacron_bench::{aviation_workload, maritime_workload, reports_of};
 use datacron_cep::{
     critical_to_event, CpaDetector, DarkActivityDetector, LoiteringDetector, PatternMarkovChain,
 };
+use datacron_core::{Pipeline, PipelineConfig};
 use datacron_forecast::{
     evaluate_horizons, reconstruct_tracks, ConstantTurnPredictor, DeadReckoningPredictor,
     MarkovGridModel, Predictor, RouteModel, VerticalProfilePredictor,
@@ -26,6 +29,7 @@ use datacron_link::{
     discover_links, discover_links_exhaustive, evaluate_links, LinkRecord, LinkRule, LinkScores,
 };
 use datacron_model::{labels::prf1, EventKind, ObjectId, PositionReport, Trajectory};
+use datacron_rdf::Graph;
 use datacron_sim::{
     generate_maritime, generate_registries, MaritimeConfig, MaritimeData, NoiseModel,
     RegistryConfig,
@@ -34,6 +38,7 @@ use datacron_synopses::{
     douglas_peucker, sed_error, Cleanser, CriticalPointDetector, DeadReckoningCompressor,
     SynopsisConfig,
 };
+use datacron_transform::RdfMapper;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
@@ -182,6 +187,51 @@ fn c1_e2_detections_on_raw_and_compressed_streams() {
             "dark activity at {threshold:?} m"
         );
     }
+}
+
+#[test]
+fn c2_e3_triples_per_kept_and_per_raw_report() {
+    let data = maritime();
+    let reports = reports_of(data);
+    // The serving path: the default pipeline maps each report the
+    // compressor keeps and every event it recognises; the harness's
+    // `transform.triples_per_kept_report` is the same ratio on its own
+    // stream. An event is 5 triples plus one per object it involves.
+    let mut pipeline = Pipeline::new(PipelineConfig::default());
+    let out = pipeline.ingest_batch(&reports);
+    let event_triples: usize = out.events.iter().map(|e| 5 + e.objects.len()).sum();
+    assert_eq!(
+        (
+            out.clean,
+            out.kept,
+            out.events.len(),
+            event_triples,
+            out.triples,
+            pipeline.graph().len()
+        ),
+        (113_342, 4_338, 7_361, 44_876, 71_317, 71_317)
+    );
+    assert_eq!(fixed(out.triples as f64 / out.kept as f64, 2), "16.44");
+    // The mapper alone over every raw report, no compression and no
+    // events; with the vessels' registry data, the store E5's templates
+    // run on.
+    let (mut graph, mut mapper) = (Graph::new(), RdfMapper::new());
+    for r in &reports {
+        mapper.map_report(&mut graph, r, None);
+    }
+    let per_report = mapper.triples_emitted();
+    assert_eq!(
+        (
+            per_report,
+            fixed(per_report as f64 / reports.len() as f64, 2)
+        ),
+        (681_528, "6.00".to_string())
+    );
+    for v in &data.vessels {
+        mapper.map_vessel_info(&mut graph, v);
+    }
+    graph.commit();
+    assert_eq!(graph.len(), 681_744);
 }
 
 #[test]

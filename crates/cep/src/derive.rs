@@ -46,11 +46,6 @@ impl ZoneTracker {
         }
     }
 
-    /// Zone names.
-    pub fn zone_names(&self) -> Vec<&str> {
-        self.zones.iter().map(|(n, _)| n.as_str()).collect()
-    }
-
     /// Processes one report, returning entry/exit events.
     pub fn update(&mut self, r: &PositionReport) -> Vec<EventRecord> {
         let pos = r.position();

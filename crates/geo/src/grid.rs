@@ -94,11 +94,6 @@ impl Grid {
         self.rows
     }
 
-    /// Total number of cells.
-    pub fn cell_count(&self) -> u64 {
-        u64::from(self.cols) * u64::from(self.rows)
-    }
-
     /// The cell containing `p`, or `None` when `p` is outside the extent.
     /// Points on the east/north boundary are assigned to the last cell.
     pub fn cell_of(&self, p: &GeoPoint) -> Option<CellId> {
@@ -174,7 +169,6 @@ mod tests {
         assert!(Grid::new(BoundingBox::EMPTY, 1.0).is_none());
         let g = grid_10x10();
         assert_eq!((g.cols(), g.rows()), (10, 10));
-        assert_eq!(g.cell_count(), 100);
     }
 
     #[test]

@@ -77,15 +77,6 @@ impl GeoPoint {
         GeoPoint::new(lon2.to_degrees(), lat2.to_degrees()).normalized()
     }
 
-    /// Cross-track distance in metres from this point to the great-circle
-    /// path from `a` to `b`. Positive values lie to the right of the path.
-    pub fn cross_track_m(&self, a: &GeoPoint, b: &GeoPoint) -> f64 {
-        let d13 = a.haversine_m(self) / EARTH_RADIUS_M;
-        let t13 = a.bearing_deg(self).to_radians();
-        let t12 = a.bearing_deg(b).to_radians();
-        (d13.sin() * (t13 - t12).sin()).asin() * EARTH_RADIUS_M
-    }
-
     /// Distance in metres from this point to the great-circle *segment*
     /// `a`–`b` (not the infinite great circle).
     pub fn segment_distance_m(&self, a: &GeoPoint, b: &GeoPoint) -> f64 {
@@ -268,18 +259,6 @@ mod tests {
         assert!(!GeoPoint::new(f64::NAN, 0.0).is_valid());
         assert!(!GeoPoint::new(181.0, 0.0).is_valid());
         assert!(!GeoPoint::new(0.0, -91.0).is_valid());
-    }
-
-    #[test]
-    fn cross_track_sign_and_magnitude() {
-        // Path west->east along the equator; a point 1 degree north is
-        // ~111 km to the left (negative).
-        let a = GeoPoint::new(0.0, 0.0);
-        let b = GeoPoint::new(10.0, 0.0);
-        let p = GeoPoint::new(5.0, 1.0);
-        let xt = p.cross_track_m(&a, &b);
-        assert!(xt < 0.0);
-        assert!(close(xt.abs(), 111_195.0, 500.0), "xt = {xt}");
     }
 
     #[test]

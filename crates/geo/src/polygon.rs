@@ -87,19 +87,6 @@ impl Polygon {
         inside
     }
 
-    /// Signed area in square degrees via the shoelace formula. Positive for
-    /// counter-clockwise rings.
-    pub fn signed_area_deg2(&self) -> f64 {
-        let n = self.ring.len();
-        let mut acc = 0.0;
-        for i in 0..n {
-            let a = &self.ring[i];
-            let b = &self.ring[(i + 1) % n];
-            acc += a.lon * b.lat - b.lon * a.lat;
-        }
-        acc / 2.0
-    }
-
     /// Centroid of the vertex set (adequate for labelling zones).
     pub fn vertex_centroid(&self) -> GeoPoint {
         let n = self.ring.len() as f64;
@@ -195,26 +182,6 @@ mod tests {
         assert!(circle.contains(&center));
         assert!(circle.contains(&center.destination(123.0, 9_000.0)));
         assert!(!circle.contains(&center.destination(123.0, 11_000.0)));
-    }
-
-    #[test]
-    fn signed_area_orientation() {
-        let ccw = Polygon::new(vec![
-            GeoPoint::new(0.0, 0.0),
-            GeoPoint::new(1.0, 0.0),
-            GeoPoint::new(1.0, 1.0),
-            GeoPoint::new(0.0, 1.0),
-        ])
-        .unwrap();
-        assert!((ccw.signed_area_deg2() - 1.0).abs() < 1e-12);
-        let cw = Polygon::new(vec![
-            GeoPoint::new(0.0, 0.0),
-            GeoPoint::new(0.0, 1.0),
-            GeoPoint::new(1.0, 1.0),
-            GeoPoint::new(1.0, 0.0),
-        ])
-        .unwrap();
-        assert!((cw.signed_area_deg2() + 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -21,11 +21,6 @@ pub fn nm_to_m(nm: f64) -> f64 {
     nm * METERS_PER_NM
 }
 
-/// Converts metres to nautical miles.
-pub fn m_to_nm(m: f64) -> f64 {
-    m / METERS_PER_NM
-}
-
 /// Converts feet to metres (aviation altitudes).
 pub fn ft_to_m(ft: f64) -> f64 {
     ft * METERS_PER_FT
@@ -34,11 +29,6 @@ pub fn ft_to_m(ft: f64) -> f64 {
 /// Converts metres to feet.
 pub fn m_to_ft(m: f64) -> f64 {
     m / METERS_PER_FT
-}
-
-/// Converts a flight level (hundreds of feet) to metres.
-pub fn fl_to_m(fl: f64) -> f64 {
-    ft_to_m(fl * 100.0)
 }
 
 /// Normalises an angle in degrees to `[0, 360)`.
@@ -79,7 +69,7 @@ mod tests {
 
     #[test]
     fn distance_round_trip() {
-        assert!(close(m_to_nm(nm_to_m(3.0)), 3.0));
+        assert!(close(nm_to_m(3.0) / METERS_PER_NM, 3.0));
         assert!(close(nm_to_m(1.0), 1852.0));
     }
 
@@ -87,7 +77,6 @@ mod tests {
     fn altitude_conversions() {
         assert!(close(ft_to_m(1000.0), 304.8));
         assert!(close(m_to_ft(ft_to_m(35_000.0)), 35_000.0));
-        assert!(close(fl_to_m(350.0), ft_to_m(35_000.0)));
     }
 
     #[test]

@@ -46,8 +46,8 @@ impl Bindings {
     }
 }
 
-/// Execution statistics, used by the partitioning experiments and exposed
-/// per query through the server's `sparql` response.
+/// Execution statistics, exposed per query through the server's `sparql`
+/// response and read by the `rdf` bench's planning/exec split.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Intermediate bindings materialised across join steps.

@@ -75,12 +75,6 @@ impl WeatherGrid {
             Self::eval(&self.modes_v, self.mean_v, p, th),
         )
     }
-
-    /// Wind speed in m/s at a point and time.
-    pub fn wind_speed_at(&self, p: &GeoPoint, t: TimeMs) -> f64 {
-        let (u, v) = self.wind_at(p, t);
-        (u * u + v * v).sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -108,7 +102,8 @@ mod tests {
         for i in 0..20 {
             for j in 0..20 {
                 let p = GeoPoint::new(22.0 + 0.4 * i as f64, 34.0 + 0.35 * j as f64);
-                let s = f.wind_speed_at(&p, TimeMs(i * 600_000));
+                let (u, v) = f.wind_at(&p, TimeMs(i * 600_000));
+                let s = u.hypot(v);
                 // 5 modes × 2.5 + mean 4 per component → well under 25 m/s.
                 assert!(s < 25.0, "wind {s} m/s");
             }

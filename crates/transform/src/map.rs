@@ -3,7 +3,7 @@
 use crate::ontology as onto;
 use datacron_geo::FxHashSet;
 use datacron_geo::GeoPoint;
-use datacron_model::{EventRecord, FlightInfo, ObjectId, PositionReport, VesselInfo};
+use datacron_model::{EventRecord, ObjectId, PositionReport, VesselInfo};
 use datacron_rdf::{Graph, Term};
 
 /// Maps reports, metadata and analytics results into a [`Graph`].
@@ -125,20 +125,6 @@ impl RdfMapper {
         );
         g.insert(&obj, &onto::p_flag(), &Term::string(&v.flag));
         self.triples_emitted += 4;
-    }
-
-    /// Maps flight plan metadata.
-    pub fn map_flight_info(&mut self, g: &mut Graph, f: &FlightInfo) {
-        self.type_object(g, f.object, onto::c_flight());
-        let obj = onto::iri_object(f.object);
-        g.insert(&obj, &onto::p_name(), &Term::string(&f.callsign));
-        g.insert(&obj, &onto::p_ext_id(), &Term::integer(i64::from(f.icao24)));
-        g.insert(
-            &obj,
-            &onto::p_flag(),
-            &Term::string(format!("{}->{}", f.origin, f.destination)),
-        );
-        self.triples_emitted += 3;
     }
 
     /// Maps a recognised/forecast event ("analytical results … to a common

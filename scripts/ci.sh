@@ -28,6 +28,45 @@ run() {
   "$@"
 }
 
+# Every source EXPERIMENTS.md cites for a number is in the tree: a repo
+# path (`crates/…/x.rs`, `tests/x.rs`, `scripts/x.sh`), a `file::test`
+# name (the last segment a `fn` in that test or source file), a
+# `--test`, `--bench` or `--workload` name, and a bench group
+# (`<group>/<name>…`: its first segment opens a name in a bench file,
+# and each later plain segment appears in that file).
+echo "==> EXPERIMENTS.md sources"
+missing=()
+cited() { grep -oE -e "$1" EXPERIMENTS.md | sort -u; }
+for p in $(cited '`(crates|tests|scripts|examples)/[A-Za-z0-9_./-]+\.(rs|sh)`' | tr -d '`'); do
+  [ -f "$p" ] || missing+=("$p")
+done
+for t in $(cited '`[a-z0-9_]+(::[a-z0-9_]+)+`' | tr -d '`' | grep -v '^datacron_'); do
+  files=$(ls crates/*/tests/"${t%%::*}".rs tests/"${t%%::*}".rs crates/*/src/"${t%%::*}".rs 2>/dev/null || true)
+  # shellcheck disable=SC2086
+  [ -n "$files" ] && grep -qE "fn ${t##*::}\b" $files || missing+=("$t")
+done
+for t in $(cited '--test [a-z0-9_]+' | cut -d' ' -f2); do
+  [ -n "$(ls crates/*/tests/"$t".rs tests/"$t".rs 2>/dev/null || true)" ] || missing+=("--test $t")
+done
+for b in $(cited '--bench [a-z0-9_]+' | cut -d' ' -f2); do
+  [ -f "crates/bench/benches/$b.rs" ] || missing+=("--bench $b")
+done
+for w in $(cited '--workload [a-z_]+' | cut -d' ' -f2); do
+  grep -q "\"name\": \"$w\"" BENCHMARK.json || missing+=("--workload $w")
+done
+for g in $(cited '`[a-z][a-z0-9_]*/[A-Za-z0-9_/.*{},]+`' | tr -d '`' \
+  | grep -vE '^(crates|tests|scripts|examples|benchmark|target)/|\.(rs|sh|json|md)$'); do
+  file=$(grep -l "\"${g%%/*}/" crates/bench/benches/*.rs | head -n1 || true)
+  for seg in $(tr '/' '\n' <<<"${g#*/}" | grep -xE '[A-Za-z0-9_]+'); do
+    [ -n "$file" ] && grep -qw "$seg" "$file" || { file=; break; }
+  done
+  [ -n "$file" ] || missing+=("$g")
+done
+if [ "${#missing[@]}" -gt 0 ]; then
+  printf 'EXPERIMENTS.md cites a source that is not in the tree: %s\n' "${missing[@]}" >&2
+  exit 1
+fi
+
 run cargo fmt --all -- --check
 # Self-contained: every package in the whole graph (normal, dev and build
 # edges) is one of the workspace's own path crates.
