@@ -1,6 +1,6 @@
 //! E8 timing: event recognition throughput — detectors and the NFA engine.
 
-use datacron_bench::{bench, bench_iters, maritime_small, reports_of};
+use datacron_bench::{bench, maritime_small, print_median, reports_of};
 use datacron_cep::{
     CpaDetector, DriftingDetector, LoiteringDetector, Pattern, PatternElem, RendezvousDetector,
     Runs, ZoneTracker,
@@ -10,7 +10,6 @@ use datacron_model::{NavStatus, ObjectId, PositionReport, SourceId};
 use datacron_obs::Stopwatch;
 use datacron_sim::{generate_maritime, MaritimeConfig};
 use std::hint::black_box;
-use std::time::Duration;
 
 /// The five per-report detectors of the serving path's `cep.detect` stage.
 struct Detectors {
@@ -97,13 +96,16 @@ fn spread_fleet(vessels: usize) -> (BoundingBox, Vec<PositionReport>) {
 }
 
 /// The scaling microscope: what one report costs the five detectors as the
-/// fleet grows. Half an hour of the fleet warms the windows untimed; the
-/// ten minutes after it are timed (the rate printed is reports per second). Two kinds of fleet: the simulator's (`sim/N`, delivery order,
-/// as the server receives it), where every vessel sails between the same
-/// six ports so the neighbourhood grows with the fleet, and a lattice
-/// (`spread/N`) where it does not. A cost that follows the neighbourhood
-/// is flat on the second and grows with the candidates per report (printed
-/// beside each fleet) on the first; one that scans the fleet grows on both.
+/// fleet grows. Half an hour of the fleet warms the windows once, untimed;
+/// the ten minutes after it are timed in five consecutive slices, and the
+/// row is the median slice's time per report (an iteration is one report;
+/// the rate printed is reports per second). Two kinds of fleet: the
+/// simulator's (`sim/N`, delivery order, as the server receives it), where
+/// every vessel sails between the same six ports so the neighbourhood
+/// grows with the fleet, and a lattice (`spread/N`) where it does not. A
+/// cost that follows the neighbourhood is flat on the second and grows
+/// with the candidates per report (printed beside each fleet, with the
+/// events it raised) on the first; one that scans the fleet grows on both.
 fn bench_detect_per_report() {
     for vessels in [100usize, 1000, 4000] {
         let data = generate_maritime(&MaritimeConfig {
@@ -126,37 +128,28 @@ fn bench_detect_per_report() {
                 .position(|r| r.time >= warm_until)
                 .unwrap_or(reports.len());
             let (warm, timed) = reports.split_at(split);
-            let warmed = || {
-                let mut detectors = Detectors::new(*region);
-                for r in warm {
-                    detectors.update(r);
+            let mut detectors = Detectors::new(*region);
+            for r in warm {
+                detectors.update(r);
+            }
+            let before = detectors.candidates();
+            let (mut per_report_ns, mut events) = (Vec::new(), 0usize);
+            for slice in timed.chunks(timed.len().div_ceil(5).max(1)) {
+                let t = Stopwatch::start();
+                for r in slice {
+                    events += detectors.update(black_box(r));
                 }
-                detectors
-            };
-            let mut once = warmed();
-            let before = once.candidates();
-            for r in timed {
-                once.update(r);
+                per_report_ns.push(t.elapsed().as_nanos() as f64 / slice.len() as f64);
             }
             eprintln!(
-                "detect_per_report/{kind}/{vessels}: {:.1} candidates per report",
-                (once.candidates() - before) as f64 / timed.len() as f64
+                "detect_per_report/{kind}/{vessels}: {:.1} candidates per report, {events} events",
+                (detectors.candidates() - before) as f64 / timed.len() as f64
             );
-            let name = format!("detect_per_report/{kind}/{vessels}");
-            bench_iters(&name, timed.len() as u64, |iters| {
-                let mut spent = Duration::ZERO;
-                for _ in 0..iters {
-                    let mut detectors = warmed();
-                    let t = Stopwatch::start();
-                    let mut events = 0usize;
-                    for r in timed {
-                        events += detectors.update(black_box(r));
-                    }
-                    spent += t.elapsed();
-                    black_box(events);
-                }
-                spent
-            });
+            print_median(
+                &format!("detect_per_report/{kind}/{vessels}"),
+                1,
+                per_report_ns,
+            );
         }
     }
 }

@@ -88,6 +88,13 @@ pub fn bench_iters(name: &str, elements: u64, mut run: impl FnMut(u64) -> Durati
     while per_iter_ns.len() < 10 || (total.elapsed() < BUDGET && per_iter_ns.len() < 100) {
         per_iter_ns.push(run(iters).as_nanos() as f64 / iters as f64);
     }
+    print_median(name, elements, per_iter_ns);
+}
+
+/// Prints a microbenchmark's row from samples taken some other way than
+/// [`bench_iters`]: the median of `per_iter_ns` (time per iteration, one
+/// sample each), plus `elements` per second when `elements` is non-zero.
+pub fn print_median(name: &str, elements: u64, mut per_iter_ns: Vec<f64>) {
     per_iter_ns.sort_by(f64::total_cmp);
     let median = per_iter_ns[per_iter_ns.len() / 2];
     let rate = if elements > 0 {

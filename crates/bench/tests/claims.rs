@@ -167,9 +167,9 @@ fn c1_e2_detections_on_raw_and_compressed_streams() {
     };
     // (stream, loitering (tp, fp, fn) and precision, dark activity's).
     for (threshold, loiter, loiter_p, dark, dark_p) in [
-        (None, (5, 12, 0), "0.2941", (4, 0, 0), "1.0000"),
-        (Some(50.0), (5, 9, 0), "0.3571", (4, 0, 0), "1.0000"),
-        (Some(100.0), (5, 8, 0), "0.3846", (4, 0, 0), "1.0000"),
+        (None, (5, 6, 0), "0.4545", (4, 0, 0), "1.0000"),
+        (Some(50.0), (5, 5, 0), "0.5000", (4, 0, 0), "1.0000"),
+        (Some(100.0), (5, 4, 0), "0.5556", (4, 0, 0), "1.0000"),
     ] {
         let stream = match threshold {
             None => clean.clone(),
@@ -209,9 +209,9 @@ fn c2_e3_triples_per_kept_and_per_raw_report() {
             out.triples,
             pipeline.graph().len()
         ),
-        (113_342, 4_338, 7_361, 44_876, 71_317, 71_317)
+        (113_342, 4_338, 7_052, 42_719, 69_160, 69_160)
     );
-    assert_eq!(fixed(out.triples as f64 / out.kept as f64, 2), "16.44");
+    assert_eq!(fixed(out.triples as f64 / out.kept as f64, 2), "15.94");
     // The mapper alone over every raw report, no compression and no
     // events; with the vessels' registry data, the store E5's templates
     // run on.
@@ -442,14 +442,14 @@ fn c6_e9_close_encounter_forecasts() {
         })
         .count();
 
-    assert_eq!((alerts.len(), confirmed), (551, 534));
+    assert_eq!((alerts.len(), confirmed), (246, 226));
     assert_eq!(
         (
             fixed(confirmed as f64 / alerts.len() as f64, 4),
             lead_min.len(),
             fixed(lead_min[lead_min.len() / 2], 2)
         ),
-        ("0.9691".to_string(), 44, "15.00".to_string())
+        ("0.9187".to_string(), 27, "21.00".to_string())
     );
     assert_eq!((forecast, rendezvous.len()), (2, 2));
 }

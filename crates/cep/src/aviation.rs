@@ -1,6 +1,11 @@
 //! Aviation complex-event recognisers: holding patterns, sector hotspots
 //! (capacity demand) and loss-of-separation risk.
+//!
+//! Holding and separation risk alert once per episode: only when their
+//! condition last held more than `window_ms` (separation: `staleness_ms`)
+//! before (`opens_episode`), and forget by that horizon (`Pruner`).
 
+use crate::horizon::{expired, opens_episode, Pruner};
 use crate::maritime::cpa;
 use datacron_geo::units::heading_delta_deg;
 use datacron_geo::FxHashMap;
@@ -17,10 +22,10 @@ pub struct HoldingDetector {
     pub min_total_turn_deg: f64,
     /// Maximum altitude band within the window, metres.
     pub max_alt_band_m: f64,
-    /// Cooldown per aircraft, ms.
-    pub cooldown_ms: i64,
     state: FxHashMap<ObjectId, VecDeque<(TimeMs, f64, f64, GeoPoint)>>, // (t, heading, alt, pos)
-    last_alert: FxHashMap<ObjectId, TimeMs>,
+    /// When each aircraft was last holding.
+    last_held: FxHashMap<ObjectId, TimeMs>,
+    pruner: Pruner,
 }
 
 impl Default for HoldingDetector {
@@ -29,9 +34,9 @@ impl Default for HoldingDetector {
             window_ms: 12 * 60_000,
             min_total_turn_deg: 360.0,
             max_alt_band_m: 600.0,
-            cooldown_ms: 15 * 60_000,
             state: FxHashMap::default(),
-            last_alert: FxHashMap::default(),
+            last_held: FxHashMap::default(),
+            pruner: Pruner::default(),
         }
     }
 }
@@ -39,6 +44,15 @@ impl Default for HoldingDetector {
 impl HoldingDetector {
     /// Processes one report.
     pub fn update(&mut self, r: &PositionReport) -> Option<EventRecord> {
+        let held = self.state.len() + self.last_held.len();
+        if let Some(high) = self.pruner.due(r.time, held) {
+            // A window this old would empty on the next push, and a hold
+            // this old ended its episode.
+            let window_ms = self.window_ms;
+            self.state
+                .retain(|_, buf| buf.back().is_some_and(|f| !expired(high, f.0, window_ms)));
+            self.last_held.retain(|_, t| !expired(high, *t, window_ms));
+        }
         if !r.heading_deg.is_finite() || r.alt_m < 500.0 {
             return None;
         }
@@ -65,9 +79,8 @@ impl HoldingDetector {
                 (lo.min(a), hi.max(a))
             });
         if total_turn >= self.min_total_turn_deg && alt_max - alt_min <= self.max_alt_band_m {
-            let since = self.last_alert.get(&r.object).copied();
-            if since.is_none_or(|t| r.time - t >= self.cooldown_ms) {
-                self.last_alert.insert(r.object, r.time);
+            let last_held = self.last_held.insert(r.object, r.time);
+            if opens_episode(last_held, r.time, self.window_ms) {
                 let start = buf.front().map(|&(t, ..)| t).unwrap_or(r.time);
                 // Centre of the hold: centroid of buffered positions.
                 let n = buf.len() as f64;
@@ -171,10 +184,10 @@ pub struct SeparationRiskDetector {
     pub horizon_ms: i64,
     /// Fix staleness bound, ms.
     pub staleness_ms: i64,
-    /// Cooldown per pair, ms.
-    pub cooldown_ms: i64,
     latest: FxHashMap<ObjectId, PositionReport>,
-    last_alert: FxHashMap<(ObjectId, ObjectId), TimeMs>,
+    /// When each pair was last in conflict.
+    last_held: FxHashMap<(ObjectId, ObjectId), TimeMs>,
+    pruner: Pruner,
 }
 
 impl Default for SeparationRiskDetector {
@@ -184,9 +197,9 @@ impl Default for SeparationRiskDetector {
             vertical_m: 300.0,
             horizon_ms: 10 * 60_000,
             staleness_ms: 60_000,
-            cooldown_ms: 10 * 60_000,
             latest: FxHashMap::default(),
-            last_alert: FxHashMap::default(),
+            last_held: FxHashMap::default(),
+            pruner: Pruner::default(),
         }
     }
 }
@@ -194,6 +207,16 @@ impl Default for SeparationRiskDetector {
 impl SeparationRiskDetector {
     /// Processes one report; may emit separation-risk forecasts.
     pub fn update(&mut self, r: &PositionReport) -> Vec<EventRecord> {
+        let held = self.latest.len() + self.last_held.len();
+        if let Some(high) = self.pruner.due(r.time, held) {
+            // A fix this old pairs with nothing, and a conflict this old
+            // ended its episode.
+            let staleness_ms = self.staleness_ms;
+            self.latest
+                .retain(|_, o| !expired(high, o.time, staleness_ms));
+            self.last_held
+                .retain(|_, t| !expired(high, *t, staleness_ms));
+        }
         self.latest.insert(r.object, *r);
         let mut out = Vec::new();
         if r.alt_m < 1000.0 {
@@ -217,8 +240,8 @@ impl SeparationRiskDetector {
                 } else {
                     (*other, r.object)
                 };
-                let since = self.last_alert.get(&key).copied();
-                if since.is_none_or(|t| r.time - t >= self.cooldown_ms) {
+                let last_held = self.last_held.insert(key, r.time);
+                if opens_episode(last_held, r.time, self.staleness_ms) {
                     let conf = (1.0 - t_s * 1000.0 / self.horizon_ms as f64).clamp(0.05, 0.99);
                     out.push(
                         EventRecord::durative(
@@ -234,9 +257,6 @@ impl SeparationRiskDetector {
                 }
             }
         }
-        for e in &out {
-            self.last_alert.insert((e.objects[0], e.objects[1]), r.time);
-        }
         out
     }
 }
@@ -244,6 +264,7 @@ impl SeparationRiskDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::horizon::tests::late_reports_see_the_unpruned_detector;
     use datacron_geo::{BoundingBox, GeoPoint3};
     use datacron_model::SourceId;
 
@@ -315,6 +336,91 @@ mod tests {
                 .update(&rep3(1, i as f64, pos, alt, 150.0, heading, -4.0))
                 .is_none());
         }
+    }
+
+    /// The seconds at which `stream` raised an event.
+    fn alerts_at<D>(
+        mut d: D,
+        update: impl Fn(&mut D, &PositionReport) -> Vec<EventRecord>,
+        stream: &[PositionReport],
+    ) -> Vec<i64> {
+        let mut at = Vec::new();
+        for r in stream {
+            at.extend(update(&mut d, r).iter().map(|_| r.time.millis() / 1_000));
+        }
+        at
+    }
+
+    /// An aircraft at 5 000 m, one report a minute for `minutes`, turning
+    /// 36° a minute where `turning` says so and flying straight elsewhere.
+    fn holding_track(minutes: i64, turning: impl Fn(i64) -> bool) -> Vec<PositionReport> {
+        let center = GeoPoint::new(10.0, 45.0);
+        let mut heading = 0.0;
+        (0..minutes)
+            .map(|i| {
+                if i > 0 && turning(i) {
+                    heading = datacron_geo::units::normalize_deg(heading + 36.0);
+                }
+                let pos = center.destination(heading - 90.0, 7_000.0);
+                rep3(1, i as f64, pos, 5_000.0, 150.0, heading, 0.0)
+            })
+            .collect()
+    }
+
+    fn holdings(d: &mut HoldingDetector, r: &PositionReport) -> Vec<EventRecord> {
+        d.update(r).into_iter().collect()
+    }
+
+    // The window is 12 min, and ten turns of 36° make a circle.
+    #[test]
+    fn holding_held_for_three_windows_alerts_once() {
+        let stream = holding_track(50, |_| true);
+        assert_eq!(
+            alerts_at(HoldingDetector::default(), holdings, &stream),
+            [600]
+        );
+    }
+
+    #[test]
+    fn holding_dip_shorter_than_the_window_does_not_realert() {
+        // Straight 31–33: the circle in the window is short from minute 33
+        // to 42 and whole again at 43, eleven minutes after it last held.
+        let stream = holding_track(60, |i| !(31..=33).contains(&i));
+        assert_eq!(
+            alerts_at(HoldingDetector::default(), holdings, &stream),
+            [600]
+        );
+    }
+
+    #[test]
+    fn holding_lapse_longer_than_the_window_alerts_again() {
+        // Straight 31–40: whole again at 50, eighteen minutes after.
+        let stream = holding_track(60, |i| !(31..=40).contains(&i));
+        assert_eq!(
+            alerts_at(HoldingDetector::default(), holdings, &stream),
+            [600, 3_000]
+        );
+    }
+
+    #[test]
+    fn holding_reports_a_window_late_see_the_unpruned_detector() {
+        let stream = holding_track(60, |i| !(31..=40).contains(&i));
+        let filler = |object: ObjectId, t: TimeMs| {
+            let mut r = rep3(0, 0.0, GeoPoint::new(20.0, 50.0), 5_000.0, 150.0, 0.0, 0.0);
+            (r.object, r.time) = (object, t);
+            r
+        };
+        let d = HoldingDetector::default();
+        let events = late_reports_see_the_unpruned_detector(
+            HoldingDetector::default,
+            holdings,
+            |d| &mut d.pruner,
+            |d| d.state.len() + d.last_held.len(),
+            filler,
+            &stream,
+            d.window_ms - 1_000,
+        );
+        assert_eq!(events.len(), 2);
     }
 
     // --- hotspot ---
@@ -445,6 +551,168 @@ mod tests {
         d.update(&a);
         let evs = d.update(&b);
         assert_eq!(evs.len(), 1, "climb not projected");
+    }
+
+    /// Two aircraft 100 km apart closing head-on at 220 m/s each, level
+    /// 100 m apart, one report each every 10 s until they meet at 227 s;
+    /// at the seconds `climbed` says so the second reports 1 km higher.
+    fn converging(climbed: impl Fn(i64) -> bool) -> Vec<PositionReport> {
+        let base = GeoPoint::new(10.0, 45.0);
+        (0..23)
+            .flat_map(|step| {
+                let s = step * 10;
+                let (t, flown) = (s as f64 / 60.0, 220.0 * s as f64);
+                let alt = if climbed(s) { 11_100.0 } else { 10_100.0 };
+                [
+                    rep3(
+                        1,
+                        t,
+                        base.destination(90.0, flown),
+                        10_000.0,
+                        220.0,
+                        90.0,
+                        0.0,
+                    ),
+                    rep3(
+                        2,
+                        t,
+                        base.destination(90.0, 100_000.0 - flown),
+                        alt,
+                        220.0,
+                        270.0,
+                        0.0,
+                    ),
+                ]
+            })
+            .collect()
+    }
+
+    fn separation_risks(d: &mut SeparationRiskDetector, r: &PositionReport) -> Vec<EventRecord> {
+        d.update(r)
+    }
+
+    // The staleness bound is 60 s; the pair is in conflict on every
+    // report from the second on.
+    #[test]
+    fn separation_held_for_three_staleness_bounds_alerts_once() {
+        let stream = converging(|_| false);
+        let d = SeparationRiskDetector::default();
+        assert_eq!(alerts_at(d, separation_risks, &stream), [0]);
+    }
+
+    #[test]
+    fn separation_dip_shorter_than_the_staleness_bound_does_not_realert() {
+        // Above at 80 and 90 s: in conflict again at 100 s, 20 s after the
+        // first aircraft's report at 80 s last saw it.
+        let stream = converging(|s| (80..=90).contains(&s));
+        let d = SeparationRiskDetector::default();
+        assert_eq!(alerts_at(d, separation_risks, &stream), [0]);
+    }
+
+    #[test]
+    fn separation_lapse_longer_than_the_staleness_bound_alerts_again() {
+        // Above 70–130 s: in conflict again at 140 s, 80 s after.
+        let stream = converging(|s| (70..=130).contains(&s));
+        let d = SeparationRiskDetector::default();
+        assert_eq!(alerts_at(d, separation_risks, &stream), [0, 140]);
+    }
+
+    #[test]
+    fn separation_reports_a_staleness_bound_late_see_the_unpruned_detector() {
+        let stream = converging(|s| (70..=130).contains(&s));
+        // Light aircraft low down, far off: filed, never in conflict.
+        let filler = |object: ObjectId, t: TimeMs| {
+            let mut r = rep3(0, 0.0, GeoPoint::new(20.0, 50.0), 300.0, 50.0, 0.0, 0.0);
+            (r.object, r.time) = (object, t);
+            r
+        };
+        let d = SeparationRiskDetector::default();
+        let events = late_reports_see_the_unpruned_detector(
+            SeparationRiskDetector::default,
+            separation_risks,
+            |d| &mut d.pruner,
+            |d| d.latest.len() + d.last_held.len(),
+            filler,
+            &stream,
+            d.staleness_ms - 1_000,
+        );
+        assert_eq!(events.len(), 2);
+    }
+
+    #[test]
+    fn churn_leaves_every_map_bounded_by_the_live_set() {
+        // Ten thousand aircraft pass through, one every 10 s: each reports
+        // every 10 s for five minutes and is never heard of again (every
+        // hundredth stays twenty minutes, circling). They fly in pairs at
+        // the same level, one of each pair west from 150 km east of the
+        // other, so every pair is a conflict; the next pair flies 30 km
+        // further north, forty pairs to a cycle. About 35 are live at any
+        // time — so every map of both detectors gets entries all the time.
+        const AIRCRAFT: i64 = 10_000;
+        let base = GeoPoint::new(10.0, 40.0);
+        let mut holding = HoldingDetector::default();
+        let mut separation = SeparationRiskDetector::default();
+        let mut events = [0usize; 2];
+        let mut peak = [0usize; 4];
+        for tick in 0..AIRCRAFT + 120 {
+            let live = (tick - 120..=tick)
+                .filter(|&k| (0..AIRCRAFT).contains(&k))
+                .filter(|&k| tick - k <= if k % 100 == 0 { 120 } else { 30 });
+            for k in live {
+                let (age, lane) = (
+                    (tick - k) as f64,
+                    base.destination(0.0, 30_000.0 * (k / 2 % 20) as f64),
+                );
+                let (pos, heading) = if k % 100 == 0 {
+                    let heading = (age * 6.0) % 360.0;
+                    (lane.destination(heading - 90.0, 7_000.0), heading)
+                } else if k % 2 == 0 {
+                    (lane.destination(90.0, 2_200.0 * age), 90.0)
+                } else {
+                    (lane.destination(90.0, 150_000.0 - 2_200.0 * age), 270.0)
+                };
+                let r = rep3(
+                    k as u64,
+                    tick as f64 / 6.0,
+                    pos,
+                    10_000.0,
+                    220.0,
+                    heading,
+                    0.0,
+                );
+                events[0] += usize::from(holding.update(&r).is_some());
+                events[1] += separation.update(&r).len();
+            }
+            let held = [
+                holding.state.len(),
+                holding.last_held.len(),
+                separation.latest.len(),
+                separation.last_held.len(),
+            ];
+            for (p, h) in peak.iter_mut().zip(held) {
+                *p = (*p).max(h);
+            }
+        }
+        assert!(events[0] >= 100 && events[1] > 4_000, "events {events:?}");
+        // Windows and holds live twice the 12 min window past their last
+        // report (144 aircraft's worth), fixes and conflicts twice the
+        // 60 s staleness, and a sweep comes after as many reports as
+        // there are entries. Twice the peaks this scene reaches — against
+        // the ten thousand aircraft and five thousand pairs that went
+        // through.
+        let bound = [360, 10, 100, 60];
+        for ((what, p), b) in [
+            "holding windows",
+            "holding holds",
+            "separation fixes",
+            "separation conflicts",
+        ]
+        .iter()
+        .zip(peak)
+        .zip(bound)
+        {
+            assert!(p <= b, "{what}: {p} held at the peak, bound {b}");
+        }
     }
 
     #[test]

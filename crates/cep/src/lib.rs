@@ -24,6 +24,7 @@ pub mod aviation;
 pub mod derive;
 mod fleet;
 pub mod forecast;
+mod horizon;
 pub mod maritime;
 pub mod nfa;
 pub mod patterns;

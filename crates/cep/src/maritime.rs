@@ -10,46 +10,17 @@
 //! detectors gate on a running sum before they re-read a window. Every
 //! map is swept as reports arrive (`Pruner`), so what a detector holds
 //! follows the live fleet.
+//!
+//! Loitering, drifting and CPA alert once per episode: only when their
+//! condition last held more than `window_ms` (CPA: `staleness_ms`) before
+//! (`opens_episode`). Rendezvous ends its own episodes on separation.
 
 use crate::fleet::FleetIndex;
+use crate::horizon::{expired, opens_episode, Pruner};
 use datacron_geo::FxHashMap;
 use datacron_geo::{BoundingBox, CellId, GeoPoint, Grid, TimeInterval, TimeMs, EARTH_RADIUS_M};
 use datacron_model::{EventKind, EventRecord, NavStatus, ObjectId, PositionReport};
 use std::collections::VecDeque;
-
-/// When a detector sweeps its maps: after as many reports as it holds
-/// entries, so the sweep (which walks every entry) costs O(1) per report,
-/// and against the latest event time seen — no clock, no thread.
-#[derive(Debug, Default)]
-struct Pruner {
-    high_water: Option<TimeMs>,
-    since_sweep: usize,
-}
-
-impl Pruner {
-    /// Counts the report at `now`; returns the event-time high-water mark
-    /// when a sweep over `held` entries is due.
-    fn due(&mut self, now: TimeMs, held: usize) -> Option<TimeMs> {
-        let high = self.high_water.map_or(now, |h| h.max(now));
-        self.high_water = Some(high);
-        self.since_sweep += 1;
-        if self.since_sweep <= held {
-            return None;
-        }
-        self.since_sweep = 0;
-        Some(high)
-    }
-}
-
-/// Whether an entry last touched at `t` may be forgotten. To a report in
-/// event-time order an entry stops mattering once it is `horizon_ms` old
-/// (a stale fix, an episode to restart, a cooldown served, an emptied
-/// window). It is kept for as long again, so a report that arrives up to
-/// `horizon_ms` late still finds what a detector that never forgot
-/// anything would have shown it.
-fn expired(high_water: TimeMs, t: TimeMs, horizon_ms: i64) -> bool {
-    high_water.millis().saturating_sub(t.millis()) > horizon_ms.saturating_mul(2)
-}
 
 /// Add-or-subtract steps a window's running speed sum may take before it
 /// is recomputed from the buffer (or the buffer's length, if larger, so
@@ -231,11 +202,7 @@ fn within(band: (f64, f64), v: f64) -> bool {
 #[derive(Debug, Default)]
 struct Track {
     window: WindowBuf,
-    last_alert: Option<TimeMs>,
-}
-
-fn cooled_down(last_alert: Option<TimeMs>, now: TimeMs, cooldown_ms: i64) -> bool {
-    last_alert.is_none_or(|t| now - t >= cooldown_ms)
+    last_held: Option<TimeMs>,
 }
 
 /// The per-object windows of one slow-movement detector, and the gates
@@ -254,19 +221,17 @@ impl Tracks {
         &mut self,
         r: &PositionReport,
         window_ms: i64,
-        cooldown_ms: i64,
         band: (f64, f64),
     ) -> Option<&mut Track> {
         if let Some(high) = self.pruner.due(r.time, self.by_object.len()) {
-            // A track that saw nothing for a window and a cooldown is a
-            // fresh one: its fixes would all leave on the next push and
-            // its last alert no longer holds one back.
-            let horizon_ms = window_ms.max(cooldown_ms);
+            // A track that saw nothing for a window is a fresh one: its
+            // fixes would all leave on the next push and its next hold
+            // opens an episode.
             self.by_object.retain(|_, track| {
                 let newest = track.window.buf.back().map(|f| f.t);
                 newest
-                    .max(track.last_alert)
-                    .is_some_and(|t| !expired(high, t, horizon_ms))
+                    .max(track.last_held)
+                    .is_some_and(|t| !expired(high, t, window_ms))
             });
         }
         if r.nav_status == NavStatus::Moored || r.nav_status == NavStatus::AtAnchor {
@@ -296,8 +261,6 @@ pub struct LoiteringDetector {
     pub speed_band: (f64, f64),
     /// Minimum path/net ratio (rules out slow straight transits).
     pub min_tortuosity: f64,
-    /// Cooldown between alerts per object, ms.
-    pub cooldown_ms: i64,
     tracks: Tracks,
 }
 
@@ -308,7 +271,6 @@ impl Default for LoiteringDetector {
             max_diameter_m: 2_000.0,
             speed_band: (0.15, 2.0),
             min_tortuosity: 2.0,
-            cooldown_ms: 30 * 60_000,
             tracks: Tracks::default(),
         }
     }
@@ -317,19 +279,15 @@ impl Default for LoiteringDetector {
 impl LoiteringDetector {
     /// Processes one report.
     pub fn update(&mut self, r: &PositionReport) -> Option<EventRecord> {
-        let track = self
-            .tracks
-            .admit(r, self.window_ms, self.cooldown_ms, self.speed_band)?;
-        let Track { window, last_alert } = track;
+        let Track { window, last_held } = self.tracks.admit(r, self.window_ms, self.speed_band)?;
         // All three re-read the window; cheapest first (adds, then
         // compares, then — once per fix — trig).
         let loitering = within(self.speed_band, window.mean_speed())
             && window.diameter_m() <= self.max_diameter_m
             && window.tortuosity() >= self.min_tortuosity;
-        if !loitering || !cooled_down(*last_alert, r.time, self.cooldown_ms) {
+        if !loitering || !opens_episode(last_held.replace(r.time), r.time, self.window_ms) {
             return None;
         }
-        *last_alert = Some(r.time);
         let center = window.centroid().unwrap_or(r.position());
         let start = window.buf.front().map_or(r.time, |f| f.t);
         Some(
@@ -355,8 +313,6 @@ pub struct DriftingDetector {
     pub max_tortuosity: f64,
     /// Minimum net displacement over the window, metres.
     pub min_net_m: f64,
-    /// Cooldown per object, ms.
-    pub cooldown_ms: i64,
     tracks: Tracks,
 }
 
@@ -367,7 +323,6 @@ impl Default for DriftingDetector {
             speed_band: (0.25, 1.6),
             max_tortuosity: 1.25,
             min_net_m: 250.0,
-            cooldown_ms: 30 * 60_000,
             tracks: Tracks::default(),
         }
     }
@@ -376,17 +331,13 @@ impl Default for DriftingDetector {
 impl DriftingDetector {
     /// Processes one report.
     pub fn update(&mut self, r: &PositionReport) -> Option<EventRecord> {
-        let track = self
-            .tracks
-            .admit(r, self.window_ms, self.cooldown_ms, self.speed_band)?;
-        let Track { window, last_alert } = track;
+        let Track { window, last_held } = self.tracks.admit(r, self.window_ms, self.speed_band)?;
         let drifting = window.net_m() >= self.min_net_m
             && within(self.speed_band, window.mean_speed())
             && window.tortuosity() <= self.max_tortuosity;
-        if !drifting || !cooled_down(*last_alert, r.time, self.cooldown_ms) {
+        if !drifting || !opens_episode(last_held.replace(r.time), r.time, self.window_ms) {
             return None;
         }
-        *last_alert = Some(r.time);
         let start = window.buf.front().map_or(r.time, |f| f.t);
         Some(EventRecord::durative(
             EventKind::Drifting,
@@ -622,13 +573,12 @@ pub struct CpaDetector {
     pub pair_range_m: f64,
     /// Fix staleness bound, ms.
     pub staleness_ms: i64,
-    /// Cooldown per pair, ms.
-    pub cooldown_ms: i64,
     /// Latest fix per object, with its velocity, by cell of a whole-earth
     /// grid: a vessel's partners are looked for in the cells its range box
     /// touches.
     fleet: FleetIndex<(f64, f64)>,
-    last_alert: FxHashMap<(ObjectId, ObjectId), TimeMs>,
+    /// When each pair was last on a collision course.
+    last_held: FxHashMap<(ObjectId, ObjectId), TimeMs>,
     pruner: Pruner,
     /// Scratch: the fixes around the current report.
     nearby: Vec<(PositionReport, (f64, f64))>,
@@ -722,9 +672,8 @@ impl Default for CpaDetector {
             cpa_time_ms: 20 * 60_000,
             pair_range_m: 20_000.0,
             staleness_ms: 3 * 60_000,
-            cooldown_ms: 15 * 60_000,
             fleet: FleetIndex::new(Grid::new(earth, CPA_CELL_DEG).expect("valid extent")),
-            last_alert: FxHashMap::default(),
+            last_held: FxHashMap::default(),
             pruner: Pruner::default(),
             nearby: Vec::new(),
         }
@@ -749,14 +698,14 @@ impl CpaDetector {
     pub fn update(&mut self, r: &PositionReport) -> Vec<EventRecord> {
         if let Some(high) = self
             .pruner
-            .due(r.time, self.fleet.len() + self.last_alert.len())
+            .due(r.time, self.fleet.len() + self.last_held.len())
         {
-            // A fix this old pairs with nothing, and an alert this old no
-            // longer holds the next one back.
-            let (staleness_ms, cooldown_ms) = (self.staleness_ms, self.cooldown_ms);
+            // A fix this old pairs with nothing, and a course this old
+            // ended its episode.
+            let staleness_ms = self.staleness_ms;
             self.fleet.prune(|t| expired(high, t, staleness_ms));
-            self.last_alert
-                .retain(|_, t| !expired(high, *t, cooldown_ms));
+            self.last_held
+                .retain(|_, t| !expired(high, *t, staleness_ms));
         }
         let mut out = Vec::new();
         let own = OwnShip::of(r);
@@ -782,8 +731,8 @@ impl CpaDetector {
             let (t_s, d_m) = own.cpa_with(o, *vel);
             if t_s > 0.0 && (t_s * 1000.0) as i64 <= self.cpa_time_ms && d_m <= self.cpa_dist_m {
                 let key = pair_key(r.object, o.object);
-                let since = self.last_alert.get(&key).copied();
-                if cooled_down(since, r.time, self.cooldown_ms) {
+                let last_held = self.last_held.insert(key, r.time);
+                if opens_episode(last_held, r.time, self.staleness_ms) {
                     // Confidence decays with time-to-CPA.
                     let conf = (1.0 - t_s * 1000.0 / self.cpa_time_ms as f64).clamp(0.05, 0.99);
                     out.push(
@@ -800,10 +749,6 @@ impl CpaDetector {
                 }
             }
         }
-        for e in &out {
-            let key = (e.objects[0], e.objects[1]);
-            self.last_alert.insert(key, r.time);
-        }
         out
     }
 }
@@ -811,6 +756,7 @@ impl CpaDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::horizon::tests::late_reports_see_the_unpruned_detector;
     use datacron_model::SourceId;
 
     fn rep(obj: u64, t_min: f64, pos: GeoPoint, speed: f64, heading: f64) -> PositionReport {
@@ -879,22 +825,100 @@ mod tests {
         }
     }
 
-    #[test]
-    fn loitering_cooldown_suppresses_repeats() {
-        let mut d = LoiteringDetector {
-            cooldown_ms: 10 * 60 * 60_000, // longer than the test run
-            ..LoiteringDetector::default()
-        };
-        let center = GeoPoint::new(24.5, 37.2);
-        let mut count = 0;
-        for i in 0..80 {
-            let angle = (i * 73 % 360) as f64;
-            let pos = center.destination(angle, 300.0);
-            if d.update(&rep(1, i as f64, pos, 0.8, angle)).is_some() {
-                count += 1;
-            }
+    /// Vessel 1's reports, one a minute for `minutes`: moored where
+    /// `moored` says so, and otherwise `under_way` at that minute.
+    fn schedule(
+        minutes: i64,
+        moored: impl Fn(i64) -> bool,
+        under_way: impl Fn(i64) -> PositionReport,
+    ) -> Vec<PositionReport> {
+        (0..minutes)
+            .map(|i| {
+                let mut r = under_way(i);
+                if moored(i) {
+                    r.nav_status = NavStatus::Moored;
+                }
+                r
+            })
+            .collect()
+    }
+
+    /// The minutes at which `stream` raised an event.
+    fn alerts_at<D>(
+        mut d: D,
+        update: impl Fn(&mut D, &PositionReport) -> Vec<EventRecord>,
+        stream: &[PositionReport],
+    ) -> Vec<i64> {
+        let mut at = Vec::new();
+        for r in stream {
+            at.extend(update(&mut d, r).iter().map(|_| r.time.millis() / 60_000));
         }
-        assert_eq!(count, 1, "cooldown failed");
+        at
+    }
+
+    /// A vessel meandering 300 m around one spot at 0.8 m/s.
+    fn meander(i: i64) -> PositionReport {
+        let angle = (i * 73 % 360) as f64;
+        let center = GeoPoint::new(24.5, 37.2);
+        rep(1, i as f64, center.destination(angle, 300.0), 0.8, angle)
+    }
+
+    fn loitering(d: &mut LoiteringDetector, r: &PositionReport) -> Vec<EventRecord> {
+        d.update(r).into_iter().collect()
+    }
+
+    // The window is 30 min, and a window three quarters full is judged.
+    #[test]
+    fn loitering_held_for_three_windows_alerts_once() {
+        let stream = schedule(120, |_| false, meander);
+        assert_eq!(
+            alerts_at(LoiteringDetector::default(), loitering, &stream),
+            [23]
+        );
+    }
+
+    #[test]
+    fn loitering_dip_shorter_than_the_window_does_not_realert() {
+        // Moored at minute 60: the window empties and holds again at 84,
+        // 25 minutes after it last held.
+        let stream = schedule(130, |i| i == 60, meander);
+        assert_eq!(
+            alerts_at(LoiteringDetector::default(), loitering, &stream),
+            [23]
+        );
+    }
+
+    #[test]
+    fn loitering_lapse_longer_than_the_window_alerts_again() {
+        // Moored 60–70: holds again at 94, 35 minutes after it last held.
+        let stream = schedule(130, |i| (60..=70).contains(&i), meander);
+        assert_eq!(
+            alerts_at(LoiteringDetector::default(), loitering, &stream),
+            [23, 94]
+        );
+    }
+
+    /// A vessel far from the others that reports once.
+    fn filler(object: ObjectId, t: TimeMs) -> PositionReport {
+        let mut r = rep(0, 0.0, GeoPoint::new(29.0, 40.0), 0.0, 0.0);
+        (r.object, r.time) = (object, t);
+        r
+    }
+
+    #[test]
+    fn loitering_reports_a_window_late_see_the_unpruned_detector() {
+        let stream = schedule(130, |i| (60..=70).contains(&i), meander);
+        let d = LoiteringDetector::default();
+        let events = late_reports_see_the_unpruned_detector(
+            LoiteringDetector::default,
+            loitering,
+            |d| &mut d.tracks.pruner,
+            |d| d.tracks.by_object.len(),
+            filler,
+            &stream,
+            d.window_ms - 1_000,
+        );
+        assert_eq!(events.len(), 2);
     }
 
     // --- drifting ---
@@ -912,6 +936,69 @@ mod tests {
             }
         }
         assert!(fired, "drifting not detected");
+    }
+
+    /// A vessel drifting north-east at 0.7 m/s.
+    fn drift(i: i64) -> PositionReport {
+        let start = GeoPoint::new(24.0, 37.0);
+        rep(
+            1,
+            i as f64,
+            start.destination(45.0, 0.7 * 60.0 * i as f64),
+            0.7,
+            45.0,
+        )
+    }
+
+    fn drifting(d: &mut DriftingDetector, r: &PositionReport) -> Vec<EventRecord> {
+        d.update(r).into_iter().collect()
+    }
+
+    // The window is 20 min, and a window three quarters full is judged.
+    #[test]
+    fn drifting_held_for_three_windows_alerts_once() {
+        let stream = schedule(80, |_| false, drift);
+        assert_eq!(
+            alerts_at(DriftingDetector::default(), drifting, &stream),
+            [15]
+        );
+    }
+
+    #[test]
+    fn drifting_dip_shorter_than_the_window_does_not_realert() {
+        // Moored at minute 40: holds again at 56, 17 minutes after it
+        // last held.
+        let stream = schedule(80, |i| i == 40, drift);
+        assert_eq!(
+            alerts_at(DriftingDetector::default(), drifting, &stream),
+            [15]
+        );
+    }
+
+    #[test]
+    fn drifting_lapse_longer_than_the_window_alerts_again() {
+        // Moored 40–45: holds again at 61, 22 minutes after it last held.
+        let stream = schedule(80, |i| (40..=45).contains(&i), drift);
+        assert_eq!(
+            alerts_at(DriftingDetector::default(), drifting, &stream),
+            [15, 61]
+        );
+    }
+
+    #[test]
+    fn drifting_reports_a_window_late_see_the_unpruned_detector() {
+        let stream = schedule(80, |i| (40..=45).contains(&i), drift);
+        let d = DriftingDetector::default();
+        let events = late_reports_see_the_unpruned_detector(
+            DriftingDetector::default,
+            drifting,
+            |d| &mut d.tracks.pruner,
+            |d| d.tracks.by_object.len(),
+            filler,
+            &stream,
+            d.window_ms - 1_000,
+        );
+        assert_eq!(events.len(), 2);
     }
 
     #[test]
@@ -1126,31 +1213,79 @@ mod tests {
         assert!(d.update(&b).is_empty());
     }
 
-    #[test]
-    fn cpa_detector_cooldown() {
-        let mut d = CpaDetector::default();
+    /// Two vessels 8 km apart closing head-on at 5 m/s each, one report
+    /// each a minute, until they meet at 13⅓ minutes; during `turned`
+    /// minutes the second reports a heading away from the first.
+    fn head_on(turned: impl Fn(i64) -> bool) -> Vec<PositionReport> {
         let base = GeoPoint::new(24.0, 37.0);
-        let mut total = 0;
-        for i in 0..5 {
-            let t = i as f64;
-            let a = rep(
-                1,
-                t,
-                base.destination(90.0, 5.0 * 60.0 * i as f64),
-                5.0,
-                90.0,
-            );
-            let b = rep(
-                2,
-                t,
-                base.destination(90.0, 8_000.0 - 5.0 * 60.0 * i as f64),
-                5.0,
-                270.0,
-            );
-            d.update(&a);
-            total += d.update(&b).len();
-        }
-        assert_eq!(total, 1, "cooldown failed");
+        (0..13)
+            .flat_map(|i| {
+                let sailed = 5.0 * 60.0 * i as f64;
+                let heading = if turned(i) { 90.0 } else { 270.0 };
+                [
+                    rep(1, i as f64, base.destination(90.0, sailed), 5.0, 90.0),
+                    rep(
+                        2,
+                        i as f64,
+                        base.destination(90.0, 8_000.0 - sailed),
+                        5.0,
+                        heading,
+                    ),
+                ]
+            })
+            .collect()
+    }
+
+    fn collision_risks(d: &mut CpaDetector, r: &PositionReport) -> Vec<EventRecord> {
+        d.update(r)
+    }
+
+    // The staleness bound is 3 min; the pair is on a collision course on
+    // every report from the second on.
+    #[test]
+    fn cpa_held_for_three_staleness_bounds_alerts_once() {
+        let stream = head_on(|_| false);
+        assert_eq!(
+            alerts_at(CpaDetector::default(), collision_risks, &stream),
+            [0]
+        );
+    }
+
+    #[test]
+    fn cpa_dip_shorter_than_the_staleness_bound_does_not_realert() {
+        // Turned away at 5 and 6: on course again at 7, two minutes after
+        // the first vessel's report at 5 last saw it.
+        let stream = head_on(|i| (5..=6).contains(&i));
+        assert_eq!(
+            alerts_at(CpaDetector::default(), collision_risks, &stream),
+            [0]
+        );
+    }
+
+    #[test]
+    fn cpa_lapse_longer_than_the_staleness_bound_alerts_again() {
+        // Turned away 5–8: on course again at 9, four minutes after.
+        let stream = head_on(|i| (5..=8).contains(&i));
+        assert_eq!(
+            alerts_at(CpaDetector::default(), collision_risks, &stream),
+            [0, 9]
+        );
+    }
+
+    #[test]
+    fn cpa_reports_a_staleness_bound_late_see_the_unpruned_detector() {
+        let stream = head_on(|i| (5..=8).contains(&i));
+        let d = CpaDetector::default();
+        let events = late_reports_see_the_unpruned_detector(
+            CpaDetector::default,
+            collision_risks,
+            |d| &mut d.pruner,
+            |d| d.fleet.len() + d.last_held.len(),
+            filler,
+            &stream,
+            d.staleness_ms - 1_000,
+        );
+        assert_eq!(events.len(), 2);
     }
 
     // --- aggregates and pruning ---
@@ -1279,7 +1414,7 @@ mod tests {
                 rendezvous.fleet.len(),
                 rendezvous.episodes.len(),
                 cpa.fleet.len(),
-                cpa.last_alert.len(),
+                cpa.last_held.len(),
             ];
             for (p, h) in peak.iter_mut().zip(held) {
                 *p = (*p).max(h);
@@ -1287,19 +1422,20 @@ mod tests {
         }
         assert!(events.iter().all(|&n| n > 0), "events {events:?}");
         assert!(pairs_ever.len() > 20_000, "{} pairs", pairs_ever.len());
-        // Tracks live an hour past their last report (120 vessels' worth),
-        // fixes twice their staleness, alerts twice the cooldown, and a
-        // sweep comes after as many reports as there are entries. Twice
-        // the peaks this scene reaches — against the ten thousand vessels
-        // and forty thousand pairs that went through.
-        let bound = [300, 300, 100, 320, 90, 300];
+        // Tracks live twice their window past their last report (an hour
+        // for loitering, 120 vessels' worth), fixes and collision courses
+        // twice their staleness, and a sweep comes after as many reports
+        // as there are entries. Twice the peaks this scene reaches —
+        // against the ten thousand vessels and forty thousand pairs that
+        // went through.
+        let bound = [300, 220, 100, 320, 90, 160];
         for ((what, p), b) in [
             "loitering tracks",
             "drifting tracks",
             "rendezvous fixes",
             "rendezvous episodes",
             "cpa fixes",
-            "cpa alerts",
+            "cpa courses",
         ]
         .iter()
         .zip(peak)

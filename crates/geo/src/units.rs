@@ -16,11 +16,6 @@ pub fn mps_to_knots(mps: f64) -> f64 {
     mps * 3600.0 / METERS_PER_NM
 }
 
-/// Converts nautical miles to metres.
-pub fn nm_to_m(nm: f64) -> f64 {
-    nm * METERS_PER_NM
-}
-
 /// Converts feet to metres (aviation altitudes).
 pub fn ft_to_m(ft: f64) -> f64 {
     ft * METERS_PER_FT
@@ -65,12 +60,6 @@ mod tests {
     fn speed_round_trip() {
         assert!(close(mps_to_knots(knots_to_mps(12.5)), 12.5));
         assert!((knots_to_mps(1.0) - 0.514444).abs() < 1e-5);
-    }
-
-    #[test]
-    fn distance_round_trip() {
-        assert!(close(nm_to_m(3.0) / METERS_PER_NM, 3.0));
-        assert!(close(nm_to_m(1.0), 1852.0));
     }
 
     #[test]

@@ -230,6 +230,9 @@ retired="$retired"'|RTree|SPATIAL_TAIL_LIMIT|TEMPORAL_TAIL_LIMIT|spatial_builds'
 # C4 runs on the one graph: the partitioned query path, its refusal and
 # statistics types, and the location- and time-homed partitioners are gone.
 retired="$retired"'|SpatialGridPartitioner|TemporalPartitioner|NotAStar|PartitionedStats|DecodedBindings|partitions_probed|partition_sweep'
+# One re-alert rule: a durative detector opens an episode after a lapse
+# longer than its own horizon, so no per-detector cooldown comes back.
+retired="$retired"'|cooldown_ms|cooled_down'
 if grep -rnE --exclude=ci.sh "$retired" crates/ tests/ examples/ scripts/; then
   echo "retired write-path / protocol / test-hook / metrics names are back (see above)" >&2
   exit 1
